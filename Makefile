@@ -4,7 +4,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench bench-quick bench-interp bench-interp-smoke \
 	bench-residual bench-residual-smoke bench-native native-smoke \
 	fuzz fuzz-smoke fuzz-nightly \
-	serve-bench serve-smoke chaos chaos-smoke chaos-nightly docs
+	serve-bench serve-smoke chaos chaos-smoke chaos-nightly \
+	perfbench-smoke docs
 
 # Tier-1 verification: the full claim-backing test suite.
 test:
@@ -85,6 +86,20 @@ chaos-smoke:
 chaos-nightly:
 	$(PYTHON) -m repro chaos --n 500 --seed $(shell date +%U)00 \
 		--out BENCH_chaos.json
+
+# The benchmark smoke: each gated perfbench workload for two seconds.
+# Fails unless the run's last JSON line reports every answer correct and
+# no failed op (speed is not gated here; see perfbench/README.md).
+PERFBENCH_WORKLOADS = cold-pipeline warm-discharged warm-monitored
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-smoke: $$w"; \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 2 \
+			--trace 0 | tail -n 1 | $(PYTHON) -c 'import json, sys; \
+		r = json.loads(sys.stdin.read()); print(r); \
+		sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+			|| exit 1; \
+	done
 
 # The documentation set worth (re)reading, in order.
 docs:

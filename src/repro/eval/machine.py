@@ -44,6 +44,7 @@ from typing import List, Optional
 from repro.ds.hamt import Hamt
 from repro.ds.lru import LRU
 from repro.eval.errors import FuelExhausted, MachineTimeout, SchemeError
+from repro.eval.native import NativeContext, compile_lam
 from repro.lang import ast, libraries
 from repro.lang.parser import parse_program
 from repro.lang.prims import PRIMITIVES
@@ -466,10 +467,11 @@ def eval_code(
     resume interpretation under the state captured at native entry.
 
     ``native`` — a :class:`repro.eval.native.NativeContext`; when given,
-    applying a closure the native tier covers (compiled body, and either
-    an unmonitored mode or a discharged/skip-listed λ) hands the call to
-    the native trampoline instead of entering the body here.  Fallbacks
-    from native code pass ``native=None``, which bounds tier nesting.
+    applying a closure the native tier covers (an unmonitored mode or a
+    discharged/skip-listed λ) compiles its body on that first eligible
+    apply and hands the call to the native trampoline instead of entering
+    the body here.  Fallbacks from native code pass ``native=None``,
+    which bounds tier nesting.
     """
     if monitor is None:
         monitor = SCMonitor()
@@ -956,21 +958,28 @@ def eval_code(
                             f" got {nargs}",
                             loc,
                         )
-                    if native is not None and clam.native is not None and (
+                    if native is not None and (
                             not monitored_modes or clam.discharged or
                             (skips is not None and clam.label in skips)):
-                        # Native-tier handoff: the trampoline runs this
-                        # call to completion (with interpreter fallbacks
-                        # for residual-monitored callees under the state
-                        # captured here).  Fuel is shared through the
-                        # _Fuel cell, so publish and reload around it.
-                        fuel.left = steps_left
-                        try:
-                            val = native.enter(fn, vals, s1, s2)
-                        finally:
-                            steps_left = fuel.left
-                        returning = True
-                        break
+                        # Tier-up on demand: the first eligible apply
+                        # compiles the λ (an emitter rejection leaves it
+                        # interpreted, below).
+                        if clam.native_is_gen is None:
+                            compile_lam(clam)
+                        if clam.native is not None:
+                            # Native-tier handoff: the trampoline runs
+                            # this call to completion (with interpreter
+                            # fallbacks for residual-monitored callees
+                            # under the state captured here).  Fuel is
+                            # shared through the _Fuel cell, so publish
+                            # and reload around it.
+                            fuel.left = steps_left
+                            try:
+                                val = native.enter(fn, vals, s1, s2)
+                            finally:
+                                steps_left = fuel.left
+                            returning = True
+                            break
                     if imperative:
                         if s1 and not clam.discharged and (
                                 skips is None or clam.label not in skips) and (
@@ -1231,16 +1240,9 @@ def run_program(
     compiled = machine != "tree"
     native_ctx = None
     if machine == "native":
-        from repro.eval.native import (
-            NativeContext,
-            ensure_native,
-            ensure_native_libraries,
-        )
-
-        # Library λs were resolved policy-free; their native code plus
-        # the monitor's (already installed) skip set is what lets a
-        # policy-covered prelude closure run natively.
-        ensure_native_libraries()
+        # Nothing is compiled up front: each λ, library λs included,
+        # tiers up at its first eligible apply (see eval_code's APPLY and
+        # NativeContext._drive).
         native_ctx = NativeContext(env, mode=mode, strategy=strategy,
                                    monitor=monitor, mtable=mtable,
                                    fuel=budget)
@@ -1259,8 +1261,6 @@ def run_program(
         for form in program.forms:
             if compiled:
                 code = compile_code(form.expr, skip_labels)
-                if native_ctx is not None:
-                    ensure_native(code)
                 value = eval_code(
                     code, env, mode=mode,
                     strategy=strategy, monitor=monitor, fuel=budget,

@@ -26,6 +26,14 @@ mixes native and interpreted frames across call boundaries):
   native entry is exactly the state any residual-monitored callee must
   observe.
 
+Compilation is on demand: a λ is compiled the first time it is applied
+on a path where the rule above lets it run natively (in ``eval_code``'s
+APPLY, in the trampoline, or through a tail call that reaches the
+trampoline), and never otherwise.  The threshold is one apply on
+purpose: it makes exactly the tier decisions an ahead-of-time walk of
+every λ would, so ``steps`` and ``tier`` do not depend on what earlier
+runs of the same parse happened to compile.
+
 Everything else falls back to :func:`repro.eval.machine.eval_code`
 mid-flight — residual-monitored closures, ``term/c``-wrapped callees
 under monitoring, λs whose bodies the emitter rejected.  The fallback
@@ -54,7 +62,7 @@ counters.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.eval.errors import FuelExhausted, SchemeError
 from repro.lang.prims import PRIMITIVES
@@ -86,7 +94,8 @@ from repro.values.values import (
     write_value,
 )
 
-__all__ = ["NativeContext", "ensure_native", "ensure_native_libraries"]
+__all__ = ["NativeContext", "compile_lam", "ensure_native",
+           "ensure_native_libraries"]
 
 # Names statically bound to primitives in every fresh environment.  A
 # non-tail call whose head is one of these is *prim-likely*: the emitter
@@ -107,6 +116,9 @@ _MAX_SOURCE = 262_144
 # default recursion limit while amortizing the driver's per-call cost
 # over K direct calls.
 _DIRECT_DEPTH = 40
+
+# Code tags whose evaluation runs no user code (and so no ``set!``).
+_INERT = (T_LIT, T_LOCAL, T_GLOBAL)
 
 
 # -- inline primitive fast paths ------------------------------------------------
@@ -252,16 +264,6 @@ class NativeContext:
         # only makes later calls more conservative, never unsound.
         self.d = 0
 
-    def eligible(self, clam) -> bool:
-        """The tier-selection rule (mirrors the inline check in
-        ``eval_code``'s APPLY)."""
-        if clam.native is None:
-            return False
-        if not self.monitored or clam.discharged:
-            return True
-        skips = self.skips
-        return skips is not None and clam.label in skips
-
     def enter(self, fn, vals, s1, s2):
         """Called from ``eval_code``'s APPLY: run an eligible closure
         natively and return its value.  (s1, s2) is the monitoring state
@@ -298,10 +300,16 @@ class NativeContext:
                             f"arguments, got {len(vals) - 1}",
                             loc,
                         )
-                    nf = clam.native
-                    if nf is not None and (
-                            not monitored or clam.discharged or
+                    if (not monitored or clam.discharged or
                             (skips is not None and clam.label in skips)):
+                        nf = clam.native
+                        if nf is None and clam.native_is_gen is None:
+                            # Tier-up on demand (first eligible apply).
+                            compile_lam(clam)
+                            nf = clam.native
+                    else:
+                        nf = None
+                    if nf is not None:
                         vals[0] = fn.env
                         if clam.native_is_gen:
                             gen = nf(fn, vals, self)
@@ -331,14 +339,7 @@ class NativeContext:
                     applying = False
                     continue
                 if tf is Prim:
-                    n = len(vals) - 1
-                    if n < fn.arity_min or (fn.arity_max is not None
-                                            and n > fn.arity_max):
-                        raise SchemeError(
-                            f"{fn.name}: arity mismatch with {n} arguments",
-                            loc,
-                        )
-                    value = fn.fn(vals[1:])
+                    value = self.prim(fn, vals[1:], loc)
                     applying = False
                     continue
                 if tf is TermWrapped:
@@ -370,10 +371,24 @@ class NativeContext:
                 value = out
                 continue
 
+    @staticmethod
+    def prim(fn, args, loc):
+        """Generic primitive dispatch: the arity check, then the call.
+        Native call sites take it whenever the head is a primitive other
+        than the one their identity guard expects."""
+        n = len(args)
+        if n < fn.arity_min or (fn.arity_max is not None
+                                and n > fn.arity_max):
+            raise SchemeError(
+                f"{fn.name}: arity mismatch with {n} arguments", loc)
+        return fn.fn(args)
+
     def fallback(self, fn, vals, loc):
-        """Slow path for plain-compiled call sites whose prim-likely head
-        turned out not to be a primitive."""
+        """Slow path for plain-compiled non-tail call sites whose
+        prim-likely head turned out not to be the expected primitive."""
         tf = type(fn)
+        if tf is Prim:
+            return self.prim(fn, vals[1:], loc)
         if tf is Closure or tf is TermWrapped:
             return self.fallback_call(fn, vals, loc)
         raise SchemeError(
@@ -694,13 +709,16 @@ class _Emitter:
 
     def eval_seq(self, exprs, ind: int) -> List[str]:
         """Left-to-right evaluation of sibling expressions.  Volatile
-        reads are frozen unless they are the final evaluation — after
-        that point no user code runs before the values are consumed."""
+        reads are frozen unless no later sibling can run user code
+        (literals and variable reads cannot ``set!`` anything) — past
+        the last one that can, nothing disturbs a slot before the values
+        are consumed."""
         out: List[str] = []
-        n = len(exprs)
+        last = max((i for i, e in enumerate(exprs) if e.tag not in _INERT),
+                   default=-1)
         for i, e in enumerate(exprs):
             v, vol = self.compile_value(e, ind)
-            if vol and i < n - 1:
+            if vol and i < last:
                 v = self.freeze(v, ind)
             out.append(v)
         return out
@@ -716,60 +734,63 @@ class _Emitter:
 
     def prim_dispatch(self, h: str, args: List[str], loc: str, ind: int,
                       tail: bool, sname: Optional[str] = None
-                      ) -> Optional[str]:
-        """The inline primitive branch of an application.  Returns the
-        result temp for non-tail sites (the else-branch filled in by the
-        caller); emits a ``return`` for tail sites.
+                      ) -> Tuple[Optional[str], bool]:
+        """The primitive branches of an application: ``(target,
+        opened)`` for non-tail sites, where ``opened`` says whether an
+        ``if`` chain was started that the caller must close with its
+        ``else`` branch; tail sites emit their ``return``s instead.
 
-        When the head is a global statically naming an inlinable
-        primitive, an identity-guarded fast path is emitted first:
-        ``if {h} is <that prim>`` the call compiles to a direct Python
-        expression (no argument list, no generic dispatch); the guard
-        makes rebinding safe and the expression delegates to the
-        primitive outside its fast case, so observables never change.
-        ``args`` is frozen in place when a fast path fires — callers
-        build their fallback argument lists after this returns."""
+        When the head is a global statically naming a registered
+        primitive and the argument count fits its arity, an
+        identity-guarded fast path is emitted first: ``if {h} is <that
+        prim>`` the call compiles to a direct Python expression for the
+        inlinable workhorses, and to a plain ``{h}.fn([...])`` for the
+        rest — the guard proves the arity, so no check is emitted.  The
+        guard makes rebinding safe and inline expressions delegate to the
+        primitive outside their fast case, so observables never change.
+        Any other primitive head takes the generic dispatch in
+        :meth:`NativeContext.prim` (arity check, then the call); a plain
+        λ's non-tail sites leave even that test to the caller's
+        ``_rt.fallback`` branch.  ``args`` is frozen in place when an
+        inline expression fires — callers build their fallback argument
+        lists after this returns."""
         n = len(args)
         target: Optional[str] = None
         opened = False
-        gen = _INLINE_PRIMS.get(sname) if sname is not None else None
-        if gen is not None:
-            frozen = [self.freeze(a, ind) for a in args]
-            expr = gen(h, frozen)
-            if expr is not None:
-                args[:] = frozen
-                self.line(ind,
-                          f"if {h} is {self.const(_PRIM_BY_SNAME[sname])}:")
-                if tail:
-                    if self.is_gen:
-                        self.line(ind + 1, f"yield {expr}")
-                        self.line(ind + 1, "return")
-                    else:
-                        self.line(ind + 1, f"return {expr}")
-                else:
-                    target = self.gensym()
-                    self.line(ind + 1, f"{target} = {expr}")
-                opened = True
-        arglist = ", ".join(args)
-        branch = "elif" if opened else "if"
-        self.line(ind, f"{branch} type({h}) is _Prim:")
-        self.line(ind + 1,
-                  f"if {n} < {h}.arity_min or ({h}.arity_max is not None"
-                  f" and {n} > {h}.arity_max):")
-        self.line(ind + 2,
-                  f"raise _SErr({h}.name + "
-                  f"': arity mismatch with {n} arguments', {loc})")
-        if tail:
-            if self.is_gen:
-                self.line(ind + 1, f"yield {h}.fn([{arglist}])")
-                self.line(ind + 1, "return")
+        prim = _PRIM_BY_SNAME.get(sname) if sname is not None else None
+        if prim is not None and n >= prim.arity_min and (
+                prim.arity_max is None or n <= prim.arity_max):
+            gen = _INLINE_PRIMS.get(sname)
+            # Inline expressions may read an argument more than once, so
+            # compound reads are pinned to a temp; bare names (mutable
+            # slots included) are read as-is — no user code runs between
+            # here and the expression's last read.
+            frozen = [a if a.isidentifier() else self.freeze(a, ind)
+                      for a in args] if gen else args
+            expr = gen(h, frozen) if gen else None
+            if expr is None:
+                expr = f"{h}.fn([{', '.join(args)}])"
             else:
-                self.line(ind + 1, f"return {h}.fn([{arglist}])")
-            return None
-        if target is None:
-            target = self.gensym()
-        self.line(ind + 1, f"{target} = {h}.fn([{arglist}])")
-        return target
+                args[:] = frozen
+            self.line(ind, f"if {h} is {self.const(prim)}:")
+            if tail:
+                self.emit_return(expr, ind + 1)
+            else:
+                target = self.gensym()
+                self.line(ind + 1, f"{target} = {expr}")
+            opened = True
+        if not tail and not self.is_gen:
+            return target or self.gensym(), opened
+        self.uses_rt = True
+        branch = "elif" if opened else "if"
+        call = f"_rt.prim({h}, [{', '.join(args)}], {loc})"
+        self.line(ind, f"{branch} type({h}) is _Prim:")
+        if tail:
+            self.emit_return(call, ind + 1)
+            return None, True
+        target = target or self.gensym()
+        self.line(ind + 1, f"{target} = {call}")
+        return target, True
 
     def value_app(self, e, ind: int) -> str:
         vals = self.eval_seq(e.exprs, ind)
@@ -778,25 +799,27 @@ class _Emitter:
         loc = self.cref(e.loc)
         head = e.exprs[0]
         sname = head.sname if head.tag == T_GLOBAL else None
-        t = self.prim_dispatch(h, args, loc, ind, tail=False, sname=sname)
+        t, opened = self.prim_dispatch(h, args, loc, ind, tail=False,
+                                       sname=sname)
         arglist = ", ".join(["None"] + args)
-        self.line(ind, "else:")
+        self.uses_rt = True
+        if opened:
+            self.line(ind, "else:")
+            ind += 1
         if self.is_gen:
             # Depth-bounded direct dispatch: re-entering the driver costs
             # one Python call instead of a suspend/resume round-trip;
             # past the bound, suspend as usual so stack use stays flat.
-            self.uses_rt = True
-            self.line(ind + 1, f"if _rt.d < {_DIRECT_DEPTH}:")
-            self.line(ind + 2, "_rt.d += 1")
-            self.line(ind + 2,
+            self.line(ind, f"if _rt.d < {_DIRECT_DEPTH}:")
+            self.line(ind + 1, "_rt.d += 1")
+            self.line(ind + 1,
                       f"{t} = _rt._drive({h}, [{arglist}], {loc})")
-            self.line(ind + 2, "_rt.d -= 1")
-            self.line(ind + 1, "else:")
-            self.line(ind + 2,
+            self.line(ind + 1, "_rt.d -= 1")
+            self.line(ind, "else:")
+            self.line(ind + 1,
                       f"{t} = yield _Call({h}, [{arglist}], {loc}, False)")
         else:
-            self.uses_rt = True
-            self.line(ind + 1, f"{t} = _rt.fallback({h}, [{arglist}], {loc})")
+            self.line(ind, f"{t} = _rt.fallback({h}, [{arglist}], {loc})")
         return t
 
     def tail_app(self, e, ind: int) -> None:
@@ -827,7 +850,8 @@ class _Emitter:
         # result — a value or the next _Call request — propagates through
         # our own return, preserving the tail protocol).  Everything this
         # guard cannot prove falls through to the trampoline request,
-        # where the driver re-checks with full generality.
+        # where the driver re-checks with full generality — including a
+        # callee not compiled yet, which the driver tiers up.
         self.uses_rt = True
         self.uses_direct = True
         lam = self.gensym()
@@ -846,17 +870,9 @@ class _Emitter:
         rt = self.gensym()
         self.line(ind + 2, f"{rt} = {lam}.native({h}, [{fcall}], _rt)")
         self.line(ind + 2, "_rt.d -= 1")
-        if self.is_gen:
-            self.line(ind + 2, f"yield {rt}")
-            self.line(ind + 2, "return")
-        else:
-            self.line(ind + 2, f"return {rt}")
+        self.emit_return(rt, ind + 2)
         arglist = ", ".join(["None"] + args)
-        if self.is_gen:
-            self.line(ind, f"yield _Call({h}, [{arglist}], {loc}, True)")
-            self.line(ind, "return")
-        else:
-            self.line(ind, f"return _Call({h}, [{arglist}], {loc})")
+        self.emit_return(f"_Call({h}, [{arglist}], {loc})", ind)
 
     def emit_let(self, e, ind: int) -> None:
         """Evaluate rhss in the current scope, then push the new rib
@@ -969,16 +985,23 @@ class _Emitter:
             self.ribs.pop()
             return
         v, _ = self.compile_value(e, ind)
+        self.emit_return(v, ind)
+
+    def emit_return(self, expr: str, ind: int) -> None:
+        """Finish the function with ``expr`` — the value, or the next
+        ``_Call`` request (generators hand it to the driver by yielding)."""
         if self.is_gen:
-            self.line(ind, f"yield {v}")
+            self.line(ind, f"yield {expr}")
             self.line(ind, "return")
         else:
-            self.line(ind, f"return {v}")
+            self.line(ind, f"return {expr}")
 
 
-def _compile_lam(clam) -> None:
+def compile_lam(clam) -> None:
     """Attach native code to one CLam (best-effort: any emitter or
-    CPython-compile failure leaves the λ interpreted)."""
+    CPython-compile failure leaves the λ interpreted).  The machines call
+    this at the λ's first native-eligible apply; every later apply finds
+    the attempt recorded in ``native_is_gen``."""
     if clam.native_is_gen is not None:
         return  # already attempted
     try:
@@ -1042,16 +1065,20 @@ def _machine_undef():
 
 
 def ensure_native(code) -> None:
-    """Walk a resolved tree and compile every λ that has not been
-    attempted yet.  Idempotent and cheap on revisits (the attempt mark
-    lives on the CLam, which the code cache keeps per policy)."""
+    """Ahead-of-time warm-up: walk a resolved tree and compile every λ
+    that has not been attempted yet, eligible or not.  ``run_program``
+    no longer calls this (λs tier up at their first eligible apply); it
+    stays for callers that want compile time outside a timed run.
+    Walking first changes no observable of a later run.  Idempotent and
+    cheap on revisits (the attempt mark lives on the CLam, which the
+    code cache keeps per policy)."""
     stack = [code]
     while stack:
         node = stack.pop()
         t = node.tag
         if t == T_LAM:
             if node.native_is_gen is None:
-                _compile_lam(node)
+                compile_lam(node)
             stack.append(node.body)
         elif t == T_APP:
             stack.extend(node.exprs)
@@ -1072,12 +1099,14 @@ _LIBRARIES_DONE = False
 
 
 def ensure_native_libraries() -> None:
-    """Compile native code for the prelude and contract libraries, once
-    per process.  Their closures were resolved without any policy
-    (``skip_labels=None``) during ``make_env``, so this touches exactly
-    the CLam objects those library closures carry — a run whose policy
-    covers a prelude λ (by label, via the monitor's skip set) then runs
-    it natively."""
+    """Ahead-of-time warm-up: compile native code for the prelude and
+    contract libraries, once per process.  Their closures were resolved
+    without any policy (``skip_labels=None``) during ``make_env``, so
+    this touches exactly the CLam objects those library closures carry.
+    ``run_program`` no longer calls this: a library λ tiers up at its
+    first eligible apply like any other (a run whose policy covers a
+    prelude λ by label, via the monitor's skip set).  Calling it first
+    only moves that compile time earlier."""
     global _LIBRARIES_DONE
     if _LIBRARIES_DONE:
         return

@@ -132,7 +132,8 @@ class CLam(Code):
     (:mod:`repro.eval.native`): ``native`` holds the exec-generated
     Python function for this λ's body (None = not compiled, or
     unsupported), ``native_is_gen`` records whether it is a generator
-    function (``None`` = compilation not yet attempted).  Because the
+    function (``None`` = compilation not yet attempted: the λ has not
+    been applied on a native-eligible path yet).  Because the
     marks live on the per-policy CLam, native code inherits the same
     no-policy-leak guarantee as ``discharged``.
     """

@@ -20,8 +20,12 @@ import pytest
 from repro.analysis.discharge import VerificationCache, discharge_for_run
 from repro.corpus import all_programs, diverging_programs
 from repro.eval import FuelExhausted
-from repro.eval.machine import Answer, run_program, run_source
+from repro.eval import machine as machine_mod
+from repro.eval import native as native_mod
+from repro.eval.machine import Answer, compile_code, run_program, run_source
+from repro.eval.native import ensure_native, ensure_native_libraries
 from repro.lang.parser import parse_program
+from repro.lang.resolve import T_LAM
 from repro.sct.monitor import SCMonitor
 from repro.values.values import write_value
 
@@ -323,3 +327,177 @@ class TestTierReporting:
         for machine in ("tree", "compiled"):
             a = run_source("(+ 1 2)", mode="off", machine=machine)
             assert a.tier == machine
+
+
+def observables(answer):
+    value = write_value(answer.value) if answer.kind == Answer.VALUE else None
+    error = None if answer.error is None else str(answer.error)
+    return (answer.kind, value, answer.output, answer.steps, answer.tier,
+            error)
+
+
+def skip_set(policy):
+    """The skip set ``run_program`` resolves a policy under."""
+    return (frozenset(policy.skip_labels) or None) if policy else None
+
+
+def code_lams(program, policy=None):
+    """Every CLam in the program's resolved forms (the objects the
+    native tier compiles), under ``policy``'s skip set."""
+    out = []
+    stack = [compile_code(form.expr, skip_set(policy))
+             for form in program.forms]
+    while stack:
+        node = stack.pop()
+        if node.tag == T_LAM:
+            out.append(node)
+        for attr in ("exprs", "test", "then", "els", "body", "rhss", "expr"):
+            child = getattr(node, attr, None)
+            if isinstance(child, (list, tuple)):
+                stack.extend(child)
+            elif child is not None:
+                stack.append(child)
+    return out
+
+
+def native_run(program, *, mode, policy=None, measures=None,
+               fuel=MAX_STEPS):
+    return run_program(program, mode=mode,
+                       monitor=SCMonitor(measures=measures), fuel=fuel,
+                       machine="native", discharge=policy)
+
+
+def eager_run(source, *, mode, with_policy=False, measures=None,
+              fuel=MAX_STEPS, result_kinds=None):
+    """A native run on a fresh parse whose codes (and the libraries) were
+    all compiled ahead of time — the pre-tier-up pipeline."""
+    parsed, result = discharged(source, result_kinds)
+    policy = result.policy if with_policy else None
+    ensure_native_libraries()
+    for form in parsed.forms:
+        ensure_native(compile_code(form.expr, skip_set(policy)))
+    return native_run(parsed, mode=mode, policy=policy, measures=measures,
+                      fuel=fuel)
+
+
+class TestLazyTierUp:
+    """λs compile at their first native-eligible apply.  Threshold one
+    makes exactly the tier decisions the ahead-of-time walk made, so
+    every observable — ``steps`` and ``tier`` included — is independent
+    of what was compiled before, and a λ never applied on an eligible
+    path is never compiled."""
+
+    @pytest.mark.parametrize("config", ["off", "full", "residual"])
+    @pytest.mark.parametrize("prog", PROGRAMS, ids=[p.name for p in PROGRAMS])
+    def test_same_observables_as_eager_compile(self, prog, config):
+        mode = "off" if config == "off" else "full"
+        with_policy = config == "residual"
+        parsed, result = discharged(prog.source, prog.result_kinds)
+        policy = result.policy if with_policy else None
+        first = native_run(parsed, mode=mode, policy=policy,
+                           measures=prog.measures)
+        second = native_run(parsed, mode=mode, policy=policy,
+                            measures=prog.measures)
+        eager = eager_run(prog.source, mode=mode, with_policy=with_policy,
+                          measures=prog.measures,
+                          result_kinds=prog.result_kinds)
+        assert first.kind == Answer.VALUE
+        assert observables(first) == observables(eager)
+        assert observables(second) == observables(eager)
+
+    def test_residual_monitored_program_compiles_nothing(self):
+        # mode full without a policy: every λ is monitored, so no apply
+        # is eligible and no user λ is ever compiled.
+        prog = next(p for p in PROGRAMS if p.name == "ho-sc-ack")
+        parsed = parse_program(prog.source)
+        a = native_run(parsed, mode="full", measures=prog.measures)
+        assert a.kind == Answer.VALUE and a.tier == "compiled"
+        lams = code_lams(parsed)
+        assert lams
+        assert all(lam.native_is_gen is None for lam in lams)
+
+    def test_uncalled_discharged_lambda_is_never_compiled(self):
+        src = ("(define (unused n) (if (zero? n) 0 (unused (- n 1))))\n"
+               "(define (used n) (if (zero? n) 7 (used (- n 1))))\n"
+               "(used 3)\n")
+        parsed, result = discharged(src)
+        assert result.complete
+        a = native_run(parsed, mode="full", policy=result.policy)
+        assert a.tier == "native" and write_value(a.value) == "7"
+        by_name = {lam.name: lam for lam in code_lams(parsed, result.policy)}
+        assert by_name["used"].native is not None
+        assert by_name["unused"].native_is_gen is None
+
+    def test_rejected_lambda_is_attempted_once(self, monkeypatch):
+        # A body past the emitter's source bound is rejected at its first
+        # eligible apply and from then on runs interpreted.
+        body = " ".join(f"(+ n {i})" for i in range(6000))
+        src = (f"(define (big n) (begin {body} n))\n"
+               "(define (loop i) (if (zero? i) 0 (begin (big i) "
+               "(loop (- i 1)))))\n(loop 3)\n")
+        attempts = []
+        real = native_mod.compile_lam
+
+        def counting(clam):
+            attempts.append(clam)
+            real(clam)
+
+        monkeypatch.setattr(native_mod, "compile_lam", counting)
+        monkeypatch.setattr(machine_mod, "compile_lam", counting)
+        parsed = parse_program(src)
+        a = native_run(parsed, mode="off")
+        ref = run_program(parsed, mode="off", fuel=MAX_STEPS)
+        assert a.kind == Answer.VALUE and write_value(a.value) == "0"
+        assert (a.kind, write_value(a.value), a.output) == \
+            (ref.kind, write_value(ref.value), ref.output)
+        by_name = {lam.name: lam for lam in code_lams(parsed)}
+        big = by_name["big"]
+        assert big.native is None and big.native_is_gen is False
+        assert attempts.count(big) == 1
+        assert by_name["loop"].native is not None
+        assert len(attempts) == len(set(map(id, attempts)))
+        assert observables(a) == observables(eager_run(src, mode="off"))
+
+    def test_tier_up_through_the_driver(self):
+        # f is entered from the interpreter; g is first applied at a
+        # non-tail site inside f's native frame, so the trampoline
+        # compiles it.
+        src = ("(define (g n) (if (zero? n) 1 (* 2 (g (- n 1)))))\n"
+               "(define (f n) (+ 1 (g n)))\n(f 5)\n")
+        parsed = parse_program(src)
+        by_name = {lam.name: lam for lam in code_lams(parsed)}
+        a = native_run(parsed, mode="off")
+        assert write_value(a.value) == "33" and a.tier == "native"
+        assert by_name["f"].native_is_gen is True
+        assert by_name["g"].native is not None
+        assert observables(a) == observables(eager_run(src, mode="off"))
+
+    def test_tier_up_at_a_direct_tail_call_site(self):
+        # f's tail call to g takes the direct path only once g is
+        # compiled; the first time the guard fails, the request goes to
+        # the trampoline, which compiles g.  The second call then goes
+        # direct — the steps match a run where g was compiled up front.
+        src = ("(define (g n) (+ n 1))\n(define (f n) (g n))\n"
+               "(f 1)\n(f 2)\n")
+        parsed = parse_program(src)
+        by_name = {lam.name: lam for lam in code_lams(parsed)}
+        a = native_run(parsed, mode="off")
+        assert write_value(a.value) == "3" and a.tier == "native"
+        assert by_name["f"].native_is_gen is False
+        assert by_name["g"].native_is_gen is False
+        assert by_name["g"].native is not None
+        assert observables(a) == observables(eager_run(src, mode="off"))
+
+    def test_fuel_runs_out_on_the_compiling_apply(self):
+        # Every budget up to the one that suffices, including the one
+        # exhausted exactly at the apply that tiers f (then g) up.
+        src = ("(define (g n) (+ n 1))\n(define (f n) (g n))\n(f 1)\n")
+        need = native_run(parse_program(src), mode="off").steps
+        assert need > 0
+        for fuel in range(need + 1):
+            lazy = native_run(parse_program(src), mode="off", fuel=fuel)
+            eager = eager_run(src, mode="off", fuel=fuel)
+            assert observables(lazy) == observables(eager), fuel
+            if fuel < need:
+                assert lazy.kind == Answer.TIMEOUT
+                assert isinstance(lazy.error, FuelExhausted)

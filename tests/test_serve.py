@@ -169,6 +169,46 @@ class TestNativeTier:
                 assert stats["tiers"].get("native", 0) >= 3
         run(body())
 
+    def test_warm_repeat_reports_what_a_fresh_parse_does(self):
+        """History independence: the second request hits the worker's
+        parsed-program LRU, whose CLams the first request already tiered
+        up, yet reports the same steps, tier and value — and both match a
+        direct ``run_program`` on a fresh parse.  This is what lets the
+        chaos oracle compare ``steps``."""
+        from repro.analysis.discharge import (VerificationCache,
+                                              discharge_for_run)
+        from repro.eval.machine import run_program
+        from repro.lang.parser import parse_program
+        from repro.sct.monitor import SCMonitor
+        from repro.values.values import write_value
+
+        # A proven λ (native) calling an unproven one (it counts up, so
+        # plain size-change fails; it stays on the compiled tier).
+        src = ("(define (up i n) (if (>= i n) i (up (+ i 1) n)))\n"
+               "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))\n"
+               "(define (go l) (+ (len l) (up 0 (len l))))\n"
+               "(go '(1 2 3 4 5))\n")
+        fuel = 1_000_000
+        parsed = parse_program(src)
+        policy = discharge_for_run(parsed, text=src,
+                                   cache=VerificationCache()).policy
+        direct = run_program(parsed, mode="contract", monitor=SCMonitor(),
+                             fuel=fuel, machine="native", discharge=policy)
+        expected = (write_value(direct.value), direct.steps, direct.tier)
+        assert expected[0] == "10" and expected[2] == "native"
+
+        async def body():
+            async with serve(workers=1) as (_, c):
+                req = {"op": "run", "program": src, "fuel": fuel}
+                first = await c.request(req)
+                second = await c.request(req)
+                for r in (first, second):
+                    assert r["ok"] and r["kind"] == "value", r
+                    assert (r["value"], r["steps"], r["tier"]) == expected
+                assert second["cache"]["hits"] == 1
+                assert not second["batched"]
+        run(body())
+
     def test_machine_is_selectable_and_keyed(self):
         async def body():
             async with serve(batch_window_ms=25.0) as (_, c):
