@@ -1,8 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-quick bench-interp bench-interp-smoke \
-	bench-residual bench-residual-smoke bench-native native-smoke \
+.PHONY: test bench bench-quick bench-machines machines-smoke \
 	fuzz fuzz-smoke fuzz-nightly \
 	serve-bench serve-smoke chaos chaos-smoke chaos-nightly \
 	perfbench-smoke docs
@@ -19,33 +18,18 @@ bench:
 bench-quick:
 	$(PYTHON) -m repro bench compose --scale quick
 
-# The compiled-vs-tree machine report (writes BENCH_interp.json).
-bench-interp:
-	$(PYTHON) -m repro bench interp --scale quick
+# The machine-comparison report: the corpus on every machine,
+# unmonitored, monitored and discharged (writes BENCH_machines.json;
+# exit 1 when a native-tier bar misses: >=10x tree geomean, >=compiled
+# on every program).
+bench-machines:
+	$(PYTHON) -m repro bench machines --scale quick
 
-# The CI smoke variant of the same report.
-bench-interp-smoke:
-	$(PYTHON) -m repro bench interp --smoke
-
-# The residual-enforcement report (writes BENCH_residual.json).
-bench-residual:
-	$(PYTHON) -m repro bench residual --scale quick
-
-# The CI smoke variant of the same report.
-bench-residual-smoke:
-	$(PYTHON) -m repro bench residual --smoke
-
-# The native-tier report: three machines over the fully-discharged
-# corpus (writes BENCH_native.json; exit 1 when the >=10x geomean or
-# the >=compiled-everywhere acceptance misses).
-bench-native:
-	$(PYTHON) -m repro bench native --scale quick
-
-# The PR-blocking native smoke: the CI subset of the same report, gated
-# on its acceptance block, plus a short differential campaign over the
+# The PR-blocking machines smoke: the CI subset of the same report,
+# gated on its native bars, plus a short differential campaign over the
 # quick matrix (native cells included).
-native-smoke:
-	$(PYTHON) -m repro bench native --smoke --out BENCH_native.json
+machines-smoke:
+	$(PYTHON) -m repro bench machines --smoke --out BENCH_machines.json
 	$(PYTHON) -m repro fuzz --n 50 --seed 1 --matrix quick \
 		--out BENCH_fuzz_native.json
 

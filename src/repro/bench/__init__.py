@@ -13,34 +13,18 @@
 * :mod:`repro.bench.compose_bench` — the bitmask graph engine vs the
   frozenset reference on compose-heavy workloads (the perf trajectory
   of this reproduction's own graph-algebra hot path),
-* :mod:`repro.bench.interp` — the compiled machine (lexical addressing +
-  slot frames + monitor fast path) vs the tree machine over the corpus
-  (the perf trajectory of the evaluation hot loop; emits
-  ``BENCH_interp.json``),
-* :mod:`repro.bench.residual` — the discharge pipeline: statically
-  verified corpus programs running monitor-free under a residual policy
-  vs full monitoring vs the unmonitored floor (emits
-  ``BENCH_residual.json``),
-* :mod:`repro.bench.native` — the native tier: the fully-discharged
-  corpus on all three machines under one residual policy, amplified by
-  a discharged in-language driver loop (emits ``BENCH_native.json``).
+* :mod:`repro.bench.machines` — one program under every machine and
+  enforcement set-up: the corpus on the tree and compiled machines
+  unmonitored and monitored (cm, imperative), plus the fully discharged
+  subset on all three machines under its residual policy, amplified by a
+  discharged in-language driver loop (emits ``BENCH_machines.json``).
 """
 
 from repro.bench.compose_bench import run_compose, render_compose
-from repro.bench.interp import (
-    render_interp,
-    run_interp,
-    write_interp_json,
-)
-from repro.bench.native import (
-    render_native,
-    run_native,
-    write_native_json,
-)
-from repro.bench.residual import (
-    render_residual,
-    run_residual,
-    write_residual_json,
+from repro.bench.machines import (
+    render_machines,
+    run_machines,
+    write_machines_json,
 )
 from repro.bench.table1 import run_table1, render_table1
 from repro.bench.fig10 import run_fig10, render_fig10
@@ -59,7 +43,5 @@ __all__ = [
     "run_ablation", "render_ablation",
     "run_mc_static", "run_mc_dynamic", "render_mc",
     "run_compose", "render_compose",
-    "run_interp", "render_interp", "write_interp_json",
-    "run_residual", "render_residual", "write_residual_json",
-    "run_native", "render_native", "write_native_json",
+    "run_machines", "render_machines", "write_machines_json",
 ]

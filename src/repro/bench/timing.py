@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import time
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
-from repro.eval.machine import Answer, run_source
+from repro.eval.machine import Answer, run_program
 from repro.lang.parser import parse_program
-from repro.eval.machine import run_program
 from repro.sct.monitor import SCMonitor
 
 
@@ -25,6 +25,26 @@ def best_of(fn: Callable[[], object], repeats: int = 3) -> Tuple[float, object]:
         dt, result = time_once(fn)
         best = min(best, dt)
     return best, result
+
+
+def interleaved_best_of(runs: Dict[Hashable, Callable[[], object]],
+                        repeats: int) -> Dict[Hashable, float]:
+    """Minimum wall time per run over ``repeats`` rounds, the runs
+    interleaved round by round (so scheduler drift hits all alike) and the
+    host GC disabled while timing, pytest-benchmark style."""
+    best = {key: float("inf") for key in runs}
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            for key, fn in runs.items():
+                dt, _ = time_once(fn)
+                best[key] = min(best[key], dt)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+            gc.collect()
+    return best
 
 
 def time_program(source: str, *, mode: str, strategy: str = "cm",

@@ -11,9 +11,8 @@ Subcommands::
                       [--mc] [--engine bitmask|reference] [--json]
     sized trace FILE [--mode full|contract] [--machine compiled|tree]
                      [--mc] [--max-steps N] [--max-depth N] [--max-nodes N]
-    sized bench table1|fig10|divergence|ablation|mc|compose|interp|
-                residual|native
-                [--scale quick|full] [--smoke] [--out PATH]
+    sized bench table1|fig10|divergence|ablation|mc|compose|machines
+                [--scale quick|full] [--smoke] [--repeats N] [--out PATH]
     sized corpus [--diverging]
     sized serve [--host H] [--port P] [--workers N] [--batch-window-ms MS]
                 [--default-fuel N] [--tenant-budget N]
@@ -49,8 +48,9 @@ machine), ``tree`` (the direct AST walker) or ``native`` (``run`` only:
 exec-generated Python bodies for discharged λs, trampoline-driven, with
 automatic fallback to the compiled machine's ``eval_code`` for anything
 residual-monitored).  All produce identical answers; ``sized bench
-interp`` measures the compiled/tree gap (``BENCH_interp.json``) and
-``sized bench native`` the native-tier speedup (``BENCH_native.json``).
+machines`` measures them against each other, unmonitored, monitored and
+discharged (``BENCH_machines.json``; exit 1 when a native-tier bar
+misses).
 
 ``fuzz`` drives the property-based differential tester of
 :mod:`repro.fuzz`: seeded generation of terminating- and
@@ -174,18 +174,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_bench = sub.add_parser("bench", help="regenerate a table or figure")
     p_bench.add_argument("which",
                          choices=["table1", "fig10", "divergence", "ablation",
-                                  "mc", "compose", "interp", "residual",
-                                  "native"])
+                                  "mc", "compose", "machines"])
     p_bench.add_argument("--scale", choices=["quick", "full"], default="quick")
     p_bench.add_argument("--repeats", type=int, default=None,
                          help="best-of repeats per cell (default: 3, or the"
-                              " interp scale's own default)")
+                              " machines scale's own default)")
     p_bench.add_argument("--smoke", action="store_true",
-                         help="interp/residual/native: the tiny CI subset")
+                         help="machines: the tiny CI subset")
     p_bench.add_argument("--out", default=None,
-                         help="interp/residual/native: where to write the "
-                              "JSON report (default BENCH_interp.json / "
-                              "BENCH_residual.json / BENCH_native.json)")
+                         help="machines: where to write the JSON report "
+                              "(default BENCH_machines.json)")
 
     p_corpus = sub.add_parser("corpus", help="list the evaluation corpus")
     p_corpus.add_argument("--diverging", action="store_true")
@@ -448,37 +446,17 @@ def _cmd_bench(args) -> int:
 
         print(render_compose(run_compose(scale=args.scale,
                                          repeats=args.repeats or 3)))
-    elif args.which == "interp":
-        from repro.bench import render_interp, run_interp, write_interp_json
+    elif args.which == "machines":
+        from repro.bench.machines import (acceptance, render_machines,
+                                          run_machines, write_machines_json)
 
         scale = "smoke" if args.smoke else args.scale
-        out = args.out or "BENCH_interp.json"
-        cells = run_interp(scale=scale, repeats=args.repeats)
-        print(render_interp(cells))
-        write_interp_json(cells, out, scale=scale, repeats=args.repeats)
+        out = args.out or "BENCH_machines.json"
+        rows = run_machines(scale=scale, repeats=args.repeats)
+        print(render_machines(rows))
+        write_machines_json(rows, out, scale=scale, repeats=args.repeats)
         print(f"\nwrote {out}")
-    elif args.which == "residual":
-        from repro.bench import (render_residual, run_residual,
-                                 write_residual_json)
-
-        scale = "smoke" if args.smoke else args.scale
-        out = args.out or "BENCH_residual.json"
-        cells = run_residual(scale=scale, repeats=args.repeats)
-        print(render_residual(cells))
-        write_residual_json(cells, out, scale=scale, repeats=args.repeats)
-        print(f"\nwrote {out}")
-    elif args.which == "native":
-        from repro.bench import (render_native, run_native,
-                                 write_native_json)
-        from repro.bench.native import native_acceptance
-
-        scale = "smoke" if args.smoke else args.scale
-        out = args.out or "BENCH_native.json"
-        cells = run_native(scale=scale, repeats=args.repeats)
-        print(render_native(cells))
-        write_native_json(cells, out, scale=scale, repeats=args.repeats)
-        print(f"\nwrote {out}")
-        return 0 if native_acceptance(cells) else 1
+        return 0 if acceptance(rows) else 1
     else:
         from repro.bench import render_ablation, run_ablation
 
