@@ -3,9 +3,10 @@
 The LJB theorem says a program has the size-change property iff every
 idempotent graph in the composition closure carries a strict self-arc.
 Those self-arcs are the *anchors*: the parameters whose descent breaks
-every potentially-infinite call pattern.  This module re-runs the closure
-and reports them, giving verified verdicts an explanation a user can
-check against their own understanding of the code:
+every potentially-infinite call pattern.  This module reads them off a
+completed closure (:func:`repro.analysis.ljb.close`) and reports them,
+giving verified verdicts an explanation a user can check against their
+own understanding of the code:
 
     ack: every repeatable call pattern strictly descends on m or n
     loop: every repeatable call pattern strictly descends on l
@@ -13,12 +14,10 @@ check against their own understanding of the code:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
+from repro.analysis.ljb import Edge, SCPResult, scp_check
 from repro.sct.graph import SCGraph, STRICT
-
-Edge = Tuple[int, int]
 
 
 class FunctionAnchors:
@@ -54,57 +53,27 @@ class FunctionAnchors:
         return min(common) if common else None
 
 
+def anchors_of(result: SCPResult) -> Optional[Dict[int, FunctionAnchors]]:
+    """Group the idempotent self-compositions of a finished closure by
+    function.  ``None`` unless the SCP holds (no certificate when it
+    fails or is undetermined)."""
+    if result.ok is not True:
+        return None
+    report: Dict[int, FunctionAnchors] = {}
+    for f, bucket in result.self_loops().items():
+        idempotents = [G for G in bucket if G.is_idempotent()]
+        if idempotents:
+            report[f] = FunctionAnchors(f, idempotents)
+    return report
+
+
 def collect_anchors(edges: Dict[Edge, Set[SCGraph]],
                     max_graphs: int = 20000) -> Optional[Dict[int, FunctionAnchors]]:
     """Close ``edges`` and group the idempotent self-compositions by
     function.  Returns ``None`` when the closure blows the cap or some
     idempotent graph lacks a strict self-arc (no certificate: the SCP
     fails or is undetermined)."""
-    graphs: Dict[Edge, Set[SCGraph]] = {}
-    by_source: Dict[int, Set[int]] = {}
-    by_target: Dict[int, Set[int]] = {}
-    total = 0
-    queue = deque()
-
-    def add(edge: Edge, graph: SCGraph) -> bool:
-        nonlocal total
-        bucket = graphs.setdefault(edge, set())
-        if graph in bucket:
-            return False
-        bucket.add(graph)
-        by_source.setdefault(edge[0], set()).add(edge[1])
-        by_target.setdefault(edge[1], set()).add(edge[0])
-        total += 1
-        return True
-
-    for edge, graph_set in edges.items():
-        for graph in graph_set:
-            if add(edge, graph):
-                queue.append((edge, graph))
-
-    while queue:
-        (f, g), G = queue.popleft()
-        if f == g and G.is_idempotent() and not G.has_strict_self_arc():
-            return None
-        for h in list(by_source.get(g, ())):
-            for H in list(graphs.get((g, h), ())):
-                if add((f, h), G.compose(H)):
-                    queue.append(((f, h), G.compose(H)))
-        for e in list(by_target.get(f, ())):
-            for E in list(graphs.get((e, f), ())):
-                if add((e, g), E.compose(G)):
-                    queue.append(((e, g), E.compose(G)))
-        if total > max_graphs:
-            return None
-
-    report: Dict[int, FunctionAnchors] = {}
-    for (f, g), bucket in graphs.items():
-        if f != g:
-            continue
-        idempotents = [G for G in bucket if G.is_idempotent()]
-        if idempotents:
-            report[f] = FunctionAnchors(f, idempotents)
-    return report
+    return anchors_of(scp_check(edges, max_graphs))
 
 
 def explain_termination(
@@ -114,7 +83,16 @@ def explain_termination(
 ) -> List[str]:
     """Human-readable anchor lines for a verified program (empty when no
     certificate is available)."""
-    report = collect_anchors(edges)
+    return render_anchors(collect_anchors(edges), label_names, label_params)
+
+
+def render_anchors(
+    report: Optional[Dict[int, FunctionAnchors]],
+    label_names: Optional[Dict[int, str]] = None,
+    label_params: Optional[Dict[int, List[str]]] = None,
+) -> List[str]:
+    """The anchor lines of :func:`explain_termination` for a report of
+    :func:`anchors_of`."""
     if report is None:
         return []
 

@@ -121,7 +121,7 @@ class DischargeCertificate:
             return sorted(to_stable[l] for l in labels if l in to_stable)
 
         return {
-            "schema": "discharge-certificate/v1",
+            "schema": VerificationCache.SCHEMA,
             "entry": self.entry,
             "entry_kinds": list(self.entry_kinds),
             "entry_label": to_stable.get(self.entry_label),
@@ -138,10 +138,13 @@ class DischargeCertificate:
     @classmethod
     def from_stable(cls, data: dict,
                     from_stable: Dict[str, int]) -> "DischargeCertificate":
+        """Re-label ``data`` against the consumer's parse.  Raises
+        ``KeyError`` when a stable id does not resolve: the certificate
+        was computed for some other program."""
         def labels(ids):
-            return frozenset(from_stable[i] for i in ids if i in from_stable)
+            return frozenset(from_stable[i] for i in ids)
 
-        entry_label = from_stable.get(data["entry_label"], -1)
+        entry_label = from_stable[data["entry_label"]]
         return cls(
             entry=data["entry"],
             entry_kinds=tuple(data["entry_kinds"]),
@@ -152,8 +155,7 @@ class DischargeCertificate:
             tainted=labels(data["tainted"]),
             taint_reasons=tuple(data["taint_reasons"]),
             label_names={from_stable[i]: n
-                         for i, n in data["label_names"].items()
-                         if i in from_stable},
+                         for i, n in data["label_names"].items()},
         )
 
     def __repr__(self) -> str:
@@ -182,13 +184,9 @@ def certificate_from_engine(engine, max_graphs: int = 20000
         raise ValueError("engine has not analyzed an entry (call run first)")
     evidence = getattr(engine, "evidence_kind", "sc")
     if evidence == "mc":
-        from repro.mc.analyze import mc_check
-
-        def check(sub):
-            return mc_check(sub, max_graphs=max_graphs).ok is True
+        from repro.mc.analyze import mc_check as check
     else:
-        def check(sub):
-            return scp_check(sub, max_graphs=max_graphs).ok is True
+        check = scp_check
 
     edges = engine.edges
     labels: Set[int] = {entry_label}
@@ -220,7 +218,8 @@ def certificate_from_engine(engine, max_graphs: int = 20000
             ok = check_memo.get(key)
             if ok is None:
                 sub = {e: gs for e, gs in edges.items() if e[0] in reach}
-                ok = check_memo[key] = check(sub)
+                ok = check_memo[key] = \
+                    check(sub, max_graphs=max_graphs).ok is True
             if ok:
                 discharged.add(label)
 
@@ -338,12 +337,16 @@ class VerificationCache:
     depth-N store as a miss (and vice versa) — pick one layout per
     directory.
 
-    A corrupt or schema-mismatched on-disk entry is **quarantined** on
-    first read (renamed to ``<file>.rejected``) and counted in
-    ``rejected`` rather than ``misses`` — leaving the bad file in place
-    would make every future ``get`` re-open and re-reject it, and a
-    concurrent writer's schema bump would never self-heal.  After
-    quarantine the next ``put`` simply rewrites the entry.
+    Every entry records the key it was filed under.  An entry is
+    **quarantined** on read (an on-disk file renamed to
+    ``<file>.rejected``) and counted in ``rejected`` rather than
+    ``misses`` when it is corrupt, carries another schema, names another
+    key, or holds a stable id the consumer's parse cannot resolve —
+    leaving it in place would make every future ``get`` re-open and
+    re-reject it, and a concurrent writer's schema bump would never
+    self-heal.  After quarantine the next ``put`` simply rewrites the
+    entry.  The binding stops a certificate moved onto another program's
+    key; a forged payload filed under its own key is still trusted.
 
     Instances are independent: nothing here touches process-global state,
     so concurrent requests (serve workers, tests) each get their own
@@ -351,7 +354,7 @@ class VerificationCache:
     for the one deliberately shared instance.
     """
 
-    SCHEMA = "discharge-certificate/v1"
+    SCHEMA = "discharge-certificate/v2"
 
     def __init__(self, path: Optional[str] = None, *, shard_depth: int = 0):
         self._mem: Dict[str, dict] = {}
@@ -386,8 +389,11 @@ class VerificationCache:
                                 f"{key}.json")
         return os.path.join(self.path, f"{key}.json")
 
-    def _quarantine(self, file: str) -> None:
+    def _quarantine(self, key: str, file: Optional[str]) -> None:
         self.rejected += 1
+        self._mem.pop(key, None)
+        if file is None:
+            return
         try:
             os.replace(file, f"{file}.rejected")
         except OSError:
@@ -417,6 +423,7 @@ class VerificationCache:
     def get(self, key: str,
             program: Program) -> Optional[DischargeCertificate]:
         stable = self._mem.get(key)
+        file = None
         if stable is None and self.path is not None:
             file = self._file(key)
             raw = None
@@ -436,20 +443,31 @@ class VerificationCache:
                     # *rejection*, not a miss — `rejected` was already
                     # bumped, and the file is gone so the next get is a
                     # clean miss and the next put self-heals.
-                    self._quarantine(file)
+                    self._quarantine(key, file)
                     return None
-                self._mem[key] = stable
         if stable is None:
             self.misses += 1
             return None
-        self.hits += 1
         _, from_stable = _label_spaces(program)
-        return DischargeCertificate.from_stable(stable, from_stable)
+        try:
+            if stable.get("key") != key:
+                raise KeyError(key)
+            certificate = DischargeCertificate.from_stable(stable,
+                                                           from_stable)
+        except (KeyError, TypeError, AttributeError):
+            # Filed under another key, or naming a λ this parse does not
+            # have: the certificate proves some other program.
+            self._quarantine(key, file)
+            return None
+        self._mem[key] = stable
+        self.hits += 1
+        return certificate
 
     def put(self, key: str, certificate: DischargeCertificate,
             program: Program) -> None:
         to_stable, _ = _label_spaces(program)
         stable = certificate.to_stable(to_stable)
+        stable["key"] = key
         self._mem[key] = stable
         if self.path is not None:
             file = self._file(key)

@@ -6,139 +6,30 @@ principle hold" and, on failure, surfaces the violating composed graph.
 For error reporting that is only half the story: a user fixing a
 termination bug wants the **multipath** — the sequence of actual call
 edges whose composition is the idempotent, descent-free graph.  This
-module re-runs the closure with provenance: every composed graph
+module runs the reference closure with provenance: every composed graph
 remembers its two parents, so the witness flattens into the base-edge
 path ``f →g₁→ h →g₂→ … →gₙ→ f``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set
 
+from repro.analysis.ljb import (  # noqa: F401  (WitnessStep re-exported)
+    REFERENCE, Edge, SCPResult, WitnessStep, close)
 from repro.sct.graph import SCGraph
 
-Edge = Tuple[int, int]
-_Key = Tuple[Edge, SCGraph]
-
-
-class WitnessStep:
-    """One base edge of the witness multipath."""
-
-    __slots__ = ("source", "target", "graph")
-
-    def __init__(self, source: int, target: int, graph: SCGraph):
-        self.source = source
-        self.target = target
-        self.graph = graph
-
-    def __repr__(self) -> str:
-        return f"WitnessStep({self.source}→{self.target})"
-
-
-class WitnessResult:
-    """Like :class:`repro.analysis.ljb.SCPResult`, plus the multipath."""
-
-    def __init__(self, ok: Optional[bool],
-                 witness_label: Optional[int] = None,
-                 witness_graph: Optional[SCGraph] = None,
-                 path: Optional[List[WitnessStep]] = None,
-                 total_graphs: int = 0):
-        self.ok = ok
-        self.witness_label = witness_label
-        self.witness_graph = witness_graph
-        self.path = path
-        self.total_graphs = total_graphs
-
-    def render_path(self, label_names: Optional[Dict[int, str]] = None,
-                    label_params: Optional[Dict[int, list]] = None) -> str:
-        """``f →{g}→ g →{h}→ f`` with pretty-printed edge graphs."""
-        if not self.path:
-            return ""
-
-        def nm(label: int) -> str:
-            if label_names and label in label_names:
-                return label_names[label]
-            return f"λ{label}"
-
-        parts = [nm(self.path[0].source)]
-        for step in self.path:
-            names = label_params.get(step.target) if label_params else None
-            parts.append(f"→{step.graph.pretty(names)}→")
-            parts.append(nm(step.target))
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"WitnessResult(ok={self.ok})"
+# A witness-carrying result is an ordinary closure result with ``path`` set.
+WitnessResult = SCPResult
 
 
 def scp_check_with_witness(edges: Dict[Edge, Set[SCGraph]],
                            max_graphs: int = 20000) -> WitnessResult:
     """The LJB closure with provenance tracking.
 
-    Identical verdicts to :func:`repro.analysis.ljb.scp_check` (the same
-    worklist order and cap), but each derived graph records its parents so
-    a failure comes back with the flattened base-edge multipath.
+    The reference closure of :func:`repro.analysis.ljb.scp_check` (the
+    same worklist order and cap), but each derived graph records its
+    parents so a failure comes back with the flattened base-edge
+    multipath in ``path``.
     """
-    graphs: Dict[Edge, Set[SCGraph]] = {}
-    by_source: Dict[int, Set[int]] = {}
-    by_target: Dict[int, Set[int]] = {}
-    parents: Dict[_Key, Optional[Tuple[_Key, _Key]]] = {}
-    total = 0
-    queue = deque()
-
-    def add(edge: Edge, graph: SCGraph, parent) -> bool:
-        nonlocal total
-        bucket = graphs.setdefault(edge, set())
-        if graph in bucket:
-            return False
-        bucket.add(graph)
-        by_source.setdefault(edge[0], set()).add(edge[1])
-        by_target.setdefault(edge[1], set()).add(edge[0])
-        parents[(edge, graph)] = parent
-        total += 1
-        return True
-
-    for edge, graph_set in edges.items():
-        for graph in graph_set:
-            if add(edge, graph, None):
-                queue.append((edge, graph))
-
-    def flatten(key: _Key) -> List[WitnessStep]:
-        """Expand a derived graph into its base edges, left-to-right in
-        temporal order (a pre-order walk of the provenance tree)."""
-        leaves: List[_Key] = []
-        stack = [key]
-        while stack:
-            k = stack.pop()
-            parent = parents.get(k)
-            if parent is None:
-                leaves.append(k)
-            else:
-                left, right = parent
-                stack.append(right)  # popped after left: temporal order
-                stack.append(left)
-        # `stack.pop()` visits `left` before `right`, but both were pushed
-        # after any pending siblings, so the visit order is exactly the
-        # left-to-right leaf order.
-        return [WitnessStep(edge[0], edge[1], g) for (edge, g) in leaves]
-
-    while queue:
-        (f, g), G = queue.popleft()
-        if f == g and G.is_idempotent() and not G.has_strict_self_arc():
-            return WitnessResult(False, witness_label=f, witness_graph=G,
-                                 path=flatten(((f, g), G)),
-                                 total_graphs=total)
-        for h in list(by_source.get(g, ())):
-            for H in list(graphs.get((g, h), ())):
-                composed = G.compose(H)
-                if add((f, h), composed, (((f, g), G), ((g, h), H))):
-                    queue.append(((f, h), composed))
-        for e in list(by_target.get(f, ())):
-            for E in list(graphs.get((e, f), ())):
-                composed = E.compose(G)
-                if add((e, g), composed, (((e, f), E), ((f, g), G))):
-                    queue.append(((e, g), composed))
-        if total > max_graphs:
-            return WitnessResult(None, total_graphs=total)
-    return WitnessResult(True, total_graphs=total)
+    return close(edges, REFERENCE, max_graphs, provenance=True)

@@ -1189,8 +1189,11 @@ def run_program(
     ``mode``: ``'off'`` (standard ⇓), ``'contract'`` (λCSCT), ``'full'``
     (λSCT).  ``strategy``: ``'cm'`` or ``'imperative'``.  ``machine``:
     ``'compiled'`` (lexical-addressing pass + slot-frame machine, the
-    default) or ``'tree'`` (the direct AST walker) — observably
-    equivalent, differentially tested, an order apart in speed.
+    default), ``'tree'`` (the direct AST walker) or ``'native'`` (the
+    compiled machine plus the native tier of :mod:`repro.eval.native`:
+    λs that need no monitoring run as generated Python, everything else
+    falls back per frame) — observably equivalent, differentially
+    tested.
 
     ``discharge``: a :class:`~repro.analysis.discharge.ResidualPolicy`
     (or any iterable of λ labels) whose discharged λs run monitor-free:

@@ -1,7 +1,8 @@
 """Phase 2 for monotonicity constraints: closure + the MC termination test.
 
-Mirrors :mod:`repro.analysis.ljb` (the classic LJB closure) with the two
-MC-specific rules:
+The closure is the one LJB worklist (:func:`repro.analysis.ljb.close`)
+run over the :data:`MONOTONICITY` family, which adds the two MC-specific
+rules:
 
 * **unsatisfiable compositions are discarded** — they describe call paths
   that can never execute, which is exactly how context constraints kill
@@ -9,101 +10,27 @@ MC-specific rules:
 * the local check is :meth:`repro.mc.graph.MCGraph.desc_ok` — strict
   self-descent *or* a bounded-ascent witness.
 
-The worklist runs over the packed (bitmask) :class:`MCGraph`
-representation and funnels every composition through an **interned-graph
-table**, so each distinct closed graph exists once per closure run:
-duplicate detection is a dict probe on two big ints, and repeat
-compositions hit the identity fast path in ``MCGraph.__eq__``.
+Like every family it gets the interned-graph table and the
+composition-event memo, so ``discarded_unsat`` counts *distinct*
+unsatisfiable input graphs and composition events.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set
 
+from repro.analysis.ljb import Edge, SCPResult, close, self_composing
 from repro.mc.graph import MCGraph
 
-Edge = Tuple[int, int]
+MONOTONICITY = self_composing(MCGraph.compose,
+                              fails=lambda G: not G.desc_ok(),
+                              keep=lambda G: G.sat)
 
-
-class MCResult:
-    """``ok`` is True (MC termination holds), False (violated, see the
-    witness), or None (closure blew the cap — undetermined)."""
-
-    def __init__(self, ok: Optional[bool], witness_label: Optional[int] = None,
-                 witness_graph: Optional[MCGraph] = None, total_graphs: int = 0,
-                 discarded_unsat: int = 0):
-        self.ok = ok
-        self.witness_label = witness_label
-        self.witness_graph = witness_graph
-        self.total_graphs = total_graphs
-        self.discarded_unsat = discarded_unsat
-
-    def __repr__(self) -> str:
-        return f"MCResult(ok={self.ok}, discarded_unsat={self.discarded_unsat})"
-
-
-class _Closure:
-    def __init__(self):
-        self.graphs: Dict[Edge, Set[MCGraph]] = {}
-        self.by_source: Dict[int, Set[int]] = {}
-        self.by_target: Dict[int, Set[int]] = {}
-        self.total = 0
-        self._interned: Dict[MCGraph, MCGraph] = {}
-
-    def intern(self, graph: MCGraph) -> MCGraph:
-        """The canonical instance of ``graph`` for this closure run."""
-        return self._interned.setdefault(graph, graph)
-
-    def add(self, edge: Edge, graph: MCGraph) -> bool:
-        bucket = self.graphs.setdefault(edge, set())
-        if graph in bucket:
-            return False
-        bucket.add(graph)
-        self.by_source.setdefault(edge[0], set()).add(edge[1])
-        self.by_target.setdefault(edge[1], set()).add(edge[0])
-        self.total += 1
-        return True
+# An MC verdict is an ordinary closure result; ``discarded_unsat`` counts
+# what MONOTONICITY dropped.
+MCResult = SCPResult
 
 
 def mc_check(edges: Dict[Edge, Set[MCGraph]], max_graphs: int = 20000) -> MCResult:
     """Close ``edges`` under composition and check MC termination."""
-    state = _Closure()
-    queue = deque()
-    discarded = 0
-    for edge, graphs in edges.items():
-        for graph in graphs:
-            if not graph.sat:
-                discarded += 1
-                continue
-            graph = state.intern(graph)
-            if state.add(edge, graph):
-                queue.append((edge, graph))
-
-    while queue:
-        (f, g), G = queue.popleft()
-        if f == g and not G.desc_ok():
-            return MCResult(False, witness_label=f, witness_graph=G,
-                            total_graphs=state.total, discarded_unsat=discarded)
-        for h in list(state.by_source.get(g, ())):
-            for H in list(state.graphs.get((g, h), ())):
-                composed = G.compose(H)
-                if not composed.sat:
-                    discarded += 1
-                else:
-                    composed = state.intern(composed)
-                    if state.add((f, h), composed):
-                        queue.append(((f, h), composed))
-        for e in list(state.by_target.get(f, ())):
-            for E in list(state.graphs.get((e, f), ())):
-                composed = E.compose(G)
-                if not composed.sat:
-                    discarded += 1
-                else:
-                    composed = state.intern(composed)
-                    if state.add((e, g), composed):
-                        queue.append(((e, g), composed))
-        if state.total > max_graphs:
-            return MCResult(None, total_graphs=state.total,
-                            discarded_unsat=discarded)
-    return MCResult(True, total_graphs=state.total, discarded_unsat=discarded)
+    return close(edges, MONOTONICITY, max_graphs)

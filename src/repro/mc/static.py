@@ -18,17 +18,15 @@ run on machine-int comparisons.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.lang.parser import parse_program
 from repro.lang.program import Program
 from repro.mc.analyze import mc_check
 from repro.mc.arcs import constraints_from_relation, mc_relate
 from repro.mc.graph import MCGraph
-from repro.sexp.datum import intern
 from repro.symbolic.engine import Budget, Engine, Frame
-from repro.symbolic.verify import Verdict
-from repro.values.values import Closure
+from repro.symbolic.verify import Verdict, _verify_entry
 
 
 class MCEngine(Engine):
@@ -72,45 +70,12 @@ def verify_program_mc(
     program the SC verifier accepts is accepted here (MC graphs entail
     their SC projections); counting-up loops with a ceiling additionally
     verify without a custom measure."""
-    engine = MCEngine(program, budget=budget, result_kinds=result_kinds)
-    entry_value = engine.globals.bindings.get(intern(entry))
-    if not isinstance(entry_value, Closure):
-        return Verdict(
-            Verdict.UNKNOWN,
-            [f"entry {entry!r} is not a statically known closure "
-             f"(got {type(entry_value).__name__})"],
-            engine,
-        )
-    if len(kinds) != len(entry_value.lam.params):
-        return Verdict(
-            Verdict.UNKNOWN,
-            [f"entry {entry!r} expects {len(entry_value.lam.params)} "
-             f"arguments, {len(kinds)} preconditions given"],
-            engine,
-        )
-    engine.run(entry_value, list(kinds))
-
-    # The discharge certificate stays lazy: Verdict.certificate computes
-    # it from the retained engine only when a consumer (--json, pyterm
-    # discharge) actually asks.
-    result = mc_check(engine.edges)
-    reasons: List[str] = []
-    if result.ok is False:
-        fn = engine.label_names.get(result.witness_label,
-                                    f"λ{result.witness_label}")
-        reasons.append(
-            f"monotonicity-constraint termination fails at {fn}: an "
-            "idempotent, satisfiable composition has neither descent nor a "
-            "bounded-ascent witness"
-        )
-        return Verdict(Verdict.UNKNOWN, reasons + engine.incomplete, engine,
-                       witness=result.witness_graph, witness_function=fn)
-    if result.ok is None:
-        reasons.append("graph-closure budget exceeded")
-    reasons.extend(engine.incomplete)
-    if reasons:
-        return Verdict(Verdict.UNKNOWN, reasons, engine)
-    return Verdict(Verdict.VERIFIED, [], engine)
+    return _verify_entry(
+        MCEngine(program, budget=budget, result_kinds=result_kinds),
+        entry, kinds, mc_check,
+        failure="monotonicity-constraint termination fails at {}: an "
+                "idempotent, satisfiable composition has neither descent "
+                "nor a bounded-ascent witness")
 
 
 def verify_source_mc(text: str, entry: str, kinds: Sequence[str],

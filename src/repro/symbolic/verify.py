@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.analysis.anchors import explain_termination
-from repro.analysis.ljb import scp_check  # noqa: F401  (re-export; reference impl)
+from repro.analysis.anchors import anchors_of, render_anchors
+from repro.analysis.ljb import scp_check
 from repro.analysis.witness import scp_check_with_witness
 from repro.lang.parser import parse_program
 from repro.lang.program import Program
@@ -72,13 +72,8 @@ class Verdict:
         """The machine-readable verdict (``sized verify --json``)."""
         witness = None
         if self.witness is not None:
-            names = None
-            if self.engine is not None and self.witness_function:
-                for label, nm in self.engine.label_names.items():
-                    if nm == self.witness_function:
-                        names = self.engine.label_params.get(label)
             try:
-                rendered = self.witness.pretty(names)
+                rendered = self.witness.pretty(self._witness_params())
             except (AttributeError, TypeError):
                 rendered = repr(self.witness)
             witness = {
@@ -104,21 +99,25 @@ class Verdict:
         for r in self.reasons:
             lines.append(f"  - {r}")
         if self.witness is not None:
-            fn = self.witness_function or "?"
-            names = None
-            if self.engine is not None:
-                for label, nm in self.engine.label_names.items():
-                    if nm == fn:
-                        names = self.engine.label_params.get(label)
             lines.append(
-                f"  - witness: {fn} admits the idempotent, descent-free "
-                f"composition {self.witness.pretty(names)}"
+                f"  - witness: {self.witness_function or '?'} admits the "
+                "idempotent, descent-free composition "
+                f"{self.witness.pretty(self._witness_params())}"
             )
         if self.witness_path:
             lines.append(f"  - along the call path: {self.witness_path}")
         for line in self.explanation:
             lines.append(f"  - {line}")
         return "\n".join(lines)
+
+    def _witness_params(self) -> Optional[List[str]]:
+        """The witness function's parameter names, for pretty-printing."""
+        names = None
+        if self.engine is not None and self.witness_function:
+            for label, nm in self.engine.label_names.items():
+                if nm == self.witness_function:
+                    names = self.engine.label_params.get(label)
+        return names
 
     def __repr__(self) -> str:
         return f"Verdict({self.status})"
@@ -142,7 +141,22 @@ def verify_program(
     """
     if graph_engine not in ("bitmask", "reference"):
         raise ValueError(f"unknown graph engine: {graph_engine!r}")
-    engine = Engine(program, budget=budget, result_kinds=result_kinds)
+    return _verify_entry(
+        Engine(program, budget=budget, result_kinds=result_kinds), entry,
+        kinds, lambda edges: scp_check(edges, engine=graph_engine),
+        failure="size-change principle fails at {}: no composition of the "
+                "collected graphs guarantees descent",
+        size_change=True)
+
+
+def _verify_entry(engine: Engine, entry: str, kinds: Sequence[str], check,
+                  failure: str, size_change: bool = False) -> Verdict:
+    """The shared body of :func:`verify_program` and
+    :func:`repro.mc.static.verify_program_mc`: look up the entry, check its
+    arity, run the engine, close its edges with ``check`` and assemble the
+    verdict (``failure`` formats the violation reason).  ``size_change``
+    adds the SC-only parts: the witness multipath and the anchors that
+    explain a VERIFIED verdict."""
     entry_value = engine.globals.bindings.get(intern(entry))
     if not isinstance(entry_value, Closure):
         return Verdict(
@@ -160,39 +174,35 @@ def verify_program(
         )
     engine.run(entry_value, list(kinds))
 
-    if graph_engine == "reference":
-        scp = scp_check_with_witness(engine.edges)
-        failed = scp.ok is False
-        undetermined = scp.ok is None
-    else:
-        quick = scp_check(engine.edges, engine="bitmask")
-        failed = quick.ok is False
-        undetermined = quick.ok is None
-        # The bitmask closure carries no provenance; re-derive the
-        # multipath with the reference walk (both engines' completed
-        # verdicts coincide — see repro.analysis.ljb).
-        scp = scp_check_with_witness(engine.edges) if failed else quick
-        if failed and scp.ok is not False:  # pragma: no cover - cap races
-            scp = quick
-    reasons: List[str] = []
-    if failed:
-        fn = engine.label_names.get(scp.witness_label, f"λ{scp.witness_label}")
-        reasons.append(
-            f"size-change principle fails at {fn}: no composition of the "
-            "collected graphs guarantees descent"
-        )
-        path = (scp.render_path(engine.label_names, engine.label_params)
-                if hasattr(scp, "render_path") else None)
-        return Verdict(Verdict.UNKNOWN, reasons + engine.incomplete, engine,
-                       witness=scp.witness_graph, witness_function=fn,
+    # The discharge certificate stays lazy: Verdict.certificate computes
+    # it from the retained engine only when a consumer (--json, pyterm
+    # discharge) actually asks.
+    result = check(engine.edges)
+    if result.ok is False:
+        path = None
+        if size_change:
+            # The closure carries no provenance; re-derive the multipath
+            # with the reference walk (which can only miss the violation
+            # by hitting the cap first).
+            traced = scp_check_with_witness(engine.edges)
+            if traced.ok is False:
+                result = traced
+                path = traced.render_path(engine.label_names,
+                                          engine.label_params)
+        fn = engine.label_names.get(result.witness_label,
+                                    f"λ{result.witness_label}")
+        return Verdict(Verdict.UNKNOWN,
+                       [failure.format(fn)] + engine.incomplete, engine,
+                       witness=result.witness_graph, witness_function=fn,
                        witness_path=path)
-    if undetermined:
+    reasons: List[str] = []
+    if result.ok is None:
         reasons.append("graph-closure budget exceeded")
     reasons.extend(engine.incomplete)
     if reasons:
         return Verdict(Verdict.UNKNOWN, reasons, engine)
-    explanation = explain_termination(engine.edges, engine.label_names,
-                                      engine.label_params)
+    explanation = (render_anchors(anchors_of(result), engine.label_names,
+                                  engine.label_params) if size_change else [])
     return Verdict(Verdict.VERIFIED, [], engine, explanation=explanation)
 
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.anchors import collect_anchors
 from repro.analysis.ljb import scp_check
+from repro.analysis.witness import scp_check_with_witness
 from repro.ds.hamt import Hamt
 from repro.lang.ast import Lam, Lit
 from repro.sct import bitgraph as bg
 from repro.sct.errors import SizeChangeViolation
-from repro.sct.graph import SCGraph, graph_of_values, prog_ok
+from repro.sct.graph import SCGraph, compose_run, graph_of_values, prog_ok
 from repro.sct.monitor import SCMonitor
 from repro.sct.order import SizeOrder
 from repro.sexp.datum import intern
@@ -204,11 +206,25 @@ def test_scp_check_engines_agree(edges):
     if ref.ok is True:
         # Completed closures visit graph-for-graph the same fixpoint.
         assert ref.total_graphs == bit.total_graphs
+        assert ref.self_loops() == bit.self_loops()
+        # collect_anchors reads the anchors the reference closure holds.
+        expected = {f: {G for G in gs if G.is_idempotent()}
+                    for f, gs in ref.self_loops().items()}
+        report = collect_anchors(edges)
+        assert {f: set(a.idempotents) for f, a in report.items()} == \
+            {f: gs for f, gs in expected.items() if gs}
     if ref.ok is False:
         # Early exits may surface different (equally valid) witnesses;
         # the bitmask witness must still be a genuine SCP counterexample.
         w = bit.witness_graph
         assert w.is_idempotent() and not w.has_strict_self_arc()
+        # The provenance walk's multipath composes to its witness graph.
+        traced = scp_check_with_witness(edges)
+        assert traced.ok is False
+        steps = traced.path
+        assert steps[0].source == steps[-1].target == traced.witness_label
+        assert all(a.target == b.source for a, b in zip(steps, steps[1:]))
+        assert compose_run([s.graph for s in steps]) == traced.witness_graph
 
 
 def test_monitor_engine_knob_validated():

@@ -166,7 +166,7 @@ class TestVerificationCache:
         files = list((tmp_path / "certs").iterdir())
         assert len(files) == 1
         data = json.loads(files[0].read_text())
-        assert data["schema"] == "discharge-certificate/v1"
+        assert data["schema"] == "discharge-certificate/v2"
         assert all(":" in sid for sid in data["discharged"])
         # A second cache (a "new process") reads the store.
         c2 = VerificationCache(store)
@@ -275,6 +275,69 @@ class TestCacheQuarantine:
         discharge_for_run(parse_program(prog.source), text=prog.source,
                           cache=sharded)
         assert sharded.hits == 1
+
+
+_LOOP = "(define (f n) (if (zero? n) 0 (f (- n 1)))) (f 5)"
+_TWIN = "(define (f n) (if (zero? n) 0 (f (+ n 1)))) (f 5)"
+
+
+class TestCertificateBinding:
+    """A cached certificate is trusted only under the key it was filed
+    under, and only when every λ it names exists in the consumer's parse."""
+
+    def _store_one(self, store, text):
+        cache = VerificationCache(store)
+        result = discharge_for_run(parse_program(text), text=text,
+                                   cache=cache)
+        (entry,) = [f for f in os.listdir(store) if f.endswith(".json")]
+        return result, os.path.join(store, entry)
+
+    def test_transplanted_certificate_is_rejected(self, tmp_path):
+        store = str(tmp_path / "certs")
+        loop, entry = self._store_one(store, _LOOP)
+        assert loop.complete
+        twin_key = VerificationCache.key(_TWIN, "f", ("nat",), None, "sc")
+        os.replace(entry, os.path.join(store, f"{twin_key}.json"))
+        cache = VerificationCache(store)
+        parsed = parse_program(_TWIN)
+        result = discharge_for_run(parsed, text=_TWIN, cache=cache)
+        assert (cache.hits, cache.rejected) == (0, 1)
+        assert not result.complete and not result.policy
+        answer = run_program(parsed, mode="full", monitor=SCMonitor(),
+                             discharge=result.policy, fuel=200_000)
+        assert answer.kind == Answer.SC_ERROR
+
+    def test_unresolvable_stable_id_is_rejected(self, tmp_path):
+        store = str(tmp_path / "certs")
+        _, entry = self._store_one(store, _LOOP)
+        data = json.loads(open(entry).read())
+        data["discharged"].append("program:999")
+        with open(entry, "w") as f:
+            f.write(json.dumps(data))
+        cache = VerificationCache(store)
+        result = discharge_for_run(parse_program(_LOOP), text=_LOOP,
+                                   cache=cache)
+        assert (cache.hits, cache.rejected) == (0, 1)
+        assert os.path.exists(entry + ".rejected")
+        assert result.complete  # re-verified from scratch
+
+    def test_corpus_certificates_roundtrip(self, tmp_path):
+        store = str(tmp_path / "certs")
+        writer = VerificationCache(store)
+        fresh = {}
+        for prog in PROGRAMS:
+            result = discharge_for_run(parse_program(prog.source),
+                                       text=prog.source, cache=writer)
+            fresh[prog.name] = [c.summary() for c in result.certificates]
+        assert writer.hits == 0 and writer.misses > 0
+        reader = VerificationCache(store)
+        for prog in PROGRAMS:
+            result = discharge_for_run(parse_program(prog.source),
+                                       text=prog.source, cache=reader)
+            assert [c.summary() for c in result.certificates] == \
+                fresh[prog.name], prog.name
+        assert reader.rejected == 0 and reader.misses == 0
+        assert reader.hits == writer.misses
 
 
 class TestMonitorSkipSet:
