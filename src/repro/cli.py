@@ -45,12 +45,13 @@ call sequences; ``sized bench compose`` measures the gap.
 ``--machine`` selects the evaluator: ``compiled`` (default — the
 lexical-addressing pass of :mod:`repro.lang.resolve` plus the slot-frame
 machine), ``tree`` (the direct AST walker) or ``native`` (``run`` only:
-exec-generated Python bodies for discharged λs, trampoline-driven, with
-automatic fallback to the compiled machine's ``eval_code`` for anything
-residual-monitored).  All produce identical answers; ``sized bench
-machines`` measures them against each other, unmonitored, monitored and
-discharged (``BENCH_machines.json``; exit 1 when a native-tier bar
-misses).
+exec-generated Python bodies, trampoline-driven, that step the
+continuation-mark table themselves, with automatic fallback to the
+compiled machine's ``eval_code`` where they cannot: the ``imperative``
+strategy and monitors with label keying or event streams).  All produce
+identical answers; ``sized bench machines`` measures them against each
+other, unmonitored, monitored and discharged (``BENCH_machines.json``;
+exit 1 when a native-tier bar misses).
 
 ``fuzz`` drives the property-based differential tester of
 :mod:`repro.fuzz`: seeded generation of terminating- and
@@ -117,8 +118,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                        default="compiled",
                        help="evaluator: lexically-addressed slot-frame "
                             "machine (default), the tree walker, or the "
-                            "native tier (Python-compiled discharged λs "
-                            "with compiled-machine fallback)")
+                            "native tier (Python-compiled λs with "
+                            "compiled-machine fallback)")
     p_run.add_argument("--max-steps", type=int, default=None)
     p_run.add_argument("--fuel", type=int, default=None,
                        help="step bound with a distinct FuelExhausted "
@@ -231,7 +232,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=["both", "terminating", "diverging"],
                         default="both")
     p_fuzz.add_argument("--matrix", default="full",
-                        help="'full' (12 cells), 'quick' (4), or a comma "
+                        help="'full' (18 cells), 'quick' (7), or a comma "
                              "list of machine:engine:policy triples")
     p_fuzz.add_argument("--fuel", type=int, default=None,
                         help="override the generator's per-program fuel")

@@ -51,9 +51,10 @@ from repro.lang.prims import PRIMITIVES
 from repro.lang.program import Program, TopDefine
 from repro.lang.resolve import Code, resolve
 from repro.sct.errors import SizeChangeViolation
+from repro.sct.monitor import _EMPTY_FSET
 from repro.sct.monitor import MISSING as _MISS_ENTRY
 from repro.sct.monitor import Entry as _Entry
-from repro.sct.monitor import SCMonitor
+from repro.sct.monitor import SCMonitor, table_step
 from repro.sexp.datum import intern
 from repro.values.env import Env, GlobalEnv, UnboundVariable
 from repro.values.values import (
@@ -88,15 +89,6 @@ KF_TERMC = 7
 KF_RESTORE = 8
 
 _UNDEF = object()
-
-# The compiled machine's cm-strategy fast path keeps the size-change table
-# as (base, closure, entry, closure, entry, ...): a flat identity-scanned
-# part in front of an optional HAMT base.  When the flat part holds 16
-# closures (33 slots, ≈ where linear scan and hashed lookup break even) it
-# folds into the base and starts fresh, so a loop's hot closures always
-# sit in the flat part.
-_TABLE_PROMOTE = 33
-_EMPTY_FSET = frozenset()
 
 ROOT_BLAME = "the program"
 
@@ -464,14 +456,15 @@ def eval_code(
 
     ``init_state`` — an (s1, s2) monitoring-state pair to start from
     instead of the mode's default; the native tier's fallback uses it to
-    resume interpretation under the state captured at native entry.
+    resume interpretation under the running native frame's state.
 
     ``native`` — a :class:`repro.eval.native.NativeContext`; when given,
-    applying a closure the native tier covers (an unmonitored mode or a
-    discharged/skip-listed λ) compiles its body on that first eligible
-    apply and hands the call to the native trampoline instead of entering
-    the body here.  Fallbacks from native code pass ``native=None``,
-    which bounds tier nesting.
+    applying a closure the native tier covers (every λ when
+    ``native.all_eligible``, else the discharged/skip-listed ones)
+    compiles its body on that first eligible apply and, after this
+    loop's own table step, hands the call to the native trampoline
+    instead of entering the body here.  Fallbacks from native code pass
+    ``native=None``, which bounds tier nesting.
     """
     if monitor is None:
         monitor = SCMonitor()
@@ -488,9 +481,9 @@ def eval_code(
     # repro.sct.monitor): `skip_should` elides the constant-true policy
     # check, `inline_upd` replicates upd/upd_mut inline — tables keyed by
     # the closure object itself (identity semantics, no key allocation),
-    # with the cm table held as a flat identity-scanned tuple that
-    # promotes to the HAMT past _TABLE_PROMOTE slots — and `advance` is
-    # the (possibly specialized) evidence step.
+    # with the cm table held as the hybrid flat/HAMT tuple that
+    # repro.sct.monitor.table_step extends — and `advance` is the
+    # (possibly specialized) evidence step.
     # Residual enforcement: `skips` is the monitor's discharged-λ set and
     # every compiled λ carries a `discharged` mark, so a statically proven
     # closure takes the monitor-free path below — no policy call, no table
@@ -958,28 +951,6 @@ def eval_code(
                             f" got {nargs}",
                             loc,
                         )
-                    if native is not None and (
-                            not monitored_modes or clam.discharged or
-                            (skips is not None and clam.label in skips)):
-                        # Tier-up on demand: the first eligible apply
-                        # compiles the λ (an emitter rejection leaves it
-                        # interpreted, below).
-                        if clam.native_is_gen is None:
-                            compile_lam(clam)
-                        if clam.native is not None:
-                            # Native-tier handoff: the trampoline runs
-                            # this call to completion (with interpreter
-                            # fallbacks for residual-monitored callees
-                            # under the state captured here).  Fuel is
-                            # shared through the _Fuel cell, so publish
-                            # and reload around it.
-                            fuel.left = steps_left
-                            try:
-                                val = native.enter(fn, vals, s1, s2)
-                            finally:
-                                steps_left = fuel.left
-                            returning = True
-                            break
                     if imperative:
                         if s1 and not clam.discharged and (
                                 skips is None or clam.label not in skips) and (
@@ -1018,51 +989,32 @@ def eval_code(
                             else:
                                 args = tuple(vals[1:])
                             if type(s1) is tuple:
-                                # Hybrid identity table: (base, clo, entry,
-                                # clo, entry, ...).  The flat part is scanned
-                                # with `is` — closures that actually recur
-                                # live there and pay no hashing; one-shot
-                                # closures go straight into the `base` HAMT
-                                # (slot 0), which the flat part shadows.
-                                monitor.calls_seen += 1
-                                L = len(s1)
-                                i = 1
-                                while i < L:
-                                    if s1[i] is fn:
-                                        break
-                                    i += 2
-                                if i < L:
-                                    entry = advance(s1[i + 1], fn, args, s2)
-                                    if L == 3:  # the one-loop common case
-                                        s1 = (s1[0], fn, entry)
-                                    else:
-                                        s1 = s1[:i] + (fn, entry) + s1[i + 2:]
-                                else:
-                                    base = s1[0]
-                                    entry = None if base is None \
-                                        else base.get(fn)
-                                    if entry is not None:
-                                        # Recurring closure whose flat copy
-                                        # was folded: advance and re-adopt
-                                        # (the stale base copy is shadowed,
-                                        # then overwritten on the next fold).
-                                        entry = advance(entry, fn, args, s2)
-                                    elif fast_entry:
-                                        entry = _Entry(args, _EMPTY_FSET, 1, 2)
-                                    else:
-                                        entry = initial_entry(fn, args)
-                                    if L < _TABLE_PROMOTE:
-                                        s1 = s1 + (fn, entry)
-                                    else:
-                                        if base is None:
-                                            base = Hamt.empty()
-                                        j = 1
-                                        while j < L:
-                                            base = base.set(s1[j], s1[j + 1])
-                                            j += 2
-                                        s1 = (base, fn, entry)
+                                s1 = table_step(monitor, s1, fn, args, s2,
+                                                advance, fast_entry)
                             else:
                                 s1 = monitor.upd(s1, fn, args, s2)
+                    if native is not None and (
+                            native.all_eligible or clam.discharged or
+                            (skips is not None and clam.label in skips)):
+                        # Tier-up on demand: the first eligible apply
+                        # compiles the λ (an emitter rejection leaves it
+                        # interpreted, below).
+                        if clam.native_is_gen is None:
+                            compile_lam(clam)
+                        if clam.native is not None:
+                            # Native-tier handoff after the table step
+                            # above: the trampoline runs this call to
+                            # completion under the stepped state, and
+                            # does not step it again.  Fuel is shared
+                            # through the _Fuel cell, so publish and
+                            # reload around it.
+                            fuel.left = steps_left
+                            try:
+                                val = native.enter(fn, vals, s1, s2)
+                            finally:
+                                steps_left = fuel.left
+                            returning = True
+                            break
                     vals[0] = fn.env
                     cenv = vals
                     control = clam.body
@@ -1191,9 +1143,8 @@ def run_program(
     ``'compiled'`` (lexical-addressing pass + slot-frame machine, the
     default), ``'tree'`` (the direct AST walker) or ``'native'`` (the
     compiled machine plus the native tier of :mod:`repro.eval.native`:
-    λs that need no monitoring run as generated Python, everything else
-    falls back per frame) — observably equivalent, differentially
-    tested.
+    λs run as generated Python, and fall back per frame where the tier
+    rule says so) — observably equivalent, differentially tested.
 
     ``discharge``: a :class:`~repro.analysis.discharge.ResidualPolicy`
     (or any iterable of λ labels) whose discharged λs run monitor-free:

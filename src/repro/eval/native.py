@@ -1,4 +1,4 @@
-"""The native tier: discharged λs compiled to exec-generated Python.
+"""The native tier: λs compiled to exec-generated Python.
 
 PR 4 measured that once a λ's termination checks are statically
 discharged, all remaining cost is interpretation overhead — the
@@ -16,15 +16,32 @@ mixes native and interpreted frames across call boundaries):
 
 * under ``mode='off'`` every compiled λ is eligible — there is no
   monitoring state to maintain;
-* under the monitored modes only λs the active
-  :class:`~repro.analysis.discharge.ResidualPolicy` proved terminating
-  run natively: those marked ``discharged`` at resolve time, plus
-  library λs covered by the monitor's ``skip_labels`` (prelude closures
-  are resolved before any policy exists, so the label set is their only
-  mark).  Discharged λs never touch monitoring state, which is what
-  makes a native frame transparent: the (s1, s2) pair captured at
-  native entry is exactly the state any residual-monitored callee must
-  observe.
+* under the monitored modes with the ``cm`` strategy and a monitor that
+  passes :meth:`~repro.sct.monitor.SCMonitor.inline_upd_ok`, every λ is
+  eligible too.  The trampoline performs the same table step
+  (:func:`repro.sct.monitor.table_step`, with ``advance_fast`` when
+  ``fast_advance_ok`` holds, else ``advance``) that ``eval_code``'s
+  APPLY performs, so violations and witnesses are byte-identical.  λs
+  the active :class:`~repro.analysis.discharge.ResidualPolicy` proved
+  terminating — marked ``discharged`` at resolve time, or library λs
+  covered by the monitor's ``skip_labels`` (prelude closures are
+  resolved before any policy exists) — skip the step, as they do in
+  the interpreter;
+* otherwise only those proven λs run natively, and every monitored
+  closure falls back: the ``imperative`` strategy (its mutable table and
+  undo frames stay with the interpreter) and monitors that fail
+  ``inline_upd_ok`` (label keying, event streams).
+
+Continuation marks: the context's ``s1``/``s2`` hold the (table, blame)
+state of the running native frame.  A call, tail or not, derives the
+callee's state from it; a suspended generator frame gets its own state
+back when it resumes (the driver keeps marks on its frame stack, see
+:meth:`NativeContext._drive`); applying a ``term/c`` wrapper sets the
+blame and starts a table, as ``eval_code`` does.  ``eval_code`` hands a
+closure to the trampoline after its own table step for that apply, so
+the step runs exactly once.  Compiled self-tail loops and direct tail
+calls bypass the trampoline, so they are taken only for λs that need no
+step in the current run.
 
 Compilation is on demand: a λ is compiled the first time it is applied
 on a path where the rule above lets it run natively (in ``eval_code``'s
@@ -32,15 +49,19 @@ APPLY, in the trampoline, or through a tail call that reaches the
 trampoline), and never otherwise.  The threshold is one apply on
 purpose: it makes exactly the tier decisions an ahead-of-time walk of
 every λ would, so ``steps`` and ``tier`` do not depend on what earlier
-runs of the same parse happened to compile.
+runs of the same parse happened to compile.  A process-wide code cache
+keyed by a digest of the generated source (``_CODE_CACHE``) means a λ
+source the process has compiled before — a re-parse of the same
+program, the same helper in another program — skips CPython's
+``compile()``; each λ still gets its own namespace and constants.
 
 Everything else falls back to :func:`repro.eval.machine.eval_code`
-mid-flight — residual-monitored closures, ``term/c``-wrapped callees
-under monitoring, λs whose bodies the emitter rejected.  The fallback
-runs with the captured monitoring state (``init_state``) and the shared
-fuel and mutation table, and it does *not* re-enter the native tier, so
-tier nesting is bounded at one interpreter frame regardless of object-
-language recursion depth.
+mid-flight — the monitored closures and ``term/c`` wrappers of the
+fallback configurations above, and λs whose bodies the emitter rejected.
+The fallback runs with the current monitoring state (``init_state``)
+and the shared fuel and mutation table, and it does *not* re-enter the
+native tier, so tier nesting is bounded at one interpreter frame
+regardless of object-language recursion depth.
 
 Stack discipline: native functions never call each other on the Python
 stack.  Tail calls *return* a :class:`_Call` request; non-tail calls
@@ -62,10 +83,13 @@ counters.
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Optional, Tuple
 
+from repro.ds.lru import LRU
 from repro.eval.errors import FuelExhausted, SchemeError
 from repro.lang.prims import PRIMITIVES
+from repro.sct.monitor import table_step
 from repro.lang.resolve import (
     CApp,
     CLit,
@@ -236,11 +260,17 @@ class _Call:
 
 class NativeContext:
     """Per-run state shared by every native frame: the global
-    environment, the monitoring configuration for fallbacks, the fuel
-    cell, and the trampoline itself."""
+    environment, the monitoring configuration, the fuel cell, the
+    current continuation-mark state, and the trampoline itself.
+
+    ``s1``/``s2`` always hold the (table, blame) state of the native
+    frame that is running: the driver steps them at a monitored apply,
+    and restores a suspended frame's own state when it resumes (see
+    :meth:`_drive`)."""
 
     __slots__ = ("genv", "gget", "mode", "strategy", "monitor", "mtable",
-                 "fuel", "monitored", "skips", "entries", "s1", "s2", "d")
+                 "fuel", "monitored", "skips", "all_eligible", "stepping",
+                 "entries", "s1", "s2", "d")
 
     def __init__(self, genv, *, mode: str, strategy: str, monitor,
                  mtable: Optional[dict], fuel):
@@ -253,6 +283,22 @@ class NativeContext:
         self.fuel = fuel
         self.monitored = mode != "off"
         self.skips = monitor.skip_labels
+        # The tier rule: every λ runs natively unless some monitored λ
+        # would need a table the trampoline does not keep (the imperative
+        # strategy's mutable table, or a monitor that fails
+        # inline_upd_ok: label keying, event streams).  Then only the
+        # λs that need no monitoring run natively.
+        self.all_eligible = not self.monitored or (
+            strategy == "cm" and monitor.inline_upd_ok())
+        # (advance, fast_entry, skip_should): eval_code's table-step
+        # configuration, when native frames step the table themselves.
+        self.stepping = None
+        if self.monitored and self.all_eligible:
+            fast = monitor.fast_advance_ok()
+            self.stepping = (
+                monitor.advance_fast if fast else monitor.advance,
+                fast and not monitor.measures,
+                monitor.trivial_policy(ignore_skip_labels=True))
         self.entries = 0
         self.s1 = None
         self.s2 = None
@@ -266,18 +312,27 @@ class NativeContext:
 
     def enter(self, fn, vals, s1, s2):
         """Called from ``eval_code``'s APPLY: run an eligible closure
-        natively and return its value.  (s1, s2) is the monitoring state
-        at the call site; native frames never change it, so it is what
-        every fallback inside this extent must see."""
+        natively and return its value.  (s1, s2) is the state after the
+        caller's own table step for this apply, which the driver
+        therefore does not repeat."""
         self.entries += 1
         self.s1 = s1
         self.s2 = s2
-        return self._drive(fn, vals, None)
+        return self._drive(fn, vals, None, fn)
 
-    def _drive(self, fn, vals, loc):
+    def _drive(self, fn, vals, loc, stepped=None):
         """The trampoline: applies (fn, vals) to completion.  Suspended
         generator frames live on an explicit stack, so object-language
-        non-tail recursion costs heap, never Python stack."""
+        non-tail recursion costs heap, never Python stack.
+
+        Continuation marks: before the first state change above a
+        suspended frame (or at the bottom of this driver's extent), the
+        outgoing state is pushed onto the same stack as a ``(s1, s2)``
+        tuple; returning through it restores that state.  A tail call
+        finds a mark (or nothing suspended) on top and pushes none, so
+        proper tail calls keep constant space.  Runs that never step the
+        table push no marks.  ``stepped`` is the closure whose apply the
+        caller already stepped (:meth:`enter`)."""
         fuel = self.fuel
         monitored = self.monitored
         skips = self.skips
@@ -300,15 +355,33 @@ class NativeContext:
                             f"arguments, got {len(vals) - 1}",
                             loc,
                         )
-                    if (not monitored or clam.discharged or
+                    nf = clam.native
+                    if nf is None and clam.native_is_gen is None and (
+                            self.all_eligible or clam.discharged or
                             (skips is not None and clam.label in skips)):
+                        # Tier-up on demand (first eligible apply).
+                        compile_lam(clam)
                         nf = clam.native
-                        if nf is None and clam.native_is_gen is None:
-                            # Tier-up on demand (first eligible apply).
-                            compile_lam(clam)
-                            nf = clam.native
-                    else:
-                        nf = None
+                    if monitored and not clam.discharged and (
+                            skips is None or clam.label not in skips):
+                        if self.stepping is None or nf is None:
+                            # No table here (imperative, inline_upd
+                            # fails), or the emitter rejected the λ: the
+                            # interpreter steps and runs it.
+                            value = self.fallback_call(fn, vals, loc)
+                            applying = False
+                            continue
+                        if fn is stepped:
+                            stepped = None
+                        elif self.s1 is not None:
+                            advance, fast_entry, skip_should = self.stepping
+                            if skip_should or self.monitor.should_monitor(fn):
+                                if not stack or type(stack[-1]) is not tuple:
+                                    stack.append((self.s1, self.s2))
+                                self.s1 = table_step(
+                                    self.monitor, self.s1, fn,
+                                    tuple(vals[1:]), self.s2, advance,
+                                    fast_entry)
                     if nf is not None:
                         vals[0] = fn.env
                         if clam.native_is_gen:
@@ -333,8 +406,7 @@ class NativeContext:
                         value = out
                         applying = False
                         continue
-                    # Residual-monitored (or emitter-rejected) closure:
-                    # the interpreter runs it under the captured state.
+                    # Emitter-rejected λ that needs no monitoring.
                     value = self.fallback_call(fn, vals, loc)
                     applying = False
                     continue
@@ -344,11 +416,20 @@ class NativeContext:
                     continue
                 if tf is TermWrapped:
                     if monitored:
-                        # Applying a wrapper (re)starts monitoring for
-                        # the callee's extent — interpreter territory.
-                        value = self.fallback_call(fn, vals, loc)
-                        applying = False
-                        continue
+                        if self.stepping is None:
+                            # Applying a wrapper (re)starts monitoring
+                            # for the callee's extent — interpreter
+                            # territory when the table is not ours.
+                            value = self.fallback_call(fn, vals, loc)
+                            applying = False
+                            continue
+                        # As eval_code: the wrapper's blame label, and a
+                        # fresh table when none is active.
+                        if not stack or type(stack[-1]) is not tuple:
+                            stack.append((self.s1, self.s2))
+                        self.s2 = fn.blame
+                        if self.s1 is None:
+                            self.s1 = (None,)
                     fn = fn.closure
                     continue
                 raise SchemeError(
@@ -358,7 +439,13 @@ class NativeContext:
                 # Return `value` to the innermost suspended frame.
                 if not stack:
                     return value
-                out = stack[-1].send(value)
+                top = stack[-1]
+                if type(top) is tuple:
+                    # A continuation mark: the state of the frames below.
+                    stack.pop()
+                    self.s1, self.s2 = top
+                    continue
+                out = top.send(value)
                 if type(out) is _Call:
                     if out.tail:
                         stack.pop()
@@ -395,8 +482,8 @@ class NativeContext:
             f"application of a non-procedure: {write_value(fn)}", loc)
 
     def fallback_call(self, fn, vals, loc):
-        """Apply ``fn`` on the interpreter, under the monitoring state
-        captured at native entry.  The synthesized application is all
+        """Apply ``fn`` on the interpreter, under the running native
+        frame's monitoring state.  The synthesized application is all
         literals, so ``eval_code`` goes straight to APPLY with the
         original source location — error and violation payloads are
         byte-identical to a fully-interpreted run.  The fallback gets no
@@ -832,8 +919,14 @@ class _Emitter:
                 and head.tag in (T_LOCAL, T_GLOBAL)):
             # Compiled self-tail loop: when the callee is this very
             # closure, rebind and jump — the fuel charge keeps the
-            # back-edge metered like any other application.
-            self.line(ind, f"if {h} is _c:")
+            # back-edge metered like any other application.  The jump
+            # skips the table step, so a λ that may be monitored takes
+            # it only when this run needs no step for it.
+            if self.clam.discharged:
+                self.line(ind, f"if {h} is _c:")
+            else:
+                self.line(ind, f"if {h} is _c and (not _M or (_K is not None"
+                               f" and _c.lam.label in _K)):")
             self.emit_fuel_charge(ind + 1)
             if self.frame_mode:
                 inner = ", ".join([self.env_chain(0)] + args)
@@ -997,11 +1090,26 @@ class _Emitter:
             self.line(ind, f"return {expr}")
 
 
+# Process-wide code cache: CPython code objects keyed by a 128-bit digest
+# of the generated source.  A λ whose source the process has compiled
+# before (a re-parse of the same program text, the same helper in two
+# programs) skips ``compile()`` and pays only the ``exec`` that binds its
+# own constants.  Every λ of the 54 corpus programs plus the libraries
+# comes to 196 distinct sources, so the bound holds a corpus-sized
+# working set while a long-lived process fed fresh programs stays
+# bounded.  (A shared code object keeps the filename of the λ that
+# first compiled it, which only tracebacks show.)
+_CODE_CACHE_SIZE = 256
+_CODE_CACHE = LRU(_CODE_CACHE_SIZE)
+
+
 def compile_lam(clam) -> None:
     """Attach native code to one CLam (best-effort: any emitter or
     CPython-compile failure leaves the λ interpreted).  The machines call
     this at the λ's first native-eligible apply; every later apply finds
-    the attempt recorded in ``native_is_gen``."""
+    the attempt recorded in ``native_is_gen``.  Each λ gets its own
+    namespace and constants; only the code object comes from
+    ``_CODE_CACHE``."""
     if clam.native_is_gen is not None:
         return  # already attempted
     try:
@@ -1048,8 +1156,12 @@ def compile_lam(clam) -> None:
             "_NIL": NIL,
             "_Char": Char,
         }
-        code_obj = compile(
-            src, f"<native:{clam.name or f'λ{clam.label}'}>", "exec")
+        key = hashlib.blake2b(src.encode(), digest_size=16).digest()
+        code_obj = _CODE_CACHE.get(key)
+        if code_obj is None:
+            code_obj = compile(
+                src, f"<native:{clam.name or f'λ{clam.label}'}>", "exec")
+            _CODE_CACHE.put(key, code_obj)
         exec(code_obj, ns)
         clam.native = ns["_nf"]
         clam.native_is_gen = is_gen

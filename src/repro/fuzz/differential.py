@@ -53,8 +53,11 @@ POLICIES = ("off", "monitored", "discharged")
 
 def default_cells(matrix: str = "full") -> List[Tuple[str, str, str]]:
     """The cell list for a matrix spec: ``full`` (all 18), ``quick``
-    (6 cells covering all machines, both engines and all policies), or
-    an explicit comma list of ``machine:engine:policy`` triples."""
+    (7 cells covering all machines, both engines and all policies, with
+    monitored native under both engines: the bitmask engine takes the
+    ``advance_fast`` step, the reference engine the generic
+    ``advance``), or an explicit comma list of
+    ``machine:engine:policy`` triples."""
     if matrix == "full":
         return [(m, e, p) for m in MACHINES for e in ENGINES
                 for p in POLICIES]
@@ -65,6 +68,7 @@ def default_cells(matrix: str = "full") -> List[Tuple[str, str, str]]:
             ("tree", "bitmask", "monitored"),
             ("compiled", "reference", "monitored"),
             ("native", "bitmask", "monitored"),
+            ("native", "reference", "monitored"),
             ("native", "bitmask", "discharged"),
         ]
     cells = []

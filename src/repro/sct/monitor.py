@@ -71,6 +71,15 @@ _COMPOSE_CACHE: Dict[int, Tuple[int, int]] = {}
 _DESC_CACHE: Dict[int, bool] = {}
 _CACHE_CAP = 1 << 16
 
+# The cm strategy's inline table (see :func:`table_step`) is a tuple
+# (base, closure, entry, closure, entry, ...): a flat identity-scanned
+# part in front of an optional HAMT base.  When the flat part holds 16
+# closures (33 slots, ≈ where linear scan and hashed lookup break even) it
+# folds into the base and starts fresh, so a loop's hot closures always
+# sit in the flat part.
+_TABLE_PROMOTE = 33
+_EMPTY_FSET = frozenset()
+
 
 class Entry:
     """One size-change table entry: ``(v⃗, S, count, next_check)``.
@@ -566,6 +575,56 @@ class SCMonitor:
             f"SCMonitor(order={self.order!r}, keying={self.keying!r}, "
             f"backoff={self.backoff}, engine={self.engine!r})"
         )
+
+
+def table_step(monitor: SCMonitor, table: tuple, clo: Closure, args: Tuple,
+               blame, advance, fast_entry: bool) -> tuple:
+    """One monitored call under the cm strategy's inline ``upd``: the
+    hybrid identity table ``table`` extended with ``clo`` applied to
+    ``args``.  Both the compiled machine's APPLY and the native
+    trampoline call this, under :meth:`SCMonitor.inline_upd_ok`.
+
+    ``advance`` is the evidence step (:meth:`SCMonitor.advance_fast`
+    when :meth:`SCMonitor.fast_advance_ok` holds, else
+    :meth:`SCMonitor.advance`), so violations carry the same witness
+    either way; ``fast_entry`` lets a first call allocate the trivial
+    entry in place when nothing (measures, subclassing) distinguishes it
+    from ``Entry(v⃗, ∅, 1, 2)``.
+
+    The flat part is scanned with ``is``: closures that actually recur
+    live there and pay no hashing; one-shot closures go into the
+    ``base`` HAMT (slot 0) at the next fold, and the flat part shadows
+    it."""
+    monitor.calls_seen += 1
+    n = len(table)
+    i = 1
+    while i < n:
+        if table[i] is clo:
+            entry = advance(table[i + 1], clo, args, blame)
+            if n == 3:  # the one-loop common case
+                return (table[0], clo, entry)
+            return table[:i] + (clo, entry) + table[i + 2:]
+        i += 2
+    base = table[0]
+    entry = None if base is None else base.get(clo)
+    if entry is not None:
+        # Recurring closure whose flat copy was folded: advance and
+        # re-adopt (the stale base copy is shadowed, then overwritten on
+        # the next fold).
+        entry = advance(entry, clo, args, blame)
+    elif fast_entry:
+        entry = Entry(args, _EMPTY_FSET, 1, 2)
+    else:
+        entry = monitor.initial_entry(clo, args)
+    if n < _TABLE_PROMOTE:
+        return table + (clo, entry)
+    if base is None:
+        base = Hamt.empty()
+    j = 1
+    while j < n:
+        base = base.set(table[j], table[j + 1])
+        j += 2
+    return (base, clo, entry)
 
 
 MISSING = _MISSING

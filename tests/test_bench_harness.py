@@ -114,13 +114,15 @@ class TestMCHarness:
 
 
 def _cells(**overrides):
-    """Synthetic ``(machine, policy) -> seconds`` for one discharged
-    program on which every bar passes: cm compiled 3.6x tree, discharged
-    1.0x off, monitored 2.5x off, native 15x tree and 5x compiled."""
+    """Synthetic ``(machine, policy) -> seconds`` for one program on
+    which every bar passes: cm compiled 3.6x tree, discharged 1.0x off,
+    monitored 2.5x off, monitored native 2.5x compiled, native 15x tree
+    and 5x compiled."""
     seconds = {
         ("tree", "off"): 3.0, ("tree", "cm"): 9.0,
         ("tree", "imperative"): 9.0, ("compiled", "off"): 1.0,
         ("compiled", "cm"): 2.5, ("compiled", "imperative"): 2.5,
+        ("native", "cm"): 1.0,
         ("tree", "discharged"): 3.0, ("compiled", "discharged"): 1.0,
         ("native", "discharged"): 0.2,
     }
@@ -130,10 +132,15 @@ def _cells(**overrides):
 
 
 def _rows(*cell_maps):
+    """One discharged row per cell map, plus a residual-monitored row
+    with the first map's cells (the monitored-native bar's subset)."""
     from repro.bench.machines import ProgramCells
 
-    return [ProgramCells(f"p{i}", 10, 0.001, 1, cells)
+    rows = [ProgramCells(f"p{i}", 10, 0.001, 1, cells)
             for i, cells in enumerate(cell_maps)]
+    rows.append(ProgramCells(f"p{len(rows)}", 10, 0.001, None,
+                             cell_maps[0]))
+    return rows
 
 
 class TestMachinesHarness:
@@ -196,7 +203,7 @@ class TestMachinesHarness:
         from repro.bench.machines import acceptance, claims, render_machines
 
         rows = _rows(_cells(), _cells())
-        assert [c.passed for c in claims(rows)] == [True] * 5
+        assert [c.passed for c in claims(rows)] == [True] * 6
         assert acceptance(rows)
         assert "MISS" not in render_machines(rows)
 
@@ -208,6 +215,7 @@ class TestMachinesHarness:
         ("native vs compiled",
          [_cells(), _cells(native_discharged=1.05, tree_discharged=30.0)],
          True),
+        ("monitored native vs compiled", [_cells(native_cm=2.0)], False),
     ])
     def test_each_bar_misses_alone(self, bar, rows, gated):
         from repro.bench.machines import acceptance, claims, render_machines
@@ -250,10 +258,11 @@ class TestMachinesHarness:
                                 "skipped_labels", "cells"}
         assert {"machine": "native", "policy": "discharged",
                 "seconds": 0.2} in program["cells"]
-        assert len(program["cells"]) == 9
+        assert len(program["cells"]) == 10
         assert [c["name"] for c in report["claims"]] == [
             "cm: compiled vs tree", "discharged vs off", "monitored vs off",
-            "native vs tree", "native vs compiled"]
+            "monitored native vs compiled", "native vs tree",
+            "native vs compiled"]
         for claim in report["claims"]:
             assert set(claim) == {"name", "value", "target", "at_most",
                                   "gated", "worst", "pass"}

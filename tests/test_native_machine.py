@@ -316,10 +316,23 @@ class TestTierReporting:
         assert a.tier == "native"
 
     def test_all_fallback_run_reports_compiled(self):
-        # mode=full with no policy: nothing is discharged, so no native
-        # frame ever runs and the answer honestly says so.
+        # mode=full with no policy: every λ is monitored.  Under the cm
+        # strategy the trampoline steps the table itself, so the λs run
+        # natively; the imperative strategy's mutable table stays with
+        # the interpreter, so there no native frame ever runs and the
+        # answer honestly says so.
         src = "(define (f n) (if (zero? n) 1 (f (- n 1))))\n(f 5)\n"
         a = run_source(src, mode="full", machine="native")
+        assert a.kind == Answer.VALUE and a.value == 1
+        assert a.tier == "native"
+        a = run_source(src, mode="full", strategy="imperative",
+                       machine="native")
+        assert a.kind == Answer.VALUE and a.value == 1
+        assert a.tier == "compiled"
+        # A monitor the trampoline cannot replicate inline (label
+        # keying) falls back too.
+        a = run_source(src, mode="full", monitor=SCMonitor(keying="label"),
+                       machine="native")
         assert a.kind == Answer.VALUE and a.value == 1
         assert a.tier == "compiled"
 
@@ -327,6 +340,141 @@ class TestTierReporting:
         for machine in ("tree", "compiled"):
             a = run_source("(+ 1 2)", mode="off", machine=machine)
             assert a.tier == machine
+
+
+class TestMonitoredNative:
+    """Residual-monitored λs run on the native tier: the trampoline
+    steps the cm table itself, carries each frame's continuation-mark
+    state, and raises the same witness the interpreter raises."""
+
+    def test_self_tail_loop_violation_identical(self):
+        # A compiled self-tail loop must not jump past the table step.
+        src = "(define (f n) (f (+ n 1)))\n(f 0)\n"
+        answers = {m: run_source(src, mode="full", machine=m,
+                                 fuel=1_000_000)
+                   for m in ("compiled", "native")}
+        native, compiled = answers["native"], answers["compiled"]
+        assert native.tier == "native"
+        assert compiled.kind == native.kind == Answer.SC_ERROR
+        assert_same_answer(compiled, native)
+        assert native.violation.call_count == compiled.violation.call_count
+        assert native.violation.call_count == 2
+        assert str(native.violation) == str(compiled.violation)
+
+    # Each source's answer depends on restoring a caller's table after a
+    # monitored non-tail callee returns (g's second extent must start
+    # fresh), directly and past the direct-call depth bound.
+    RESTORE = [
+        "(define (g n) (if (zero? n) 0 (g (- n 1))))\n"
+        "(define (f n) (+ (g n) (g n)))\n(f 5)\n",
+        "(define (g n) (if (zero? n) 0 (g (- n 1))))\n"
+        "(define (f n) (+ (g n) (g n)))\n"
+        "(define (h k) (if (zero? k) (f 5) (+ 0 (h (- k 1)))))\n(h 100)\n",
+        # ... and the violation, when the caller's own loop repeats.
+        "(define (g n) (if (zero? n) 0 (g (- n 1))))\n"
+        "(define (f n) (begin (g n) (f n)))\n(f 3)\n",
+    ]
+
+    @pytest.mark.parametrize("src", RESTORE,
+                             ids=[f"restore{i}" for i in range(len(RESTORE))])
+    def test_caller_state_restored(self, src):
+        monitors = {m: SCMonitor() for m in MACHINES}
+        answers = {m: run_program(parse_program(src), mode="full",
+                                  monitor=monitors[m], fuel=MAX_STEPS,
+                                  machine=m)
+                   for m in MACHINES}
+        assert_all_same(answers)
+        assert answers["native"].tier == "native"
+        assert monitors["native"].calls_seen == monitors["compiled"].calls_seen
+
+    WRAPPED = [
+        # Contract mode: monitoring starts at the wrapper, under its label.
+        '(define f (terminating/c (lambda (x) (f x)) "loop"))\n(f 1)\n',
+        "(define (down n) (if (zero? n) 0 (down (- n 1))))\n"
+        "(define g (terminating/c (lambda (n) (+ 1 (down n)))))\n"
+        "(define (up n) (if (zero? n) 0 (+ (g n) (up (- n 1)))))\n"
+        "(up 30)\n",
+        # A wrapper applied inside a monitored extent relabels its blame.
+        "(define (make) (terminating/c (lambda (n) "
+        "(if (zero? n) 0 ((make) (- n 1))))))\n((make) 4)\n",
+    ]
+
+    @pytest.mark.parametrize("mode", ["contract", "full"])
+    @pytest.mark.parametrize("src", WRAPPED,
+                             ids=[f"wrapped{i}" for i in range(len(WRAPPED))])
+    def test_wrapped_apply_identical(self, src, mode):
+        answers = run_everywhere(src, mode=mode, max_steps=1_000_000)
+        assert_all_same(answers)
+        assert answers["native"].tier == "native"
+
+    @pytest.mark.parametrize("prog", PROGRAMS, ids=[p.name for p in PROGRAMS])
+    def test_monitor_sees_the_same_calls(self, prog):
+        monitors = {m: SCMonitor(measures=prog.measures)
+                    for m in ("compiled", "native")}
+        answers = {m: run_source(prog.source, mode="full",
+                                 monitor=monitors[m], fuel=MAX_STEPS,
+                                 machine=m)
+                   for m in monitors}
+        assert answers["native"].tier == "native"
+        assert_same_answer(answers["compiled"], answers["native"])
+        assert monitors["native"].calls_seen == \
+            monitors["compiled"].calls_seen
+        assert monitors["native"].checks_done == \
+            monitors["compiled"].checks_done
+
+
+class TestCodeCache:
+    """The process-wide native code cache: a λ source compiled once is
+    never handed to CPython's ``compile()`` again, while every λ keeps
+    its own constants."""
+
+    def test_second_parse_skips_compile(self, monkeypatch):
+        src = ("(define (walk l) (if (null? l) 0 (+ 1 (walk (cdr l)))))\n"
+               "(walk '(1 2 3))\n")
+        first = run_source(src, mode="full", machine="native")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compile(*args, **kwargs)
+
+        monkeypatch.setattr(native_mod, "compile", counting, raising=False)
+        parsed = parse_program(src)
+        second = run_program(parsed, mode="full", machine="native")
+        assert calls == []
+        assert second.tier == "native"
+        assert observables(second) == observables(first)
+        assert all(lam.native is not None for lam in code_lams(parsed))
+
+    @pytest.mark.parametrize("left, right", [
+        ("'(1 2 3)", "'(4 5 6)"),
+        ('"' + "a" * 70 + '"', '"' + "b" * 70 + '"'),
+    ], ids=["quoted-list", "long-string"])
+    def test_programs_keep_their_own_constants(self, left, right):
+        lams = []
+        for const in (left, right):
+            parsed = parse_program(f"(define (f n) (if (zero? n) {const} "
+                                   f"(f (- n 1))))\n(f 2)\n")
+            a = run_program(parsed, mode="off", machine="native")
+            ref = run_source(f"{const}\n", mode="off")
+            assert a.tier == "native"
+            assert write_value(a.value) == write_value(ref.value)
+            lams.append(next(lam for lam in code_lams(parsed)
+                             if lam.name == "f"))
+        # Same source, one code object, two constant tables.
+        assert lams[0].native.__code__ is lams[1].native.__code__
+        assert lams[0].native is not lams[1].native
+
+    def test_cache_stays_bounded(self, monkeypatch):
+        bound = native_mod._CODE_CACHE_SIZE
+        cache = native_mod.LRU(bound)
+        monkeypatch.setattr(native_mod, "_CODE_CACHE", cache)
+        src = "".join(f"(define (f{i} n) (+ n {i}))\n"
+                      for i in range(bound + 40))
+        for form in parse_program(src).forms:
+            ensure_native(compile_code(form.expr))
+            assert len(cache) <= bound
+        assert len(cache) == bound and cache.evictions == 40
 
 
 def observables(answer):
@@ -406,15 +554,22 @@ class TestLazyTierUp:
         assert observables(second) == observables(eager)
 
     def test_residual_monitored_program_compiles_nothing(self):
-        # mode full without a policy: every λ is monitored, so no apply
-        # is eligible and no user λ is ever compiled.
+        # mode full without a policy: every λ is monitored.  Where the
+        # monitored λs fall back (the imperative strategy) no apply is
+        # eligible and no user λ is ever compiled; under cm every applied
+        # λ tiers up, and only those.
         prog = next(p for p in PROGRAMS if p.name == "ho-sc-ack")
         parsed = parse_program(prog.source)
-        a = native_run(parsed, mode="full", measures=prog.measures)
+        a = run_program(parsed, mode="full", strategy="imperative",
+                        monitor=SCMonitor(measures=prog.measures),
+                        fuel=MAX_STEPS, machine="native")
         assert a.kind == Answer.VALUE and a.tier == "compiled"
         lams = code_lams(parsed)
         assert lams
         assert all(lam.native_is_gen is None for lam in lams)
+        a = native_run(parsed, mode="full", measures=prog.measures)
+        assert a.kind == Answer.VALUE and a.tier == "native"
+        assert all(lam.native is not None for lam in lams)
 
     def test_uncalled_discharged_lambda_is_never_compiled(self):
         src = ("(define (unused n) (if (zero? n) 0 (unused (- n 1))))\n"
