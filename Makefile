@@ -12,7 +12,8 @@ test:
 
 # Machine-readable benchmark cells (pytest-benchmark).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/bench_substrate.py \
+		benchmarks/bench_pyterm.py --benchmark-only
 
 # The engine-comparison report alone (fast smoke, used by CI).
 bench-quick:

@@ -1,7 +1,6 @@
 """Benchmark: the bitmask graph engine vs the frozenset reference.
 
-Full report: ``python -m repro bench compose``.  The same cells run as
-individual pytest benchmarks in ``benchmarks/bench_compose.py``.
+Full report: ``python -m repro bench compose``.
 
 Three compose-heavy tiers, each timed under both engines:
 

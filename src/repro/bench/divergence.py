@@ -30,7 +30,7 @@ class DivergencePoint:
         self.blamed = blamed
 
 
-def run_divergence(standard_budget: int = 200_000) -> List[DivergencePoint]:
+def run_divergence(standard_budget: int = 25_000) -> List[DivergencePoint]:
     points = []
     for prog in diverging_programs():
         monitor = SCMonitor(measures=prog.measures)

@@ -55,18 +55,19 @@ exit 1 when a native-tier bar misses).
 
 ``fuzz`` drives the property-based differential tester of
 :mod:`repro.fuzz`: seeded generation of terminating- and
-diverging-by-construction programs, the 18-cell
+diverging-by-construction programs, the 24-cell
 {tree, compiled, native} × {bitmask, reference} × {off, monitored,
-discharged}
-matrix, greedy shrinking, and the ``tests/regressions/`` archive.
+imperative, discharged} matrix (``steps`` compared too), greedy
+shrinking, and the ``tests/regressions/`` archive.
 ``--replay`` re-runs one archived ``.scm`` repro (or any campaign seed
 via ``--seed S --n 1``).  The exit code gates CI: 0 when every oracle
 check passed, 1 when any divergence was found.
 
 ``--fuel`` (run/trace/fuzz) bounds machine steps like ``--max-steps``
 but reports exhaustion distinctly (``FuelExhausted``) — the fuzzer's
-way of observing divergence without hanging.  ``--fuel 0`` is immediate
-exhaustion (no steps run) on every path, including the serve budgets.
+way of observing divergence without hanging.  A step is one closure
+application on every machine.  ``--fuel 0`` is immediate exhaustion (no
+form runs) on every path, including the serve budgets.
 
 ``serve`` runs the batched termination-checking service
 (:mod:`repro.serve`): JSON-lines over TCP, request dedupe by
@@ -122,8 +123,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "compiled-machine fallback)")
     p_run.add_argument("--max-steps", type=int, default=None)
     p_run.add_argument("--fuel", type=int, default=None,
-                       help="step bound with a distinct FuelExhausted "
-                            "outcome (wins over --max-steps)")
+                       help="bound on closure applications, with a "
+                            "distinct FuelExhausted outcome (wins over "
+                            "--max-steps)")
     p_run.add_argument("--discharge", choices=["off", "try", "require"],
                        default="off",
                        help="statically discharge dynamic checks: 'try' "
@@ -203,9 +205,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="how long the first request of a batch "
                               "waits for identical joiners")
     p_serve.add_argument("--default-fuel", type=int, default=5_000_000,
-                         help="step budget for requests that do not "
-                              "send 'fuel' (0 = immediate exhaustion; "
-                              "--default-fuel -1 = unlimited)")
+                         help="closure-application budget for "
+                              "requests that do not send 'fuel' (0 = "
+                              "immediate exhaustion; --default-fuel -1 = "
+                              "unlimited)")
     p_serve.add_argument("--tenant-budget", type=int, default=None,
                          help="total fuel each tenant may spend "
                               "(default: unlimited, spend still metered)")
@@ -232,7 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=["both", "terminating", "diverging"],
                         default="both")
     p_fuzz.add_argument("--matrix", default="full",
-                        help="'full' (18 cells), 'quick' (7), or a comma "
+                        help="'full' (24 cells), 'quick' (8), or a comma "
                              "list of machine:engine:policy triples")
     p_fuzz.add_argument("--fuel", type=int, default=None,
                         help="override the generator's per-program fuel")

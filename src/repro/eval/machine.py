@@ -190,12 +190,6 @@ def eval_expr(
 
     try:
         while True:
-            if steps_left >= 0:
-                steps_left -= 1
-                if steps_left < 0:
-                    steps_left = 0
-                    raise FuelExhausted(fuel.limit)
-
             if not returning:
                 k = control.kind
                 if k == 1:  # K_VAR
@@ -345,6 +339,10 @@ def eval_expr(
             while True:
                 tf = type(fn)
                 if tf is Closure:
+                    if steps_left >= 0:  # one step per closure body entered
+                        if steps_left == 0:
+                            raise FuelExhausted(fuel.limit)
+                        steps_left -= 1
                     params = fn.lam.params
                     if len(vals) != len(params):
                         raise SchemeError(
@@ -462,9 +460,9 @@ def eval_code(
     applying a closure the native tier covers (every λ when
     ``native.all_eligible``, else the discharged/skip-listed ones)
     compiles its body on that first eligible apply and, after this
-    loop's own table step, hands the call to the native trampoline
-    instead of entering the body here.  Fallbacks from native code pass
-    ``native=None``, which bounds tier nesting.
+    loop's own charge and table step, hands the call to the native
+    trampoline instead of entering the body here.  Fallbacks from native
+    code pass ``native=None``, which bounds tier nesting.
     """
     if monitor is None:
         monitor = SCMonitor()
@@ -661,12 +659,6 @@ def eval_code(
 
     try:
         while True:
-            if steps_left >= 0:
-                steps_left -= 1
-                if steps_left < 0:
-                    steps_left = 0
-                    raise FuelExhausted(fuel.limit)
-
             if not returning:
                 t = control.tag
                 if t == 4:  # T_APP
@@ -932,17 +924,14 @@ def eval_code(
                     raise SchemeError(f"unknown frame tag {tag}")
 
             # -- APPLY: vals = [fn, arg...], loc set --------------------------------
-            # Charge fuel per argument: inline immediate evaluation skips loop
-            # iterations, so without this a fuel budget would admit several
-            # times more monitored calls than the tree machine's — fuel stays
-            # a machine-comparable bound on work, not on dispatch count.
-            if steps_left > 0:
-                n = len(vals) - 1
-                steps_left = steps_left - n if steps_left > n else 0
             fn = vals[0]
             while True:
                 tf = type(fn)
                 if tf is _closure:
+                    if steps_left >= 0:  # one step per closure body entered
+                        if steps_left == 0:
+                            raise FuelExhausted(fuel.limit)
+                        steps_left -= 1
                     clam = fn.lam
                     nargs = len(vals) - 1
                     if nargs != clam.nparams:
@@ -1002,10 +991,9 @@ def eval_code(
                         if clam.native_is_gen is None:
                             compile_lam(clam)
                         if clam.native is not None:
-                            # Native-tier handoff after the table step
-                            # above: the trampoline runs this call to
-                            # completion under the stepped state, and
-                            # does not step it again.  Fuel is shared
+                            # Native-tier handoff after the charge and
+                            # table step above, which the trampoline
+                            # repeats neither of.  Fuel is shared
                             # through the _Fuel cell, so publish and
                             # reload around it.
                             fuel.left = steps_left
@@ -1124,14 +1112,15 @@ def run_program(
     deterministic fuel bound is distinguishable from every other non-value
     outcome.
 
-    Fuel-boundary contract (identical on both machines, and relied on by
-    the ``sized serve`` budget path):
+    A step is one closure body entered, on every machine (``term/c``
+    wrappers and primitive calls are free).  Fuel-boundary contract
+    (identical on every machine, and relied on by ``sized serve``):
 
     * ``fuel=None`` — unlimited;
-    * ``fuel=0`` — immediate exhaustion: *no* machine step runs, the
-      answer is ``TIMEOUT`` with ``FuelExhausted(0)`` and ``steps == 0``;
-    * ``fuel=N`` — at most ``N`` steps; exhaustion reports the real limit
-      ``N``, never a clamped or defaulted figure.
+    * ``fuel=0`` — immediate exhaustion: *no* form runs, the answer is
+      ``TIMEOUT`` with ``FuelExhausted(0)`` and ``steps == 0``;
+    * ``fuel=N`` — at most ``N`` closure applications; exhaustion
+      reports the real limit ``N``, never a clamped or defaulted figure.
 
     ``answer.steps`` carries the steps actually consumed on **every**
     outcome kind (value, rt-error, sc-error, timeout) whenever a budget
@@ -1212,6 +1201,8 @@ def run_program(
         return machine
 
     try:
+        if max_steps == 0:
+            raise FuelExhausted(0)
         for form in program.forms:
             if compiled:
                 code = compile_code(form.expr, skip_labels)

@@ -48,10 +48,11 @@ on a path where the rule above lets it run natively (in ``eval_code``'s
 APPLY, in the trampoline, or through a tail call that reaches the
 trampoline), and never otherwise.  The threshold is one apply on
 purpose: it makes exactly the tier decisions an ahead-of-time walk of
-every λ would, so ``steps`` and ``tier`` do not depend on what earlier
-runs of the same parse happened to compile.  A process-wide code cache
-keyed by a digest of the generated source (``_CODE_CACHE``) means a λ
-source the process has compiled before — a re-parse of the same
+every λ would, so ``tier`` does not depend on what earlier runs of the
+same parse happened to compile (``steps`` never depends on what was
+compiled, see Fuel below).  A process-wide code cache keyed by a
+digest of the generated source (``_CODE_CACHE``) means a λ source the
+process has compiled before — a re-parse of the same
 program, the same helper in another program — skips CPython's
 ``compile()``; each λ still gets its own namespace and constants.
 
@@ -72,13 +73,13 @@ recursion limit costs heap, not stack.  λs with no closure-risky
 non-tail call sites compile to plain (non-generator) functions and skip
 the generator machinery entirely.
 
-Fuel: the driver charges the shared :class:`~repro.eval.machine._Fuel`
-once per application (and compiled self-tail loops charge at their
-back-edge), so a diverging program exhausts any finite budget — every
-object-language loop passes through an application.  Step *counts* are
-not identical across tiers (they already differ between the tree and
-compiled machines); the differential oracle compares outcome kinds, not
-counters.
+Fuel: one step is one closure body entered, as on the interpreters.
+The driver charges the shared :class:`~repro.eval.machine._Fuel` at its
+closure branch once it knows the call does not fall back (a fallback's
+``eval_code`` charges instead); self-tail loops and direct tail calls
+charge where they enter the callee.  ``steps`` is therefore identical
+across tiers, and every object-language loop passes through an
+application, so a diverging program exhausts any finite budget.
 """
 
 from __future__ import annotations
@@ -313,14 +314,14 @@ class NativeContext:
     def enter(self, fn, vals, s1, s2):
         """Called from ``eval_code``'s APPLY: run an eligible closure
         natively and return its value.  (s1, s2) is the state after the
-        caller's own table step for this apply, which the driver
-        therefore does not repeat."""
+        caller's own charge and table step for this apply, which the
+        driver therefore does not repeat."""
         self.entries += 1
         self.s1 = s1
         self.s2 = s2
-        return self._drive(fn, vals, None, fn)
+        return self._drive(fn, vals, None, charged=True)
 
-    def _drive(self, fn, vals, loc, stepped=None):
+    def _drive(self, fn, vals, loc, charged=False):
         """The trampoline: applies (fn, vals) to completion.  Suspended
         generator frames live on an explicit stack, so object-language
         non-tail recursion costs heap, never Python stack.
@@ -331,8 +332,8 @@ class NativeContext:
         tuple; returning through it restores that state.  A tail call
         finds a mark (or nothing suspended) on top and pushes none, so
         proper tail calls keep constant space.  Runs that never step the
-        table push no marks.  ``stepped`` is the closure whose apply the
-        caller already stepped (:meth:`enter`)."""
+        table push no marks.  ``charged``: the caller (:meth:`enter`)
+        already charged and stepped the first apply."""
         fuel = self.fuel
         monitored = self.monitored
         skips = self.skips
@@ -341,20 +342,9 @@ class NativeContext:
         applying = True
         while True:
             if applying:
-                left = fuel.left
-                if left >= 0:
-                    if left == 0:
-                        raise FuelExhausted(fuel.limit)
-                    fuel.left = left - 1
                 tf = type(fn)
                 if tf is Closure:
                     clam = fn.lam
-                    if len(vals) - 1 != clam.nparams:
-                        raise SchemeError(
-                            f"{fn.describe()}: expected {clam.nparams} "
-                            f"arguments, got {len(vals) - 1}",
-                            loc,
-                        )
                     nf = clam.native
                     if nf is None and clam.native_is_gen is None and (
                             self.all_eligible or clam.discharged or
@@ -362,18 +352,30 @@ class NativeContext:
                         # Tier-up on demand (first eligible apply).
                         compile_lam(clam)
                         nf = clam.native
-                    if monitored and not clam.discharged and (
-                            skips is None or clam.label not in skips):
-                        if self.stepping is None or nf is None:
-                            # No table here (imperative, inline_upd
-                            # fails), or the emitter rejected the λ: the
-                            # interpreter steps and runs it.
-                            value = self.fallback_call(fn, vals, loc)
-                            applying = False
-                            continue
-                        if fn is stepped:
-                            stepped = None
-                        elif self.s1 is not None:
+                    needs_step = monitored and not clam.discharged and (
+                        skips is None or clam.label not in skips)
+                    if nf is None or (needs_step and self.stepping is None):
+                        # The emitter rejected the λ, or there is no table
+                        # here (imperative, inline_upd fails): the
+                        # interpreter charges, steps and runs it.
+                        value = self.fallback_call(fn, vals, loc)
+                        applying = False
+                        continue
+                    if charged:
+                        charged = False
+                    else:
+                        left = fuel.left
+                        if left >= 0:
+                            if left == 0:
+                                raise FuelExhausted(fuel.limit)
+                            fuel.left = left - 1
+                        if len(vals) - 1 != clam.nparams:
+                            raise SchemeError(
+                                f"{fn.describe()}: expected {clam.nparams} "
+                                f"arguments, got {len(vals) - 1}",
+                                loc,
+                            )
+                        if needs_step and self.s1 is not None:
                             advance, fast_entry, skip_should = self.stepping
                             if skip_should or self.monitor.should_monitor(fn):
                                 if not stack or type(stack[-1]) is not tuple:
@@ -382,23 +384,13 @@ class NativeContext:
                                     self.monitor, self.s1, fn,
                                     tuple(vals[1:]), self.s2, advance,
                                     fast_entry)
-                    if nf is not None:
-                        vals[0] = fn.env
-                        if clam.native_is_gen:
-                            gen = nf(fn, vals, self)
-                            out = gen.send(None)
-                            if type(out) is _Call:
-                                if not out.tail:
-                                    stack.append(gen)
-                                fn = out.fn
-                                vals = out.vals
-                                loc = out.loc
-                                continue
-                            value = out
-                            applying = False
-                            continue
-                        out = nf(fn, vals, self)
+                    vals[0] = fn.env
+                    if clam.native_is_gen:
+                        gen = nf(fn, vals, self)
+                        out = gen.send(None)
                         if type(out) is _Call:
+                            if not out.tail:
+                                stack.append(gen)
                             fn = out.fn
                             vals = out.vals
                             loc = out.loc
@@ -406,8 +398,13 @@ class NativeContext:
                         value = out
                         applying = False
                         continue
-                    # Emitter-rejected λ that needs no monitoring.
-                    value = self.fallback_call(fn, vals, loc)
+                    out = nf(fn, vals, self)
+                    if type(out) is _Call:
+                        fn = out.fn
+                        vals = out.vals
+                        loc = out.loc
+                        continue
+                    value = out
                     applying = False
                     continue
                 if tf is Prim:

@@ -1,23 +1,24 @@
-"""The 18-cell differential runner and its oracle.
+"""The 24-cell differential runner and its oracle.
 
 One generated (or corpus, or regression) program runs under every cell of
 
     {tree, compiled, native} × {bitmask, reference}
-                             × {off, monitored, discharged}
+                             × {off, monitored, imperative, discharged}
 
 with a fuel bound, plus a two-engine static verdict and one residual-
 enforcement pipeline run.  The oracle then checks:
 
 * **intra-group byte identity** — within each policy group (off /
-  monitored / discharged) all six machine × engine cells must agree on
-  the answer kind, the printed value, the captured output, the rendered
-  ``SizeChangeViolation`` payload, and the run-time error text; a
+  monitored, i.e. mode ``full`` under either strategy / discharged) all
+  cells must agree on the answer kind, the printed value, the captured
+  output, the rendered ``SizeChangeViolation`` payload, the run-time
+  error text, and ``steps`` (one per closure application); a
   mismatch whose offending pair involves a native cell is classed
   ``native-fallback-mismatch`` (the compiled tier or its interpreter
   fallback boundary broke the contract), any other pair stays the
   historical ``cell-mismatch``;
 * **cross-group consistency** — terminating programs are monitor-silent
-  by construction, so all eighteen cells must be byte-identical and be
+  by construction, so all twenty-four cells must be byte-identical and be
   values; diverging programs must exhaust fuel under ``off`` and must be
   stopped (violation or fuel) under ``monitored``/``discharged``;
 * **verifier-verdict consistency** — the bitmask and reference engines
@@ -48,16 +49,17 @@ from repro.values.values import write_value
 
 MACHINES = ("tree", "compiled", "native")
 ENGINES = ("bitmask", "reference")
-POLICIES = ("off", "monitored", "discharged")
+POLICIES = ("off", "monitored", "imperative", "discharged")
+GROUPS = ("off", "monitored", "discharged")  # imperative joins monitored
 
 
 def default_cells(matrix: str = "full") -> List[Tuple[str, str, str]]:
-    """The cell list for a matrix spec: ``full`` (all 18), ``quick``
-    (7 cells covering all machines, both engines and all policies, with
+    """The cell list for a matrix spec: ``full`` (all 24), ``quick``
+    (8 cells covering all machines, both engines and all policies, with
     monitored native under both engines: the bitmask engine takes the
     ``advance_fast`` step, the reference engine the generic
-    ``advance``), or an explicit comma list of
-    ``machine:engine:policy`` triples."""
+    ``advance``; imperative native falls back per monitored closure), or
+    an explicit comma list of ``machine:engine:policy`` triples."""
     if matrix == "full":
         return [(m, e, p) for m in MACHINES for e in ENGINES
                 for p in POLICIES]
@@ -69,6 +71,7 @@ def default_cells(matrix: str = "full") -> List[Tuple[str, str, str]]:
             ("compiled", "reference", "monitored"),
             ("native", "bitmask", "monitored"),
             ("native", "reference", "monitored"),
+            ("native", "bitmask", "imperative"),
             ("native", "bitmask", "discharged"),
         ]
     cells = []
@@ -86,7 +89,7 @@ class CellResult:
     """One cell's observables, all pre-rendered to bytes-stable text."""
 
     __slots__ = ("cell", "kind", "value", "output", "violation", "error",
-                 "fuel_exhausted")
+                 "fuel_exhausted", "steps")
 
     def __init__(self, cell: Tuple[str, str, str], answer: Answer):
         self.cell = cell
@@ -98,11 +101,12 @@ class CellResult:
                           if answer.violation is not None else None)
         self.error = str(answer.error) if answer.error is not None else None
         self.fuel_exhausted = isinstance(answer.error, FuelExhausted)
+        self.steps = answer.steps
 
     def signature(self) -> Tuple:
         """What byte-identity compares within a policy group."""
         return (self.kind, self.value, self.output, self.violation,
-                None if self.fuel_exhausted else self.error)
+                None if self.fuel_exhausted else self.error, self.steps)
 
     def summary(self) -> dict:
         return {
@@ -112,6 +116,7 @@ class CellResult:
             "output": self.output,
             "violation": self.violation,
             "error": self.error,
+            "steps": self.steps,
         }
 
 
@@ -214,9 +219,10 @@ def run_matrix(program: GenProgram,
             continue
         monitor = SCMonitor(engine=engine)
         mode = "off" if pol == "off" else "full"
+        strategy = "imperative" if pol == "imperative" else "cm"
         discharge = policy if pol == "discharged" else None
         try:
-            answer = run_program(parsed, mode=mode, strategy="cm",
+            answer = run_program(parsed, mode=mode, strategy=strategy,
                                  monitor=monitor, fuel=fuel,
                                  machine=machine, discharge=discharge)
         except Exception as exc:  # noqa: BLE001 - crash ≠ clean answer
@@ -234,8 +240,9 @@ def run_matrix(program: GenProgram,
                         divergences)
 
 
-def _group(results: Sequence[CellResult], policy: str) -> List[CellResult]:
-    return [r for r in results if r.cell[2] == policy]
+def _group(results: Sequence[CellResult], group: str) -> List[CellResult]:
+    return [r for r in results if group == (
+        "monitored" if r.cell[2] == "imperative" else r.cell[2])]
 
 
 def _apply_oracle(program: GenProgram, results: Sequence[CellResult],
@@ -249,7 +256,7 @@ def _apply_oracle(program: GenProgram, results: Sequence[CellResult],
     # class; a pair where a native cell breaks identity is classed
     # ``native-fallback-mismatch`` — the compiler or its interpreter
     # fallback boundary changed an observable.
-    for policy in POLICIES:
+    for policy in GROUPS:
         group = _group(results, policy)
         if len(group) < 2:
             continue
@@ -300,8 +307,8 @@ def _apply_oracle(program: GenProgram, results: Sequence[CellResult],
             out.append(Divergence(
                 "policy-mismatch",
                 "policy groups disagree on a terminating program",
-                program, [_group(results, p)[0] for p in POLICIES
-                          if _group(results, p)]))
+                program, [_group(results, g)[0] for g in GROUPS
+                          if _group(results, g)]))
         # 3b. The static promise.
         if program.must_verify and verdicts and not verified and not crashed:
             out.append(Divergence(

@@ -162,11 +162,12 @@ class _Gen:
         self.entry: _Fn = None  # type: ignore[assignment]
         self.entry_arg_kinds: List[str] = []
         self.nmut = 0  # unique-name counter for mutation locals
-        # Fuel for the differential run: generous for terminating
-        # programs (two-branch recursion on small inputs stays far
-        # below this), small for diverging ones (the `off` cells only
-        # need to *reach* the planted loop and spin it a while).
-        self.fuel = 2_000_000 if mode == "terminating" else 150_000
+        # Fuel (closure applications) for the differential run:
+        # generous for terminating programs (two-branch recursion on
+        # small inputs stays far below this), small for diverging ones
+        # (the `off` cells only need to *reach* the planted loop and
+        # spin it a while).
+        self.fuel = 2_000_000 if mode == "terminating" else 18_750
 
     def on(self, feature: str) -> bool:
         return feature in self.active

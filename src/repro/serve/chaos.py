@@ -44,10 +44,9 @@ Invariants (campaign fails loudly if any is violated):
    not have a request in flight for.
 3. **Byte identity** — every *delivered* ``run`` result (value, output,
    kind, steps) is identical to a direct ``run_program`` with the same
-   knobs — kind/value/output against the *compiled* machine (a
-   different tier than the native-serving workers, so tier bugs cannot
-   cancel out), steps against a direct native run; every delivered
-   ``verify`` verdict matches the direct discharge pipeline.
+   knobs on the *compiled* machine (a different tier than the
+   native-serving workers, so tier bugs cannot cancel out); every
+   delivered ``verify`` verdict matches the direct discharge pipeline.
 4. **Budgets conserved** — all reservations settle (no leaks) and for
    every tenant ``spent + remaining == budget``.
 5. **Server healthy at end** — ping answers, fresh programs covering
@@ -156,13 +155,11 @@ def _direct_oracle(programs: List[str]) -> Dict[str, dict]:
     knobs the server uses; delivered serve results must be
     byte-identical to these.
 
-    The semantic fields (kind, value, output) come from the *compiled*
-    machine — deliberately a different tier than the serve workers
-    (native), so a native-tier bug shows up as a byte-identity violation
-    instead of cancelling out on both sides.  Step counts are
-    tier-specific by design, so the expected ``steps`` comes from a
-    direct native run; that still cross-checks the serve layer itself
-    (dedupe, requeue, caching) against the direct pipeline."""
+    Every field comes from the *compiled* machine — deliberately a
+    different tier than the serve workers (native), so a native-tier bug
+    shows up as a byte-identity violation instead of cancelling out on
+    both sides.  ``steps`` counts closure applications on every tier, so
+    it is compared like the rest."""
     from repro.analysis.discharge import (VerificationCache,
                                           discharge_for_run)
     from repro.eval.machine import run_program
@@ -178,15 +175,12 @@ def _direct_oracle(programs: List[str]) -> Dict[str, dict]:
         answer = run_program(parsed, mode="contract", monitor=SCMonitor(),
                              fuel=FUEL, machine="compiled",
                              discharge=result.policy)
-        native = run_program(parsed, mode="contract", monitor=SCMonitor(),
-                             fuel=FUEL, machine="native",
-                             discharge=result.policy)
         oracle[text] = {
             "kind": answer.kind,
             "value": write_value(answer.value)
             if answer.kind == "value" else None,
             "output": answer.output,
-            "steps": native.steps,
+            "steps": answer.steps,
             "verified": bool(result.complete),
         }
     return oracle

@@ -25,9 +25,11 @@ class TestReport:
 
 
 class TestFig10Harness:
-    def test_real_run_single_workload(self):
-        points = run_fig10(scale="quick", repeats=1, workloads=["factorial"])
-        assert len(points) == 3  # three sizes
+    def test_real_run_every_workload(self):
+        # Every panel: run_fig10 asserts each size runs to a value
+        # unchecked, under cm and under imperative.
+        points = run_fig10(scale="quick", repeats=1)
+        assert len(points) == 18  # six panels, three sizes each
         for p in points:
             assert p.unchecked > 0 and p.cm > 0 and p.imperative > 0
         rendered = render_fig10(points)
@@ -54,11 +56,25 @@ class TestFig10Harness:
 
 class TestDivergenceHarness:
     def test_run_and_render(self):
-        points = run_divergence(standard_budget=100_000)
+        points = run_divergence(standard_budget=12_500)
         assert all(p.caught for p in points)
         rendered = render_divergence(points)
         assert "buggy-nfa" in rendered
         assert f"{len(points)}/{len(points)} diverging programs stopped" in rendered
+
+
+class TestAblationHarness:
+    def test_outcomes(self):
+        from repro.bench.ablation import render_ablation, run_ablation
+
+        points = run_ablation(scale="quick", repeats=1)
+        outcomes = {(p.workload, p.config): p.outcome for p in points}
+        # Fig. 5's containment order cannot justify merge-sort's freshly
+        # allocated halves; every other knob leaves every workload a value.
+        assert outcomes.pop(("merge-sort", "cm+containment-order")) == \
+            "errorSC"
+        assert set(outcomes.values()) == {"value"}
+        assert "cm+loop-entries" in render_ablation(points)
 
 
 class TestTable1Render:
@@ -102,6 +118,9 @@ class TestMCHarness:
         count_up = {r.monitor: r for r in dynamic if r.workload == "count-up"}
         assert count_up["sc"].outcome == "errorSC"
         assert count_up["mc"].outcome == "value"
+        assert count_up["sc+measure"].outcome == "value"
+        assert all(r.outcome == "value" for r in dynamic
+                   if r.workload != "count-up")
         out = render_mc(run_mc_static(), dynamic)
         assert "rows gained by MC: lh-range" in out
         assert "rows lost by MC:   none" in out

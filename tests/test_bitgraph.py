@@ -4,12 +4,13 @@ arity 8, plus an idempotence/associativity algebra suite and end-to-end
 engine equivalence for the monitor and the static closure."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.anchors import collect_anchors
 from repro.analysis.ljb import scp_check
 from repro.analysis.witness import scp_check_with_witness
+from repro.bench.compose_bench import _dense_edges
 from repro.ds.hamt import Hamt
 from repro.lang.ast import Lam, Lit
 from repro.sct import bitgraph as bg
@@ -199,6 +200,7 @@ _edge_graphs = st.lists(
     st.sets(_edge_graphs, min_size=1, max_size=3),
     max_size=4,
 ))
+@example(_dense_edges(3, 3, 2))  # the `bench compose` closure cell
 def test_scp_check_engines_agree(edges):
     ref = scp_check(edges, engine="reference")
     bit = scp_check(edges, engine="bitmask")

@@ -44,7 +44,7 @@ class TestLemma35DivergingSide:
         prog? — observed as a recorded violation."""
         monitored = run_source(prog.source, mode="full")
         assert monitored.kind == Answer.SC_ERROR
-        answer, monitor = run_callseq(prog.source, max_steps=300_000)
+        answer, monitor = run_callseq(prog.source, max_steps=37_500)
         assert monitor.violations, "call-sequence semantics saw no witness"
         # The non-enforcing run either times out (it really diverges) or
         # crashes in its own way — it must NOT produce a clean value.
@@ -54,7 +54,7 @@ class TestLemma35DivergingSide:
         """Determinism: the first recorded witness is the one enforcement
         raises (same function, same violating composition)."""
         monitored = run_source(prog.source, mode="full")
-        _a, monitor = run_callseq(prog.source, max_steps=300_000)
+        _a, monitor = run_callseq(prog.source, max_steps=37_500)
         enforced = monitored.violation
         witnessed = monitor.violations[0]
         assert witnessed.function == enforced.function
@@ -70,6 +70,6 @@ class TestCollectingMonitorKeepsExtending:
         (f 5)
         """
         # f(5) → f(5) → ... is an infinite loop; bounded by fuel.
-        answer, monitor = run_callseq(src, max_steps=50_000)
+        answer, monitor = run_callseq(src, max_steps=6_250)
         assert answer.kind == Answer.TIMEOUT
         assert len(monitor.violations) > 1

@@ -1,11 +1,12 @@
 """Differential suite: the compiled machine vs the tree machine.
 
 The compiled machine (lexical-addressing pass + slot frames + monitor
-fast path) must be *observably identical* to the tree machine: same
-answer kind, same printed value, same output, same violation witness —
-across every corpus program (Table 1, extras, conservative rejections,
-diverging) under all three monitoring set-ups (none / cm / imperative),
-plus resolver unit tests for the lexical addressing itself.
+fast path) and the native tier on top of it must be *observably
+identical* to the tree machine: same answer kind, same printed value,
+same output, same violation witness, same ``steps`` — across every
+corpus program (Table 1, extras, conservative rejections, diverging)
+under all three monitoring set-ups (none / cm / imperative), plus
+resolver unit tests for the lexical addressing itself.
 """
 
 import pytest
@@ -30,22 +31,36 @@ SETUPS = [
 ]
 
 MAX_STEPS = 30_000_000
+MACHINES = ("tree", "compiled", "native")
+
+# Answers per (source, mode, strategy, budget): TestStepParity reads the
+# runs TestCorpusDifferential already made instead of repeating them.
+_RUNS: dict = {}
 
 
-def run_both(source, *, mode, strategy, measures=None, max_steps=MAX_STEPS):
-    answers = {}
-    for machine in ("tree", "compiled"):
-        monitor = SCMonitor(measures=measures)
-        answers[machine] = run_source(
-            source, mode=mode, strategy=strategy, monitor=monitor,
-            max_steps=max_steps, machine=machine,
-        )
-    return answers["tree"], answers["compiled"]
+def run_all(source, *, mode, strategy, measures=None, max_steps=MAX_STEPS):
+    """The answers of every machine, tree first."""
+    key = (source, mode, strategy, max_steps)
+    if key not in _RUNS:
+        _RUNS[key] = [
+            run_source(source, mode=mode, strategy=strategy,
+                       monitor=SCMonitor(measures=measures),
+                       max_steps=max_steps, machine=machine)
+            for machine in MACHINES]
+    return _RUNS[key]
+
+
+def run_both(source, **kw):
+    """Tree and compiled answers, after checking native against tree."""
+    tree, compiled, native = run_all(source, **kw)
+    assert_same_answer(tree, native)
+    return tree, compiled
 
 
 def assert_same_answer(tree, compiled):
     assert compiled.kind == tree.kind, (
         f"kind mismatch: tree={tree!r} compiled={compiled!r}")
+    assert compiled.steps == tree.steps
     assert compiled.output == tree.output
     if tree.kind == Answer.VALUE:
         assert write_value(compiled.value) == write_value(tree.value)
@@ -83,12 +98,20 @@ def test_extras_differential_cm(prog):
     assert_same_answer(tree, compiled)
 
 
+@pytest.mark.parametrize("prog", EXTRA_PROGRAMS,
+                         ids=[p.name for p in EXTRA_PROGRAMS])
+def test_extras_differential_imperative(prog):
+    tree, compiled = run_both(prog.source, mode="full",
+                              strategy="imperative", measures=prog.measures)
+    assert_same_answer(tree, compiled)
+
+
 @pytest.mark.parametrize("prog", DIVERGING, ids=[d.name for d in DIVERGING])
 class TestDivergingDifferential:
     def test_identical_violation_cm(self, prog):
         tree, compiled = run_both(prog.source, mode="full", strategy="cm",
                                   measures=prog.measures,
-                                  max_steps=3_000_000)
+                                  max_steps=375_000)
         assert tree.kind == Answer.SC_ERROR
         assert_same_answer(tree, compiled)
 
@@ -96,22 +119,25 @@ class TestDivergingDifferential:
         tree, compiled = run_both(prog.source, mode="full",
                                   strategy="imperative",
                                   measures=prog.measures,
-                                  max_steps=3_000_000)
+                                  max_steps=375_000)
         assert tree.kind == Answer.SC_ERROR
         assert_same_answer(tree, compiled)
 
 
 class TestStepParity:
-    """The compiled machine charges fuel per dispatch plus per applied
-    argument, so its step count is bounded by the tree machine's."""
+    """One step is one closure body entered on every machine, so the
+    step count is a machine-independent observable: tree, compiled and
+    native spend exactly the same steps on every Table 1 program under
+    both strategies (equality, the tightest bound)."""
 
-    @pytest.mark.parametrize("prog", PROGRAMS[:8],
-                             ids=[p.name for p in PROGRAMS[:8]])
+    @pytest.mark.parametrize("prog", PROGRAMS, ids=[p.name for p in PROGRAMS])
     def test_compiled_steps_bounded_by_tree(self, prog):
-        tree, compiled = run_both(prog.source, mode="full", strategy="cm",
-                                  measures=prog.measures)
-        assert tree.kind == Answer.VALUE
-        assert compiled.steps <= tree.steps + 4
+        for strategy in ("cm", "imperative"):
+            tree, compiled, native = run_all(
+                prog.source, mode="full", strategy=strategy,
+                measures=prog.measures)
+            assert tree.kind == Answer.VALUE
+            assert 0 < tree.steps == compiled.steps == native.steps
 
 
 class TestResolverAddressing:

@@ -57,7 +57,7 @@ class TestTable1Dynamic:
 @pytest.mark.parametrize("prog", DIVERGING, ids=[d.name for d in DIVERGING])
 class TestDivergingDynamic:
     def test_standard_semantics_diverges(self, prog):
-        a = run_source(prog.source, mode="off", max_steps=300_000)
+        a = run_source(prog.source, mode="off", max_steps=37_500)
         assert a.kind == Answer.TIMEOUT
 
     def test_monitor_stops_it(self, prog):

@@ -1,7 +1,8 @@
 """The ``fuel`` knob: a step bound whose exhaustion is a *distinct*
 outcome (:class:`~repro.eval.errors.FuelExhausted`) while remaining a
 ``MachineTimeout`` subclass, so every existing ``Answer.TIMEOUT``
-consumer keeps working unchanged."""
+consumer keeps working unchanged.  A step is one closure body entered,
+on every machine."""
 
 import pytest
 
@@ -12,8 +13,10 @@ from repro.eval.machine import run_program
 
 LOOP = "(define (spin n) (spin (+ n 1)))\n(spin 0)\n"
 QUICK = "(define (f n) (if (zero? n) 42 (f (- n 1))))\n(f 10)\n"
+# Primitive calls only, no closure application.
+NO_APPLY = "(define x 1)\n(display (+ x 1))\nx\n"
 
-MACHINES = ("tree", "compiled")
+MACHINES = ("tree", "compiled", "native")
 
 
 @pytest.mark.parametrize("machine", MACHINES)
@@ -48,17 +51,20 @@ class TestFuel:
 
 @pytest.mark.parametrize("machine", MACHINES)
 class TestFuelBoundaries:
-    """The fuel contract at its edges — identical on both machines:
+    """The fuel contract at its edges — identical on every machine:
     ``fuel=0`` is immediate exhaustion, the reported limit is the real
     limit, ``Answer.steps`` is metered on *every* outcome kind, and the
     completes/exhausts boundary is exact."""
 
     def test_fuel_zero_is_immediate_exhaustion(self, machine):
-        a = run_source(QUICK, mode="off", fuel=0, machine=machine)
-        assert a.kind == Answer.TIMEOUT
-        assert isinstance(a.error, FuelExhausted)
-        assert a.steps == 0
-        assert "after 0 steps" in str(a.error)
+        # NO_APPLY charges nothing, yet fuel=0 still stops it before the
+        # first form.
+        for src in (QUICK, NO_APPLY):
+            a = run_source(src, mode="off", fuel=0, machine=machine)
+            assert a.kind == Answer.TIMEOUT
+            assert isinstance(a.error, FuelExhausted)
+            assert a.steps == 0 and a.output == ""
+            assert "after 0 steps" in str(a.error)
 
     def test_fuel_one(self, machine):
         a = run_source(QUICK, mode="off", fuel=1, machine=machine)
@@ -66,6 +72,11 @@ class TestFuelBoundaries:
         assert isinstance(a.error, FuelExhausted)
         assert a.steps == 1
         assert "after 1 steps" in str(a.error)
+        # Primitive calls are free: a program with no closure
+        # application spends nothing.
+        free = run_source(NO_APPLY, mode="off", fuel=1, machine=machine)
+        assert free.kind == Answer.VALUE and free.value == 1
+        assert free.steps == 0 and free.output == "2"
 
     def test_exhaustion_reports_real_limit(self, machine):
         for limit in (0, 1, 17, 5_000):
@@ -120,15 +131,13 @@ class TestFuelBoundaries:
 
 
 class TestFuelParity:
-    """The compiled machine charges fuel on the same schedule as the
-    tree machine *per monitored call* (one unit per argument at APPLY —
-    see the comment in machine.py), but spends fewer units on plumbing.
-    The admitted-call ratio is therefore a small stable constant, not
-    unbounded drift; pin it below 5x so a fuel-accounting regression on
-    either machine trips this test."""
+    """Every machine charges one step per closure body entered, at the
+    closure branch of its apply, so the same fuel admits exactly the
+    same calls on the tree, compiled and native machines."""
 
     COUNTED = ("(define (count n)\n"
-               "  (if (zero? n) 0 (begin (display n) (count (- n 1)))))\n"
+               "  (if (zero? n) 0\n"
+               "      (begin (display n) (newline) (count (- n 1)))))\n"
                "(count 1000000)\n")
 
     @staticmethod
@@ -138,24 +147,26 @@ class TestFuelParity:
         assert a.kind == Answer.TIMEOUT
         return len(a.output.split())
 
-    def test_compiled_admits_bounded_multiple(self):
+    def test_same_fuel_admits_same_calls(self):
         for fuel in (5_000, 20_000):
-            tree = self._admitted("tree", fuel)
-            compiled = self._admitted("compiled", fuel)
-            assert tree > 0 and compiled > 0
-            assert compiled >= tree  # compiled is never *slower* per unit
-            assert compiled <= 5 * tree
+            admitted = {m: self._admitted(m, fuel) for m in MACHINES}
+            # One step per `count` call, each of which displays once
+            # (display and newline are primitives: free).
+            assert admitted["tree"] == fuel
+            assert admitted["compiled"] == admitted["native"] == \
+                admitted["tree"]
 
     def test_same_fuel_same_outcome_kind(self):
-        # Whatever the per-unit cost, the *contract* is identical:
-        # exhaustion kind, error type, limit reporting.
+        # The contract is identical: exhaustion kind, error type, limit
+        # reporting, steps spent.
         for fuel in (0, 1, 1_000):
-            t = run_source(LOOP, mode="off", fuel=fuel, machine="tree")
-            c = run_source(LOOP, mode="off", fuel=fuel, machine="compiled")
-            assert t.kind == c.kind == Answer.TIMEOUT
-            assert type(t.error) is type(c.error) is FuelExhausted
-            assert t.error.limit == c.error.limit == fuel
-            assert t.steps == c.steps == fuel
+            t, c, n = (run_source(LOOP, mode="off", fuel=fuel, machine=m)
+                       for m in MACHINES)
+            assert t.kind == c.kind == n.kind == Answer.TIMEOUT
+            assert type(t.error) is type(c.error) is type(n.error) \
+                is FuelExhausted
+            assert t.error.limit == c.error.limit == n.error.limit == fuel
+            assert t.steps == c.steps == n.steps == fuel
 
 
 class TestFuelCli:

@@ -57,14 +57,16 @@ class TestGenerator:
 
 
 class TestCells:
-    def test_full_is_eighteen(self):
-        assert len(default_cells("full")) == 18
+    def test_full_is_twenty_four(self):
+        assert len(default_cells("full")) == 24
 
     def test_quick_covers_axes(self):
         cells = default_cells("quick")
         assert {c[0] for c in cells} == {"tree", "compiled", "native"}
         assert {c[1] for c in cells} == {"bitmask", "reference"}
-        assert {c[2] for c in cells} == {"off", "monitored", "discharged"}
+        assert {c[2] for c in cells} == {"off", "monitored", "imperative",
+                                         "discharged"}
+        assert ("native", "bitmask", "imperative") in cells
 
     def test_explicit_spec(self):
         assert default_cells("tree:bitmask:off") == [
@@ -107,6 +109,24 @@ class TestMatrixOracle:
         classes = {d.klass for d in result.divergences}
         assert "diverging-survived" in classes
         assert "diverging-verified" in classes
+
+    def test_oracle_compares_steps(self, monkeypatch):
+        """``steps`` is a cross-tier observable: a native cell that
+        reports one step more than the others must be caught."""
+        from repro.fuzz import differential
+
+        honest = differential.CellResult.__init__
+
+        def lying(self, cell, answer):
+            honest(self, cell, answer)
+            if cell[0] == "native":
+                self.steps += 1
+
+        monkeypatch.setattr(differential.CellResult, "__init__", lying)
+        result = run_matrix(generate_program(0, "terminating"),
+                            cells=default_cells("quick"))
+        classes = {d.klass for d in result.divergences}
+        assert "native-fallback-mismatch" in classes
 
 
 def _lying_diverging() -> GenProgram:

@@ -4,10 +4,10 @@ The native machine (exec-generated Python bodies for discharged λs,
 trampoline-driven, compiled-machine ``eval_code`` fallback for anything
 residual-monitored) must be *observably identical* to both other
 machines: same answer kind, same printed value, same output bytes, same
-violation witness, same error text — across the corpus, under no
-monitoring, full monitoring (where every λ falls back), and a residual
-policy (where proven λs run as native frames and the rest fall back in
-the same run).  Plus the native-only contracts: the fuel boundary
+violation witness, same error text, same ``steps`` — across the corpus,
+under no monitoring, full monitoring (where every λ falls back), and a
+residual policy (where proven λs run as native frames and the rest fall
+back in the same run).  Plus the native-only contracts: the fuel boundary
 (``fuel=0`` means no steps anywhere, exhaustion mid-native-frame is the
 ordinary ``FuelExhausted``) and proper tail calls via the trampoline far
 past CPython's recursion limit.
@@ -56,6 +56,7 @@ def run_everywhere(program, *, mode, strategy="cm", measures=None,
 def assert_same_answer(reference, other):
     assert other.kind == reference.kind, (
         f"kind mismatch: {reference!r} vs {other!r}")
+    assert other.steps == reference.steps
     assert other.output == reference.output
     if reference.kind == Answer.VALUE:
         assert write_value(other.value) == write_value(reference.value)

@@ -144,11 +144,11 @@ def test_theorem_3_2_on_generated_loops(src):
 def test_corollary_3_3_on_generated_loops(src):
     """Generated diverging loops time out unmonitored and end in errorSC
     under both strategies."""
-    standard = run_source(src, mode="off", max_steps=100_000)
+    standard = run_source(src, mode="off", max_steps=12_500)
     assert standard.kind == Answer.TIMEOUT
     for strategy in ("cm", "imperative"):
         monitored = run_source(src, mode="full", strategy=strategy,
-                               max_steps=1_000_000)
+                               max_steps=125_000)
         assert monitored.kind == Answer.SC_ERROR, f"missed:\n{src}"
 
 

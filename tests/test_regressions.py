@@ -1,4 +1,4 @@
-"""Replay every archived fuzz regression under the full 12-cell matrix.
+"""Replay every archived fuzz regression under the full 24-cell matrix.
 
 Each ``tests/regressions/*.scm`` file carries its own oracle metadata
 (mode, entry, kinds, must-verify/must-discharge, fuel) in its leading

@@ -20,7 +20,7 @@ MACHINES = ("tree", "compiled")
 ENGINES = ("bitmask", "reference")
 
 
-def _payloads(source, measures=None, fuel=300_000):
+def _payloads(source, measures=None, fuel=37_500):
     out = {}
     for machine in MACHINES:
         for engine in ENGINES:
@@ -71,7 +71,7 @@ def test_payload_is_stable_across_strategies():
     for strategy in ("cm", "imperative"):
         monitor = SCMonitor(measures=prog.measures)
         a = run_source(prog.source, mode="full", strategy=strategy,
-                       monitor=monitor, max_steps=300_000)
+                       monitor=monitor, max_steps=37_500)
         assert a.kind == Answer.SC_ERROR
         rendered.add(str(a.violation))
     assert len(rendered) == 1
