@@ -44,7 +44,7 @@ from typing import List, Optional
 from repro.ds.hamt import Hamt
 from repro.ds.lru import LRU
 from repro.eval.errors import FuelExhausted, MachineTimeout, SchemeError
-from repro.eval.native import NativeContext, compile_lam
+from repro.eval.native import NativeContext, count_apply
 from repro.lang import ast, libraries
 from repro.lang.parser import parse_program
 from repro.lang.prims import PRIMITIVES
@@ -103,8 +103,12 @@ class Answer:
 
     ``tier`` names the execution tier that actually did the work:
     ``'tree'``, ``'compiled'``, or ``'native'`` when a ``machine='native'``
-    run entered at least one native frame (a native run that stayed on
-    the interpreter — nothing eligible — reports ``'compiled'``)."""
+    run entered at least one native frame.  A native run that stayed on
+    the interpreter reports ``'compiled'``: nothing was eligible, or no
+    eligible λ was hot yet.  λs tier up by heat, which carries across
+    runs of one parse, so ``tier`` is the one observable that depends on
+    what earlier runs of the same parse did; every other field is
+    identical across machines and histories."""
 
     __slots__ = ("kind", "value", "error", "violation", "output", "steps",
                  "tier")
@@ -459,10 +463,12 @@ def eval_code(
     ``native`` — a :class:`repro.eval.native.NativeContext`; when given,
     applying a closure the native tier covers (every λ when
     ``native.all_eligible``, else the discharged/skip-listed ones)
-    compiles its body on that first eligible apply and, after this
-    loop's own charge and table step, hands the call to the native
-    trampoline instead of entering the body here.  Fallbacks from native
-    code pass ``native=None``, which bounds tier nesting.
+    counts toward its tier-up threshold (compiling its body on the Nth
+    such apply) and, once it is compiled, after this loop's own charge
+    and table step, hands the call to the native trampoline instead of
+    entering the body here.  Fallbacks from native code pass the same
+    context below the re-entry bound and ``native=None`` past it, which
+    bounds tier nesting.
     """
     if monitor is None:
         monitor = SCMonitor()
@@ -985,11 +991,11 @@ def eval_code(
                     if native is not None and (
                             native.all_eligible or clam.discharged or
                             (skips is not None and clam.label in skips)):
-                        # Tier-up on demand: the first eligible apply
-                        # compiles the λ (an emitter rejection leaves it
-                        # interpreted, below).
+                        # Tier-up by heat: the λ compiles at its Nth
+                        # eligible apply (before that, and after an
+                        # emitter rejection, it runs interpreted below).
                         if clam.native_is_gen is None:
-                            compile_lam(clam)
+                            count_apply(clam)
                         if clam.native is not None:
                             # Native-tier handoff after the charge and
                             # table step above, which the trampoline
@@ -1090,6 +1096,18 @@ def make_env(include_prelude: bool = True,
     return env
 
 
+def policy_skip_labels(discharge) -> Optional[frozenset]:
+    """The skip set a run under ``discharge`` resolves its code with (a
+    :class:`~repro.analysis.discharge.ResidualPolicy`, any iterable of λ
+    labels, or None)."""
+    if discharge is None:
+        return None
+    skip_labels = getattr(discharge, "skip_labels", None)
+    if skip_labels is None:
+        skip_labels = frozenset(discharge)
+    return frozenset(skip_labels) or None
+
+
 def run_program(
     program: Program,
     *,
@@ -1155,12 +1173,7 @@ def run_program(
         env = env.snapshot()
     if monitor is None:
         monitor = SCMonitor()
-    skip_labels = None
-    if discharge is not None:
-        skip_labels = getattr(discharge, "skip_labels", None)
-        if skip_labels is None:
-            skip_labels = frozenset(discharge)
-        skip_labels = frozenset(skip_labels) or None
+    skip_labels = policy_skip_labels(discharge)
     # The policy is scoped to this run: the monitor's skip set is
     # extended for the duration and restored on the way out, so a reused
     # monitor does not leak one program's discharge into the next.
@@ -1184,7 +1197,7 @@ def run_program(
     native_ctx = None
     if machine == "native":
         # Nothing is compiled up front: each λ, library λs included,
-        # tiers up at its first eligible apply (see eval_code's APPLY and
+        # tiers up at its Nth eligible apply (see eval_code's APPLY and
         # NativeContext._drive).
         native_ctx = NativeContext(env, mode=mode, strategy=strategy,
                                    monitor=monitor, mtable=mtable,

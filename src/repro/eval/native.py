@@ -43,26 +43,33 @@ the step runs exactly once.  Compiled self-tail loops and direct tail
 calls bypass the trampoline, so they are taken only for λs that need no
 step in the current run.
 
-Compilation is on demand: a λ is compiled the first time it is applied
-on a path where the rule above lets it run natively (in ``eval_code``'s
-APPLY, in the trampoline, or through a tail call that reaches the
-trampoline), and never otherwise.  The threshold is one apply on
-purpose: it makes exactly the tier decisions an ahead-of-time walk of
-every λ would, so ``tier`` does not depend on what earlier runs of the
-same parse happened to compile (``steps`` never depends on what was
-compiled, see Fuel below).  A process-wide code cache keyed by a
-digest of the generated source (``_CODE_CACHE``) means a λ source the
-process has compiled before — a re-parse of the same
-program, the same helper in another program — skips CPython's
+Compilation is by hotness: a λ is compiled at its ``_TIER_UP_AT``-th
+apply on a path where the rule above lets it run natively (in
+``eval_code``'s APPLY, in the trampoline, or through a tail call that
+reaches the trampoline), and never otherwise.  Each such apply adds one
+to ``CLam.heat`` (:func:`count_apply`), which lives on the per-policy
+CLam like the ``native`` mark, so it carries across runs of one parse.
+Until then the λ runs interpreted, which for code applied a handful of
+times is cheaper than compiling it.  Only ``tier`` depends on how hot
+the parse already is: ``steps`` never depends on what was compiled (see
+Fuel below), and :func:`ensure_native_program` gives the ahead-of-time
+regime in which every λ is native from its first apply.  A process-wide code
+cache keyed by a digest of the generated source (``_CODE_CACHE``)
+means a λ source the process has compiled before — a re-parse of the
+same program, the same helper in another program — skips CPython's
 ``compile()``; each λ still gets its own namespace and constants.
 
 Everything else falls back to :func:`repro.eval.machine.eval_code`
-mid-flight — the monitored closures and ``term/c`` wrappers of the
-fallback configurations above, and λs whose bodies the emitter rejected.
-The fallback runs with the current monitoring state (``init_state``)
-and the shared fuel and mutation table, and it does *not* re-enter the
-native tier, so tier nesting is bounded at one interpreter frame
-regardless of object-language recursion depth.
+mid-flight — the λs not hot yet, the monitored closures and ``term/c``
+wrappers of the fallback configurations above, and λs whose bodies the
+emitter rejected.  The fallback runs with the current monitoring state
+(``init_state``) and the shared fuel and mutation table, and it
+re-enters the native tier: its ``eval_code`` gets this context, so a
+hot callee of a cold λ runs natively (through a nested driver).  The
+re-entry is bounded: past ``_REENTRY_BOUND`` nested fallbacks the
+fallback runs without a native context, so however often the object
+program alternates between cold and hot λs, at most that many
+interpreter invocations nest on the Python stack.
 
 Stack discipline: native functions never call each other on the Python
 stack.  Tail calls *return* a :class:`_Call` request; non-tail calls
@@ -119,8 +126,8 @@ from repro.values.values import (
     write_value,
 )
 
-__all__ = ["NativeContext", "compile_lam", "ensure_native",
-           "ensure_native_libraries"]
+__all__ = ["NativeContext", "compile_lam", "count_apply", "ensure_native",
+           "ensure_native_libraries", "ensure_native_program"]
 
 # Names statically bound to primitives in every fresh environment.  A
 # non-tail call whose head is one of these is *prim-likely*: the emitter
@@ -141,6 +148,20 @@ _MAX_SOURCE = 262_144
 # default recursion limit while amortizing the driver's per-call cost
 # over K direct calls.
 _DIRECT_DEPTH = 40
+
+# The tier-up threshold: a λ is compiled at its Nth native-eligible
+# apply.  Compiling costs far more than interpreting a few applies, so a
+# first-sight program should compile only the λs it actually loops in.
+# Chosen by measurement over the corpus and the cold-pipeline workload
+# (docs/architecture.md, "The native tier").
+_TIER_UP_AT = 16
+
+# How many fallbacks may nest while still re-entering the native tier.
+# Each level costs a handful of Python frames (driver, fallback,
+# eval_code, enter); past the bound a fallback runs its whole extent
+# interpreted, so the Python stack stays bounded whatever the program's
+# cold/hot alternation depth.
+_REENTRY_BOUND = 8
 
 # Code tags whose evaluation runs no user code (and so no ``set!``).
 _INERT = (T_LIT, T_LOCAL, T_GLOBAL)
@@ -271,7 +292,7 @@ class NativeContext:
 
     __slots__ = ("genv", "gget", "mode", "strategy", "monitor", "mtable",
                  "fuel", "monitored", "skips", "all_eligible", "stepping",
-                 "entries", "s1", "s2", "d")
+                 "entries", "s1", "s2", "d", "nest")
 
     def __init__(self, genv, *, mode: str, strategy: str, monitor,
                  mtable: Optional[dict], fuel):
@@ -310,6 +331,9 @@ class NativeContext:
         # counter is monotone-correct: an exception that skips decrements
         # only makes later calls more conservative, never unsound.
         self.d = 0
+        # Fallback nesting: how many fallback_call extents are running
+        # (see _REENTRY_BOUND).
+        self.nest = 0
 
     def enter(self, fn, vals, s1, s2):
         """Called from ``eval_code``'s APPLY: run an eligible closure
@@ -346,18 +370,22 @@ class NativeContext:
                 if tf is Closure:
                     clam = fn.lam
                     nf = clam.native
-                    if nf is None and clam.native_is_gen is None and (
+                    if nf is None and clam.native_is_gen is None and \
+                            self.nest >= _REENTRY_BOUND and (
                             self.all_eligible or clam.discharged or
                             (skips is not None and clam.label in skips)):
-                        # Tier-up on demand (first eligible apply).
-                        compile_lam(clam)
+                        # Tier-up by heat.  Below the re-entry bound the
+                        # fallback's eval_code counts this apply (and may
+                        # compile the λ there); past it the fallback has
+                        # no native context, so the apply is counted here.
+                        count_apply(clam)
                         nf = clam.native
                     needs_step = monitored and not clam.discharged and (
                         skips is None or clam.label not in skips)
                     if nf is None or (needs_step and self.stepping is None):
-                        # The emitter rejected the λ, or there is no table
-                        # here (imperative, inline_upd fails): the
-                        # interpreter charges, steps and runs it.
+                        # Not hot yet, the emitter rejected the λ, or there
+                        # is no table here (imperative, inline_upd fails):
+                        # the interpreter charges, steps and runs it.
                         value = self.fallback_call(fn, vals, loc)
                         applying = False
                         continue
@@ -483,21 +511,33 @@ class NativeContext:
         frame's monitoring state.  The synthesized application is all
         literals, so ``eval_code`` goes straight to APPLY with the
         original source location — error and violation payloads are
-        byte-identical to a fully-interpreted run.  The fallback gets no
-        native context, which bounds tier nesting: however deep the
-        object program recurses, at most one extra interpreter invocation
-        sits on the Python stack."""
+        byte-identical to a fully-interpreted run.  Below
+        ``_REENTRY_BOUND`` nested fallbacks the interpreter gets this
+        context back, so hot λs inside the extent run natively (and cold
+        ones count their applies); past it the extent runs interpreted
+        throughout, which bounds tier nesting however deep the object
+        program recurses.  The running frame's (s1, s2) is restored on
+        every exit, as a nested driver moves it."""
         from repro.eval.machine import eval_code
 
         exprs = [CLit(fn)]
         for a in vals[1:]:
             exprs.append(CLit(a))
         capp = CApp(tuple(exprs), loc)
-        return eval_code(
-            capp, self.genv, mode=self.mode, strategy=self.strategy,
-            monitor=self.monitor, fuel=self.fuel, mtable=self.mtable,
-            init_state=(self.s1, self.s2),
-        )
+        s1, s2 = self.s1, self.s2
+        nest = self.nest
+        self.nest = nest + 1
+        try:
+            return eval_code(
+                capp, self.genv, mode=self.mode, strategy=self.strategy,
+                monitor=self.monitor, fuel=self.fuel, mtable=self.mtable,
+                init_state=(s1, s2),
+                native=self if nest < _REENTRY_BOUND else None,
+            )
+        finally:
+            self.nest = nest
+            self.s1 = s1
+            self.s2 = s2
 
     def setglobal(self, name, value):
         """``set!`` on a global from native code (same error contract as
@@ -1100,13 +1140,24 @@ _CODE_CACHE_SIZE = 256
 _CODE_CACHE = LRU(_CODE_CACHE_SIZE)
 
 
+def count_apply(clam) -> None:
+    """Count one native-eligible apply of a λ whose compilation has not
+    been attempted; the ``_TIER_UP_AT``-th compiles it.  Both tier-up
+    sites (``eval_code``'s APPLY and :meth:`NativeContext._drive`) call
+    this, each apply exactly once."""
+    heat = clam.heat + 1
+    clam.heat = heat
+    if heat >= _TIER_UP_AT:
+        compile_lam(clam)
+
+
 def compile_lam(clam) -> None:
     """Attach native code to one CLam (best-effort: any emitter or
     CPython-compile failure leaves the λ interpreted).  The machines call
-    this at the λ's first native-eligible apply; every later apply finds
-    the attempt recorded in ``native_is_gen``.  Each λ gets its own
-    namespace and constants; only the code object comes from
-    ``_CODE_CACHE``."""
+    this, through :func:`count_apply`, at the λ's ``_TIER_UP_AT``-th
+    native-eligible apply; every later apply finds the attempt recorded
+    in ``native_is_gen``.  Each λ gets its own namespace and constants;
+    only the code object comes from ``_CODE_CACHE``."""
     if clam.native_is_gen is not None:
         return  # already attempted
     try:
@@ -1174,13 +1225,14 @@ def _machine_undef():
 
 
 def ensure_native(code) -> None:
-    """Ahead-of-time warm-up: walk a resolved tree and compile every λ
-    that has not been attempted yet, eligible or not.  ``run_program``
-    no longer calls this (λs tier up at their first eligible apply); it
-    stays for callers that want compile time outside a timed run.
-    Walking first changes no observable of a later run.  Idempotent and
-    cheap on revisits (the attempt mark lives on the CLam, which the
-    code cache keeps per policy)."""
+    """The ahead-of-time regime: walk a resolved tree and compile every
+    λ that has not been attempted yet, eligible or not, whatever its
+    heat.  ``run_program`` does not call this (λs tier up by heat); a
+    walked parse runs every eligible λ natively from its first apply,
+    which is what the differential oracles and the tier-pinning tests
+    use it for.  Walking first changes no observable of a later run
+    except ``tier``.  Idempotent and cheap on revisits (the attempt mark
+    lives on the CLam, which the code cache keeps per policy)."""
     stack = [code]
     while stack:
         node = stack.pop()
@@ -1204,6 +1256,18 @@ def ensure_native(code) -> None:
             stack.append(node.expr)
 
 
+def ensure_native_program(program, discharge=None) -> None:
+    """The ahead-of-time regime for one parse: the libraries, then
+    :func:`ensure_native` over every form as a run under ``discharge``
+    resolves it."""
+    from repro.eval.machine import compile_code, policy_skip_labels
+
+    ensure_native_libraries()
+    skip_labels = policy_skip_labels(discharge)
+    for form in program.forms:
+        ensure_native(compile_code(form.expr, skip_labels))
+
+
 _LIBRARIES_DONE = False
 
 
@@ -1212,10 +1276,10 @@ def ensure_native_libraries() -> None:
     contract libraries, once per process.  Their closures were resolved
     without any policy (``skip_labels=None``) during ``make_env``, so
     this touches exactly the CLam objects those library closures carry.
-    ``run_program`` no longer calls this: a library λ tiers up at its
-    first eligible apply like any other (a run whose policy covers a
-    prelude λ by label, via the monitor's skip set).  Calling it first
-    only moves that compile time earlier."""
+    ``run_program`` does not call this: a library λ tiers up by heat like
+    any other (its heat is process-wide, as its CLam is).  Calling it
+    first puts the libraries in the ahead-of-time regime of
+    :func:`ensure_native`."""
     global _LIBRARIES_DONE
     if _LIBRARIES_DONE:
         return

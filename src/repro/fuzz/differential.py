@@ -6,19 +6,25 @@ One generated (or corpus, or regression) program runs under every cell of
                              × {off, monitored, imperative, discharged}
 
 with a fuel bound, plus a two-engine static verdict and one residual-
-enforcement pipeline run.  The oracle then checks:
+enforcement pipeline run.  Every native cell runs twice on one parse:
+first at the production tier-up threshold (a short program may never
+leave the interpreter), then, after all other cells, in the
+ahead-of-time regime (``native-aot``: an ``ensure_native`` walk, so
+every eligible λ is native from its first apply).  The oracle then
+checks:
 
 * **intra-group byte identity** — within each policy group (off /
   monitored, i.e. mode ``full`` under either strategy / discharged) all
   cells must agree on the answer kind, the printed value, the captured
   output, the rendered ``SizeChangeViolation`` payload, the run-time
-  error text, and ``steps`` (one per closure application); a
-  mismatch whose offending pair involves a native cell is classed
+  error text, and ``steps`` (one per closure application), both
+  native regimes included; a mismatch whose offending pair involves a
+  native cell is classed
   ``native-fallback-mismatch`` (the compiled tier or its interpreter
   fallback boundary broke the contract), any other pair stays the
   historical ``cell-mismatch``;
 * **cross-group consistency** — terminating programs are monitor-silent
-  by construction, so all twenty-four cells must be byte-identical and be
+  by construction, so all cells must be byte-identical and be
   values; diverging programs must exhaust fuel under ``off`` and must be
   stopped (violation or fuel) under ``monitored``/``discharged``;
 * **verifier-verdict consistency** — the bitmask and reference engines
@@ -41,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.discharge import VerificationCache, discharge_for_run
 from repro.errors import FuelExhausted
 from repro.eval.machine import Answer, run_program
+from repro.eval.native import ensure_native_program
 from repro.fuzz.gen import GenProgram, generate_program
 from repro.lang.parser import parse_program
 from repro.sct.monitor import SCMonitor
@@ -51,6 +58,8 @@ MACHINES = ("tree", "compiled", "native")
 ENGINES = ("bitmask", "reference")
 POLICIES = ("off", "monitored", "imperative", "discharged")
 GROUPS = ("off", "monitored", "discharged")  # imperative joins monitored
+# The label of a native cell's second, ahead-of-time run.
+AOT = "native-aot"
 
 
 def default_cells(matrix: str = "full") -> List[Tuple[str, str, str]]:
@@ -213,25 +222,35 @@ def run_matrix(program: GenProgram,
             need_discharge = False
 
     results: List[CellResult] = []
-    for cell in cells:
-        machine, engine, pol = cell
-        if pol == "discharged" and policy is None:
-            continue
-        monitor = SCMonitor(engine=engine)
+
+    def run_cell(machine: str, engine: str, pol: str, label: str) -> None:
         mode = "off" if pol == "off" else "full"
         strategy = "imperative" if pol == "imperative" else "cm"
         discharge = policy if pol == "discharged" else None
         try:
+            if label == AOT:
+                ensure_native_program(parsed, discharge)
             answer = run_program(parsed, mode=mode, strategy=strategy,
-                                 monitor=monitor, fuel=fuel,
-                                 machine=machine, discharge=discharge)
+                                 monitor=SCMonitor(engine=engine),
+                                 fuel=fuel, machine=machine,
+                                 discharge=discharge)
         except Exception as exc:  # noqa: BLE001 - crash ≠ clean answer
             divergences.append(Divergence(
                 "machine-crash",
-                f"{':'.join(cell)} crashed: {type(exc).__name__}: {exc}",
-                program))
-            continue
-        results.append(CellResult(cell, answer))
+                f"{label}:{engine}:{pol} crashed: "
+                f"{type(exc).__name__}: {exc}", program))
+            return
+        results.append(CellResult((label, engine, pol), answer))
+
+    ran = [cell for cell in cells
+           if not (cell[2] == "discharged" and policy is None)]
+    for machine, engine, pol in ran:
+        run_cell(machine, engine, pol, machine)
+    # The walk compiles the shared parse for good, so the ahead-of-time
+    # runs come after every threshold run.
+    for machine, engine, pol in ran:
+        if machine == "native":
+            run_cell(machine, engine, pol, AOT)
 
     if check_oracle:
         divergences.extend(_apply_oracle(program, results, verdicts,
@@ -263,7 +282,8 @@ def _apply_oracle(program: GenProgram, results: Sequence[CellResult],
         ref = group[0]
         for other in group[1:]:
             if other.signature() != ref.signature():
-                native_pair = "native" in (ref.cell[0], other.cell[0])
+                native_pair = any(c.cell[0] in ("native", AOT)
+                                  for c in (ref, other))
                 out.append(Divergence(
                     "native-fallback-mismatch" if native_pair
                     else "cell-mismatch",

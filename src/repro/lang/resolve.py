@@ -128,19 +128,21 @@ class CLam(Code):
     (:func:`repro.eval.machine.compile_code`), so the mark never leaks
     into runs with a different policy.
 
-    ``native``/``native_is_gen`` belong to the native tier
+    ``native``/``native_is_gen``/``heat`` belong to the native tier
     (:mod:`repro.eval.native`): ``native`` holds the exec-generated
     Python function for this λ's body (None = not compiled, or
     unsupported), ``native_is_gen`` records whether it is a generator
-    function (``None`` = compilation not yet attempted: the λ has not
-    been applied on a native-eligible path yet).  Because the
-    marks live on the per-policy CLam, native code inherits the same
-    no-policy-leak guarantee as ``discharged``.
+    function (``None`` = compilation not yet attempted), and ``heat``
+    counts the λ's native-eligible applies until that attempt, which
+    happens at the tier-up threshold.  Because the marks live on the
+    per-policy CLam, native code inherits the same no-policy-leak
+    guarantee as ``discharged``, and heat carries across runs of one
+    parse.
     """
 
     __slots__ = ("params", "nparams", "frame_size", "body", "name", "label",
                  "loc", "free", "env_names", "discharged", "native",
-                 "native_is_gen")
+                 "native_is_gen", "heat")
     tag = T_LAM
 
     def __init__(self, params: Tuple[Symbol, ...], body: Code,
@@ -160,6 +162,7 @@ class CLam(Code):
         self.discharged = discharged
         self.native = None
         self.native_is_gen = None
+        self.heat = 0
 
     def __repr__(self) -> str:
         shown = self.name or f"λ{self.label}"

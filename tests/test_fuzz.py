@@ -129,6 +129,50 @@ class TestMatrixOracle:
         assert "native-fallback-mismatch" in classes
 
 
+    def test_oracle_compares_the_aot_native_run(self, monkeypatch):
+        """Each native cell also runs in the ahead-of-time regime, and
+        that run's ``steps`` are compared too: an ahead-of-time run that
+        reports one step more must be caught."""
+        from repro.fuzz import differential
+
+        honest = differential.CellResult.__init__
+
+        def lying(self, cell, answer):
+            honest(self, cell, answer)
+            if cell[0] == differential.AOT:
+                self.steps += 1
+
+        monkeypatch.setattr(differential.CellResult, "__init__", lying)
+        result = run_matrix(generate_program(0, "terminating"),
+                            cells=default_cells("quick"))
+        aot = [r for r in result.cells if r.cell[0] == differential.AOT]
+        assert len(aot) == sum(1 for c in default_cells("quick")
+                               if c[0] == "native")
+        classes = {d.klass for d in result.divergences}
+        assert "native-fallback-mismatch" in classes
+
+    def test_both_native_regimes_run(self, monkeypatch):
+        """On a short program the threshold run may stay interpreted;
+        the ahead-of-time run of the same cell reaches native code."""
+        from repro.fuzz import differential
+
+        tiers = {}
+        honest = differential.CellResult.__init__
+
+        def recording(self, cell, answer):
+            honest(self, cell, answer)
+            tiers[cell[0]] = answer.tier
+
+        monkeypatch.setattr(differential.CellResult, "__init__", recording)
+        result = run_matrix(generate_program(0, "terminating"),
+                            cells=[("compiled", "bitmask", "off"),
+                                   ("native", "bitmask", "off")])
+        assert [r.cell[0] for r in result.cells] == [
+            "compiled", "native", differential.AOT]
+        assert result.divergences == []
+        assert tiers[differential.AOT] == "native"
+
+
 def _lying_diverging() -> GenProgram:
     return GenProgram(
         seed=99, mode="diverging",

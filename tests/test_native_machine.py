@@ -9,8 +9,15 @@ under no monitoring, full monitoring (where every λ falls back), and a
 residual policy (where proven λs run as native frames and the rest fall
 back in the same run).  Plus the native-only contracts: the fuel boundary
 (``fuel=0`` means no steps anywhere, exhaustion mid-native-frame is the
-ordinary ``FuelExhausted``) and proper tail calls via the trampoline far
-past CPython's recursion limit.
+ordinary ``FuelExhausted``), proper tail calls via the trampoline far
+past CPython's recursion limit, the tier-up threshold, and the bounded
+re-entry of the native tier from its interpreter fallback.
+
+λs compile at their ``_TIER_UP_AT``-th eligible apply, so a short
+program on a fresh parse may never leave the interpreter.  The classes
+that pin the emitter and the monitored native tier (their ``tier ==
+'native'`` assertions prove native code ran) therefore run on a parse
+put in the ahead-of-time regime first (:func:`aot`).
 """
 
 import sys
@@ -22,8 +29,9 @@ from repro.corpus import all_programs, diverging_programs
 from repro.eval import FuelExhausted
 from repro.eval import machine as machine_mod
 from repro.eval import native as native_mod
-from repro.eval.machine import Answer, compile_code, run_program, run_source
-from repro.eval.native import ensure_native, ensure_native_libraries
+from repro.eval.machine import (Answer, compile_code, policy_skip_labels,
+                                run_program, run_source)
+from repro.eval.native import ensure_native, ensure_native_program
 from repro.lang.parser import parse_program
 from repro.lang.resolve import T_LAM
 from repro.sct.monitor import SCMonitor
@@ -37,12 +45,15 @@ MAX_STEPS = 30_000_000
 
 
 def run_everywhere(program, *, mode, strategy="cm", measures=None,
-                   discharge=None, max_steps=MAX_STEPS, fuel=None):
+                   discharge=None, max_steps=MAX_STEPS, fuel=None,
+                   ahead_of_time=False):
     # ``program`` is a *parsed* Program: λ labels are assigned at parse
     # time, so a residual policy only matches the parse it was computed
     # from — every machine must run the very same object.
     if isinstance(program, str):
         program = parse_program(program)
+    if ahead_of_time:
+        aot(program, discharge)
     answers = {}
     for machine in MACHINES:
         answers[machine] = run_program(
@@ -77,6 +88,20 @@ def assert_all_same(answers):
     tree = answers["tree"]
     for machine in ("compiled", "native"):
         assert_same_answer(tree, answers[machine])
+
+
+def aot(program, policy=None):
+    """Put a parse, and the libraries, in the ahead-of-time regime:
+    every λ compiled before the run, so every eligible apply is native
+    from the first.  Returns the parse."""
+    ensure_native_program(program, policy)
+    return program
+
+
+def aot_source(source, **kwargs):
+    """``run_source`` on the native machine, on an ahead-of-time parse."""
+    return run_program(aot(parse_program(source)), machine="native",
+                       **kwargs)
 
 
 def discharged(source, result_kinds=None):
@@ -147,6 +172,7 @@ class TestFallbackBoundary:
         assert not result.complete          # up is unprovable
         assert result.policy is not None
         assert result.policy.skip_labels    # len is proven
+        aot(parsed, result.policy)
         answers = {}
         monitors = {}
         for machine in MACHINES:
@@ -294,7 +320,8 @@ class TestMutationOrder:
         parsed, result = discharged(src)
         assert result.complete
         answers = run_everywhere(parsed, mode="full",
-                                 discharge=result.policy)
+                                 discharge=result.policy,
+                                 ahead_of_time=True)
         assert answers["tree"].kind == Answer.VALUE
         assert_all_same(answers)
         a = run_program(parsed, mode="full", machine="native",
@@ -312,7 +339,7 @@ class TestTierReporting:
         # application reports native; pure top-level arithmetic never
         # enters a frame and honestly reports compiled.
         src = "(define (f n) (if (zero? n) 1 (f (- n 1))))\n(f 5)\n"
-        a = run_source(src, mode="off", machine="native")
+        a = aot_source(src, mode="off")
         assert a.kind == Answer.VALUE and a.value == 1
         assert a.tier == "native"
 
@@ -323,17 +350,15 @@ class TestTierReporting:
         # the interpreter, so there no native frame ever runs and the
         # answer honestly says so.
         src = "(define (f n) (if (zero? n) 1 (f (- n 1))))\n(f 5)\n"
-        a = run_source(src, mode="full", machine="native")
+        a = aot_source(src, mode="full")
         assert a.kind == Answer.VALUE and a.value == 1
         assert a.tier == "native"
-        a = run_source(src, mode="full", strategy="imperative",
-                       machine="native")
+        a = aot_source(src, mode="full", strategy="imperative")
         assert a.kind == Answer.VALUE and a.value == 1
         assert a.tier == "compiled"
         # A monitor the trampoline cannot replicate inline (label
         # keying) falls back too.
-        a = run_source(src, mode="full", monitor=SCMonitor(keying="label"),
-                       machine="native")
+        a = aot_source(src, mode="full", monitor=SCMonitor(keying="label"))
         assert a.kind == Answer.VALUE and a.value == 1
         assert a.tier == "compiled"
 
@@ -346,14 +371,14 @@ class TestTierReporting:
 class TestMonitoredNative:
     """Residual-monitored λs run on the native tier: the trampoline
     steps the cm table itself, carries each frame's continuation-mark
-    state, and raises the same witness the interpreter raises."""
+    state, and raises the same witness the interpreter raises.  Native
+    runs are on ahead-of-time parses, so every λ is native throughout."""
 
     def test_self_tail_loop_violation_identical(self):
         # A compiled self-tail loop must not jump past the table step.
         src = "(define (f n) (f (+ n 1)))\n(f 0)\n"
-        answers = {m: run_source(src, mode="full", machine=m,
-                                 fuel=1_000_000)
-                   for m in ("compiled", "native")}
+        answers = {"compiled": run_source(src, mode="full", fuel=1_000_000),
+                   "native": aot_source(src, mode="full", fuel=1_000_000)}
         native, compiled = answers["native"], answers["compiled"]
         assert native.tier == "native"
         assert compiled.kind == native.kind == Answer.SC_ERROR
@@ -380,7 +405,7 @@ class TestMonitoredNative:
                              ids=[f"restore{i}" for i in range(len(RESTORE))])
     def test_caller_state_restored(self, src):
         monitors = {m: SCMonitor() for m in MACHINES}
-        answers = {m: run_program(parse_program(src), mode="full",
+        answers = {m: run_program(aot(parse_program(src)), mode="full",
                                   monitor=monitors[m], fuel=MAX_STEPS,
                                   machine=m)
                    for m in MACHINES}
@@ -404,7 +429,8 @@ class TestMonitoredNative:
     @pytest.mark.parametrize("src", WRAPPED,
                              ids=[f"wrapped{i}" for i in range(len(WRAPPED))])
     def test_wrapped_apply_identical(self, src, mode):
-        answers = run_everywhere(src, mode=mode, max_steps=1_000_000)
+        answers = run_everywhere(src, mode=mode, max_steps=1_000_000,
+                                 ahead_of_time=True)
         assert_all_same(answers)
         assert answers["native"].tier == "native"
 
@@ -412,9 +438,10 @@ class TestMonitoredNative:
     def test_monitor_sees_the_same_calls(self, prog):
         monitors = {m: SCMonitor(measures=prog.measures)
                     for m in ("compiled", "native")}
-        answers = {m: run_source(prog.source, mode="full",
-                                 monitor=monitors[m], fuel=MAX_STEPS,
-                                 machine=m)
+        parsed = aot(parse_program(prog.source))
+        answers = {m: run_program(parsed, mode="full",
+                                  monitor=monitors[m], fuel=MAX_STEPS,
+                                  machine=m)
                    for m in monitors}
         assert answers["native"].tier == "native"
         assert_same_answer(answers["compiled"], answers["native"])
@@ -432,7 +459,7 @@ class TestCodeCache:
     def test_second_parse_skips_compile(self, monkeypatch):
         src = ("(define (walk l) (if (null? l) 0 (+ 1 (walk (cdr l)))))\n"
                "(walk '(1 2 3))\n")
-        first = run_source(src, mode="full", machine="native")
+        first = aot_source(src, mode="full")
         calls = []
 
         def counting(*args, **kwargs):
@@ -440,10 +467,10 @@ class TestCodeCache:
             return compile(*args, **kwargs)
 
         monkeypatch.setattr(native_mod, "compile", counting, raising=False)
-        parsed = parse_program(src)
+        parsed = aot(parse_program(src))
         second = run_program(parsed, mode="full", machine="native")
         assert calls == []
-        assert second.tier == "native"
+        assert first.tier == second.tier == "native"
         assert observables(second) == observables(first)
         assert all(lam.native is not None for lam in code_lams(parsed))
 
@@ -454,8 +481,9 @@ class TestCodeCache:
     def test_programs_keep_their_own_constants(self, left, right):
         lams = []
         for const in (left, right):
-            parsed = parse_program(f"(define (f n) (if (zero? n) {const} "
-                                   f"(f (- n 1))))\n(f 2)\n")
+            parsed = aot(parse_program(
+                f"(define (f n) (if (zero? n) {const} (f (- n 1))))\n"
+                f"(f 2)\n"))
             a = run_program(parsed, mode="off", machine="native")
             ref = run_source(f"{const}\n", mode="off")
             assert a.tier == "native"
@@ -479,22 +507,21 @@ class TestCodeCache:
 
 
 def observables(answer):
+    """Everything a run reports except ``tier`` (the one observable that
+    depends on how hot the parse already is)."""
     value = write_value(answer.value) if answer.kind == Answer.VALUE else None
     error = None if answer.error is None else str(answer.error)
-    return (answer.kind, value, answer.output, answer.steps, answer.tier,
-            error)
-
-
-def skip_set(policy):
-    """The skip set ``run_program`` resolves a policy under."""
-    return (frozenset(policy.skip_labels) or None) if policy else None
+    violation = (None if answer.violation is None
+                 else str(answer.violation))
+    return (answer.kind, value, answer.output, answer.steps, error,
+            violation)
 
 
 def code_lams(program, policy=None):
     """Every CLam in the program's resolved forms (the objects the
     native tier compiles), under ``policy``'s skip set."""
     out = []
-    stack = [compile_code(form.expr, skip_set(policy))
+    stack = [compile_code(form.expr, policy_skip_labels(policy))
              for form in program.forms]
     while stack:
         node = stack.pop()
@@ -518,23 +545,39 @@ def native_run(program, *, mode, policy=None, measures=None,
 
 def eager_run(source, *, mode, with_policy=False, measures=None,
               fuel=MAX_STEPS, result_kinds=None):
-    """A native run on a fresh parse whose codes (and the libraries) were
-    all compiled ahead of time — the pre-tier-up pipeline."""
+    """A native run on a fresh ahead-of-time parse (the libraries
+    included): every eligible λ native from its first apply."""
     parsed, result = discharged(source, result_kinds)
     policy = result.policy if with_policy else None
-    ensure_native_libraries()
-    for form in parsed.forms:
-        ensure_native(compile_code(form.expr, skip_set(policy)))
-    return native_run(parsed, mode=mode, policy=policy, measures=measures,
-                      fuel=fuel)
+    return native_run(aot(parsed, policy), mode=mode, policy=policy,
+                      measures=measures, fuel=fuel)
+
+
+def lams_by_name(program, policy=None):
+    return {lam.name: lam for lam in code_lams(program, policy)}
+
+
+def count_compiles(monkeypatch):
+    """Record every ``compile_lam`` attempt (the λ and its heat then)."""
+    attempts = []
+    real = native_mod.compile_lam
+
+    def counting(clam):
+        attempts.append(clam)
+        real(clam)
+
+    monkeypatch.setattr(native_mod, "compile_lam", counting)
+    return attempts
 
 
 class TestLazyTierUp:
-    """λs compile at their first native-eligible apply.  Threshold one
-    makes exactly the tier decisions the ahead-of-time walk made, so
-    every observable — ``steps`` and ``tier`` included — is independent
-    of what was compiled before, and a λ never applied on an eligible
-    path is never compiled."""
+    """λs compile at their ``_TIER_UP_AT``-th native-eligible apply.
+    Every observable but ``tier`` is independent of what was compiled
+    before; ``tier`` depends on how hot the parse already is, since heat
+    carries across runs of one parse.  A λ applied fewer than N times on
+    an eligible path is never compiled."""
+
+    N = native_mod._TIER_UP_AT
 
     @pytest.mark.parametrize("config", ["off", "full", "residual"])
     @pytest.mark.parametrize("prog", PROGRAMS, ids=[p.name for p in PROGRAMS])
@@ -557,8 +600,8 @@ class TestLazyTierUp:
     def test_residual_monitored_program_compiles_nothing(self):
         # mode full without a policy: every λ is monitored.  Where the
         # monitored λs fall back (the imperative strategy) no apply is
-        # eligible and no user λ is ever compiled; under cm every applied
-        # λ tiers up, and only those.
+        # eligible, no heat accrues and no user λ is ever compiled; under
+        # cm exactly the λs applied at least N times tier up.
         prog = next(p for p in PROGRAMS if p.name == "ho-sc-ack")
         parsed = parse_program(prog.source)
         a = run_program(parsed, mode="full", strategy="imperative",
@@ -567,46 +610,41 @@ class TestLazyTierUp:
         assert a.kind == Answer.VALUE and a.tier == "compiled"
         lams = code_lams(parsed)
         assert lams
-        assert all(lam.native_is_gen is None for lam in lams)
+        assert all(lam.native_is_gen is None and lam.heat == 0
+                   for lam in lams)
         a = native_run(parsed, mode="full", measures=prog.measures)
         assert a.kind == Answer.VALUE and a.tier == "native"
-        assert all(lam.native is not None for lam in lams)
+        assert any(lam.native is not None for lam in lams)
+        for lam in lams:
+            assert (lam.native_is_gen is not None) == (lam.heat >= self.N)
 
     def test_uncalled_discharged_lambda_is_never_compiled(self):
         src = ("(define (unused n) (if (zero? n) 0 (unused (- n 1))))\n"
                "(define (used n) (if (zero? n) 7 (used (- n 1))))\n"
-               "(used 3)\n")
+               f"(used {2 * self.N})\n")
         parsed, result = discharged(src)
         assert result.complete
         a = native_run(parsed, mode="full", policy=result.policy)
         assert a.tier == "native" and write_value(a.value) == "7"
-        by_name = {lam.name: lam for lam in code_lams(parsed, result.policy)}
+        by_name = lams_by_name(parsed, result.policy)
         assert by_name["used"].native is not None
         assert by_name["unused"].native_is_gen is None
+        assert by_name["unused"].heat == 0
 
     def test_rejected_lambda_is_attempted_once(self, monkeypatch):
-        # A body past the emitter's source bound is rejected at its first
+        # A body past the emitter's source bound is rejected at its Nth
         # eligible apply and from then on runs interpreted.
         body = " ".join(f"(+ n {i})" for i in range(6000))
         src = (f"(define (big n) (begin {body} n))\n"
                "(define (loop i) (if (zero? i) 0 (begin (big i) "
-               "(loop (- i 1)))))\n(loop 3)\n")
-        attempts = []
-        real = native_mod.compile_lam
-
-        def counting(clam):
-            attempts.append(clam)
-            real(clam)
-
-        monkeypatch.setattr(native_mod, "compile_lam", counting)
-        monkeypatch.setattr(machine_mod, "compile_lam", counting)
+               f"(loop (- i 1)))))\n(loop {2 * self.N})\n")
+        attempts = count_compiles(monkeypatch)
         parsed = parse_program(src)
         a = native_run(parsed, mode="off")
-        ref = run_program(parsed, mode="off", fuel=MAX_STEPS)
         assert a.kind == Answer.VALUE and write_value(a.value) == "0"
-        assert (a.kind, write_value(a.value), a.output) == \
-            (ref.kind, write_value(ref.value), ref.output)
-        by_name = {lam.name: lam for lam in code_lams(parsed)}
+        assert observables(a) == observables(
+            run_program(parsed, mode="off", fuel=MAX_STEPS))
+        by_name = lams_by_name(parsed)
         big = by_name["big"]
         assert big.native is None and big.native_is_gen is False
         assert attempts.count(big) == 1
@@ -615,30 +653,34 @@ class TestLazyTierUp:
         assert observables(a) == observables(eager_run(src, mode="off"))
 
     def test_tier_up_through_the_driver(self):
-        # f is entered from the interpreter; g is first applied at a
-        # non-tail site inside f's native frame, so the trampoline
-        # compiles it.
-        src = ("(define (g n) (if (zero? n) 1 (* 2 (g (- n 1)))))\n"
-               "(define (f n) (+ 1 (g n)))\n(f 5)\n")
+        # f is compiled ahead of time; g is applied only from f's native
+        # frame (a non-tail site), so the driver hands it to the
+        # interpreter until it is hot and then runs it natively.
+        src = ("(define (g n) (* 2 n))\n"
+               "(define (f n) (if (zero? n) 0 (+ (g n) (f (- n 1)))))\n"
+               f"(f {2 * self.N})\n")
         parsed = parse_program(src)
-        by_name = {lam.name: lam for lam in code_lams(parsed)}
+        by_name = lams_by_name(parsed)
+        native_mod.compile_lam(by_name["f"])
         a = native_run(parsed, mode="off")
-        assert write_value(a.value) == "33" and a.tier == "native"
+        assert a.tier == "native"
         assert by_name["f"].native_is_gen is True
         assert by_name["g"].native is not None
+        assert by_name["g"].heat == self.N
         assert observables(a) == observables(eager_run(src, mode="off"))
 
     def test_tier_up_at_a_direct_tail_call_site(self):
         # f's tail call to g takes the direct path only once g is
-        # compiled; the first time the guard fails, the request goes to
-        # the trampoline, which compiles g.  The second call then goes
-        # direct — the steps match a run where g was compiled up front.
-        src = ("(define (g n) (+ n 1))\n(define (f n) (g n))\n"
-               "(f 1)\n(f 2)\n")
+        # compiled; until then the guard fails and the request goes to
+        # the trampoline, whose fallback counts g's applies.  Later calls
+        # go direct — the steps match a run where g was compiled up front.
+        calls = "".join(f"(f {i})\n" for i in range(2 * self.N))
+        src = "(define (g n) (+ n 1))\n(define (f n) (g n))\n" + calls
         parsed = parse_program(src)
-        by_name = {lam.name: lam for lam in code_lams(parsed)}
+        by_name = lams_by_name(parsed)
+        native_mod.compile_lam(by_name["f"])
         a = native_run(parsed, mode="off")
-        assert write_value(a.value) == "3" and a.tier == "native"
+        assert write_value(a.value) == str(2 * self.N) and a.tier == "native"
         assert by_name["f"].native_is_gen is False
         assert by_name["g"].native_is_gen is False
         assert by_name["g"].native is not None
@@ -646,14 +688,183 @@ class TestLazyTierUp:
 
     def test_fuel_runs_out_on_the_compiling_apply(self):
         # Every budget up to the one that suffices, including the one
-        # exhausted exactly at the apply that tiers f (then g) up.
-        src = ("(define (g n) (+ n 1))\n(define (f n) (g n))\n(f 1)\n")
+        # exhausted exactly at the apply that would compile f.
+        src = ("(define (f n) (if (zero? n) 0 (f (- n 1))))\n"
+               f"(f {2 * self.N})\n")
         need = native_run(parse_program(src), mode="off").steps
-        assert need > 0
+        assert need == 2 * self.N + 1
         for fuel in range(need + 1):
-            lazy = native_run(parse_program(src), mode="off", fuel=fuel)
+            parsed = parse_program(src)
+            lazy = native_run(parsed, mode="off", fuel=fuel)
             eager = eager_run(src, mode="off", fuel=fuel)
             assert observables(lazy) == observables(eager), fuel
+            f = lams_by_name(parsed)["f"]
             if fuel < need:
                 assert lazy.kind == Answer.TIMEOUT
                 assert isinstance(lazy.error, FuelExhausted)
+            if fuel == self.N - 1:
+                # The Nth apply ran out at its charge: nothing compiled.
+                assert f.heat == self.N - 1 and f.native_is_gen is None
+                assert lazy.tier == "compiled"
+            elif fuel == self.N:
+                assert f.native is not None and lazy.tier == "native"
+
+    def test_nth_apply_compiles_once(self, monkeypatch):
+        # N-1 applies compile nothing; the Nth, in the next run of the
+        # same parse, compiles f exactly once.
+        src = ("(define (f n) (if (zero? n) 0 (f (- n 1))))\n"
+               f"(f {self.N - 2})\n")
+        attempts = count_compiles(monkeypatch)
+        parsed = parse_program(src)
+        f = lams_by_name(parsed)["f"]
+        first = native_run(parsed, mode="off")
+        assert first.steps == self.N - 1
+        assert attempts == [] and f.heat == self.N - 1
+        assert first.tier == "compiled"
+        second = native_run(parsed, mode="off")
+        assert attempts == [f] and f.heat == self.N
+        assert second.tier == "native"
+        native_run(parsed, mode="off")
+        assert attempts == [f]
+        assert observables(first) == observables(second)
+
+    def test_heat_carries_across_runs(self):
+        # M applies per run: the run holding the Nth apply is the first
+        # to report native, and every run reports the same steps.
+        m = 3
+        src = ("(define (f n) (if (zero? n) 0 (f (- n 1))))\n"
+               f"(f {m - 1})\n")
+        parsed = parse_program(src)
+        runs = [native_run(parsed, mode="off") for _ in range(self.N)]
+        for r, answer in enumerate(runs, start=1):
+            assert answer.steps == m
+            assert answer.tier == ("native" if r * m >= self.N
+                                   else "compiled"), r
+
+    @pytest.mark.parametrize("prog", PROGRAMS, ids=[p.name for p in PROGRAMS])
+    def test_compiles_only_hot_lambdas(self, prog, monkeypatch):
+        # Deterministic, no timer: under mode full (cm, no policy) every
+        # apply takes exactly one table step on either tier, so counting
+        # table_step per λ counts its eligible applies independently of
+        # the heat counter.
+        steps = {}
+
+        def counting(module):
+            real = module.table_step
+
+            def step(monitor, s1, fn, *rest):
+                steps[id(fn.lam)] = steps.get(id(fn.lam), 0) + 1
+                return real(monitor, s1, fn, *rest)
+            monkeypatch.setattr(module, "table_step", step)
+
+        counting(machine_mod)
+        counting(native_mod)
+        attempts = count_compiles(monkeypatch)
+        parsed = parse_program(prog.source)
+        a = native_run(parsed, mode="full", measures=prog.measures)
+        assert a.kind == Answer.VALUE
+        lams = code_lams(parsed)
+        attempted = {id(lam) for lam in attempts}
+        for lam in lams:
+            applies = steps.get(id(lam), 0)
+            assert (id(lam) in attempted) == (applies >= self.N), lam
+            assert lam.heat == min(applies, self.N), lam
+
+
+class TestReentry:
+    """Bounded re-entry: a fallback from native code runs its extent
+    with the native context below ``_REENTRY_BOUND`` nested fallbacks,
+    and without it past the bound."""
+
+    def test_hot_callee_of_a_cold_lambda_runs_native(self, monkeypatch):
+        # hot is compiled ahead of time; cold is applied once, from hot's
+        # native frame, so it runs in the fallback; loop, applied from
+        # cold's interpreted body, tiers up there and is entered natively.
+        src = ("(define (loop n) (if (zero? n) 0 (loop (- n 1))))\n"
+               "(define (cold n) (+ 1 (loop n)))\n"
+               "(define (hot n) (+ 1 (cold n)))\n"
+               "(hot 50)\n")
+        entered = []
+        real = native_mod.NativeContext.enter
+
+        def recording(self, fn, vals, s1, s2):
+            entered.append(fn.lam.name)
+            return real(self, fn, vals, s1, s2)
+
+        monkeypatch.setattr(native_mod.NativeContext, "enter", recording)
+        for mode in ("off", "full"):
+            entered.clear()
+            parsed = parse_program(src)
+            by_name = lams_by_name(parsed)
+            native_mod.compile_lam(by_name["hot"])
+            a = native_run(parsed, mode=mode)
+            assert by_name["cold"].native_is_gen is None
+            assert by_name["loop"].native is not None
+            assert entered == ["hot", "loop"]
+            ref = run_program(parsed, mode=mode, fuel=MAX_STEPS)
+            assert observables(a) == observables(ref)
+
+    @pytest.mark.parametrize("mode", ["off", "full"])
+    def test_alternation_past_the_bound(self, mode, monkeypatch):
+        # Nothing tiers up by heat; hot is compiled ahead of time and
+        # cold is not, so every hot → cold call is a fallback nested in
+        # the last one, far deeper than the bound (and than the Python
+        # stack would allow if each level re-entered).
+        monkeypatch.setattr(native_mod, "_TIER_UP_AT", 10 ** 9)
+        depth = 2 * sys.getrecursionlimit()
+        src = ("(define (hot n) (if (zero? n) 0 (+ 1 (cold (- n 1)))))\n"
+               "(define (cold n) (if (zero? n) 0 (+ 1 (hot (- n 1)))))\n"
+               f"(hot {depth})\n")
+        deepest = [0]
+        real = native_mod.NativeContext.fallback_call
+
+        def watching(self, fn, vals, loc):
+            deepest[0] = max(deepest[0], self.nest)
+            return real(self, fn, vals, loc)
+
+        monkeypatch.setattr(native_mod.NativeContext, "fallback_call",
+                            watching)
+        parsed = parse_program(src)
+        native_mod.compile_lam(lams_by_name(parsed)["hot"])
+        a = native_run(parsed, mode=mode)
+        assert a.kind == Answer.VALUE and a.value == depth
+        assert a.tier == "native"
+        assert deepest[0] == native_mod._REENTRY_BOUND
+        assert lams_by_name(parsed)["cold"].native_is_gen is None
+        ref = run_program(parsed, mode=mode, fuel=MAX_STEPS)
+        assert observables(a) == observables(ref)
+
+    def test_violation_inside_a_reentered_extent(self, monkeypatch):
+        # spin (compiled ahead of time) diverges under a cold λ that hot
+        # calls from native code: the violation is raised by a nested
+        # driver, and the fallback hands the caller its own state back.
+        src = ("(define (spin n) (spin (+ n 1)))\n"
+               "(define (cold n) (spin n))\n"
+               "(define (hot n) (+ 1 (cold n)))\n"
+               "(hot 0)\n")
+        seen = []
+        real = native_mod.NativeContext.fallback_call
+
+        def watching(self, fn, vals, loc):
+            before = (self.s1, self.s2, self.nest)
+            try:
+                return real(self, fn, vals, loc)
+            finally:
+                seen.append((before, (self.s1, self.s2, self.nest)))
+
+        monkeypatch.setattr(native_mod.NativeContext, "fallback_call",
+                            watching)
+        parsed = parse_program(src)
+        by_name = lams_by_name(parsed)
+        native_mod.compile_lam(by_name["hot"])
+        native_mod.compile_lam(by_name["spin"])
+        a = native_run(parsed, mode="full", fuel=1_000_000)
+        ref = run_program(parsed, mode="full", fuel=1_000_000)
+        assert a.kind == ref.kind == Answer.SC_ERROR
+        assert a.violation.function == "spin"
+        assert a.tier == "native"
+        assert_same_answer(ref, a)
+        assert str(a.violation) == str(ref.violation)
+        assert seen
+        for before, after in seen:
+            assert all(x is y for x, y in zip(before, after))
