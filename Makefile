@@ -35,7 +35,8 @@ machines-smoke:
 		--out BENCH_fuzz_native.json
 
 # Differential fuzzing over {tree,compiled,native} x {bitmask,reference}
-# x {off,monitored,discharged}.  Nonzero exit on any divergence.
+# x {off,monitored,imperative,discharged}.  Nonzero exit on any
+# divergence, or when a native-aot cell never entered a native frame.
 fuzz:
 	$(PYTHON) -m repro fuzz --n 500 --seed 0 --out BENCH_fuzz.json
 

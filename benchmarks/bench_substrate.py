@@ -5,7 +5,7 @@ factor')."""
 
 import pytest
 
-from repro.ds.hamt import Hamt, IdKey
+from repro.ds.hamt import Hamt
 from repro.sct.graph import SCGraph, arc, graph_of_values
 from repro.sct.order import SizeOrder
 from repro.solver import LinExpr, Solver, ge, lt, ne
@@ -15,7 +15,7 @@ from repro.values.values import python_to_list
 def test_hamt_set_get(benchmark):
     benchmark.group = "substrate:hamt"
     base = Hamt.empty()
-    keys = [IdKey(object()) for _ in range(16)]
+    keys = [object() for _ in range(16)]  # identity-hashed, as closures
     for i, k in enumerate(keys):
         base = base.set(k, i)
 

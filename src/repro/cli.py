@@ -45,13 +45,12 @@ call sequences; ``sized bench compose`` measures the gap.
 ``--machine`` selects the evaluator: ``compiled`` (default — the
 lexical-addressing pass of :mod:`repro.lang.resolve` plus the slot-frame
 machine), ``tree`` (the direct AST walker) or ``native`` (``run`` only:
-exec-generated Python bodies, trampoline-driven, that step the
-continuation-mark table themselves, with automatic fallback to the
-compiled machine's ``eval_code`` where they cannot: the ``imperative``
-strategy and monitors with label keying or event streams).  All produce
-identical answers; ``sized bench machines`` measures them against each
-other, unmonitored, monitored and discharged (``BENCH_machines.json``;
-exit 1 when a native-tier bar misses).
+exec-generated Python bodies, trampoline-driven, that step the monitor's
+table themselves under either strategy, with automatic fallback to the
+compiled machine's ``eval_code`` for λs not hot yet or rejected by the
+emitter).  All produce identical answers; ``sized bench machines``
+measures them against each other, unmonitored, monitored and discharged
+(``BENCH_machines.json``; exit 1 when a native-tier bar misses).
 
 ``fuzz`` drives the property-based differential tester of
 :mod:`repro.fuzz`: seeded generation of terminating- and
@@ -61,7 +60,9 @@ imperative, discharged} matrix (``steps`` compared too), greedy
 shrinking, and the ``tests/regressions/`` archive.
 ``--replay`` re-runs one archived ``.scm`` repro (or any campaign seed
 via ``--seed S --n 1``).  The exit code gates CI: 0 when every oracle
-check passed, 1 when any divergence was found.
+check passed, 1 when any divergence was found or when a ``native-aot``
+cell never entered a native frame (the report's ``native_frames``
+counts, per native cell, the programs that did).
 
 ``--fuel`` (run/trace/fuzz) bounds machine steps like ``--max-steps``
 but reports exhaustion distinctly (``FuelExhausted``) — the fuzzer's
@@ -579,7 +580,11 @@ def _cmd_fuzz(args) -> int:
                           f"{len(d.shrunk)} chars in {d.shrink_steps} steps")
         else:
             print("no divergences: every oracle check passed")
-    return 1 if report.divergences else 0
+    gaps = report.native_gaps()
+    for cell in gaps:
+        print(f"native coverage gap: {cell} never entered a native frame",
+              file=sys.stderr)
+    return 1 if report.divergences or gaps else 0
 
 
 def _cmd_chaos(args) -> int:

@@ -8,10 +8,11 @@ This is the workhorse immutable map of the reproduction.  It backs
 * the object language's ``hash`` values (the Fig. 2 lambda-calculus compiler
   threads environments as hashes).
 
-Keys may be arbitrary hashable Python objects.  Identity-keyed tables wrap
-their keys in :class:`IdKey` so that structurally equal closures stay
-distinct.  The implementation is a textbook 32-way HAMT with collision
-buckets; no Python ``dict`` copying happens on update.
+Keys may be arbitrary hashable Python objects.  Identity-keyed tables key
+by the closure itself: closures hash and compare by identity, so
+structurally equal closures stay distinct.  The implementation is a
+textbook 32-way HAMT with collision buckets; no Python ``dict`` copying
+happens on update.
 """
 
 from __future__ import annotations
@@ -284,28 +285,3 @@ class Hamt:
 
 Hamt._EMPTY = Hamt(None, 0)
 
-
-class IdKey:
-    """Wraps an object so HAMT lookup uses identity, not structural equality.
-
-    The identity-keyed size-change table stores one entry per closure
-    *object*; Lemma A.1 of the paper guarantees some closure object recurs on
-    every infinite call sequence, so identity keying preserves the
-    divergence-catching guarantee while avoiding false sharing between
-    structurally equal closures.  The hash is computed once at construction.
-    """
-
-    __slots__ = ("obj", "_hash")
-
-    def __init__(self, obj: Any):
-        self.obj = obj
-        self._hash = id(obj) & 0xFFFFFFFF
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IdKey) and other.obj is self.obj
-
-    def __repr__(self) -> str:
-        return f"IdKey({self.obj!r})"

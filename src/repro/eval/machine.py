@@ -15,8 +15,8 @@ the whole corpus — ``tests/test_compiled_machine.py``):
   list as the callee's frame, immediate subexpressions (literals,
   variables, λs, nested primitive calls) evaluate without touching the
   continuation, and the size-change monitor's common no-violation call
-  runs through a per-closure cached key and
-  :meth:`~repro.sct.monitor.SCMonitor.advance_fast`.
+  runs through one table step per strategy keyed by the closure itself
+  and :meth:`~repro.sct.monitor.SCMonitor.advance_fast`.
 
 Both machines are single explicit-stack loops.  Continuation frames'
 *last two slots* snapshot the monitoring state current when the frame was
@@ -51,10 +51,7 @@ from repro.lang.prims import PRIMITIVES
 from repro.lang.program import Program, TopDefine
 from repro.lang.resolve import Code, resolve
 from repro.sct.errors import SizeChangeViolation
-from repro.sct.monitor import _EMPTY_FSET
-from repro.sct.monitor import MISSING as _MISS_ENTRY
-from repro.sct.monitor import Entry as _Entry
-from repro.sct.monitor import SCMonitor, table_step
+from repro.sct.monitor import SCMonitor, mut_step, table_step
 from repro.sexp.datum import intern
 from repro.values.env import Env, GlobalEnv, UnboundVariable
 from repro.values.values import (
@@ -104,8 +101,8 @@ class Answer:
     ``tier`` names the execution tier that actually did the work:
     ``'tree'``, ``'compiled'``, or ``'native'`` when a ``machine='native'``
     run entered at least one native frame.  A native run that stayed on
-    the interpreter reports ``'compiled'``: nothing was eligible, or no
-    eligible λ was hot yet.  λs tier up by heat, which carries across
+    the interpreter reports ``'compiled'``: no λ was hot yet, or the
+    emitter rejected every hot one.  λs tier up by heat, which carries across
     runs of one parse, so ``tier`` is the one observable that depends on
     what earlier runs of the same parse did; every other field is
     identical across machines and histories."""
@@ -452,23 +449,21 @@ def eval_code(
     the differences are representational: flat list frames instead of dict
     ribs (slot 0 of a frame is its parent), continuation frames that are
     mutable lists reused in place while an application accumulates
-    arguments, inline evaluation of immediate subexpressions, and the
-    monitor fast path (cached per-closure key, ``advance_fast``) when the
-    monitor's policy permits an exact inline replication of ``upd``.
+    arguments, inline evaluation of immediate subexpressions, and one
+    shared table step per strategy (:func:`~repro.sct.monitor.table_step`,
+    :func:`~repro.sct.monitor.mut_step`) in place of ``upd``/``upd_mut``.
 
     ``init_state`` — an (s1, s2) monitoring-state pair to start from
     instead of the mode's default; the native tier's fallback uses it to
     resume interpretation under the running native frame's state.
 
     ``native`` — a :class:`repro.eval.native.NativeContext`; when given,
-    applying a closure the native tier covers (every λ when
-    ``native.all_eligible``, else the discharged/skip-listed ones)
-    counts toward its tier-up threshold (compiling its body on the Nth
-    such apply) and, once it is compiled, after this loop's own charge
-    and table step, hands the call to the native trampoline instead of
-    entering the body here.  Fallbacks from native code pass the same
-    context below the re-entry bound and ``native=None`` past it, which
-    bounds tier nesting.
+    applying a closure counts toward its λ's tier-up threshold (compiling
+    its body on the Nth apply) and, once it is compiled, after this
+    loop's own charge and table step, hands the call to the native
+    trampoline instead of entering the body here.  Fallbacks from native
+    code pass the same context below the re-entry bound and
+    ``native=None`` past it, which bounds tier nesting.
     """
     if monitor is None:
         monitor = SCMonitor()
@@ -481,35 +476,24 @@ def eval_code(
         raise ValueError(f"unknown mode: {mode!r}")
 
     monitored_modes = mode != "off"
-    # Monitor fast-path eligibility, decided once per form (see
-    # repro.sct.monitor): `skip_should` elides the constant-true policy
-    # check, `inline_upd` replicates upd/upd_mut inline — tables keyed by
-    # the closure object itself (identity semantics, no key allocation),
-    # with the cm table held as the hybrid flat/HAMT tuple that
-    # repro.sct.monitor.table_step extends — and `advance` is the
-    # (possibly specialized) evidence step.
+    # The monitor's step configuration, decided once per form (see
+    # SCMonitor.step_config): table_step extends the cm strategy's hybrid
+    # flat/HAMT tuple, mut_step the imperative strategy's shared dict.
+    # `fresh` is a newly started monitoring state (the empty cm table, or
+    # the imperative strategy's active flag): mode full starts in it, and
+    # a term/c wrapper starts it when none is active.
     # Residual enforcement: `skips` is the monitor's discharged-λ set and
     # every compiled λ carries a `discharged` mark, so a statically proven
     # closure takes the monitor-free path below — no policy call, no table
-    # lookup, no graph construction.  `trivial_policy` may ignore the skip
+    # lookup, no graph construction.  `skip_should` may ignore the skip
     # set precisely because both checks happen inline here.
     skips = monitor.skip_labels
-    skip_should = monitor.trivial_policy(ignore_skip_labels=True)
-    inline_upd = monitored_modes and monitor.inline_upd_ok()
-    fast_adv = inline_upd and monitor.fast_advance_ok()
-    advance = monitor.advance_fast if fast_adv else monitor.advance
-    # First calls can allocate the trivial entry in place when nothing
-    # (measures, subclassing) distinguishes it from Entry(v⃗, ∅, 1, 2).
-    fast_entry = fast_adv and not monitor.measures
-    initial_entry = monitor.initial_entry
+    advance, fast_entry, skip_should, key_for = monitor.step_config()
+    fresh = True if imperative else (None,)
     restore_mut = monitor.restore_mut
 
-    if mode == "full":
-        s1 = True if imperative else ((None,) if inline_upd else Hamt.empty())
-        s2 = ROOT_BLAME
-    else:
-        s1 = False if imperative else None
-        s2 = None
+    s1 = fresh if mode == "full" else None
+    s2 = ROOT_BLAME if mode == "full" else None
     if init_state is not None:
         s1, s2 = init_state
     if imperative and mtable is None:
@@ -946,54 +930,29 @@ def eval_code(
                             f" got {nargs}",
                             loc,
                         )
-                    if imperative:
-                        if s1 and not clam.discharged and (
-                                skips is None or clam.label not in skips) and (
-                                skip_should or monitor.should_monitor(fn)):
-                            if nargs == 1:
-                                args = (vals[1],)
-                            elif nargs == 2:
-                                args = (vals[1], vals[2])
-                            elif nargs == 3:
-                                args = (vals[1], vals[2], vals[3])
-                            else:
-                                args = tuple(vals[1:])
-                            if inline_upd:
-                                monitor.calls_seen += 1
-                                prev = mtable.get(fn, _MISS_ENTRY)
-                                if prev is not _MISS_ENTRY:
-                                    mtable[fn] = advance(prev, fn, args, s2)
-                                elif fast_entry:
-                                    mtable[fn] = _Entry(args, _EMPTY_FSET, 1, 2)
-                                else:
-                                    mtable[fn] = initial_entry(fn, args)
-                                kont.append([KF_RESTORE, fn, prev, s1, s2])
-                            else:
-                                key, prev = monitor.upd_mut(mtable, fn, args, s2)
-                                kont.append([KF_RESTORE, key, prev, s1, s2])
-                    elif s1 is not None:
-                        if not clam.discharged and (
-                                skips is None or clam.label not in skips) and (
-                                skip_should or monitor.should_monitor(fn)):
-                            if nargs == 1:
-                                args = (vals[1],)
-                            elif nargs == 2:
-                                args = (vals[1], vals[2])
-                            elif nargs == 3:
-                                args = (vals[1], vals[2], vals[3])
-                            else:
-                                args = tuple(vals[1:])
-                            if type(s1) is tuple:
-                                s1 = table_step(monitor, s1, fn, args, s2,
-                                                advance, fast_entry)
-                            else:
-                                s1 = monitor.upd(s1, fn, args, s2)
-                    if native is not None and (
-                            native.all_eligible or clam.discharged or
-                            (skips is not None and clam.label in skips)):
+                    if s1 and not clam.discharged and (
+                            skips is None or clam.label not in skips) and (
+                            skip_should or monitor.should_monitor(fn)):
+                        if nargs == 1:
+                            args = (vals[1],)
+                        elif nargs == 2:
+                            args = (vals[1], vals[2])
+                        elif nargs == 3:
+                            args = (vals[1], vals[2], vals[3])
+                        else:
+                            args = tuple(vals[1:])
+                        key = fn if key_for is None else key_for(fn)
+                        if imperative:
+                            prev = mut_step(monitor, mtable, key, fn, args,
+                                            s2, advance, fast_entry)
+                            kont.append([KF_RESTORE, key, prev, s1, s2])
+                        else:
+                            s1 = table_step(monitor, s1, key, fn, args, s2,
+                                            advance, fast_entry)
+                    if native is not None:
                         # Tier-up by heat: the λ compiles at its Nth
-                        # eligible apply (before that, and after an
-                        # emitter rejection, it runs interpreted below).
+                        # apply (before that, and after an emitter
+                        # rejection, it runs interpreted below).
                         if clam.native_is_gen is None:
                             count_apply(clam)
                         if clam.native is not None:
@@ -1028,10 +987,8 @@ def eval_code(
                 if tf is TermWrapped:
                     if monitored_modes:
                         s2 = fn.blame
-                        if imperative:
-                            s1 = True
-                        elif s1 is None:
-                            s1 = (None,) if inline_upd else Hamt.empty()
+                        if not s1:
+                            s1 = fresh
                     fn = fn.closure
                     continue
                 raise SchemeError(

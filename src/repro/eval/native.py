@@ -11,42 +11,43 @@ a trampoline driver strings those functions together with proper tail
 calls and an interpreter fallback for everything the tier does not
 cover.
 
-Tier-selection rule (checked per *application*, so one program freely
-mixes native and interpreted frames across call boundaries):
+Every λ is eligible, under every mode, strategy and monitor
+configuration; one program mixes native and interpreted frames across
+call boundaries only by hotness (below):
 
-* under ``mode='off'`` every compiled λ is eligible — there is no
-  monitoring state to maintain;
-* under the monitored modes with the ``cm`` strategy and a monitor that
-  passes :meth:`~repro.sct.monitor.SCMonitor.inline_upd_ok`, every λ is
-  eligible too.  The trampoline performs the same table step
-  (:func:`repro.sct.monitor.table_step`, with ``advance_fast`` when
-  ``fast_advance_ok`` holds, else ``advance``) that ``eval_code``'s
-  APPLY performs, so violations and witnesses are byte-identical.  λs
-  the active :class:`~repro.analysis.discharge.ResidualPolicy` proved
-  terminating — marked ``discharged`` at resolve time, or library λs
-  covered by the monitor's ``skip_labels`` (prelude closures are
-  resolved before any policy exists) — skip the step, as they do in
-  the interpreter;
-* otherwise only those proven λs run natively, and every monitored
-  closure falls back: the ``imperative`` strategy (its mutable table and
-  undo frames stay with the interpreter) and monitors that fail
-  ``inline_upd_ok`` (label keying, event streams).
+* under ``mode='off'`` there is no monitoring state to maintain;
+* under the monitored modes the trampoline performs the same table step
+  ``eval_code``'s APPLY performs — :func:`repro.sct.monitor.table_step`
+  for the ``cm`` strategy, :func:`repro.sct.monitor.mut_step` for the
+  ``imperative`` one, both configured once per run by
+  :meth:`~repro.sct.monitor.SCMonitor.step_config` (evidence step, key
+  mode, first-call events) — so violations, witnesses and event streams
+  are byte-identical.  λs the active
+  :class:`~repro.analysis.discharge.ResidualPolicy` proved terminating —
+  marked ``discharged`` at resolve time, or library λs covered by the
+  monitor's ``skip_labels`` (prelude closures are resolved before any
+  policy exists) — skip the step, as they do in the interpreter.
 
 Continuation marks: the context's ``s1``/``s2`` hold the (table, blame)
-state of the running native frame.  A call, tail or not, derives the
-callee's state from it; a suspended generator frame gets its own state
-back when it resumes (the driver keeps marks on its frame stack, see
+state of the running native frame — under the imperative strategy
+``s1`` is the active flag and the entries live in the run's shared
+mutable table.  A call, tail or not, derives the callee's state from
+it; a suspended generator frame gets its own state back when it resumes
+(the driver keeps marks on its frame stack, see
 :meth:`NativeContext._drive`); applying a ``term/c`` wrapper sets the
-blame and starts a table, as ``eval_code`` does.  ``eval_code`` hands a
+blame and starts a table, as ``eval_code`` does.  An imperative step
+pushes an undo record on the same stack, as ``eval_code`` pushes its
+restore frame, tail calls included, so that strategy's broken proper
+tail calls are unchanged on this tier.  ``eval_code`` hands a
 closure to the trampoline after its own table step for that apply, so
 the step runs exactly once.  Compiled self-tail loops and direct tail
 calls bypass the trampoline, so they are taken only for λs that need no
 step in the current run.
 
 Compilation is by hotness: a λ is compiled at its ``_TIER_UP_AT``-th
-apply on a path where the rule above lets it run natively (in
-``eval_code``'s APPLY, in the trampoline, or through a tail call that
-reaches the trampoline), and never otherwise.  Each such apply adds one
+apply under a native context (in ``eval_code``'s APPLY, in the
+trampoline, or through a tail call that reaches the trampoline), and
+never otherwise.  Each such apply adds one
 to ``CLam.heat`` (:func:`count_apply`), which lives on the per-policy
 CLam like the ``native`` mark, so it carries across runs of one parse.
 Until then the λ runs interpreted, which for code applied a handful of
@@ -59,10 +60,9 @@ means a λ source the process has compiled before — a re-parse of the
 same program, the same helper in another program — skips CPython's
 ``compile()``; each λ still gets its own namespace and constants.
 
-Everything else falls back to :func:`repro.eval.machine.eval_code`
-mid-flight — the λs not hot yet, the monitored closures and ``term/c``
-wrappers of the fallback configurations above, and λs whose bodies the
-emitter rejected.  The fallback runs with the current monitoring state
+Two kinds of λ fall back to :func:`repro.eval.machine.eval_code`
+mid-flight: those not hot yet and those whose bodies the emitter
+rejected.  The fallback runs with the current monitoring state
 (``init_state``) and the shared fuel and mutation table, and it
 re-enters the native tier: its ``eval_code`` gets this context, so a
 hot callee of a cold λ runs natively (through a nested driver).  The
@@ -97,7 +97,7 @@ from typing import List, Optional, Tuple
 from repro.ds.lru import LRU
 from repro.eval.errors import FuelExhausted, SchemeError
 from repro.lang.prims import PRIMITIVES
-from repro.sct.monitor import table_step
+from repro.sct.monitor import mut_step, table_step
 from repro.lang.resolve import (
     CApp,
     CLit,
@@ -291,8 +291,8 @@ class NativeContext:
     :meth:`_drive`)."""
 
     __slots__ = ("genv", "gget", "mode", "strategy", "monitor", "mtable",
-                 "fuel", "monitored", "skips", "all_eligible", "stepping",
-                 "entries", "s1", "s2", "d", "nest")
+                 "fuel", "monitored", "skips", "stepping", "imperative",
+                 "fresh", "entries", "s1", "s2", "d", "nest")
 
     def __init__(self, genv, *, mode: str, strategy: str, monitor,
                  mtable: Optional[dict], fuel):
@@ -305,22 +305,12 @@ class NativeContext:
         self.fuel = fuel
         self.monitored = mode != "off"
         self.skips = monitor.skip_labels
-        # The tier rule: every λ runs natively unless some monitored λ
-        # would need a table the trampoline does not keep (the imperative
-        # strategy's mutable table, or a monitor that fails
-        # inline_upd_ok: label keying, event streams).  Then only the
-        # λs that need no monitoring run natively.
-        self.all_eligible = not self.monitored or (
-            strategy == "cm" and monitor.inline_upd_ok())
-        # (advance, fast_entry, skip_should): eval_code's table-step
-        # configuration, when native frames step the table themselves.
-        self.stepping = None
-        if self.monitored and self.all_eligible:
-            fast = monitor.fast_advance_ok()
-            self.stepping = (
-                monitor.advance_fast if fast else monitor.advance,
-                fast and not monitor.measures,
-                monitor.trivial_policy(ignore_skip_labels=True))
+        # eval_code's step configuration (SCMonitor.step_config) and the
+        # state a term/c wrapper starts, so a native frame steps the
+        # table exactly as the interpreter would.
+        self.stepping = monitor.step_config()
+        self.imperative = strategy == "imperative"
+        self.fresh = True if self.imperative else (None,)
         self.entries = 0
         self.s1 = None
         self.s2 = None
@@ -356,8 +346,10 @@ class NativeContext:
         tuple; returning through it restores that state.  A tail call
         finds a mark (or nothing suspended) on top and pushes none, so
         proper tail calls keep constant space.  Runs that never step the
-        table push no marks.  ``charged``: the caller (:meth:`enter`)
-        already charged and stepped the first apply."""
+        table push no marks.  An imperative step pushes an undo record
+        instead, a mark that also undoes the step when popped; tail calls
+        push one too, as under ``eval_code``.  ``charged``: the caller
+        (:meth:`enter`) already charged and stepped the first apply."""
         fuel = self.fuel
         monitored = self.monitored
         skips = self.skips
@@ -371,21 +363,16 @@ class NativeContext:
                     clam = fn.lam
                     nf = clam.native
                     if nf is None and clam.native_is_gen is None and \
-                            self.nest >= _REENTRY_BOUND and (
-                            self.all_eligible or clam.discharged or
-                            (skips is not None and clam.label in skips)):
+                            self.nest >= _REENTRY_BOUND:
                         # Tier-up by heat.  Below the re-entry bound the
                         # fallback's eval_code counts this apply (and may
                         # compile the λ there); past it the fallback has
                         # no native context, so the apply is counted here.
                         count_apply(clam)
                         nf = clam.native
-                    needs_step = monitored and not clam.discharged and (
-                        skips is None or clam.label not in skips)
-                    if nf is None or (needs_step and self.stepping is None):
-                        # Not hot yet, the emitter rejected the λ, or there
-                        # is no table here (imperative, inline_upd fails):
-                        # the interpreter charges, steps and runs it.
+                    if nf is None:
+                        # Not hot yet, or the emitter rejected the λ: the
+                        # interpreter charges, steps and runs it.
                         value = self.fallback_call(fn, vals, loc)
                         applying = False
                         continue
@@ -403,15 +390,30 @@ class NativeContext:
                                 f"arguments, got {len(vals) - 1}",
                                 loc,
                             )
-                        if needs_step and self.s1 is not None:
-                            advance, fast_entry, skip_should = self.stepping
+                        if self.s1 and not clam.discharged and (
+                                skips is None or clam.label not in skips):
+                            advance, fast_entry, skip_should, key_for = \
+                                self.stepping
                             if skip_should or self.monitor.should_monitor(fn):
-                                if not stack or type(stack[-1]) is not tuple:
-                                    stack.append((self.s1, self.s2))
-                                self.s1 = table_step(
-                                    self.monitor, self.s1, fn,
-                                    tuple(vals[1:]), self.s2, advance,
-                                    fast_entry)
+                                key = fn if key_for is None else key_for(fn)
+                                args = tuple(vals[1:])
+                                if self.imperative:
+                                    # An undo record: a mark that also
+                                    # undoes the step when popped, as
+                                    # eval_code's KF_RESTORE frame (tail
+                                    # calls push one too).
+                                    prev = mut_step(
+                                        self.monitor, self.mtable, key, fn,
+                                        args, self.s2, advance, fast_entry)
+                                    stack.append((self.s1, self.s2, key,
+                                                  prev))
+                                else:
+                                    if not stack or \
+                                            type(stack[-1]) is not tuple:
+                                        stack.append((self.s1, self.s2))
+                                    self.s1 = table_step(
+                                        self.monitor, self.s1, key, fn,
+                                        args, self.s2, advance, fast_entry)
                     vals[0] = fn.env
                     if clam.native_is_gen:
                         gen = nf(fn, vals, self)
@@ -441,20 +443,13 @@ class NativeContext:
                     continue
                 if tf is TermWrapped:
                     if monitored:
-                        if self.stepping is None:
-                            # Applying a wrapper (re)starts monitoring
-                            # for the callee's extent — interpreter
-                            # territory when the table is not ours.
-                            value = self.fallback_call(fn, vals, loc)
-                            applying = False
-                            continue
                         # As eval_code: the wrapper's blame label, and a
                         # fresh table when none is active.
                         if not stack or type(stack[-1]) is not tuple:
                             stack.append((self.s1, self.s2))
                         self.s2 = fn.blame
-                        if self.s1 is None:
-                            self.s1 = (None,)
+                        if not self.s1:
+                            self.s1 = self.fresh
                     fn = fn.closure
                     continue
                 raise SchemeError(
@@ -466,9 +461,14 @@ class NativeContext:
                     return value
                 top = stack[-1]
                 if type(top) is tuple:
-                    # A continuation mark: the state of the frames below.
+                    # A continuation mark: the state of the frames below,
+                    # and for an undo record the step to undo.
                     stack.pop()
-                    self.s1, self.s2 = top
+                    if len(top) == 2:
+                        self.s1, self.s2 = top
+                    else:
+                        self.s1, self.s2, key, prev = top
+                        self.monitor.restore_mut(self.mtable, key, prev)
                     continue
                 out = top.send(value)
                 if type(out) is _Call:

@@ -67,7 +67,8 @@ def default_cells(matrix: str = "full") -> List[Tuple[str, str, str]]:
     (8 cells covering all machines, both engines and all policies, with
     monitored native under both engines: the bitmask engine takes the
     ``advance_fast`` step, the reference engine the generic
-    ``advance``; imperative native falls back per monitored closure), or
+    ``advance``; imperative native steps the mutable table with undo
+    records), or
     an explicit comma list of ``machine:engine:policy`` triples."""
     if matrix == "full":
         return [(m, e, p) for m in MACHINES for e in ENGINES
@@ -98,7 +99,7 @@ class CellResult:
     """One cell's observables, all pre-rendered to bytes-stable text."""
 
     __slots__ = ("cell", "kind", "value", "output", "violation", "error",
-                 "fuel_exhausted", "steps")
+                 "fuel_exhausted", "steps", "tier")
 
     def __init__(self, cell: Tuple[str, str, str], answer: Answer):
         self.cell = cell
@@ -111,6 +112,9 @@ class CellResult:
         self.error = str(answer.error) if answer.error is not None else None
         self.fuel_exhausted = isinstance(answer.error, FuelExhausted)
         self.steps = answer.steps
+        # Reported (native coverage), never compared: tier depends on
+        # how hot the parse is.
+        self.tier = answer.tier
 
     def signature(self) -> Tuple:
         """What byte-identity compares within a policy group."""
@@ -126,6 +130,7 @@ class CellResult:
             "violation": self.violation,
             "error": self.error,
             "steps": self.steps,
+            "tier": self.tier,
         }
 
 
@@ -391,6 +396,15 @@ class FuzzReport:
         self.discharge_expected = 0
         self.divergences: List[Divergence] = []
         self.elapsed = 0.0
+        # Native coverage: per native cell label (threshold and
+        # ahead-of-time runs), how many programs entered a native frame.
+        self.native_frames: Dict[str, int] = {}
+
+    def native_gaps(self) -> List[str]:
+        """The ``native-aot`` cells that never entered a native frame:
+        cells whose native column is vacuous for this campaign."""
+        return sorted(cell for cell, n in self.native_frames.items()
+                      if n == 0 and cell.startswith(AOT + ":"))
 
     @property
     def programs_per_sec(self) -> float:
@@ -407,6 +421,7 @@ class FuzzReport:
             "verified": self.verified,
             "discharge_expected": self.discharge_expected,
             "discharged": self.discharged,
+            "native_frames": dict(self.native_frames),
             "divergences_found": len(self.divergences),
             "shrink_sizes": [len(d.shrunk) for d in self.divergences
                              if d.shrunk is not None],
@@ -439,6 +454,12 @@ def run_fuzz(n: int, seed: int = 0, mode: str = "both",
         report.programs += 1
         report.by_mode[pmode] = report.by_mode.get(pmode, 0) + 1
         result = run_matrix(program, cells=cells, fuel=fuel)
+        for r in result.cells:
+            if r.cell[0] in ("native", AOT):
+                label = ":".join(r.cell)
+                report.native_frames[label] = (
+                    report.native_frames.get(label, 0)
+                    + (r.tier == "native"))
         if program.must_verify:
             report.verify_expected += 1
             if set(result.verdicts.values()) == {"verified"}:

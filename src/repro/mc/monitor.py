@@ -50,12 +50,11 @@ class MCMonitor(SCMonitor):
     takes the generic evidence path, and the :class:`MCGraph` objects it
     composes are themselves bitmask-packed internally.
 
-    The compiled machine's *call-site* fast path is inherited wholesale:
-    only ``make_graph`` is overridden, so ``inline_upd_ok`` still holds —
-    monitored calls key the hybrid identity table by the closure object
-    and skip the policy check when it is constant-true — while
-    ``fast_advance_ok`` correctly reports False (``_bitmask_fast`` is
-    off), keeping the MC evidence pipeline on :meth:`SCMonitor.advance`.
+    The compiled tiers' table steps (:func:`~repro.sct.monitor.table_step`,
+    :func:`~repro.sct.monitor.mut_step`) are inherited wholesale: only
+    ``make_graph`` is overridden, so ``fast_advance_ok`` correctly
+    reports False (``_bitmask_fast`` is off), keeping the MC evidence
+    pipeline on :meth:`SCMonitor.advance`.
     """
 
     def make_graph(self, old_args: Tuple, new_args: Tuple) -> MCGraph:

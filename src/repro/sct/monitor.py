@@ -18,8 +18,9 @@ graphs for typical loops, making monitoring O(1) amortized per call.
 Policy knobs (§5 of the paper, plus the engine selector):
 
 * ``keying`` — ``'identity'`` (exact, per-closure-object; sound by
-  Lemma A.1) or ``'label'`` (one entry per syntactic λ + environment hash,
-  reproducing the paper's closure-hashing and its possible false positives),
+  Lemma A.1) or ``'label'`` (one entry per syntactic λ + captured-rib
+  key, reproducing the paper's closure hashing and its possible false
+  positives),
 * ``backoff`` — exponential backoff: build/check graphs only on calls
   1, 2, 4, 8, …; sound because sampling an infinite call sequence yields an
   infinite sequence whose SCP violation is still inevitable,
@@ -48,13 +49,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from repro.ds.hamt import Hamt, IdKey
+from repro.ds.hamt import Hamt
 from repro.sct import bitgraph
 from repro.sct.errors import SizeChangeViolation
 from repro.sct.graph import SCGraph, graph_of_values
 from repro.sct.order import DEFAULT_ORDER, SizeOrder
-from repro.values.equality import scheme_equal, value_hash
-from repro.values.values import Closure, Pair, size_of
+from repro.values.env import Env
+from repro.values.equality import scheme_equal
+from repro.values.values import Closure, HashKey, Pair, size_of
 
 _MISSING = object()
 
@@ -72,11 +74,11 @@ _DESC_CACHE: Dict[int, bool] = {}
 _CACHE_CAP = 1 << 16
 
 # The cm strategy's inline table (see :func:`table_step`) is a tuple
-# (base, closure, entry, closure, entry, ...): a flat identity-scanned
-# part in front of an optional HAMT base.  When the flat part holds 16
-# closures (33 slots, ≈ where linear scan and hashed lookup break even) it
-# folds into the base and starts fresh, so a loop's hot closures always
-# sit in the flat part.
+# (base, key, entry, key, entry, ...): a flat identity-scanned part in
+# front of an optional HAMT base.  When the flat part holds 16 keys (33
+# slots, ≈ where linear scan and hashed lookup break even) it folds into
+# the base and starts fresh, so a loop's hot keys always sit in the flat
+# part.
 _TABLE_PROMOTE = 33
 _EMPTY_FSET = frozenset()
 
@@ -170,6 +172,8 @@ class SCMonitor:
         # violations are recorded in ``self.violations`` instead of raised.
         self.enforce = enforce
         self.violations: list = []
+        # Label keying's interned keys (see key_for).
+        self._label_keys: dict = {}
         # Statistics: how many calls were monitored / checked / skipped.
         self.calls_seen = 0
         self.checks_done = 0
@@ -186,35 +190,32 @@ class SCMonitor:
         return True
 
     def key_for(self, clo: Closure):
-        """Hashable table key for ``clo`` under the keying policy."""
+        """Table key for ``clo`` under the keying policy.
+
+        Identity keying: the closure itself (closures hash by identity).
+        Label keying: one interned tuple per structural key — the λ label,
+        then one key per slot of the closure's immediate captured rib in
+        binding order, a captured closure keyed by its λ label and any
+        other value by ``equal?`` (:class:`~repro.values.values.HashKey`).
+        Tree closures read their dict rib, compiled closures their list
+        frame through the ``env_names`` the resolver stamped on the λ, and
+        top-level closures capture no rib on either, so every machine
+        aliases closures identically.  The keys compare exactly, so the
+        aliasing does not depend on hash values (or ``PYTHONHASHSEED``);
+        interning lets the compiled tiers' flat table scan them with
+        ``is``."""
         if self.keying == "identity":
-            return IdKey(clo)
-        # 'label': structural closure hash — λ label plus a hash of the
-        # closure's immediate captured rib, approximating the paper's
-        # closure hashing.  Tree closures hash their dict rib; compiled
-        # closures hash the same name×value pairs through the frame and
-        # the ``env_names`` tuple the resolver stamped on the λ, so the
-        # two machines alias closures identically.  (One corner differs:
-        # closures created at top level capture the whole global frame
-        # under the tree machine but no frame at all when compiled, so
-        # the tree hash tracks global content there and the compiled hash
-        # is constant — distinguishable only when the same top-level λ
-        # re-evaluates under changed globals.)
+            return clo
         env = clo.env
-        rib = getattr(env, "bindings", None)
-        if rib is not None and type(rib) is dict:
-            code = 0
-            for name, value in rib.items():
-                code ^= (hash(name) * 31 + value_hash(value)) & 0x7FFFFFFF
-            return ("label", clo.lam.label, code)
-        if type(env) is list:
-            code = 0
-            i = 1
-            for name in getattr(clo.lam, "env_names", ()):
-                code ^= (hash(name) * 31 + value_hash(env[i])) & 0x7FFFFFFF
-                i += 1
-            return ("label", clo.lam.label, code)
-        return ("label", clo.lam.label, 0)
+        if type(env) is Env:
+            slots = env.bindings.values()
+        elif type(env) is list:
+            slots = env[1:1 + len(clo.lam.env_names)]
+        else:
+            slots = ()
+        key = (clo.lam.label,) + tuple(
+            v.lam.label if type(v) is Closure else HashKey(v) for v in slots)
+        return self._label_keys.setdefault(key, key)
 
     # -- the paper's `upd` ------------------------------------------------------
 
@@ -227,6 +228,17 @@ class SCMonitor:
 
     def initial_entry(self, clo: Closure, args: Tuple) -> Entry:
         return Entry(self.measured(clo, args), frozenset(), 1, 2)
+
+    def first_entry(self, clo: Closure, args: Tuple) -> Entry:
+        """The entry for ``clo``'s first monitored call in the current
+        extent, emitting its call event when there is an event stream."""
+        if self.events is not None:
+            self._emit_call(clo, self.measured(clo, args), None)
+        return self.initial_entry(clo, args)
+
+    def _emit_call(self, clo: Closure, margs: Tuple, graph) -> None:
+        self.events.append(("call", clo.describe(), margs, graph,
+                            [p.name for p in clo.params]))
 
     def make_graph(self, old_args: Tuple, new_args: Tuple):
         """Build the evidence graph for one observed transition.  The base
@@ -241,10 +253,7 @@ class SCMonitor:
         count = entry.count + 1
         if count < entry.next_check:
             if self.events is not None:
-                self.events.append(
-                    ("call", clo.describe(), self.measured(clo, args), None,
-                     [p.name for p in clo.params])
-                )
+                self._emit_call(clo, self.measured(clo, args), None)
             return Entry(entry.check_args, entry.comps, count,
                          entry.next_check, entry.m, entry.sizes)
         self.checks_done += 1
@@ -255,8 +264,7 @@ class SCMonitor:
         if self.trace is not None:
             self.trace.append((clo.describe(), entry.check_args, margs, g))
         if self.events is not None:
-            self.events.append(("call", clo.describe(), margs, g,
-                                [p.name for p in clo.params]))
+            self._emit_call(clo, margs, g)
         new_comps = {g}
         for c in entry.comps:
             new_comps.add(c.compose(g))
@@ -307,9 +315,7 @@ class SCMonitor:
             self.trace.append((clo.describe(), entry.check_args, margs,
                                bitgraph.unpack(mk, *g)))
         if self.events is not None:
-            self.events.append(("call", clo.describe(), margs,
-                                bitgraph.unpack(mk, *g),
-                                [p.name for p in clo.params]))
+            self._emit_call(clo, margs, bitgraph.unpack(mk, *g))
         new_comps = {g}
         if comps:
             # g is the fixed right operand of the whole batch: factor its
@@ -328,23 +334,6 @@ class SCMonitor:
                      self._next_check(count), m)
 
     # -- the compiled machine's fast path -----------------------------------------
-
-    def inline_upd_ok(self) -> bool:
-        """True when the compiled machine may replicate ``upd``/``upd_mut``
-        inline with a per-closure cached :class:`IdKey`: identity keying
-        with the base key, no event stream (``upd`` emits the initial-call
-        event, which the inline path skips), and unoverridden table ops.
-        :class:`repro.mc.monitor.MCMonitor` qualifies — it only overrides
-        ``make_graph`` — so it inherits the whole call-site fast path."""
-        cls = type(self)
-        return (
-            self.keying == "identity"
-            and self.events is None
-            and cls.key_for is SCMonitor.key_for
-            and cls.upd is SCMonitor.upd
-            and cls.upd_mut is SCMonitor.upd_mut
-            and cls.initial_entry is SCMonitor.initial_entry
-        )
 
     def trivial_policy(self, ignore_skip_labels: bool = False) -> bool:
         """True when ``should_monitor`` is constant-true (no whitelist, no
@@ -377,6 +366,23 @@ class SCMonitor:
             and self.trace is None
             and self.events is None
         )
+
+    def step_config(self) -> Tuple:
+        """The compiled tiers' per-run choices for :func:`table_step` and
+        :func:`mut_step`: ``(advance, fast_entry, skip_should, key_for)``.
+        ``advance`` is the evidence step (:meth:`advance_fast` when
+        :meth:`fast_advance_ok` holds, else :meth:`advance`, so violations
+        carry the same witness either way); ``fast_entry`` lets a first
+        call allocate the trivial entry in place when nothing (measures,
+        subclassing) distinguishes it from ``Entry(v⃗, ∅, 1, 2)``;
+        ``skip_should`` says the policy check is constant-true once the
+        caller has tested the skip set inline; ``key_for`` is None under
+        identity keying, where the key is the closure itself."""
+        fast = self.fast_advance_ok()
+        return (self.advance_fast if fast else self.advance,
+                fast and not self.measures,
+                self.trivial_policy(ignore_skip_labels=True),
+                None if self.keying == "identity" else self.key_for)
 
     def advance_fast(self, entry: Entry, clo: Closure, args: Tuple,
                      blame) -> Entry:
@@ -533,33 +539,16 @@ class SCMonitor:
         key = self.key_for(clo)
         entry = table.get(key)
         if entry is None:
-            if self.events is not None:
-                self.events.append(
-                    ("call", clo.describe(), self.measured(clo, args), None,
-                     [p.name for p in clo.params])
-                )
-            return table.set(key, self.initial_entry(clo, args))
+            return table.set(key, self.first_entry(clo, args))
         return table.set(key, self.advance(entry, clo, args, blame))
 
     def upd_mut(self, table: dict, clo: Closure, args: Tuple, blame):
-        """Mutable-table ``upd`` (imperative strategy).
-
-        Returns ``(key, previous_entry_or_missing_sentinel)`` so the machine
-        can push a restore frame (this is what breaks proper tail calls).
-        """
-        self.calls_seen += 1
+        """Mutable-table ``upd`` (imperative strategy): :func:`mut_step`
+        under the generic configuration.  Returns ``(key,
+        previous_entry_or_missing_sentinel)`` for the restore frame."""
         key = self.key_for(clo)
-        prev = table.get(key, _MISSING)
-        if prev is _MISSING:
-            if self.events is not None:
-                self.events.append(
-                    ("call", clo.describe(), self.measured(clo, args), None,
-                     [p.name for p in clo.params])
-                )
-            table[key] = self.initial_entry(clo, args)
-        else:
-            table[key] = self.advance(prev, clo, args, blame)
-        return key, prev
+        return key, mut_step(self, table, key, clo, args, blame,
+                             self.advance, False)
 
     def restore_mut(self, table: dict, key, prev) -> None:
         """Undo one ``upd_mut`` (popped from the machine's restore frame)."""
@@ -577,54 +566,66 @@ class SCMonitor:
         )
 
 
-def table_step(monitor: SCMonitor, table: tuple, clo: Closure, args: Tuple,
-               blame, advance, fast_entry: bool) -> tuple:
-    """One monitored call under the cm strategy's inline ``upd``: the
-    hybrid identity table ``table`` extended with ``clo`` applied to
-    ``args``.  Both the compiled machine's APPLY and the native
-    trampoline call this, under :meth:`SCMonitor.inline_upd_ok`.
+def table_step(monitor: SCMonitor, table: tuple, key, clo: Closure,
+               args: Tuple, blame, advance, fast_entry: bool) -> tuple:
+    """One monitored call under the cm strategy: the hybrid table
+    ``table`` extended with ``clo`` applied to ``args`` under ``key``
+    (the closure itself, or under label keying its interned
+    :meth:`SCMonitor.key_for` key).  ``eval_code``'s APPLY and the native
+    trampoline both call this; ``advance`` and ``fast_entry`` come from
+    :meth:`SCMonitor.step_config`.
 
-    ``advance`` is the evidence step (:meth:`SCMonitor.advance_fast`
-    when :meth:`SCMonitor.fast_advance_ok` holds, else
-    :meth:`SCMonitor.advance`), so violations carry the same witness
-    either way; ``fast_entry`` lets a first call allocate the trivial
-    entry in place when nothing (measures, subclassing) distinguishes it
-    from ``Entry(v⃗, ∅, 1, 2)``.
-
-    The flat part is scanned with ``is``: closures that actually recur
-    live there and pay no hashing; one-shot closures go into the
-    ``base`` HAMT (slot 0) at the next fold, and the flat part shadows
-    it."""
+    The flat part is scanned with ``is``: keys that actually recur live
+    there and pay no hashing; one-shot keys go into the ``base`` HAMT
+    (slot 0) at the next fold, and the flat part shadows it."""
     monitor.calls_seen += 1
     n = len(table)
     i = 1
     while i < n:
-        if table[i] is clo:
+        if table[i] is key:
             entry = advance(table[i + 1], clo, args, blame)
             if n == 3:  # the one-loop common case
-                return (table[0], clo, entry)
-            return table[:i] + (clo, entry) + table[i + 2:]
+                return (table[0], key, entry)
+            return table[:i] + (key, entry) + table[i + 2:]
         i += 2
     base = table[0]
-    entry = None if base is None else base.get(clo)
+    entry = None if base is None else base.get(key)
     if entry is not None:
-        # Recurring closure whose flat copy was folded: advance and
-        # re-adopt (the stale base copy is shadowed, then overwritten on
-        # the next fold).
+        # Recurring key whose flat copy was folded: advance and re-adopt
+        # (the stale base copy is shadowed, then overwritten on the next
+        # fold).
         entry = advance(entry, clo, args, blame)
     elif fast_entry:
         entry = Entry(args, _EMPTY_FSET, 1, 2)
     else:
-        entry = monitor.initial_entry(clo, args)
+        entry = monitor.first_entry(clo, args)
     if n < _TABLE_PROMOTE:
-        return table + (clo, entry)
+        return table + (key, entry)
     if base is None:
         base = Hamt.empty()
     j = 1
     while j < n:
         base = base.set(table[j], table[j + 1])
         j += 2
-    return (base, clo, entry)
+    return (base, key, entry)
 
 
-MISSING = _MISSING
+def mut_step(monitor: SCMonitor, table: dict, key, clo: Closure,
+             args: Tuple, blame, advance, fast_entry: bool):
+    """One monitored call under the imperative strategy: the run's shared
+    mutable ``table`` updated in place, with arguments as for
+    :func:`table_step`.  Returns the previous entry (a sentinel when
+    there was none) for the caller's undo record, which
+    :meth:`SCMonitor.restore_mut` pops on return — the record every
+    monitored call pushes, tail calls included, is what breaks proper
+    tail calls under this strategy."""
+    monitor.calls_seen += 1
+    prev = table.get(key, _MISSING)
+    if prev is not _MISSING:
+        table[key] = advance(prev, clo, args, blame)
+    elif fast_entry:
+        table[key] = Entry(args, _EMPTY_FSET, 1, 2)
+    else:
+        table[key] = monitor.first_entry(clo, args)
+    return prev
+

@@ -236,3 +236,32 @@ class TestShrinker:
         assert loaded.fuel == program.fuel
         assert loaded.must_verify == program.must_verify
         assert parse_forms(loaded.source) == parse_forms(program.source)
+
+
+class TestNativeCoverage:
+    def test_quick_imperative_native_cell_enters_native_code(self):
+        # The imperative strategy's undo records live on the native
+        # driver's stack, so its native cell runs native frames.
+        report = run_fuzz(2, seed=0, matrix="quick", shrink=False)
+        assert report.divergences == []
+        assert report.native_frames["native-aot:bitmask:imperative"] > 0
+        assert report.native_gaps() == []
+        payload = report.to_json()
+        assert payload["native_frames"] == report.native_frames
+
+    def test_campaign_fails_on_a_vacuous_native_cell(self, monkeypatch,
+                                                     capsys):
+        import repro.fuzz
+        from repro.cli import main
+
+        honest = repro.fuzz.run_fuzz
+
+        def vacuous(*args, **kwargs):
+            report = honest(*args, **kwargs)
+            report.native_frames["native-aot:bitmask:off"] = 0
+            return report
+
+        monkeypatch.setattr(repro.fuzz, "run_fuzz", vacuous)
+        assert main(["fuzz", "--n", "1", "--matrix", "quick"]) == 1
+        assert "native-aot:bitmask:off never entered" in \
+            capsys.readouterr().err

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ds.hamt import Hamt, IdKey
+from repro.ds.hamt import Hamt
+from repro.eval.machine import run_source
+from repro.values.values import Closure, list_to_python
 
 
 class TestBasics:
@@ -122,19 +124,30 @@ class TestCollisions:
         assert m[_Collider(1)] == "y"
 
 
-class TestIdKey:
+class TestClosureKeys:
+    """Identity-keyed size-change tables key the HAMT by the closure
+    itself: closures hash and compare by identity."""
+
+    @staticmethod
+    def _twins():
+        # Two closures of one λ over equal environments.
+        answer = run_source("(define (mk) (lambda (x) x))\n"
+                            "(list (mk) (mk))\n")
+        a, b = list_to_python(answer.value)
+        assert type(a) is Closure and a.lam is b.lam
+        return a, b
+
     def test_identity_not_equality(self):
-        a = [1, 2]
-        b = [1, 2]
-        m = Hamt.empty().set(IdKey(a), "a").set(IdKey(b), "b")
+        a, b = self._twins()
+        m = Hamt.empty().set(a, "a").set(b, "b")
         assert len(m) == 2
-        assert m[IdKey(a)] == "a"
-        assert m[IdKey(b)] == "b"
+        assert m[a] == "a"
+        assert m[b] == "b"
 
     def test_same_object_same_entry(self):
-        a = [1]
-        m = Hamt.empty().set(IdKey(a), 1).set(IdKey(a), 2)
-        assert len(m) == 1 and m[IdKey(a)] == 2
+        a, _ = self._twins()
+        m = Hamt.empty().set(a, 1).set(a, 2)
+        assert len(m) == 1 and m[a] == 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,13 +1,13 @@
 """Differential suite: the native tier vs the compiled and tree machines.
 
-The native machine (exec-generated Python bodies for discharged λs,
-trampoline-driven, compiled-machine ``eval_code`` fallback for anything
-residual-monitored) must be *observably identical* to both other
-machines: same answer kind, same printed value, same output bytes, same
-violation witness, same error text, same ``steps`` — across the corpus,
-under no monitoring, full monitoring (where every λ falls back), and a
-residual policy (where proven λs run as native frames and the rest fall
-back in the same run).  Plus the native-only contracts: the fuel boundary
+The native machine (exec-generated Python bodies, trampoline-driven,
+that step the monitor's table themselves, with a compiled-machine
+``eval_code`` fallback for λs not hot yet) must be *observably
+identical* to both other machines: same answer kind, same printed value,
+same output bytes, same violation witness, same error text, same
+``steps`` — across the corpus, under no monitoring, full monitoring
+(every λ steps the table), and a residual policy (proven λs skip the
+step in the same run).  Plus the native-only contracts: the fuel boundary
 (``fuel=0`` means no steps anywhere, exhaustion mid-native-frame is the
 ordinary ``FuelExhausted``), proper tail calls via the trampoline far
 past CPython's recursion limit, the tier-up threshold, and the bounded
@@ -117,8 +117,8 @@ def discharged(source, result_kinds=None):
 class TestCorpusDifferential:
     """Byte-identity over the whole corpus.  ``off`` exercises pure
     native execution (nothing is monitored, every compiled λ is
-    eligible); ``full`` without a policy exercises the all-fallback
-    path (every λ is residual-monitored)."""
+    eligible); ``full`` without a policy exercises the monitored path
+    (every λ is residual-monitored)."""
 
     def test_identical_answers(self, prog, mode):
         answers = run_everywhere(prog.source, mode=mode,
@@ -343,24 +343,26 @@ class TestTierReporting:
         assert a.kind == Answer.VALUE and a.value == 1
         assert a.tier == "native"
 
-    def test_all_fallback_run_reports_compiled(self):
-        # mode=full with no policy: every λ is monitored.  Under the cm
-        # strategy the trampoline steps the table itself, so the λs run
-        # natively; the imperative strategy's mutable table stays with
-        # the interpreter, so there no native frame ever runs and the
-        # answer honestly says so.
+    def test_monitored_runs_report_native(self):
+        # mode=full with no policy: every λ is monitored.  The trampoline
+        # steps the table itself under every configuration — the cm
+        # table, the imperative strategy's mutable table with undo
+        # records, label keys — so on an ahead-of-time parse the λs run
+        # natively and answer exactly as the compiled machine does.
         src = "(define (f n) (if (zero? n) 1 (f (- n 1))))\n(f 5)\n"
-        a = aot_source(src, mode="full")
-        assert a.kind == Answer.VALUE and a.value == 1
-        assert a.tier == "native"
-        a = aot_source(src, mode="full", strategy="imperative")
-        assert a.kind == Answer.VALUE and a.value == 1
-        assert a.tier == "compiled"
-        # A monitor the trampoline cannot replicate inline (label
-        # keying) falls back too.
-        a = aot_source(src, mode="full", monitor=SCMonitor(keying="label"))
-        assert a.kind == Answer.VALUE and a.value == 1
-        assert a.tier == "compiled"
+        for strategy, monitor in (("cm", SCMonitor),
+                                  ("imperative", SCMonitor),
+                                  ("cm", lambda: SCMonitor(keying="label")),
+                                  ("imperative",
+                                   lambda: SCMonitor(keying="label"))):
+            m = monitor()
+            a = aot_source(src, mode="full", strategy=strategy, monitor=m)
+            assert a.kind == Answer.VALUE and a.value == 1
+            assert a.tier == "native"
+            c = monitor()
+            ref = run_source(src, mode="full", strategy=strategy, monitor=c)
+            assert (a.steps, m.calls_seen, m.checks_done) == \
+                (ref.steps, c.calls_seen, c.checks_done)
 
     def test_other_machines_report_themselves(self):
         for machine in ("tree", "compiled"):
@@ -597,26 +599,22 @@ class TestLazyTierUp:
         assert observables(first) == observables(eager)
         assert observables(second) == observables(eager)
 
-    def test_residual_monitored_program_compiles_nothing(self):
-        # mode full without a policy: every λ is monitored.  Where the
-        # monitored λs fall back (the imperative strategy) no apply is
-        # eligible, no heat accrues and no user λ is ever compiled; under
-        # cm exactly the λs applied at least N times tier up.
+    def test_monitored_program_compiles_hot_lambdas(self):
+        # mode full without a policy: every λ is monitored, and under
+        # either strategy the trampoline steps the table itself, so
+        # exactly the λs applied at least N times tier up.
         prog = next(p for p in PROGRAMS if p.name == "ho-sc-ack")
-        parsed = parse_program(prog.source)
-        a = run_program(parsed, mode="full", strategy="imperative",
-                        monitor=SCMonitor(measures=prog.measures),
-                        fuel=MAX_STEPS, machine="native")
-        assert a.kind == Answer.VALUE and a.tier == "compiled"
-        lams = code_lams(parsed)
-        assert lams
-        assert all(lam.native_is_gen is None and lam.heat == 0
-                   for lam in lams)
-        a = native_run(parsed, mode="full", measures=prog.measures)
-        assert a.kind == Answer.VALUE and a.tier == "native"
-        assert any(lam.native is not None for lam in lams)
-        for lam in lams:
-            assert (lam.native_is_gen is not None) == (lam.heat >= self.N)
+        for strategy in ("cm", "imperative"):
+            parsed = parse_program(prog.source)
+            a = run_program(parsed, mode="full", strategy=strategy,
+                            monitor=SCMonitor(measures=prog.measures),
+                            fuel=MAX_STEPS, machine="native")
+            assert a.kind == Answer.VALUE and a.tier == "native"
+            lams = code_lams(parsed)
+            assert any(lam.native is not None for lam in lams)
+            for lam in lams:
+                assert (lam.native_is_gen is not None) == \
+                    (lam.heat >= self.N)
 
     def test_uncalled_discharged_lambda_is_never_compiled(self):
         src = ("(define (unused n) (if (zero? n) 0 (unused (- n 1))))\n"
