@@ -73,19 +73,24 @@ chaos-nightly:
 	$(PYTHON) -m repro chaos --n 500 --seed $(shell date +%U)00 \
 		--out BENCH_chaos.json
 
-# The benchmark smoke: each gated perfbench workload for two seconds.
-# Fails unless the run's last JSON line reports every answer correct and
-# no failed op (speed is not gated here; see perfbench/README.md).
+# The benchmark smoke: each gated perfbench workload for two seconds,
+# then one traced run, whose replay drives the resolve and native-compile
+# entry points directly (so it fails on drift in their API).  Each run
+# fails unless its last JSON line reports every answer correct and no
+# failed op (speed is not gated here; see perfbench/README.md).
 PERFBENCH_WORKLOADS = cold-pipeline warm-discharged warm-monitored
+PERFBENCH_GATE = $(PYTHON) -c 'import json, sys; \
+	r = json.loads(sys.stdin.read()); print(r); \
+	sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)'
 perfbench-smoke:
 	@for w in $(PERFBENCH_WORKLOADS); do \
 		echo "perfbench-smoke: $$w"; \
 		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 2 \
-			--trace 0 | tail -n 1 | $(PYTHON) -c 'import json, sys; \
-		r = json.loads(sys.stdin.read()); print(r); \
-		sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
-			|| exit 1; \
+			--trace 0 | tail -n 1 | $(PERFBENCH_GATE) || exit 1; \
 	done
+	@echo "perfbench-smoke: cold-pipeline, traced"; \
+	$(PYTHON) perfbench/run.py --workload cold-pipeline --seed 1 --seconds 2 \
+		--trace 1 | tail -n 1 | $(PERFBENCH_GATE)
 
 # The documentation set worth (re)reading, in order.
 docs:

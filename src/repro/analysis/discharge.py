@@ -13,10 +13,9 @@ run into that bridge:
   call edges, so nothing downstream of an unknown is ever discharged.
 * :class:`ResidualPolicy` — label → ``MONITOR`` | ``SKIP``, the
   intersection of one certificate per workload entry.  The evaluator
-  consumes it at compile time (:func:`repro.lang.resolve.resolve` marks
-  discharged λs; :func:`repro.eval.machine.eval_code` takes the
-  monitor-free path) and at run time (the monitors' skip sets cover the
-  tree machine).
+  consumes it at run time only: :func:`repro.eval.machine.run_program`
+  installs its labels as the monitor's skip set, which every machine
+  tests at each apply (discharged λs take the monitor-free path).
 * :class:`VerificationCache` — content-addressed certificates
   (program text hash + entry + kinds + result kinds + evidence family),
   in-memory per process with an optional on-disk JSON store, so repeated

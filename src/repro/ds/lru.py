@@ -1,12 +1,11 @@
 """A small bounded LRU map shared by the code caches.
 
-One eviction policy, two consumers: the per-AST *policy* cache in
-:func:`repro.eval.machine.compile_code` (distinct discharge policies per
-program are few, but unbounded in principle — a long-lived serve worker
-must not accumulate one resolved tree per policy forever) and the native
-tier's content-addressed program cache in the serve workers
-(:mod:`repro.serve.workers`), which keeps recently-run programs' parsed
-ASTs alive so their compiled and native code stay warm across requests.
+One eviction policy, two consumers: the native tier's code-object cache
+(``_CODE_CACHE`` in :mod:`repro.eval.native`, keyed by a digest of each
+generated λ source) and the content-addressed program cache in the serve
+workers (:mod:`repro.serve.workers`), which keeps recently-run programs'
+parsed ASTs alive so their compiled and native code stay warm across
+requests.
 
 Deliberately minimal: no locks (every consumer is single-threaded per
 process), no per-entry weights, recency updated on both hits and

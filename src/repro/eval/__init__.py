@@ -5,8 +5,8 @@ calls — the ``tree`` AST walker (the spec-conformance reference) and the
 default ``compiled`` machine, which first runs the lexical-addressing
 pass of :mod:`repro.lang.resolve` and then executes slot-addressed code
 over flat list frames.  :mod:`repro.eval.native` adds the ``native``
-tier: discharged λs run as exec-generated Python functions on a
-trampoline, falling back per frame to the compiled machine.  Select with
+tier: λs run as exec-generated Python functions on a trampoline,
+falling back per frame to the compiled machine.  Select with
 ``machine={'compiled','tree','native'}`` on :func:`run_program` /
 :func:`run_source` / :func:`make_env`.
 

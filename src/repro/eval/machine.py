@@ -42,7 +42,6 @@ import weakref
 from typing import List, Optional
 
 from repro.ds.hamt import Hamt
-from repro.ds.lru import LRU
 from repro.eval.errors import FuelExhausted, MachineTimeout, SchemeError
 from repro.eval.native import NativeContext, count_apply
 from repro.lang import ast, libraries
@@ -393,41 +392,24 @@ def eval_expr(
 # -- the compiled machine ------------------------------------------------------
 
 # Resolved-code cache, weakly keyed by AST node (identity hash/eq), so
-# repeated runs of a parsed program resolve once, while dropping the
-# program frees its compiled code — a long-lived process calling
-# run_source in a loop does not accumulate entries.  Each node maps to a
-# small per-policy dict: discharge marks (CLam.discharged) are baked into
-# the code, so a run under residual policy P must never see code compiled
-# for policy Q — the inner key is the policy's frozen skip-label set
-# (None for the unmarked default).
-_CODE_CACHE: "weakref.WeakKeyDictionary[ast.Node, dict]" = \
+# repeated runs of a parsed program resolve once, whatever their
+# residual policies, while dropping the program frees its compiled code —
+# a long-lived process calling run_source in a loop does not accumulate
+# entries.
+_RESOLVED: "weakref.WeakKeyDictionary[ast.Node, Code]" = \
     weakref.WeakKeyDictionary()
 
 
-# How many distinct discharge policies stay resolved per AST node.  A
-# handful covers every real workload (one unmarked + one policy per
-# verification outcome); the bound exists so a long-lived process fed
-# adversarial policies cannot grow a per-program cache without limit.
-# Evicted policies simply re-resolve (and re-attach native code) on the
-# next use.
-_POLICY_CACHE_SIZE = 8
-
-
 def compile_code(expr: ast.Node, skip_labels=None) -> Code:
-    """The lexically-addressed code for ``expr`` (cached per AST node and
-    per discharge policy, so repeated runs pay for resolution once; the
-    per-node policy map is a small :class:`~repro.ds.lru.LRU`).
+    """The lexically-addressed code for ``expr``, resolved once per AST
+    node, so repeated runs pay for resolution once.
 
-    ``skip_labels`` — λ labels discharged by a
-    :class:`~repro.analysis.discharge.ResidualPolicy`; matching λs
-    compile with the monitor-free ``discharged`` mark."""
-    per_policy = _CODE_CACHE.get(expr)
-    if per_policy is None:
-        per_policy = _CODE_CACHE[expr] = LRU(_POLICY_CACHE_SIZE)
-    code = per_policy.get(skip_labels)
+    ``skip_labels`` is ignored: resolved code carries no residual
+    policy (a run's skip set lives on its monitor), and the parameter
+    remains only for callers that still pass one."""
+    code = _RESOLVED.get(expr)
     if code is None:
-        code = resolve(expr, skip_labels)
-        per_policy.put(skip_labels, code)
+        code = _RESOLVED[expr] = resolve(expr)
     return code
 
 
@@ -482,11 +464,10 @@ def eval_code(
     # `fresh` is a newly started monitoring state (the empty cm table, or
     # the imperative strategy's active flag): mode full starts in it, and
     # a term/c wrapper starts it when none is active.
-    # Residual enforcement: `skips` is the monitor's discharged-λ set and
-    # every compiled λ carries a `discharged` mark, so a statically proven
-    # closure takes the monitor-free path below — no policy call, no table
-    # lookup, no graph construction.  `skip_should` may ignore the skip
-    # set precisely because both checks happen inline here.
+    # Residual enforcement: `skips` is the monitor's discharged-λ set, so
+    # a statically proven closure takes the monitor-free path below — no
+    # policy call, no table lookup, no graph construction.  `skip_should`
+    # may ignore the skip set precisely because it is tested inline here.
     skips = monitor.skip_labels
     advance, fast_entry, skip_should, key_for = monitor.step_config()
     fresh = True if imperative else (None,)
@@ -930,9 +911,8 @@ def eval_code(
                             f" got {nargs}",
                             loc,
                         )
-                    if s1 and not clam.discharged and (
-                            skips is None or clam.label not in skips) and (
-                            skip_should or monitor.should_monitor(fn)):
+                    if s1 and (skips is None or clam.label not in skips) \
+                            and (skip_should or monitor.should_monitor(fn)):
                         if nargs == 1:
                             args = (vals[1],)
                         elif nargs == 2:
@@ -1054,7 +1034,7 @@ def make_env(include_prelude: bool = True,
 
 
 def policy_skip_labels(discharge) -> Optional[frozenset]:
-    """The skip set a run under ``discharge`` resolves its code with (a
+    """The skip set a run under ``discharge`` installs on its monitor (a
     :class:`~repro.analysis.discharge.ResidualPolicy`, any iterable of λ
     labels, or None)."""
     if discharge is None:
@@ -1112,9 +1092,10 @@ def run_program(
 
     ``discharge``: a :class:`~repro.analysis.discharge.ResidualPolicy`
     (or any iterable of λ labels) whose discharged λs run monitor-free:
-    the compiled machine bakes the mark in at resolution time, and the
-    monitor's ``skip_labels`` (installed here — the passed monitor is
-    extended in place) covers the tree machine.
+    its labels extend the monitor's ``skip_labels`` for this run (the
+    passed monitor is extended in place and restored on exit), which
+    every machine tests at each apply.  The resolved code is the same
+    under any policy.
     """
     _check_machine(machine)
     if fuel is not None:
@@ -1175,7 +1156,7 @@ def run_program(
             raise FuelExhausted(0)
         for form in program.forms:
             if compiled:
-                code = compile_code(form.expr, skip_labels)
+                code = compile_code(form.expr)
                 value = eval_code(
                     code, env, mode=mode,
                     strategy=strategy, monitor=monitor, fuel=budget,

@@ -24,9 +24,9 @@ call boundaries only by hotness (below):
   mode, first-call events) — so violations, witnesses and event streams
   are byte-identical.  λs the active
   :class:`~repro.analysis.discharge.ResidualPolicy` proved terminating —
-  marked ``discharged`` at resolve time, or library λs covered by the
-  monitor's ``skip_labels`` (prelude closures are resolved before any
-  policy exists) — skip the step, as they do in the interpreter.
+  those whose labels are in the monitor's ``skip_labels`` for the run —
+  skip the step, as they do in the interpreter.  That test happens at
+  run time, so one native body per λ serves runs under any policy.
 
 Continuation marks: the context's ``s1``/``s2`` hold the (table, blame)
 state of the running native frame — under the imperative strategy
@@ -42,14 +42,17 @@ tail calls are unchanged on this tier.  ``eval_code`` hands a
 closure to the trampoline after its own table step for that apply, so
 the step runs exactly once.  Compiled self-tail loops and direct tail
 calls bypass the trampoline, so they are taken only for λs that need no
-step in the current run.
+step in the current run: a self-loop tests ``_S``, computed once per
+call from the run's mode and skip set and the λ's label ``_L`` (bound
+in the λ's namespace, so the generated source stays label-free).
 
 Compilation is by hotness: a λ is compiled at its ``_TIER_UP_AT``-th
 apply under a native context (in ``eval_code``'s APPLY, in the
 trampoline, or through a tail call that reaches the trampoline), and
 never otherwise.  Each such apply adds one
-to ``CLam.heat`` (:func:`count_apply`), which lives on the per-policy
-CLam like the ``native`` mark, so it carries across runs of one parse.
+to ``CLam.heat`` (:func:`count_apply`), which lives on the CLam like
+the ``native`` mark, so it carries across runs of one parse whatever
+their policies.
 Until then the λ runs interpreted, which for code applied a handful of
 times is cheaper than compiling it.  Only ``tier`` depends on how hot
 the parse already is: ``steps`` never depends on what was compiled (see
@@ -113,6 +116,7 @@ from repro.lang.resolve import (
     T_SETGLOBAL,
     T_SETLOCAL,
     T_TERMC,
+    walk,
 )
 from repro.values.env import UnboundVariable
 from repro.values.values import (
@@ -390,8 +394,8 @@ class NativeContext:
                                 f"arguments, got {len(vals) - 1}",
                                 loc,
                             )
-                        if self.s1 and not clam.discharged and (
-                                skips is None or clam.label not in skips):
+                        if self.s1 and (skips is None
+                                        or clam.label not in skips):
                             advance, fast_entry, skip_should, key_for = \
                                 self.stepping
                             if skip_should or self.monitor.should_monitor(fn):
@@ -576,26 +580,7 @@ class _Rib:
 def _contains_lam(code) -> bool:
     """True if any nested λ occurs in ``code`` (stops the locals-mode
     optimization: a nested λ captures real frames)."""
-    stack = [code]
-    while stack:
-        node = stack.pop()
-        t = node.tag
-        if t == T_LAM:
-            return True
-        if t == T_APP:
-            stack.extend(node.exprs)
-        elif t == T_IF:
-            stack.append(node.test)
-            stack.append(node.then)
-            stack.append(node.els)
-        elif t == T_BEGIN:
-            stack.extend(node.body)
-        elif t == T_LET or t == T_LETREC:
-            stack.extend(node.rhss)
-            stack.append(node.body)
-        elif t == T_SETLOCAL or t == T_SETGLOBAL or t == T_TERMC:
-            stack.append(node.expr)
-    return False
+    return any(node.tag == T_LAM for node in walk(code))
 
 
 def _has_risky_nontail(code) -> bool:
@@ -659,6 +644,7 @@ class _Emitter:
         self.uses_rt = False
         self.uses_env = False
         self.uses_direct = False
+        self.uses_self = False
         self.ribs: List[_Rib] = []
         # Every Python local that serves as a mutable storage slot in
         # locals mode (``_pN`` parameters, let/letrec slot temps).  A
@@ -957,13 +943,10 @@ class _Emitter:
             # Compiled self-tail loop: when the callee is this very
             # closure, rebind and jump — the fuel charge keeps the
             # back-edge metered like any other application.  The jump
-            # skips the table step, so a λ that may be monitored takes
-            # it only when this run needs no step for it.
-            if self.clam.discharged:
-                self.line(ind, f"if {h} is _c:")
-            else:
-                self.line(ind, f"if {h} is _c and (not _M or (_K is not None"
-                               f" and _c.lam.label in _K)):")
+            # skips the table step, so it is taken only when this run
+            # needs no step for the λ (_S, set in the prologue).
+            self.uses_self = True
+            self.line(ind, f"if {h} is _c and _S:")
             self.emit_fuel_charge(ind + 1)
             if self.frame_mode:
                 inner = ", ".join([self.env_chain(0)] + args)
@@ -993,8 +976,7 @@ class _Emitter:
                   f"{lam}.native_is_gen is False and "
                   f"{lam}.nparams == {len(args)} and "
                   f"_rt.d < {_DIRECT_DEPTH} and "
-                  f"(not _M or {lam}.discharged or "
-                  f"(_K is not None and {lam}.label in _K)):")
+                  f"(not _M or (_K is not None and {lam}.label in _K)):")
         self.emit_fuel_charge(ind + 2)
         self.line(ind + 2, "_rt.d += 1")
         rt = self.gensym()
@@ -1181,6 +1163,10 @@ def compile_lam(clam) -> None:
         if em.uses_direct:
             prologue.append("    _M = _rt.monitored")
             prologue.append("    _K = _rt.skips")
+        if em.uses_self:
+            # A self-loop site is also a direct tail site, so _M and _K
+            # are bound above.
+            prologue.append("    _S = not _M or (_K is not None and _L in _K)")
         if em.uses_env:
             prologue.append("    _e = _f[0]")
         if not frame_mode:
@@ -1203,6 +1189,7 @@ def compile_lam(clam) -> None:
             "_Pair": Pair,
             "_NIL": NIL,
             "_Char": Char,
+            "_L": clam.label,
         }
         key = hashlib.blake2b(src.encode(), digest_size=16).digest()
         code_obj = _CODE_CACHE.get(key)
@@ -1232,40 +1219,20 @@ def ensure_native(code) -> None:
     which is what the differential oracles and the tier-pinning tests
     use it for.  Walking first changes no observable of a later run
     except ``tier``.  Idempotent and cheap on revisits (the attempt mark
-    lives on the CLam, which the code cache keeps per policy)."""
-    stack = [code]
-    while stack:
-        node = stack.pop()
-        t = node.tag
-        if t == T_LAM:
-            if node.native_is_gen is None:
-                compile_lam(node)
-            stack.append(node.body)
-        elif t == T_APP:
-            stack.extend(node.exprs)
-        elif t == T_IF:
-            stack.append(node.test)
-            stack.append(node.then)
-            stack.append(node.els)
-        elif t == T_BEGIN:
-            stack.extend(node.body)
-        elif t == T_LET or t == T_LETREC:
-            stack.extend(node.rhss)
-            stack.append(node.body)
-        elif t == T_SETLOCAL or t == T_SETGLOBAL or t == T_TERMC:
-            stack.append(node.expr)
+    lives on the CLam, which ``compile_code`` keeps per AST node)."""
+    for node in walk(code):
+        if node.tag == T_LAM and node.native_is_gen is None:
+            compile_lam(node)
 
 
-def ensure_native_program(program, discharge=None) -> None:
-    """The ahead-of-time regime for one parse: the libraries, then
-    :func:`ensure_native` over every form as a run under ``discharge``
-    resolves it."""
-    from repro.eval.machine import compile_code, policy_skip_labels
+def ensure_native_program(program) -> None:
+    """The ahead-of-time regime for one parse, under any policy: the
+    libraries, then :func:`ensure_native` over every form."""
+    from repro.eval.machine import compile_code
 
     ensure_native_libraries()
-    skip_labels = policy_skip_labels(discharge)
     for form in program.forms:
-        ensure_native(compile_code(form.expr, skip_labels))
+        ensure_native(compile_code(form.expr))
 
 
 _LIBRARIES_DONE = False
@@ -1273,9 +1240,9 @@ _LIBRARIES_DONE = False
 
 def ensure_native_libraries() -> None:
     """Ahead-of-time warm-up: compile native code for the prelude and
-    contract libraries, once per process.  Their closures were resolved
-    without any policy (``skip_labels=None``) during ``make_env``, so
-    this touches exactly the CLam objects those library closures carry.
+    contract libraries, once per process.  ``compile_code`` keeps the
+    code ``make_env`` resolved for them, so this touches exactly the
+    CLam objects those library closures carry.
     ``run_program`` does not call this: a library λ tiers up by heat like
     any other (its heat is process-wide, as its CLam is).  Calling it
     first puts the libraries in the ahead-of-time regime of

@@ -234,7 +234,7 @@ def run_matrix(program: GenProgram,
         discharge = policy if pol == "discharged" else None
         try:
             if label == AOT:
-                ensure_native_program(parsed, discharge)
+                ensure_native_program(parsed)
             answer = run_program(parsed, mode=mode, strategy=strategy,
                                  monitor=SCMonitor(engine=engine),
                                  fuel=fuel, machine=machine,

@@ -26,7 +26,8 @@ Code nodes carry small integer ``tag``s; tags below :data:`T_IMMEDIATE`
 are exactly the immediates, so the machine's hot test is ``tag < 4``.
 
 The pass is purely lexical: it never consults the global environment, so
-compiled code is reusable across runs (the machine caches it per AST node).
+compiled code is reusable across runs (the machine caches it per AST node),
+whatever residual policy a run has.
 Unbound names are *not* a compile error — Scheme's top level binds
 incrementally, so any name that is not lexically visible compiles to a
 global reference that errors only if still unbound when executed.
@@ -34,7 +35,7 @@ global reference that errors only if still unbound when executed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.lang import ast
 from repro.sexp.datum import Symbol
@@ -120,13 +121,9 @@ class CLam(Code):
     what lets ``keying='label'`` hash a compiled closure's captured rib
     with exactly the tree machine's name×value formula.
 
-    ``discharged`` is the residual-enforcement mark: True when the
-    compile-time :class:`~repro.analysis.discharge.ResidualPolicy` proved
-    this λ terminating, so the machine's monitored modes take the
-    monitor-free path for its closures (no table lookup, no graph
-    construction).  Compiled code is cached per policy
-    (:func:`repro.eval.machine.compile_code`), so the mark never leaks
-    into runs with a different policy.
+    A CLam carries no residual policy: which λs a run skips is the
+    monitor's ``skip_labels``, tested by label at every apply, so one
+    resolved body serves runs under any policy.
 
     ``native``/``native_is_gen``/``heat`` belong to the native tier
     (:mod:`repro.eval.native`): ``native`` holds the exec-generated
@@ -134,22 +131,19 @@ class CLam(Code):
     unsupported), ``native_is_gen`` records whether it is a generator
     function (``None`` = compilation not yet attempted), and ``heat``
     counts the λ's native-eligible applies until that attempt, which
-    happens at the tier-up threshold.  Because the marks live on the
-    per-policy CLam, native code inherits the same no-policy-leak
-    guarantee as ``discharged``, and heat carries across runs of one
-    parse.
+    happens at the tier-up threshold.  Native code and heat are shared
+    by every run of one parse, whatever its policy.
     """
 
     __slots__ = ("params", "nparams", "frame_size", "body", "name", "label",
-                 "loc", "free", "env_names", "discharged", "native",
-                 "native_is_gen", "heat")
+                 "loc", "free", "env_names", "native", "native_is_gen",
+                 "heat")
     tag = T_LAM
 
     def __init__(self, params: Tuple[Symbol, ...], body: Code,
                  name: Optional[str], label: int, loc,
                  free: Tuple[Tuple[int, int], ...],
-                 env_names: Tuple[Symbol, ...] = (),
-                 discharged: bool = False):
+                 env_names: Tuple[Symbol, ...] = ()):
         self.params = params
         self.nparams = len(params)
         self.frame_size = 1 + len(params)
@@ -159,7 +153,6 @@ class CLam(Code):
         self.loc = loc
         self.free = free
         self.env_names = env_names
-        self.discharged = discharged
         self.native = None
         self.native_is_gen = None
         self.heat = 0
@@ -320,14 +313,11 @@ class _LamScope:
 
 class Resolver:
     """One resolution walk.  ``ribs`` is the static frame chain, innermost
-    last; each rib is the tuple of symbols its runtime frame will hold.
-    ``skip_labels`` (a residual policy's discharged λ-label set) stamps
-    matching λs with the monitor-free ``discharged`` mark."""
+    last; each rib is the tuple of symbols its runtime frame will hold."""
 
-    def __init__(self, skip_labels=None):
+    def __init__(self):
         self.ribs: List[Tuple[Symbol, ...]] = []
         self.lams: List[_LamScope] = []
-        self.skip_labels = skip_labels
 
     # -- the walk --------------------------------------------------------------
 
@@ -418,16 +408,35 @@ class Resolver:
         # A free variable of an inner λ is (transitively) free here too
         # unless bound by one of this λ's own ribs; _note_free already
         # recorded it against every scope it escapes, so nothing to merge.
-        discharged = (self.skip_labels is not None
-                      and node.label in self.skip_labels)
         return CLam(node.params, body, node.name, node.label, node.loc, free,
-                    env_names, discharged)
+                    env_names)
 
 
-def resolve(expr: ast.Node, skip_labels=None) -> Code:
-    """Compile one expression (a top-level form's body) to code nodes.
+def resolve(expr: ast.Node) -> Code:
+    """Compile one expression (a top-level form's body) to code nodes."""
+    return Resolver().resolve(expr)
 
-    ``skip_labels`` — λ labels a :class:`~repro.analysis.discharge.
-    ResidualPolicy` discharged; their :class:`CLam`\\ s get the
-    ``discharged`` mark the machine's monitored modes honor."""
-    return Resolver(skip_labels).resolve(expr)
+
+def walk(code: Code) -> Iterator[Code]:
+    """Every node of a resolved tree, ``code`` itself first, λ bodies
+    included — the one place that knows each node's sub-code."""
+    stack = [code]
+    while stack:
+        node = stack.pop()
+        yield node
+        t = node.tag
+        if t == T_APP:
+            stack.extend(node.exprs)
+        elif t == T_IF:
+            stack.append(node.test)
+            stack.append(node.then)
+            stack.append(node.els)
+        elif t == T_BEGIN:
+            stack.extend(node.body)
+        elif t == T_LET or t == T_LETREC:
+            stack.extend(node.rhss)
+            stack.append(node.body)
+        elif t == T_LAM:
+            stack.append(node.body)
+        elif t == T_SETLOCAL or t == T_SETGLOBAL or t == T_TERMC:
+            stack.append(node.expr)

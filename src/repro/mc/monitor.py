@@ -41,8 +41,8 @@ class MCMonitor(SCMonitor):
     including ``skip_labels``: a residual policy computed from MC
     certificates (:mod:`repro.analysis.discharge` with an
     :class:`~repro.mc.static.MCEngine`) plugs in through the same
-    ``should_monitor`` skip set, so discharged λs bypass MC monitoring on
-    the non-compiled path exactly as they bypass SC monitoring.
+    skip set, so discharged λs bypass MC monitoring on every machine
+    exactly as they bypass SC monitoring.
     The ``order`` option is ignored: MC graphs always compare in the
     well-founded size measure, which is what makes both termination
     arguments (descent and bounded ascent) sound.  The ``engine`` knob is

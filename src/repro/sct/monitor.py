@@ -31,9 +31,10 @@ Policy knobs (§5 of the paper, plus the engine selector):
   verified ones) that need no instrumentation,
 * ``skip_labels`` — λ labels a static discharge certificate proved
   terminating (:mod:`repro.analysis.discharge`): closures with those
-  labels are not monitored.  This is the residual-enforcement hook for
-  the non-compiled path — the compiled machine additionally honors the
-  equivalent per-λ ``discharged`` mark without calling into the monitor,
+  labels are not monitored.  This is the one residual-enforcement
+  hook: ``run_program`` installs a run's policy here, the tree machine
+  honors it through ``should_monitor``, and the compiled and native
+  tiers test the set inline at each apply without calling the monitor,
 * ``measures`` — per-function-name argument-tuple measures implementing
   custom well-founded orders (``lh-range``, ``acl2-fig-2``),
 * ``engine`` — ``'bitmask'`` (default) keeps each entry's composition set
@@ -339,11 +340,10 @@ class SCMonitor:
         """True when ``should_monitor`` is constant-true (no whitelist, no
         loop-entry set, base method), so callers may skip the call.
 
-        ``ignore_skip_labels`` is for the compiled machine, which tests
-        the residual skip set inline (``clam.discharged`` /
-        ``label in skips``) before this policy check ever runs; every
-        other caller must leave it False so a skip set disables the
-        shortcut."""
+        ``ignore_skip_labels`` is for the compiled tiers, which test
+        the residual skip set inline (``label in skips``) before this
+        policy check ever runs; every other caller must leave it False
+        so a skip set disables the shortcut."""
         return (
             (ignore_skip_labels or self.skip_labels is None)
             and self.loop_entries is None

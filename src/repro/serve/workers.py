@@ -45,8 +45,8 @@ def worker_init(cache_dir: Optional[str], shard_depth: int,
     _STATE["env"] = make_env(True, machine="native")
     # Content-addressed program cache, next to the certificate cache: a
     # repeat request re-uses the parsed AST, so its compiled Code *and*
-    # the native closures hanging off each CLam stay warm across
-    # requests instead of being rebuilt per job.
+    # the native code and heat on each CLam stay warm across requests,
+    # whatever each request's policy, instead of being rebuilt per job.
     _STATE["programs"] = LRU(64)
 
 

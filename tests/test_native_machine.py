@@ -29,11 +29,11 @@ from repro.corpus import all_programs, diverging_programs
 from repro.eval import FuelExhausted
 from repro.eval import machine as machine_mod
 from repro.eval import native as native_mod
-from repro.eval.machine import (Answer, compile_code, policy_skip_labels,
-                                run_program, run_source)
+from repro.eval.machine import (Answer, compile_code, run_program,
+                                run_source)
 from repro.eval.native import ensure_native, ensure_native_program
 from repro.lang.parser import parse_program
-from repro.lang.resolve import T_LAM
+from repro.lang.resolve import T_LAM, walk
 from repro.sct.monitor import SCMonitor
 from repro.values.values import write_value
 
@@ -53,7 +53,7 @@ def run_everywhere(program, *, mode, strategy="cm", measures=None,
     if isinstance(program, str):
         program = parse_program(program)
     if ahead_of_time:
-        aot(program, discharge)
+        aot(program)
     answers = {}
     for machine in MACHINES:
         answers[machine] = run_program(
@@ -90,11 +90,11 @@ def assert_all_same(answers):
         assert_same_answer(tree, answers[machine])
 
 
-def aot(program, policy=None):
+def aot(program):
     """Put a parse, and the libraries, in the ahead-of-time regime:
     every λ compiled before the run, so every eligible apply is native
-    from the first.  Returns the parse."""
-    ensure_native_program(program, policy)
+    from the first, under any policy.  Returns the parse."""
+    ensure_native_program(program)
     return program
 
 
@@ -172,7 +172,7 @@ class TestFallbackBoundary:
         assert not result.complete          # up is unprovable
         assert result.policy is not None
         assert result.policy.skip_labels    # len is proven
-        aot(parsed, result.policy)
+        aot(parsed)
         answers = {}
         monitors = {}
         for machine in MACHINES:
@@ -508,6 +508,71 @@ class TestCodeCache:
         assert len(cache) == bound and cache.evictions == 40
 
 
+class TestOneBodyPerLambda:
+    """Resolved code carries no residual policy: one parse run under a
+    policy and without one, in either order, resolves once and compiles
+    each λ once, and the run's skip set alone decides what steps the
+    table.  ``count`` is a self-tail loop, so the monitored run shows
+    its loop guard steps every call."""
+
+    SRC = ("(define (count n acc) (if (zero? n) acc (count (- n 1) "
+           "(+ acc 1))))\n"
+           "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))\n"
+           "(count 40 0)\n(len '(1 2 3))\n")
+
+    @staticmethod
+    def run(parsed, policy, machine="native"):
+        monitor = SCMonitor()
+        answer = run_program(parsed, mode="full", monitor=monitor,
+                             fuel=MAX_STEPS, machine=machine,
+                             discharge=policy)
+        return answer, monitor
+
+    @pytest.mark.parametrize("policy_first", [True, False],
+                             ids=["policy-first", "policy-last"])
+    def test_policy_and_no_policy_share_code(self, policy_first,
+                                             monkeypatch):
+        parsed, result = discharged(self.SRC)
+        assert result.complete
+        aot(parsed)
+        codes = {id(form.expr): compile_code(form.expr)
+                 for form in parsed.forms}
+        natives = {lam.name: lam.native for lam in code_lams(parsed)}
+        assert all(natives.values())
+        served = []
+        real = machine_mod.compile_code
+
+        def recording(expr, *rest):
+            code = real(expr, *rest)
+            if id(expr) in codes:  # not a library form of make_env
+                served.append(code is codes[id(expr)])
+            return code
+
+        monkeypatch.setattr(machine_mod, "compile_code", recording)
+        attempts = count_compiles(monkeypatch)
+        runs = {}
+        for policy in ([result.policy, None] if policy_first
+                       else [None, result.policy]):
+            answer, monitor = self.run(parsed, policy)
+            assert answer.tier == "native"
+            runs[policy is not None] = (answer, monitor)
+        # Both runs got the resolved code the walk compiled, and nothing
+        # compiled again.
+        assert served == [True] * (2 * len(parsed.forms))
+        assert attempts == []
+        assert {lam.name: lam.native for lam in code_lams(parsed)} == natives
+        for with_policy, (answer, _) in runs.items():
+            fresh, fresh_result = discharged(self.SRC)
+            reference, _ = self.run(
+                fresh, fresh_result.policy if with_policy else None)
+            assert observables(answer) == observables(reference)
+        assert runs[True][1].calls_seen == 0
+        _, compiled = self.run(parsed, None, machine="compiled")
+        assert compiled.calls_seen > 40
+        assert runs[False][1].calls_seen == compiled.calls_seen
+        assert runs[False][1].checks_done == compiled.checks_done
+
+
 def observables(answer):
     """Everything a run reports except ``tier`` (the one observable that
     depends on how hot the parse already is)."""
@@ -519,23 +584,11 @@ def observables(answer):
             violation)
 
 
-def code_lams(program, policy=None):
+def code_lams(program):
     """Every CLam in the program's resolved forms (the objects the
-    native tier compiles), under ``policy``'s skip set."""
-    out = []
-    stack = [compile_code(form.expr, policy_skip_labels(policy))
-             for form in program.forms]
-    while stack:
-        node = stack.pop()
-        if node.tag == T_LAM:
-            out.append(node)
-        for attr in ("exprs", "test", "then", "els", "body", "rhss", "expr"):
-            child = getattr(node, attr, None)
-            if isinstance(child, (list, tuple)):
-                stack.extend(child)
-            elif child is not None:
-                stack.append(child)
-    return out
+    native tier compiles)."""
+    return [node for form in program.forms
+            for node in walk(compile_code(form.expr)) if node.tag == T_LAM]
 
 
 def native_run(program, *, mode, policy=None, measures=None,
@@ -551,12 +604,12 @@ def eager_run(source, *, mode, with_policy=False, measures=None,
     included): every eligible λ native from its first apply."""
     parsed, result = discharged(source, result_kinds)
     policy = result.policy if with_policy else None
-    return native_run(aot(parsed, policy), mode=mode, policy=policy,
+    return native_run(aot(parsed), mode=mode, policy=policy,
                       measures=measures, fuel=fuel)
 
 
-def lams_by_name(program, policy=None):
-    return {lam.name: lam for lam in code_lams(program, policy)}
+def lams_by_name(program):
+    return {lam.name: lam for lam in code_lams(program)}
 
 
 def count_compiles(monkeypatch):
@@ -624,7 +677,7 @@ class TestLazyTierUp:
         assert result.complete
         a = native_run(parsed, mode="full", policy=result.policy)
         assert a.tier == "native" and write_value(a.value) == "7"
-        by_name = lams_by_name(parsed, result.policy)
+        by_name = lams_by_name(parsed)
         assert by_name["used"].native is not None
         assert by_name["unused"].native_is_gen is None
         assert by_name["unused"].heat == 0
