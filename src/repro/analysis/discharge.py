@@ -281,24 +281,45 @@ def residual_policy(certificates: Sequence[DischargeCertificate]
 # -- the verification cache -----------------------------------------------------
 
 
+def _add_space(space: str, program: Program, to_stable: Dict[int, str],
+               from_stable: Dict[str, int]) -> None:
+    """Name each λ of ``program`` ``space:index`` in pre-order walk."""
+    index = 0
+    for node in program.iter_nodes():
+        if node.kind == ast.K_LAM:
+            sid = f"{space}:{index}"
+            to_stable[node.label] = sid
+            from_stable[sid] = node.label
+            index += 1
+
+
+_LIBRARY_SPACES: Optional[Tuple[Dict[int, str], Dict[str, int]]] = None
+
+
+def _library_spaces() -> Tuple[Dict[int, str], Dict[str, int]]:
+    """The prelude and contract-library part of the stable-id maps,
+    computed on first use: both parses are per-process singletons
+    (:mod:`repro.lang.libraries`) whose labels never change."""
+    global _LIBRARY_SPACES
+    if _LIBRARY_SPACES is None:
+        from repro.lang.libraries import contracts_program, prelude_program
+
+        to_stable: Dict[int, str] = {}
+        from_stable: Dict[str, int] = {}
+        _add_space("prelude", prelude_program(), to_stable, from_stable)
+        _add_space("contracts", contracts_program(), to_stable, from_stable)
+        _LIBRARY_SPACES = (to_stable, from_stable)
+    return _LIBRARY_SPACES
+
+
 def _label_spaces(program: Program) -> Tuple[Dict[int, str], Dict[str, int]]:
     """Bidirectional label ↔ stable-id maps for ``program`` plus the
-    process-shared library parses (``space:index`` in pre-order walk)."""
-    from repro.lang.libraries import contracts_program, prelude_program
-
-    spaces = (("program", program),
-              ("prelude", prelude_program()),
-              ("contracts", contracts_program()))
-    to_stable: Dict[int, str] = {}
-    from_stable: Dict[str, int] = {}
-    for space, prog in spaces:
-        index = 0
-        for node in prog.iter_nodes():
-            if node.kind == ast.K_LAM:
-                sid = f"{space}:{index}"
-                to_stable[node.label] = sid
-                from_stable[sid] = node.label
-                index += 1
+    process-shared library parses.  Only ``program`` is walked; the
+    library part is copied, so callers own the returned maps."""
+    library_to, library_from = _library_spaces()
+    to_stable = dict(library_to)
+    from_stable = dict(library_from)
+    _add_space("program", program, to_stable, from_stable)
     return to_stable, from_stable
 
 

@@ -37,6 +37,10 @@ cache), and every proven λ runs monitor-free.  ``try`` keeps residual
 checks on whatever could not be proven; ``require`` exits with status 5
 instead of running partially monitored.
 
+``run``, ``verify`` and ``trace`` exit with status 2, argparse's status
+for bad input, when the program file does not parse; the message
+(``parse error: ...``, with its location) goes to stderr.
+
 ``--engine`` selects the size-change graph representation the monitor
 composes: ``bitmask`` (default, two machine ints per graph) or
 ``reference`` (the paper's frozenset of arcs).  Both raise on the same
@@ -105,7 +109,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a program in the embedded language")
+    p_run = sub.add_parser(
+        "run", help="run a program in the embedded language",
+        epilog="exit status: 0 value, 1 run-time error, 2 bad option or "
+               "parse error, 3 size-change violation, 4 timeout, "
+               "5 --discharge require not met")
     p_run.add_argument("file")
     p_run.add_argument("--mode", choices=["off", "contract", "full"],
                        default="contract")
@@ -140,7 +148,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="contract range of a function for --discharge "
                             "verification (e.g. ack=nat); repeatable")
 
-    p_verify = sub.add_parser("verify", help="statically verify termination")
+    p_verify = sub.add_parser(
+        "verify", help="statically verify termination",
+        epilog="exit status: 0 verified, 2 bad option or parse error, "
+               "3 unknown")
     p_verify.add_argument("file")
     p_verify.add_argument("--entry", required=True)
     p_verify.add_argument("--kinds", default="",
@@ -161,7 +172,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                                "3 unknown")
 
     p_trace = sub.add_parser(
-        "trace", help="print the Fig. 1 style call/size-change tree")
+        "trace", help="print the Fig. 1 style call/size-change tree",
+        epilog="exit status: 0 value, 1 run-time error, 2 bad option or "
+               "parse error, 3 size-change violation, 4 timeout")
     p_trace.add_argument("file")
     p_trace.add_argument("--mode", choices=["contract", "full"],
                          default="full")
@@ -281,12 +294,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "(e.g. BENCH_chaos.json)")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
+    if args.command in _PROGRAM_COMMANDS:
+        from repro.lang.parser import ParseError
+        from repro.sexp.reader import ReaderError
+
+        try:
+            return _PROGRAM_COMMANDS[args.command](args)
+        except (ReaderError, ParseError) as exc:
+            # A malformed program file is bad input, like a bad option.
+            print(f"parse error: {exc}", file=sys.stderr)
+            return 2
     if args.command == "bench":
         return _cmd_bench(args)
     if args.command == "corpus":
@@ -424,6 +441,10 @@ def _cmd_trace(args) -> int:
         return 4
     print(f"run-time error: {answer.error}", file=sys.stderr)
     return 1
+
+
+_PROGRAM_COMMANDS = {"run": _cmd_run, "verify": _cmd_verify,
+                     "trace": _cmd_trace}
 
 
 def _cmd_bench(args) -> int:

@@ -13,7 +13,9 @@ comments ``#| ... |#``, datum comments ``#;``, and the quote family
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+import re
+from bisect import bisect_right
+from typing import List, Optional, Union
 
 from repro.sexp.datum import (
     Char,
@@ -87,7 +89,19 @@ class ReaderError(SyntaxError):
         self.loc = loc
 
 
-_DELIMS = set("()[]\"';` \t\n\r,")
+_DELIMITERS = "()[]\"';` \t\n\r,"
+_DELIMS = set(_DELIMITERS)
+
+# Whitespace and ``;`` line comments, then the opening ``#|`` or ``#;``
+# of a block or datum comment, if one follows (group 1): those nest or
+# hold a datum, so the reader skips them itself.
+_ATMOSPHERE = re.compile(r"(?:[ \t\n\r]+|;[^\n]*)*(#[|;])?")
+# Symbol, number and ``#t``/``#f``/character-name text: up to a delimiter.
+_SYMBOL_TEXT = re.compile(f"[^{re.escape(_DELIMITERS)}]*")
+_STRING_RUN = re.compile(r'[^"\\]*')
+_BLOCK_MARK = re.compile(r"#\||\|#")
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 _QUOTE_SUGAR = {
     "'": S_QUOTE,
@@ -98,79 +112,69 @@ _QUOTE_SUGAR = {
 
 
 class _Reader:
+    """Scans ``text`` by position only; :meth:`loc` derives line and
+    column from ``pos`` through an index of line starts."""
+
     def __init__(self, text: str, source: str):
         self.text = text
+        self.end = len(text)
         self.pos = 0
-        self.line = 1
-        self.col = 0
         self.source = source
+        starts = [0]
+        nl = text.find("\n")
+        while nl >= 0:
+            starts.append(nl + 1)
+            nl = text.find("\n", nl + 1)
+        self.line_starts = starts
 
     # -- low level ---------------------------------------------------------
 
     def loc(self) -> SrcLoc:
-        return SrcLoc(self.line, self.col, self.source)
+        pos = self.pos
+        line = bisect_right(self.line_starts, pos)
+        return SrcLoc(line, pos - self.line_starts[line - 1], self.source)
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def peek2(self) -> str:
-        return self.text[self.pos : self.pos + 2]
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 0
-        else:
-            self.col += 1
-        return ch
+        return self.text[self.pos : self.pos + 1]
 
     def skip_atmosphere(self) -> None:
         """Skip whitespace and comments (line, block, and datum comments)."""
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch in " \t\n\r":
-                self.advance()
-            elif ch == ";":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            elif self.peek2() == "#|":
-                self._skip_block_comment()
-            elif self.peek2() == "#;":
-                self.advance()
-                self.advance()
-                self.read()  # discard the next datum
-            else:
+        text = self.text
+        while True:
+            atmosphere = _ATMOSPHERE.match(text, self.pos)
+            self.pos = atmosphere.end()
+            if atmosphere.lastindex is None:
                 return
+            if text[self.pos - 1] == "|":
+                self._skip_block_comment()
+            else:
+                self.read()  # '#;': discard the next datum
 
     def _skip_block_comment(self) -> None:
-        start = self.loc()
-        self.advance()
-        self.advance()
+        """Skip to the ``|#`` closing the ``#|`` that ends at ``pos``."""
+        pos = self.pos
         depth = 1
         while depth > 0:
-            if self.pos >= len(self.text):
-                raise ReaderError("unterminated block comment", start)
-            if self.peek2() == "#|":
-                self.advance()
-                self.advance()
-                depth += 1
-            elif self.peek2() == "|#":
-                self.advance()
-                self.advance()
-                depth -= 1
-            else:
-                self.advance()
+            mark = _BLOCK_MARK.search(self.text, pos)
+            if mark is None:
+                self.pos -= 2  # the opening '#|'
+                raise ReaderError("unterminated block comment", self.loc())
+            depth += 1 if mark.group() == "#|" else -1
+            pos = mark.end()
+        self.pos = pos
 
     # -- datums ------------------------------------------------------------
 
     def read(self) -> Optional[Syntax]:
         self.skip_atmosphere()
-        if self.pos >= len(self.text):
+        if self.pos >= self.end:
             return None
+        return self._datum()
+
+    def _datum(self) -> Syntax:
+        """The datum at ``pos``, past any atmosphere and before the end."""
         loc = self.loc()
-        ch = self.peek()
+        ch = self.text[self.pos]
         if ch in "([":
             return self._read_list(")" if ch == "(" else "]", loc)
         if ch in ")]":
@@ -178,12 +182,12 @@ class _Reader:
         if ch == '"':
             return Syntax(self._read_string(loc), loc)
         if ch == "'" or ch == "`":
-            self.advance()
+            self.pos += 1
             return self._sugar(_QUOTE_SUGAR[ch], loc)
         if ch == ",":
-            self.advance()
+            self.pos += 1
             if self.peek() == "@":
-                self.advance()
+                self.pos += 1
                 return self._sugar(S_UNQUOTE_SPLICING, loc)
             return self._sugar(S_UNQUOTE, loc)
         if ch == "#":
@@ -197,35 +201,33 @@ class _Reader:
         return Syntax([Syntax(head, loc), inner], loc)
 
     def _read_list(self, closer: str, loc: SrcLoc) -> Syntax:
-        self.advance()
+        self.pos += 1
         items: List[Syntax] = []
         tail: Optional[Syntax] = None
         while True:
             self.skip_atmosphere()
-            if self.pos >= len(self.text):
+            if self.pos >= self.end:
                 raise ReaderError("unterminated list", loc)
-            ch = self.peek()
+            ch = self.text[self.pos]
             if ch in ")]":
                 if ch != closer:
                     raise ReaderError(
                         f"mismatched bracket: expected '{closer}', got '{ch}'",
                         self.loc(),
                     )
-                self.advance()
+                self.pos += 1
                 break
             if ch == "." and self._dot_is_delimited():
-                self.advance()
+                self.pos += 1
                 tail = self.read()
                 if tail is None:
                     raise ReaderError("missing datum after '.'", loc)
                 self.skip_atmosphere()
                 if self.peek() != closer:
                     raise ReaderError("expected close bracket after dotted tail", loc)
-                self.advance()
+                self.pos += 1
                 break
-            item = self.read()
-            assert item is not None
-            items.append(item)
+            items.append(self._datum())
         if tail is None:
             return Syntax(items, loc)
         if not items:
@@ -237,24 +239,26 @@ class _Reader:
         return nxt == "" or nxt in _DELIMS
 
     def _read_string(self, loc: SrcLoc) -> str:
-        self.advance()
-        chars: List[str] = []
+        text = self.text
+        pos = self.pos + 1
+        chunks: List[str] = []
         while True:
-            if self.pos >= len(self.text):
+            run = _STRING_RUN.match(text, pos)
+            chunks.append(run.group())
+            pos = run.end()
+            # A closing quote, a backslash with its escaped character, or
+            # the end of the text (also right after a lone backslash).
+            esc = text[pos + 1 : pos + 2]
+            if pos >= self.end or (text[pos] == "\\" and not esc):
                 raise ReaderError("unterminated string", loc)
-            ch = self.advance()
-            if ch == '"':
-                return "".join(chars)
-            if ch == "\\":
-                esc = self.advance()
-                chars.append(
-                    {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}.get(esc, esc)
-                )
-            else:
-                chars.append(ch)
+            if text[pos] == '"':
+                self.pos = pos + 1
+                return "".join(chunks)
+            chunks.append(_ESCAPES.get(esc, esc))
+            pos += 2
 
     def _read_hash(self, loc: SrcLoc) -> Syntax:
-        self.advance()  # '#'
+        self.pos += 1  # '#'
         ch = self.peek()
         if ch == "t":
             self._read_symbol_text()
@@ -263,10 +267,11 @@ class _Reader:
             self._read_symbol_text()
             return Syntax(False, loc)
         if ch == "\\":
-            self.advance()
-            if self.pos >= len(self.text):
+            self.pos += 1
+            if self.pos >= self.end:
                 raise ReaderError("unterminated character literal", loc)
-            first = self.advance()
+            first = self.text[self.pos]
+            self.pos += 1
             rest = ""
             if first.isalpha():
                 rest = self._read_symbol_text()
@@ -277,13 +282,14 @@ class _Reader:
         raise ReaderError(f"unsupported '#' syntax: #{ch}", loc)
 
     def _read_symbol_text(self) -> str:
-        chars: List[str] = []
-        while self.pos < len(self.text) and self.peek() not in _DELIMS:
-            chars.append(self.advance())
-        return "".join(chars)
+        match = _SYMBOL_TEXT.match(self.text, self.pos)
+        self.pos = match.end()
+        return match.group()
 
     def _read_atom(self, loc: SrcLoc):
-        text = self._read_symbol_text()
+        match = _SYMBOL_TEXT.match(self.text, self.pos)
+        self.pos = match.end()
+        text = match.group()
         if not text:
             raise ReaderError("empty atom", loc)
         number = _parse_number(text)

@@ -53,6 +53,27 @@ class TestRun:
         assert capsys.readouterr().out.strip() == "ok"
 
 
+class TestParseErrors:
+    """A malformed program file is bad input: one stderr line, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["run", "--discharge", "try"], ["verify", "--entry", "f"],
+        ["trace"],
+    ])
+    @pytest.mark.parametrize("source, message", [
+        ("(define (f x)\n  (f x)", "unterminated list at "),
+        ('(f "abc\\', "unterminated string at "),
+        ("(if)", "if expects 2 or 3 sub-expressions at "),
+    ])
+    def test_parse_error_exit_code(self, scm, capsys, argv, source, message):
+        path = scm(source)
+        assert main([argv[0], path] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {message}")
+        assert captured.err.count("\n") == 1
+
+
 class TestVerify:
     def test_verified(self, scm, capsys):
         path = scm("(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))")

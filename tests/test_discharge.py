@@ -28,7 +28,10 @@ from repro.analysis.discharge import (
 )
 from repro.corpus import all_programs, diverging_programs
 from repro.eval.machine import Answer, run_program
+from repro.lang import ast
+from repro.lang.libraries import prelude_program
 from repro.lang.parser import parse_program
+from repro.lang.program import Program
 from repro.sct.monitor import SCMonitor
 from repro.values.values import write_value
 
@@ -338,6 +341,94 @@ class TestCertificateBinding:
                 fresh[prog.name], prog.name
         assert reader.rejected == 0 and reader.misses == 0
         assert reader.hits == writer.misses
+
+
+_MAPPED = ("(define (sum-sq xs) (foldr + 0 (map (lambda (x) (* x x)) xs)))\n"
+           "(sum-sq '(1 2 3))")
+
+
+def _lam_labels(program):
+    return [n.label for n in program.iter_nodes() if n.kind == ast.K_LAM]
+
+
+class TestLibraryStableIds:
+    """A certificate names prelude λs by stable id.  The library part of
+    the label maps is computed once per process; each lookup walks only
+    the consumer's own parse."""
+
+    def _store(self, store):
+        parsed = parse_program(_MAPPED)
+        result = discharge_for_run(parsed, text=_MAPPED,
+                                   cache=VerificationCache(store))
+        (entry,) = result.entries
+        key = VerificationCache.key(_MAPPED, entry.name, entry.kinds,
+                                    None, "sc")
+        return parsed, result.certificates[0], key
+
+    def test_roundtrip_relabels_program_and_shares_libraries(
+            self, tmp_path, monkeypatch):
+        store = str(tmp_path / "certs")
+        parsed_a, cert_a, key = self._store(store)
+        prelude = set(_lam_labels(prelude_program()))
+        assert cert_a.complete and cert_a.discharged & prelude
+
+        walked = []
+        iter_nodes = Program.iter_nodes
+
+        def spy(program):
+            walked.append(program)
+            return iter_nodes(program)
+
+        monkeypatch.setattr(Program, "iter_nodes", spy)
+        parsed_b = parse_program(_MAPPED)
+        cache = VerificationCache(store)
+        cert_b = cache.get(key, parsed_b)
+        assert cache.hits == 1 and walked == [parsed_b]
+        monkeypatch.undo()
+
+        a_labels, b_labels = _lam_labels(parsed_a), _lam_labels(parsed_b)
+        relabel = dict(zip(a_labels, b_labels))
+        relabel.update((label, label) for label in prelude)
+        assert cert_b.discharged == {relabel[l] for l in cert_a.discharged}
+        assert cert_b.discharged & set(b_labels)
+        assert not cert_b.discharged & set(a_labels)
+        assert cert_b.entry_label == relabel[cert_a.entry_label]
+
+    def test_library_maps_are_computed_once(self, monkeypatch):
+        from repro.analysis import discharge as mod
+
+        first = mod._library_spaces()
+        monkeypatch.setattr(mod, "_add_space", None)  # any rebuild fails
+        assert mod._library_spaces() is first
+
+    def test_callers_cannot_corrupt_later_lookups(self, tmp_path):
+        from repro.analysis import discharge as mod
+
+        store = str(tmp_path / "certs")
+        _, cert_a, key = self._store(store)
+        to_stable, from_stable = mod._label_spaces(parse_program(_MAPPED))
+        to_stable.clear()
+        for sid in from_stable:
+            from_stable[sid] = -1
+        cache = VerificationCache(store)
+        cert = cache.get(key, parse_program(_MAPPED))
+        assert cache.hits == 1 and cert.complete
+        prelude = set(_lam_labels(prelude_program()))
+        assert cert.discharged & prelude == cert_a.discharged & prelude
+
+    @pytest.mark.parametrize("sid", ["program:999", "prelude:999"])
+    def test_out_of_range_id_is_quarantined(self, tmp_path, sid):
+        store = str(tmp_path / "certs")
+        _, _, key = self._store(store)
+        entry = os.path.join(store, f"{key}.json")
+        data = json.loads(open(entry).read())
+        data["discharged"].append(sid)
+        with open(entry, "w") as f:
+            f.write(json.dumps(data))
+        cache = VerificationCache(store)
+        assert cache.get(key, parse_program(_MAPPED)) is None
+        assert (cache.hits, cache.rejected) == (0, 1)
+        assert os.path.exists(entry + ".rejected")
 
 
 class TestMonitorSkipSet:

@@ -124,6 +124,31 @@ class TestErrors:
         with pytest.raises(ReaderError):
             read("1 2")
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("(a\n  (b c)", "unterminated list at t.scm:1:0"),
+            ('(x "abc', "unterminated string at t.scm:1:3"),
+            ("a #| x #| y |#", "unterminated block comment at t.scm:1:2"),
+            ("(a #\\", "unterminated character literal at t.scm:1:3"),
+            ("(a\n b]", "mismatched bracket: expected ')', got ']' at t.scm:2:2"),
+            ("(a . ", "missing datum after '.' at t.scm:1:0"),
+            ("(1 . 2 3)", "expected close bracket after dotted tail at t.scm:1:0"),
+            ("a\n )", "unexpected ')' at t.scm:2:1"),
+        ],
+    )
+    def test_error_text(self, bad, message):
+        with pytest.raises(ReaderError) as info:
+            read_many(bad, "t.scm")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad", ['"abc\\', '(x\n  "abc\\'])
+    def test_string_ending_in_lone_backslash(self, bad):
+        with pytest.raises(ReaderError) as info:
+            read_many(bad, "t.scm")
+        line, col = (1, 0) if bad[0] == '"' else (2, 2)
+        assert str(info.value) == f"unterminated string at t.scm:{line}:{col}"
+
 
 class TestLocations:
     def test_line_and_column(self):
@@ -134,6 +159,70 @@ class TestLocations:
     def test_atom_location(self):
         stx = read("(foo bar)")
         assert stx.datum[1].loc.col == 5
+
+
+# Tokens for the location property: each separator starts with
+# whitespace, so it ends the atom before it whatever comment follows.
+_WHITESPACE = st.sampled_from([" ", "\t", "\n", "\r\n", "  \n\t"])
+_COMMENT = st.sampled_from([
+    "; a line comment\n", ";\n", "#| block |#", "#| a #| nested\n |# b |#",
+    "#;skipped ", "#;(skip (me\n too)) ", '#;"str" ', "#;#| c |# x ",
+])
+_SEPARATOR = st.builds(lambda first, rest: first + "".join(rest),
+                       _WHITESPACE, st.lists(st.one_of(_WHITESPACE, _COMMENT),
+                                             max_size=3))
+_ATOM_TEXT = st.sampled_from([
+    "a", "foo", "x1", "42", "-7", "3.5", "+", "...", "#t", "#f",
+    '"s"', '"a b\\n"', "#\\a", "#\\space",
+])
+_LAYOUT = st.recursive(
+    _ATOM_TEXT,
+    lambda inner: st.tuples(st.sampled_from(["()", "[]"]),
+                            st.lists(st.tuples(_SEPARATOR, inner), max_size=4),
+                            _SEPARATOR),
+    max_leaves=12,
+)
+
+
+def _render(layout, out, starts):
+    """Append ``layout``'s text to ``out``, recording each datum's start
+    offset in pre-order."""
+    starts.append(sum(map(len, out)))
+    if isinstance(layout, str):
+        out.append(layout)
+        return
+    brackets, children, trailing = layout
+    out.append(brackets[0])
+    for separator, child in children:
+        out.append(separator)
+        _render(child, out, starts)
+    out.extend((trailing, brackets[1]))
+
+
+def _locations(stx, out):
+    out.append((stx.loc.line, stx.loc.col))
+    if isinstance(stx.datum, list):
+        for child in stx.datum:
+            _locations(child, out)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_SEPARATOR, _LAYOUT), max_size=4), _SEPARATOR)
+def test_locations_match_generated_offsets(forms, trailing):
+    out, starts = [], []
+    for separator, layout in forms:
+        out.append(separator)
+        _render(layout, out, starts)
+    out.append(trailing)
+    text = "".join(out)
+    expected = [(text.count("\n", 0, pos) + 1,
+                 pos - (text.rfind("\n", 0, pos) + 1)) for pos in starts]
+    actual = []
+    for stx in read_many(text, "t.scm"):
+        assert stx.loc.source == "t.scm"
+        _locations(stx, actual)
+    assert actual == expected
 
 
 # -- round trip ----------------------------------------------------------------
