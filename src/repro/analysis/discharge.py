@@ -248,6 +248,13 @@ class ResidualPolicy:
     def decision(self, label: int) -> str:
         return SKIP if label in self.skip_labels else MONITOR
 
+    @property
+    def complete(self) -> bool:
+        """True when every certificate is complete: the workload runs
+        monitor-free, so a run needs no call graph."""
+        return bool(self.certificates) and \
+            all(c.complete for c in self.certificates)
+
     def __bool__(self) -> bool:
         return bool(self.skip_labels)
 

@@ -17,9 +17,9 @@ verifies needs no instrumentation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.analysis.callgraph import TOP, CallGraph, analyze_callgraph
+from repro.analysis.callgraph import ESC, TOP, CallGraph, analyze_callgraph
 from repro.analysis.ljb import SCPResult, scp_check
 from repro.lang import ast
 from repro.lang.program import Program
@@ -79,11 +79,17 @@ def static_sct_check(program: Program,
     """
     graph = analyze_callgraph(program)
     edges: Dict[Tuple[int, int], Set[SCGraph]] = {}
-    for app, owner in _apps_with_owner(program):
+    # Calls into and out of the opaque library relate no arguments.
+    for (f, g) in graph.edges:
+        if ESC in (f, g) and f != TOP:
+            edges.setdefault((f, g), set()).add(SCGraph([]))
+    for app, owner in graph.apps:
         if owner == TOP:
             continue
         caller = graph.lambdas[owner]
         for callee_label in graph.app_callees.get(id(app), ()):
+            if callee_label == ESC:
+                continue
             callee = graph.lambdas[callee_label]
             if len(callee.params) != len(app.args):
                 continue
@@ -105,33 +111,3 @@ def static_sct_check(program: Program,
         )
     return StaticSCTResult(scp.ok, edges=edges, graph=graph)
 
-
-def _apps_with_owner(program: Program) -> List[Tuple[ast.App, int]]:
-    out: List[Tuple[ast.App, int]] = []
-
-    def walk(node: ast.Node, owner: int) -> None:
-        k = node.kind
-        if k == ast.K_LAM:
-            walk(node.body, node.label)
-        elif k == ast.K_APP:
-            out.append((node, owner))
-            walk(node.fn, owner)
-            for a in node.args:
-                walk(a, owner)
-        elif k == ast.K_IF:
-            walk(node.test, owner)
-            walk(node.then, owner)
-            walk(node.els, owner)
-        elif k == ast.K_BEGIN:
-            for e in node.body:
-                walk(e, owner)
-        elif k in (ast.K_LET, ast.K_LETREC):
-            for e in node.rhss:
-                walk(e, owner)
-            walk(node.body, owner)
-        elif k in (ast.K_SET, ast.K_TERMC):
-            walk(node.expr, owner)
-
-    for form in program.forms:
-        walk(form.expr, TOP)
-    return out

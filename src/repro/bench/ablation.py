@@ -6,7 +6,8 @@ and the ho-sc-ack closure tangle):
 * table strategy: continuation-mark vs imperative,
 * exponential backoff on/off,
 * table keying: per-closure identity vs per-λ structural hash,
-* loop-entry-only monitoring (0-CFA cycle labels) vs monitor-everything,
+* loop-entry-only monitoring (program λs on no 0-CFA cycle skipped) vs
+  monitor-everything,
 * value order: size (default) vs Fig. 5 containment.
 
 Each configuration reports wall time, slowdown vs unchecked, monitored
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.analysis.callgraph import loop_entry_labels
+from repro.analysis.callgraph import acyclic_labels
 from repro.bench.report import fmt_factor, fmt_ms, render_table
 from repro.bench.timing import best_of
 from repro.bench.workloads import msort_source, sum_source
@@ -64,7 +65,7 @@ def _configs(program) -> List[tuple]:
         return SCMonitor(order=ContainmentOrder())
 
     def loop_entries() -> SCMonitor:
-        return SCMonitor(loop_entries=loop_entry_labels(program))
+        return SCMonitor(skip_labels=acyclic_labels(program))
 
     return [
         ("cm", "cm", plain),

@@ -58,9 +58,9 @@ measures them against each other, unmonitored, monitored and discharged
 
 ``fuzz`` drives the property-based differential tester of
 :mod:`repro.fuzz`: seeded generation of terminating- and
-diverging-by-construction programs, the 24-cell
+diverging-by-construction programs, the 30-cell
 {tree, compiled, native} × {bitmask, reference} × {off, monitored,
-imperative, discharged} matrix (``steps`` compared too), greedy
+imperative, discharged, acyclic} matrix (``steps`` compared too), greedy
 shrinking, and the ``tests/regressions/`` archive.
 ``--replay`` re-runs one archived ``.scm`` repro (or any campaign seed
 via ``--seed S --n 1``).  The exit code gates CI: 0 when every oracle
@@ -249,7 +249,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=["both", "terminating", "diverging"],
                         default="both")
     p_fuzz.add_argument("--matrix", default="full",
-                        help="'full' (24 cells), 'quick' (8), or a comma "
+                        help="'full' (30 cells), 'quick' (8), or a comma "
                              "list of machine:engine:policy triples")
     p_fuzz.add_argument("--fuel", type=int, default=None,
                         help="override the generator's per-program fuel")

@@ -41,6 +41,7 @@ from __future__ import annotations
 import weakref
 from typing import List, Optional
 
+from repro.analysis.callgraph import acyclic_skip
 from repro.ds.hamt import Hamt
 from repro.eval.errors import FuelExhausted, MachineTimeout, SchemeError
 from repro.eval.native import NativeContext, count_apply
@@ -1094,8 +1095,12 @@ def run_program(
     (or any iterable of λ labels) whose discharged λs run monitor-free:
     its labels extend the monitor's ``skip_labels`` for this run (the
     passed monitor is extended in place and restored on exit), which
-    every machine tests at each apply.  The resolved code is the same
-    under any policy.
+    every machine tests at each apply.  Unless the policy is complete,
+    the program λs on no call-graph cycle join the skip set too, from
+    the parse's second run under a policy on
+    (:func:`~repro.analysis.callgraph.acyclic_skip`).  ``discharge=None``
+    monitors everything.  The resolved code is the same under any
+    policy.
     """
     _check_machine(machine)
     if fuel is not None:
@@ -1112,6 +1117,13 @@ def run_program(
     if monitor is None:
         monitor = SCMonitor()
     skip_labels = policy_skip_labels(discharge)
+    if discharge is not None and not getattr(discharge, "complete", False):
+        # A residual run also skips the program λs on no call cycle,
+        # from the parse's second such run on.
+        acyclic = acyclic_skip(program)
+        if acyclic:
+            skip_labels = (acyclic if skip_labels is None
+                           else skip_labels | acyclic)
     # The policy is scoped to this run: the monitor's skip set is
     # extended for the duration and restored on the way out, so a reused
     # monitor does not leak one program's discharge into the next.

@@ -17,9 +17,9 @@ Three pieces (see ``docs/architecture.md`` §fuzz for the full story):
     must hit a monitor violation (or the fuel bound when unmonitored)
     and must never verify or fully discharge.
 
-* :mod:`repro.fuzz.differential` — runs one program under the 24-cell
+* :mod:`repro.fuzz.differential` — runs one program under the 30-cell
   matrix {tree, compiled, native} × {bitmask, reference} × {off,
-  monitored, imperative, discharged} plus the two-engine static
+  monitored, imperative, discharged, acyclic} plus the two-engine static
   verdict, and classifies any
   disagreement with the oracle into a :class:`~repro.fuzz.differential.
   Divergence`.

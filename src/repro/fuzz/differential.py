@@ -1,9 +1,9 @@
-"""The 24-cell differential runner and its oracle.
+"""The 30-cell differential runner and its oracle.
 
 One generated (or corpus, or regression) program runs under every cell of
 
     {tree, compiled, native} × {bitmask, reference}
-                             × {off, monitored, imperative, discharged}
+                × {off, monitored, imperative, discharged, acyclic}
 
 with a fuel bound, plus a two-engine static verdict and one residual-
 enforcement pipeline run.  Every native cell runs twice on one parse:
@@ -14,8 +14,9 @@ every eligible λ is native from its first apply).  The oracle then
 checks:
 
 * **intra-group byte identity** — within each policy group (off /
-  monitored, i.e. mode ``full`` under either strategy / discharged) all
-  cells must agree on the answer kind, the printed value, the captured
+  monitored, i.e. mode ``full`` under either strategy or with the
+  call-graph-acyclic λs skipped / discharged) all cells must agree on
+  the answer kind, the printed value, the captured
   output, the rendered ``SizeChangeViolation`` payload, the run-time
   error text, and ``steps`` (one per closure application), both
   native regimes included; a mismatch whose offending pair involves a
@@ -44,6 +45,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.callgraph import acyclic_labels
 from repro.analysis.discharge import VerificationCache, discharge_for_run
 from repro.errors import FuelExhausted
 from repro.eval.machine import Answer, run_program
@@ -56,14 +58,16 @@ from repro.values.values import write_value
 
 MACHINES = ("tree", "compiled", "native")
 ENGINES = ("bitmask", "reference")
-POLICIES = ("off", "monitored", "imperative", "discharged")
-GROUPS = ("off", "monitored", "discharged")  # imperative joins monitored
+POLICIES = ("off", "monitored", "imperative", "discharged", "acyclic")
+# imperative and acyclic (skip set: the λs on no call cycle, from the
+# call graph alone) join monitored.
+GROUPS = ("off", "monitored", "discharged")
 # The label of a native cell's second, ahead-of-time run.
 AOT = "native-aot"
 
 
 def default_cells(matrix: str = "full") -> List[Tuple[str, str, str]]:
-    """The cell list for a matrix spec: ``full`` (all 24), ``quick``
+    """The cell list for a matrix spec: ``full`` (all 30), ``quick``
     (8 cells covering all machines, both engines and all policies, with
     monitored native under both engines: the bitmask engine takes the
     ``advance_fast`` step, the reference engine the generic
@@ -226,12 +230,15 @@ def run_matrix(program: GenProgram,
                 "discharge-crash", f"{type(exc).__name__}: {exc}", program))
             need_discharge = False
 
+    acyclic = (acyclic_labels(parsed)
+               if any(p == "acyclic" for (_, _, p) in cells) else None)
     results: List[CellResult] = []
 
     def run_cell(machine: str, engine: str, pol: str, label: str) -> None:
         mode = "off" if pol == "off" else "full"
         strategy = "imperative" if pol == "imperative" else "cm"
-        discharge = policy if pol == "discharged" else None
+        discharge = (policy if pol == "discharged"
+                     else acyclic if pol == "acyclic" else None)
         try:
             if label == AOT:
                 ensure_native_program(parsed)
@@ -266,7 +273,8 @@ def run_matrix(program: GenProgram,
 
 def _group(results: Sequence[CellResult], group: str) -> List[CellResult]:
     return [r for r in results if group == (
-        "monitored" if r.cell[2] == "imperative" else r.cell[2])]
+        "monitored" if r.cell[2] in ("imperative", "acyclic")
+        else r.cell[2])]
 
 
 def _apply_oracle(program: GenProgram, results: Sequence[CellResult],

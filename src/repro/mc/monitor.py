@@ -36,7 +36,7 @@ from repro.sct.monitor import SCMonitor
 class MCMonitor(SCMonitor):
     """``SCMonitor`` with monotonicity-constraint evidence.
 
-    All policy knobs (keying, backoff, whitelist, loop entries, measures,
+    All policy knobs (keying, backoff, whitelist, measures,
     tracing, ``enforce=False`` call-sequence mode) behave identically —
     including ``skip_labels``: a residual policy computed from MC
     certificates (:mod:`repro.analysis.discharge` with an

@@ -5,7 +5,7 @@
 * :mod:`repro.sct.order` — well-founded partial orders on values (Fig. 5 and
   the default size order).
 * :mod:`repro.sct.monitor` — the ``upd`` function as an incremental,
-  policy-configurable monitor (keying, backoff, loop entries, measures).
+  policy-configurable monitor (keying, backoff, skip set, measures).
 * :mod:`repro.sct.errors` — size-change violations with blame and witnesses.
 """
 

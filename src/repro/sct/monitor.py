@@ -24,17 +24,16 @@ Policy knobs (§5 of the paper, plus the engine selector):
 * ``backoff`` — exponential backoff: build/check graphs only on calls
   1, 2, 4, 8, …; sound because sampling an infinite call sequence yields an
   infinite sequence whose SCP violation is still inevitable,
-* ``loop_entries`` — when given a set of λ labels (e.g. from the 0-CFA
-  cycle analysis in :mod:`repro.analysis.callgraph`), only those closures
-  are monitored,
 * ``whitelist`` — function names known to terminate (e.g. statically
   verified ones) that need no instrumentation,
-* ``skip_labels`` — λ labels a static discharge certificate proved
-  terminating (:mod:`repro.analysis.discharge`): closures with those
-  labels are not monitored.  This is the one residual-enforcement
-  hook: ``run_program`` installs a run's policy here, the tree machine
-  honors it through ``should_monitor``, and the compiled and native
-  tiers test the set inline at each apply without calling the monitor,
+* ``skip_labels`` — λ labels that need no monitoring: those a static
+  discharge certificate proved terminating
+  (:mod:`repro.analysis.discharge`) and those on no call-graph cycle
+  (the §5 loop-entry optimization, :mod:`repro.analysis.callgraph`).
+  This is the one residual-enforcement hook: ``run_program`` installs a
+  run's policy here, the tree machine honors it through
+  ``should_monitor``, and the compiled and native tiers test the set
+  inline at each apply without calling the monitor,
 * ``measures`` — per-function-name argument-tuple measures implementing
   custom well-founded orders (``lh-range``, ``acl2-fig-2``),
 * ``engine`` — ``'bitmask'`` (default) keeps each entry's composition set
@@ -48,7 +47,7 @@ Policy knobs (§5 of the paper, plus the engine selector):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.ds.hamt import Hamt
 from repro.sct import bitgraph
@@ -130,7 +129,6 @@ class SCMonitor:
         keying: str = "identity",
         backoff: bool = False,
         whitelist: Iterable[str] = (),
-        loop_entries: Optional[Set[int]] = None,
         skip_labels: Optional[FrozenSet[int]] = None,
         measures: Optional[Dict[str, Callable[[Tuple], Tuple]]] = None,
         trace: Optional[list] = None,
@@ -154,8 +152,7 @@ class SCMonitor:
         )
         self.backoff = backoff
         self.whitelist = frozenset(whitelist)
-        self.loop_entries = loop_entries
-        # Residual enforcement: statically discharged λ labels.  None and
+        # Residual enforcement: discharged or acyclic λ labels.  None and
         # the empty set are equivalent (monitor everything); run_program
         # installs the run's policy here so the tree machine and any
         # direct `upd` driver honor it through `should_monitor`.
@@ -183,8 +180,6 @@ class SCMonitor:
 
     def should_monitor(self, clo: Closure) -> bool:
         if self.skip_labels is not None and clo.lam.label in self.skip_labels:
-            return False
-        if self.loop_entries is not None and clo.lam.label not in self.loop_entries:
             return False
         if clo.name is not None and clo.name in self.whitelist:
             return False
@@ -337,8 +332,8 @@ class SCMonitor:
     # -- the compiled machine's fast path -----------------------------------------
 
     def trivial_policy(self, ignore_skip_labels: bool = False) -> bool:
-        """True when ``should_monitor`` is constant-true (no whitelist, no
-        loop-entry set, base method), so callers may skip the call.
+        """True when ``should_monitor`` is constant-true (no skip set, no
+        whitelist, base method), so callers may skip the call.
 
         ``ignore_skip_labels`` is for the compiled tiers, which test
         the residual skip set inline (``label in skips``) before this
@@ -346,7 +341,6 @@ class SCMonitor:
         so a skip set disables the shortcut."""
         return (
             (ignore_skip_labels or self.skip_labels is None)
-            and self.loop_entries is None
             and not self.whitelist
             and type(self).should_monitor is SCMonitor.should_monitor
         )

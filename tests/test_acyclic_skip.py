@@ -1,0 +1,243 @@
+"""The sound call graph and the residual skip set's acyclic half.
+
+The 0-CFA treats the prelude and the contract library as one opaque
+closure ``ESC`` and every primitive as a store round trip, so calls made
+from library code, closures that flow through data, and shadowed
+primitive names all show up as edges.  A residual run then skips the
+program λs on no call cycle, from the parse's second run on."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import callgraph, static_sct_check
+from repro.analysis.callgraph import (
+    ESC,
+    TOP,
+    acyclic_labels,
+    analyze_callgraph,
+    loop_entry_labels,
+)
+from repro.analysis.discharge import VerificationCache, discharge_for_run
+from repro.corpus import get_program
+from repro.eval.machine import MACHINES, Answer, run_program
+from repro.fuzz.gen import generate_program
+from repro.lang import ast
+from repro.lang.libraries import contracts_program, prelude_program
+from repro.lang.parser import parse_program
+from repro.sct.monitor import SCMonitor
+from repro.values.values import write_value
+
+# Each diverges through a call the library or the store makes back into
+# the program's own λ.
+ESCAPES = {
+    "map": "(define (f x) (map f (list x))) (f 1)",
+    "vector": "(define (f x) ((vector-ref (vector f) 0) x)) (f 1)",
+    "shadowed-list": "(define (id list) list)\n"
+                     "(define (f x) ((car (list f)) x))\n"
+                     "(f (id 1))",
+    "delay-force": "(define (f x) (force (delay (f x)))) (f 1)",
+}
+
+
+def _library_labels():
+    return {n.label for lib in (prelude_program(), contracts_program())
+            for n in lib.iter_nodes() if n.kind == ast.K_LAM}
+
+
+def _label(program, name):
+    for node in program.iter_nodes():
+        if node.kind == ast.K_LAM and node.name == name:
+            return node.label
+    raise AssertionError(f"no λ named {name}")
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPES))
+class TestEscapingCalls:
+    def test_is_a_loop_entry(self, name):
+        program = parse_program(ESCAPES[name])
+        f = _label(program, "f")
+        assert f in loop_entry_labels(program)
+        assert f not in acyclic_labels(program)
+
+    def test_static_sct_rejects(self, name):
+        assert static_sct_check(parse_program(ESCAPES[name])).ok is False
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_acyclic_skip_still_ends_in_sc_error(self, name, machine):
+        program = parse_program(ESCAPES[name])
+        answer = run_program(program, mode="full", machine=machine,
+                             discharge=acyclic_labels(program), fuel=5000)
+        assert answer.kind == Answer.SC_ERROR
+
+
+def test_deriv_recursion_is_a_loop_entry():
+    """``deriv`` recurses through ``map``: the recursive λ is on the
+    cycle deriv → ESC → deriv."""
+    program = parse_program(get_program("deriv").source)
+    assert _label(program, "deriv") in loop_entry_labels(program)
+    graph = analyze_callgraph(program)
+    deriv = _label(program, "deriv")
+    assert (deriv, ESC) in graph.edges and (ESC, deriv) in graph.edges
+
+
+def test_leaf_passed_to_the_library_is_skipped():
+    program = parse_program(
+        "(define (inc x) (+ x 1))\n"
+        "(define (go l) (if (null? l) 0 (go (cdr (map inc l)))))\n"
+        "(go (list 1 2 3))")
+    acyclic = acyclic_labels(program)
+    assert _label(program, "inc") in acyclic
+    assert _label(program, "go") not in acyclic
+
+
+def test_library_lambdas_are_never_skipped():
+    program = parse_program("(define (g x) x) (map g (list 1 2))")
+    assert acyclic_labels(program) == {_label(program, "g")}
+    assert not acyclic_labels(program) & _library_labels()
+
+
+# -- the graph covers every call the tree machine makes ----------------------
+
+
+class _CallRecorder(SCMonitor):
+    """Records each monitored call's λ label in the imperative event
+    stream, whose ``return`` events make the stack of active calls."""
+
+    def _emit_call(self, clo, margs, graph):
+        self.events.append(("call", clo.lam.label))
+
+
+def _observed_edges(program, fuel):
+    events = []
+    monitor = _CallRecorder(enforce=False, events=events)
+    run_program(program, mode="full", strategy="imperative",
+                monitor=monitor, machine="tree", fuel=fuel)
+    library = _library_labels()
+    stack = [TOP]
+    seen = set()
+    for event in events:
+        if event[0] == "return":
+            stack.pop()
+            continue
+        callee = ESC if event[1] in library else event[1]
+        caller = stack[-1]
+        stack.append(callee)
+        if caller == ESC and callee == ESC:
+            continue  # inside the library
+        seen.add((caller, callee))
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["terminating", "diverging"]))
+def test_every_observed_call_is_a_graph_edge(seed, mode):
+    gen = generate_program(seed, mode)
+    program = parse_program(gen.source)
+    observed = _observed_edges(program, fuel=min(gen.fuel, 3000))
+    missing = observed - analyze_callgraph(program).edges
+    assert not missing, (gen.source, missing)
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPES))
+def test_escaping_calls_are_observed_edges(name):
+    program = parse_program(ESCAPES[name])
+    observed = _observed_edges(program, fuel=50)
+    assert observed <= analyze_callgraph(program).edges
+
+
+# -- when the graph is built ---------------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count call-graph constructions."""
+    count = []
+    real = callgraph.acyclic_labels
+
+    def counting(program):
+        count.append(program)
+        return real(program)
+
+    monkeypatch.setattr(callgraph, "acyclic_labels", counting)
+    return count
+
+
+PARTIAL = """
+(define (inc x) (+ x 1))
+(define (spin n acc) (if (zero? n) acc (spin (- n 1) (inc acc))))
+(define (h x) (spin x 0))
+(h (car (list 5)))
+"""
+
+
+class TestSecondRunTrigger:
+    def test_one_run_never_builds_the_graph(self, builds):
+        program = parse_program(PARTIAL)
+        answer = run_program(program, mode="full", discharge=frozenset())
+        assert answer.kind == Answer.VALUE
+        assert builds == []
+        assert program.acyclic is None
+
+    def test_second_residual_run_builds_it_once(self, builds):
+        program = parse_program(PARTIAL)
+        calls = []
+        for _ in range(3):
+            monitor = SCMonitor()
+            answer = run_program(program, mode="full", monitor=monitor,
+                                 discharge=frozenset())
+            assert answer.kind == Answer.VALUE and answer.value == 5
+            calls.append(monitor.calls_seen)
+        assert builds == [program]
+        # inc and h are on no cycle: only spin stays monitored.
+        assert calls[1] == calls[2] == 6 < calls[0]
+
+    def test_unpoliced_runs_monitor_everything(self, builds):
+        program = parse_program(PARTIAL)
+        for _ in range(3):
+            monitor = SCMonitor()
+            run_program(program, mode="full", monitor=monitor)
+            assert monitor.calls_seen == 12
+        assert builds == []
+
+    def test_complete_policy_builds_no_graph(self, builds):
+        src = "(define (f n) (if (zero? n) 0 (f (- n 1))))\n(f 5)\n"
+        program = parse_program(src)
+        result = discharge_for_run(program, text=src,
+                                   cache=VerificationCache(None))
+        assert result.complete and result.policy.complete
+        for _ in range(3):
+            monitor = SCMonitor()
+            run_program(program, mode="full", monitor=monitor,
+                        discharge=result.policy)
+            assert monitor.calls_seen == 0
+        assert builds == []
+
+    def test_monitor_skip_set_is_restored(self):
+        program = parse_program(PARTIAL)
+        monitor = SCMonitor()
+        for _ in range(2):
+            run_program(program, mode="full", monitor=monitor,
+                        discharge=frozenset())
+        assert monitor.skip_labels is None
+
+
+def test_scheme_second_residual_run():
+    """The interpreter benchmark: most of its λs are on no cycle."""
+    prog = get_program("scheme")
+    program = parse_program(prog.source)
+    policy = discharge_for_run(program, text=prog.source,
+                               cache=VerificationCache(None)).policy
+    runs = []
+    for _ in range(2):
+        monitor = SCMonitor(measures=prog.measures)
+        answer = run_program(program, mode="full", monitor=monitor,
+                             machine="native", discharge=policy)
+        runs.append((answer, monitor.calls_seen))
+    (first, first_calls), (second, second_calls) = runs
+    assert first.kind == second.kind == Answer.VALUE
+    assert write_value(first.value) == write_value(second.value)
+    assert first.steps == second.steps
+    assert first_calls == 10795
+    assert second_calls <= 2905

@@ -57,8 +57,10 @@ class TestGenerator:
 
 
 class TestCells:
-    def test_full_is_twenty_four(self):
-        assert len(default_cells("full")) == 24
+    def test_full_is_thirty(self):
+        assert len(default_cells("full")) == 30
+        assert {c[2] for c in default_cells("full")} == {
+            "off", "monitored", "imperative", "discharged", "acyclic"}
 
     def test_quick_covers_axes(self):
         cells = default_cells("quick")

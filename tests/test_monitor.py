@@ -135,10 +135,11 @@ class TestPolicy:
         assert m.should_monitor(_closure("other"))
 
     def test_loop_entries_filter(self):
-        f = _closure("f")
-        m = SCMonitor(loop_entries={f.lam.label})
+        # The loop-entry optimization is a skip set of the acyclic λs.
+        f, g = _closure("f"), _closure("g")
+        m = SCMonitor(skip_labels={g.lam.label})
         assert m.should_monitor(f)
-        assert not m.should_monitor(_closure("g"))
+        assert not m.should_monitor(g)
 
     def test_identity_keying_distinguishes_twins(self):
         m = SCMonitor(keying="identity")
