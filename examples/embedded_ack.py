@@ -7,7 +7,8 @@ Shows (1) the exact dynamic size-change graphs of Fig. 1 for (ack 2 0),
 (3) selective enforcement with `terminating/c` and blame (§2.3).
 """
 
-from repro import Answer, SCMonitor, run_source
+from repro import Answer, run_source
+from repro.sct.trace import render_tree, trace_source
 
 ACK = """
 (define (ack m n)
@@ -38,15 +39,10 @@ def banner(text: str) -> None:
 
 
 banner("Fig. 1: the graphs the monitor builds for (ack 2 0)")
-trace = []
-monitor = SCMonitor(trace=trace)
-answer = run_source(ACK, mode="full", monitor=monitor)
-assert answer.kind == Answer.VALUE
-print(f"(ack 2 0) = {answer.value}")
-for fn, prev, new, graph in trace:
-    if fn == "ack":
-        print(f"  (ack {prev[0]} {prev[1]}) ↝ (ack {new[0]} {new[1]})   "
-              f"{graph.pretty(['m', 'n'])}")
+traced = trace_source(ACK)
+assert traced.answer.kind == Answer.VALUE
+print(f"(ack 2 0) = {traced.answer.value}")
+print(render_tree(traced.roots))
 
 banner("the sometimes-buggy Ackermann (§2.1) is stopped")
 answer = run_source(BUGGY_ACK, mode="full")

@@ -83,9 +83,6 @@ class CallGraph:
         self.apps: List[Tuple[ast.App, int]] = []
         self.app_callees: Dict[int, FrozenSet[int]] = {}
 
-    def callees_of(self, label: int) -> Set[int]:
-        return {g for (f, g) in self.edges if f == label}
-
     def label_name(self, label: int) -> str:
         if label == TOP:
             return "<top>"

@@ -41,7 +41,7 @@ def run_divergence(standard_budget: int = 25_000) -> List[DivergencePoint]:
         caught = answer.kind == Answer.SC_ERROR
         blamed = answer.violation.function if caught else "-"
         # Sanity: the standard semantics really diverges.
-        standard = run_source(prog.source, mode="off", max_steps=standard_budget)
+        standard = run_source(prog.source, mode="off", fuel=standard_budget)
         assert standard.kind == Answer.TIMEOUT, prog.name
         points.append(DivergencePoint(prog, caught, dt, monitor.calls_seen,
                                       monitor.checks_done, blamed))

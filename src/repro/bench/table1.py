@@ -39,7 +39,7 @@ class Table1Row:
         return dyn_match and static_match
 
 
-def run_table1(max_steps: int = 50_000_000,
+def run_table1(fuel: int = 50_000_000,
                engine: str = "bitmask") -> List[Table1Row]:
     """``engine`` selects the monitor's graph representation (see
     :mod:`repro.sct.bitgraph`); the monitor raises on exactly the same
@@ -51,7 +51,7 @@ def run_table1(max_steps: int = 50_000_000,
     for prog in all_programs():
         monitor = SCMonitor(measures=prog.measures, engine=engine)
         answer = run_source(prog.source, mode="full", monitor=monitor,
-                            max_steps=max_steps)
+                            fuel=fuel)
         dyn_ok = (answer.kind == Answer.VALUE
                   and write_value(answer.value) == prog.expected)
         dyn_note = "O" if prog.measures else ""

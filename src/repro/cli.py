@@ -4,13 +4,13 @@ Subcommands::
 
     sized run FILE [--mode off|contract|full] [--strategy cm|imperative]
                    [--machine compiled|tree|native] [--backoff] [--mc]
-                   [--engine bitmask|reference] [--max-steps N]
+                   [--engine bitmask|reference] [--fuel N]
                    [--discharge off|try|require] [--discharge-cache DIR]
                    [--result-kind NAME=KIND ...]
     sized verify FILE --entry NAME [--kinds nat,nat] [--result-kind nat]
                       [--mc] [--engine bitmask|reference] [--json]
     sized trace FILE [--mode full|contract] [--machine compiled|tree]
-                     [--mc] [--max-steps N] [--max-depth N] [--max-nodes N]
+                     [--mc] [--fuel N] [--max-depth N] [--max-nodes N]
     sized bench table1|fig10|divergence|ablation|mc|compose|machines
                 [--scale quick|full] [--smoke] [--repeats N] [--out PATH]
     sized corpus [--diverging]
@@ -68,9 +68,9 @@ check passed, 1 when any divergence was found or when a ``native-aot``
 cell never entered a native frame (the report's ``native_frames``
 counts, per native cell, the programs that did).
 
-``--fuel`` (run/trace/fuzz) bounds machine steps like ``--max-steps``
-but reports exhaustion distinctly (``FuelExhausted``) — the fuzzer's
-way of observing divergence without hanging.  A step is one closure
+``--fuel`` (run/trace/fuzz) bounds machine steps and reports exhaustion
+as a timeout (``FuelExhausted``, exit status 4) — the fuzzer's way of
+observing divergence without hanging.  A step is one closure
 application on every machine.  ``--fuel 0`` is immediate exhaustion (no
 form runs) on every path, including the serve budgets.
 
@@ -97,7 +97,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.eval.machine import Answer, run_program, run_source
+from repro.eval.machine import EXIT_CODES, Answer, run_program
 from repro.sct.monitor import SCMonitor
 from repro.values.values import write_value
 
@@ -130,11 +130,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "machine (default), the tree walker, or the "
                             "native tier (Python-compiled λs with "
                             "compiled-machine fallback)")
-    p_run.add_argument("--max-steps", type=int, default=None)
     p_run.add_argument("--fuel", type=int, default=None,
-                       help="bound on closure applications, with a "
-                            "distinct FuelExhausted outcome (wins over "
-                            "--max-steps)")
+                       help="bound on closure applications (exhaustion "
+                            "exits 4)")
     p_run.add_argument("--discharge", choices=["off", "try", "require"],
                        default="off",
                        help="statically discharge dynamic checks: 'try' "
@@ -183,7 +181,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          default="bitmask")
     p_trace.add_argument("--machine", choices=["compiled", "tree"],
                          default="compiled")
-    p_trace.add_argument("--max-steps", type=int, default=None)
     p_trace.add_argument("--fuel", type=int, default=None)
     p_trace.add_argument("--max-depth", type=int, default=None)
     p_trace.add_argument("--max-nodes", type=int, default=200)
@@ -249,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=["both", "terminating", "diverging"],
                         default="both")
     p_fuzz.add_argument("--matrix", default="full",
-                        help="'full' (30 cells), 'quick' (8), or a comma "
+                        help="'full' (30 cells), 'quick' (9), or a comma "
                              "list of machine:engine:policy triples")
     p_fuzz.add_argument("--fuel", type=int, default=None,
                         help="override the generator's per-program fuel")
@@ -363,24 +360,28 @@ def _cmd_run(args) -> int:
             return 5
         policy = result.policy
     answer = run_program(program, mode=args.mode, strategy=args.strategy,
-                         monitor=monitor, max_steps=args.max_steps,
-                         fuel=args.fuel, machine=args.machine,
-                         discharge=policy)
+                         monitor=monitor, fuel=args.fuel,
+                         machine=args.machine, discharge=policy)
     if answer.output:
         sys.stdout.write(answer.output)
         if not answer.output.endswith("\n"):
             sys.stdout.write("\n")
+    return _report(answer, "")
+
+
+def _report(answer, value_prefix: str) -> int:
+    """Print ``answer``'s outcome — a value on stdout after
+    ``value_prefix``, anything else on stderr — and return its exit
+    status."""
     if answer.kind == Answer.VALUE:
-        print(write_value(answer.value))
-        return 0
-    if answer.kind == Answer.SC_ERROR:
+        print(value_prefix + write_value(answer.value))
+    elif answer.kind == Answer.SC_ERROR:
         print(answer.violation, file=sys.stderr)
-        return 3
-    if answer.kind == Answer.TIMEOUT:
+    elif answer.kind == Answer.TIMEOUT:
         print(_timeout_message(answer), file=sys.stderr)
-        return 4
-    print(f"run-time error: {answer.error}", file=sys.stderr)
-    return 1
+    else:
+        print(f"run-time error: {answer.error}", file=sys.stderr)
+    return EXIT_CODES[answer.kind]
 
 
 def _timeout_message(answer) -> str:
@@ -425,22 +426,11 @@ def _cmd_trace(args) -> int:
         source = f.read()
     result = trace_source(source,
                           monitor=_make_monitor(args.mc, engine=args.engine),
-                          mode=args.mode, max_steps=args.max_steps,
-                          fuel=args.fuel, machine=args.machine)
+                          mode=args.mode, fuel=args.fuel,
+                          machine=args.machine)
     print(render_tree(result.roots, max_depth=args.max_depth,
                       max_nodes=args.max_nodes))
-    answer = result.answer
-    if answer.kind == Answer.VALUE:
-        print(f"⇒ {write_value(answer.value)}")
-        return 0
-    if answer.kind == Answer.SC_ERROR:
-        print(answer.violation, file=sys.stderr)
-        return 3
-    if answer.kind == Answer.TIMEOUT:
-        print(_timeout_message(answer), file=sys.stderr)
-        return 4
-    print(f"run-time error: {answer.error}", file=sys.stderr)
-    return 1
+    return _report(result.answer, "⇒ ")
 
 
 _PROGRAM_COMMANDS = {"run": _cmd_run, "verify": _cmd_verify,

@@ -30,7 +30,7 @@ def run_callseq(
     source: str,
     *,
     strategy: str = "cm",
-    max_steps: Optional[int] = 2_000_000,
+    fuel: Optional[int] = 2_000_000,
     measures=None,
 ) -> Tuple[Answer, SCMonitor]:
     """Run ``source`` under the Fig. 6 semantics.
@@ -42,5 +42,5 @@ def run_callseq(
     """
     monitor = SCMonitor(enforce=False, measures=measures)
     answer = run_source(source, mode="full", strategy=strategy,
-                        monitor=monitor, max_steps=max_steps)
+                        monitor=monitor, fuel=fuel)
     return answer, monitor

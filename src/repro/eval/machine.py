@@ -139,6 +139,12 @@ class Answer:
         return f"Answer(errorRT: {self.error})"
 
 
+# Answer.kind → process exit status, shared by `sized run`, `sized trace`
+# and the serve response's `exit` field (the README exit table).
+EXIT_CODES = {Answer.VALUE: 0, Answer.RT_ERROR: 1, Answer.SC_ERROR: 3,
+              Answer.TIMEOUT: 4}
+
+
 class _Fuel:
     """A shared step budget across all top-level forms of one run."""
 
@@ -180,6 +186,9 @@ def eval_expr(
         s2 = None
     if imperative and mtable is None:
         mtable = {}
+    # Residual enforcement: λs whose labels are in the skip set run
+    # unmonitored (the same inline test as eval_code's APPLY).
+    skips = monitor.skip_labels
 
     kont: List[tuple] = []
     control = expr
@@ -352,11 +361,12 @@ def eval_expr(
                             loc,
                         )
                     if imperative:
-                        if s1 and monitor.should_monitor(fn):
+                        if s1 and (skips is None or fn.lam.label not in skips):
                             key, prev = monitor.upd_mut(mtable, fn, tuple(vals), s2)
                             kont.append((F_RESTORE, key, prev, s1, s2))
                     else:
-                        if s1 is not None and monitor.should_monitor(fn):
+                        if s1 is not None and (skips is None
+                                               or fn.lam.label not in skips):
                             s1 = monitor.upd(s1, fn, tuple(vals), s2)
                     cenv = Env(dict(zip(params, vals)), fn.env)
                     control = fn.lam.body
@@ -467,10 +477,9 @@ def eval_code(
     # a term/c wrapper starts it when none is active.
     # Residual enforcement: `skips` is the monitor's discharged-λ set, so
     # a statically proven closure takes the monitor-free path below — no
-    # policy call, no table lookup, no graph construction.  `skip_should`
-    # may ignore the skip set precisely because it is tested inline here.
+    # policy call, no table lookup, no graph construction.
     skips = monitor.skip_labels
-    advance, fast_entry, skip_should, key_for = monitor.step_config()
+    advance, fast_entry, key_for = monitor.step_config()
     fresh = True if imperative else (None,)
     restore_mut = monitor.restore_mut
 
@@ -912,8 +921,7 @@ def eval_code(
                             f" got {nargs}",
                             loc,
                         )
-                    if s1 and (skips is None or clam.label not in skips) \
-                            and (skip_should or monitor.should_monitor(fn)):
+                    if s1 and (skips is None or clam.label not in skips):
                         if nargs == 1:
                             args = (vals[1],)
                         elif nargs == 2:
@@ -1052,7 +1060,6 @@ def run_program(
     mode: str = "off",
     strategy: str = "cm",
     monitor: Optional[SCMonitor] = None,
-    max_steps: Optional[int] = None,
     fuel: Optional[int] = None,
     env: Optional[GlobalEnv] = None,
     include_prelude: bool = True,
@@ -1061,12 +1068,10 @@ def run_program(
 ) -> Answer:
     """Run a whole program; the answer holds the last expression's value.
 
-    ``fuel`` is the preferred spelling of the step budget (``max_steps``
-    remains as an alias; ``fuel`` wins if both are given).  When the budget
-    runs dry the machines raise :class:`FuelExhausted` and the answer has
-    ``kind == Answer.TIMEOUT`` with the exception on ``answer.error``, so a
-    deterministic fuel bound is distinguishable from every other non-value
-    outcome.
+    ``fuel`` is the step budget.  When it runs dry the machines raise
+    :class:`FuelExhausted` and the answer has ``kind == Answer.TIMEOUT``
+    with the exception on ``answer.error``, so a deterministic fuel bound
+    is distinguishable from every other non-value outcome.
 
     A step is one closure body entered, on every machine (``term/c``
     wrappers and primitive calls are free).  Fuel-boundary contract
@@ -1103,8 +1108,6 @@ def run_program(
     policy.
     """
     _check_machine(machine)
-    if fuel is not None:
-        max_steps = fuel
     if env is None:
         env = make_env(include_prelude, machine=machine)
     else:
@@ -1140,7 +1143,7 @@ def run_program(
     env.define(intern("newline"),
                Prim("newline", lambda a: _newline(output), 0, 0, pure=False))
 
-    budget = _Fuel(max_steps)
+    budget = _Fuel(fuel)
     mtable: dict = {}
     last = VOID
     compiled = machine != "tree"
@@ -1156,7 +1159,7 @@ def run_program(
     def spent() -> int:
         # The eval loops publish fuel.left in a finally, so this is
         # accurate on error/violation/timeout paths too.
-        return 0 if max_steps is None else max_steps - max(budget.left, 0)
+        return 0 if fuel is None else fuel - max(budget.left, 0)
 
     def tier() -> str:
         if native_ctx is not None:
@@ -1164,7 +1167,7 @@ def run_program(
         return machine
 
     try:
-        if max_steps == 0:
+        if fuel == 0:
             raise FuelExhausted(0)
         for form in program.forms:
             if compiled:
@@ -1206,7 +1209,6 @@ def run_source(
     mode: str = "off",
     strategy: str = "cm",
     monitor: Optional[SCMonitor] = None,
-    max_steps: Optional[int] = None,
     fuel: Optional[int] = None,
     env: Optional[GlobalEnv] = None,
     include_prelude: bool = True,
@@ -1218,8 +1220,7 @@ def run_source(
     program = parse_program(text, source=source)
     return run_program(
         program, mode=mode, strategy=strategy, monitor=monitor,
-        max_steps=max_steps, fuel=fuel, env=env,
-        include_prelude=include_prelude,
+        fuel=fuel, env=env, include_prelude=include_prelude,
         machine=machine, discharge=discharge,
     )
 

@@ -99,7 +99,7 @@ from typing import List, Optional, Tuple
 
 from repro.ds.lru import LRU
 from repro.eval.errors import FuelExhausted, SchemeError
-from repro.lang.prims import PRIMITIVES
+from repro.lang.prims import PRIM_NAMES, PRIMITIVES
 from repro.sct.monitor import mut_step, table_step
 from repro.lang.resolve import (
     CApp,
@@ -133,12 +133,11 @@ from repro.values.values import (
 __all__ = ["NativeContext", "compile_lam", "count_apply", "ensure_native",
            "ensure_native_libraries", "ensure_native_program"]
 
-# Names statically bound to primitives in every fresh environment.  A
-# non-tail call whose head is one of these is *prim-likely*: the emitter
+# A non-tail call whose head is in PRIM_NAMES (statically bound to a
+# primitive in every fresh environment) is *prim-likely*: the emitter
 # inlines the primitive dispatch and only a rebinding (``(define + ...)``)
-# diverts it to the slow path.  Heads outside this set are closure-risky
+# diverts it to the slow path.  Heads outside that set are closure-risky
 # and force the generator calling convention.
-_PRIM_NAMES = frozenset(sym.name for sym in PRIMITIVES)
 _PRIM_BY_SNAME = {sym.name: prim for sym, prim in PRIMITIVES.items()}
 
 # Emitter guard rails: programs nested past these bounds fall back to the
@@ -396,28 +395,24 @@ class NativeContext:
                             )
                         if self.s1 and (skips is None
                                         or clam.label not in skips):
-                            advance, fast_entry, skip_should, key_for = \
-                                self.stepping
-                            if skip_should or self.monitor.should_monitor(fn):
-                                key = fn if key_for is None else key_for(fn)
-                                args = tuple(vals[1:])
-                                if self.imperative:
-                                    # An undo record: a mark that also
-                                    # undoes the step when popped, as
-                                    # eval_code's KF_RESTORE frame (tail
-                                    # calls push one too).
-                                    prev = mut_step(
-                                        self.monitor, self.mtable, key, fn,
-                                        args, self.s2, advance, fast_entry)
-                                    stack.append((self.s1, self.s2, key,
-                                                  prev))
-                                else:
-                                    if not stack or \
-                                            type(stack[-1]) is not tuple:
-                                        stack.append((self.s1, self.s2))
-                                    self.s1 = table_step(
-                                        self.monitor, self.s1, key, fn,
-                                        args, self.s2, advance, fast_entry)
+                            advance, fast_entry, key_for = self.stepping
+                            key = fn if key_for is None else key_for(fn)
+                            args = tuple(vals[1:])
+                            if self.imperative:
+                                # An undo record: a mark that also
+                                # undoes the step when popped, as
+                                # eval_code's KF_RESTORE frame (tail
+                                # calls push one too).
+                                prev = mut_step(
+                                    self.monitor, self.mtable, key, fn,
+                                    args, self.s2, advance, fast_entry)
+                                stack.append((self.s1, self.s2, key, prev))
+                            else:
+                                if not stack or type(stack[-1]) is not tuple:
+                                    stack.append((self.s1, self.s2))
+                                self.s1 = table_step(
+                                    self.monitor, self.s1, key, fn,
+                                    args, self.s2, advance, fast_entry)
                     vals[0] = fn.env
                     if clam.native_is_gen:
                         gen = nf(fn, vals, self)
@@ -595,7 +590,7 @@ def _has_risky_nontail(code) -> bool:
         if t == T_APP:
             head = node.exprs[0]
             if not tail and not (head.tag == T_GLOBAL
-                                 and head.sname in _PRIM_NAMES):
+                                 and head.sname in PRIM_NAMES):
                 return True
             for e in node.exprs:
                 stack.append((e, False))

@@ -68,7 +68,7 @@ AOT = "native-aot"
 
 def default_cells(matrix: str = "full") -> List[Tuple[str, str, str]]:
     """The cell list for a matrix spec: ``full`` (all 30), ``quick``
-    (8 cells covering all machines, both engines and all policies, with
+    (9 cells covering all machines, both engines and all policies, with
     monitored native under both engines: the bitmask engine takes the
     ``advance_fast`` step, the reference engine the generic
     ``advance``; imperative native steps the mutable table with undo
@@ -87,6 +87,7 @@ def default_cells(matrix: str = "full") -> List[Tuple[str, str, str]]:
             ("native", "reference", "monitored"),
             ("native", "bitmask", "imperative"),
             ("native", "bitmask", "discharged"),
+            ("tree", "bitmask", "acyclic"),
         ]
     cells = []
     for spec in matrix.split(","):

@@ -72,12 +72,6 @@ def parse_forms(source: str) -> List:
 # -- candidate edits -----------------------------------------------------------
 
 
-def _subexprs(d) -> List:
-    if isinstance(d, list):
-        return list(d)
-    return []
-
-
 def _candidates_at(d) -> List:
     """Smaller replacements for one subtree, most aggressive first."""
     out: List = []

@@ -93,36 +93,8 @@ S_EQ_P = intern("eq?")
 S_EQUAL_P = intern("equal?")
 S_MEMV = intern("memv")
 S_ERROR = intern("error")
-S_NOT = intern("not")
 S_DELAY = intern("delay")
 S_PROMISE_PRIM = intern("%promise")
-
-_SPECIAL_FORMS = {
-    S_DELAY,
-    S_QUOTE,
-    S_QUASIQUOTE,
-    S_UNQUOTE,
-    S_UNQUOTE_SPLICING,
-    S_LAMBDA,
-    S_LAMBDA_GREEK,
-    S_IF,
-    S_COND,
-    S_CASE,
-    S_AND,
-    S_OR,
-    S_WHEN,
-    S_UNLESS,
-    S_BEGIN,
-    S_LET,
-    S_LETSTAR,
-    S_LETREC,
-    S_LETRECSTAR,
-    S_DEFINE,
-    S_SET,
-    S_MATCH,
-    S_TERMC,
-    S_TERMINATING_C,
-}
 
 
 def _head_symbol(stx: Syntax) -> Optional[Symbol]:

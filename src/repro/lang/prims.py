@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import BlameError, SchemeError
 from repro.sexp.datum import Char, Symbol, intern
-from repro.values.env import GlobalEnv
 from repro.values.equality import scheme_equal, scheme_eqv
 from repro.values.values import (
     NIL,
@@ -631,20 +630,3 @@ PRELUDE_SOURCE = """
           (%promise-memo! p ((%promise-thunk p))))
       p))
 """
-
-_PRELUDE_NAMES = [
-    "map", "map2", "for-each", "filter", "foldr", "foldl", "andmap",
-    "ormap", "iota", "range", "build-list", "assoc-ref", "last",
-    "force",
-]
-
-
-def make_global_env(include_prelude: bool = True) -> GlobalEnv:
-    """A fresh global frame with all primitives (and, normally, the prelude
-    closures — installed lazily by :func:`repro.eval.machine.run_program`
-    to avoid an import cycle)."""
-    env = GlobalEnv(dict(PRIMITIVES))
-    # Through define(), not a raw bindings write: define keeps the
-    # string-keyed mirror the compiled machine reads in sync.
-    env.define(intern("%include-prelude"), include_prelude)
-    return env

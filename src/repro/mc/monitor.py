@@ -36,9 +36,9 @@ from repro.sct.monitor import SCMonitor
 class MCMonitor(SCMonitor):
     """``SCMonitor`` with monotonicity-constraint evidence.
 
-    All policy knobs (keying, backoff, whitelist, measures,
-    tracing, ``enforce=False`` call-sequence mode) behave identically —
-    including ``skip_labels``: a residual policy computed from MC
+    All policy knobs (keying, backoff, measures, the ``events`` stream,
+    ``enforce=False`` call-sequence mode) behave identically — including
+    ``skip_labels``: a residual policy computed from MC
     certificates (:mod:`repro.analysis.discharge` with an
     :class:`~repro.mc.static.MCEngine`) plugs in through the same
     skip set, so discharged λs bypass MC monitoring on every machine

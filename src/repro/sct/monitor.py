@@ -24,16 +24,15 @@ Policy knobs (§5 of the paper, plus the engine selector):
 * ``backoff`` — exponential backoff: build/check graphs only on calls
   1, 2, 4, 8, …; sound because sampling an infinite call sequence yields an
   infinite sequence whose SCP violation is still inevitable,
-* ``whitelist`` — function names known to terminate (e.g. statically
-  verified ones) that need no instrumentation,
 * ``skip_labels`` — λ labels that need no monitoring: those a static
   discharge certificate proved terminating
   (:mod:`repro.analysis.discharge`) and those on no call-graph cycle
   (the §5 loop-entry optimization, :mod:`repro.analysis.callgraph`).
-  This is the one residual-enforcement hook: ``run_program`` installs a
-  run's policy here, the tree machine honors it through
-  ``should_monitor``, and the compiled and native tiers test the set
-  inline at each apply without calling the monitor,
+  This is the one switch that turns monitoring off for a λ: it is keyed
+  by label, so it names exactly the λs of one parse, never a shadowing
+  namesake.  ``run_program`` installs a run's policy here, and every
+  machine tests the set inline at each apply without calling the
+  monitor,
 * ``measures`` — per-function-name argument-tuple measures implementing
   custom well-founded orders (``lh-range``, ``acl2-fig-2``),
 * ``engine`` — ``'bitmask'`` (default) keeps each entry's composition set
@@ -41,13 +40,14 @@ Policy knobs (§5 of the paper, plus the engine selector):
   through :mod:`repro.sct.bitgraph`; ``'reference'`` keeps the frozenset
   :class:`~repro.sct.graph.SCGraph` objects of the paper's figures.  Both
   engines raise on exactly the same call sequences (property-tested), and
-  every graph that escapes the monitor — violations, traces, the Fig. 1
-  event stream — is always a reference ``SCGraph``.
+  every graph that escapes the monitor — violations and the Fig. 1
+  event stream (``events``, the one observation hook) — is always a
+  reference ``SCGraph``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.ds.hamt import Hamt
 from repro.sct import bitgraph
@@ -128,10 +128,8 @@ class SCMonitor:
         order=None,
         keying: str = "identity",
         backoff: bool = False,
-        whitelist: Iterable[str] = (),
         skip_labels: Optional[FrozenSet[int]] = None,
         measures: Optional[Dict[str, Callable[[Tuple], Tuple]]] = None,
-        trace: Optional[list] = None,
         enforce: bool = True,
         events: Optional[list] = None,
         engine: str = "bitmask",
@@ -151,18 +149,15 @@ class SCMonitor:
             and type(self).make_graph is SCMonitor.make_graph
         )
         self.backoff = backoff
-        self.whitelist = frozenset(whitelist)
         # Residual enforcement: discharged or acyclic λ labels.  None and
         # the empty set are equivalent (monitor everything); run_program
-        # installs the run's policy here so the tree machine and any
-        # direct `upd` driver honor it through `should_monitor`.
+        # installs the run's policy here and every machine's APPLY tests
+        # it before stepping the table.
         self.skip_labels = frozenset(skip_labels) if skip_labels else None
         self.measures = dict(measures) if measures else {}
-        # Optional event log: (function, prev_args, new_args, graph) per check.
-        self.trace = trace
-        # Optional call/return event stream for the Fig. 1 call-tree tracer
-        # (repro.sct.trace): ("call", describe, args, graph|None) at each
-        # monitored call, ("return",) at each restore.  Only the imperative
+        # Optional call/return event stream, the one observation hook (the
+        # Fig. 1 call-tree tracer, repro.sct.trace, reads it):
+        # ("call", describe, args, graph|None, params) at each monitored call, ("return",) at each restore.  Only the imperative
         # strategy emits returns (cm has no restore frames by design).
         self.events = events
         # ``enforce=False`` gives the paper's Fig. 6 call-sequence
@@ -177,13 +172,6 @@ class SCMonitor:
         self.checks_done = 0
 
     # -- policy ---------------------------------------------------------------
-
-    def should_monitor(self, clo: Closure) -> bool:
-        if self.skip_labels is not None and clo.lam.label in self.skip_labels:
-            return False
-        if clo.name is not None and clo.name in self.whitelist:
-            return False
-        return True
 
     def key_for(self, clo: Closure):
         """Table key for ``clo`` under the keying policy.
@@ -257,8 +245,6 @@ class SCMonitor:
         if self._bitmask_fast:
             return self._advance_bitmask(entry, clo, margs, count, blame)
         g = self.make_graph(entry.check_args, margs)
-        if self.trace is not None:
-            self.trace.append((clo.describe(), entry.check_args, margs, g))
         if self.events is not None:
             self._emit_call(clo, margs, g)
         new_comps = {g}
@@ -300,16 +286,13 @@ class SCMonitor:
         """The packed twin of the tail of :meth:`advance`: evidence graphs
         and the composition set live as ``(strict, weak)`` int pairs; the
         reference :class:`SCGraph` is materialized only for whatever leaves
-        the monitor (violations, traces, events)."""
+        the monitor (violations, events)."""
         m = max(len(entry.check_args), len(margs), entry.m, 1)
         mk = bitgraph.masks(m)
         g = bitgraph.graph_of_values(entry.check_args, margs, self.order, mk)
         comps = entry.comps
         if entry.m and entry.m != m:
             comps = [bitgraph.widen(c, entry.m, m) for c in comps]
-        if self.trace is not None:
-            self.trace.append((clo.describe(), entry.check_args, margs,
-                               bitgraph.unpack(mk, *g)))
         if self.events is not None:
             self._emit_call(clo, margs, bitgraph.unpack(mk, *g))
         new_comps = {g}
@@ -331,24 +314,10 @@ class SCMonitor:
 
     # -- the compiled machine's fast path -----------------------------------------
 
-    def trivial_policy(self, ignore_skip_labels: bool = False) -> bool:
-        """True when ``should_monitor`` is constant-true (no skip set, no
-        whitelist, base method), so callers may skip the call.
-
-        ``ignore_skip_labels`` is for the compiled tiers, which test
-        the residual skip set inline (``label in skips``) before this
-        policy check ever runs; every other caller must leave it False
-        so a skip set disables the shortcut."""
-        return (
-            (ignore_skip_labels or self.skip_labels is None)
-            and not self.whitelist
-            and type(self).should_monitor is SCMonitor.should_monitor
-        )
-
     def fast_advance_ok(self) -> bool:
         """True when :meth:`advance_fast` is an exact stand-in for
         :meth:`advance`: packed size-change evidence under the stock
-        :class:`~repro.sct.order.SizeOrder`, no trace or event capture,
+        :class:`~repro.sct.order.SizeOrder`, no event capture,
         and no subclass overriding the evidence pipeline.  (Measures are
         fine — :meth:`advance_fast` applies them like the generic path.)"""
         cls = type(self)
@@ -357,25 +326,24 @@ class SCMonitor:
             and cls.advance is SCMonitor.advance
             and cls.measured is SCMonitor.measured
             and type(self.order) is SizeOrder
-            and self.trace is None
             and self.events is None
         )
 
     def step_config(self) -> Tuple:
         """The compiled tiers' per-run choices for :func:`table_step` and
-        :func:`mut_step`: ``(advance, fast_entry, skip_should, key_for)``.
+        :func:`mut_step`: ``(advance, fast_entry, key_for)``.
         ``advance`` is the evidence step (:meth:`advance_fast` when
         :meth:`fast_advance_ok` holds, else :meth:`advance`, so violations
         carry the same witness either way); ``fast_entry`` lets a first
         call allocate the trivial entry in place when nothing (measures,
         subclassing) distinguishes it from ``Entry(v⃗, ∅, 1, 2)``;
-        ``skip_should`` says the policy check is constant-true once the
-        caller has tested the skip set inline; ``key_for`` is None under
-        identity keying, where the key is the closure itself."""
+        ``key_for`` is None under identity keying, where the key is the
+        closure itself.  Whether a call is monitored at all is the
+        caller's inline ``skip_labels`` test, not part of the
+        configuration."""
         fast = self.fast_advance_ok()
         return (self.advance_fast if fast else self.advance,
                 fast and not self.measures,
-                self.trivial_policy(ignore_skip_labels=True),
                 None if self.keying == "identity" else self.key_for)
 
     def advance_fast(self, entry: Entry, clo: Closure, args: Tuple,

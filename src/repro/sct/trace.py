@@ -90,7 +90,6 @@ def trace_source(
     *,
     monitor: Optional[SCMonitor] = None,
     mode: str = "full",
-    max_steps: Optional[int] = None,
     fuel: Optional[int] = None,
     max_events: Optional[int] = None,
     machine: str = "compiled",
@@ -109,8 +108,7 @@ def trace_source(
         monitor = SCMonitor()
     monitor.events = events
     answer = run_source(text, mode=mode, strategy="imperative",
-                        monitor=monitor, max_steps=max_steps, fuel=fuel,
-                        machine=machine)
+                        monitor=monitor, fuel=fuel, machine=machine)
     if max_events is not None:
         events = events[:max_events]
     return TraceResult(answer, assemble_tree(events), monitor)

@@ -108,9 +108,6 @@ def retry_after_hint(response: dict) -> float:
         return max(float(hint), 0.0)
     return 0.0
 
-# Answer.kind → the `sized run` exit code (the README matrix).
-EXIT_CODES = {"value": 0, "rt-error": 1, "sc-error": 3, "timeout": 4}
-
 MAX_LINE = 8 * 1024 * 1024  # one request line; programs are small
 
 

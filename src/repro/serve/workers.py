@@ -141,9 +141,8 @@ def _discharge(program, text: str, mc: bool, cache):
 def _run_job(job: dict) -> dict:
     from repro.analysis.discharge import VerificationCache
     from repro.eval.errors import FuelExhausted
-    from repro.eval.machine import MACHINES, Answer, run_program
+    from repro.eval.machine import EXIT_CODES, MACHINES, Answer, run_program
     from repro.sct.monitor import SCMonitor
-    from repro.serve.protocol import EXIT_CODES
     from repro.values.values import write_value
 
     machine = job.get("machine", "native")

@@ -25,10 +25,6 @@ K_PAIR = "pair"
 K_NIL = "nil"
 K_FUN = "fun"
 
-# Kinds are mutually exclusive; refining to an incompatible kind kills the path.
-_COMPATIBLE = {
-    (K_INT, K_INT), (K_PAIR, K_PAIR), (K_NIL, K_NIL), (K_FUN, K_FUN),
-}
 
 
 class PathCond:

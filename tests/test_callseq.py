@@ -19,8 +19,8 @@ DIVERGING = [d for d in diverging_programs() if d.measures is None]
 @pytest.mark.parametrize("prog", TERMINATING, ids=[p.name for p in TERMINATING])
 class TestLemma34:
     def test_callseq_agrees_with_standard(self, prog):
-        standard = run_source(prog.source, mode="off", max_steps=10_000_000)
-        callseq, _monitor = run_callseq(prog.source, max_steps=10_000_000)
+        standard = run_source(prog.source, mode="off", fuel=10_000_000)
+        callseq, _monitor = run_callseq(prog.source, fuel=10_000_000)
         assert standard.kind == Answer.VALUE
         assert callseq.kind == Answer.VALUE
         from repro.values.equality import scheme_equal
@@ -31,8 +31,8 @@ class TestLemma34:
 @pytest.mark.parametrize("prog", TERMINATING, ids=[p.name for p in TERMINATING])
 class TestLemma35TerminatingSide:
     def test_no_violation_recorded_iff_monitoring_succeeds(self, prog):
-        monitored = run_source(prog.source, mode="full", max_steps=10_000_000)
-        _answer, monitor = run_callseq(prog.source, max_steps=10_000_000)
+        monitored = run_source(prog.source, mode="full", fuel=10_000_000)
+        _answer, monitor = run_callseq(prog.source, fuel=10_000_000)
         assert monitored.kind == Answer.VALUE
         assert monitor.violations == []
 
@@ -44,7 +44,7 @@ class TestLemma35DivergingSide:
         prog? — observed as a recorded violation."""
         monitored = run_source(prog.source, mode="full")
         assert monitored.kind == Answer.SC_ERROR
-        answer, monitor = run_callseq(prog.source, max_steps=37_500)
+        answer, monitor = run_callseq(prog.source, fuel=37_500)
         assert monitor.violations, "call-sequence semantics saw no witness"
         # The non-enforcing run either times out (it really diverges) or
         # crashes in its own way — it must NOT produce a clean value.
@@ -54,7 +54,7 @@ class TestLemma35DivergingSide:
         """Determinism: the first recorded witness is the one enforcement
         raises (same function, same violating composition)."""
         monitored = run_source(prog.source, mode="full")
-        _a, monitor = run_callseq(prog.source, max_steps=37_500)
+        _a, monitor = run_callseq(prog.source, fuel=37_500)
         enforced = monitored.violation
         witnessed = monitor.violations[0]
         assert witnessed.function == enforced.function
@@ -70,6 +70,6 @@ class TestCollectingMonitorKeepsExtending:
         (f 5)
         """
         # f(5) → f(5) → ... is an infinite loop; bounded by fuel.
-        answer, monitor = run_callseq(src, max_steps=6_250)
+        answer, monitor = run_callseq(src, fuel=6_250)
         assert answer.kind == Answer.TIMEOUT
         assert len(monitor.violations) > 1

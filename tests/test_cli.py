@@ -39,7 +39,7 @@ class TestRun:
 
     def test_run_timeout_exit_code(self, scm, capsys):
         path = scm("(define (f x) (f x)) (f 1)")
-        assert main(["run", path, "--mode", "off", "--max-steps", "5000"]) == 4
+        assert main(["run", path, "--mode", "off", "--fuel", "5000"]) == 4
 
     def test_run_rt_error(self, scm, capsys):
         path = scm("(car 5)")

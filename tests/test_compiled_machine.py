@@ -13,11 +13,12 @@ import pytest
 
 from repro.corpus import all_programs, diverging_programs
 from repro.corpus.registry import CONSERVATIVE, EXTRAS
-from repro.eval.machine import Answer, make_env, run_source
+from repro.eval.machine import Answer, make_env, run_program, run_source
 from repro.lang.parser import parse_program
 from repro.lang.resolve import resolve
 from repro.sct.monitor import SCMonitor
 from repro.values.values import write_value
+from tests.test_acyclic_skip import _label
 
 PROGRAMS = all_programs()
 EXTRA_PROGRAMS = list(EXTRAS.values()) + list(CONSERVATIVE.values())
@@ -38,14 +39,14 @@ MACHINES = ("tree", "compiled", "native")
 _RUNS: dict = {}
 
 
-def run_all(source, *, mode, strategy, measures=None, max_steps=MAX_STEPS):
+def run_all(source, *, mode, strategy, measures=None, fuel=MAX_STEPS):
     """The answers of every machine, tree first."""
-    key = (source, mode, strategy, max_steps)
+    key = (source, mode, strategy, fuel)
     if key not in _RUNS:
         _RUNS[key] = [
             run_source(source, mode=mode, strategy=strategy,
                        monitor=SCMonitor(measures=measures),
-                       max_steps=max_steps, machine=machine)
+                       fuel=fuel, machine=machine)
             for machine in MACHINES]
     return _RUNS[key]
 
@@ -111,7 +112,7 @@ class TestDivergingDifferential:
     def test_identical_violation_cm(self, prog):
         tree, compiled = run_both(prog.source, mode="full", strategy="cm",
                                   measures=prog.measures,
-                                  max_steps=375_000)
+                                  fuel=375_000)
         assert tree.kind == Answer.SC_ERROR
         assert_same_answer(tree, compiled)
 
@@ -119,7 +120,7 @@ class TestDivergingDifferential:
         tree, compiled = run_both(prog.source, mode="full",
                                   strategy="imperative",
                                   measures=prog.measures,
-                                  max_steps=375_000)
+                                  fuel=375_000)
         assert tree.kind == Answer.SC_ERROR
         assert_same_answer(tree, compiled)
 
@@ -358,7 +359,7 @@ class TestMonitorFastPathEquivalence:
         for machine in ("tree", "compiled"):
             mon = SCMonitor(keying="label")
             answers[machine] = run_source(src, mode="full", monitor=mon,
-                                          machine=machine, max_steps=200_000)
+                                          machine=machine, fuel=200_000)
         assert answers["tree"].kind == answers["compiled"].kind, answers
 
     def test_label_keying_empty_let_rib(self):
@@ -375,7 +376,7 @@ class TestMonitorFastPathEquivalence:
         for machine in ("tree", "compiled"):
             mon = SCMonitor(keying="label")
             answers[machine] = run_source(src, mode="full", monitor=mon,
-                                          machine=machine, max_steps=200_000)
+                                          machine=machine, fuel=200_000)
         assert answers["tree"].kind == answers["compiled"].kind, answers
 
     def test_backoff(self):
@@ -388,11 +389,12 @@ class TestMonitorFastPathEquivalence:
             checks[machine] = (mon.calls_seen, mon.checks_done)
         assert checks["tree"] == checks["compiled"]
 
-    def test_whitelist_skips_monitoring(self):
-        for machine in ("tree", "compiled"):
-            mon = SCMonitor(whitelist={"dec"})
-            a = run_source(self.SRC, mode="full", monitor=mon,
-                           machine=machine)
+    def test_skip_labels_skip_monitoring(self):
+        for machine in ("tree", "compiled", "native"):
+            program = parse_program(self.SRC)
+            mon = SCMonitor(skip_labels={_label(program, "dec")})
+            a = run_program(program, mode="full", monitor=mon,
+                            machine=machine)
             assert a.kind == Answer.VALUE
             assert mon.calls_seen == 0
 

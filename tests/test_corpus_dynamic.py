@@ -22,14 +22,14 @@ _SLOW = {"scheme"}
 @pytest.mark.parametrize("prog", PROGRAMS, ids=[p.name for p in PROGRAMS])
 class TestTable1Dynamic:
     def test_standard_value(self, prog):
-        a = run_source(prog.source, mode="off", max_steps=30_000_000)
+        a = run_source(prog.source, mode="off", fuel=30_000_000)
         assert a.kind == Answer.VALUE
         assert write_value(a.value) == prog.expected
 
     def test_monitored_cm(self, prog):
         monitor = SCMonitor(measures=prog.measures)
         a = run_source(prog.source, mode="full", monitor=monitor,
-                       max_steps=30_000_000)
+                       fuel=30_000_000)
         assert a.kind == Answer.VALUE, f"spurious violation: {a.violation}"
         assert write_value(a.value) == prog.expected
 
@@ -38,7 +38,7 @@ class TestTable1Dynamic:
             pytest.skip("cm-only for the interpreter benchmark")
         monitor = SCMonitor(measures=prog.measures)
         a = run_source(prog.source, mode="full", monitor=monitor,
-                       strategy="imperative", max_steps=30_000_000)
+                       strategy="imperative", fuel=30_000_000)
         assert a.kind == Answer.VALUE, f"spurious violation: {a.violation}"
         assert write_value(a.value) == prog.expected
 
@@ -47,7 +47,7 @@ class TestTable1Dynamic:
             pytest.skip("cm-only for the interpreter benchmark")
         monitor = SCMonitor(measures=prog.measures, backoff=True)
         a = run_source(prog.source, mode="full", monitor=monitor,
-                       max_steps=30_000_000)
+                       fuel=30_000_000)
         assert a.kind == Answer.VALUE, f"spurious violation: {a.violation}"
 
     def test_paper_dyn_column_is_yes(self, prog):
@@ -57,7 +57,7 @@ class TestTable1Dynamic:
 @pytest.mark.parametrize("prog", DIVERGING, ids=[d.name for d in DIVERGING])
 class TestDivergingDynamic:
     def test_standard_semantics_diverges(self, prog):
-        a = run_source(prog.source, mode="off", max_steps=37_500)
+        a = run_source(prog.source, mode="off", fuel=37_500)
         assert a.kind == Answer.TIMEOUT
 
     def test_monitor_stops_it(self, prog):

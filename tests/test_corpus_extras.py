@@ -3,10 +3,12 @@
 import pytest
 
 from repro.corpus import conservative_programs, extra_programs
-from repro.eval.machine import Answer, run_source
+from repro.eval.machine import Answer, run_program, run_source
+from repro.lang.parser import parse_program
 from repro.sct.monitor import SCMonitor
 from repro.symbolic import verify_source
 from repro.values.values import write_value
+from tests.test_acyclic_skip import _label
 
 EXTRAS = extra_programs()
 CONSERVATIVE = conservative_programs()
@@ -15,14 +17,14 @@ CONSERVATIVE = conservative_programs()
 @pytest.mark.parametrize("prog", EXTRAS, ids=[p.name for p in EXTRAS])
 class TestExtras:
     def test_standard_value(self, prog):
-        a = run_source(prog.source, mode="off", max_steps=30_000_000)
+        a = run_source(prog.source, mode="off", fuel=30_000_000)
         assert a.kind == Answer.VALUE
         assert write_value(a.value) == prog.expected
 
     def test_monitored_agrees(self, prog):
         for strategy in ("cm", "imperative"):
             a = run_source(prog.source, mode="full", strategy=strategy,
-                           max_steps=30_000_000)
+                           fuel=30_000_000)
             assert a.kind == Answer.VALUE, f"flagged: {a.violation}"
             assert write_value(a.value) == prog.expected
 
@@ -42,12 +44,12 @@ class TestConservativeness:
     flag is the documented, expected behaviour."""
 
     def test_terminates_under_standard_semantics(self, prog):
-        a = run_source(prog.source, mode="off", max_steps=30_000_000)
+        a = run_source(prog.source, mode="off", fuel=30_000_000)
         assert a.kind == Answer.VALUE
         assert write_value(a.value) == prog.expected
 
     def test_monitor_conservatively_flags(self, prog):
-        a = run_source(prog.source, mode="full", max_steps=30_000_000)
+        a = run_source(prog.source, mode="full", fuel=30_000_000)
         assert a.kind == Answer.SC_ERROR
 
 
@@ -69,11 +71,15 @@ class TestConservativenessRepairs:
         a = run_source(prog.source, mode="full", monitor=monitor)
         assert a.kind == Answer.VALUE and a.value == 5
 
-    def test_cpstak_repaired_by_whitelisting_after_offline_proof(self):
+    def test_cpstak_repaired_by_skipping_after_offline_proof(self):
         """cpstak's termination argument is beyond SCT; a user who has
-        proved it by other means can whitelist it (§5's virtuous cycle)."""
+        proved it by other means can put its label in the skip set (§5's
+        virtuous cycle)."""
         from repro.corpus.registry import CONSERVATIVE as C
 
-        monitor = SCMonitor(whitelist={"cpstak"})
-        a = run_source(C["cpstak"].source, mode="full", monitor=monitor)
-        assert a.kind == Answer.VALUE and a.value == 3
+        for machine in ("tree", "compiled", "native"):
+            program = parse_program(C["cpstak"].source)
+            monitor = SCMonitor(skip_labels={_label(program, "cpstak")})
+            a = run_program(program, mode="full", monitor=monitor,
+                            machine=machine)
+            assert a.kind == Answer.VALUE and a.value == 3, machine

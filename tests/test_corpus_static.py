@@ -57,12 +57,14 @@ class TestStaticFindsTheNfaBug:
 
 
 class TestVerifierVirtuousCycle:
-    """§2.3/§5: statically verified functions can be whitelisted away from
-    dynamic monitoring entirely."""
+    """§2.3/§5: statically verified functions can be skipped by label,
+    away from dynamic monitoring entirely."""
 
     def test_verified_function_runs_unmonitored(self):
-        from repro.eval.machine import Answer, run_source
+        from repro.eval.machine import Answer, run_program
+        from repro.lang.parser import parse_program
         from repro.sct.monitor import SCMonitor
+        from tests.test_acyclic_skip import _label
 
         src = """
         (define (len2 l) (if (null? l) 0 (+ 1 (len2 (cdr l)))))
@@ -70,7 +72,10 @@ class TestVerifierVirtuousCycle:
         """
         v = verify_source(src, "len2", ["list"])
         assert v.verified
-        monitor = SCMonitor(whitelist={"len2"})
-        a = run_source(src, mode="full", monitor=monitor)
-        assert a.kind == Answer.VALUE and a.value == 4
-        assert monitor.calls_seen == 0
+        for machine in ("tree", "compiled", "native"):
+            program = parse_program(src)
+            monitor = SCMonitor(skip_labels={_label(program, "len2")})
+            a = run_program(program, mode="full", monitor=monitor,
+                            machine=machine)
+            assert a.kind == Answer.VALUE and a.value == 4
+            assert monitor.calls_seen == 0

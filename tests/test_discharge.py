@@ -432,20 +432,23 @@ class TestLibraryStableIds:
 
 
 class TestMonitorSkipSet:
-    def test_should_monitor_and_trivial_policy(self):
-        from repro.values.values import Closure
-        from repro.lang.ast import Lam
-        from repro.sexp.datum import intern
+    DEC = "(define (dec n) (if (zero? n) 0 (dec (- n 1)))) (dec 5)"
 
-        lam = Lam((intern("x"),), None)
-        clo = Closure(lam, None)
-        mon = SCMonitor(skip_labels={lam.label})
-        assert not mon.should_monitor(clo)
-        assert not mon.trivial_policy()
-        assert mon.trivial_policy(ignore_skip_labels=True)
-        other = SCMonitor()
-        assert other.should_monitor(clo)
-        assert other.trivial_policy()
+    def _calls_seen(self, make_monitor, skip: bool) -> set:
+        seen = set()
+        for machine in ("tree", "compiled", "native"):
+            program = parse_program(self.DEC)
+            mon = make_monitor(skip_labels={program.forms[0].expr.label}
+                               if skip else None)
+            a = run_program(program, mode="full", monitor=mon,
+                            machine=machine)
+            assert a.kind == Answer.VALUE and a.value == 0
+            seen.add(mon.calls_seen)
+        return seen
+
+    def test_skip_set_runs_unmonitored(self):
+        assert self._calls_seen(SCMonitor, skip=True) == {0}
+        assert self._calls_seen(SCMonitor, skip=False) == {6}
 
     def test_policy_is_scoped_to_the_run(self):
         """run_program(discharge=…) must not leak the policy into a
@@ -462,13 +465,9 @@ class TestMonitorSkipSet:
 
     def test_mc_monitor_inherits_skip_set(self):
         from repro.mc.monitor import MCMonitor
-        from repro.values.values import Closure
-        from repro.lang.ast import Lam
-        from repro.sexp.datum import intern
 
-        lam = Lam((intern("x"),), None)
-        mon = MCMonitor(skip_labels={lam.label})
-        assert not mon.should_monitor(Closure(lam, None))
+        assert self._calls_seen(MCMonitor, skip=True) == {0}
+        assert self._calls_seen(MCMonitor, skip=False) == {6}
 
 
 @pytest.mark.parametrize("prog", PROGRAMS, ids=[p.name for p in PROGRAMS])
@@ -483,10 +482,10 @@ class TestDifferentialCorpus:
         for machine in machines:
             mon_full = SCMonitor(measures=prog.measures)
             full = run_program(parsed, mode="full", monitor=mon_full,
-                               machine=machine, max_steps=30_000_000)
+                               machine=machine, fuel=30_000_000)
             mon_dis = SCMonitor(measures=prog.measures)
             dis = run_program(parsed, mode="full", monitor=mon_dis,
-                              machine=machine, max_steps=30_000_000,
+                              machine=machine, fuel=30_000_000,
                               discharge=result.policy)
             assert dis.kind == full.kind == Answer.VALUE
             assert write_value(dis.value) == write_value(full.value)
@@ -512,10 +511,10 @@ class TestDifferentialDiverging:
         for machine in ("compiled", "tree"):
             full = run_program(parsed, mode="full",
                                monitor=SCMonitor(measures=prog.measures),
-                               machine=machine, max_steps=3_000_000)
+                               machine=machine, fuel=3_000_000)
             dis = run_program(parsed, mode="full",
                               monitor=SCMonitor(measures=prog.measures),
-                              machine=machine, max_steps=3_000_000,
+                              machine=machine, fuel=3_000_000,
                               discharge=result.policy)
             assert full.kind == Answer.SC_ERROR
             assert dis.kind == Answer.SC_ERROR

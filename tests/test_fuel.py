@@ -32,12 +32,6 @@ class TestFuel:
         a = run_source(QUICK, mode="off", fuel=1_000_000, machine=machine)
         assert a.kind == Answer.VALUE and a.value == 42
 
-    def test_fuel_wins_over_max_steps(self, machine):
-        a = run_source(LOOP, mode="off", fuel=5_000,
-                       max_steps=50_000_000, machine=machine)
-        assert a.kind == Answer.TIMEOUT
-        assert isinstance(a.error, FuelExhausted)
-
     def test_run_program_accepts_fuel(self, machine):
         program = parse_program(LOOP, source="<fuel-test>")
         a = run_program(program, mode="off", fuel=5_000, machine=machine)
@@ -190,14 +184,14 @@ class TestFuelCli:
         assert code == 4
         assert "after 0 steps" in capsys.readouterr().err
 
-    def test_max_steps_alias_same_exit_code(self, tmp_path, capsys):
-        """--max-steps is an alias for the same budget: exit code 4
-        either way (the paper-era spelling keeps working)."""
+    def test_trace_fuel_same_exit_code(self, tmp_path, capsys):
+        """``sized trace --fuel`` exits 4 on exhaustion, like ``run``:
+        both read the one exit-status table."""
         from repro.cli import main
 
         f = tmp_path / "loop.scm"
         f.write_text(LOOP)
-        code = main(["run", str(f), "--mode", "off",
-                     "--max-steps", "5000"])
+        code = main(["trace", str(f), "--mode", "contract",
+                     "--fuel", "5000"])
         assert code == 4
-        assert "exhausted" in capsys.readouterr().err
+        assert "fuel exhausted" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from repro.fuzz import (
     run_matrix,
     shrink_divergence,
 )
+from repro.fuzz.differential import POLICIES
 from repro.fuzz.gen import GenProgram
 from repro.fuzz.shrink import load_regression, parse_forms, render_forms
 
@@ -66,8 +67,7 @@ class TestCells:
         cells = default_cells("quick")
         assert {c[0] for c in cells} == {"tree", "compiled", "native"}
         assert {c[1] for c in cells} == {"bitmask", "reference"}
-        assert {c[2] for c in cells} == {"off", "monitored", "imperative",
-                                         "discharged"}
+        assert {c[2] for c in cells} == set(POLICIES)
         assert ("native", "bitmask", "imperative") in cells
 
     def test_explicit_spec(self):

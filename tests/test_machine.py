@@ -286,10 +286,10 @@ class TestTailCallsAndFuel:
         assert ev(src) == 50000 * 50001 // 2
 
     def test_fuel_timeout_on_divergence(self):
-        a = run_source("(define (f) (f)) (f)", max_steps=10000)
+        a = run_source("(define (f) (f)) (f)", fuel=10000)
         assert a.kind == Answer.TIMEOUT
 
     def test_fuel_shared_across_forms(self):
         a = run_source("(define (f n) (if (= n 0) 0 (f (- n 1)))) (f 10) (f 10)",
-                       max_steps=100000)
+                       fuel=100000)
         assert a.kind == Answer.VALUE

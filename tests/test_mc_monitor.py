@@ -44,13 +44,13 @@ class TestMachineIntegration:
     def test_plain_ascent_is_caught(self):
         src = "(define (up x) (up (+ x 1))) (up 0)"
         answer = run_source(src, mode="full", monitor=MCMonitor(),
-                            max_steps=500_000)
+                            fuel=500_000)
         assert answer.kind == answer.SC_ERROR
 
     def test_stationary_loop_is_caught(self):
         src = "(define (spin x) (spin x)) (spin 7)"
         answer = run_source(src, mode="full", monitor=MCMonitor(),
-                            max_steps=500_000)
+                            fuel=500_000)
         assert answer.kind == answer.SC_ERROR
 
     def test_climber_chasing_a_rising_ceiling_is_caught(self):
@@ -62,7 +62,7 @@ class TestMachineIntegration:
         (chase 0 5)
         """
         answer = run_source(src, mode="full", monitor=MCMonitor(),
-                            max_steps=500_000)
+                            fuel=500_000)
         assert answer.kind == answer.SC_ERROR
 
     def test_constant_ceiling_is_not_enough(self):
@@ -80,7 +80,7 @@ class TestMachineIntegration:
         assert ok.is_value()
         bad = run_source("(define (up x) (up (+ x 1))) (up 0)",
                          mode="full", strategy="imperative",
-                         monitor=MCMonitor(), max_steps=500_000)
+                         monitor=MCMonitor(), fuel=500_000)
         assert bad.kind == bad.SC_ERROR
 
     def test_contract_mode_wraps_only_marked_functions(self):
@@ -100,7 +100,7 @@ class TestMachineIntegration:
     def test_violation_reports_mc_composition(self):
         src = "(define (spin x) (spin x)) (spin 7)"
         answer = run_source(src, mode="full", monitor=MCMonitor(),
-                            max_steps=500_000)
+                            fuel=500_000)
         violation = answer.violation
         assert isinstance(violation, SizeChangeViolation)
         assert violation.composition is not None
@@ -110,7 +110,7 @@ class TestMachineIntegration:
         src = "(define (up x) (up (+ x 1))) (up 0)"
         answer = run_source(src, mode="full",
                             monitor=MCMonitor(backoff=True),
-                            max_steps=2_000_000)
+                            fuel=2_000_000)
         assert answer.kind == answer.SC_ERROR
 
     def test_mc_accepts_everything_sc_accepts_on_corpus_samples(self):
@@ -121,11 +121,11 @@ class TestMachineIntegration:
             if prog.measures or "scheme" in prog.tags:
                 continue  # measured rows differ by design; scheme is slow
             sc = run_source(prog.source, mode="full", monitor=SCMonitor(),
-                            max_steps=3_000_000)
+                            fuel=3_000_000)
             if not sc.is_value():
                 continue
             mc = run_source(prog.source, mode="full", monitor=MCMonitor(),
-                            max_steps=3_000_000)
+                            fuel=3_000_000)
             assert mc.is_value(), f"{prog.name}: SC accepted but MC rejected"
 
 

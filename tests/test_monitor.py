@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ds.hamt import Hamt
+from repro.eval.machine import Answer, run_program
 from repro.lang.ast import Lam, Lit
+from repro.lang.parser import parse_program
 from repro.sct.errors import SizeChangeViolation
 from repro.sct.graph import SCGraph, graph_of_values, prog_ok
 from repro.sct.monitor import SCMonitor
@@ -14,6 +16,9 @@ from repro.sct.order import SizeOrder
 from repro.sexp.datum import intern
 from repro.values.env import Env, GlobalEnv
 from repro.values.values import Closure
+from tests.test_acyclic_skip import _label
+
+MACHINES = ("tree", "compiled", "native")
 
 
 def _closure(name="f", nparams=2):
@@ -129,17 +134,36 @@ class TestBackoff:
 
 
 class TestPolicy:
-    def test_whitelist_skips(self):
-        m = SCMonitor(whitelist={"trusted"})
-        assert not m.should_monitor(_closure("trusted"))
-        assert m.should_monitor(_closure("other"))
+    def test_skip_set_spares_a_shadowing_namesake(self):
+        """Skipping the top-level ``f`` by label leaves the diverging
+        inner ``f`` monitored: the run ends in sc-error, not in fuel."""
+        src = ("(define (f x) x)\n"
+               "(define (g n) (letrec ([f (lambda (y) (f y))]) (f n)))\n"
+               "(f 0) (g 1)")
+        for machine in MACHINES:
+            program = parse_program(src)
+            top_f = program.forms[0].expr.label
+            m = SCMonitor(skip_labels={top_f})
+            a = run_program(program, mode="full", monitor=m,
+                            machine=machine, fuel=20_000)
+            assert a.kind == Answer.SC_ERROR, machine
+            assert a.steps == 4, machine
 
     def test_loop_entries_filter(self):
-        # The loop-entry optimization is a skip set of the acyclic λs.
-        f, g = _closure("f"), _closure("g")
-        m = SCMonitor(skip_labels={g.lam.label})
-        assert m.should_monitor(f)
-        assert not m.should_monitor(g)
+        # The loop-entry optimization is a skip set of the acyclic λs:
+        # a run under it reports calls of f and none of g.
+        src = ("(define (g x) x)\n"
+               "(define (f n) (if (zero? n) (g n) (f (- n 1))))\n"
+               "(f 3)")
+        for machine in MACHINES:
+            program = parse_program(src)
+            events = []
+            m = SCMonitor(skip_labels={_label(program, "g")}, events=events)
+            a = run_program(program, mode="full", monitor=m, machine=machine)
+            assert a.kind == Answer.VALUE
+            called = {e[1] for e in events if e[0] == "call"}
+            assert "f" in called, machine
+            assert "g" not in called, machine
 
     def test_identity_keying_distinguishes_twins(self):
         m = SCMonitor(keying="identity")
@@ -169,12 +193,13 @@ class TestPolicy:
         run_calls(measured, clo, [(0, 5), (1, 5), (2, 5), (3, 5)])
 
     def test_trace_records_graphs(self):
-        trace = []
-        m = SCMonitor(trace=trace)
+        events = []
+        m = SCMonitor(events=events)
         clo = _closure("f", 1)
         run_calls(m, clo, [(3,), (2,), (1,)])
-        assert len(trace) == 2
-        assert all(isinstance(t[3], SCGraph) for t in trace)
+        graphs = [e[3] for e in events if e[3] is not None]
+        assert len(events) == 3 and len(graphs) == 2
+        assert all(isinstance(g, SCGraph) for g in graphs)
 
 
 class TestImperativeStrategy:

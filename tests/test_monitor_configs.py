@@ -74,7 +74,7 @@ def run_config(source, config, machine, measures=None, mode="full"):
     if machine == "native":
         ensure_native_program(parsed)
     answer = run_program(parsed, mode=mode, strategy=strategy,
-                         monitor=monitor, max_steps=MAX_STEPS,
+                         monitor=monitor, fuel=MAX_STEPS,
                          machine=machine)
     return answer, observe(answer, monitor)
 
@@ -150,7 +150,7 @@ from repro.sct.monitor import SCMonitor
 for prog in all_programs() + extra_programs():
     m = SCMonitor(keying="label", measures=prog.measures)
     a = run_program(parse_program(prog.source), mode="full", monitor=m,
-                    max_steps=30_000_000)
+                    fuel=30_000_000)
     print(prog.name, a.kind, m.calls_seen, m.checks_done)
 """
 

@@ -11,7 +11,8 @@
 
 import pytest
 
-from repro.eval.machine import Answer, run_source
+from repro.eval.machine import Answer, run_program, run_source
+from repro.lang.parser import parse_program
 from repro.sct.graph import SCGraph, arc
 from repro.sct.monitor import SCMonitor
 
@@ -117,7 +118,7 @@ class TestSoundness:
 class TestDivergenceCaught:
     def test_divergence_becomes_errorSC(self, name, src, strategy):
         """Corollary 3.3: diverging programs are stopped with errorSC."""
-        standard = run_source(src, mode="off", max_steps=200_000)
+        standard = run_source(src, mode="off", fuel=200_000)
         assert standard.kind == Answer.TIMEOUT
         monitored = run_source(src, mode="full", strategy=strategy)
         assert monitored.kind == Answer.SC_ERROR
@@ -132,24 +133,26 @@ class TestDivergenceCaught:
 class TestWorkedExampleFig1:
     def test_ack_2_0_graph_sequence(self):
         """The dynamic graphs for (ack 2 0) match Fig. 1 exactly."""
-        trace = []
-        monitor = SCMonitor(trace=trace)
+        events = []
+        monitor = SCMonitor(events=events)
         a = run_source(ACK + "(ack 2 0)", mode="full", monitor=monitor)
         assert a.kind == Answer.VALUE and a.value == 3
-        ack_steps = [(prev, new, g) for (fn, prev, new, g) in trace if fn == "ack"]
+        ack_calls = [(args, g) for (_, fn, args, g, _) in events
+                     if fn == "ack"]
         expected = [
+            ((2, 0), None),  # the first call: a trivial entry, no graph
             # (ack 2 0) ↝ (ack 1 1): {m↓m, m↓n}
-            ((2, 0), (1, 1), SCGraph([arc(0, "<", 0), arc(0, "<", 1)])),
+            ((1, 1), SCGraph([arc(0, "<", 0), arc(0, "<", 1)])),
             # (ack 1 1) ↝ (ack 1 0): {m↓=m, m↓n, n↓=m, n↓n}
-            ((1, 1), (1, 0),
+            ((1, 0),
              SCGraph([arc(0, "=", 0), arc(0, "<", 1), arc(1, "=", 0), arc(1, "<", 1)])),
             # (ack 1 0) ↝ (ack 0 1): {m↓m, m↓=n, n↓=m}
-            ((1, 0), (0, 1),
+            ((0, 1),
              SCGraph([arc(0, "<", 0), arc(0, "=", 1), arc(1, "=", 0)])),
             # back at (ack 1 1) ↝ (ack 0 2): {m↓m, n↓m}
-            ((1, 1), (0, 2), SCGraph([arc(0, "<", 0), arc(1, "<", 0)])),
+            ((0, 2), SCGraph([arc(0, "<", 0), arc(1, "<", 0)])),
         ]
-        assert ack_steps == expected
+        assert ack_calls == expected
 
     def test_buggy_ack_witness_graph(self):
         """§2.1: the buggy call yields {m↓=m, n↓=m}, idempotent with no
@@ -165,7 +168,7 @@ class TestContracts:
     def test_unmonitored_mode_ignores_contracts(self):
         a = run_source(
             "(define f (terminating/c (lambda (x) (f x)))) (f 1)",
-            mode="off", max_steps=50_000,
+            mode="off", fuel=50_000,
         )
         assert a.kind == Answer.TIMEOUT
 
@@ -173,7 +176,7 @@ class TestContracts:
         """Only the extent of a wrapped call is monitored: an unwrapped
         diverging function still diverges (observed as a fuel timeout)."""
         src = "(define (f x) (f x)) (f 1)"
-        a = run_source(src, mode="contract", max_steps=50_000)
+        a = run_source(src, mode="contract", fuel=50_000)
         assert a.kind == Answer.TIMEOUT
 
     def test_contract_catches_wrapped_divergence(self):
@@ -228,7 +231,7 @@ class TestContracts:
         (ok 5)
         (loop 1)
         """
-        a = run_source(src, mode="contract", max_steps=50_000)
+        a = run_source(src, mode="contract", fuel=50_000)
         assert a.kind == Answer.TIMEOUT
 
 
@@ -248,12 +251,15 @@ class TestPolicies:
         a = run_source(ACK + "(ack 2 3)", mode="full", monitor=monitor)
         assert a.kind == Answer.VALUE and a.value == 9
 
-    def test_whitelist_skips_function(self):
-        monitor = SCMonitor(whitelist={"f"})
-        # f diverges but is whitelisted: monitoring never fires, fuel does.
-        a = run_source("(define (f x) (f x)) (f 1)", mode="full",
-                       monitor=monitor, max_steps=50_000)
-        assert a.kind == Answer.TIMEOUT
+    def test_skipped_label_runs_into_fuel(self):
+        # f diverges but its label is skipped: monitoring never fires,
+        # fuel does.
+        for machine in ("tree", "compiled", "native"):
+            program = parse_program("(define (f x) (f x)) (f 1)")
+            monitor = SCMonitor(skip_labels={program.forms[0].expr.label})
+            a = run_program(program, mode="full", monitor=monitor,
+                            fuel=50_000, machine=machine)
+            assert a.kind == Answer.TIMEOUT, machine
 
     def test_measure_allows_counting_up(self):
         monitor = SCMonitor(measures={"up": lambda a: (a[1] - a[0],)})

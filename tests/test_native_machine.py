@@ -45,7 +45,7 @@ MAX_STEPS = 30_000_000
 
 
 def run_everywhere(program, *, mode, strategy="cm", measures=None,
-                   discharge=None, max_steps=MAX_STEPS, fuel=None,
+                   discharge=None, fuel=MAX_STEPS,
                    ahead_of_time=False):
     # ``program`` is a *parsed* Program: λ labels are assigned at parse
     # time, so a residual policy only matches the parse it was computed
@@ -58,8 +58,8 @@ def run_everywhere(program, *, mode, strategy="cm", measures=None,
     for machine in MACHINES:
         answers[machine] = run_program(
             program, mode=mode, strategy=strategy,
-            monitor=SCMonitor(measures=measures), max_steps=max_steps,
-            fuel=fuel, machine=machine, discharge=discharge,
+            monitor=SCMonitor(measures=measures), fuel=fuel,
+            machine=machine, discharge=discharge,
         )
     return answers
 
@@ -152,7 +152,7 @@ class TestDivergingDifferential:
     def test_identical_violation(self, prog):
         answers = run_everywhere(prog.source, mode="full",
                                  measures=prog.measures,
-                                 max_steps=3_000_000)
+                                 fuel=3_000_000)
         assert answers["tree"].kind == Answer.SC_ERROR
         assert_all_same(answers)
 
@@ -179,7 +179,7 @@ class TestFallbackBoundary:
             monitors[machine] = SCMonitor()
             answers[machine] = run_program(
                 parsed, mode="full", monitor=monitors[machine],
-                max_steps=3_000_000, machine=machine,
+                fuel=3_000_000, machine=machine,
                 discharge=result.policy)
         assert answers["tree"].kind == Answer.SC_ERROR
         assert answers["tree"].violation.function == "up"
@@ -431,7 +431,7 @@ class TestMonitoredNative:
     @pytest.mark.parametrize("src", WRAPPED,
                              ids=[f"wrapped{i}" for i in range(len(WRAPPED))])
     def test_wrapped_apply_identical(self, src, mode):
-        answers = run_everywhere(src, mode=mode, max_steps=1_000_000,
+        answers = run_everywhere(src, mode=mode, fuel=1_000_000,
                                  ahead_of_time=True)
         assert_all_same(answers)
         assert answers["native"].tier == "native"

@@ -130,11 +130,11 @@ def pure_expr(draw, depth=3):
 def test_theorem_3_2_on_generated_loops(src):
     """Monitored evaluation agrees with the standard semantics on
     generated terminating loops (and never flags them)."""
-    standard = run_source(src, mode="off", max_steps=500_000)
+    standard = run_source(src, mode="off", fuel=500_000)
     assert standard.kind == Answer.VALUE
     for strategy in ("cm", "imperative"):
         monitored = run_source(src, mode="full", strategy=strategy,
-                               max_steps=500_000)
+                               fuel=500_000)
         assert monitored.kind == Answer.VALUE, f"flagged:\n{src}"
         assert scheme_equal(monitored.value, standard.value)
 
@@ -144,11 +144,11 @@ def test_theorem_3_2_on_generated_loops(src):
 def test_corollary_3_3_on_generated_loops(src):
     """Generated diverging loops time out unmonitored and end in errorSC
     under both strategies."""
-    standard = run_source(src, mode="off", max_steps=12_500)
+    standard = run_source(src, mode="off", fuel=12_500)
     assert standard.kind == Answer.TIMEOUT
     for strategy in ("cm", "imperative"):
         monitored = run_source(src, mode="full", strategy=strategy,
-                               max_steps=125_000)
+                               fuel=125_000)
         assert monitored.kind == Answer.SC_ERROR, f"missed:\n{src}"
 
 
@@ -158,10 +158,10 @@ def test_modes_and_strategies_agree_on_pure_expressions(src):
     """off / full×cm / full×imperative / contract all compute the same
     value for pure expressions."""
     answers = [
-        run_source(src, mode="off", max_steps=300_000),
-        run_source(src, mode="full", strategy="cm", max_steps=300_000),
-        run_source(src, mode="full", strategy="imperative", max_steps=300_000),
-        run_source(src, mode="contract", max_steps=300_000),
+        run_source(src, mode="off", fuel=300_000),
+        run_source(src, mode="full", strategy="cm", fuel=300_000),
+        run_source(src, mode="full", strategy="imperative", fuel=300_000),
+        run_source(src, mode="contract", fuel=300_000),
     ]
     kinds = {a.kind for a in answers}
     assert kinds == {Answer.VALUE}, src
@@ -175,8 +175,8 @@ def test_modes_and_strategies_agree_on_pure_expressions(src):
 def test_backoff_preserves_values(src):
     from repro.sct.monitor import SCMonitor
 
-    standard = run_source(src, mode="off", max_steps=500_000)
+    standard = run_source(src, mode="off", fuel=500_000)
     monitored = run_source(src, mode="full",
-                           monitor=SCMonitor(backoff=True), max_steps=500_000)
+                           monitor=SCMonitor(backoff=True), fuel=500_000)
     assert monitored.kind == Answer.VALUE
     assert scheme_equal(monitored.value, standard.value)

@@ -216,11 +216,11 @@ class TestMCDominance:
     @given(terminating_loop())
     def test_mc_accepts_whatever_sc_accepts(self, src):
         sc = run_source(src, mode="full", monitor=SCMonitor(),
-                        max_steps=500_000)
+                        fuel=500_000)
         if sc.kind != Answer.VALUE:
             return
         mc = run_source(src, mode="full", monitor=MCMonitor(),
-                        max_steps=500_000)
+                        fuel=500_000)
         assert mc.kind == Answer.VALUE
         assert scheme_equal(mc.value, sc.value)
 
@@ -235,7 +235,7 @@ class TestEventStream:
         events = []
         monitor = SCMonitor(enforce=False, events=events)
         answer = run_source(src, mode="full", strategy="imperative",
-                            monitor=monitor, max_steps=500_000)
+                            monitor=monitor, fuel=500_000)
         if answer.kind != Answer.VALUE:
             return
         calls = sum(1 for e in events if e[0] == "call")
@@ -248,7 +248,7 @@ class TestEventStream:
         events = []
         monitor = SCMonitor(enforce=False, events=events)
         answer = run_source(src, mode="full", strategy="imperative",
-                            monitor=monitor, max_steps=500_000)
+                            monitor=monitor, fuel=500_000)
         if answer.kind != Answer.VALUE:
             return
         roots = assemble_tree(events)

@@ -95,7 +95,7 @@ class TestTracer:
         (down 3)
         (same 0)
         """
-        result = trace_source(src, monitor=monitor, max_steps=100000)
+        result = trace_source(src, monitor=monitor, fuel=100000)
         assert len(monitor.violations) >= 1
 
     def test_mc_monitor_traces_mc_graphs(self):

@@ -26,7 +26,7 @@ def _payloads(source, measures=None, fuel=37_500):
         for engine in ENGINES:
             monitor = SCMonitor(engine=engine, measures=measures)
             a = run_source(source, mode="full", monitor=monitor,
-                           machine=machine, max_steps=fuel)
+                           machine=machine, fuel=fuel)
             out[(machine, engine)] = (a.kind, str(a.violation)
                                       if a.violation is not None else None)
     return out
@@ -57,7 +57,7 @@ def test_conservative_flag_payloads_identical(prog):
 def test_generated_diverging_payloads_identical(seed):
     program = generate_program(seed, "diverging")
     payloads = _payloads(program.source, fuel=program.fuel)
-    # A planted loop is either flagged (usual) or, under a whitelist-free
+    # A planted loop is either flagged (usual) or, under a skip-free
     # monitor, always flagged before fuel runs out — either way every
     # cell must agree byte-for-byte.
     assert len(set(payloads.values())) == 1, payloads
@@ -71,7 +71,7 @@ def test_payload_is_stable_across_strategies():
     for strategy in ("cm", "imperative"):
         monitor = SCMonitor(measures=prog.measures)
         a = run_source(prog.source, mode="full", strategy=strategy,
-                       monitor=monitor, max_steps=37_500)
+                       monitor=monitor, fuel=37_500)
         assert a.kind == Answer.SC_ERROR
         rendered.add(str(a.violation))
     assert len(rendered) == 1
