@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-quick bench-machines machines-smoke \
+.PHONY: test bench bench-smoke bench-quick bench-machines machines-smoke \
 	fuzz fuzz-smoke fuzz-nightly \
 	serve-bench serve-smoke chaos chaos-smoke chaos-nightly \
 	perfbench-smoke docs
@@ -14,6 +14,12 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_substrate.py \
 		benchmarks/bench_pyterm.py --benchmark-only
+
+# The same cells, each run once as a plain test (no timing), so an API
+# change that breaks `make bench` fails CI.
+bench-smoke:
+	$(PYTHON) -m pytest benchmarks/bench_substrate.py \
+		benchmarks/bench_pyterm.py --benchmark-disable -q
 
 # The engine-comparison report alone (fast smoke, used by CI).
 bench-quick:

@@ -117,7 +117,8 @@ def test_mc_decorator_cost(benchmark):
         def go(i, xs):
             return 0 if i >= len(xs) else xs[i] + go(i + 1, xs)
 
-        return decorate(go) if decorate else go
+        go = decorate(go)
+        return go
 
     fn = scan(lambda f: terminating(f, graphs="mc"))
     xs = list(range(120))
@@ -132,7 +133,8 @@ def test_measure_decorator_cost(benchmark):
         def go(i, xs):
             return 0 if i >= len(xs) else xs[i] + go(i + 1, xs)
 
-        return decorate(go) if decorate else go
+        go = decorate(go)
+        return go
 
     fn = scan(lambda f: terminating(
         f, measure=lambda a: (len(a[1]) - a[0],)))

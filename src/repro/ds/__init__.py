@@ -7,6 +7,5 @@ language's ``hash`` values reuse the same trie.
 """
 
 from repro.ds.hamt import Hamt
-from repro.ds.plist import PList, pnil
 
-__all__ = ["Hamt", "PList", "pnil"]
+__all__ = ["Hamt"]

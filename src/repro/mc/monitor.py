@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.mc.graph import MCGraph, mc_graph_of_values
+from repro.mc.graph import MCGraph, mc_graph_of_sizes
 from repro.sct.monitor import SCMonitor
 
 
@@ -43,9 +43,12 @@ class MCMonitor(SCMonitor):
     :class:`~repro.mc.static.MCEngine`) plugs in through the same
     skip set, so discharged λs bypass MC monitoring on every machine
     exactly as they bypass SC monitoring.
-    The ``order`` option is ignored: MC graphs always compare in the
-    well-founded size measure, which is what makes both termination
-    arguments (descent and bounded ascent) sound.  The ``engine`` knob is
+    Sizes come from ``order.size`` (``size_of`` under the default
+    :class:`~repro.sct.order.SizeOrder`, ``py_size`` under the Python
+    front end's :class:`~repro.pyterm.order.PySizeOrder`); ``compare``
+    is unused: MC graphs always relate the well-founded sizes
+    themselves, which is what makes both termination arguments (descent
+    and bounded ascent) sound.  The ``engine`` knob is
     moot here: because ``make_graph`` is overridden, the monitor always
     takes the generic evidence path, and the :class:`MCGraph` objects it
     composes are themselves bitmask-packed internally.
@@ -58,7 +61,9 @@ class MCMonitor(SCMonitor):
     """
 
     def make_graph(self, old_args: Tuple, new_args: Tuple) -> MCGraph:
-        return mc_graph_of_values(old_args, new_args)
+        size = self.order.size
+        return mc_graph_of_sizes([size(v) for v in old_args],
+                                 [size(v) for v in new_args])
 
     def __repr__(self) -> str:
         return f"MCMonitor(keying={self.keying!r}, backoff={self.backoff})"

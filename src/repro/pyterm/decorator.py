@@ -3,6 +3,15 @@
 Implementation notes
 --------------------
 
+* The evidence step is the machines' own: each wrapper builds one
+  :class:`~repro.sct.monitor.SCMonitor` (an
+  :class:`~repro.mc.monitor.MCMonitor` under ``graphs='mc'``) over a
+  :class:`~repro.pyterm.order.PySizeOrder` and steps it with
+  ``first_entry`` / ``advance``, keyed by a :class:`Callee` record that
+  supplies what the monitor reads of a closure (``name``, ``params``,
+  ``describe()``).  Graph building, composition, the SCP check, backoff,
+  measures and the violation witness are therefore those of ``upd``
+  (Fig. 4), packed bitmask engine included.
 * The size-change table is **extent-scoped**: one table per thread, entries
   saved on call entry and restored in a ``finally`` — the paper's
   "imperative" strategy (Python has no tail-call optimization to break).
@@ -31,26 +40,47 @@ from __future__ import annotations
 import functools
 import inspect
 import threading
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Tuple
 
+from repro.mc.monitor import MCMonitor
 from repro.sct.errors import SizeChangeViolation
-from repro.sct.graph import graph_of_values
+from repro.sct.monitor import SCMonitor
 from repro.pyterm.order import PySizeOrder
 
-
-class SizeChangeError(SizeChangeViolation):
-    """A Python-level size-change violation (subclass of the embedded
-    language's violation so tooling can treat them uniformly)."""
+# A Python-level size-change violation is the embedded language's one.
+SizeChangeError = SizeChangeViolation
 
 
-class _Entry:
-    __slots__ = ("check_args", "comps", "count", "next_check")
+class Callee:
+    """A Python function as the monitor sees a closure: its ``name``
+    (the key of its measure), its ``params`` (for the witness's
+    parameter names) and ``describe()`` (the witness's function)."""
 
-    def __init__(self, check_args, comps, count, next_check):
-        self.check_args = check_args
-        self.comps = comps
-        self.count = count
-        self.next_check = next_check
+    __slots__ = ("name", "params")
+
+    def __init__(self, name: str, param_names: Sequence[str]):
+        self.name = name
+        self.params = [SimpleNamespace(name=n) for n in param_names]
+
+    def describe(self) -> str:
+        return self.name
+
+
+def make_monitor(order, deep: bool, graphs: str, backoff: bool,
+                 measures=None) -> SCMonitor:
+    """The monitor behind one ``@terminating`` wrapper or one
+    ``monitor_extent``.  MC evidence reads sizes, never ``compare``, so it
+    is always built over ``PySizeOrder(deep=deep)`` whatever ``order``
+    says."""
+    if graphs not in ("sc", "mc"):
+        raise ValueError(f"graphs must be 'sc' or 'mc', got {graphs!r}")
+    if graphs == "mc":
+        return MCMonitor(order=PySizeOrder(deep=deep), backoff=backoff,
+                         measures=measures)
+    return SCMonitor(order=order if order is not None
+                     else PySizeOrder(deep=deep),
+                     backoff=backoff, measures=measures)
 
 
 class _ExtentState(threading.local):
@@ -94,6 +124,7 @@ def terminating(
 
     * ``order`` — a custom partial order object with
       ``compare(old, new) -> {0,1,2}``; default :class:`PySizeOrder`.
+      Unused under ``graphs="mc"``, whose evidence relates sizes.
     * ``deep`` — use deep (recursive) container sizes instead of ``len``.
     * ``backoff`` — exponential backoff: graphs are built on calls
       1, 2, 4, 8, …, trading detection latency for overhead (§5).
@@ -129,8 +160,9 @@ def terminating(
             deep=deep, graphs=graphs, discharge=discharge, kinds=kinds,
             result_kind=result_kind, cache=cache,
         )
-    if graphs not in ("sc", "mc"):
-        raise ValueError(f"graphs must be 'sc' or 'mc', got {graphs!r}")
+    name = getattr(fn, "__qualname__", repr(fn))
+    monitor = make_monitor(order, deep, graphs, backoff,
+                           {name: measure} if measure is not None else None)
     if discharge not in (None, "off", "auto", "require"):
         raise ValueError(
             f"discharge must be 'off', 'auto' or 'require', got {discharge!r}")
@@ -150,18 +182,7 @@ def terminating(
                 f"verify {getattr(fn, '__qualname__', fn)!r}: "
                 f"{discharge_reason}")
 
-    the_order = order if order is not None else PySizeOrder(deep=deep)
-    if graphs == "mc":
-        from repro.mc.graph import mc_graph_of_sizes
-        from repro.pyterm.order import py_size
-
-        def make_graph(old: tuple, new: tuple):
-            return mc_graph_of_sizes([py_size(v, deep) for v in old],
-                                     [py_size(v, deep) for v in new])
-    else:
-        def make_graph(old: tuple, new: tuple):
-            return graph_of_values(old, new, the_order)
-    party = blame if blame is not None else getattr(fn, "__qualname__", repr(fn))
+    party = blame if blame is not None else name
     try:
         signature = inspect.signature(fn)
         param_names = [
@@ -191,16 +212,19 @@ def terminating(
         bound.apply_defaults()
         return tuple(bound.arguments.values())
 
+    callee = Callee(name, param_names or ())
+    first_entry = monitor.first_entry
+    advance = monitor.advance
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         table = _STATE.table
         prev = table.get(wrapper, _MISSING)
         call_args = _normalize(args, kwargs)
-        margs = tuple(measure(call_args)) if measure is not None else call_args
         if prev is _MISSING:
-            table[wrapper] = _Entry(margs, frozenset(), 1, 2)
+            table[wrapper] = first_entry(callee, call_args)
         else:
-            table[wrapper] = _advance(prev, margs)
+            table[wrapper] = advance(prev, callee, call_args, party)
         try:
             return fn(*args, **kwargs)
         finally:
@@ -208,29 +232,6 @@ def terminating(
                 table.pop(wrapper, None)
             else:
                 table[wrapper] = prev
-
-    def _advance(entry: _Entry, margs: tuple) -> _Entry:
-        count = entry.count + 1
-        if count < entry.next_check:
-            return _Entry(entry.check_args, entry.comps, count, entry.next_check)
-        g = make_graph(entry.check_args, margs)
-        new_comps = {g}
-        for c in entry.comps:
-            new_comps.add(c.compose(g))
-        for c in new_comps:
-            if not c.desc_ok():
-                raise SizeChangeError(
-                    function=getattr(fn, "__qualname__", repr(fn)),
-                    prev_args=entry.check_args,
-                    new_args=margs,
-                    graph=g,
-                    composition=c,
-                    blame=party,
-                    call_count=count,
-                    param_names=param_names,
-                )
-        next_check = count * 2 if backoff else count + 1
-        return _Entry(margs, frozenset(new_comps), count, next_check)
 
     wrapper.__wrapped__ = fn
     wrapper.__sct_terminating__ = True

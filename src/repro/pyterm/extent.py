@@ -18,6 +18,16 @@ Design notes
   compromise (§5): sound (the table cannot grow without bound), but able
   to produce false positives when distinct closures of the same λ
   alternate.  Use the selective decorator when that precision matters.
+* **One evidence step.**  The extent owns one
+  :class:`~repro.sct.monitor.SCMonitor` (an
+  :class:`~repro.mc.monitor.MCMonitor` under ``graphs='mc'``) and its
+  profile hook steps it with the monitor's ``first_entry`` / ``advance``
+  on each call, keyed by one :class:`~repro.pyterm.decorator.Callee`
+  record per code object, and restores the entry on each return — the
+  imperative strategy's ``upd_mut`` / ``restore_mut`` written inline, as
+  the decorator does: two call layers fewer per call, which matters
+  under backoff, where the hook itself is most of the cost.
+  ``calls_seen`` / ``checks_done`` are the monitor's counters.
 * **Extent scoping.**  Like the λSCT table, entries are saved on call
   entry and restored on return/unwind, so sibling calls never compare
   against each other.
@@ -38,10 +48,9 @@ import os
 import sys
 import sysconfig
 import threading
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
-from repro.pyterm.decorator import SizeChangeError
-from repro.pyterm.order import PySizeOrder, py_size
+from repro.pyterm.decorator import Callee, SizeChangeError, make_monitor
 
 _REPRO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _STDLIB = sysconfig.get_paths().get("stdlib", "")
@@ -76,16 +85,6 @@ def default_include(code) -> bool:
     return True
 
 
-class _Entry:
-    __slots__ = ("check_args", "comps", "count", "next_check")
-
-    def __init__(self, check_args, comps, count, next_check):
-        self.check_args = check_args
-        self.comps = comps
-        self.count = count
-        self.next_check = next_check
-
-
 class monitor_extent:
     """Context manager enforcing size-change termination on every call in
     its dynamic extent (current thread).
@@ -95,7 +94,8 @@ class monitor_extent:
     * ``include`` — predicate on code objects selecting what to monitor
       (default :func:`default_include`).
     * ``order`` / ``deep`` — the well-founded order on argument values
-      (as in :func:`repro.pyterm.terminating`).
+      (as in :func:`repro.pyterm.terminating`; ``order`` is unused under
+      ``graphs="mc"``).
     * ``graphs`` — ``"sc"`` (size-change) or ``"mc"`` (monotonicity
       constraints, accepting bounded count-up loops).
     * ``backoff`` — exponential backoff per code object (§5).
@@ -112,33 +112,25 @@ class monitor_extent:
         backoff: bool = False,
         blame: Optional[str] = None,
     ):
-        if graphs not in ("sc", "mc"):
-            raise ValueError(f"graphs must be 'sc' or 'mc', got {graphs!r}")
         self.include = include if include is not None else default_include
-        self.order = order if order is not None else PySizeOrder(deep=deep)
-        self.deep = deep
-        self.graphs = graphs
-        self.backoff = backoff
         self.blame = blame
-        self.calls_seen = 0
-        self.checks_done = 0
         self.violation: Optional[SizeChangeError] = None
+        self._monitor = make_monitor(order, deep, graphs, backoff)
+        self._first_entry = self._monitor.first_entry
+        self._advance = self._monitor.advance
+        self._callees: dict = {}
         self._table: dict = {}
         self._undo: dict = {}
         self._previous_profile = None
         self._owner: Optional[int] = None
 
-    # -- graph construction -------------------------------------------------
+    @property
+    def calls_seen(self) -> int:
+        return self._monitor.calls_seen
 
-    def _make_graph(self, old: tuple, new: tuple):
-        if self.graphs == "mc":
-            from repro.mc.graph import mc_graph_of_sizes
-
-            return mc_graph_of_sizes([py_size(v, self.deep) for v in old],
-                                     [py_size(v, self.deep) for v in new])
-        from repro.sct.graph import graph_of_values
-
-        return graph_of_values(old, new, self.order)
+    @property
+    def checks_done(self) -> int:
+        return self._monitor.checks_done
 
     # -- the profile hook ------------------------------------------------------
 
@@ -148,18 +140,25 @@ class monitor_extent:
             if (code.co_flags & _SKIP_FLAGS or code.co_name in _SKIP_NAMES
                     or not self.include(code)):
                 return
-            self.calls_seen += 1
-            nargs = code.co_argcount
-            names = code.co_varnames[:nargs]
+            names = code.co_varnames[:code.co_argcount]
+            callee = self._callees.get(code)
+            if callee is None:
+                callee = self._callees[code] = Callee(code.co_qualname, names)
             local = frame.f_locals
             args = tuple(local.get(n, _MISSING) for n in names)
-            key = code
-            prev = self._table.get(key, _MISSING)
-            self._undo[id(frame)] = (key, prev)
-            if prev is _MISSING:
-                self._table[key] = _Entry(args, frozenset(), 1, 2)
-            else:
-                self._table[key] = self._advance(prev, code, names, args)
+            table = self._table
+            prev = table.get(callee, _MISSING)
+            self._undo[id(frame)] = (callee, prev)
+            self._monitor.calls_seen += 1
+            try:
+                if prev is _MISSING:
+                    table[callee] = self._first_entry(callee, args)
+                else:
+                    table[callee] = self._advance(
+                        prev, callee, args, self.blame or callee.name)
+            except SizeChangeError as violation:
+                self.violation = violation
+                raise
         elif event == "return":
             undo = self._undo.pop(id(frame), None)
             if undo is not None:
@@ -168,33 +167,6 @@ class monitor_extent:
                     self._table.pop(key, None)
                 else:
                     self._table[key] = prev
-
-    def _advance(self, entry: _Entry, code, names, args: tuple) -> _Entry:
-        count = entry.count + 1
-        if count < entry.next_check:
-            return _Entry(entry.check_args, entry.comps, count,
-                          entry.next_check)
-        self.checks_done += 1
-        g = self._make_graph(entry.check_args, args)
-        new_comps = {g}
-        for c in entry.comps:
-            new_comps.add(c.compose(g))
-        for c in new_comps:
-            if not c.desc_ok():
-                violation = SizeChangeError(
-                    function=code.co_qualname,
-                    prev_args=entry.check_args,
-                    new_args=args,
-                    graph=g,
-                    composition=c,
-                    blame=self.blame or code.co_qualname,
-                    call_count=count,
-                    param_names=list(names),
-                )
-                self.violation = violation
-                raise violation
-        next_check = count * 2 if self.backoff else count + 1
-        return _Entry(args, frozenset(new_comps), count, next_check)
 
     # -- context-manager protocol --------------------------------------------------
 

@@ -106,6 +106,9 @@ class PySizeOrder:
     def __init__(self, deep: bool = False):
         self.deep = deep
 
+    def size(self, v) -> Optional[int]:
+        return py_size(v, self.deep)
+
     def compare(self, old, new) -> int:
         if new is old:
             return EQ

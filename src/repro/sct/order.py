@@ -40,6 +40,7 @@ class SizeOrder:
     """The default well-founded order: strict iff the memoized size drops."""
 
     name = "size"
+    size = staticmethod(size_of)
 
     def compare(self, old, new) -> int:
         if new is old:
@@ -68,6 +69,7 @@ class ContainmentOrder:
     """
 
     name = "containment"
+    size = staticmethod(size_of)
 
     def compare(self, old, new) -> int:
         if new is old or scheme_equal(new, old):

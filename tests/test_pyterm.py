@@ -205,14 +205,29 @@ class TestTerminatingDecorator:
         assert calls[0] < 20
 
     def test_deep_ordering(self):
-        @terminating(deep=True)
-        def count_tree(t):
-            # shrinks total node count but not necessarily len()
-            if isinstance(t, list) and t:
-                return 1 + count_tree(t[0]) + count_tree(t[1:] if len(t) > 1 else [])
-            return 0
+        for options in ({"deep": True}, {"graphs": "mc", "deep": True}):
+            @terminating(**options)
+            def count_tree(t):
+                # shrinks total node count but not necessarily len()
+                if isinstance(t, list) and t:
+                    return 1 + count_tree(t[0]) + count_tree(t[1:] if len(t) > 1 else [])
+                return 0
 
-        assert count_tree([[1, 2], 3]) >= 0
+            assert count_tree([[1, 2], 3]) >= 0, options
+
+    def test_mc_ignores_a_compare_only_order(self):
+        """MC evidence reads sizes, never ``compare``: an ``order`` with
+        only a ``compare`` method does not reach the MC monitor."""
+
+        class CompareOnly:
+            def compare(self, old, new):
+                return NONE
+
+        @terminating(graphs="mc", order=CompareOnly())
+        def up(lo, hi):
+            return [] if lo >= hi else [lo] + up(lo + 1, hi)
+
+        assert up(0, 5) == [0, 1, 2, 3, 4]
 
     def test_exception_restores_table(self):
         @terminating

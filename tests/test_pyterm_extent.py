@@ -176,6 +176,17 @@ class TestOptionsAndBlame:
         with monitor_extent(graphs="mc"):
             assert scan(0, [1, 2, 3]) == 6
 
+    def test_mc_ignores_a_compare_only_order(self):
+        class CompareOnly:
+            def compare(self, old, new):
+                return 0
+
+        def up(lo, hi):
+            return [] if lo >= hi else [lo] + up(lo + 1, hi)
+
+        with monitor_extent(graphs="mc", order=CompareOnly()):
+            assert up(0, 5) == [0, 1, 2, 3, 4]
+
     def test_invalid_graphs_option(self):
         with pytest.raises(ValueError):
             monitor_extent(graphs="xx")

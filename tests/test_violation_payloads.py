@@ -12,6 +12,8 @@ import pytest
 from repro.corpus import conservative_programs, diverging_programs
 from repro.eval.machine import Answer, run_source
 from repro.fuzz.gen import generate_program
+from repro.pyterm import SizeChangeError, monitor_extent, terminating
+from repro.sct.errors import SizeChangeViolation
 from repro.sct.monitor import SCMonitor
 
 DIVERGING = diverging_programs()
@@ -75,3 +77,50 @@ def test_payload_is_stable_across_strategies():
         assert a.kind == Answer.SC_ERROR
         rendered.add(str(a.violation))
     assert len(rendered) == 1
+
+
+# One witness across front ends: the same two loops written once in the
+# embedded language and once in Python must raise the same witness on
+# every machine and under both Python front ends, which all step the one
+# SCMonitor evidence step.
+_SCHEME_LOOPS = {
+    "stuck": "(define (f a b) (f a b)) (f 3 4)",
+    "swap": "(define (f a b) (f b a)) (f 3 4)",
+}
+
+
+def _python_loop(kind, decorate=None):
+    if kind == "stuck":
+        def f(a, b):
+            return f(a, b)
+    else:
+        def f(a, b):
+            return f(b, a)
+    if decorate is not None:
+        f = decorate(f)
+    return f
+
+
+def _witness(violation):
+    names = ["a", "b"]
+    return (violation.call_count, violation.graph.pretty(names),
+            violation.composition.pretty(names))
+
+
+@pytest.mark.parametrize("kind", sorted(_SCHEME_LOOPS))
+def test_one_witness_across_front_ends(kind):
+    assert SizeChangeError is SizeChangeViolation
+    witnesses = {}
+    for machine in ("tree", "compiled", "native"):
+        a = run_source(_SCHEME_LOOPS[kind], mode="full", machine=machine,
+                       fuel=1000)
+        assert a.kind == Answer.SC_ERROR, (machine, a.kind)
+        witnesses[machine] = _witness(a.violation)
+    with pytest.raises(SizeChangeError) as decorated:
+        _python_loop(kind, terminating)(3, 4)
+    witnesses["@terminating"] = _witness(decorated.value)
+    with pytest.raises(SizeChangeError) as extent:
+        with monitor_extent():
+            _python_loop(kind)(3, 4)
+    witnesses["monitor_extent"] = _witness(extent.value)
+    assert len(set(witnesses.values())) == 1, witnesses
