@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench bench-smoke bench-quick bench-machines machines-smoke \
 	fuzz fuzz-smoke fuzz-nightly \
 	serve-bench serve-smoke chaos chaos-smoke chaos-nightly \
-	perfbench-smoke docs
+	perfbench-smoke import-smoke docs
 
 # Tier-1 verification: the full claim-backing test suite.
 test:
@@ -97,6 +97,19 @@ perfbench-smoke:
 	@echo "perfbench-smoke: cold-pipeline, traced"; \
 	$(PYTHON) perfbench/run.py --workload cold-pipeline --seed 1 --seconds 2 \
 		--trace 1 | tail -n 1 | $(PERFBENCH_GATE)
+
+# Every repro.* module imported on its own in a fresh interpreter, so an
+# import cycle that only bites under one import order fails CI (the test
+# suite imports modules in one order only).  The list comes from the
+# file tree, not from importing the package.  `repro.__main__` is left
+# out: importing it runs the CLI.
+import-smoke:
+	@mods=$$(cd src && find repro -name '*.py' ! -name __main__.py | \
+		sed -e 's|/__init__\.py$$||' -e 's|\.py$$||' -e 's|/|.|g' | sort); \
+	n=0; for m in $$mods; do \
+		$(PYTHON) -c "import $$m" || { echo "import-smoke: $$m failed"; exit 1; }; \
+		n=$$((n + 1)); \
+	done; echo "import-smoke: $$n modules import on their own"
 
 # The documentation set worth (re)reading, in order.
 docs:

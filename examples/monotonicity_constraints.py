@@ -11,7 +11,7 @@ constraint (MC) graphs also record context (``lo < hi``) and ascent
 2. branch-guard context prunes infeasible compositions statically.
 """
 
-from repro import MCMonitor, SCMonitor, run_source, verify_source, verify_source_mc
+from repro import MCMonitor, SCMonitor, run_source, verify_source
 from repro.pyterm import SizeChangeError, terminating
 from repro.sct.trace import render_tree, trace_source
 
@@ -42,7 +42,8 @@ print(render_tree(trace_source(RANGE, monitor=MCMonitor()).roots))
 
 banner("statically: SC unknown, MC verified")
 print("SC:", verify_source(RANGE, "range2", ["nat", "nat"]).status)
-print("MC:", verify_source_mc(RANGE, "range2", ["nat", "nat"]).status)
+print("MC:", verify_source(RANGE, "range2", ["nat", "nat"],
+                           evidence="mc").status)
 
 banner("divergent ascent is still caught (soundness is kept)")
 answer = run_source("(define (up x) (up (+ x 1))) (up 0)",
@@ -58,7 +59,8 @@ SWAP = """
         [(< x y) (swapper (- x 1) y)]
         [else 0]))
 """
-print("MC:", verify_source_mc(SWAP, "swapper", ["nat", "nat"]).status,
+print("MC:", verify_source(SWAP, "swapper", ["nat", "nat"],
+                           evidence="mc").status,
       "(the swap;swap composition is unsatisfiable: x>y then y>x)")
 
 banner("Python decorator: graphs='mc'")

@@ -22,7 +22,7 @@ EXPERIMENTS.md for the paper-vs-measured record.
 
 from repro.contracts import arrow, attach, flat, terminating_c, total
 from repro.eval.machine import Answer, run_program, run_source
-from repro.mc import MCMonitor, verify_source_mc
+from repro.mc import MCMonitor
 from repro.pyterm import SizeChangeError, terminating
 from repro.sct.errors import SizeChangeViolation
 from repro.sct.monitor import SCMonitor
@@ -44,7 +44,6 @@ __all__ = [
     "ContainmentOrder",
     "verify_source",
     "verify_program",
-    "verify_source_mc",
     "Verdict",
     "flat",
     "arrow",

@@ -11,6 +11,7 @@ from repro.analysis.discharge import (
     ResidualPolicy,
     VerificationCache,
     certificate_from_engine,
+    certify,
     default_cache,
     discharge_for_run,
     residual_policy,
@@ -32,6 +33,7 @@ __all__ = [
     "ResidualPolicy",
     "VerificationCache",
     "certificate_from_engine",
+    "certify",
     "default_cache",
     "discharge_for_run",
     "residual_policy",

@@ -23,6 +23,9 @@ run into that bridge:
   counter, so on disk a certificate stores *stable ids* — each λ's index
   in its program's deterministic pre-order walk, namespaced by
   program/prelude/contracts — and is re-labeled on load.
+* :func:`certify` — the only code that reads, computes and stores a
+  certificate; :func:`discharge_for_run` and ``@terminating(discharge=
+  ...)`` both go through it.
 
 Soundness inventory (what a ``SKIP`` relies on):
 
@@ -46,7 +49,6 @@ import json
 import os
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.ljb import scp_check
 from repro.lang import ast
 from repro.lang.program import Program, TopDefine
 from repro.lang.prims import PRIMITIVES
@@ -177,15 +179,12 @@ def certificate_from_engine(engine, max_graphs: int = 20000
                             ) -> DischargeCertificate:
     """Compute the certificate for a finished engine run (the engine has
     ``edges``, ``entry_label``, ``incomplete``/``discharge_unsafe``
-    taint, and an ``evidence_kind`` selecting the phase-2 check)."""
+    taint, its ``evidence_kind`` and the phase-2 ``check`` of that
+    kind)."""
     entry_label = engine.entry_label
     if entry_label is None:
         raise ValueError("engine has not analyzed an entry (call run first)")
-    evidence = getattr(engine, "evidence_kind", "sc")
-    if evidence == "mc":
-        from repro.mc.analyze import mc_check as check
-    else:
-        check = scp_check
+    check = engine.check
 
     edges = engine.edges
     labels: Set[int] = {entry_label}
@@ -224,9 +223,9 @@ def certificate_from_engine(engine, max_graphs: int = 20000
 
     return DischargeCertificate(
         entry=engine.label_names.get(entry_label, f"λ{entry_label}"),
-        entry_kinds=getattr(engine, "entry_kinds", ()),
+        entry_kinds=engine.entry_kinds,
         entry_label=entry_label,
-        evidence=evidence,
+        evidence=engine.evidence_kind,
         labels=frozenset(labels),
         discharged=frozenset(discharged),
         tainted=frozenset(tainted),
@@ -354,15 +353,10 @@ class VerificationCache:
     against the consumer's parse on every :meth:`get` — the same program
     text parsed twice carries different λ labels, so a raw certificate
     would silently stop matching.  With ``path`` set, every certificate is
-    additionally written to ``<path>/<key>.json`` and picked up by future
-    processes.
-
-    ``shard_depth=N`` spreads the on-disk store over ``<path>/<key[:N]>/``
-    prefix directories — the layout ``sized serve`` workers use so each
-    worker owns the shard(s) its routed keys land in and concurrent
-    writers never contend on one directory.  A depth-0 cache reads a
-    depth-N store as a miss (and vice versa) — pick one layout per
-    directory.
+    additionally written to ``<path>/<key[:2]>/<key>.json`` and picked up
+    by future processes.  That is the one on-disk layout: ``sized run
+    --discharge-cache``, the ``sized serve`` workers and ``@terminating``
+    read each other's entries.
 
     Every entry records the key it was filed under.  An entry is
     **quarantined** on read (an on-disk file renamed to
@@ -383,10 +377,9 @@ class VerificationCache:
 
     SCHEMA = "discharge-certificate/v2"
 
-    def __init__(self, path: Optional[str] = None, *, shard_depth: int = 0):
+    def __init__(self, path: Optional[str] = None):
         self._mem: Dict[str, dict] = {}
         self.path = path
-        self.shard_depth = shard_depth
         self.hits = 0
         self.misses = 0
         self.rejected = 0
@@ -407,14 +400,10 @@ class VerificationCache:
             "rejected": self.rejected,
             "entries": len(self._mem),
             "path": self.path,
-            "shard_depth": self.shard_depth,
         }
 
     def _file(self, key: str) -> str:
-        if self.shard_depth:
-            return os.path.join(self.path, key[:self.shard_depth],
-                                f"{key}.json")
-        return os.path.join(self.path, f"{key}.json")
+        return os.path.join(self.path, key[:2], f"{key}.json")
 
     def _quarantine(self, key: str, file: Optional[str]) -> None:
         self.rejected += 1
@@ -625,6 +614,39 @@ def defines_are_safe(program: Program) -> Tuple[bool, Optional[str]]:
 # -- the pipeline entry point ---------------------------------------------------
 
 
+def certify(program: Program, text: Optional[str], entry: str,
+            kinds: Sequence[str], evidence: str = "sc",
+            result_kinds: Optional[Dict[str, str]] = None,
+            cache: Optional[VerificationCache] = None, budget=None,
+            max_graphs: int = 20000
+            ) -> Tuple[Optional[DischargeCertificate], Optional[str]]:
+    """The certificate of ``entry`` under ``kinds`` and ``evidence``
+    (``'sc'`` or ``'mc'``), read from ``cache`` when ``text`` is given
+    and there is one, else computed and stored.  This is the only code
+    that reads, computes and stores certificates; :func:`discharge_for_run`
+    and ``@terminating(discharge=...)`` both come here.  Returns the
+    certificate and ``None``, or ``None`` and the reason the entry could
+    not be analyzed."""
+    from repro.symbolic.verify import analyze_entry
+
+    if cache is None:
+        cache = default_cache()
+    key = None
+    if text is not None:
+        key = cache.key(text, entry, kinds, result_kinds, evidence)
+        cert = cache.get(key, program)
+        if cert is not None:
+            return cert, None
+    engine, problem = analyze_entry(program, entry, kinds, evidence, budget,
+                                    result_kinds)
+    if problem is not None:
+        return None, problem
+    cert = certificate_from_engine(engine, max_graphs=max_graphs)
+    if key is not None:
+        cache.put(key, cert, program)
+    return cert, None
+
+
 class DischargeResult:
     """What :func:`discharge_for_run` hands the evaluator and the CLI."""
 
@@ -670,9 +692,6 @@ def discharge_for_run(
     """Verify the program's inferred workload entries and compute the
     residual policy.  ``text`` (the program source text) enables the
     verification cache; without it every call re-verifies."""
-    from repro.sexp.datum import intern
-    from repro.values.values import Closure
-
     entries, reasons = infer_workload(program)
     if entries is None:
         return DischargeResult(ResidualPolicy(), reasons=reasons)
@@ -680,35 +699,15 @@ def discharge_for_run(
     if not safe:
         return DischargeResult(ResidualPolicy(), entries=entries,
                                reasons=[safe_reason])
-    if cache is None:
-        cache = default_cache()
-    evidence = "mc" if mc else "sc"
     certificates: List[DischargeCertificate] = []
     problems: List[str] = []
     for entry in entries:
-        key = None
-        cert = None
-        if text is not None:
-            key = cache.key(text, entry.name, entry.kinds, result_kinds,
-                            evidence)
-            cert = cache.get(key, program)
+        cert, problem = certify(program, text, entry.name, entry.kinds,
+                                "mc" if mc else "sc", result_kinds, cache,
+                                budget=budget, max_graphs=max_graphs)
         if cert is None:
-            if mc:
-                from repro.mc.static import MCEngine as engine_cls
-            else:
-                from repro.symbolic.engine import Engine as engine_cls
-            engine = engine_cls(program, budget=budget,
-                                result_kinds=result_kinds)
-            entry_value = engine.globals.bindings.get(intern(entry.name))
-            if not isinstance(entry_value, Closure):
-                return DischargeResult(
-                    ResidualPolicy(), certificates, entries,
-                    [f"entry {entry.name!r} is not a statically known "
-                     "closure"])
-            engine.run(entry_value, list(entry.kinds))
-            cert = certificate_from_engine(engine, max_graphs=max_graphs)
-            if key is not None:
-                cache.put(key, cert, program)
+            return DischargeResult(ResidualPolicy(), certificates, entries,
+                                   [problem])
         certificates.append(cert)
         if not cert.complete:
             why = "; ".join(cert.taint_reasons) or \

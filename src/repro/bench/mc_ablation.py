@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.bench.ablation import _outcome
 from repro.bench.report import fmt_factor, fmt_ms, render_table
 from repro.bench.timing import best_of
 from repro.bench.workloads import msort_source, sum_source
 from repro.corpus.registry import all_programs
-from repro.eval.machine import Answer, run_program
+from repro.eval.machine import run_program
 from repro.lang.parser import parse_program
 from repro.mc.monitor import MCMonitor
-from repro.mc.static import verify_program_mc
 from repro.sct.monitor import SCMonitor
 from repro.symbolic.verify import verify_program
 
@@ -58,8 +58,9 @@ def run_mc_static() -> List[MCStaticRow]:
         program = parse_program(prog.source)
         sc = verify_program(program, entry, kinds,
                             result_kinds=prog.result_kinds).verified
-        mc = verify_program_mc(program, entry, kinds,
-                               result_kinds=prog.result_kinds).verified
+        mc = verify_program(program, entry, kinds,
+                            result_kinds=prog.result_kinds,
+                            evidence="mc").verified
         if mc and not sc:
             note = "gained by MC"
         elif sc and not mc:
@@ -111,14 +112,6 @@ def run_mc_dynamic(scale: str = "quick", repeats: int = 3) -> List[MCDynamicRow]
                 name, label, dt, dt / base_t if base_t else float("inf"),
                 _outcome(answer)))
     return rows
-
-
-def _outcome(answer) -> str:
-    if answer.kind == Answer.VALUE:
-        return "value"
-    if answer.kind == Answer.SC_ERROR:
-        return "errorSC"
-    return answer.kind
 
 
 def render_mc(static_rows: List[MCStaticRow],

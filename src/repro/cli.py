@@ -16,7 +16,7 @@ Subcommands::
     sized corpus [--diverging]
     sized serve [--host H] [--port P] [--workers N] [--batch-window-ms MS]
                 [--default-fuel N] [--tenant-budget N]
-                [--request-timeout S] [--cache-dir DIR] [--shard-depth N]
+                [--request-timeout S] [--cache-dir DIR]
                 [--allow-fault-injection]
     sized fuzz [--n N] [--seed S] [--mode both|terminating|diverging]
                [--matrix full|quick|m:e:p,...] [--fuel N] [--features a,b]
@@ -98,7 +98,6 @@ import sys
 from typing import List, Optional
 
 from repro.eval.machine import EXIT_CODES, Answer, run_program
-from repro.sct.monitor import SCMonitor
 from repro.values.values import write_value
 
 
@@ -161,8 +160,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_verify.add_argument("--engine", choices=["bitmask", "reference"],
                           default="bitmask",
                           help="phase-2 graph-closure representation "
-                               "(ignored with --mc: MC graphs are packed "
-                               "internally regardless)")
+                               "(bitmask only with --mc: MC graphs are "
+                               "always packed)")
     p_verify.add_argument("--json", action="store_true",
                           help="machine-readable verdict on stdout "
                                "(status, reasons, witness, discharge); "
@@ -227,11 +226,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="wall-clock seconds per worker attempt; "
                               "exceeding it recycles the worker")
     p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="sharded on-disk certificate store shared "
-                              "by the workers (default: memory only)")
-    p_serve.add_argument("--shard-depth", type=int, default=2,
-                         help="hash-prefix directory depth of the "
-                              "on-disk store")
+                         help="on-disk certificate store shared by the "
+                              "workers, the layout of run's "
+                              "--discharge-cache (default: memory only)")
     p_serve.add_argument("--allow-fault-injection", action="store_true",
                          help="enable op=crash (tests/benches only)")
 
@@ -314,12 +311,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 2
 
 
-def _make_monitor(mc: bool, **options):
-    if mc:
-        from repro.mc.monitor import MCMonitor
+def _evidence_kind(args) -> str:
+    return "mc" if args.mc else "sc"
 
-        return MCMonitor(**options)
-    return SCMonitor(**options)
+
+def _make_monitor(args, **options):
+    from repro.evidence import evidence
+
+    return evidence(_evidence_kind(args)).monitor(**options)
 
 
 def _parse_result_kinds(pairs) -> Optional[dict]:
@@ -338,8 +337,7 @@ def _cmd_run(args) -> int:
     with open(args.file) as f:
         source = f.read()
     program = parse_program(source, source=args.file)
-    monitor = _make_monitor(args.mc, backoff=args.backoff,
-                            engine=args.engine)
+    monitor = _make_monitor(args, backoff=args.backoff, engine=args.engine)
     policy = None
     if args.discharge != "off":
         from repro.analysis.discharge import (VerificationCache,
@@ -395,21 +393,20 @@ def _timeout_message(answer) -> str:
 def _cmd_verify(args) -> int:
     import json
 
+    from repro.symbolic.verify import verify_source
+
+    if args.mc and args.engine != "bitmask":
+        print(f"--engine {args.engine} needs size-change evidence; "
+              "MC graphs are always packed", file=sys.stderr)
+        return 2
     with open(args.file) as f:
         source = f.read()
     kinds = [k for k in args.kinds.split(",") if k]
     result_kinds = {args.entry: args.result_kind} if args.result_kind else None
-    if args.mc:
-        from repro.mc.static import verify_source_mc
-
-        verdict = verify_source_mc(source, args.entry, kinds,
-                                   result_kinds=result_kinds)
-    else:
-        from repro.symbolic import verify_source
-
-        verdict = verify_source(source, args.entry, kinds,
-                                result_kinds=result_kinds,
-                                graph_engine=args.engine)
+    verdict = verify_source(source, args.entry, kinds,
+                            result_kinds=result_kinds,
+                            graph_engine=args.engine,
+                            evidence=_evidence_kind(args))
     if args.json:
         print(json.dumps(verdict.to_json(entry=args.entry, kinds=kinds),
                          indent=2))
@@ -425,7 +422,7 @@ def _cmd_trace(args) -> int:
     with open(args.file) as f:
         source = f.read()
     result = trace_source(source,
-                          monitor=_make_monitor(args.mc, engine=args.engine),
+                          monitor=_make_monitor(args, engine=args.engine),
                           mode=args.mode, fuel=args.fuel,
                           machine=args.machine)
     print(render_tree(result.roots, max_depth=args.max_depth,
@@ -505,7 +502,7 @@ def _cmd_serve(args) -> int:
         default_fuel=None if args.default_fuel < 0 else args.default_fuel,
         tenant_budget=args.tenant_budget,
         request_timeout=args.request_timeout,
-        cache_dir=args.cache_dir, shard_depth=args.shard_depth,
+        cache_dir=args.cache_dir,
         allow_fault_injection=args.allow_fault_injection,
     )
     try:

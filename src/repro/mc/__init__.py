@@ -9,26 +9,23 @@ and target parameters.  This package provides:
   (descent or bounded ascent),
 * :class:`~repro.mc.monitor.MCMonitor` — a drop-in dynamic monitor for
   the CEK machine ("MC as a contract"),
-* :func:`~repro.mc.static.verify_source_mc` — the static verifier of §4
-  re-based on MC evidence,
+* :class:`~repro.mc.static.MCEngine` — the symbolic engine of §4
+  re-based on MC evidence, which ``verify_source(..., evidence="mc")``
+  runs (:func:`repro.evidence.evidence` is the one place that picks it),
 * :func:`~repro.mc.analyze.mc_check` — the phase-2 closure test.
 """
 
 from repro.mc.analyze import MCResult, mc_check
 from repro.mc.graph import GEQ, GT, MCGraph, NO_EDGE, mc_graph_of_values
 from repro.mc.monitor import MCMonitor
-from repro.mc.static import MCEngine, verify_program_mc, verify_source_mc
 
 __all__ = [
     "GEQ",
     "GT",
-    "MCEngine",
     "MCGraph",
     "MCMonitor",
     "MCResult",
     "NO_EDGE",
     "mc_check",
     "mc_graph_of_values",
-    "verify_program_mc",
-    "verify_source_mc",
 ]

@@ -20,10 +20,10 @@ from typing import Optional
 
 from repro.solver.interface import Solver
 from repro.solver.linear import LinExpr, eq as eq_atom, ge, lt
-from repro.symbolic.arcs import as_linexpr, _nonneg_form
+from repro.symbolic.arcs import _is_ground, _nonneg_form, as_linexpr
 from repro.symbolic.pathcond import K_NIL, K_PAIR, PathCond
-from repro.symbolic.values import SVar, is_symbolic
-from repro.values.values import NIL, Closure, Pair, Prim, size_of
+from repro.symbolic.values import SVar
+from repro.values.values import NIL, Closure, Prim, size_of
 
 REL_GT = ">"
 REL_GE = ">="
@@ -46,18 +46,6 @@ def flip(rel: Optional[str]) -> Optional[str]:
     if rel == REL_LE:
         return REL_GE
     return rel  # REL_EQ and None are symmetric
-
-
-def _is_ground(v) -> bool:
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        if is_symbolic(x):
-            return False
-        if type(x) is Pair:
-            stack.append(x.car)
-            stack.append(x.cdr)
-    return True
 
 
 def _symbolic_nil(v, pc: PathCond) -> bool:

@@ -14,19 +14,19 @@ Every edge graph is a packed (bitmask) :class:`repro.mc.graph.MCGraph`,
 so the per-edge dedup here and the transitive-closure worklist of phase 2
 (:func:`repro.mc.analyze.mc_check`, with its interned-graph table) both
 run on machine-int comparisons.
+
+The verifier over this engine is :func:`repro.symbolic.verify.
+verify_program` with ``evidence="mc"``: every program the SC verifier
+accepts is accepted too (MC graphs entail their SC projections), and
+counting-up loops with a ceiling verify without a custom measure.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.lang.parser import parse_program
-from repro.lang.program import Program
 from repro.mc.analyze import mc_check
 from repro.mc.arcs import constraints_from_relation, mc_relate
 from repro.mc.graph import MCGraph
-from repro.symbolic.engine import Budget, Engine, Frame
-from repro.symbolic.verify import Verdict, _verify_entry
+from repro.symbolic.engine import Engine, Frame
 
 
 class MCEngine(Engine):
@@ -34,14 +34,18 @@ class MCEngine(Engine):
 
     ``self.edges`` maps ``(caller λ-label, callee λ-label)`` to sets of
     :class:`MCGraph` (the base class stores :class:`SCGraph` there; the
-    two are never mixed in one engine).  ``evidence_kind`` routes the
-    discharge certificate (:meth:`~repro.symbolic.engine.Engine.
-    certificate`) to :func:`repro.mc.analyze.mc_check`, and incompleteness
-    taint is inherited unchanged — both engines taint identically on
-    havoc, lost applications, and budget exhaustion (property-tested).
+    two are never mixed in one engine).  ``check`` is
+    :func:`repro.mc.analyze.mc_check`, for the verdict and the discharge
+    certificate alike, and incompleteness taint is inherited unchanged —
+    both engines taint identically on havoc, lost applications, and
+    budget exhaustion (property-tested).
     """
 
     evidence_kind = "mc"
+    check = staticmethod(mc_check)
+    check_failure = ("monotonicity-constraint termination fails at {}: an "
+                     "idempotent, satisfiable composition has neither "
+                     "descent nor a bounded-ascent witness")
 
     def _record_edge(self, frame: Frame, callee_label: int, args, pc) -> None:
         old = frame.entry_values
@@ -56,31 +60,3 @@ class MCEngine(Engine):
                 constraints.extend(constraints_from_relation(u, v, rel))
         key = (frame.label, callee_label)
         self.edges.setdefault(key, set()).add(MCGraph.build(a, b, constraints))
-
-
-def verify_program_mc(
-    program: Program,
-    entry: str,
-    kinds: Sequence[str],
-    budget: Optional[Budget] = None,
-    result_kinds=None,
-) -> Verdict:
-    """Like :func:`repro.symbolic.verify.verify_program`, but the collected
-    evidence and the phase-2 test are monotonicity constraints.  Every
-    program the SC verifier accepts is accepted here (MC graphs entail
-    their SC projections); counting-up loops with a ceiling additionally
-    verify without a custom measure."""
-    return _verify_entry(
-        MCEngine(program, budget=budget, result_kinds=result_kinds),
-        entry, kinds, mc_check,
-        failure="monotonicity-constraint termination fails at {}: an "
-                "idempotent, satisfiable composition has neither descent "
-                "nor a bounded-ascent witness")
-
-
-def verify_source_mc(text: str, entry: str, kinds: Sequence[str],
-                     budget: Optional[Budget] = None,
-                     result_kinds=None) -> Verdict:
-    """Parse and MC-verify program text (see :func:`verify_program_mc`)."""
-    return verify_program_mc(parse_program(text), entry, kinds, budget=budget,
-                             result_kinds=result_kinds)

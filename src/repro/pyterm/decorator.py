@@ -28,8 +28,9 @@ Implementation notes
   time, on a conservative embedded-language translation of the function
   (:mod:`repro.pyterm.translate`); when the verifier proves termination
   the instrumentation is dropped entirely — the original function is
-  returned, stamped ``__sct_discharged__`` — and the certificate is
-  cached content-addressed (:mod:`repro.analysis.discharge`) so repeated
+  returned, stamped ``__sct_discharged__``.  The certificate comes from
+  :func:`repro.analysis.discharge.certify`, the same step ``sized run
+  --discharge`` takes, so it is cached content-addressed and repeated
   decorations (reloads, subprocesses with a shared on-disk store) skip
   the verifier.  ``discharge='require'`` raises instead of silently
   keeping the monitor.
@@ -43,7 +44,7 @@ import threading
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.mc.monitor import MCMonitor
+from repro.evidence import evidence
 from repro.sct.errors import SizeChangeViolation
 from repro.sct.monitor import SCMonitor
 from repro.pyterm.order import PySizeOrder
@@ -70,17 +71,14 @@ class Callee:
 def make_monitor(order, deep: bool, graphs: str, backoff: bool,
                  measures=None) -> SCMonitor:
     """The monitor behind one ``@terminating`` wrapper or one
-    ``monitor_extent``.  MC evidence reads sizes, never ``compare``, so it
-    is always built over ``PySizeOrder(deep=deep)`` whatever ``order``
-    says."""
-    if graphs not in ("sc", "mc"):
-        raise ValueError(f"graphs must be 'sc' or 'mc', got {graphs!r}")
-    if graphs == "mc":
-        return MCMonitor(order=PySizeOrder(deep=deep), backoff=backoff,
-                         measures=measures)
-    return SCMonitor(order=order if order is not None
-                     else PySizeOrder(deep=deep),
-                     backoff=backoff, measures=measures)
+    ``monitor_extent``, of the ``graphs`` evidence kind
+    (:mod:`repro.evidence`).  MC evidence reads sizes, never ``compare``,
+    so it is always built over ``PySizeOrder(deep=deep)`` whatever
+    ``order`` says."""
+    monitor = evidence(graphs).monitor
+    if order is None or graphs == "mc":
+        order = PySizeOrder(deep=deep)
+    return monitor(order=order, backoff=backoff, measures=measures)
 
 
 class _ExtentState(threading.local):
@@ -241,12 +239,14 @@ def terminating(
 
 
 def _discharge_statically(fn, graphs: str, kinds, result_kind, cache=None):
-    """Translate ``fn`` to the embedded language and verify it; returns
-    ``(proven, reason_if_not)``.  Certificates go through the injected
-    content-addressed ``cache`` (default: the process-wide fallback), so
-    re-decorating the same source (module reloads, spawned workers with a
-    shared on-disk store) skips the verifier."""
-    from repro.analysis.discharge import VerificationCache, default_cache
+    """Translate ``fn`` to the embedded language and certify it under
+    ``graphs`` evidence; returns ``(proven, reason_if_not)``.  The
+    certificate goes through the injected content-addressed ``cache``
+    (default: the process-wide fallback), so re-decorating the same
+    source (module reloads, spawned workers with a shared on-disk store)
+    skips the verifier."""
+    from repro.analysis.discharge import certify
+    from repro.lang.parser import parse_program
     from repro.pyterm.translate import Untranslatable, translate_function
 
     try:
@@ -259,26 +259,12 @@ def _discharge_statically(fn, graphs: str, kinds, result_kind, cache=None):
     if len(kinds) != len(params):
         return False, (f"{len(params)} parameters but {len(kinds)} kinds "
                        "given")
-    result_kinds = {entry: result_kind} if result_kind else None
-
-    from repro.lang.parser import parse_program
-
     program = parse_program(source, source=f"<pyterm:{entry}>")
-    if cache is None:
-        cache = default_cache()
-    key = VerificationCache.key(source, entry, kinds, result_kinds,
-                                f"pyterm-{graphs}")
-    certificate = cache.get(key, program)
+    certificate, problem = certify(
+        program, source, entry, kinds, graphs,
+        {entry: result_kind} if result_kind else None, cache)
     if certificate is None:
-        if graphs == "mc":
-            from repro.mc.static import verify_program_mc as verify
-        else:
-            from repro.symbolic.verify import verify_program as verify
-        verdict = verify(program, entry, kinds, result_kinds=result_kinds)
-        certificate = verdict.certificate
-        if certificate is None:
-            return False, "; ".join(verdict.reasons) or "verifier failure"
-        cache.put(key, certificate, program)
+        return False, problem
     if certificate.complete:
         return True, None
     why = "; ".join(certificate.taint_reasons) or \

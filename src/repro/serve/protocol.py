@@ -12,7 +12,9 @@ and ``op``.  Ops:
     ``"anonymous"``), ``fuel`` (int step budget; ``0`` = immediate
     exhaustion, ``null`` = unlimited, absent = the server default),
     ``mode`` (``off|contract|full``, default ``contract``),
-    ``discharge`` (``off|try``, default ``try``), ``mc`` (bool).
+    ``discharge`` (``off|try``, default ``try``), ``mc`` (bool:
+    monotonicity-constraint evidence for both the discharge and the
+    residual monitor of the run, as ``sized run --mc``).
 ``verify``
     ``program`` plus either nothing (the workload entries are inferred
     from the top-level calls, as ``--discharge`` does) or an explicit

@@ -54,7 +54,7 @@ class ServeConfig:
 
     __slots__ = ("host", "port", "workers", "batch_window_ms",
                  "default_fuel", "tenant_budget", "request_timeout",
-                 "cache_dir", "shard_depth", "allow_fault_injection",
+                 "cache_dir", "allow_fault_injection",
                  "max_inflight", "shard_queue_limit", "breaker_threshold",
                  "breaker_window_s", "breaker_open_s", "drain_timeout")
 
@@ -65,7 +65,6 @@ class ServeConfig:
                  tenant_budget: Optional[int] = None,
                  request_timeout: float = 60.0,
                  cache_dir: Optional[str] = None,
-                 shard_depth: int = 2,
                  allow_fault_injection: bool = False,
                  max_inflight: int = 4096,
                  shard_queue_limit: int = 64,
@@ -81,7 +80,6 @@ class ServeConfig:
         self.tenant_budget = tenant_budget
         self.request_timeout = request_timeout
         self.cache_dir = cache_dir
-        self.shard_depth = shard_depth
         self.allow_fault_injection = allow_fault_injection
         self.max_inflight = max_inflight
         self.shard_queue_limit = shard_queue_limit
@@ -120,7 +118,7 @@ class SizedServer:
 
     async def start(self) -> None:
         self.pools = [
-            ShardPool(i, self.config.cache_dir, self.config.shard_depth)
+            ShardPool(i, self.config.cache_dir)
             for i in range(self.config.workers)
         ]
         self.breakers = [
@@ -509,8 +507,7 @@ async def serve_main(config: ServeConfig, *, announce=print) -> int:
     server = SizedServer(config)
     await server.start()
     announce(f"sized serve listening on {config.host}:{server.port} "
-             f"({config.workers} workers, shard_depth="
-             f"{config.shard_depth})", flush=True)
+             f"({config.workers} workers)", flush=True)
     try:
         await server.wait_stopped()
         # grace period: let the shutdown response (and any racing

@@ -4,11 +4,11 @@ One :class:`ShardPool` per shard, each a ``max_workers=1``
 ``ProcessPoolExecutor`` whose initializer pre-imports the language
 stack, builds the prelude environment once, and opens the worker's own
 injectable :class:`~repro.analysis.discharge.VerificationCache` over the
-shared on-disk store (prefix-sharded, so workers never contend on a
-directory).  The front-end routes a request to the shard its cache-key
-prefix selects — the same program always lands on the same worker, so
-the worker's *in-memory* certificate store is hot for repeated traffic,
-not just the on-disk one.
+shared on-disk store (the one layout every cache uses, so ``sized run
+--discharge-cache`` reads what the workers wrote).  The front-end routes
+a request to the shard its request-key prefix selects — the same program
+always lands on the same worker, so the worker's *in-memory* certificate
+store is hot for repeated traffic, not just the on-disk one.
 
 Worker death is a first-class event: :meth:`ShardPool.rebuild_if` tears
 the broken executor down (killing any survivor process) and stands up a
@@ -28,8 +28,7 @@ from typing import Optional
 _STATE: dict = {}
 
 
-def worker_init(cache_dir: Optional[str], shard_depth: int,
-                worker_id: int) -> None:
+def worker_init(cache_dir: Optional[str], worker_id: int) -> None:
     """Process-pool initializer: pay import/prelude/verifier-warmup cost
     once per worker, not once per request."""
     from repro.analysis.discharge import VerificationCache
@@ -37,9 +36,7 @@ def worker_init(cache_dir: Optional[str], shard_depth: int,
     from repro.eval.machine import make_env
 
     _STATE["worker_id"] = worker_id
-    _STATE["cache"] = VerificationCache(cache_dir,
-                                        shard_depth=shard_depth if cache_dir
-                                        else 0)
+    _STATE["cache"] = VerificationCache(cache_dir)
     # The native tier shares the compiled closure representation, so one
     # warm environment serves every machine a job may ask for.
     _STATE["env"] = make_env(True, machine="native")
@@ -126,10 +123,11 @@ def _parse(job: dict):
     return program, None
 
 
-def _discharge(program, text: str, mc: bool, cache):
+def _discharge(program, job: dict, cache):
     from repro.analysis.discharge import discharge_for_run
 
-    result = discharge_for_run(program, text=text, mc=mc, cache=cache)
+    result = discharge_for_run(program, text=job["program"],
+                               mc=bool(job.get("mc")), cache=cache)
     info = {
         "complete": result.complete,
         "skipped": len(result.policy.skip_labels),
@@ -138,11 +136,17 @@ def _discharge(program, text: str, mc: bool, cache):
     return result.policy, info
 
 
+def _evidence_kind(job: dict) -> str:
+    """A job's ``mc`` flag picks the evidence of its discharge, its
+    residual monitor and its verdict alike."""
+    return "mc" if job.get("mc") else "sc"
+
+
 def _run_job(job: dict) -> dict:
     from repro.analysis.discharge import VerificationCache
     from repro.eval.errors import FuelExhausted
     from repro.eval.machine import EXIT_CODES, MACHINES, Answer, run_program
-    from repro.sct.monitor import SCMonitor
+    from repro.evidence import evidence
     from repro.values.values import write_value
 
     machine = job.get("machine", "native")
@@ -159,14 +163,14 @@ def _run_job(job: dict) -> dict:
     policy = None
     discharge_info = None
     if job.get("discharge", "try") != "off":
-        policy, discharge_info = _discharge(
-            program, job["program"], bool(job.get("mc")), cache)
+        policy, discharge_info = _discharge(program, job, cache)
     # The warm env is compiled-family (shared by native); a tree job
     # needs its own env — rare enough to pay the prelude cost inline.
     env = _STATE.get("env") if machine != "tree" else None
     answer = run_program(
         program, mode=job.get("mode", "contract"),
-        monitor=SCMonitor(), fuel=job.get("fuel"),
+        monitor=evidence(_evidence_kind(job)).monitor(),
+        fuel=job.get("fuel"),
         machine=machine, discharge=policy, env=env)
     response = {
         "ok": True,
@@ -203,13 +207,12 @@ def _verify_job(job: dict) -> dict:
     hits0, miss0, rej0 = cache.hits, cache.misses, cache.rejected
     entry = job.get("entry")
     if entry:
-        if job.get("mc"):
-            from repro.mc.static import verify_program_mc as verify
-        else:
-            from repro.symbolic.verify import verify_program as verify
+        from repro.symbolic.verify import verify_program
+
         kinds = list(job.get("kinds") or ())
-        verdict = verify(program, entry, kinds,
-                         result_kinds=job.get("result_kinds"))
+        verdict = verify_program(program, entry, kinds,
+                                 result_kinds=job.get("result_kinds"),
+                                 evidence=_evidence_kind(job))
         return {
             "ok": True,
             "kind": "verdict",
@@ -218,8 +221,7 @@ def _verify_job(job: dict) -> dict:
             "verdict": verdict.to_json(entry=entry, kinds=kinds),
             "worker": _STATE.get("worker_id"),
         }
-    _, info = _discharge(program, job["program"], bool(job.get("mc")),
-                         cache)
+    _, info = _discharge(program, job, cache)
     return {
         "ok": True,
         "kind": "discharge",
@@ -247,11 +249,9 @@ def _mp_context():
 class ShardPool:
     """One warm single-process executor plus its rebuild machinery."""
 
-    def __init__(self, shard_id: int, cache_dir: Optional[str],
-                 shard_depth: int):
+    def __init__(self, shard_id: int, cache_dir: Optional[str]):
         self.shard_id = shard_id
         self.cache_dir = cache_dir
-        self.shard_depth = shard_depth
         self.generation = 0
         self._ctx = _mp_context()
         self._make()
@@ -261,7 +261,7 @@ class ShardPool:
             max_workers=1,
             mp_context=self._ctx,
             initializer=worker_init,
-            initargs=(self.cache_dir, self.shard_depth, self.shard_id),
+            initargs=(self.cache_dir, self.shard_id),
         )
 
     def submit(self, job: dict):

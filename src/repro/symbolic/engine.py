@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.ljb import scp_check
 from repro.lang import ast
 from repro.lang.prims import PRIMITIVES
 from repro.lang.program import Program, TopDefine
@@ -103,9 +104,13 @@ class Frame:
 
 
 class Engine:
-    #: Which evidence family the engine records on call edges; the
-    #: discharge pipeline uses it to pick the matching phase-2 check.
+    #: Which evidence family the engine records on call edges
+    #: (:mod:`repro.evidence`), the phase-2 check that closes them, and
+    #: the verdict's reason when that check fails.
     evidence_kind = "sc"
+    check = staticmethod(scp_check)
+    check_failure = ("size-change principle fails at {}: no composition "
+                     "of the collected graphs guarantees descent")
 
     def __init__(self, program: Program, budget: Optional[Budget] = None,
                  result_kinds: Optional[Dict[str, str]] = None,
@@ -208,13 +213,6 @@ class Engine:
         blocked even though the verification verdict stands."""
         if reason not in self.discharge_unsafe:
             self.discharge_unsafe.append(reason)
-
-    def certificate(self, max_graphs: int = 20000):
-        """The per-λ-label :class:`~repro.analysis.discharge.
-        DischargeCertificate` for this analysis (call after :meth:`run`)."""
-        from repro.analysis.discharge import certificate_from_engine
-
-        return certificate_from_engine(self, max_graphs=max_graphs)
 
     # -- evaluation ----------------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """The static termination verifier (§4): symbolic execution + LJB phase 2.
 
-``verify_program(program, entry, kinds)`` answers:
+``verify_program(program, entry, kinds, evidence="sc"|"mc")`` answers:
 
 * ``VERIFIED`` — every reachable closure maintains the size-change
   property on all symbolic paths, with nothing havocked along the way that
@@ -16,11 +16,12 @@ nontermination — a dynamic run decides that (§5.1.2).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.anchors import anchors_of, render_anchors
 from repro.analysis.ljb import scp_check
 from repro.analysis.witness import scp_check_with_witness
+from repro.evidence import evidence as evidence_of
 from repro.lang.parser import parse_program
 from repro.lang.program import Program
 from repro.sexp.datum import intern
@@ -59,8 +60,10 @@ class Verdict:
         prove.  Computed lazily (it re-closes the reachable sub-multigraph
         per label), so plain ``verify`` callers never pay for it."""
         if self._certificate is None and self.engine is not None \
-                and getattr(self.engine, "entry_label", None) is not None:
-            self._certificate = self.engine.certificate()
+                and self.engine.entry_label is not None:
+            from repro.analysis.discharge import certificate_from_engine
+
+            self._certificate = certificate_from_engine(self.engine)
         return self._certificate
 
     @property
@@ -123,6 +126,29 @@ class Verdict:
         return f"Verdict({self.status})"
 
 
+def analyze_entry(program: Program, entry: str, kinds: Sequence[str],
+                  evidence: str = "sc", budget: Optional[Budget] = None,
+                  result_kinds=None) -> Tuple[Engine, Optional[str]]:
+    """Run the ``evidence`` engine (:mod:`repro.evidence`) from ``entry``
+    under ``kinds``.  Returns the engine and ``None``, or the engine and
+    the reason it could not run: the entry is not a statically known
+    closure, or ``kinds`` does not match its arity.  Both the verdict
+    (:func:`verify_program`) and the discharge certificate
+    (:func:`repro.analysis.discharge.certify`) start here."""
+    engine = evidence_of(evidence).engine(program, budget=budget,
+                                          result_kinds=result_kinds)
+    entry_value = engine.globals.bindings.get(intern(entry))
+    if not isinstance(entry_value, Closure):
+        return engine, (f"entry {entry!r} is not a statically known closure "
+                        f"(got {type(entry_value).__name__})")
+    if len(kinds) != len(entry_value.lam.params):
+        return engine, (f"entry {entry!r} expects "
+                        f"{len(entry_value.lam.params)} arguments, "
+                        f"{len(kinds)} preconditions given")
+    engine.run(entry_value, list(kinds))
+    return engine, None
+
+
 def verify_program(
     program: Program,
     entry: str,
@@ -130,54 +156,34 @@ def verify_program(
     budget: Optional[Budget] = None,
     result_kinds=None,
     graph_engine: str = "bitmask",
+    evidence: str = "sc",
 ) -> Verdict:
     """Verify ``entry`` under ``kinds``.
 
-    ``graph_engine`` selects the phase-2 closure representation —
-    ``'bitmask'`` (packed int pairs, the default) or ``'reference'`` (the
-    paper's frozenset graphs) — mirroring the ``--engine`` knob of ``run``
-    and ``trace``.  On failure the witness multipath is always re-derived
-    with the provenance-tracking reference walk.
+    ``evidence`` is ``'sc'`` (size-change graphs, the paper's) or ``'mc'``
+    (monotonicity constraints, the §6.2 extension: every program SC
+    accepts, plus counting-up loops with a ceiling).  ``graph_engine``
+    selects the SC phase-2 closure representation — ``'bitmask'``
+    (packed int pairs, the default) or ``'reference'`` (the paper's
+    frozenset graphs) — mirroring the ``--engine`` knob of ``run`` and
+    ``trace``; MC graphs are always packed, so ``'reference'`` with
+    ``evidence='mc'`` raises ``ValueError``.  On an SC failure the witness
+    multipath is re-derived with the provenance-tracking reference walk.
     """
     if graph_engine not in ("bitmask", "reference"):
         raise ValueError(f"unknown graph engine: {graph_engine!r}")
-    return _verify_entry(
-        Engine(program, budget=budget, result_kinds=result_kinds), entry,
-        kinds, lambda edges: scp_check(edges, engine=graph_engine),
-        failure="size-change principle fails at {}: no composition of the "
-                "collected graphs guarantees descent",
-        size_change=True)
-
-
-def _verify_entry(engine: Engine, entry: str, kinds: Sequence[str], check,
-                  failure: str, size_change: bool = False) -> Verdict:
-    """The shared body of :func:`verify_program` and
-    :func:`repro.mc.static.verify_program_mc`: look up the entry, check its
-    arity, run the engine, close its edges with ``check`` and assemble the
-    verdict (``failure`` formats the violation reason).  ``size_change``
-    adds the SC-only parts: the witness multipath and the anchors that
-    explain a VERIFIED verdict."""
-    entry_value = engine.globals.bindings.get(intern(entry))
-    if not isinstance(entry_value, Closure):
-        return Verdict(
-            Verdict.UNKNOWN,
-            [f"entry {entry!r} is not a statically known closure "
-             f"(got {type(entry_value).__name__})"],
-            engine,
-        )
-    if len(kinds) != len(entry_value.lam.params):
-        return Verdict(
-            Verdict.UNKNOWN,
-            [f"entry {entry!r} expects {len(entry_value.lam.params)} "
-             f"arguments, {len(kinds)} preconditions given"],
-            engine,
-        )
-    engine.run(entry_value, list(kinds))
-
-    # The discharge certificate stays lazy: Verdict.certificate computes
-    # it from the retained engine only when a consumer (--json, pyterm
-    # discharge) actually asks.
-    result = check(engine.edges)
+    if graph_engine != "bitmask" and evidence != "sc":
+        raise ValueError(f"graph engine {graph_engine!r} needs SC evidence, "
+                         f"got {evidence!r}")
+    engine, problem = analyze_entry(program, entry, kinds, evidence,
+                                    budget, result_kinds)
+    if problem is not None:
+        return Verdict(Verdict.UNKNOWN, [problem], engine)
+    size_change = evidence == "sc"
+    if graph_engine == "reference":
+        result = scp_check(engine.edges, engine="reference")
+    else:
+        result = engine.check(engine.edges)
     if result.ok is False:
         path = None
         if size_change:
@@ -192,9 +198,9 @@ def _verify_entry(engine: Engine, entry: str, kinds: Sequence[str], check,
         fn = engine.label_names.get(result.witness_label,
                                     f"λ{result.witness_label}")
         return Verdict(Verdict.UNKNOWN,
-                       [failure.format(fn)] + engine.incomplete, engine,
-                       witness=result.witness_graph, witness_function=fn,
-                       witness_path=path)
+                       [engine.check_failure.format(fn)] + engine.incomplete,
+                       engine, witness=result.witness_graph,
+                       witness_function=fn, witness_path=path)
     reasons: List[str] = []
     if result.ok is None:
         reasons.append("graph-closure budget exceeded")
@@ -208,7 +214,9 @@ def _verify_entry(engine: Engine, entry: str, kinds: Sequence[str], check,
 
 def verify_source(text: str, entry: str, kinds: Sequence[str],
                   budget: Optional[Budget] = None, result_kinds=None,
-                  graph_engine: str = "bitmask") -> Verdict:
+                  graph_engine: str = "bitmask",
+                  evidence: str = "sc") -> Verdict:
+    """Parse and verify program text (see :func:`verify_program`)."""
     return verify_program(parse_program(text), entry, kinds, budget=budget,
                           result_kinds=result_kinds,
-                          graph_engine=graph_engine)
+                          graph_engine=graph_engine, evidence=evidence)

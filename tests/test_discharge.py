@@ -38,6 +38,16 @@ from repro.values.values import write_value
 PROGRAMS = all_programs()
 DIVERGING = diverging_programs()
 
+
+def _entry_path(store, key):
+    """Where an on-disk store files ``key``."""
+    return os.path.join(store, key[:2], f"{key}.json")
+
+
+def _stored_entries(store):
+    return [os.path.join(d, f) for d, _, files in os.walk(store)
+            for f in files if f.endswith(".json")]
+
 # The big interpreter benchmark is slow; its discharge runs only on the
 # compiled machine (every other program exercises both).
 _SLOW = {"scheme"}
@@ -166,9 +176,8 @@ class TestVerificationCache:
         parsed = parse_program(prog.source)
         discharge_for_run(parsed, text=prog.source, cache=c1)
         assert c1.misses == 1
-        files = list((tmp_path / "certs").iterdir())
-        assert len(files) == 1
-        data = json.loads(files[0].read_text())
+        (entry,) = _stored_entries(store)
+        data = json.loads(open(entry).read())
         assert data["schema"] == "discharge-certificate/v2"
         assert all(":" in sid for sid in data["discharged"])
         # A second cache (a "new process") reads the store.
@@ -209,8 +218,8 @@ class TestCacheQuarantine:
         cache = VerificationCache(store)
         parsed = parse_program(prog.source)
         discharge_for_run(parsed, text=prog.source, cache=cache)
-        (entry,) = [f for f in os.listdir(store) if f.endswith(".json")]
-        return prog, os.path.join(store, entry)
+        (entry,) = _stored_entries(store)
+        return prog, entry
 
     def test_truncated_json_is_quarantined(self, tmp_path):
         store = str(tmp_path / "certs")
@@ -258,26 +267,44 @@ class TestCacheQuarantine:
         cache.reset()
         snap = cache.snapshot()
         assert snap == {"hits": 0, "misses": 0, "rejected": 0,
-                        "entries": 0, "path": store, "shard_depth": 0}
+                        "entries": 0, "path": store}
 
     def test_sharded_layout(self, tmp_path):
+        """One layout, ``<store>/<key[:2]>/<key>.json``, for every cache:
+        what one writes, a second cache and a serve worker both read."""
+        import asyncio
+
+        from repro.serve import AsyncServeClient, ServeConfig, SizedServer
+
         prog = next(p for p in PROGRAMS if p.name == "sct-1")
         store = str(tmp_path / "certs")
-        cache = VerificationCache(store, shard_depth=2)
+        cache = VerificationCache(store)
         parsed = parse_program(prog.source)
         discharge_for_run(parsed, text=prog.source, cache=cache)
-        subdirs = [d for d in os.listdir(store)
-                   if os.path.isdir(os.path.join(store, d))]
-        assert len(subdirs) == 1 and len(subdirs[0]) == 2
-        # A differently-sharded reader misses; a same-sharded one hits.
-        flat = VerificationCache(store)
+        (entry,) = _stored_entries(store)
+        assert os.path.dirname(entry) == os.path.join(
+            store, os.path.basename(entry)[:2])
+        again = VerificationCache(store)
         discharge_for_run(parse_program(prog.source), text=prog.source,
-                          cache=flat)
-        assert flat.hits == 0 and flat.misses == 1
-        sharded = VerificationCache(store, shard_depth=2)
-        discharge_for_run(parse_program(prog.source), text=prog.source,
-                          cache=sharded)
-        assert sharded.hits == 1
+                          cache=again)
+        assert (again.hits, again.misses) == (1, 0)
+
+        async def serve_run():
+            server = SizedServer(ServeConfig(port=0, workers=1,
+                                             cache_dir=store))
+            await server.start()
+            client = await AsyncServeClient.connect("127.0.0.1",
+                                                    server.port)
+            try:
+                return await client.request({"op": "run",
+                                             "program": prog.source})
+            finally:
+                await client.close()
+                await server.stop()
+
+        response = asyncio.run(serve_run())
+        assert response["ok"] is True
+        assert response["cache"] == {"hits": 1, "misses": 0, "rejected": 0}
 
 
 _LOOP = "(define (f n) (if (zero? n) 0 (f (- n 1)))) (f 5)"
@@ -292,15 +319,17 @@ class TestCertificateBinding:
         cache = VerificationCache(store)
         result = discharge_for_run(parse_program(text), text=text,
                                    cache=cache)
-        (entry,) = [f for f in os.listdir(store) if f.endswith(".json")]
-        return result, os.path.join(store, entry)
+        (entry,) = _stored_entries(store)
+        return result, entry
 
     def test_transplanted_certificate_is_rejected(self, tmp_path):
         store = str(tmp_path / "certs")
         loop, entry = self._store_one(store, _LOOP)
         assert loop.complete
         twin_key = VerificationCache.key(_TWIN, "f", ("nat",), None, "sc")
-        os.replace(entry, os.path.join(store, f"{twin_key}.json"))
+        twin = _entry_path(store, twin_key)
+        os.makedirs(os.path.dirname(twin), exist_ok=True)
+        os.replace(entry, twin)
         cache = VerificationCache(store)
         parsed = parse_program(_TWIN)
         result = discharge_for_run(parsed, text=_TWIN, cache=cache)
@@ -420,7 +449,7 @@ class TestLibraryStableIds:
     def test_out_of_range_id_is_quarantined(self, tmp_path, sid):
         store = str(tmp_path / "certs")
         _, _, key = self._store(store)
-        entry = os.path.join(store, f"{key}.json")
+        entry = _entry_path(store, key)
         data = json.loads(open(entry).read())
         data["discharged"].append(sid)
         with open(entry, "w") as f:

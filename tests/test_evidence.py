@@ -1,0 +1,110 @@
+"""One evidence choice per request: the CLI and ``sized serve`` agree
+under size-change (SC) and monotonicity-constraint (MC) evidence, both
+for a run (its discharge and its residual monitor) and for the verdict
+on an explicit entry."""
+
+import asyncio
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.eval.machine import EXIT_CODES
+from repro.evidence import evidence
+from repro.lang.parser import parse_program
+from repro.serve import AsyncServeClient, ServeConfig, SizedServer
+from repro.symbolic.verify import verify_program
+
+# Counts up to a ceiling: SC monitoring rejects it, MC accepts it.  The
+# top-level call is not a direct call to a defined function, so nothing
+# is discharged and the residual monitor decides the run.
+COUNT_UP = ("(define (range2 lo hi)\n"
+            "  (if (>= lo hi) '() (cons lo (range2 (+ lo 1) hi))))\n"
+            "(length (range2 0 10))\n")
+# Counts down: verified, and discharged, under either evidence.
+COUNT_DOWN = "(define (f n) (if (zero? n) 42 (f (- n 1))))\n(f 10)\n"
+
+KIND_OF_EXIT = {code: kind for kind, code in EXIT_CODES.items()}
+
+
+def _serve(requests):
+    async def body():
+        server = SizedServer(ServeConfig(port=0, workers=1))
+        await server.start()
+        client = await AsyncServeClient.connect("127.0.0.1", server.port)
+        try:
+            return [await client.request(r) for r in requests]
+        finally:
+            await client.close()
+            await server.stop()
+
+    return asyncio.run(body())
+
+
+def _mc_flag(mc):
+    return ["--mc"] if mc else []
+
+
+def test_run_agrees_with_serve(tmp_path, capsys):
+    cases = [(text, mc) for text in (COUNT_UP, COUNT_DOWN)
+             for mc in (False, True)]
+    responses = _serve([{"op": "run", "program": text, "mode": "full",
+                         "discharge": "try", "mc": mc}
+                        for text, mc in cases])
+    path = tmp_path / "prog.scm"
+    seen = {}
+    for (text, mc), served in zip(cases, responses):
+        path.write_text(text)
+        code = main(["run", str(path), "--mode", "full",
+                     "--discharge", "try"] + _mc_flag(mc))
+        out = capsys.readouterr().out.strip()
+        assert served["ok"] is True, served
+        assert served["kind"] == KIND_OF_EXIT[code], (text, mc, served)
+        assert served["exit"] == code
+        assert served.get("value") == (out if code == 0 else None)
+        seen[text, mc] = served["kind"]
+    # The pair the evidence kinds disagree on.
+    assert seen[COUNT_UP, False] == "sc-error"
+    assert seen[COUNT_UP, True] == "value"
+
+
+def test_verify_agrees_with_serve(tmp_path, capsys):
+    cases = [(text, entry, kinds, mc)
+             for text, entry, kinds in ((COUNT_UP, "range2", ["nat", "nat"]),
+                                        (COUNT_DOWN, "f", ["nat"]))
+             for mc in (False, True)]
+    responses = _serve([{"op": "verify", "program": text, "entry": entry,
+                         "kinds": kinds, "mc": mc}
+                        for text, entry, kinds, mc in cases])
+    path = tmp_path / "prog.scm"
+    for (text, entry, kinds, mc), served in zip(cases, responses):
+        path.write_text(text)
+        code = main(["verify", str(path), "--entry", entry,
+                     "--kinds", ",".join(kinds), "--json"] + _mc_flag(mc))
+        verdict = json.loads(capsys.readouterr().out)
+        assert served["ok"] is True, served
+        assert served["exit"] == code
+        assert served["verdict"] == verdict
+    assert [r["verified"] for r in responses] == [False, True, True, True]
+
+
+def test_reference_graph_engine_needs_sc_evidence(tmp_path, capsys):
+    program = parse_program(COUNT_DOWN)
+    assert verify_program(program, "f", ["nat"],
+                          graph_engine="reference").verified
+    with pytest.raises(ValueError):
+        verify_program(program, "f", ["nat"], evidence="mc",
+                       graph_engine="reference")
+    path = tmp_path / "prog.scm"
+    path.write_text(COUNT_DOWN)
+    assert main(["verify", str(path), "--entry", "f", "--kinds", "nat",
+                 "--mc", "--engine", "reference"]) == 2
+    assert "--engine reference" in capsys.readouterr().err
+
+
+def test_unknown_evidence_kind_is_refused():
+    with pytest.raises(ValueError):
+        evidence("ljb")
+    with pytest.raises(ValueError):
+        verify_program(parse_program(COUNT_DOWN), "f", ["nat"],
+                       evidence="ljb")

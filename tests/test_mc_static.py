@@ -5,7 +5,6 @@ import pytest
 from repro.corpus.registry import all_programs, get_program
 from repro.mc.analyze import mc_check
 from repro.mc.graph import GEQ, GT, MCGraph
-from repro.mc.static import verify_source_mc
 from repro.symbolic.verify import verify_source
 
 
@@ -68,7 +67,8 @@ class TestStaticVerification:
         (define (range2 lo hi)
           (if (>= lo hi) '() (cons lo (range2 (+ lo 1) hi))))
         """
-        assert verify_source_mc(src, "range2", ["nat", "nat"]).verified
+        assert verify_source(src, "range2", ["nat", "nat"],
+                             evidence="mc").verified
 
     def test_same_program_unknown_under_sc(self):
         src = """
@@ -78,36 +78,39 @@ class TestStaticVerification:
         assert not verify_source(src, "range2", ["nat", "nat"]).verified
 
     def test_unbounded_ascent_stays_unknown(self):
-        verdict = verify_source_mc("(define (up x) (up (+ x 1)))",
-                                   "up", ["nat"])
+        verdict = verify_source("(define (up x) (up (+ x 1)))",
+                                "up", ["nat"], evidence="mc")
         assert not verdict.verified
         assert verdict.witness is not None
 
     def test_witness_rendering_names_parameters(self):
-        verdict = verify_source_mc("(define (up x) (up (+ x 1)))",
-                                   "up", ["nat"])
+        verdict = verify_source("(define (up x) (up (+ x 1)))",
+                                "up", ["nat"], evidence="mc")
         assert "x′ > x" in verdict.render()
 
     def test_ack_verifies_under_mc(self):
         prog = get_program("sct-3")
         entry, kinds = prog.entry
-        assert verify_source_mc(prog.source, entry, kinds,
-                                result_kinds=prog.result_kinds).verified
+        assert verify_source(prog.source, entry, kinds,
+                             result_kinds=prog.result_kinds,
+                             evidence="mc").verified
 
     def test_constant_ceiling_stays_unknown(self):
         # acl2-fig-2's convergence to the constant 3 has no ceiling
         # parameter, so MC cannot verify it either.
         prog = get_program("acl2-fig-2")
         entry, kinds = prog.entry
-        assert not verify_source_mc(prog.source, entry, kinds).verified
+        assert not verify_source(prog.source, entry, kinds,
+                                 evidence="mc").verified
 
     def test_unknown_entry_reported(self):
-        verdict = verify_source_mc("(define x 1)", "x", [])
+        verdict = verify_source("(define x 1)", "x", [], evidence="mc")
         assert not verdict.verified
         assert "not a statically known closure" in verdict.reasons[0]
 
     def test_arity_mismatch_reported(self):
-        verdict = verify_source_mc("(define (f x) x)", "f", ["nat", "nat"])
+        verdict = verify_source("(define (f x) x)", "f", ["nat", "nat"],
+                                evidence="mc")
         assert not verdict.verified
         assert "preconditions" in verdict.reasons[0]
 
@@ -124,12 +127,13 @@ class TestStaticVerification:
                                result_kinds=prog.result_kinds)
             if not sc.verified:
                 continue
-            mc = verify_source_mc(prog.source, entry, kinds,
-                                  result_kinds=prog.result_kinds)
+            mc = verify_source(prog.source, entry, kinds,
+                               result_kinds=prog.result_kinds, evidence="mc")
             assert mc.verified, f"{prog.name}: SC verified but MC did not"
         prog = get_program("lh-range")
         entry, kinds = prog.entry
-        assert verify_source_mc(prog.source, entry, kinds).verified
+        assert verify_source(prog.source, entry, kinds,
+                             evidence="mc").verified
 
     def test_descent_before_swap_also_needs_context(self):
         # Reordered cond arms should make no difference.
@@ -141,4 +145,5 @@ class TestStaticVerification:
                 [(> x y) (swapper y x)]
                 [else 0]))
         """
-        assert verify_source_mc(src, "swapper", ["nat", "nat"]).verified
+        assert verify_source(src, "swapper", ["nat", "nat"],
+                             evidence="mc").verified

@@ -218,11 +218,9 @@ class TestLibraryAwareVerification:
 
     def test_prelude_range_counts_up(self):
         # range ascends: SC stays unknown; the MC verifier proves it.
-        from repro.mc.static import verify_source_mc
-
         src = "(define (upto n) (range 0 n))"
         assert not verify_source(src, "upto", ["nat"]).verified
-        assert verify_source_mc(src, "upto", ["nat"]).verified
+        assert verify_source(src, "upto", ["nat"], evidence="mc").verified
 
     def test_prelude_can_be_disabled(self):
         from repro.lang.parser import parse_program

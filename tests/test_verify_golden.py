@@ -1,6 +1,6 @@
 """Golden verdicts: ``Verdict.to_json()`` for every corpus program with an
-entry, under ``verify_program`` with both graph engines and under
-``verify_program_mc``, pinned byte for byte in ``data/verify_golden.json``.
+entry, under ``verify_program`` with both graph engines and with
+``evidence="mc"``, pinned byte for byte in ``data/verify_golden.json``.
 
 The JSON carries each verdict's status, reasons, witness graph and call
 path, anchor lines and discharge summary, so any change to phase 2 that
@@ -15,7 +15,6 @@ import os
 
 from repro.corpus import all_programs, conservative_programs, extra_programs
 from repro.lang.parser import parse_program
-from repro.mc.static import verify_program_mc
 from repro.symbolic.verify import verify_program
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "verify_golden.json")
@@ -31,8 +30,9 @@ def golden_text() -> str:
         for mode in ("bitmask", "reference", "mc"):
             parsed = parse_program(prog.source)
             if mode == "mc":
-                verdict = verify_program_mc(parsed, name, kinds,
-                                            result_kinds=prog.result_kinds)
+                verdict = verify_program(parsed, name, kinds,
+                                         result_kinds=prog.result_kinds,
+                                         evidence="mc")
             else:
                 verdict = verify_program(parsed, name, kinds,
                                          result_kinds=prog.result_kinds,
