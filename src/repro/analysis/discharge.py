@@ -668,6 +668,12 @@ class DischargeResult:
         return not self.reasons and \
             all(c.complete for c in self.certificates)
 
+    def summary(self) -> dict:
+        """The plain fields a `sized serve` response carries."""
+        return {"complete": self.complete,
+                "skipped": len(self.policy.skip_labels),
+                "reasons": self.reasons[:4]}
+
     def render(self) -> str:
         lines = []
         for cert in self.certificates:

@@ -97,8 +97,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.eval.machine import EXIT_CODES, Answer, run_program
-from repro.values.values import write_value
+from repro.eval.machine import MACHINES, MODES, Answer
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -114,8 +113,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                "parse error, 3 size-change violation, 4 timeout, "
                "5 --discharge require not met")
     p_run.add_argument("file")
-    p_run.add_argument("--mode", choices=["off", "contract", "full"],
-                       default="contract")
+    p_run.add_argument("--mode", choices=MODES, default="contract")
     p_run.add_argument("--strategy", choices=["cm", "imperative"], default="cm")
     p_run.add_argument("--backoff", action="store_true")
     p_run.add_argument("--mc", action="store_true",
@@ -123,8 +121,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("--engine", choices=["bitmask", "reference"],
                        default="bitmask",
                        help="size-change graph representation to compose")
-    p_run.add_argument("--machine", choices=["compiled", "tree", "native"],
-                       default="compiled",
+    p_run.add_argument("--machine", choices=MACHINES, default="compiled",
                        help="evaluator: lexically-addressed slot-frame "
                             "machine (default), the tree walker, or the "
                             "native tier (Python-compiled λs with "
@@ -315,12 +312,6 @@ def _evidence_kind(args) -> str:
     return "mc" if args.mc else "sc"
 
 
-def _make_monitor(args, **options):
-    from repro.evidence import evidence
-
-    return evidence(_evidence_kind(args)).monitor(**options)
-
-
 def _parse_result_kinds(pairs) -> Optional[dict]:
     result_kinds = {}
     for pair in pairs:
@@ -332,34 +323,27 @@ def _parse_result_kinds(pairs) -> Optional[dict]:
 
 
 def _cmd_run(args) -> int:
+    from repro.analysis.discharge import VerificationCache
+    from repro.eval.machine import run_request
     from repro.lang.parser import parse_program
 
     with open(args.file) as f:
         source = f.read()
-    program = parse_program(source, source=args.file)
-    monitor = _make_monitor(args, backoff=args.backoff, engine=args.engine)
-    policy = None
-    if args.discharge != "off":
-        from repro.analysis.discharge import (VerificationCache,
-                                              discharge_for_run)
-
-        # Always an explicit instance: the CLI never touches the
-        # process-wide default_cache(), so runs are isolated.
-        cache = VerificationCache(args.discharge_cache)
-        result = discharge_for_run(
-            program, text=source, mc=args.mc,
-            result_kinds=_parse_result_kinds(args.result_kind), cache=cache)
-        if args.discharge == "require" and not result.complete:
-            print("cannot fully discharge the dynamic checks:",
-                  file=sys.stderr)
-            rendered = result.render()
-            if rendered:
-                print(rendered, file=sys.stderr)
-            return 5
-        policy = result.policy
-    answer = run_program(program, mode=args.mode, strategy=args.strategy,
-                         monitor=monitor, fuel=args.fuel,
-                         machine=args.machine, discharge=policy)
+    # Always an explicit cache instance: the CLI never touches the
+    # process-wide default_cache(), so runs are isolated.
+    answer, result = run_request(
+        parse_program(source, source=args.file), source, mode=args.mode,
+        machine=args.machine, discharge=args.discharge,
+        evidence=_evidence_kind(args), strategy=args.strategy,
+        fuel=args.fuel, cache=VerificationCache(args.discharge_cache),
+        result_kinds=_parse_result_kinds(args.result_kind),
+        backoff=args.backoff, engine=args.engine)
+    if answer is None:
+        print("cannot fully discharge the dynamic checks:", file=sys.stderr)
+        rendered = result.render()
+        if rendered:
+            print(rendered, file=sys.stderr)
+        return 5
     if answer.output:
         sys.stdout.write(answer.output)
         if not answer.output.endswith("\n"):
@@ -368,26 +352,19 @@ def _cmd_run(args) -> int:
 
 
 def _report(answer, value_prefix: str) -> int:
-    """Print ``answer``'s outcome — a value on stdout after
+    """Print ``answer``'s record — a value on stdout after
     ``value_prefix``, anything else on stderr — and return its exit
     status."""
-    if answer.kind == Answer.VALUE:
-        print(value_prefix + write_value(answer.value))
-    elif answer.kind == Answer.SC_ERROR:
-        print(answer.violation, file=sys.stderr)
-    elif answer.kind == Answer.TIMEOUT:
-        print(_timeout_message(answer), file=sys.stderr)
+    record = answer.record()
+    if "value" in record:
+        print(value_prefix + record["value"])
+    elif "violation" in record:
+        print(record["violation"], file=sys.stderr)
+    elif record["kind"] == Answer.TIMEOUT:
+        print(record["message"], file=sys.stderr)
     else:
-        print(f"run-time error: {answer.error}", file=sys.stderr)
-    return EXIT_CODES[answer.kind]
-
-
-def _timeout_message(answer) -> str:
-    from repro.eval.errors import FuelExhausted
-
-    if isinstance(answer.error, FuelExhausted):
-        return str(answer.error)
-    return "machine timeout (step budget exhausted)"
+        print(f"run-time error: {record['message']}", file=sys.stderr)
+    return record["exit"]
 
 
 def _cmd_verify(args) -> int:
@@ -417,12 +394,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.evidence import evidence
     from repro.sct.trace import render_tree, trace_source
 
     with open(args.file) as f:
         source = f.read()
-    result = trace_source(source,
-                          monitor=_make_monitor(args, engine=args.engine),
+    monitor = evidence(_evidence_kind(args)).monitor(engine=args.engine)
+    result = trace_source(source, monitor=monitor,
                           mode=args.mode, fuel=args.fuel,
                           machine=args.machine)
     print(render_tree(result.roots, max_depth=args.max_depth,

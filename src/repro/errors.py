@@ -30,28 +30,19 @@ class BlameError(SchemeError):
         )
 
 
-class MachineTimeout(Exception):
-    """The step budget ran out.  Under the *standard* semantics this is how
-    tests observe divergence; under monitoring it should never fire for
-    diverging programs (Corollary 3.3)."""
+class FuelExhausted(Exception):
+    """The step budget ran dry (``run_program(..., fuel=N)`` / ``sized run
+    --fuel N``); the answer is ``Answer.TIMEOUT``.  Under the *standard*
+    semantics this is how tests observe divergence; under monitoring it
+    should never fire for diverging programs (Corollary 3.3)."""
 
     def __init__(self, steps: int):
-        super().__init__(f"machine exceeded {steps} steps")
+        super().__init__(f"fuel exhausted after {steps} steps")
         self.steps = steps
-
-
-class FuelExhausted(MachineTimeout):
-    """The *fuel* knob's distinct outcome: a deterministic step budget ran
-    dry (``run_program(..., fuel=N)`` / ``sized run --fuel N``).
-
-    Subclassing :class:`MachineTimeout` keeps every existing ``except
-    MachineTimeout`` / ``Answer.TIMEOUT`` path working; the differential
-    fuzzer catches this type specifically so a budgeted diverging program
-    is distinguishable from any other non-value outcome."""
-
-    def __init__(self, steps: int):
-        super().__init__(steps)
         # the *configured* budget, verbatim — callers (serve budgets,
         # the CLI) rely on this being the real limit, 0 included
         self.limit = steps
-        self.args = (f"fuel exhausted after {steps} steps",)
+
+
+#: The old name of the budget error: ``fuel`` is the only budget.
+MachineTimeout = FuelExhausted

@@ -8,7 +8,8 @@ over flat list frames.  :mod:`repro.eval.native` adds the ``native``
 tier: λs run as exec-generated Python functions on a trampoline,
 falling back per frame to the compiled machine.  Select with
 ``machine={'compiled','tree','native'}`` on :func:`run_program` /
-:func:`run_source` / :func:`make_env`.
+:func:`run_source` / :func:`make_env`.  :func:`run_request` puts the
+discharge pipeline in front of :func:`run_program`.
 
 Every machine implements three modes:
 
@@ -31,6 +32,7 @@ from repro.eval.machine import (
     eval_expr,
     make_env,
     run_program,
+    run_request,
     run_source,
 )
 
@@ -44,5 +46,6 @@ __all__ = [
     "eval_expr",
     "make_env",
     "run_program",
+    "run_request",
     "run_source",
 ]

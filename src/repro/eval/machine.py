@@ -43,8 +43,9 @@ from typing import List, Optional
 
 from repro.analysis.callgraph import acyclic_skip
 from repro.ds.hamt import Hamt
-from repro.eval.errors import FuelExhausted, MachineTimeout, SchemeError
+from repro.eval.errors import FuelExhausted, SchemeError
 from repro.eval.native import NativeContext, count_apply
+from repro.evidence import evidence as evidence_classes
 from repro.lang import ast, libraries
 from repro.lang.parser import parse_program
 from repro.lang.prims import PRIMITIVES
@@ -90,6 +91,7 @@ _UNDEF = object()
 ROOT_BLAME = "the program"
 
 MACHINES = ("compiled", "tree", "native")
+MODES = ("off", "contract", "full")
 
 _K = ast  # short alias for kind constants
 
@@ -128,6 +130,25 @@ class Answer:
 
     def is_value(self) -> bool:
         return self.kind == Answer.VALUE
+
+    def record(self) -> dict:
+        """The answer as plain fields, the one form `sized run` prints
+        and a `sized serve` run response carries: ``kind``, ``exit``,
+        ``steps``, ``output``, ``tier``, then ``value`` (written),
+        ``violation`` (the blame report), or ``message`` (plus
+        ``fuel_exhausted`` on a timeout)."""
+        record = {"kind": self.kind, "exit": EXIT_CODES[self.kind],
+                  "steps": self.steps, "output": self.output,
+                  "tier": self.tier}
+        if self.kind == Answer.VALUE:
+            record["value"] = write_value(self.value)
+        elif self.kind == Answer.SC_ERROR:
+            record["violation"] = str(self.violation)
+        else:
+            record["message"] = str(self.error)
+            if self.kind == Answer.TIMEOUT:
+                record["fuel_exhausted"] = True
+        return record
 
     def __repr__(self) -> str:
         if self.kind == Answer.VALUE:
@@ -1194,7 +1215,7 @@ def run_program(
     except SizeChangeViolation as exc:
         return Answer(Answer.SC_ERROR, violation=exc,
                       output="".join(output), steps=spent(), tier=tier())
-    except MachineTimeout as exc:
+    except FuelExhausted as exc:
         return Answer(Answer.TIMEOUT, error=exc, output="".join(output),
                       steps=spent(), tier=tier())
     finally:
@@ -1223,6 +1244,53 @@ def run_source(
         fuel=fuel, env=env, include_prelude=include_prelude,
         machine=machine, discharge=discharge,
     )
+
+
+def run_request(
+    program: Program,
+    text: Optional[str] = None,
+    *,
+    mode: str = "off",
+    machine: str = "compiled",
+    discharge: str = "off",
+    evidence: str = "sc",
+    strategy: str = "cm",
+    fuel: Optional[int] = None,
+    cache=None,
+    result_kinds=None,
+    env: Optional[GlobalEnv] = None,
+    backoff: bool = False,
+    engine: str = "bitmask",
+):
+    """One request through the whole pipeline — the §4 verifier in front
+    of the §5 monitor — as `sized run`, a `sized serve` run and the chaos
+    oracle all take it: ``(answer, discharge_result)``.
+
+    ``discharge='try'`` or ``'require'`` first discharges the inferred
+    workload (:func:`~repro.analysis.discharge.discharge_for_run`, over
+    ``cache`` and keyed by ``text``); the run then monitors the rest with
+    the ``evidence`` kind's monitor.  Under ``'require'`` a workload that
+    is not fully discharged does not run and the answer is ``None``.
+    ``discharge='off'`` monitors everything; the result is then ``None``.
+    """
+    if discharge not in ("off", "try", "require"):
+        raise ValueError(f"discharge must be 'off', 'try' or 'require', "
+                         f"got {discharge!r}")
+    monitor = evidence_classes(evidence).monitor(backoff=backoff,
+                                                 engine=engine)
+    result = None
+    if discharge != "off":
+        from repro.analysis.discharge import discharge_for_run
+
+        result = discharge_for_run(program, text=text, mc=evidence == "mc",
+                                   result_kinds=result_kinds, cache=cache)
+        if discharge == "require" and not result.complete:
+            return None, result
+    answer = run_program(program, mode=mode, strategy=strategy,
+                         monitor=monitor, fuel=fuel, env=env,
+                         machine=machine,
+                         discharge=result and result.policy)
+    return answer, result
 
 
 def _display(args, out: List[str]):

@@ -47,14 +47,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.callgraph import acyclic_labels
 from repro.analysis.discharge import VerificationCache, discharge_for_run
-from repro.errors import FuelExhausted
 from repro.eval.machine import Answer, run_program
 from repro.eval.native import ensure_native_program
 from repro.fuzz.gen import GenProgram, generate_program
 from repro.lang.parser import parse_program
 from repro.sct.monitor import SCMonitor
 from repro.symbolic import verify_source
-from repro.values.values import write_value
 
 MACHINES = ("tree", "compiled", "native")
 ENGINES = ("bitmask", "reference")
@@ -107,19 +105,18 @@ class CellResult:
                  "fuel_exhausted", "steps", "tier")
 
     def __init__(self, cell: Tuple[str, str, str], answer: Answer):
+        record = answer.record()
         self.cell = cell
-        self.kind = answer.kind
-        self.value = (write_value(answer.value)
-                      if answer.kind == Answer.VALUE else None)
-        self.output = answer.output
-        self.violation = (str(answer.violation)
-                          if answer.violation is not None else None)
-        self.error = str(answer.error) if answer.error is not None else None
-        self.fuel_exhausted = isinstance(answer.error, FuelExhausted)
-        self.steps = answer.steps
+        self.kind = record["kind"]
+        self.value = record.get("value")
+        self.output = record["output"]
+        self.violation = record.get("violation")
+        self.error = record.get("message")
+        self.fuel_exhausted = record.get("fuel_exhausted", False)
+        self.steps = record["steps"]
         # Reported (native coverage), never compared: tier depends on
         # how hot the parse is.
-        self.tier = answer.tier
+        self.tier = record["tier"]
 
     def signature(self) -> Tuple:
         """What byte-identity compares within a policy group."""

@@ -29,7 +29,10 @@ flight:
     send a request and cut the connection before the response
     (mid-response connection loss from the server's point of view);
 ``malformed``
-    truncated JSON, binary garbage, and half-frames on raw connections.
+    truncated JSON, binary garbage, and half-frames on raw connections,
+    plus well-formed frames with ill-typed ``kinds``, ``result_kinds``
+    and ``entry`` from a budgeted tenant (refused before any fuel is
+    reserved, so ``budgets-conserved`` covers them).
 
 Everything random — program mix, tenants, stagger, fault positions,
 client retry jitter — derives from ``--seed``, so a campaign is a
@@ -42,10 +45,10 @@ Invariants (campaign fails loudly if any is violated):
    response.
 2. **Zero duplicated** — no client ever observes a response line it did
    not have a request in flight for.
-3. **Byte identity** — every *delivered* ``run`` result (value, output,
-   kind, steps) is identical to a direct ``run_program`` with the same
-   knobs on the *compiled* machine (a different tier than the
-   native-serving workers, so tier bugs cannot cancel out); every
+3. **Byte identity** — every *delivered* ``run`` result (every answer
+   record field but ``tier``) is identical to a direct ``run_request``
+   with the same knobs on the *compiled* machine (a different tier than
+   the native-serving workers, so tier bugs cannot cancel out); every
    delivered ``verify`` verdict matches the direct discharge pipeline.
 4. **Budgets conserved** — all reservations settle (no leaks) and for
    every tenant ``spent + remaining == budget``.
@@ -92,17 +95,12 @@ def _program(i: int) -> str:
             f"(f {depth})\n")
 
 
-def _server_job(op: str, program: str) -> dict:
-    """The job dict exactly as the server normalises it — needed to
-    predict request keys (and therefore shard routing) client-side."""
-    return {"op": op, "program": program, "fuel": FUEL,
-            "mode": "contract", "discharge": "try", "mc": False,
-            "entry": None, "kinds": None, "result_kinds": None}
-
-
 def _shard_of(op: str, program: str, workers: int) -> int:
-    key = protocol.request_key(_server_job(op, program))
-    return int(key[:8], 16) % workers
+    """The shard the server routes a request to: the key covers the job
+    exactly as the server checks and defaults it."""
+    job, _ = protocol.check_job({"op": op, "program": program,
+                                 "fuel": FUEL}, FUEL)
+    return int(protocol.request_key(job)[:8], 16) % workers
 
 
 class FaultPlan:
@@ -151,38 +149,25 @@ class FaultPlan:
 
 
 def _direct_oracle(programs: List[str]) -> Dict[str, dict]:
-    """Run every pool program through the direct pipeline with the same
-    knobs the server uses; delivered serve results must be
-    byte-identical to these.
-
-    Every field comes from the *compiled* machine — deliberately a
-    different tier than the serve workers (native), so a native-tier bug
-    shows up as a byte-identity violation instead of cancelling out on
-    both sides.  ``steps`` counts closure applications on every tier, so
-    it is compared like the rest."""
-    from repro.analysis.discharge import (VerificationCache,
-                                          discharge_for_run)
-    from repro.eval.machine import run_program
+    """Every pool program through :func:`~repro.eval.machine.run_request`,
+    as a serve worker runs it but on the *compiled* machine: a different
+    tier than the workers (native), so a native-tier bug shows up as a
+    byte-identity violation instead of cancelling out.  Delivered results
+    must equal every :meth:`~repro.eval.machine.Answer.record` field but
+    ``tier``; ``steps`` counts closure applications on every tier."""
+    from repro.analysis.discharge import VerificationCache
+    from repro.eval.machine import run_request
     from repro.lang.parser import parse_program
-    from repro.sct.monitor import SCMonitor
-    from repro.values.values import write_value
 
     oracle: Dict[str, dict] = {}
     cache = VerificationCache()
     for text in programs:
-        parsed = parse_program(text)
-        result = discharge_for_run(parsed, text=text, cache=cache)
-        answer = run_program(parsed, mode="contract", monitor=SCMonitor(),
-                             fuel=FUEL, machine="compiled",
-                             discharge=result.policy)
-        oracle[text] = {
-            "kind": answer.kind,
-            "value": write_value(answer.value)
-            if answer.kind == "value" else None,
-            "output": answer.output,
-            "steps": answer.steps,
-            "verified": bool(result.complete),
-        }
+        answer, result = run_request(
+            parse_program(text), text, mode="contract", machine="compiled",
+            discharge="try", fuel=FUEL, cache=cache)
+        record = answer.record()
+        del record["tier"]
+        oracle[text] = {"record": record, "verified": result.complete}
     return oracle
 
 
@@ -272,13 +257,22 @@ async def _run_fault(event: dict, server: SizedServer,
                 await fault_client.request(
                     {"op": "crash", "shard": shard}, timeout=30)
         elif kind == "conn-cut":
-            req = dict(_server_job("run", event["program"]))
-            req.update({"id": "cut", "tenant": "t-cut"})
-            await _raw_send(server.port, [protocol.encode(req)])
+            await _raw_send(server.port, [protocol.encode(
+                {"op": "run", "program": event["program"], "fuel": FUEL,
+                 "id": "cut", "tenant": "t-cut"})])
         elif kind == "malformed":
             await _raw_send(server.port, [
                 b'{"op": "run", "progr\n',       # truncated JSON
                 b"\xff\xfe\x00 binary garbage\n",  # not UTF-8 JSON
+                # well-formed frames with ill-typed fields, from a
+                # budgeted tenant: refused before any fuel is reserved
+                *(protocol.encode({"op": "verify", "program": _program(0),
+                                   "fuel": FUEL, "tenant": "t-malformed",
+                                   **fields})
+                  for fields in ({"entry": "f", "kinds": "nat"},
+                                 {"entry": "f", "kinds": [1]},
+                                 {"entry": "f", "result_kinds": ["f"]},
+                                 {"entry": 7})),
                 b'{"op":"run"',                  # half frame, no newline
             ], read_reply=True)
         injected[kind] = injected.get(kind, 0) + 1
@@ -358,10 +352,8 @@ async def _campaign(n: int, seed: int, kinds: Tuple[str, ...],
         outcomes[label] = outcomes.get(label, 0) + 1
         expect = oracle[spec["program"]]
         if response.get("ok") and spec["op"] == "run":
-            got = (response.get("kind"), response.get("value"),
-                   response.get("output"), response.get("steps"))
-            want = (expect["kind"], expect["value"], expect["output"],
-                    expect["steps"])
+            want = expect["record"]
+            got = {field: response.get(field) for field in want}
             if got != want:
                 identity_failures.append(
                     f"request {idx}: served {got!r} != direct {want!r}")

@@ -8,17 +8,22 @@ fields: ``id`` (echoed verbatim in the response; assigned when absent)
 and ``op``.  Ops:
 
 ``run``
-    ``program`` (source text, required), ``tenant`` (default
-    ``"anonymous"``), ``fuel`` (int step budget; ``0`` = immediate
-    exhaustion, ``null`` = unlimited, absent = the server default),
-    ``mode`` (``off|contract|full``, default ``contract``),
-    ``discharge`` (``off|try``, default ``try``), ``mc`` (bool:
-    monotonicity-constraint evidence for both the discharge and the
-    residual monitor of the run, as ``sized run --mc``).
+    ``program`` (string, non-empty source text, required), ``tenant``
+    (any JSON value, used as its string; default ``"anonymous"``),
+    ``fuel`` (``null`` or an int ≥ 0: the step budget; ``0`` =
+    immediate exhaustion, ``null`` = unlimited, absent = the server
+    default), ``machine`` (``native|compiled|tree``, default
+    ``native``), ``mode`` (``off|contract|full``, default
+    ``contract``), ``discharge`` (``off|try``, default ``try``), ``mc``
+    (bool, default ``false``: monotonicity-constraint evidence for both
+    the discharge and the residual monitor of the run, as ``sized run
+    --mc``).
 ``verify``
-    ``program`` plus either nothing (the workload entries are inferred
-    from the top-level calls, as ``--discharge`` does) or an explicit
-    ``entry`` with ``kinds``/``result_kinds``; ``mc`` selects
+    The ``run`` fields plus either nothing (the workload entries are
+    inferred from the top-level calls, as ``--discharge`` does) or an
+    explicit ``entry`` (a non-empty string) with ``kinds`` (a list of
+    kind names, default ``[]``) and ``result_kinds`` (an object mapping
+    function names to kind names); ``mc`` selects
     monotonicity-constraint evidence.
 ``stats``
     The metrics surface: request/response counters, cache hit/miss/
@@ -34,14 +39,20 @@ and ``op``.  Ops:
     while the marker file does not exist — the requeued attempt
     succeeds, which is how the crash-recovery path is tested end to end.
 
+:func:`check_job` checks the fields of ``run`` and ``verify`` and
+applies their defaults before the front end reserves any fuel, so a
+``bad-request`` never holds a budget reservation.
+
 Responses
 ---------
 
 ``{"id": ..., "ok": true, ...}`` for served requests — note a run that
 ended in a violation, run-time error, or fuel exhaustion is still
-``ok: true``: the *service* did its job; ``kind`` carries the outcome
-(``value|rt-error|sc-error|timeout``) and ``exit`` the CLI-equivalent
-exit code.  ``{"id": ..., "ok": false, "error": {"type": ..., "message":
+``ok: true``: the *service* did its job.  A run response carries the
+answer record (:meth:`repro.eval.machine.Answer.record`: ``kind``, one
+of ``value|rt-error|sc-error|timeout``, ``exit``, the CLI's exit code,
+and the value or report `sized run` prints) and the discharge summary.
+``{"id": ..., "ok": false, "error": {"type": ..., "message":
 ...}}`` for failures of the service itself; ``error.type`` is one of
 ``bad-request``, ``budget-exhausted``, ``worker-crash``, ``timeout``,
 ``overloaded``, ``shard-unavailable``, ``connection-lost``,
@@ -130,9 +141,55 @@ def error_response(rid, etype: str, message: str, **extra) -> dict:
     return {"id": rid, "ok": False, "error": err}
 
 
+def check_job(request: dict, default_fuel: Optional[int]
+              ) -> Tuple[Optional[dict], Optional[str]]:
+    """``(job, None)`` — the ``run``/``verify`` job with every field
+    checked and defaulted, ``fuel`` still the requested one — or
+    ``(None, reason)`` for a ``bad-request``."""
+    from repro.eval.machine import MACHINES, MODES
+
+    program = request.get("program")
+    if not isinstance(program, str) or not program.strip():
+        return None, "'program' must be non-empty source text"
+    fuel = request.get("fuel", default_fuel)
+    if fuel is not None and (isinstance(fuel, bool)
+                             or not isinstance(fuel, int) or fuel < 0):
+        return None, "'fuel' must be null or an int >= 0"
+    job = {"op": request["op"], "program": program, "fuel": fuel}
+    for field, allowed, default in (("machine", MACHINES, "native"),
+                                    ("mode", MODES, "contract"),
+                                    ("discharge", ("off", "try"), "try")):
+        job[field] = request.get(field, default)
+        if job[field] not in allowed:
+            return None, f"'{field}' must be one of {'|'.join(allowed)}"
+    mc = request.get("mc", False)
+    if not isinstance(mc, bool):
+        return None, "'mc' must be true or false"
+    job["evidence"] = "mc" if mc else "sc"
+    entry = request.get("entry")
+    if entry is not None and (not isinstance(entry, str) or not entry):
+        return None, "'entry' must be a function name"
+    job["entry"] = entry
+    kinds = request.get("kinds")
+    if kinds is None:
+        kinds = []
+    if not isinstance(kinds, list) or \
+            not all(isinstance(k, str) for k in kinds):
+        return None, "'kinds' must be a list of kind names"
+    job["kinds"] = kinds
+    result_kinds = request.get("result_kinds")
+    if result_kinds is not None and (
+            not isinstance(result_kinds, dict)
+            or not all(isinstance(k, str) for k in result_kinds.values())):
+        return None, ("'result_kinds' must be an object mapping function "
+                      "names to kind names")
+    job["result_kinds"] = result_kinds
+    return job, None
+
+
 def request_key(job: dict) -> str:
-    """Content-address one run/verify job for dedupe/batching and shard
-    routing.
+    """Content-address one checked run/verify job (:func:`check_job`)
+    for dedupe/batching and shard routing.
 
     Same discipline as :meth:`repro.analysis.discharge.VerificationCache.
     key`: the digest covers everything the answer depends on — program
@@ -149,23 +206,13 @@ def request_key(job: dict) -> str:
             hashlib.sha256(job["program"].encode()).hexdigest(),
         "libraries_sha256": _libraries_digest(),
         "op": job["op"],
-        "machine": job.get("machine"),
-        "mode": job.get("mode"),
-        "discharge": job.get("discharge"),
-        "mc": bool(job.get("mc")),
-        "fuel": job.get("fuel"),
-        "entry": job.get("entry"),
-        "kinds": list(job.get("kinds") or ()),
-        "result_kinds": sorted((job.get("result_kinds") or {}).items()),
+        "machine": job["machine"],
+        "mode": job["mode"],
+        "discharge": job["discharge"],
+        "evidence": job["evidence"],
+        "fuel": job["fuel"],
+        "entry": job["entry"],
+        "kinds": job["kinds"],
+        "result_kinds": sorted((job["result_kinds"] or {}).items()),
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def validate_fuel(value) -> Tuple[bool, Optional[int]]:
-    """``(ok, fuel)`` — fuel must be ``null`` (unlimited) or an int ≥ 0
-    (``0`` = immediate exhaustion, same contract as ``run_program``)."""
-    if value is None:
-        return True, None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        return False, None
-    return True, value

@@ -4,7 +4,8 @@ Single event loop, JSON-lines TCP (see :mod:`repro.serve.protocol`);
 requests on one connection are served concurrently and responses are
 matched by ``id``.  The data path is::
 
-    handle_request → budget admit → request_key → KeyedBatcher.submit
+    handle_request → check_job → budget admit → request_key
+                   → KeyedBatcher.submit
                    → _dispatch (shard route, wall-clock timeout,
                       crash/timeout requeue-once) → settle → respond
 
@@ -280,48 +281,19 @@ class SizedServer:
         if self._stopping.is_set():
             return protocol.error_response(
                 rid, protocol.E_SHUTDOWN, "server is shutting down")
-        program = request.get("program")
-        if not isinstance(program, str) or not program.strip():
-            return protocol.error_response(
-                rid, protocol.E_BAD_REQUEST,
-                "'program' must be non-empty source text")
-        ok, fuel = protocol.validate_fuel(
-            request.get("fuel", self.config.default_fuel))
-        if not ok:
-            return protocol.error_response(
-                rid, protocol.E_BAD_REQUEST,
-                "'fuel' must be null or an int >= 0")
+        job, reason = protocol.check_job(request, self.config.default_fuel)
+        if job is None:
+            return protocol.error_response(rid, protocol.E_BAD_REQUEST,
+                                           reason)
         tenant = str(request.get("tenant", "anonymous"))
 
-        admitted, effective_fuel, reason = self.budgets.admit(tenant, fuel)
+        admitted, effective_fuel, reason = self.budgets.admit(tenant,
+                                                              job["fuel"])
         if not admitted:
             return protocol.error_response(
                 rid, protocol.E_BUDGET, reason,
                 tenant=tenant, remaining=self.budgets.remaining(tenant))
-
-        job = {
-            "op": request["op"],
-            "program": program,
-            "fuel": effective_fuel,
-            "machine": request.get("machine", "native"),
-            "mode": request.get("mode", "contract"),
-            "discharge": request.get("discharge", "try"),
-            "mc": bool(request.get("mc")),
-            "entry": request.get("entry"),
-            "kinds": request.get("kinds"),
-            "result_kinds": request.get("result_kinds"),
-        }
-        if job["mode"] not in ("off", "contract", "full") or \
-                job["discharge"] not in ("off", "try"):
-            self.budgets.settle(tenant, effective_fuel, 0)
-            return protocol.error_response(
-                rid, protocol.E_BAD_REQUEST,
-                "mode must be off|contract|full, discharge off|try")
-        if job["machine"] not in ("native", "compiled", "tree"):
-            self.budgets.settle(tenant, effective_fuel, 0)
-            return protocol.error_response(
-                rid, protocol.E_BAD_REQUEST,
-                "machine must be native|compiled|tree")
+        job["fuel"] = effective_fuel
         key = protocol.request_key(job)
 
         # -- admission control: shed rather than queue without bound.

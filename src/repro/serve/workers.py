@@ -48,21 +48,33 @@ def worker_init(cache_dir: Optional[str], worker_id: int) -> None:
 
 
 def worker_job(job: dict) -> dict:
-    """Execute one (deduplicated) job; always returns a response dict —
-    the only exceptions that escape are worker-fatal by design
+    """Execute one (deduplicated) job, checked by
+    :func:`repro.serve.protocol.check_job`; always returns a response
+    dict — the only exceptions that escape are worker-fatal by design
     (``os._exit`` under fault injection)."""
+    from repro.analysis.discharge import VerificationCache
+
     op = job.get("op")
     if op == "crash":
         return _crash_job(job)
     if op == "hang":
         return _hang_job(job)
-    try:
-        if op == "run":
-            return _run_job(job)
-        if op == "verify":
-            return _verify_job(job)
+    if op not in ("run", "verify"):
         return {"ok": False, "error": {
             "type": "bad-request", "message": f"unknown worker op {op!r}"}}
+    try:
+        program, err = _parse(job["program"])
+        if err is not None:
+            return err
+        cache = _STATE.get("cache") or VerificationCache()
+        before = (cache.hits, cache.misses, cache.rejected)
+        serve_op = _run_job if op == "run" else _verify_job
+        # A dict display evaluates in order: the deltas follow the job.
+        return {"ok": True, **serve_op(job, program, cache),
+                "cache": {"hits": cache.hits - before[0],
+                          "misses": cache.misses - before[1],
+                          "rejected": cache.rejected - before[2]},
+                "worker": _STATE.get("worker_id")}
     except Exception as exc:  # defensive: never poison the executor
         return {"ok": False, "error": {
             "type": "worker-error",
@@ -98,23 +110,21 @@ def _crash_job(job: dict) -> dict:
     os._exit(17)
 
 
-def _parse(job: dict):
+def _parse(text: str):
     import hashlib
 
     from repro.lang.parser import parse_program
 
-    text = job["program"]
-    source = job.get("source", "<serve>")
     programs = _STATE.get("programs")
     key = None
     if programs is not None:
         key = hashlib.sha256(
-            f"{source}\x00{text}".encode("utf-8", "replace")).hexdigest()
+            f"<serve>\x00{text}".encode("utf-8", "replace")).hexdigest()
         cached = programs.get(key)
         if cached is not None:
             return cached, None
     try:
-        program = parse_program(text, source=source)
+        program = parse_program(text, source="<serve>")
     except Exception as exc:
         return None, {"ok": False, "error": {
             "type": "bad-request", "message": f"parse error: {exc}"}}
@@ -123,116 +133,45 @@ def _parse(job: dict):
     return program, None
 
 
-def _discharge(program, job: dict, cache):
-    from repro.analysis.discharge import discharge_for_run
+def _run_job(job: dict, program, cache) -> dict:
+    """A ``run`` job through :func:`~repro.eval.machine.run_request`, as
+    ``sized run`` takes it."""
+    from repro.eval.machine import run_request
 
-    result = discharge_for_run(program, text=job["program"],
-                               mc=bool(job.get("mc")), cache=cache)
-    info = {
-        "complete": result.complete,
-        "skipped": len(result.policy.skip_labels),
-        "reasons": result.reasons[:4],
-    }
-    return result.policy, info
-
-
-def _evidence_kind(job: dict) -> str:
-    """A job's ``mc`` flag picks the evidence of its discharge, its
-    residual monitor and its verdict alike."""
-    return "mc" if job.get("mc") else "sc"
-
-
-def _run_job(job: dict) -> dict:
-    from repro.analysis.discharge import VerificationCache
-    from repro.eval.errors import FuelExhausted
-    from repro.eval.machine import EXIT_CODES, MACHINES, Answer, run_program
-    from repro.evidence import evidence
-    from repro.values.values import write_value
-
-    machine = job.get("machine", "native")
-    if machine not in MACHINES:
-        return {"ok": False, "error": {
-            "type": "bad-request",
-            "message": f"unknown machine {machine!r} "
-                       f"(want one of {', '.join(MACHINES)})"}}
-    program, err = _parse(job)
-    if err is not None:
-        return err
-    cache = _STATE.get("cache") or VerificationCache()
-    hits0, miss0, rej0 = cache.hits, cache.misses, cache.rejected
-    policy = None
-    discharge_info = None
-    if job.get("discharge", "try") != "off":
-        policy, discharge_info = _discharge(program, job, cache)
     # The warm env is compiled-family (shared by native); a tree job
     # needs its own env — rare enough to pay the prelude cost inline.
-    env = _STATE.get("env") if machine != "tree" else None
-    answer = run_program(
-        program, mode=job.get("mode", "contract"),
-        monitor=evidence(_evidence_kind(job)).monitor(),
-        fuel=job.get("fuel"),
-        machine=machine, discharge=policy, env=env)
-    response = {
-        "ok": True,
-        "kind": answer.kind,
-        "exit": EXIT_CODES.get(answer.kind, 1),
-        "steps": answer.steps,
-        "output": answer.output,
-        "tier": answer.tier,
-        "discharge": discharge_info,
-        "cache": {"hits": cache.hits - hits0,
-                  "misses": cache.misses - miss0,
-                  "rejected": cache.rejected - rej0},
-        "worker": _STATE.get("worker_id"),
-    }
-    if answer.kind == Answer.VALUE:
-        response["value"] = write_value(answer.value)
-    elif answer.kind == Answer.SC_ERROR:
-        response["violation"] = str(answer.violation)
-    elif answer.kind == Answer.TIMEOUT:
-        response["fuel_exhausted"] = isinstance(answer.error, FuelExhausted)
-        response["message"] = str(answer.error)
+    env = _STATE.get("env") if job["machine"] != "tree" else None
+    answer, result = run_request(
+        program, job["program"], mode=job["mode"], machine=job["machine"],
+        discharge=job["discharge"], evidence=job["evidence"],
+        fuel=job["fuel"], cache=cache, env=env)
+    return {**answer.record(), "discharge": result and result.summary()}
+
+
+def _verify_job(job: dict, program, cache) -> dict:
+    """A ``verify`` job: the verdict on an explicit entry, or else the
+    discharge of the inferred workload, as ``--discharge`` computes it."""
+    entry = job["entry"]
+    if entry is None:
+        from repro.analysis.discharge import discharge_for_run
+
+        summary = discharge_for_run(program, text=job["program"],
+                                    mc=job["evidence"] == "mc",
+                                    cache=cache).summary()
+        verified = summary["complete"]
+        response = {"kind": "discharge", "discharge": summary}
     else:
-        response["message"] = str(answer.error)
-    return response
-
-
-def _verify_job(job: dict) -> dict:
-    from repro.analysis.discharge import VerificationCache
-
-    program, err = _parse(job)
-    if err is not None:
-        return err
-    cache = _STATE.get("cache") or VerificationCache()
-    hits0, miss0, rej0 = cache.hits, cache.misses, cache.rejected
-    entry = job.get("entry")
-    if entry:
         from repro.symbolic.verify import verify_program
 
-        kinds = list(job.get("kinds") or ())
-        verdict = verify_program(program, entry, kinds,
-                                 result_kinds=job.get("result_kinds"),
-                                 evidence=_evidence_kind(job))
-        return {
-            "ok": True,
-            "kind": "verdict",
-            "verified": bool(verdict.verified),
-            "exit": 0 if verdict.verified else 3,
-            "verdict": verdict.to_json(entry=entry, kinds=kinds),
-            "worker": _STATE.get("worker_id"),
-        }
-    _, info = _discharge(program, job, cache)
-    return {
-        "ok": True,
-        "kind": "discharge",
-        "verified": bool(info["complete"]),
-        "exit": 0 if info["complete"] else 3,
-        "discharge": info,
-        "cache": {"hits": cache.hits - hits0,
-                  "misses": cache.misses - miss0,
-                  "rejected": cache.rejected - rej0},
-        "worker": _STATE.get("worker_id"),
-    }
+        verdict = verify_program(program, entry, job["kinds"],
+                                 result_kinds=job["result_kinds"],
+                                 evidence=job["evidence"])
+        verified = bool(verdict.verified)
+        response = {"kind": "verdict",
+                    "verdict": verdict.to_json(entry=entry,
+                                               kinds=job["kinds"])}
+    response.update(verified=verified, exit=0 if verified else 3)
+    return response
 
 
 # -- front-end-side (parent process) --------------------------------------------

@@ -24,6 +24,9 @@ COUNT_UP = ("(define (range2 lo hi)\n"
 # Counts down: verified, and discharged, under either evidence.
 COUNT_DOWN = "(define (f n) (if (zero? n) 42 (f (- n 1))))\n(f 10)\n"
 
+# A run-time error inside a verified λ.
+RT_ERROR = "(define (f n) (if (zero? n) (car n) (f (- n 1))))\n(f 3)\n"
+
 KIND_OF_EXIT = {code: kind for kind, code in EXIT_CODES.items()}
 
 
@@ -46,26 +49,40 @@ def _mc_flag(mc):
 
 
 def test_run_agrees_with_serve(tmp_path, capsys):
-    cases = [(text, mc) for text in (COUNT_UP, COUNT_DOWN)
+    """`sized run` and a serve `run` report one answer record: the same
+    exit status, and the CLI's value (stdout) or report (stderr) is the
+    response's ``value``, ``violation`` or ``message``."""
+    cases = [(text, mc, None) for text in (COUNT_UP, COUNT_DOWN)
              for mc in (False, True)]
+    cases += [(RT_ERROR, False, None), (COUNT_DOWN, False, 3)]
     responses = _serve([{"op": "run", "program": text, "mode": "full",
-                         "discharge": "try", "mc": mc}
-                        for text, mc in cases])
+                         "discharge": "try", "mc": mc, "fuel": fuel}
+                        for text, mc, fuel in cases])
     path = tmp_path / "prog.scm"
     seen = {}
-    for (text, mc), served in zip(cases, responses):
+    for (text, mc, fuel), served in zip(cases, responses):
         path.write_text(text)
+        fuel_flag = [] if fuel is None else ["--fuel", str(fuel)]
         code = main(["run", str(path), "--mode", "full",
-                     "--discharge", "try"] + _mc_flag(mc))
-        out = capsys.readouterr().out.strip()
+                     "--discharge", "try"] + _mc_flag(mc) + fuel_flag)
+        out, err = capsys.readouterr()
         assert served["ok"] is True, served
         assert served["kind"] == KIND_OF_EXIT[code], (text, mc, served)
         assert served["exit"] == code
-        assert served.get("value") == (out if code == 0 else None)
-        seen[text, mc] = served["kind"]
+        assert ("value" in served) == (code == 0)
+        printed, expected = {
+            0: (out, served.get("value")),
+            1: (err, "run-time error: " + served.get("message", "")),
+            3: (err, served.get("violation")),
+            4: (err, served.get("message"))}[code]
+        assert printed == f"{expected}\n", (text, mc, fuel)
+        seen[text, mc, fuel] = served["kind"]
     # The pair the evidence kinds disagree on.
-    assert seen[COUNT_UP, False] == "sc-error"
-    assert seen[COUNT_UP, True] == "value"
+    assert seen[COUNT_UP, False, None] == "sc-error"
+    assert seen[COUNT_UP, True, None] == "value"
+    assert seen[RT_ERROR, False, None] == "rt-error"
+    assert seen[COUNT_DOWN, False, 3] == "timeout"
+    assert responses[-1]["fuel_exhausted"] is True
 
 
 def test_verify_agrees_with_serve(tmp_path, capsys):

@@ -1,8 +1,7 @@
 """The ``fuel`` knob: a step bound whose exhaustion is a *distinct*
-outcome (:class:`~repro.eval.errors.FuelExhausted`) while remaining a
-``MachineTimeout`` subclass, so every existing ``Answer.TIMEOUT``
-consumer keeps working unchanged.  A step is one closure body entered,
-on every machine."""
+outcome (:class:`~repro.eval.errors.FuelExhausted`, still importable
+under its old name ``MachineTimeout``), the only way a run times out.
+A step is one closure body entered, on every machine."""
 
 import pytest
 
@@ -25,7 +24,7 @@ class TestFuel:
         a = run_source(LOOP, mode="off", fuel=5_000, machine=machine)
         assert a.kind == Answer.TIMEOUT
         assert isinstance(a.error, FuelExhausted)
-        assert isinstance(a.error, MachineTimeout)
+        assert MachineTimeout is FuelExhausted
         assert "fuel exhausted" in str(a.error)
 
     def test_ample_fuel_returns_value(self, machine):

@@ -345,6 +345,23 @@ class TestBudgets:
                     100_000 - spent
         run(body())
 
+    def test_ill_typed_request_reserves_no_fuel(self):
+        """Every field is checked before the budget admit: a refused
+        request leaves no reservation open and takes no fuel."""
+        async def body():
+            async with serve(tenant_budget=1000) as (server, c):
+                for fields in ({"entry": "f", "result_kinds": ["f", "nat"]},
+                               {"entry": "f", "kinds": "nat"},
+                               {"entry": 7, "kinds": ["nat"]}):
+                    r = await c.request({"op": "verify", "program": QUICK,
+                                         "fuel": 600, "tenant": "t",
+                                         **fields})
+                    assert r["ok"] is False, fields
+                    assert r["error"]["type"] == "bad-request", fields
+                    assert server.budgets.open_reservations() == 0, fields
+                    assert server.budgets.remaining("t") == 1000, fields
+        run(body())
+
     def test_fuel_zero_is_admitted(self):
         # fuel=0 is a *valid* budget (immediate exhaustion), distinct
         # from budget-exhausted -- same semantics as everywhere else.
