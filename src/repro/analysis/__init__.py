@@ -14,7 +14,6 @@ from repro.analysis.discharge import (
     certify,
     default_cache,
     discharge_for_run,
-    residual_policy,
 )
 from repro.analysis.static_sct import StaticSCTResult, static_sct_check
 
@@ -36,5 +35,4 @@ __all__ = [
     "certify",
     "default_cache",
     "discharge_for_run",
-    "residual_policy",
 ]

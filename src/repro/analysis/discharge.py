@@ -11,11 +11,11 @@ run into that bridge:
   :class:`~repro.mc.static.MCEngine`), minus incompleteness taint.  A
   havocked or LOST-applied analysis taints, and taint closes forward over
   call edges, so nothing downstream of an unknown is ever discharged.
-* :class:`ResidualPolicy` — label → ``MONITOR`` | ``SKIP``, the
-  intersection of one certificate per workload entry.  The evaluator
-  consumes it at run time only: :func:`repro.eval.machine.run_program`
-  installs its labels as the monitor's skip set, which every machine
-  tests at each apply (discharged λs take the monitor-free path).
+* :class:`ResidualPolicy` — label → ``MONITOR`` | ``SKIP`` for one run:
+  the program certificate's discharged set.  The evaluator consumes it
+  at run time only: :func:`repro.eval.machine.run_program` installs its
+  labels as the monitor's skip set, which every machine tests at each
+  apply (discharged λs take the monitor-free path).
 * :class:`VerificationCache` — content-addressed certificates
   (program text hash + entry + kinds + result kinds + evidence family),
   in-memory per process with an optional on-disk JSON store, so repeated
@@ -27,19 +27,12 @@ run into that bridge:
   certificate; :func:`discharge_for_run` and ``@terminating(discharge=
   ...)`` both go through it.
 
-Soundness inventory (what a ``SKIP`` relies on):
-
-1. The engine's over-approximation: with no taint, every run-time call
-   sequence rooted at the verified entry is covered by recorded edges.
-2. Entry preconditions: :func:`infer_workload` derives each entry's kinds
-   from the *actual* top-level literal arguments, so the precondition
-   holds by construction; ``result_kinds`` remain trusted contract ranges
-   (§4.2), exactly as for the verdict itself.
-3. Whole-run coverage: the policy is only non-empty when **every**
-   top-level expression is an inferable call to a verified entry and no
-   ``define`` right-hand side can invoke a user closure at definition
-   time — otherwise an unanalyzed call could reach a discharged λ with
-   arguments outside its verified abstraction.
+Soundness (what a ``SKIP`` relies on): :func:`discharge_for_run` analyses
+the program itself, so every run-time application is made either by a
+top-level form, which the engine evaluated with its literals and λs
+concrete (the applied closures are the ``roots``), or from the body of a
+closure the engine summarised, whose calls are recorded edges.
+``result_kinds`` remain trusted contract ranges (§4.2).
 """
 
 from __future__ import annotations
@@ -51,7 +44,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.lang import ast
 from repro.lang.program import Program, TopDefine
-from repro.lang.prims import PRIMITIVES
 from repro.values.values import NIL, Pair
 
 MONITOR = "monitor"
@@ -61,8 +53,10 @@ SKIP = "skip"
 class DischargeCertificate:
     """One engine run's per-λ-label discharge verdict.
 
-    ``labels`` is every label the analysis saw on a call edge (plus the
-    entry); ``discharged`` ⊆ ``labels`` is the set whose reachable
+    ``roots`` are the λs applied with no caller frame: the entry, or the
+    closures the program's top-level forms apply (``entry`` None).
+    ``labels`` is every label the analysis saw on a call edge, plus the
+    roots; ``discharged`` ⊆ ``labels`` is the set whose reachable
     sub-multigraph passed the phase-2 check with no taint in reach;
     ``tainted`` carries the forward-closed per-label taint and
     ``taint_reasons`` the human-readable causes (any reason taints the
@@ -71,17 +65,17 @@ class DischargeCertificate:
     engine can populate it without changing consumers).
     """
 
-    __slots__ = ("entry", "entry_kinds", "entry_label", "evidence", "labels",
+    __slots__ = ("entry", "entry_kinds", "roots", "evidence", "labels",
                  "discharged", "tainted", "taint_reasons", "label_names")
 
-    def __init__(self, entry: str, entry_kinds: Tuple[str, ...],
-                 entry_label: int, evidence: str,
+    def __init__(self, entry: Optional[str], entry_kinds: Tuple[str, ...],
+                 roots: FrozenSet[int], evidence: str,
                  labels: FrozenSet[int], discharged: FrozenSet[int],
                  tainted: FrozenSet[int], taint_reasons: Tuple[str, ...],
                  label_names: Dict[int, str]):
         self.entry = entry
         self.entry_kinds = tuple(entry_kinds)
-        self.entry_label = entry_label
+        self.roots = frozenset(roots)
         self.evidence = evidence
         self.labels = frozenset(labels)
         self.discharged = frozenset(discharged)
@@ -94,9 +88,10 @@ class DischargeCertificate:
 
     @property
     def complete(self) -> bool:
-        """True when the entry itself is discharged — and therefore (the
-        check is monotone in the edge set) everything it can reach."""
-        return self.entry_label in self.discharged
+        """True when every root is discharged with no taint — and
+        therefore (the check is monotone in the edge set) everything the
+        roots can reach."""
+        return not self.taint_reasons and self.roots <= self.discharged
 
     def discharged_names(self) -> List[str]:
         return sorted(self.label_names.get(l, f"λ{l}")
@@ -125,7 +120,7 @@ class DischargeCertificate:
             "schema": VerificationCache.SCHEMA,
             "entry": self.entry,
             "entry_kinds": list(self.entry_kinds),
-            "entry_label": to_stable.get(self.entry_label),
+            "roots": ids(self.roots),
             "evidence": self.evidence,
             "labels": ids(self.labels),
             "discharged": ids(self.discharged),
@@ -145,13 +140,13 @@ class DischargeCertificate:
         def labels(ids):
             return frozenset(from_stable[i] for i in ids)
 
-        entry_label = from_stable[data["entry_label"]]
+        roots = labels(data["roots"])
         return cls(
             entry=data["entry"],
             entry_kinds=tuple(data["entry_kinds"]),
-            entry_label=entry_label,
+            roots=roots,
             evidence=data["evidence"],
-            labels=labels(data["labels"]) | {entry_label},
+            labels=labels(data["labels"]) | roots,
             discharged=labels(data["discharged"]),
             tainted=labels(data["tainted"]),
             taint_reasons=tuple(data["taint_reasons"]),
@@ -160,7 +155,7 @@ class DischargeCertificate:
         )
 
     def __repr__(self) -> str:
-        return (f"DischargeCertificate({self.entry}: "
+        return (f"DischargeCertificate({self.entry or 'program'}: "
                 f"{len(self.discharged)}/{len(self.labels)} discharged)")
 
 
@@ -178,16 +173,15 @@ def _forward_reach(succ: Dict[int, Set[int]], start: int) -> Set[int]:
 def certificate_from_engine(engine, max_graphs: int = 20000
                             ) -> DischargeCertificate:
     """Compute the certificate for a finished engine run (the engine has
-    ``edges``, ``entry_label``, ``incomplete``/``discharge_unsafe``
-    taint, its ``evidence_kind`` and the phase-2 ``check`` of that
-    kind)."""
-    entry_label = engine.entry_label
-    if entry_label is None:
+    ``edges``, ``roots``, ``incomplete``/``discharge_unsafe`` taint, its
+    ``evidence_kind`` and the phase-2 ``check`` of that kind)."""
+    roots = engine.roots
+    if roots is None:
         raise ValueError("engine has not analyzed an entry (call run first)")
     check = engine.check
 
     edges = engine.edges
-    labels: Set[int] = {entry_label}
+    labels: Set[int] = set(roots)
     succ: Dict[int, Set[int]] = {}
     for (f, g) in edges:
         labels.add(f)
@@ -222,9 +216,9 @@ def certificate_from_engine(engine, max_graphs: int = 20000
                 discharged.add(label)
 
     return DischargeCertificate(
-        entry=engine.label_names.get(entry_label, f"λ{entry_label}"),
+        entry=engine.label_names.get(engine.entry_label),
         entry_kinds=engine.entry_kinds,
-        entry_label=entry_label,
+        roots=frozenset(roots),
         evidence=engine.evidence_kind,
         labels=frozenset(labels),
         discharged=frozenset(discharged),
@@ -235,53 +229,24 @@ def certificate_from_engine(engine, max_graphs: int = 20000
 
 
 class ResidualPolicy:
-    """label → ``MONITOR`` | ``SKIP`` for one run, from certificates."""
+    """label → ``MONITOR`` | ``SKIP`` for one run: the program
+    certificate's discharged set (``complete``: nothing is monitored)."""
 
-    __slots__ = ("skip_labels", "certificates")
+    __slots__ = ("skip_labels", "complete")
 
     def __init__(self, skip_labels: FrozenSet[int] = frozenset(),
-                 certificates: Sequence[DischargeCertificate] = ()):
+                 complete: bool = False):
         self.skip_labels = frozenset(skip_labels)
-        self.certificates = tuple(certificates)
+        self.complete = complete
 
     def decision(self, label: int) -> str:
         return SKIP if label in self.skip_labels else MONITOR
-
-    @property
-    def complete(self) -> bool:
-        """True when every certificate is complete: the workload runs
-        monitor-free, so a run needs no call graph."""
-        return bool(self.certificates) and \
-            all(c.complete for c in self.certificates)
 
     def __bool__(self) -> bool:
         return bool(self.skip_labels)
 
     def __repr__(self) -> str:
         return f"ResidualPolicy({len(self.skip_labels)} skipped)"
-
-
-def residual_policy(certificates: Sequence[DischargeCertificate]
-                    ) -> ResidualPolicy:
-    """Intersect certificates into one policy.
-
-    A label is skipped iff some certificate discharges it and every other
-    certificate either discharges it too or provably never reaches it
-    (the label is outside that certificate's analyzed set).  A tainted
-    certificate's reach is *not* trustworthy — its missing edges could
-    hide calls into any label — so any taint empties the policy.
-    """
-    certs = [c for c in certificates if c is not None]
-    if not certs or any(c.taint_reasons for c in certs):
-        return ResidualPolicy(frozenset(), certs)
-    candidates: Set[int] = set()
-    for c in certs:
-        candidates |= c.discharged
-    skip = frozenset(
-        label for label in candidates
-        if all(label in c.discharged or label not in c.labels for c in certs)
-    )
-    return ResidualPolicy(skip, certs)
 
 
 # -- the verification cache -----------------------------------------------------
@@ -375,7 +340,7 @@ class VerificationCache:
     for the one deliberately shared instance.
     """
 
-    SCHEMA = "discharge-certificate/v2"
+    SCHEMA = "discharge-certificate/v3"
 
     def __init__(self, path: Optional[str] = None):
         self._mem: Dict[str, dict] = {}
@@ -543,7 +508,10 @@ def infer_workload(program: Program
                    ) -> Tuple[Optional[List[WorkloadEntry]], List[str]]:
     """Infer (entry, kinds) for every top-level expression, or explain
     why the workload is not coverable (all-or-nothing: one uncovered
-    expression means no discharge at all)."""
+    expression means no discharge at all).  Not on the run path, which
+    analyses the program itself (:func:`discharge_for_run`): its only
+    caller is perfbench's traced ``verify_phases``, which replays the
+    per-entry analysis."""
     defined: Dict = {}
     for form in program.forms:
         if isinstance(form, TopDefine):
@@ -583,48 +551,21 @@ def infer_workload(program: Program
     return entries, []
 
 
-def _define_rhs_safe(node: ast.Node, defined_names: Set) -> bool:
-    """True when evaluating ``node`` at definition time cannot call a
-    user closure: λs, literals, variable reads, and applications of
-    unshadowed primitives to safe arguments (no primitive invokes a
-    closure, so a closure *value* flowing through one is inert)."""
-    k = node.kind
-    if k in (ast.K_LIT, ast.K_VAR, ast.K_LAM):
-        return True
-    if k == ast.K_APP:
-        fn = node.fn
-        if not (fn.kind == ast.K_VAR and fn.name in PRIMITIVES
-                and fn.name not in defined_names):
-            return False
-        return all(_define_rhs_safe(a, defined_names) for a in node.args)
-    return False
-
-
-def defines_are_safe(program: Program) -> Tuple[bool, Optional[str]]:
-    defined_names = {form.name for form in program.forms
-                     if isinstance(form, TopDefine)}
-    for form in program.forms:
-        if isinstance(form, TopDefine) and \
-                not _define_rhs_safe(form.expr, defined_names):
-            return False, (f"(define {form.name} ...) may call a closure "
-                           "at definition time, outside any verified entry")
-    return True, None
-
-
 # -- the pipeline entry point ---------------------------------------------------
 
 
-def certify(program: Program, text: Optional[str], entry: str,
+def certify(program: Program, text: Optional[str], entry: Optional[str],
             kinds: Sequence[str], evidence: str = "sc",
             result_kinds: Optional[Dict[str, str]] = None,
             cache: Optional[VerificationCache] = None, budget=None,
             max_graphs: int = 20000
             ) -> Tuple[Optional[DischargeCertificate], Optional[str]]:
     """The certificate of ``entry`` under ``kinds`` and ``evidence``
-    (``'sc'`` or ``'mc'``), read from ``cache`` when ``text`` is given
-    and there is one, else computed and stored.  This is the only code
-    that reads, computes and stores certificates; :func:`discharge_for_run`
-    and ``@terminating(discharge=...)`` both come here.  Returns the
+    (``'sc'`` or ``'mc'``) — of the program itself when ``entry`` is None
+    — read from ``cache`` when ``text`` is given and there is one, else
+    computed and stored.  This is the only code that reads, computes and
+    stores certificates; :func:`discharge_for_run` and
+    ``@terminating(discharge=...)`` both come here.  Returns the
     certificate and ``None``, or ``None`` and the reason the entry could
     not be analyzed."""
     from repro.symbolic.verify import analyze_entry
@@ -648,25 +589,31 @@ def certify(program: Program, text: Optional[str], entry: str,
 
 
 class DischargeResult:
-    """What :func:`discharge_for_run` hands the evaluator and the CLI."""
+    """What :func:`discharge_for_run` hands the evaluator and the CLI: the
+    program's certificate and the residual policy it implies."""
 
-    __slots__ = ("policy", "certificates", "entries", "reasons")
+    __slots__ = ("certificate", "policy", "reasons")
 
-    def __init__(self, policy: ResidualPolicy,
-                 certificates: Sequence[DischargeCertificate] = (),
-                 entries: Sequence[WorkloadEntry] = (),
-                 reasons: Sequence[str] = ()):
-        self.policy = policy
-        self.certificates = tuple(certificates)
-        self.entries = tuple(entries)
-        self.reasons = list(reasons)
+    def __init__(self, certificate: DischargeCertificate):
+        cert = self.certificate = certificate
+        self.policy = ResidualPolicy(cert.discharged, cert.complete)
+        why = "; ".join(cert.taint_reasons) or \
+            "the collected graphs do not pass the static check"
+        names = ", ".join(sorted(cert.label_names.get(l, f"λ{l}")
+                                 for l in cert.roots - cert.discharged))
+        self.reasons = [] if cert.complete else \
+            [f"{names or 'the program'} not discharged: {why}"]
+
+    @property
+    def certificates(self) -> Tuple[DischargeCertificate, ...]:
+        """The one certificate, as the tuple perfbench's tracer reads."""
+        return (self.certificate,)
 
     @property
     def complete(self) -> bool:
-        """True when every top-level call's entry is fully discharged —
-        the whole workload runs monitor-free."""
-        return not self.reasons and \
-            all(c.complete for c in self.certificates)
+        """True when every closure the top-level forms apply is fully
+        discharged — the whole program runs monitor-free."""
+        return self.policy.complete
 
     def summary(self) -> dict:
         """The plain fields a `sized serve` response carries."""
@@ -675,14 +622,11 @@ class DischargeResult:
                 "reasons": self.reasons[:4]}
 
     def render(self) -> str:
-        lines = []
-        for cert in self.certificates:
-            state = "discharged" if cert.complete else "residual"
-            lines.append(f"{cert.entry}: {state} "
-                         f"({len(cert.discharged)}/{len(cert.labels)} λs, "
-                         f"evidence={cert.evidence})")
-        for reason in self.reasons:
-            lines.append(f"  - {reason}")
+        cert = self.certificate
+        state = "discharged" if cert.complete else "residual"
+        lines = [f"program: {state} ({len(cert.discharged)}/"
+                 f"{len(cert.labels)} λs, evidence={cert.evidence})"]
+        lines.extend(f"  - {reason}" for reason in self.reasons)
         return "\n".join(lines)
 
 
@@ -695,29 +639,11 @@ def discharge_for_run(
     budget=None,
     max_graphs: int = 20000,
 ) -> DischargeResult:
-    """Verify the program's inferred workload entries and compute the
-    residual policy.  ``text`` (the program source text) enables the
-    verification cache; without it every call re-verifies."""
-    entries, reasons = infer_workload(program)
-    if entries is None:
-        return DischargeResult(ResidualPolicy(), reasons=reasons)
-    safe, safe_reason = defines_are_safe(program)
-    if not safe:
-        return DischargeResult(ResidualPolicy(), entries=entries,
-                               reasons=[safe_reason])
-    certificates: List[DischargeCertificate] = []
-    problems: List[str] = []
-    for entry in entries:
-        cert, problem = certify(program, text, entry.name, entry.kinds,
-                                "mc" if mc else "sc", result_kinds, cache,
-                                budget=budget, max_graphs=max_graphs)
-        if cert is None:
-            return DischargeResult(ResidualPolicy(), certificates, entries,
-                                   [problem])
-        certificates.append(cert)
-        if not cert.complete:
-            why = "; ".join(cert.taint_reasons) or \
-                "the collected graphs do not pass the static check"
-            problems.append(f"entry {cert.entry!r} not discharged: {why}")
-    policy = residual_policy(certificates)
-    return DischargeResult(policy, certificates, entries, problems)
+    """Analyse the program itself as its one entry and compute the
+    residual policy: the certificate's discharged set is the skip set.
+    ``text`` (the program source text) enables the verification cache;
+    without it every call re-verifies."""
+    cert, _ = certify(program, text, None, (), "mc" if mc else "sc",
+                      result_kinds, cache, budget=budget,
+                      max_graphs=max_graphs)
+    return DischargeResult(cert)

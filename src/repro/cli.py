@@ -31,9 +31,10 @@ to-a-ceiling loops pass without custom measures.
 
 ``--discharge`` stages the §4 verifier in front of the §5 monitor (the
 residual-enforcement pipeline, :mod:`repro.analysis.discharge`): the
-workload's entries are inferred from the top-level calls, verified (with
-an in-memory — or, via ``--discharge-cache``, on-disk — certificate
-cache), and every proven λ runs monitor-free.  ``try`` keeps residual
+program itself is verified, every top-level form analysed in order with
+its literals and λs concrete (with an in-memory — or, via
+``--discharge-cache``, on-disk — certificate cache), and every proven λ
+runs monitor-free.  ``try`` keeps residual
 checks on whatever could not be proven; ``require`` exits with status 5
 instead of running partially monitored.
 

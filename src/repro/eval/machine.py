@@ -1266,10 +1266,10 @@ def run_request(
     of the §5 monitor — as `sized run`, a `sized serve` run and the chaos
     oracle all take it: ``(answer, discharge_result)``.
 
-    ``discharge='try'`` or ``'require'`` first discharges the inferred
-    workload (:func:`~repro.analysis.discharge.discharge_for_run`, over
+    ``discharge='try'`` or ``'require'`` first discharges the program
+    itself (:func:`~repro.analysis.discharge.discharge_for_run`, over
     ``cache`` and keyed by ``text``); the run then monitors the rest with
-    the ``evidence`` kind's monitor.  Under ``'require'`` a workload that
+    the ``evidence`` kind's monitor.  Under ``'require'`` a program that
     is not fully discharged does not run and the answer is ``None``.
     ``discharge='off'`` monitors everything; the result is then ``None``.
     """

@@ -52,9 +52,10 @@ the derived oracle flags:
 * ``must_verify`` — both static engines must answer VERIFIED (all
   terminating constructions; cleared only for diverging mode);
 * ``must_discharge`` — the residual pipeline must reach a complete
-  policy: cleared when the entry takes an opponent ``fun`` parameter or
-  the program forces promises (both reasons taint discharge by design —
-  an opponent-applied closure could re-enter any λ).
+  policy: cleared when the program forces promises (the thunk is applied
+  at an opaque site, which taints discharge by design — an opaque call
+  could re-enter any λ).  The literal λs the top-level call passes stay
+  concrete to the analysis, so higher-order programs must discharge.
 """
 
 from __future__ import annotations
@@ -74,11 +75,10 @@ ALL_FEATURES = (
                       # argument effects, binding-aliasing probes
 )
 
-# Features whose presence keeps the entry from fully discharging: an
-# opponent-supplied closure (a `fun`-kind entry argument) or a forced
-# promise thunk is applied at an opaque site, and the engine soundly
-# refuses to skip any λ an opponent call could re-enter.
-_NO_DISCHARGE = frozenset({"higher-order", "promises"})
+# Features whose presence keeps the program from fully discharging: a
+# forced promise thunk is applied at an opaque site, and the engine
+# soundly refuses to skip any λ an opaque call could re-enter.
+_NO_DISCHARGE = frozenset({"promises"})
 
 NAT = "nat"
 LIST = "list"
@@ -462,8 +462,10 @@ class _Gen:
     # -- the top-level workload --------------------------------------------
 
     def _top_call(self) -> str:
-        """One top-level call with literal/λ arguments only, so
-        :func:`repro.analysis.discharge.infer_workload` covers it."""
+        """One top-level call of the entry with literal and λ arguments.
+        Their kinds (``entry_arg_kinds``) are the preconditions of the
+        per-entry verifier oracle; discharge analyses the call itself,
+        its λs concrete."""
         rng = self.rng
         args: List[str] = []
         for i, kind in enumerate(self.entry.param_kinds):

@@ -55,6 +55,8 @@ Invariants (campaign fails loudly if any is violated):
 5. **Server healthy at end** — ping answers, fresh programs covering
    every shard run to their oracle values, every circuit breaker is
    closed, and a drain completes with nothing left to cancel.
+6. **Hang timed out** — an injected ``hang`` made the front-end time
+   out a request (``workers.request_timeouts``): kill and rebuild ran.
 """
 
 from __future__ import annotations
@@ -128,7 +130,11 @@ class FaultPlan:
             add("hang", rng.uniform(0.2, 0.7),
                 shard=rng.randrange(workers),
                 seconds=round(REQUEST_TIMEOUT * 2.2, 3))
-        add("flap", rng.uniform(0.2, 0.5), shard=rng.randrange(workers))
+        when, flap = rng.uniform(0.2, 0.5), rng.randrange(workers)
+        add("flap", when, shard=flap)
+        for event in self.events:  # flap's open breaker would reject a hang
+            if event["kind"] == "hang" and event["shard"] == flap:
+                event["shard"] = (flap + 1) % workers
         add("corrupt-cache", rng.uniform(0.35, 0.55),
             limit=5)
         for _ in range(3):
@@ -239,9 +245,18 @@ async def _run_fault(event: dict, server: SizedServer,
             await fault_client.request(
                 {"op": "crash", "shard": event["shard"]}, timeout=30)
         elif kind in ("slow", "hang"):
-            await fault_client.request(
-                {"op": "hang", "shard": event["shard"],
-                 "seconds": event["seconds"]}, timeout=30)
+            job = {"op": "hang", "shard": event["shard"],
+                   "seconds": event["seconds"]}
+            timeouts = server.metrics.request_timeouts
+            # a breaker another fault opened fast-rejects a hang: resend
+            # it, once the breaker admits requests, until one timed out
+            for _ in range(20 if kind == "hang" else 1):
+                response = await fault_client.request(dict(job), timeout=30)
+                error = response.get("error") or {}
+                if server.metrics.request_timeouts > timeouts or \
+                        error.get("type") != protocol.E_SHARD_UNAVAILABLE:
+                    break
+                await asyncio.sleep(error.get("retry_after") or 0.05)
         elif kind == "flap":
             # enough consecutive crashes to trip the shard's breaker
             # (each crash op records a failure per requeue attempt)
@@ -437,6 +452,10 @@ async def _campaign(n: int, seed: int, kinds: Tuple[str, ...],
     if healthy and open_breakers:
         healthy, detail = False, f"breakers not closed: {open_breakers}"
     check.add("server-healthy", healthy, detail)
+    if injected.get("hang"):
+        timeouts = (stats.get("workers") or {}).get("request_timeouts", 0)
+        check.add("hang-timed-out", timeouts >= 1, "" if timeouts else
+                  "hang injected but workers.request_timeouts == 0")
     if "corrupt-cache" in injected and injected.get("files-corrupted"):
         rejected = (stats.get("cache") or {}).get("rejected", 0)
         check.add("corrupt-entries-quarantined", rejected > 0,

@@ -19,9 +19,9 @@ and ``op``.  Ops:
     the discharge and the residual monitor of the run, as ``sized run
     --mc``).
 ``verify``
-    The ``run`` fields plus either nothing (the workload entries are
-    inferred from the top-level calls, as ``--discharge`` does) or an
-    explicit ``entry`` (a non-empty string) with ``kinds`` (a list of
+    The ``run`` fields plus either nothing (the program itself is the
+    entry: its top-level forms are analysed, as ``--discharge`` does) or
+    an explicit ``entry`` (a non-empty string) with ``kinds`` (a list of
     kind names, default ``[]``) and ``result_kinds`` (an object mapping
     function names to kind names); ``mc`` selects
     monotonicity-constraint evidence.

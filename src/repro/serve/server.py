@@ -415,14 +415,18 @@ class SizedServer:
                               f"worker pool broken: {exc}")
             else:
                 try:
+                    # shielded: a timeout must not cancel a job still
+                    # queued on the executor, which fails it instead when
+                    # the rebuild kills the wedged worker
                     result = await asyncio.wait_for(
-                        future, self.config.request_timeout)
+                        asyncio.shield(future), self.config.request_timeout)
                 # NB: TimeoutError must be tried before OSError — since
                 # 3.10 asyncio.TimeoutError IS the builtin TimeoutError,
                 # an OSError subclass.
                 except asyncio.TimeoutError:
                     self.metrics.request_timeouts += 1
-                    pool.kill()  # the worker is wedged; stop it for real
+                    # wedged: the rebuild kills it (a bare kill could hit
+                    # the worker another failure already rebuilt)
                     self._rebuild(pool, generation)
                     self._breaker_failure(breaker)
                     last_error = (

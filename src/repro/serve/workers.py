@@ -150,7 +150,7 @@ def _run_job(job: dict, program, cache) -> dict:
 
 def _verify_job(job: dict, program, cache) -> dict:
     """A ``verify`` job: the verdict on an explicit entry, or else the
-    discharge of the inferred workload, as ``--discharge`` computes it."""
+    discharge of the program itself, as ``--discharge`` computes it."""
     entry = job["entry"]
     if entry is None:
         from repro.analysis.discharge import discharge_for_run
@@ -225,10 +225,12 @@ class ShardPool:
         old = self.executor
         self._make()
         # kill any survivor before shutdown: a wedged worker would
-        # otherwise keep its process alive past interpreter exit
+        # otherwise keep its process alive past interpreter exit.  Queued
+        # jobs then fail with BrokenProcessPool and are requeued (a
+        # cancelled one would strand its client on a CancelledError)
         self.kill(old)
         try:
-            old.shutdown(wait=False, cancel_futures=True)
+            old.shutdown(wait=False)
         except Exception:
             pass
         return True

@@ -6,7 +6,9 @@ Analysis shape (the paper's §4 made concrete):
 1. Top-level definitions evaluate symbolically (deterministically in
    practice: λs become closures, tables become hash values).
 2. The entry function is called on fresh symbolic arguments constrained by
-   the declared preconditions (§4.2: "symbolic natural numbers m and n").
+   the declared preconditions (§4.2: "symbolic natural numbers m and n"),
+   or the program itself is the entry: its top-level forms are evaluated
+   with literals and λs concrete (:meth:`Engine.run_toplevel`).
 3. Every closure call inside a function body records an edge
    ``caller-label → callee-label`` whose graph relates the caller's entry
    values to the callee's arguments, with arcs proved by the solver.
@@ -32,6 +34,7 @@ from repro.lang.prims import PRIMITIVES
 from repro.lang.program import Program, TopDefine
 from repro.sct.graph import SCGraph, STRICT, WEAK
 from repro.sct.order import DESC, EQ
+from repro.sexp.datum import intern
 from repro.solver.interface import Solver
 from repro.solver.linear import LinExpr, ge
 from repro.symbolic.arcs import relate
@@ -73,6 +76,13 @@ class SymEnv:
         return env.get(name)  # the global dict-like
 
 
+# The output primitives every run binds (run_program): unbound, an
+# application would prune its path, and the calls in its arguments with it.
+_OUTPUT = {intern(name): Prim(name, lambda args: VOID, arity, arity,
+                              pure=False)
+           for name, arity in (("display", 1), ("write", 1), ("newline", 0))}
+
+
 class Globals:
     def __init__(self, bindings: dict):
         self.bindings = bindings
@@ -82,6 +92,8 @@ class Globals:
             return self.bindings[name]
         if name in PRIMITIVES:
             return PRIMITIVES[name]
+        if name in _OUTPUT:
+            return _OUTPUT[name]
         raise _Unbound(name)
 
 
@@ -140,6 +152,9 @@ class Engine:
         self.discharge_unsafe: List[str] = []
         self.tainted_labels: Set[int] = set()
         self.entry_label: Optional[int] = None
+        # The λs applied with no caller frame: the entry of run(), or the
+        # closures the top-level forms apply (run_toplevel).
+        self.roots: Optional[Set[int]] = None
         self.entry_kinds: Tuple[str, ...] = ()
         self.summaries_done: Set[Tuple] = set()
         self.worklist = deque()
@@ -148,7 +163,8 @@ class Engine:
         self._volatile = self._collect_volatile()
         if include_prelude:
             self._load_libraries()
-        self._init_globals()
+        self._library_bindings = dict(self.globals.bindings)
+        self._define_forms(self.program.forms)
 
     # -- setup ----------------------------------------------------------------------
 
@@ -182,14 +198,21 @@ class Engine:
             self.budget.max_paths_per_summary = saved
             self._paths_used = 0
 
-    def _init_globals(self) -> None:
-        self._define_forms(self.program.forms)
-
     def _define_forms(self, forms) -> None:
+        """Evaluate ``forms`` in order with no caller frame.  Top-level
+        expressions run only on the program path (:meth:`run_toplevel`,
+        which sets ``roots``); otherwise only the definitions bind."""
         pc = PathCond()
         for form in forms:
             if not isinstance(form, TopDefine):
-                continue  # top-level workload expressions are not analyzed
+                if self.roots is not None:
+                    self.eval(form.expr, SymEnv({}, self.globals), pc, None)
+                continue
+            if self.roots and form.name in self.globals.bindings:
+                # Summaries see a name's last binding: a call already made
+                # may run against this one's predecessor.
+                self.note_incomplete(
+                    f"{form.name.name} is rebound after a top-level call")
             results = self.eval(form.expr, SymEnv({}, self.globals), pc, None)
             if len(results) == 1:
                 value, _ = results[0]
@@ -392,6 +415,8 @@ class Engine:
             return []  # arity error path
         if frame is not None:
             self._record_edge(frame, label, args, pc)
+        elif self.roots is not None:
+            self.roots.add(label)
         self._enqueue_summary(clo, args, pc)
         result_kind = self.result_kinds.get(clo.name) if clo.name else None
         ret = SVar(fresh_name("ret"), origin=LOST)
@@ -502,6 +527,7 @@ class Engine:
         desc = tuple(kind_map.get(k, ("any",)) for k in entry_kinds)
         key = (entry_clo.lam.label, desc)
         self.entry_label = entry_clo.lam.label
+        self.roots = {self.entry_label}
         self.entry_kinds = tuple(entry_kinds)
         self.summaries_done.add(key)
         self.label_names.setdefault(entry_clo.lam.label, entry_clo.describe())
@@ -509,6 +535,20 @@ class Engine:
             entry_clo.lam.label, [p.name for p in entry_clo.lam.params]
         )
         self.worklist.append((entry_clo, desc, [None] * len(desc)))
+        self._drain()
+
+    def run_toplevel(self) -> None:
+        """Analyse the program itself: evaluate every top-level form in
+        order with no caller frame, its literals and λs concrete, record
+        the closures the forms apply in ``roots``, and drain the worklist.
+        The forms are one run against the path budget."""
+        self.globals.bindings = dict(self._library_bindings)
+        self.roots = set()
+        self._paths_used = 0
+        self._define_forms(self.program.forms)
+        self._drain()
+
+    def _drain(self) -> None:
         while self.worklist:
             clo, desc, reps = self.worklist.popleft()
             self.analyze_summary(clo, desc, reps)

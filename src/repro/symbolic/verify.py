@@ -126,17 +126,22 @@ class Verdict:
         return f"Verdict({self.status})"
 
 
-def analyze_entry(program: Program, entry: str, kinds: Sequence[str],
-                  evidence: str = "sc", budget: Optional[Budget] = None,
+def analyze_entry(program: Program, entry: Optional[str],
+                  kinds: Sequence[str], evidence: str = "sc",
+                  budget: Optional[Budget] = None,
                   result_kinds=None) -> Tuple[Engine, Optional[str]]:
     """Run the ``evidence`` engine (:mod:`repro.evidence`) from ``entry``
-    under ``kinds``.  Returns the engine and ``None``, or the engine and
-    the reason it could not run: the entry is not a statically known
-    closure, or ``kinds`` does not match its arity.  Both the verdict
+    under ``kinds`` (from the program's own top-level forms when ``entry``
+    is None).  Returns the engine and ``None``, or the engine and the
+    reason it could not run: the entry is not a statically known closure,
+    or ``kinds`` does not match its arity.  Both the verdict
     (:func:`verify_program`) and the discharge certificate
     (:func:`repro.analysis.discharge.certify`) start here."""
     engine = evidence_of(evidence).engine(program, budget=budget,
                                           result_kinds=result_kinds)
+    if entry is None:
+        engine.run_toplevel()
+        return engine, None
     entry_value = engine.globals.bindings.get(intern(entry))
     if not isinstance(entry_value, Closure):
         return engine, (f"entry {entry!r} is not a statically known closure "

@@ -192,6 +192,15 @@ class TestVerdictHygiene:
         assert not v.verified
         assert "f" in v.render()
 
+    @pytest.mark.parametrize("prim", ["(display x)", "(write x)",
+                                      "(newline)"])
+    def test_output_does_not_hide_the_rest_of_a_body(self, prim):
+        """The output primitives every run binds are primitives to the
+        analysis too: the loop after one is still seen."""
+        v = verify_source(f"(define (f x) (begin {prim} (f x)))", "f",
+                          ["nat"])
+        assert not v.verified, v.render()
+
     def test_mutation_is_conservative(self):
         src = """
         (define (f x seen)
