@@ -11,8 +11,8 @@ run into that bridge:
   :class:`~repro.mc.static.MCEngine`), minus incompleteness taint.  A
   havocked or LOST-applied analysis taints, and taint closes forward over
   call edges, so nothing downstream of an unknown is ever discharged.
-* :class:`ResidualPolicy` — label → ``MONITOR`` | ``SKIP`` for one run:
-  the program certificate's discharged set.  The evaluator consumes it
+* :class:`ResidualPolicy` — the skip set for one run: the program
+  certificate's discharged labels.  The evaluator consumes it
   at run time only: :func:`repro.eval.machine.run_program` installs its
   labels as the monitor's skip set, which every machine tests at each
   apply (discharged λs take the monitor-free path).
@@ -23,9 +23,10 @@ run into that bridge:
   counter, so on disk a certificate stores *stable ids* — each λ's index
   in its program's deterministic pre-order walk, namespaced by
   program/prelude/contracts — and is re-labeled on load.
-* :func:`certify` — the only code that reads, computes and stores a
+* :func:`certify` — the only code that reads and stores a cached
   certificate; :func:`discharge_for_run` and ``@terminating(discharge=
-  ...)`` both go through it.
+  ...)`` both go through it.  ``Verdict.certificate`` computes its own,
+  uncached.
 
 Soundness (what a ``SKIP`` relies on): :func:`discharge_for_run` analyses
 the program itself, so every run-time application is made either by a
@@ -170,8 +171,11 @@ def _forward_reach(succ: Dict[int, Set[int]], start: int) -> Set[int]:
     return seen
 
 
-def certificate_from_engine(engine, max_graphs: int = 20000
-                            ) -> DischargeCertificate:
+# Bound on the graphs one phase-2 check composes per reachable set.
+MAX_GRAPHS = 20000
+
+
+def certificate_from_engine(engine) -> DischargeCertificate:
     """Compute the certificate for a finished engine run (the engine has
     ``edges``, ``roots``, ``incomplete``/``discharge_unsafe`` taint, its
     ``evidence_kind`` and the phase-2 ``check`` of that kind)."""
@@ -211,7 +215,7 @@ def certificate_from_engine(engine, max_graphs: int = 20000
             if ok is None:
                 sub = {e: gs for e, gs in edges.items() if e[0] in reach}
                 ok = check_memo[key] = \
-                    check(sub, max_graphs=max_graphs).ok is True
+                    check(sub, max_graphs=MAX_GRAPHS).ok is True
             if ok:
                 discharged.add(label)
 
@@ -229,8 +233,8 @@ def certificate_from_engine(engine, max_graphs: int = 20000
 
 
 class ResidualPolicy:
-    """label → ``MONITOR`` | ``SKIP`` for one run: the program
-    certificate's discharged set (``complete``: nothing is monitored)."""
+    """The skip set for one run: the program certificate's discharged
+    labels (``complete``: nothing is monitored)."""
 
     __slots__ = ("skip_labels", "complete")
 
@@ -238,9 +242,6 @@ class ResidualPolicy:
                  complete: bool = False):
         self.skip_labels = frozenset(skip_labels)
         self.complete = complete
-
-    def decision(self, label: int) -> str:
-        return SKIP if label in self.skip_labels else MONITOR
 
     def __bool__(self) -> bool:
         return bool(self.skip_labels)
@@ -309,6 +310,22 @@ def _libraries_digest() -> str:
             (PRELUDE_SOURCE + "\0" + CONTRACTS_SOURCE).encode()
         ).hexdigest()
     return _LIBRARIES_DIGEST
+
+
+def content_key(text: str, **fields) -> str:
+    """The address of an answer about program ``text``: a sha256 over the
+    text, the library sources and ``fields``, the rest it depends on."""
+    payload = json.dumps({
+        "program_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        # Certificates name library λs by positional stable id, and the
+        # verdict itself depends on library definitions — a certificate
+        # cached on disk must die with the library text it was computed
+        # against, or a package upgrade could discharge the wrong
+        # (never-verified) λ.
+        "libraries_sha256": _libraries_digest(),
+        **fields,
+    }, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class VerificationCache:
@@ -386,20 +403,9 @@ class VerificationCache:
     @staticmethod
     def key(text: str, entry: str, kinds: Sequence[str],
             result_kinds: Optional[Dict[str, str]], evidence: str) -> str:
-        payload = json.dumps({
-            "program_sha256": hashlib.sha256(text.encode()).hexdigest(),
-            # Certificates name library λs by positional stable id, and
-            # the verdict itself depends on library definitions — a
-            # certificate cached on disk must die with the library text
-            # it was computed against, or a package upgrade could
-            # discharge the wrong (never-verified) λ.
-            "libraries_sha256": _libraries_digest(),
-            "entry": entry,
-            "kinds": list(kinds),
-            "result_kinds": sorted((result_kinds or {}).items()),
-            "evidence": evidence,
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return content_key(text, entry=entry, kinds=list(kinds),
+                           result_kinds=sorted((result_kinds or {}).items()),
+                           evidence=evidence)
 
     def get(self, key: str,
             program: Program) -> Optional[DischargeCertificate]:
@@ -557,14 +563,13 @@ def infer_workload(program: Program
 def certify(program: Program, text: Optional[str], entry: Optional[str],
             kinds: Sequence[str], evidence: str = "sc",
             result_kinds: Optional[Dict[str, str]] = None,
-            cache: Optional[VerificationCache] = None, budget=None,
-            max_graphs: int = 20000
+            cache: Optional[VerificationCache] = None, budget=None
             ) -> Tuple[Optional[DischargeCertificate], Optional[str]]:
     """The certificate of ``entry`` under ``kinds`` and ``evidence``
     (``'sc'`` or ``'mc'``) — of the program itself when ``entry`` is None
     — read from ``cache`` when ``text`` is given and there is one, else
-    computed and stored.  This is the only code that reads, computes and
-    stores certificates; :func:`discharge_for_run` and
+    computed and stored.  This is the only code that reads and stores
+    cached certificates; :func:`discharge_for_run` and
     ``@terminating(discharge=...)`` both come here.  Returns the
     certificate and ``None``, or ``None`` and the reason the entry could
     not be analyzed."""
@@ -582,7 +587,7 @@ def certify(program: Program, text: Optional[str], entry: Optional[str],
                                     result_kinds)
     if problem is not None:
         return None, problem
-    cert = certificate_from_engine(engine, max_graphs=max_graphs)
+    cert = certificate_from_engine(engine)
     if key is not None:
         cache.put(key, cert, program)
     return cert, None
@@ -621,6 +626,11 @@ class DischargeResult:
                 "skipped": len(self.policy.skip_labels),
                 "reasons": self.reasons[:4]}
 
+    def record(self) -> dict:
+        """The answer a serve ``verify`` without an entry carries."""
+        return {"kind": "discharge", "discharge": self.summary(),
+                "verified": self.complete, "exit": 0 if self.complete else 3}
+
     def render(self) -> str:
         cert = self.certificate
         state = "discharged" if cert.complete else "residual"
@@ -633,17 +643,16 @@ class DischargeResult:
 def discharge_for_run(
     program: Program,
     text: Optional[str] = None,
-    mc: bool = False,
+    evidence: str = "sc",
     result_kinds: Optional[Dict[str, str]] = None,
     cache: Optional[VerificationCache] = None,
     budget=None,
-    max_graphs: int = 20000,
 ) -> DischargeResult:
-    """Analyse the program itself as its one entry and compute the
-    residual policy: the certificate's discharged set is the skip set.
-    ``text`` (the program source text) enables the verification cache;
-    without it every call re-verifies."""
-    cert, _ = certify(program, text, None, (), "mc" if mc else "sc",
-                      result_kinds, cache, budget=budget,
-                      max_graphs=max_graphs)
+    """Analyse the program itself as its one entry under ``evidence``
+    (``'sc'`` or ``'mc'``) and compute the residual policy: the
+    certificate's discharged set is the skip set.  ``text`` (the program
+    source text) enables the verification cache; without it every call
+    re-verifies."""
+    cert, _ = certify(program, text, None, (), evidence, result_kinds,
+                      cache, budget=budget)
     return DischargeResult(cert)

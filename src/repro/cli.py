@@ -371,23 +371,23 @@ def _report(answer, value_prefix: str) -> int:
 def _cmd_verify(args) -> int:
     import json
 
-    from repro.symbolic.verify import verify_source
+    from repro.lang.parser import parse_program
+    from repro.symbolic.verify import verify_request
 
-    if args.mc and args.engine != "bitmask":
-        print(f"--engine {args.engine} needs size-change evidence; "
-              "MC graphs are always packed", file=sys.stderr)
-        return 2
     with open(args.file) as f:
         source = f.read()
     kinds = [k for k in args.kinds.split(",") if k]
     result_kinds = {args.entry: args.result_kind} if args.result_kind else None
-    verdict = verify_source(source, args.entry, kinds,
-                            result_kinds=result_kinds,
-                            graph_engine=args.engine,
-                            evidence=_evidence_kind(args))
+    try:
+        verdict = verify_request(parse_program(source), entry=args.entry,
+                                 kinds=kinds, result_kinds=result_kinds,
+                                 evidence=_evidence_kind(args),
+                                 graph_engine=args.engine)
+    except ValueError as exc:  # --engine reference with --mc
+        print(f"--engine {args.engine}: {exc}", file=sys.stderr)
+        return 2
     if args.json:
-        print(json.dumps(verdict.to_json(entry=args.entry, kinds=kinds),
-                         indent=2))
+        print(json.dumps(verdict.to_json(), indent=2))
     else:
         print(verdict.render())
     # Nonzero on UNKNOWN so CI scripts can gate on the verdict.

@@ -1224,26 +1224,11 @@ def run_program(
                   steps=spent(), tier=tier())
 
 
-def run_source(
-    text: str,
-    *,
-    mode: str = "off",
-    strategy: str = "cm",
-    monitor: Optional[SCMonitor] = None,
-    fuel: Optional[int] = None,
-    env: Optional[GlobalEnv] = None,
-    include_prelude: bool = True,
-    source: str = "<program>",
-    machine: str = "compiled",
-    discharge=None,
-) -> Answer:
-    """Parse and run program text."""
-    program = parse_program(text, source=source)
-    return run_program(
-        program, mode=mode, strategy=strategy, monitor=monitor,
-        fuel=fuel, env=env, include_prelude=include_prelude,
-        machine=machine, discharge=discharge,
-    )
+def run_source(text: str, *, source: str = "<program>",
+               **options) -> Answer:
+    """Parse and run program text (``options`` as for
+    :func:`run_program`)."""
+    return run_program(parse_program(text, source=source), **options)
 
 
 def run_request(
@@ -1282,8 +1267,8 @@ def run_request(
     if discharge != "off":
         from repro.analysis.discharge import discharge_for_run
 
-        result = discharge_for_run(program, text=text, mc=evidence == "mc",
-                                   result_kinds=result_kinds, cache=cache)
+        result = discharge_for_run(program, text, evidence, result_kinds,
+                                   cache)
         if discharge == "require" and not result.complete:
             return None, result
     answer = run_program(program, mode=mode, strategy=strategy,

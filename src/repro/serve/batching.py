@@ -1,8 +1,8 @@
 """Key-addressed dedupe/batching for the serve front-end.
 
 Identical jobs — equal :func:`repro.serve.protocol.request_key`, which
-covers program text, libraries, and every execution knob but *not* the
-tenant — are satisfied by a single worker execution.  The first arrival
+covers program text, libraries, the op and the arguments it reads but
+*not* the tenant — are satisfied by a single worker execution.  The first arrival
 opens a batch and sleeps one batch window so concurrent duplicates can
 pile on; anything arriving while the job is still in flight joins too
 (in-flight dedupe costs nothing and catches stragglers the window

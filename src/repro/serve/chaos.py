@@ -46,10 +46,12 @@ Invariants (campaign fails loudly if any is violated):
 2. **Zero duplicated** — no client ever observes a response line it did
    not have a request in flight for.
 3. **Byte identity** — every *delivered* ``run`` result (every answer
-   record field but ``tier``) is identical to a direct ``run_request``
-   with the same knobs on the *compiled* machine (a different tier than
-   the native-serving workers, so tier bugs cannot cancel out); every
-   delivered ``verify`` verdict matches the direct discharge pipeline.
+   record field but ``tier``, and the discharge summary) is identical to
+   a direct ``run_request`` with the same fields on the *compiled*
+   machine (a different tier than the native-serving workers, so tier
+   bugs cannot cancel out); every delivered ``verify`` carries the
+   direct discharge summary.  The pool's Ackermann is discharged
+   only under the ``result_kinds`` its requests carry.
 4. **Budgets conserved** — all reservations settle (no leaks) and for
    every tenant ``spent + remaining == budget``.
 5. **Server healthy at end** — ping answers, fresh programs covering
@@ -70,6 +72,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.corpus import get_program
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient, RetryPolicy
 from repro.serve.server import ServeConfig, SizedServer
@@ -95,6 +98,11 @@ def _program(i: int) -> str:
                 f"(f {depth})\n")
     return (f"(define (f n) (if (zero? n) {1000 + i} (f (- n 1))))\n"
             f"(f {depth})\n")
+
+
+# Discharged only under its contract range ack=nat (§4.2).
+ACK = get_program("sct-3")
+RESULT_KINDS = {ACK.source: ACK.result_kinds}
 
 
 def _shard_of(op: str, program: str, workers: int) -> int:
@@ -160,7 +168,8 @@ def _direct_oracle(programs: List[str]) -> Dict[str, dict]:
     tier than the workers (native), so a native-tier bug shows up as a
     byte-identity violation instead of cancelling out.  Delivered results
     must equal every :meth:`~repro.eval.machine.Answer.record` field but
-    ``tier``; ``steps`` counts closure applications on every tier."""
+    ``tier``, and the discharge summary; ``steps`` counts closure
+    applications on every tier."""
     from repro.analysis.discharge import VerificationCache
     from repro.eval.machine import run_request
     from repro.lang.parser import parse_program
@@ -170,10 +179,12 @@ def _direct_oracle(programs: List[str]) -> Dict[str, dict]:
     for text in programs:
         answer, result = run_request(
             parse_program(text), text, mode="contract", machine="compiled",
-            discharge="try", fuel=FUEL, cache=cache)
+            discharge="try", fuel=FUEL, cache=cache,
+            result_kinds=RESULT_KINDS.get(text))
         record = answer.record()
         del record["tier"]
-        oracle[text] = {"record": record, "verified": result.complete}
+        record["discharge"] = result.summary()
+        oracle[text] = record
     return oracle
 
 
@@ -302,6 +313,7 @@ async def _campaign(n: int, seed: int, kinds: Tuple[str, ...],
     started = time.monotonic()
 
     pool = [_program(i) for i in range(max(8, min(n // 8, 48)))]
+    pool.append(ACK.source)
     progress(f"chaos: oracle over {len(pool)} pool programs...")
     oracle = _direct_oracle(pool)
 
@@ -352,7 +364,8 @@ async def _campaign(n: int, seed: int, kinds: Tuple[str, ...],
     async def one_request(idx: int, spec: dict) -> None:
         await asyncio.sleep(spec["delay"])
         req = {"op": spec["op"], "program": spec["program"],
-               "fuel": FUEL, "tenant": spec["tenant"]}
+               "fuel": FUEL, "tenant": spec["tenant"],
+               "result_kinds": RESULT_KINDS.get(spec["program"])}
         try:
             response = await clients[spec["client"]].request(
                 req, timeout=60)
@@ -365,18 +378,14 @@ async def _campaign(n: int, seed: int, kinds: Tuple[str, ...],
             label = "error:" + \
                 (response.get("error") or {}).get("type", "unknown")
         outcomes[label] = outcomes.get(label, 0) + 1
-        expect = oracle[spec["program"]]
-        if response.get("ok") and spec["op"] == "run":
-            want = expect["record"]
+        if response.get("ok"):
+            want = oracle[spec["program"]]
+            if spec["op"] == "verify":  # the program's own discharge
+                want = {"discharge": want["discharge"]}
             got = {field: response.get(field) for field in want}
             if got != want:
                 identity_failures.append(
                     f"request {idx}: served {got!r} != direct {want!r}")
-        elif response.get("ok") and spec["op"] == "verify":
-            if bool(response.get("verified")) != expect["verified"]:
-                identity_failures.append(
-                    f"request {idx}: verify {response.get('verified')} "
-                    f"!= direct {expect['verified']}")
 
     injected: Dict[str, int] = {}
     tasks = [asyncio.ensure_future(one_request(i, spec))

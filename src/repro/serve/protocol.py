@@ -17,14 +17,16 @@ and ``op``.  Ops:
     ``contract``), ``discharge`` (``off|try``, default ``try``), ``mc``
     (bool, default ``false``: monotonicity-constraint evidence for both
     the discharge and the residual monitor of the run, as ``sized run
-    --mc``).
+    --mc``), ``result_kinds`` (an object mapping function names to kind
+    names: trusted contract ranges for the discharge, as ``sized run
+    --result-kind``).
 ``verify``
-    The ``run`` fields plus either nothing (the program itself is the
-    entry: its top-level forms are analysed, as ``--discharge`` does) or
-    an explicit ``entry`` (a non-empty string) with ``kinds`` (a list of
-    kind names, default ``[]``) and ``result_kinds`` (an object mapping
-    function names to kind names); ``mc`` selects
-    monotonicity-constraint evidence.
+    Reads only ``entry``, ``kinds``, ``result_kinds`` and ``mc`` (besides
+    ``program`` and ``tenant``), and reserves no fuel; the ``run`` fields
+    are still checked.  Without an ``entry`` the program itself is the
+    entry (its top-level forms are analysed, as ``--discharge`` does);
+    an explicit ``entry`` (a non-empty string) takes ``kinds`` (a list of
+    kind names, default ``[]``).
 ``stats``
     The metrics surface: request/response counters, cache hit/miss/
     rejected totals, batch sizes, latency percentiles, worker faults,
@@ -41,7 +43,10 @@ and ``op``.  Ops:
 
 :func:`check_job` checks the fields of ``run`` and ``verify`` and
 applies their defaults before the front end reserves any fuel, so a
-``bad-request`` never holds a budget reservation.
+``bad-request`` never holds a budget reservation.  The job's ``args``
+are exactly the keyword arguments of the op's request function
+(``run_request``, ``verify_request``): the worker passes them through
+and :func:`request_key` hashes them.
 
 Responses
 ---------
@@ -82,7 +87,6 @@ connection are served concurrently); match on ``id``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Optional, Tuple
 
@@ -141,10 +145,17 @@ def error_response(rid, etype: str, message: str, **extra) -> dict:
     return {"id": rid, "ok": False, "error": err}
 
 
+# The keyword arguments each op's request function takes from a request.
+_ARGS = {"run": ("mode", "machine", "discharge", "evidence", "fuel",
+                 "result_kinds"),
+         "verify": ("entry", "kinds", "result_kinds", "evidence")}
+
+
 def check_job(request: dict, default_fuel: Optional[int]
               ) -> Tuple[Optional[dict], Optional[str]]:
-    """``(job, None)`` — the ``run``/``verify`` job with every field
-    checked and defaulted, ``fuel`` still the requested one — or
+    """``(job, None)`` — the ``run``/``verify`` job ``{"op", "program",
+    "args"}``, every field checked and defaulted, ``args`` the op's
+    :data:`_ARGS` (a ``run``'s ``fuel`` still the requested one) — or
     ``(None, reason)`` for a ``bad-request``."""
     from repro.eval.machine import MACHINES, MODES
 
@@ -155,64 +166,45 @@ def check_job(request: dict, default_fuel: Optional[int]
     if fuel is not None and (isinstance(fuel, bool)
                              or not isinstance(fuel, int) or fuel < 0):
         return None, "'fuel' must be null or an int >= 0"
-    job = {"op": request["op"], "program": program, "fuel": fuel}
-    for field, allowed, default in (("machine", MACHINES, "native"),
-                                    ("mode", MODES, "contract"),
-                                    ("discharge", ("off", "try"), "try")):
-        job[field] = request.get(field, default)
-        if job[field] not in allowed:
-            return None, f"'{field}' must be one of {'|'.join(allowed)}"
+    field = {"fuel": fuel}
+    for name, allowed, default in (("machine", MACHINES, "native"),
+                                   ("mode", MODES, "contract"),
+                                   ("discharge", ("off", "try"), "try")):
+        field[name] = request.get(name, default)
+        if field[name] not in allowed:
+            return None, f"'{name}' must be one of {'|'.join(allowed)}"
     mc = request.get("mc", False)
     if not isinstance(mc, bool):
         return None, "'mc' must be true or false"
-    job["evidence"] = "mc" if mc else "sc"
+    field["evidence"] = "mc" if mc else "sc"
     entry = request.get("entry")
     if entry is not None and (not isinstance(entry, str) or not entry):
         return None, "'entry' must be a function name"
-    job["entry"] = entry
+    field["entry"] = entry
     kinds = request.get("kinds")
     if kinds is None:
         kinds = []
     if not isinstance(kinds, list) or \
             not all(isinstance(k, str) for k in kinds):
         return None, "'kinds' must be a list of kind names"
-    job["kinds"] = kinds
+    field["kinds"] = kinds
     result_kinds = request.get("result_kinds")
     if result_kinds is not None and (
             not isinstance(result_kinds, dict)
             or not all(isinstance(k, str) for k in result_kinds.values())):
         return None, ("'result_kinds' must be an object mapping function "
                       "names to kind names")
-    job["result_kinds"] = result_kinds
-    return job, None
+    field["result_kinds"] = result_kinds or None
+    op = request["op"]
+    return {"op": op, "program": program,
+            "args": {name: field[name] for name in _ARGS[op]}}, None
 
 
 def request_key(job: dict) -> str:
-    """Content-address one checked run/verify job (:func:`check_job`)
-    for dedupe/batching and shard routing.
+    """Content-address one checked job (:func:`check_job`) for
+    dedupe/batching and shard routing: its program, op and args (a
+    ``run``'s fuel the effective one), not the tenant, the request id or
+    a field the op does not read.  Equal keys share one execution."""
+    from repro.analysis.discharge import content_key
 
-    Same discipline as :meth:`repro.analysis.discharge.VerificationCache.
-    key`: the digest covers everything the answer depends on — program
-    text, the shared library sources, and every execution knob (op,
-    machine, mode, discharge, evidence, effective fuel, explicit
-    entry/kinds) — and
-    nothing it does not (tenant, request id).  Two requests with equal
-    keys are satisfied by one execution.
-    """
-    from repro.analysis.discharge import _libraries_digest
-
-    payload = json.dumps({
-        "program_sha256":
-            hashlib.sha256(job["program"].encode()).hexdigest(),
-        "libraries_sha256": _libraries_digest(),
-        "op": job["op"],
-        "machine": job["machine"],
-        "mode": job["mode"],
-        "discharge": job["discharge"],
-        "evidence": job["evidence"],
-        "fuel": job["fuel"],
-        "entry": job["entry"],
-        "kinds": job["kinds"],
-        "result_kinds": sorted((job["result_kinds"] or {}).items()),
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return content_key(job["program"], op=job["op"], args=job["args"])

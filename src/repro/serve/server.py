@@ -287,13 +287,16 @@ class SizedServer:
                                            reason)
         tenant = str(request.get("tenant", "anonymous"))
 
-        admitted, effective_fuel, reason = self.budgets.admit(tenant,
-                                                              job["fuel"])
+        args = job["args"]
+        # a verify runs no program, so it reserves no fuel
+        admitted, effective_fuel, reason = self.budgets.admit(
+            tenant, args.get("fuel", 0))
         if not admitted:
             return protocol.error_response(
                 rid, protocol.E_BUDGET, reason,
                 tenant=tenant, remaining=self.budgets.remaining(tenant))
-        job["fuel"] = effective_fuel
+        if "fuel" in args:
+            args["fuel"] = effective_fuel
         key = protocol.request_key(job)
 
         # -- admission control: shed rather than queue without bound.

@@ -53,6 +53,8 @@ def worker_job(job: dict) -> dict:
     dict — the only exceptions that escape are worker-fatal by design
     (``os._exit`` under fault injection)."""
     from repro.analysis.discharge import VerificationCache
+    from repro.eval.machine import run_request
+    from repro.symbolic.verify import verify_request
 
     op = job.get("op")
     if op == "crash":
@@ -68,9 +70,20 @@ def worker_job(job: dict) -> dict:
             return err
         cache = _STATE.get("cache") or VerificationCache()
         before = (cache.hits, cache.misses, cache.rejected)
-        serve_op = _run_job if op == "run" else _verify_job
-        # A dict display evaluates in order: the deltas follow the job.
-        return {"ok": True, **serve_op(job, program, cache),
+        args = job["args"]
+        if op == "run":
+            # The warm env is compiled-family (shared by native); a tree
+            # job needs its own env — rare enough to pay the prelude
+            # cost inline.
+            env = _STATE.get("env") if args["machine"] != "tree" else None
+            answer, result = run_request(program, job["program"],
+                                         cache=cache, env=env, **args)
+            response = {**answer.record(),
+                        "discharge": result and result.summary()}
+        else:
+            response = verify_request(program, job["program"], cache=cache,
+                                      **args).record()
+        return {"ok": True, **response,
                 "cache": {"hits": cache.hits - before[0],
                           "misses": cache.misses - before[1],
                           "rejected": cache.rejected - before[2]},
@@ -131,47 +144,6 @@ def _parse(text: str):
     if programs is not None:
         programs.put(key, program)
     return program, None
-
-
-def _run_job(job: dict, program, cache) -> dict:
-    """A ``run`` job through :func:`~repro.eval.machine.run_request`, as
-    ``sized run`` takes it."""
-    from repro.eval.machine import run_request
-
-    # The warm env is compiled-family (shared by native); a tree job
-    # needs its own env — rare enough to pay the prelude cost inline.
-    env = _STATE.get("env") if job["machine"] != "tree" else None
-    answer, result = run_request(
-        program, job["program"], mode=job["mode"], machine=job["machine"],
-        discharge=job["discharge"], evidence=job["evidence"],
-        fuel=job["fuel"], cache=cache, env=env)
-    return {**answer.record(), "discharge": result and result.summary()}
-
-
-def _verify_job(job: dict, program, cache) -> dict:
-    """A ``verify`` job: the verdict on an explicit entry, or else the
-    discharge of the program itself, as ``--discharge`` computes it."""
-    entry = job["entry"]
-    if entry is None:
-        from repro.analysis.discharge import discharge_for_run
-
-        summary = discharge_for_run(program, text=job["program"],
-                                    mc=job["evidence"] == "mc",
-                                    cache=cache).summary()
-        verified = summary["complete"]
-        response = {"kind": "discharge", "discharge": summary}
-    else:
-        from repro.symbolic.verify import verify_program
-
-        verdict = verify_program(program, entry, job["kinds"],
-                                 result_kinds=job["result_kinds"],
-                                 evidence=job["evidence"])
-        verified = bool(verdict.verified)
-        response = {"kind": "verdict",
-                    "verdict": verdict.to_json(entry=entry,
-                                               kinds=job["kinds"])}
-    response.update(verified=verified, exit=0 if verified else 3)
-    return response
 
 
 # -- front-end-side (parent process) --------------------------------------------

@@ -16,6 +16,7 @@ nontermination — a dynamic run decides that (§5.1.2).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.anchors import anchors_of, render_anchors
@@ -36,8 +37,7 @@ class Verdict:
     def __init__(self, status: str, reasons: List[str], engine: Optional[Engine] = None,
                  witness=None, witness_function: Optional[str] = None,
                  witness_path: Optional[str] = None,
-                 explanation: Optional[List[str]] = None,
-                 certificate=None):
+                 explanation: Optional[List[str]] = None):
         self.status = status
         self.reasons = reasons
         self.engine = engine
@@ -49,9 +49,11 @@ class Verdict:
         # Positive certificate for VERIFIED verdicts: per-function anchor
         # lines from repro.analysis.anchors.
         self.explanation = explanation or []
-        self._certificate = certificate
+        # The entry and kinds asked about (set by verify_program).
+        self.entry: Optional[str] = None
+        self.kinds: Optional[List[str]] = None
 
-    @property
+    @cached_property
     def certificate(self):
         """The discharge certificate (:mod:`repro.analysis.discharge`):
         per-λ-label SKIP/MONITOR decisions the dynamic layers consume.
@@ -59,19 +61,17 @@ class Verdict:
         verdict — an UNKNOWN verdict can still discharge the λs it did
         prove.  Computed lazily (it re-closes the reachable sub-multigraph
         per label), so plain ``verify`` callers never pay for it."""
-        if self._certificate is None and self.engine is not None \
-                and self.engine.entry_label is not None:
-            from repro.analysis.discharge import certificate_from_engine
+        if self.engine is None or self.engine.entry_label is None:
+            return None
+        from repro.analysis.discharge import certificate_from_engine
 
-            self._certificate = certificate_from_engine(self.engine)
-        return self._certificate
+        return certificate_from_engine(self.engine)
 
     @property
     def verified(self) -> bool:
         return self.status == Verdict.VERIFIED
 
-    def to_json(self, entry: Optional[str] = None,
-                kinds: Optional[Sequence[str]] = None) -> dict:
+    def to_json(self) -> dict:
         """The machine-readable verdict (``sized verify --json``)."""
         witness = None
         if self.witness is not None:
@@ -87,8 +87,8 @@ class Verdict:
         return {
             "schema": "sized-verify/v1",
             "status": self.status,
-            "entry": entry,
-            "kinds": list(kinds) if kinds is not None else None,
+            "entry": self.entry,
+            "kinds": self.kinds,
             "verified": self.verified,
             "reasons": list(self.reasons),
             "witness": witness,
@@ -96,6 +96,12 @@ class Verdict:
             "discharge": (self.certificate.summary()
                           if self.certificate is not None else None),
         }
+
+    def record(self) -> dict:
+        """The answer a serve ``verify`` on an entry carries; ``exit`` is
+        `sized verify`'s."""
+        return {"kind": "verdict", "verdict": self.to_json(),
+                "verified": self.verified, "exit": 0 if self.verified else 3}
 
     def render(self) -> str:
         lines = [f"verdict: {self.status}"]
@@ -179,12 +185,19 @@ def verify_program(
         raise ValueError(f"unknown graph engine: {graph_engine!r}")
     if graph_engine != "bitmask" and evidence != "sc":
         raise ValueError(f"graph engine {graph_engine!r} needs SC evidence, "
-                         f"got {evidence!r}")
+                         f"got {evidence!r}: MC graphs are always packed")
     engine, problem = analyze_entry(program, entry, kinds, evidence,
                                     budget, result_kinds)
+    verdict = _judge(engine, problem, graph_engine, evidence == "sc")
+    verdict.entry, verdict.kinds = entry, list(kinds)
+    return verdict
+
+
+def _judge(engine: Engine, problem: Optional[str], graph_engine: str,
+           size_change: bool) -> Verdict:
+    """The verdict on an engine run: its phase-2 check."""
     if problem is not None:
         return Verdict(Verdict.UNKNOWN, [problem], engine)
-    size_change = evidence == "sc"
     if graph_engine == "reference":
         result = scp_check(engine.edges, engine="reference")
     else:
@@ -217,11 +230,26 @@ def verify_program(
     return Verdict(Verdict.VERIFIED, [], engine, explanation=explanation)
 
 
-def verify_source(text: str, entry: str, kinds: Sequence[str],
-                  budget: Optional[Budget] = None, result_kinds=None,
-                  graph_engine: str = "bitmask",
-                  evidence: str = "sc") -> Verdict:
-    """Parse and verify program text (see :func:`verify_program`)."""
-    return verify_program(parse_program(text), entry, kinds, budget=budget,
-                          result_kinds=result_kinds,
+def verify_request(program: Program, text: Optional[str] = None, *,
+                   entry: Optional[str] = None, kinds: Sequence[str] = (),
+                   result_kinds=None, evidence: str = "sc",
+                   graph_engine: str = "bitmask", cache=None):
+    """One ``verify`` request, as `sized verify` and a serve ``verify``
+    take it (the twin of :func:`repro.eval.machine.run_request`): the
+    :func:`verify_program` verdict on ``entry``, or without one the
+    :func:`~repro.analysis.discharge.discharge_for_run` result of the
+    program itself.  Either one's ``record()`` is the serve answer."""
+    if entry is None:
+        from repro.analysis.discharge import discharge_for_run
+
+        return discharge_for_run(program, text, evidence, result_kinds,
+                                 cache)
+    return verify_program(program, entry, kinds, result_kinds=result_kinds,
                           graph_engine=graph_engine, evidence=evidence)
+
+
+def verify_source(text: str, entry: str, kinds: Sequence[str],
+                  **options) -> Verdict:
+    """Parse and verify program text (``options`` as for
+    :func:`verify_program`)."""
+    return verify_program(parse_program(text), entry, kinds, **options)

@@ -22,8 +22,8 @@ import json
 
 import pytest
 
-from repro.corpus import all_programs
-from repro.serve import AsyncServeClient, ServeConfig, SizedServer
+from repro.corpus import all_programs, get_program
+from repro.serve import AsyncServeClient, ServeConfig, SizedServer, protocol
 
 LOOP = "(define (spin n) (spin (+ n 1)))\n(spin 0)\n"
 QUICK = "(define (f n) (if (zero? n) 42 (f (- n 1))))\n(f 10)\n"
@@ -140,6 +140,48 @@ class TestDedupe:
                 assert a["kind"] == "timeout" and a["steps"] == 0
                 assert a["fuel_exhausted"] is True
                 assert b["kind"] == "value" and b["value"] == "42"
+        run(body())
+
+    def test_verify_key_ignores_run_fields(self):
+        """A verify reads only entry, kinds, result_kinds and mc: verifies
+        that differ in machine, mode or fuel share one key and, within
+        one batch window, one execution."""
+        base = {"op": "verify", "program": QUICK, "entry": "f",
+                "kinds": ["nat"]}
+        variants = [base, {**base, "machine": "tree"},
+                    {**base, "mode": "full"}, {**base, "fuel": 7}]
+
+        async def body():
+            async with serve(batch_window_ms=25.0) as (_, c):
+                rs = await asyncio.gather(*[c.request(dict(r))
+                                            for r in variants])
+                assert all(r["ok"] and r["verified"] for r in rs), rs
+                assert len({r["key"] for r in rs}) == 1
+                assert sum(not r["batched"] for r in rs) == 1
+                stats = (await c.request({"op": "stats"}))["stats"]
+                assert stats["batches"]["dispatched"] == 1
+        run(body())
+
+    def test_run_key_covers_result_kinds_not_verify_fields(self):
+        def key(**fields):
+            job, _ = protocol.check_job({"op": "run", "program": QUICK,
+                                         **fields}, None)
+            return protocol.request_key(job)
+
+        assert key() == key(entry="f", kinds=["nat"])
+        assert key() != key(result_kinds={"f": "nat"})
+        ack = get_program("sct-3").source
+
+        async def body():
+            async with serve(batch_window_ms=25.0) as (_, c):
+                plain, ranged = await asyncio.gather(
+                    c.request({"op": "run", "program": ack}),
+                    c.request({"op": "run", "program": ack,
+                               "result_kinds": {"ack": "nat"}}))
+                assert plain["key"] != ranged["key"]
+                assert plain["value"] == ranged["value"] == "9"
+                assert not plain["discharge"]["complete"]
+                assert ranged["discharge"]["complete"]
         run(body())
 
     def test_warm_cache_hit_on_repeat(self):
@@ -352,7 +394,8 @@ class TestBudgets:
             async with serve(tenant_budget=1000) as (server, c):
                 for fields in ({"entry": "f", "result_kinds": ["f", "nat"]},
                                {"entry": "f", "kinds": "nat"},
-                               {"entry": 7, "kinds": ["nat"]}):
+                               {"entry": 7, "kinds": ["nat"]},
+                               {"entry": "f", "machine": "warp"}):
                     r = await c.request({"op": "verify", "program": QUICK,
                                          "fuel": 600, "tenant": "t",
                                          **fields})

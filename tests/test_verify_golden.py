@@ -37,7 +37,7 @@ def golden_text() -> str:
                 verdict = verify_program(parsed, name, kinds,
                                          result_kinds=prog.result_kinds,
                                          graph_engine=mode)
-            row[mode] = verdict.to_json(entry=name, kinds=kinds)
+            row[mode] = verdict.to_json()
         rows[prog.name] = row
     return json.dumps(rows, indent=1, sort_keys=True, ensure_ascii=False) + "\n"
 
