@@ -6,10 +6,11 @@ factor')."""
 import pytest
 
 from repro.ds.hamt import Hamt
+from repro.sexp.datum import intern
 from repro.sct.graph import SCGraph, arc, graph_of_values
 from repro.sct.order import SizeOrder
 from repro.solver import LinExpr, Solver, ge, lt, ne
-from repro.values.values import python_to_list
+from repro.values.values import HashValue, python_to_list
 
 
 def test_hamt_set_get(benchmark):
@@ -26,6 +27,26 @@ def test_hamt_set_get(benchmark):
         return m.get(keys[0])
 
     assert benchmark(run) in (0, 99)
+
+
+def test_hash_value_overwrite(benchmark):
+    """``hash-set`` overwrites on a 256-entry object-language map keyed
+    by symbols, as an interpreter's environment is: each one keeps the
+    map's size and hash exact."""
+    benchmark.group = "substrate:hamt"
+    base = HashValue.empty()
+    keys = [intern(f"v{i}") for i in range(256)]
+    for i, k in enumerate(keys):
+        base = base.set(k, i)
+
+    def run():
+        h = base
+        for i, k in enumerate(keys[:32]):
+            h = h.set(k, -i)
+        return h
+
+    h = benchmark(run)
+    assert h.count() == 256 and h.size == HashValue(h.table).size
 
 
 def test_graph_construction(benchmark):

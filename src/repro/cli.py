@@ -379,7 +379,8 @@ def _cmd_verify(args) -> int:
     kinds = [k for k in args.kinds.split(",") if k]
     result_kinds = {args.entry: args.result_kind} if args.result_kind else None
     try:
-        verdict = verify_request(parse_program(source), entry=args.entry,
+        verdict = verify_request(parse_program(source, source=args.file),
+                                 entry=args.entry,
                                  kinds=kinds, result_kinds=result_kinds,
                                  evidence=_evidence_kind(args),
                                  graph_engine=args.engine)
@@ -401,7 +402,7 @@ def _cmd_trace(args) -> int:
     with open(args.file) as f:
         source = f.read()
     monitor = evidence(_evidence_kind(args)).monitor(engine=args.engine)
-    result = trace_source(source, monitor=monitor,
+    result = trace_source(source, source=args.file, monitor=monitor,
                           mode=args.mode, fuel=args.fuel,
                           machine=args.machine)
     print(render_tree(result.roots, max_depth=args.max_depth,

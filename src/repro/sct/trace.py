@@ -88,6 +88,7 @@ class TraceResult:
 def trace_source(
     text: str,
     *,
+    source: str = "<program>",
     monitor: Optional[SCMonitor] = None,
     mode: str = "full",
     fuel: Optional[int] = None,
@@ -102,13 +103,15 @@ def trace_source(
     past violations, ...).  The monitor's ``events`` list is overwritten.
     An event-collecting monitor disqualifies the machine's inline-``upd``
     fast path, so both machines emit the identical event stream.
+    ``source`` names the program in a parse error, as in ``run_source``.
     """
     events: List[tuple] = []
     if monitor is None:
         monitor = SCMonitor()
     monitor.events = events
-    answer = run_source(text, mode=mode, strategy="imperative",
-                        monitor=monitor, fuel=fuel, machine=machine)
+    answer = run_source(text, source=source, mode=mode,
+                        strategy="imperative", monitor=monitor, fuel=fuel,
+                        machine=machine)
     if max_events is not None:
         events = events[:max_events]
     return TraceResult(answer, assemble_tree(events), monitor)

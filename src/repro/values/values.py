@@ -212,6 +212,15 @@ class HashValue:
 
     Keys are compared with ``equal?`` semantics via :class:`HashKey`
     wrappers so that pairs and symbols key structurally.
+
+    ``size`` (one plus every key's and value's size) and ``hash_code`` (an
+    XOR fold of one 31-bit term per entry) must be exact: the size is the
+    map's place in the well-founded size order the monitor compares at
+    every call, and ``equal?`` rejects maps whose counts or hashes differ.
+    The constructor folds both over every entry; :meth:`set` keeps them
+    incrementally instead, adding the new entry's terms and taking out
+    the overwritten one's, so an update costs one HAMT ``get`` and one
+    ``set`` rather than a pass over the map.
     """
 
     __slots__ = ("table", "size", "hash_code")
@@ -231,7 +240,24 @@ class HashValue:
         return _EMPTY_HASH
 
     def set(self, key, value) -> "HashValue":
-        return HashValue(self.table.set(HashKey(key), value))
+        hk = HashKey(key)
+        old = self.table.get(hk, _ABSENT)
+        k31 = hk.code * 31
+        term = (k31 + _value_hash(value)) & 0x7FFFFFFF
+        if old is _ABSENT:
+            size = self.size + _value_size(key) + _value_size(value)
+            code = self.hash_code ^ term
+        else:
+            # An ``equal?`` key has the stored key's size and code, so
+            # only the value's terms change.
+            size = self.size - _value_size(old) + _value_size(value)
+            code = (self.hash_code ^ term
+                    ^ ((k31 + _value_hash(old)) & 0x7FFFFFFF))
+        h = object.__new__(HashValue)
+        h.table = self.table.set(hk, value)
+        h.size = size
+        h.hash_code = code
+        return h
 
     def get(self, key, default):
         return self.table.get(HashKey(key), default)
@@ -246,9 +272,15 @@ class HashValue:
         return write_value(self)
 
 
+_ABSENT = object()
+
+
 class HashKey:
     """Adapter giving Python hashing/equality the object language's
-    ``equal?`` semantics, so :class:`Hamt` can index hash-map entries."""
+    ``equal?`` semantics, so :class:`Hamt` can index hash-map entries.
+
+    ``code`` is consistent with ``equal?`` (equal values hash alike), so
+    keys whose codes differ are unequal without a structural walk."""
 
     __slots__ = ("value", "code")
 
@@ -260,9 +292,15 @@ class HashKey:
         return self.code
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is not HashKey:
+            return False
+        if self.value is other.value:
+            return True
+        if self.code != other.code:
+            return False
         from repro.values.equality import scheme_equal
 
-        return isinstance(other, HashKey) and scheme_equal(self.value, other.value)
+        return scheme_equal(self.value, other.value)
 
 
 _EMPTY_HASH = HashValue(Hamt.empty())

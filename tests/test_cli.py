@@ -73,6 +73,15 @@ class TestParseErrors:
         assert captured.err.startswith(f"parse error: {message}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["verify", "--entry", "f"], ["trace"],
+    ])
+    def test_parse_error_names_the_file(self, scm, capsys, argv):
+        path = scm("(define (f x) (f x)")
+        assert main([argv[0], path] + argv[1:]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: unterminated list at {path}:1:0\n")
+
 
 class TestVerify:
     def test_verified(self, scm, capsys):

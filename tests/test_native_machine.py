@@ -35,7 +35,7 @@ from repro.eval.native import ensure_native, ensure_native_program
 from repro.lang.parser import parse_program
 from repro.lang.resolve import T_LAM, walk
 from repro.sct.monitor import SCMonitor
-from repro.values.values import write_value
+from repro.values.values import size_of, write_value
 
 MACHINES = ("tree", "compiled", "native")
 PROGRAMS = all_programs()
@@ -434,6 +434,49 @@ class TestMonitoredNative:
         answers = run_everywhere(src, mode=mode, fuel=1_000_000,
                                  ahead_of_time=True)
         assert_all_same(answers)
+        assert answers["native"].tier == "native"
+
+    # Hash maps are values whose size feeds the size-change graphs, and
+    # whose identity and equality the program can observe.
+    HASHES = [
+        # ``hash-set`` returns a fresh map even when nothing changes.
+        ("(let ([h (hash 'a 1)]) (eq? h (hash-set h 'a 1)))\n", "#f"),
+        # Maps built in different orders (and one through an overwrite)
+        # with freshly consed keys are ``equal?``.
+        ("(define (build ks h) (if (null? ks) h (build (cdr ks) "
+         "(hash-set h (car ks) (list (car ks) 0.5)))))\n"
+         "(equal? (build (list 'a 2 \"s\" (list 1 2) #\\c) (hash))\n"
+         "        (build (list #\\c (list 1 2) \"s\" 2 'a) (hash 'a 7)))\n",
+         "#t"),
+        # The map argument shrinks on every overwrite: monitored, it
+        # terminates only while the map's size is exact.
+        ("(define (f h) (let ([v (hash-ref h 'a)]) (if (zero? v) "
+         "(hash-count h) (f (hash-set h 'a (- v 1))))))\n"
+         "(f (hash 'a 6 (list 1 2) \"xy\"))\n", "2"),
+    ]
+
+    @pytest.mark.parametrize("src,expected", HASHES,
+                             ids=[f"hash{i}" for i in range(len(HASHES))])
+    def test_hash_maps_identical(self, src, expected):
+        answers = run_everywhere(src, mode="full", ahead_of_time=True)
+        assert answers["tree"].kind == Answer.VALUE
+        assert write_value(answers["tree"].value) == expected
+        assert_all_same(answers)
+
+    def test_growing_hash_map_violation_identical(self):
+        # Five shrinking overwrites, then a new key grows the map: the
+        # sixth call is the violation, its witness sized 5 then 8.
+        src = ("(define (f h) (let ([v (hash-ref h 'a)]) (if (zero? v) "
+               "(f (hash-set h 'b (list 0 0))) "
+               "(f (hash-set h 'a (- v 1))))))\n"
+               "(f (hash 'a 4 'c \"xy\"))\n")
+        answers = run_everywhere(src, mode="full", fuel=1_000_000,
+                                 ahead_of_time=True)
+        assert_all_same(answers)
+        v = answers["tree"].violation
+        assert answers["tree"].kind == Answer.SC_ERROR
+        assert (v.function, v.call_count) == ("f", 6)
+        assert [size_of(a) for a in v.prev_args + v.new_args] == [5, 8]
         assert answers["native"].tier == "native"
 
     @pytest.mark.parametrize("prog", PROGRAMS, ids=[p.name for p in PROGRAMS])

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lang.prims import PRIMITIVES
 from repro.sexp.datum import Char, intern
 from repro.values.env import Env, GlobalEnv, UnboundVariable
 from repro.values.equality import scheme_equal, scheme_eqv, value_hash
@@ -203,3 +204,97 @@ def test_size_positive_and_equal_structures_share_size(datum):
     assert scheme_equal(v1, v2)
     assert size_of(v1) == size_of(v2)
     assert size_of(v1) >= 0
+
+
+# -- hash maps: incremental size and hash against the full fold --------------
+#
+# A value is drawn as a recipe and built afresh at every use, so an
+# overwrite's key is ``equal?`` to the stored key without being it (a
+# freshly consed pair, a fresh string, a fresh nested map).
+
+_ATOMS = st.one_of(
+    st.tuples(st.just("int"), st.integers(-1000, 1000)),
+    st.tuples(st.just("float"), st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.5]),
+        st.floats(allow_nan=False, allow_infinity=False, width=32))),
+    st.tuples(st.just("bool"), st.booleans()),
+    st.tuples(st.just("sym"), st.sampled_from(["a", "b", "c"])),
+    st.tuples(st.just("char"), st.sampled_from(["x", "y", " "])),
+    st.tuples(st.just("str"), st.text(alphabet="ab", max_size=4)),
+)
+_RECIPES = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(st.just("pair"), inner, inner),
+        st.tuples(st.just("hash"),
+                  st.lists(st.tuples(inner, inner), max_size=3)),
+    ),
+    max_leaves=6,
+)
+
+
+def _build(recipe):
+    tag = recipe[0]
+    if tag == "float":
+        return float(recipe[1])
+    if tag == "sym":
+        return intern(recipe[1])
+    if tag == "char":
+        return Char(recipe[1])
+    if tag == "str":
+        return "".join(list(recipe[1]))
+    if tag == "pair":
+        return Pair(_build(recipe[1]), _build(recipe[2]))
+    if tag == "hash":
+        h = HashValue.empty()
+        for k, v in recipe[1]:
+            h = h.set(_build(k), _build(v))
+        return h
+    return recipe[1]
+
+
+def _folded(h):
+    ref = HashValue(h.table)
+    return ref.size, ref.hash_code
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RECIPES, min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 5), _RECIPES), max_size=40))
+def test_hash_set_keeps_size_and_hash_exact(keys, sets):
+    """After every ``set`` (a new key or an overwrite through an
+    ``equal?`` key), ``size`` and ``hash_code`` equal the full fold."""
+    h = HashValue.empty()
+    for i, value in sets:
+        key = keys[i % len(keys)]
+        h = h.set(_build(key), _build(value))
+        assert (h.size, h.hash_code) == _folded(h)
+    distinct = []
+    for i, _ in sets:
+        key = _build(keys[i % len(keys)])
+        if not any(scheme_equal(key, d) for d in distinct):
+            distinct.append(key)
+    assert h.count() == len(distinct)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), _RECIPES), max_size=12),
+       st.lists(_RECIPES, min_size=1, max_size=4))
+def test_hash_constructor_agrees_with_chained_hash_set(pairs, keys):
+    """``(hash k v ...)`` with repeated keys builds the map that chained
+    ``hash-set`` builds: same size, hash and ``hash-count``."""
+    hash_p = PRIMITIVES[intern("hash")]
+    hash_set = PRIMITIVES[intern("hash-set")]
+    hash_count = PRIMITIVES[intern("hash-count")]
+    args = []
+    for i, value in pairs:
+        args += [_build(keys[i % len(keys)]), _build(value)]
+    built = hash_p.fn(args)
+    chained = HashValue.empty()
+    for i, value in pairs:
+        chained = hash_set.fn([chained, _build(keys[i % len(keys)]),
+                               _build(value)])
+    assert (built.size, built.hash_code) == (chained.size, chained.hash_code)
+    assert (built.size, built.hash_code) == _folded(built)
+    assert hash_count.fn([built]) == hash_count.fn([chained])
+    assert scheme_equal(built, chained)
