@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench bench-smoke bench-quick bench-machines machines-smoke \
 	fuzz fuzz-smoke fuzz-nightly \
 	serve-bench serve-smoke chaos chaos-smoke chaos-nightly \
-	perfbench-smoke import-smoke docs
+	perfbench-smoke import-smoke determinism-smoke docs
 
 # Tier-1 verification: the full claim-backing test suite.
 test:
@@ -110,6 +110,13 @@ import-smoke:
 		$(PYTHON) -c "import $$m" || { echo "import-smoke: $$m failed"; exit 1; }; \
 		n=$$((n + 1)); \
 	done; echo "import-smoke: $$n modules import on their own"
+
+# Every corpus, extra and diverging program (and a map-printing one) on
+# every machine, its answer record and discharge summary printed by two
+# fresh interpreters under PYTHONHASHSEED=1 and 2; fails unless the two
+# outputs are byte-identical.
+determinism-smoke:
+	$(PYTHON) tests/determinism_smoke.py
 
 # The documentation set worth (re)reading, in order.
 docs:

@@ -4,8 +4,6 @@ baseline of §2.1/§2.2."""
 from repro.analysis.ljb import SCPResult, scp_check
 from repro.analysis.callgraph import CallGraph, analyze_callgraph, loop_entry_labels
 from repro.analysis.discharge import (
-    MONITOR,
-    SKIP,
     DischargeCertificate,
     DischargeResult,
     ResidualPolicy,
@@ -25,8 +23,6 @@ __all__ = [
     "loop_entry_labels",
     "StaticSCTResult",
     "static_sct_check",
-    "MONITOR",
-    "SKIP",
     "DischargeCertificate",
     "DischargeResult",
     "ResidualPolicy",

@@ -8,13 +8,13 @@ run into that bridge:
 * :class:`DischargeCertificate` — the engine's per-λ-label verdict: the
   set of labels whose *reachable* call edges all pass the phase-2 check
   (SCP for :class:`~repro.symbolic.engine.Engine`, MC termination for
-  :class:`~repro.mc.static.MCEngine`), minus incompleteness taint.  A
-  havocked or LOST-applied analysis taints, and taint closes forward over
-  call edges, so nothing downstream of an unknown is ever discharged.
+  :class:`~repro.mc.static.MCEngine`).  A havocked or LOST-applied
+  analysis taints, and any taint empties the discharged set: an unknown
+  can call anything, so nothing is discharged past it.
 * :class:`ResidualPolicy` — the skip set for one run: the program
   certificate's discharged labels.  The evaluator consumes it
-  at run time only: :func:`repro.eval.machine.run_program` installs its
-  labels as the monitor's skip set, which every machine tests at each
+  at run time only: :func:`repro.eval.machine.run_program` hands its
+  labels to the machines as the run's skip set, which they test at each
   apply (discharged λs take the monitor-free path).
 * :class:`VerificationCache` — content-addressed certificates
   (program text hash + entry + kinds + result kinds + evidence family),
@@ -28,11 +28,12 @@ run into that bridge:
   ...)`` both go through it.  ``Verdict.certificate`` computes its own,
   uncached.
 
-Soundness (what a ``SKIP`` relies on): :func:`discharge_for_run` analyses
-the program itself, so every run-time application is made either by a
-top-level form, which the engine evaluated with its literals and λs
-concrete (the applied closures are the ``roots``), or from the body of a
-closure the engine summarised, whose calls are recorded edges.
+Soundness (what skipping a discharged λ relies on):
+:func:`discharge_for_run` analyses the program itself, so every run-time
+application is made either by a top-level form, which the engine
+evaluated with its literals and λs concrete (the applied closures are
+the ``roots``), or from the body of a closure the engine summarised,
+whose calls are recorded edges.
 ``result_kinds`` remain trusted contract ranges (§4.2).
 """
 
@@ -47,9 +48,6 @@ from repro.lang import ast
 from repro.lang.program import Program, TopDefine
 from repro.values.values import NIL, Pair
 
-MONITOR = "monitor"
-SKIP = "skip"
-
 
 class DischargeCertificate:
     """One engine run's per-λ-label discharge verdict.
@@ -58,21 +56,19 @@ class DischargeCertificate:
     closures the program's top-level forms apply (``entry`` None).
     ``labels`` is every label the analysis saw on a call edge, plus the
     roots; ``discharged`` ⊆ ``labels`` is the set whose reachable
-    sub-multigraph passed the phase-2 check with no taint in reach;
-    ``tainted`` carries the forward-closed per-label taint and
-    ``taint_reasons`` the human-readable causes (any reason taints the
-    whole certificate under today's engines — every taint source is
-    global — but the per-label field is part of the format so a finer
-    engine can populate it without changing consumers).
+    sub-multigraph passed the phase-2 check.  ``taint_reasons`` are the
+    human-readable causes of incompleteness; every taint source is
+    global (a lost application or a blown budget can call anything), so
+    any reason leaves ``discharged`` empty.
     """
 
     __slots__ = ("entry", "entry_kinds", "roots", "evidence", "labels",
-                 "discharged", "tainted", "taint_reasons", "label_names")
+                 "discharged", "taint_reasons", "label_names")
 
     def __init__(self, entry: Optional[str], entry_kinds: Tuple[str, ...],
                  roots: FrozenSet[int], evidence: str,
                  labels: FrozenSet[int], discharged: FrozenSet[int],
-                 tainted: FrozenSet[int], taint_reasons: Tuple[str, ...],
+                 taint_reasons: Tuple[str, ...],
                  label_names: Dict[int, str]):
         self.entry = entry
         self.entry_kinds = tuple(entry_kinds)
@@ -80,12 +76,8 @@ class DischargeCertificate:
         self.evidence = evidence
         self.labels = frozenset(labels)
         self.discharged = frozenset(discharged)
-        self.tainted = frozenset(tainted)
         self.taint_reasons = tuple(taint_reasons)
         self.label_names = dict(label_names)
-
-    def decision(self, label: int) -> str:
-        return SKIP if label in self.discharged else MONITOR
 
     @property
     def complete(self) -> bool:
@@ -125,7 +117,6 @@ class DischargeCertificate:
             "evidence": self.evidence,
             "labels": ids(self.labels),
             "discharged": ids(self.discharged),
-            "tainted": ids(self.tainted),
             "taint_reasons": list(self.taint_reasons),
             "label_names": {to_stable[l]: n
                             for l, n in self.label_names.items()
@@ -149,7 +140,6 @@ class DischargeCertificate:
             evidence=data["evidence"],
             labels=labels(data["labels"]) | roots,
             discharged=labels(data["discharged"]),
-            tainted=labels(data["tainted"]),
             taint_reasons=tuple(data["taint_reasons"]),
             label_names={from_stable[i]: n
                          for i, n in data["label_names"].items()},
@@ -192,28 +182,17 @@ def certificate_from_engine(engine) -> DischargeCertificate:
         labels.add(g)
         succ.setdefault(f, set()).add(g)
 
+    # Every taint source is global (a lost application or a blown budget
+    # can call anything), so any taint leaves nothing discharged.
     taint_reasons = tuple(engine.incomplete) + tuple(engine.discharge_unsafe)
-    # Per-label taint closes forward: an unknown inside L hides calls, so
-    # everything L can reach may have unseen edges too.
-    tainted: Set[int] = set()
-    for seed in engine.tainted_labels:
-        tainted |= _forward_reach(succ, seed)
-    if taint_reasons:
-        # Every taint source today is global (a lost application or a blown
-        # budget can call anything): the whole label set is tainted.
-        tainted = set(labels)
-
     discharged: Set[int] = set()
     if not taint_reasons:
         check_memo: Dict[FrozenSet[int], bool] = {}
         for label in labels:
-            reach = _forward_reach(succ, label)
-            if reach & tainted:
-                continue
-            key = frozenset(reach)
+            key = frozenset(_forward_reach(succ, label))
             ok = check_memo.get(key)
             if ok is None:
-                sub = {e: gs for e, gs in edges.items() if e[0] in reach}
+                sub = {e: gs for e, gs in edges.items() if e[0] in key}
                 ok = check_memo[key] = \
                     check(sub, max_graphs=MAX_GRAPHS).ok is True
             if ok:
@@ -226,7 +205,6 @@ def certificate_from_engine(engine) -> DischargeCertificate:
         evidence=engine.evidence_kind,
         labels=frozenset(labels),
         discharged=frozenset(discharged),
-        tainted=frozenset(tainted),
         taint_reasons=taint_reasons,
         label_names=dict(engine.label_names),
     )
@@ -357,7 +335,7 @@ class VerificationCache:
     for the one deliberately shared instance.
     """
 
-    SCHEMA = "discharge-certificate/v3"
+    SCHEMA = "discharge-certificate/v4"
 
     def __init__(self, path: Optional[str] = None):
         self._mem: Dict[str, dict] = {}

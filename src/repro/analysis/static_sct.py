@@ -11,8 +11,8 @@ This baseline exists to reproduce the paper's §2.2 point: on the CPS
 ``len`` function, 0-CFA must conflate the continuation closures, the
 conflated entry shows a spurious "call with a larger argument", and the
 analysis rejects — while the dynamic monitor accepts the same program.
-It also shows why a statically verified λ may join the monitor's
-``skip_labels``: anything this analysis verifies needs no instrumentation.
+It also shows why a statically verified λ may join a run's skip set:
+anything this analysis verifies needs no instrumentation.
 """
 
 from __future__ import annotations

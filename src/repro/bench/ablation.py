@@ -17,7 +17,7 @@ paper's optimizations concrete.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.analysis.callgraph import acyclic_labels
 from repro.bench.report import fmt_factor, fmt_ms, render_table
@@ -52,28 +52,15 @@ def _workloads(scale: str):
 
 
 def _configs(program) -> List[tuple]:
-    def plain() -> SCMonitor:
-        return SCMonitor()
-
-    def backoff() -> SCMonitor:
-        return SCMonitor(backoff=True)
-
-    def label_keyed() -> SCMonitor:
-        return SCMonitor(keying="label")
-
-    def containment() -> SCMonitor:
-        return SCMonitor(order=ContainmentOrder())
-
-    def loop_entries() -> SCMonitor:
-        return SCMonitor(skip_labels=acyclic_labels(program))
-
+    """``(name, strategy, monitor kwargs, discharge)`` per configuration;
+    loop-entry monitoring is a run's skip set, not a monitor knob."""
     return [
-        ("cm", "cm", plain),
-        ("imperative", "imperative", plain),
-        ("cm+backoff", "cm", backoff),
-        ("cm+label-keying", "cm", label_keyed),
-        ("cm+loop-entries", "cm", loop_entries),
-        ("cm+containment-order", "cm", containment),
+        ("cm", "cm", {}, None),
+        ("imperative", "imperative", {}, None),
+        ("cm+backoff", "cm", {"backoff": True}, None),
+        ("cm+label-keying", "cm", {"keying": "label"}, None),
+        ("cm+loop-entries", "cm", {}, acyclic_labels(program)),
+        ("cm+containment-order", "cm", {"order": ContainmentOrder()}, None),
     ]
 
 
@@ -85,14 +72,14 @@ def run_ablation(scale: str = "quick", repeats: int = 3) -> List[AblationPoint]:
             lambda: run_program(program, mode="off"), repeats)
         points.append(AblationPoint(name, "unchecked", base_t, 1.0, 0, 0,
                                     _outcome(base_a)))
-        for config_name, strategy, factory in _configs(program):
+        for config_name, strategy, options, discharge in _configs(program):
             monitor_holder = {}
 
             def run():
-                monitor = factory()
+                monitor = SCMonitor(**options)
                 monitor_holder["m"] = monitor
                 return run_program(program, mode="full", strategy=strategy,
-                                   monitor=monitor)
+                                   monitor=monitor, discharge=discharge)
 
             dt, answer = best_of(run, repeats)
             monitor = monitor_holder["m"]

@@ -14,6 +14,12 @@ interpreted programs show small overhead; ``sum`` shows the largest
 constant factor (worst under continuation marks); ``merge-sort`` sits in
 between but suffers from large-structure graph costs; and the factor stays
 roughly flat as input grows.
+
+Each (workload, n) cell is parsed once; its three series are checked to
+run to a value once, then timed best-of-``repeats`` interleaved round by
+round with the host GC off (:func:`repro.bench.timing.interleaved_best_of`),
+so scheduler drift hits the three alike and the factors compare like
+with like.
 """
 
 from __future__ import annotations
@@ -21,9 +27,15 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.bench.report import fmt_factor, fmt_ms, render_table
-from repro.bench.timing import time_program
+from repro.bench.timing import interleaved_best_of
 from repro.bench.workloads import SIZES, WORKLOADS
-from repro.eval.machine import Answer
+from repro.eval.machine import Answer, run_program
+from repro.lang.parser import parse_program
+from repro.sct.monitor import SCMonitor
+
+#: series -> (mode, strategy)
+SERIES = {"unchecked": ("off", "cm"), "cm": ("full", "cm"),
+          "imperative": ("full", "imperative")}
 
 
 class Fig10Point:
@@ -52,17 +64,23 @@ def run_fig10(scale: str = "quick", repeats: int = 3,
     for name in chosen:
         source_of = WORKLOADS[name]
         for n in sizes[name]:
-            src = source_of(n)
-            t_off, a = time_program(src, mode="off", repeats=repeats)
-            assert a.kind == Answer.VALUE, f"{name}({n}) failed: {a!r}"
-            t_cm, a_cm = time_program(src, mode="full", strategy="cm",
-                                      repeats=repeats)
-            assert a_cm.kind == Answer.VALUE, f"{name}({n}) cm: {a_cm!r}"
-            t_imp, a_imp = time_program(src, mode="full", strategy="imperative",
-                                        repeats=repeats)
-            assert a_imp.kind == Answer.VALUE, f"{name}({n}) imp: {a_imp!r}"
-            points.append(Fig10Point(name, n, t_off, t_cm, t_imp))
+            program = parse_program(source_of(n))
+            runs = {series: _runner(program, mode, strategy)
+                    for series, (mode, strategy) in SERIES.items()}
+            for series, run in runs.items():
+                a = run()
+                assert a.kind == Answer.VALUE, f"{name}({n}) {series}: {a!r}"
+            best = interleaved_best_of(runs, repeats)
+            points.append(Fig10Point(name, n, best["unchecked"], best["cm"],
+                                     best["imperative"]))
     return points
+
+
+def _runner(program, mode: str, strategy: str):
+    def run() -> Answer:
+        return run_program(program, mode=mode, strategy=strategy,
+                           monitor=SCMonitor())
+    return run
 
 
 def render_fig10(points: List[Fig10Point]) -> str:

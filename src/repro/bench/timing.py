@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import gc
 import time
-from typing import Callable, Dict, Hashable, Optional, Tuple
-
-from repro.eval.machine import Answer, run_program
-from repro.lang.parser import parse_program
-from repro.sct.monitor import SCMonitor
+from typing import Callable, Dict, Hashable, Tuple
 
 
 def time_once(fn: Callable[[], object]) -> Tuple[float, object]:
@@ -45,17 +41,3 @@ def interleaved_best_of(runs: Dict[Hashable, Callable[[], object]],
             gc.enable()
             gc.collect()
     return best
-
-
-def time_program(source: str, *, mode: str, strategy: str = "cm",
-                 monitor_factory: Optional[Callable[[], SCMonitor]] = None,
-                 repeats: int = 3) -> Tuple[float, Answer]:
-    """Parse once, then time the runs (parsing excluded, as the paper's
-    timings exclude compilation)."""
-    program = parse_program(source)
-
-    def run() -> Answer:
-        monitor = monitor_factory() if monitor_factory else SCMonitor()
-        return run_program(program, mode=mode, strategy=strategy, monitor=monitor)
-
-    return best_of(run, repeats)

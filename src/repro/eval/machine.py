@@ -185,8 +185,12 @@ def eval_expr(
     monitor: Optional[SCMonitor] = None,
     fuel: Optional[_Fuel] = None,
     mtable: Optional[dict] = None,
+    skips: Optional[frozenset] = None,
 ):
-    """Evaluate one expression to a value (raises on errors/violations)."""
+    """Evaluate one expression to a value (raises on errors/violations).
+
+    ``skips`` — the run's residual skip set (see :func:`run_program`):
+    λs whose labels are in it run unmonitored."""
     if monitor is None:
         monitor = SCMonitor()
     if fuel is None:
@@ -207,9 +211,6 @@ def eval_expr(
         s2 = None
     if imperative and mtable is None:
         mtable = {}
-    # Residual enforcement: λs whose labels are in the skip set run
-    # unmonitored (the same inline test as eval_code's APPLY).
-    skips = monitor.skip_labels
 
     kont: List[tuple] = []
     control = expr
@@ -437,8 +438,8 @@ def compile_code(expr: ast.Node, skip_labels=None) -> Code:
     node, so repeated runs pay for resolution once.
 
     ``skip_labels`` is ignored: resolved code carries no residual
-    policy (a run's skip set lives on its monitor), and the parameter
-    remains only for callers that still pass one."""
+    policy (:func:`run_program` hands a run's skip set to the machine),
+    and the parameter remains only for callers that still pass one."""
     code = _RESOLVED.get(expr)
     if code is None:
         code = _RESOLVED[expr] = resolve(expr)
@@ -456,6 +457,7 @@ def eval_code(
     mtable: Optional[dict] = None,
     init_state=None,
     native=None,
+    skips: Optional[frozenset] = None,
 ):
     """Evaluate one compiled form to a value (raises on errors/violations).
 
@@ -470,6 +472,10 @@ def eval_code(
     ``init_state`` — an (s1, s2) monitoring-state pair to start from
     instead of the mode's default; the native tier's fallback uses it to
     resume interpretation under the running native frame's state.
+
+    ``skips`` — the run's residual skip set (see :func:`run_program`):
+    a closure whose λ label is in it takes the monitor-free path at
+    APPLY — no policy call, no table lookup, no graph construction.
 
     ``native`` — a :class:`repro.eval.native.NativeContext`; when given,
     applying a closure counts toward its λ's tier-up threshold (compiling
@@ -496,10 +502,6 @@ def eval_code(
     # `fresh` is a newly started monitoring state (the empty cm table, or
     # the imperative strategy's active flag): mode full starts in it, and
     # a term/c wrapper starts it when none is active.
-    # Residual enforcement: `skips` is the monitor's discharged-λ set, so
-    # a statically proven closure takes the monitor-free path below — no
-    # policy call, no table lookup, no graph construction.
-    skips = monitor.skip_labels
     advance, fast_entry, key_for = monitor.step_config()
     fresh = True if imperative else (None,)
     restore_mut = monitor.restore_mut
@@ -1033,8 +1035,7 @@ def _env_family(machine: str) -> str:
     return "tree" if machine == "tree" else "compiled"
 
 
-def make_env(include_prelude: bool = True,
-             machine: str = "compiled") -> GlobalEnv:
+def make_env(*, machine: str = "compiled") -> GlobalEnv:
     """A fresh global environment with primitives, the prelude, and the
     contract library (:mod:`repro.lang.contracts_lib`).
 
@@ -1045,26 +1046,25 @@ def make_env(include_prelude: bool = True,
     checks); the native tier shares the compiled representation.
     """
     _check_machine(machine)
-    env = GlobalEnv(dict(PRIMITIVES))
-    env.flavor = _env_family(machine)
-    if include_prelude:
-        fuel = _Fuel(None)
-        compiled = machine != "tree"
-        for library in (_prelude_program(), _contracts_program()):
-            for form in library.forms:
-                assert isinstance(form, TopDefine)
-                if compiled:
-                    value = eval_code(compile_code(form.expr), env, fuel=fuel)
-                else:
-                    value = eval_expr(form.expr, env, fuel=fuel)
-                if type(value) is Closure and value.name is None:
-                    value.name = form.name.name
-                env.define(form.name, value)
+    env = GlobalEnv({sym.name: prim for sym, prim in PRIMITIVES.items()},
+                    _env_family(machine))
+    fuel = _Fuel(None)
+    compiled = machine != "tree"
+    for library in (_prelude_program(), _contracts_program()):
+        for form in library.forms:
+            assert isinstance(form, TopDefine)
+            if compiled:
+                value = eval_code(compile_code(form.expr), env, fuel=fuel)
+            else:
+                value = eval_expr(form.expr, env, fuel=fuel)
+            if type(value) is Closure and value.name is None:
+                value.name = form.name.name
+            env.define(form.name, value)
     return env
 
 
 def policy_skip_labels(discharge) -> Optional[frozenset]:
-    """The skip set a run under ``discharge`` installs on its monitor (a
+    """The labels a run under ``discharge`` skips by policy (a
     :class:`~repro.analysis.discharge.ResidualPolicy`, any iterable of λ
     labels, or None)."""
     if discharge is None:
@@ -1083,7 +1083,6 @@ def run_program(
     monitor: Optional[SCMonitor] = None,
     fuel: Optional[int] = None,
     env: Optional[GlobalEnv] = None,
-    include_prelude: bool = True,
     machine: str = "compiled",
     discharge=None,
 ) -> Answer:
@@ -1118,19 +1117,19 @@ def run_program(
     rule says so) — observably equivalent, differentially tested.
 
     ``discharge``: a :class:`~repro.analysis.discharge.ResidualPolicy`
-    (or any iterable of λ labels) whose discharged λs run monitor-free:
-    its labels extend the monitor's ``skip_labels`` for this run (the
-    passed monitor is extended in place and restored on exit), which
-    every machine tests at each apply.  Unless the policy is complete,
-    the program λs on no call-graph cycle join the skip set too, from
-    the parse's second run under a policy on
-    (:func:`~repro.analysis.callgraph.acyclic_skip`).  ``discharge=None``
-    monitors everything.  The resolved code is the same under any
-    policy.
+    (or any iterable of λ labels) whose discharged λs run monitor-free.
+    Unless the policy is complete, the program λs on no call-graph cycle
+    join the run's skip set too, from the parse's second run under a
+    policy on (:func:`~repro.analysis.callgraph.acyclic_skip`).  The skip
+    set is this run's state: every machine gets it as ``skips`` and tests
+    it at each apply, and ``monitor`` is never written, so a reused
+    monitor carries no policy from one run into the next.  This is the
+    one way to stop monitoring a λ.  ``discharge=None`` monitors
+    everything.  The resolved code is the same under any policy.
     """
     _check_machine(machine)
     if env is None:
-        env = make_env(include_prelude, machine=machine)
+        env = make_env(machine=machine)
     else:
         if env.flavor is not None and env.flavor != _env_family(machine):
             raise ValueError(
@@ -1140,21 +1139,13 @@ def run_program(
         env = env.snapshot()
     if monitor is None:
         monitor = SCMonitor()
-    skip_labels = policy_skip_labels(discharge)
+    skips = policy_skip_labels(discharge)
     if discharge is not None and not getattr(discharge, "complete", False):
         # A residual run also skips the program λs on no call cycle,
         # from the parse's second such run on.
         acyclic = acyclic_skip(program)
         if acyclic:
-            skip_labels = (acyclic if skip_labels is None
-                           else skip_labels | acyclic)
-    # The policy is scoped to this run: the monitor's skip set is
-    # extended for the duration and restored on the way out, so a reused
-    # monitor does not leak one program's discharge into the next.
-    saved_skip_labels = monitor.skip_labels
-    if skip_labels is not None:
-        monitor.skip_labels = (skip_labels if saved_skip_labels is None
-                               else saved_skip_labels | skip_labels)
+            skips = acyclic if skips is None else skips | acyclic
     output: List[str] = []
     env.define(intern("display"),
                Prim("display", lambda a: _display(a, output), 1, 1,
@@ -1175,7 +1166,7 @@ def run_program(
         # NativeContext._drive).
         native_ctx = NativeContext(env, mode=mode, strategy=strategy,
                                    monitor=monitor, mtable=mtable,
-                                   fuel=budget)
+                                   fuel=budget, skips=skips)
 
     def spent() -> int:
         # The eval loops publish fuel.left in a finally, so this is
@@ -1196,12 +1187,13 @@ def run_program(
                 value = eval_code(
                     code, env, mode=mode,
                     strategy=strategy, monitor=monitor, fuel=budget,
-                    mtable=mtable, native=native_ctx,
+                    mtable=mtable, native=native_ctx, skips=skips,
                 )
             else:
                 value = eval_expr(
                     form.expr, env, mode=mode, strategy=strategy,
                     monitor=monitor, fuel=budget, mtable=mtable,
+                    skips=skips,
                 )
             if isinstance(form, TopDefine):
                 if type(value) is Closure and value.name is None:
@@ -1218,8 +1210,6 @@ def run_program(
     except FuelExhausted as exc:
         return Answer(Answer.TIMEOUT, error=exc, output="".join(output),
                       steps=spent(), tier=tier())
-    finally:
-        monitor.skip_labels = saved_skip_labels
     return Answer(Answer.VALUE, value=last, output="".join(output),
                   steps=spent(), tier=tier())
 

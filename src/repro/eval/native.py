@@ -24,7 +24,7 @@ call boundaries only by hotness (below):
   mode, first-call events) — so violations, witnesses and event streams
   are byte-identical.  λs the active
   :class:`~repro.analysis.discharge.ResidualPolicy` proved terminating —
-  those whose labels are in the monitor's ``skip_labels`` for the run —
+  those whose labels are in the run's skip set (``skips``) —
   skip the step, as they do in the interpreter.  That test happens at
   run time, so one native body per λ serves runs under any policy.
 
@@ -285,8 +285,9 @@ class _Call:
 
 class NativeContext:
     """Per-run state shared by every native frame: the global
-    environment, the monitoring configuration, the fuel cell, the
-    current continuation-mark state, and the trampoline itself.
+    environment, the monitoring configuration and the run's skip set,
+    the fuel cell, the current continuation-mark state, and the
+    trampoline itself.
 
     ``s1``/``s2`` always hold the (table, blame) state of the native
     frame that is running: the driver steps them at a monitored apply,
@@ -298,7 +299,8 @@ class NativeContext:
                  "fresh", "entries", "s1", "s2", "d", "nest")
 
     def __init__(self, genv, *, mode: str, strategy: str, monitor,
-                 mtable: Optional[dict], fuel):
+                 mtable: Optional[dict], fuel,
+                 skips: Optional[frozenset] = None):
         self.genv = genv
         self.gget = genv.by_name.get
         self.mode = mode
@@ -307,7 +309,7 @@ class NativeContext:
         self.mtable = mtable
         self.fuel = fuel
         self.monitored = mode != "off"
-        self.skips = monitor.skip_labels
+        self.skips = skips
         # eval_code's step configuration (SCMonitor.step_config) and the
         # state a term/c wrapper starts, so a native frame steps the
         # table exactly as the interpreter would.
@@ -532,6 +534,7 @@ class NativeContext:
                 monitor=self.monitor, fuel=self.fuel, mtable=self.mtable,
                 init_state=(s1, s2),
                 native=self if nest < _REENTRY_BOUND else None,
+                skips=self.skips,
             )
         finally:
             self.nest = nest

@@ -121,9 +121,9 @@ class CLam(Code):
     what lets ``keying='label'`` hash a compiled closure's captured rib
     with exactly the tree machine's name×value formula.
 
-    A CLam carries no residual policy: which λs a run skips is the
-    monitor's ``skip_labels``, tested by label at every apply, so one
-    resolved body serves runs under any policy.
+    A CLam carries no residual policy: which λs a run skips is the run's
+    skip set, tested by label at every apply, so one resolved body
+    serves runs under any policy.
 
     ``native``/``native_is_gen``/``heat`` belong to the native tier
     (:mod:`repro.eval.native`): ``native`` holds the exec-generated
@@ -175,12 +175,11 @@ class CApp(Code):
     applies primitives too, so a name rebound from a closure back to a
     primitive stays correct."""
 
-    __slots__ = ("exprs", "nargs", "cheap", "flat", "headclo", "loc")
+    __slots__ = ("exprs", "cheap", "flat", "headclo", "loc")
     tag = T_APP
 
     def __init__(self, exprs: Tuple[Code, ...], loc=None):
         self.exprs = exprs
-        self.nargs = len(exprs) - 1
         self.flat = all(e.tag < T_IMMEDIATE for e in exprs)
         self.cheap = self.flat or all(
             e.tag < T_IMMEDIATE or (e.tag == T_APP and e.cheap)

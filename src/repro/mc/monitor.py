@@ -37,12 +37,12 @@ class MCMonitor(SCMonitor):
     """``SCMonitor`` with monotonicity-constraint evidence.
 
     All policy knobs (keying, backoff, measures, the ``events`` stream,
-    ``enforce=False`` call-sequence mode) behave identically — including
-    ``skip_labels``: a residual policy computed from MC
-    certificates (:mod:`repro.analysis.discharge` with an
-    :class:`~repro.mc.static.MCEngine`) plugs in through the same
-    skip set, so discharged λs bypass MC monitoring on every machine
-    exactly as they bypass SC monitoring.
+    ``enforce=False`` call-sequence mode) behave identically.  A residual
+    policy computed from MC certificates (:mod:`repro.analysis.discharge`
+    with an :class:`~repro.mc.static.MCEngine`) reaches the run through
+    ``run_program(discharge=...)`` as an SC one does, so discharged λs
+    bypass MC monitoring on every machine exactly as they bypass SC
+    monitoring.
     Sizes come from ``order.size`` (``size_of`` under the default
     :class:`~repro.sct.order.SizeOrder`, ``py_size`` under the Python
     front end's :class:`~repro.pyterm.order.PySizeOrder`); ``compare``

@@ -24,15 +24,6 @@ Policy knobs (§5 of the paper, plus the engine selector):
 * ``backoff`` — exponential backoff: build/check graphs only on calls
   1, 2, 4, 8, …; sound because sampling an infinite call sequence yields an
   infinite sequence whose SCP violation is still inevitable,
-* ``skip_labels`` — λ labels that need no monitoring: those a static
-  discharge certificate proved terminating
-  (:mod:`repro.analysis.discharge`) and those on no call-graph cycle
-  (the §5 loop-entry optimization, :mod:`repro.analysis.callgraph`).
-  This is the one switch that turns monitoring off for a λ: it is keyed
-  by label, so it names exactly the λs of one parse, never a shadowing
-  namesake.  ``run_program`` installs a run's policy here, and every
-  machine tests the set inline at each apply without calling the
-  monitor,
 * ``measures`` — per-function-name argument-tuple measures implementing
   custom well-founded orders (``lh-range``, ``acl2-fig-2``),
 * ``engine`` — ``'bitmask'`` (default) keeps each entry's composition set
@@ -43,6 +34,13 @@ Policy knobs (§5 of the paper, plus the engine selector):
   every graph that escapes the monitor — violations and the Fig. 1
   event stream (``events``, the one observation hook) — is always a
   reference ``SCGraph``.
+
+Which λs are monitored at all is not a monitor knob: the λs a static
+discharge certificate proved terminating (:mod:`repro.analysis.discharge`)
+and those on no call-graph cycle (the §5 loop-entry optimization,
+:mod:`repro.analysis.callgraph`) form a run's skip set, which
+``run_program(discharge=...)`` hands to the machines and they test
+inline at each apply without calling the monitor.
 """
 
 from __future__ import annotations
@@ -128,7 +126,6 @@ class SCMonitor:
         order=None,
         keying: str = "identity",
         backoff: bool = False,
-        skip_labels: Optional[FrozenSet[int]] = None,
         measures: Optional[Dict[str, Callable[[Tuple], Tuple]]] = None,
         enforce: bool = True,
         events: Optional[list] = None,
@@ -149,11 +146,6 @@ class SCMonitor:
             and type(self).make_graph is SCMonitor.make_graph
         )
         self.backoff = backoff
-        # Residual enforcement: discharged or acyclic λ labels.  None and
-        # the empty set are equivalent (monitor everything); run_program
-        # installs the run's policy here and every machine's APPLY tests
-        # it before stepping the table.
-        self.skip_labels = frozenset(skip_labels) if skip_labels else None
         self.measures = dict(measures) if measures else {}
         # Optional call/return event stream, the one observation hook (the
         # Fig. 1 call-tree tracer, repro.sct.trace, reads it):
@@ -339,7 +331,7 @@ class SCMonitor:
         subclassing) distinguishes it from ``Entry(v⃗, ∅, 1, 2)``;
         ``key_for`` is None under identity keying, where the key is the
         closure itself.  Whether a call is monitored at all is the
-        caller's inline ``skip_labels`` test, not part of the
+        machine's inline test of the run's skip set, not part of the
         configuration."""
         fast = self.fast_advance_ok()
         return (self.advance_fast if fast else self.advance,

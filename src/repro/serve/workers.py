@@ -39,7 +39,7 @@ def worker_init(cache_dir: Optional[str], worker_id: int) -> None:
     _STATE["cache"] = VerificationCache(cache_dir)
     # The native tier shares the compiled closure representation, so one
     # warm environment serves every machine a job may ask for.
-    _STATE["env"] = make_env(True, machine="native")
+    _STATE["env"] = make_env(machine="native")
     # Content-addressed program cache, next to the certificate cache: a
     # repeat request re-uses the parsed AST, so its compiled Code *and*
     # the native code and heat on each CLam stay warm across requests,

@@ -145,12 +145,9 @@ class Engine:
         # function is sound for verification (the opponent's terminating/c
         # obligation, per soft-contract blame semantics) but means unseen
         # re-entrant calls could reach any label with novel arguments, so
-        # no label may drop its residual check.  ``tainted_labels`` carries
-        # per-label taint (closed forward over call edges by the
-        # certificate computation); every taint source known today is
-        # global, so in practice ``discharge_unsafe`` drives the outcome.
+        # no label may drop its residual check.  Every taint source is
+        # global: any entry here leaves the certificate nothing discharged.
         self.discharge_unsafe: List[str] = []
-        self.tainted_labels: Set[int] = set()
         self.entry_label: Optional[int] = None
         # The λs applied with no caller frame: the entry of run(), or the
         # closures the top-level forms apply (run_toplevel).

@@ -56,7 +56,7 @@ class Verdict:
     @cached_property
     def certificate(self):
         """The discharge certificate (:mod:`repro.analysis.discharge`):
-        per-λ-label SKIP/MONITOR decisions the dynamic layers consume.
+        the set of λ labels whose run-time checks are discharged.
         Available whenever the engine analyzed an entry, whatever the
         verdict — an UNKNOWN verdict can still discharge the λs it did
         prove.  Computed lazily (it re-closes the reachable sub-multigraph

@@ -29,47 +29,40 @@ class GlobalEnv:
     such as bare primitives); :func:`repro.eval.machine.run_program`
     refuses to run an environment on the other machine, since the two
     closure representations are not interchangeable.
+
+    The one map, ``by_name``, is keyed by the variable's name string:
+    str hashing is C-level and cached, where ``Symbol.__hash__`` is a
+    Python-level call per probe, and symbols compare by name, so the
+    string key is exact.  The compiled and native tiers read it directly.
     """
 
-    __slots__ = ("bindings", "by_name", "flavor")
+    __slots__ = ("by_name", "flavor")
 
-    def __init__(self, bindings: Optional[Dict[Symbol, object]] = None,
-                 flavor: Optional[str] = None,
-                 _by_name: Optional[Dict[str, object]] = None):
-        self.bindings = dict(bindings) if bindings else {}
-        # String-keyed mirror for the compiled machine's global reads:
-        # str hashing is C-level and cached, where Symbol.__hash__ is a
-        # Python-level call per probe.  Symbols compare by name, so the
-        # mirror is semantically exact.  Kept in sync by define/set — the
-        # only global-write paths the evaluators use.
-        if _by_name is not None:
-            self.by_name = dict(_by_name)
-        else:
-            self.by_name = {s.name: v for s, v in self.bindings.items()}
+    def __init__(self, by_name: Optional[Dict[str, object]] = None,
+                 flavor: Optional[str] = None):
+        self.by_name = dict(by_name) if by_name else {}
         self.flavor = flavor
 
     def lookup(self, name: Symbol):
         try:
-            return self.bindings[name]
+            return self.by_name[name.name]
         except KeyError:
             raise UnboundVariable(name) from None
 
     def define(self, name: Symbol, value) -> None:
-        self.bindings[name] = value
         self.by_name[name.name] = value
 
     def set(self, name: Symbol, value) -> None:
         # Never let the backing dict's KeyError escape: ``set!`` on an
         # unbound global is the object language's UnboundVariable error,
         # carrying the offending name.
-        if name not in self.bindings:
+        if name.name not in self.by_name:
             raise UnboundVariable(name)
-        self.bindings[name] = value
         self.by_name[name.name] = value
 
     def snapshot(self) -> "GlobalEnv":
         """A shallow copy, so one program run cannot pollute another."""
-        return GlobalEnv(self.bindings, self.flavor, _by_name=self.by_name)
+        return GlobalEnv(self.by_name, self.flavor)
 
 
 class Env:

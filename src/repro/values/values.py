@@ -465,10 +465,14 @@ def write_value(v) -> str:
     if isinstance(v, Char):
         return f"#\\{v.external_name()}"
     if isinstance(v, HashValue):
+        # Sorted by written key, then value: HAMT order follows key
+        # hashes, and symbol and string keys hash by Python's per-process
+        # randomized ``hash``.  Entries whose texts tie print alike in
+        # either order.
         inner = " ".join(
-            f"({write_value(k.value)} . {write_value(val)})"
-            for k, val in v.table.items()
-        )
+            f"({k} . {val})" for k, val in sorted(
+                (write_value(k.value), write_value(val))
+                for k, val in v.table.items()))
         return f"#hash({inner})"
     if isinstance(v, Vector):
         return "#(" + " ".join(write_value(x) for x in v.items) + ")"

@@ -214,13 +214,26 @@ class TestSecondRunTrigger:
             assert monitor.calls_seen == 0
         assert builds == []
 
-    def test_monitor_skip_set_is_restored(self):
+    def test_run_writes_no_monitor_attribute(self):
+        """The skip set is run state: run_program sets nothing on the
+        monitor it is given, so a reused monitor carries no policy from
+        one run into the next."""
         program = parse_program(PARTIAL)
         monitor = SCMonitor()
+        for machine in ("tree", "compiled", "native"):
+            before = dict(vars(monitor))
+            run_program(program, mode="off", monitor=monitor,
+                        machine=machine, discharge=frozenset())
+            assert vars(monitor) == before, machine
         for _ in range(2):
             run_program(program, mode="full", monitor=monitor,
                         discharge=frozenset())
-        assert monitor.skip_labels is None
+        assert not hasattr(monitor, "skip_labels")
+        seen = monitor.calls_seen
+        run_program(program, mode="full", monitor=monitor)
+        fresh = SCMonitor()
+        run_program(parse_program(PARTIAL), mode="full", monitor=fresh)
+        assert monitor.calls_seen - seen == fresh.calls_seen
 
 
 def test_scheme_second_residual_run():

@@ -1,5 +1,10 @@
 """CLI tests: `sized run/verify/bench/corpus` via the entry function."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -51,6 +56,27 @@ class TestRun:
         assert main(["run", path, "--mode", "full",
                      "--strategy", "imperative"]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+
+    def test_map_print_order_is_seed_independent(self, scm):
+        """A displayed hash map prints the same text in every process:
+        symbol and string keys hash by Python's per-process ``hash``."""
+        path = scm("(display (hash 'd 4 'b 2 'a 1 'c 3)) (newline)\n"
+                   "(hash \"y\" '(1 2) \"x\" 'v 'z #\\a)")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "repro", "run", path],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines() == [
+            "#hash((a . 1) (b . 2) (c . 3) (d . 4))",
+            '#hash(("x" . v) ("y" . (1 2)) (z . #\\a))',
+        ]
 
 
 class TestParseErrors:

@@ -392,9 +392,10 @@ class TestMonitorFastPathEquivalence:
     def test_skip_labels_skip_monitoring(self):
         for machine in ("tree", "compiled", "native"):
             program = parse_program(self.SRC)
-            mon = SCMonitor(skip_labels={_label(program, "dec")})
+            mon = SCMonitor()
             a = run_program(program, mode="full", monitor=mon,
-                            machine=machine)
+                            machine=machine,
+                            discharge={_label(program, "dec")})
             assert a.kind == Answer.VALUE
             assert mon.calls_seen == 0
 

@@ -79,7 +79,7 @@ class TestConservativenessRepairs:
 
         for machine in ("tree", "compiled", "native"):
             program = parse_program(C["cpstak"].source)
-            monitor = SCMonitor(skip_labels={_label(program, "cpstak")})
-            a = run_program(program, mode="full", monitor=monitor,
-                            machine=machine)
+            a = run_program(program, mode="full", monitor=SCMonitor(),
+                            machine=machine,
+                            discharge={_label(program, "cpstak")})
             assert a.kind == Answer.VALUE and a.value == 3, machine

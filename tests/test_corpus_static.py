@@ -74,8 +74,9 @@ class TestVerifierVirtuousCycle:
         assert v.verified
         for machine in ("tree", "compiled", "native"):
             program = parse_program(src)
-            monitor = SCMonitor(skip_labels={_label(program, "len2")})
+            monitor = SCMonitor()
             a = run_program(program, mode="full", monitor=monitor,
-                            machine=machine)
+                            machine=machine,
+                            discharge={_label(program, "len2")})
             assert a.kind == Answer.VALUE and a.value == 4
             assert monitor.calls_seen == 0

@@ -18,8 +18,6 @@ import os
 import pytest
 
 from repro.analysis.discharge import (
-    MONITOR,
-    SKIP,
     VerificationCache,
     discharge_for_run,
     infer_workload,
@@ -86,8 +84,7 @@ class TestCertificates:
         cert = result.certificate
         assert cert.complete and cert.entry is None and cert.roots
         assert cert.roots <= cert.discharged
-        assert all(cert.decision(label) == SKIP for label in cert.roots)
-        assert cert.decision(-12345) == MONITOR
+        assert -12345 not in cert.discharged
         assert "ack" in cert.discharged_names()
         assert cert.summary()["complete"] is True
 
@@ -105,9 +102,9 @@ class TestCertificates:
         assert not result.complete
         cert = result.certificate
         by_name = {cert.label_names.get(l, ""): l for l in cert.labels}
-        assert cert.decision(by_name["len"]) == SKIP
-        assert cert.decision(by_name["spin"]) == MONITOR
-        assert cert.decision(by_name["main"]) == MONITOR
+        assert by_name["len"] in cert.discharged
+        assert by_name["spin"] not in cert.discharged
+        assert by_name["main"] not in cert.discharged
         assert by_name["len"] in result.policy.skip_labels
 
     def test_taint_blocks_discharge(self):
@@ -150,7 +147,7 @@ class TestCertificates:
         cert = result.certificate
         (spin,) = cert.roots
         assert cert.label_names[spin] == "spin"
-        assert cert.decision(spin) == MONITOR and not result.complete
+        assert spin not in cert.discharged and not result.complete
 
     def test_define_value_flows_into_later_forms(self):
         """A later form sees the values the defines bound: here the
@@ -240,7 +237,8 @@ class TestVerificationCache:
         assert c1.misses == 1
         (entry,) = _stored_entries(store)
         data = json.loads(open(entry).read())
-        assert data["schema"] == "discharge-certificate/v3"
+        assert data["schema"] == "discharge-certificate/v4"
+        assert "tainted" not in data
         assert all(":" in sid for sid in data["discharged"])
         # A second cache (a "new process") reads the store.
         c2 = VerificationCache(store)
@@ -315,6 +313,28 @@ class TestCacheQuarantine:
         discharge_for_run(parse_program(prog.source), text=prog.source,
                           cache=cache)
         assert cache.rejected == 1 and cache.hits == 0
+
+    def test_v3_entry_is_quarantined_and_rewritten(self, tmp_path):
+        """A store written before v4 (which carried a per-label
+        ``tainted`` list) is quarantined once, then rewritten by put."""
+        store = str(tmp_path / "certs")
+        prog, entry = self._populate(store)
+        data = json.loads(open(entry).read())
+        data["schema"] = "discharge-certificate/v3"
+        data["tainted"] = []
+        with open(entry, "w") as f:
+            f.write(json.dumps(data))
+        cache = VerificationCache(store)
+        discharge_for_run(parse_program(prog.source), text=prog.source,
+                          cache=cache)
+        assert cache.rejected == 1 and cache.hits == 0
+        assert os.path.exists(entry + ".rejected")
+        rewritten = json.loads(open(entry).read())
+        assert rewritten["schema"] == "discharge-certificate/v4"
+        again = VerificationCache(store)
+        discharge_for_run(parse_program(prog.source), text=prog.source,
+                          cache=again)
+        assert again.hits == 1 and again.rejected == 0
 
     def test_reset_and_snapshot(self, tmp_path):
         store = str(tmp_path / "certs")
@@ -526,13 +546,15 @@ class TestMonitorSkipSet:
     def _calls_seen(self, make_monitor, skip: bool) -> set:
         seen = set()
         for machine in ("tree", "compiled", "native"):
-            program = parse_program(self.DEC)
-            mon = make_monitor(skip_labels={program.forms[0].expr.label}
-                               if skip else None)
-            a = run_program(program, mode="full", monitor=mon,
-                            machine=machine)
-            assert a.kind == Answer.VALUE and a.value == 0
-            seen.add(mon.calls_seen)
+            for strategy in ("cm", "imperative"):
+                program = parse_program(self.DEC)
+                mon = make_monitor()
+                a = run_program(program, mode="full", monitor=mon,
+                                machine=machine, strategy=strategy,
+                                discharge={program.forms[0].expr.label}
+                                if skip else None)
+                assert a.kind == Answer.VALUE and a.value == 0
+                seen.add(mon.calls_seen)
         return seen
 
     def test_skip_set_runs_unmonitored(self):
@@ -548,7 +570,7 @@ class TestMonitorSkipSet:
         a = run_program(parsed, mode="full", monitor=mon,
                         discharge=result.policy)
         assert a.kind == Answer.VALUE and mon.calls_seen == 0
-        assert mon.skip_labels is None  # restored after the run
+        assert not hasattr(mon, "skip_labels")  # the set is run state
         b = run_program(parsed, mode="full", monitor=mon)
         assert b.kind == Answer.VALUE and mon.calls_seen > 0
 

@@ -82,7 +82,6 @@ class TestEngineAgreement:
             return
         assert sc.incomplete == mc.incomplete
         assert sc.discharge_unsafe == mc.discharge_unsafe
-        assert sc.tainted_labels == mc.tainted_labels
 
 
 class TestBudgetTaintParity:

@@ -141,13 +141,14 @@ class TestPolicy:
                "(define (g n) (letrec ([f (lambda (y) (f y))]) (f n)))\n"
                "(f 0) (g 1)")
         for machine in MACHINES:
-            program = parse_program(src)
-            top_f = program.forms[0].expr.label
-            m = SCMonitor(skip_labels={top_f})
-            a = run_program(program, mode="full", monitor=m,
-                            machine=machine, fuel=20_000)
-            assert a.kind == Answer.SC_ERROR, machine
-            assert a.steps == 4, machine
+            for strategy in ("cm", "imperative"):
+                program = parse_program(src)
+                top_f = program.forms[0].expr.label
+                a = run_program(program, mode="full", monitor=SCMonitor(),
+                                machine=machine, strategy=strategy,
+                                fuel=20_000, discharge={top_f})
+                assert a.kind == Answer.SC_ERROR, (machine, strategy)
+                assert a.steps == 4, (machine, strategy)
 
     def test_loop_entries_filter(self):
         # The loop-entry optimization is a skip set of the acyclic λs:
@@ -156,14 +157,17 @@ class TestPolicy:
                "(define (f n) (if (zero? n) (g n) (f (- n 1))))\n"
                "(f 3)")
         for machine in MACHINES:
-            program = parse_program(src)
-            events = []
-            m = SCMonitor(skip_labels={_label(program, "g")}, events=events)
-            a = run_program(program, mode="full", monitor=m, machine=machine)
-            assert a.kind == Answer.VALUE
-            called = {e[1] for e in events if e[0] == "call"}
-            assert "f" in called, machine
-            assert "g" not in called, machine
+            for strategy in ("cm", "imperative"):
+                program = parse_program(src)
+                events = []
+                a = run_program(program, mode="full",
+                                monitor=SCMonitor(events=events),
+                                machine=machine, strategy=strategy,
+                                discharge={_label(program, "g")})
+                assert a.kind == Answer.VALUE
+                called = {e[1] for e in events if e[0] == "call"}
+                assert "f" in called, (machine, strategy)
+                assert "g" not in called, (machine, strategy)
 
     def test_identity_keying_distinguishes_twins(self):
         m = SCMonitor(keying="identity")

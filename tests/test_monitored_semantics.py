@@ -256,9 +256,9 @@ class TestPolicies:
         # fuel does.
         for machine in ("tree", "compiled", "native"):
             program = parse_program("(define (f x) (f x)) (f 1)")
-            monitor = SCMonitor(skip_labels={program.forms[0].expr.label})
-            a = run_program(program, mode="full", monitor=monitor,
-                            fuel=50_000, machine=machine)
+            a = run_program(program, mode="full", monitor=SCMonitor(),
+                            fuel=50_000, machine=machine,
+                            discharge={program.forms[0].expr.label})
             assert a.kind == Answer.TIMEOUT, machine
 
     def test_measure_allows_counting_up(self):

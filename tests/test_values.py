@@ -168,7 +168,7 @@ class TestEnv:
             GlobalEnv().lookup(intern("nope"))
 
     def test_chained_lookup(self):
-        g = GlobalEnv({intern("x"): 1})
+        g = GlobalEnv({"x": 1})
         e = Env({intern("y"): 2}, g)
         e2 = Env({intern("y"): 3}, e)
         assert e2.lookup(intern("y")) == 3
@@ -176,7 +176,7 @@ class TestEnv:
         assert e2.lookup(intern("x")) == 1
 
     def test_set_walks_chain(self):
-        g = GlobalEnv({intern("x"): 1})
+        g = GlobalEnv({"x": 1})
         e = Env({intern("y") : 2}, g)
         e.set(intern("x"), 10)
         assert g.lookup(intern("x")) == 10
@@ -186,7 +186,7 @@ class TestEnv:
             Env({}, GlobalEnv()).set(intern("zz"), 1)
 
     def test_snapshot_isolates(self):
-        g = GlobalEnv({intern("x"): 1})
+        g = GlobalEnv({"x": 1})
         s = g.snapshot()
         s.define(intern("x"), 99)
         assert g.lookup(intern("x")) == 1
