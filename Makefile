@@ -112,9 +112,9 @@ import-smoke:
 	done; echo "import-smoke: $$n modules import on their own"
 
 # Every corpus, extra and diverging program (and a map-printing one) on
-# every machine, its answer record and discharge summary printed by two
-# fresh interpreters under PYTHONHASHSEED=1 and 2; fails unless the two
-# outputs are byte-identical.
+# every machine, its answer record and discharge summary, then its stored
+# certificate entry, printed by two fresh interpreters under
+# PYTHONHASHSEED=1 and 2; fails unless the two outputs are byte-identical.
 determinism-smoke:
 	$(PYTHON) tests/determinism_smoke.py
 

@@ -6,8 +6,12 @@ Computes which λ labels can flow to each application's operator, giving
   §2.1/§2.2, where "computing call-graphs is itself a significant,
   extensively studied problem"), and
 * the *loop-entry* label set of §5: only closures whose label sits on a
-  call-graph cycle can witness divergence.  Every other program λ joins a
-  residual run's skip set (:func:`acyclic_skip`).
+  call-graph cycle can witness divergence.  Every other program λ
+  (:func:`acyclic_labels`) joins a residual run's skip set: the program's
+  discharge certificate carries the set
+  (:func:`repro.analysis.discharge.certify` computes it once, on a cache
+  miss), so every parse that reads the certificate skips those λs from
+  its first run.
 
 Soundness.  The graph over-approximates every call a run can make, so a
 λ on no cycle can never be re-entered inside its own dynamic extent: its
@@ -279,19 +283,6 @@ def _cyclic(graph: CallGraph) -> Set[int]:
         if f != TOP:
             succ.setdefault(f, set()).add(g)
     return {label for label in _labels_in_cycles(succ) if label >= 0}
-
-
-def acyclic_skip(program: Program) -> Optional[FrozenSet[int]]:
-    """The acyclic half of a residual run's skip set, memoized on the
-    parse.  The graph is built on the parse's second residual run, so a
-    parse that runs once pays nothing; the first run returns None."""
-    acyclic = program.acyclic
-    if acyclic is None:
-        program.residual_runs += 1
-        if program.residual_runs < 2:
-            return None
-        acyclic = program.acyclic = acyclic_labels(program)
-    return acyclic
 
 
 def _labels_in_cycles(succ: Dict[int, Set[int]]) -> Set[int]:

@@ -12,7 +12,9 @@ run into that bridge:
   analysis taints, and any taint empties the discharged set: an unknown
   can call anything, so nothing is discharged past it.
 * :class:`ResidualPolicy` — the skip set for one run: the program
-  certificate's discharged labels.  The evaluator consumes it
+  certificate's discharged labels, plus its ``acyclic`` labels (the
+  program λs on no 0-CFA call cycle, :mod:`repro.analysis.callgraph`)
+  when it is not complete.  The evaluator consumes it
   at run time only: :func:`repro.eval.machine.run_program` hands its
   labels to the machines as the run's skip set, which they test at each
   apply (discharged λs take the monitor-free path).
@@ -25,15 +27,18 @@ run into that bridge:
   program/prelude/contracts — and is re-labeled on load.
 * :func:`certify` — the only code that reads and stores a cached
   certificate; :func:`discharge_for_run` and ``@terminating(discharge=
-  ...)`` both go through it.  ``Verdict.certificate`` computes its own,
-  uncached.
+  ...)`` both go through it.  On a miss it computes the acyclic set of
+  an incomplete program-as-entry certificate, so every parse that hits
+  the cache skips those λs from its first run.  ``Verdict.certificate``
+  computes its own, uncached, with no acyclic set.
 
 Soundness (what skipping a discharged λ relies on):
 :func:`discharge_for_run` analyses the program itself, so every run-time
 application is made either by a top-level form, which the engine
 evaluated with its literals and λs concrete (the applied closures are
 the ``roots``), or from the body of a closure the engine summarised,
-whose calls are recorded edges.
+whose calls are recorded edges.  An acyclic λ is never re-entered
+inside its own dynamic extent, so its table entry is never compared.
 ``result_kinds`` remain trusted contract ranges (§4.2).
 """
 
@@ -44,6 +49,7 @@ import json
 import os
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.callgraph import acyclic_labels
 from repro.lang import ast
 from repro.lang.program import Program, TopDefine
 from repro.values.values import NIL, Pair
@@ -59,17 +65,21 @@ class DischargeCertificate:
     sub-multigraph passed the phase-2 check.  ``taint_reasons`` are the
     human-readable causes of incompleteness; every taint source is
     global (a lost application or a blown budget can call anything), so
-    any reason leaves ``discharged`` empty.
+    any reason leaves ``discharged`` empty.  ``acyclic`` is the set of
+    program λs on no call-graph cycle, which a residual run skips as
+    well; :func:`certify` fills it for an incomplete program-as-entry
+    certificate, and it is None everywhere else.
     """
 
     __slots__ = ("entry", "entry_kinds", "roots", "evidence", "labels",
-                 "discharged", "taint_reasons", "label_names")
+                 "discharged", "taint_reasons", "label_names", "acyclic")
 
     def __init__(self, entry: Optional[str], entry_kinds: Tuple[str, ...],
                  roots: FrozenSet[int], evidence: str,
                  labels: FrozenSet[int], discharged: FrozenSet[int],
                  taint_reasons: Tuple[str, ...],
-                 label_names: Dict[int, str]):
+                 label_names: Dict[int, str],
+                 acyclic: Optional[FrozenSet[int]] = None):
         self.entry = entry
         self.entry_kinds = tuple(entry_kinds)
         self.roots = frozenset(roots)
@@ -78,6 +88,7 @@ class DischargeCertificate:
         self.discharged = frozenset(discharged)
         self.taint_reasons = tuple(taint_reasons)
         self.label_names = dict(label_names)
+        self.acyclic = None if acyclic is None else frozenset(acyclic)
 
     @property
     def complete(self) -> bool:
@@ -118,20 +129,28 @@ class DischargeCertificate:
             "labels": ids(self.labels),
             "discharged": ids(self.discharged),
             "taint_reasons": list(self.taint_reasons),
-            "label_names": {to_stable[l]: n
-                            for l, n in self.label_names.items()
-                            if l in to_stable},
+            # Sorted: the engine's naming order depends on the hash seed.
+            "label_names": dict(sorted(
+                (to_stable[l], n) for l, n in self.label_names.items()
+                if l in to_stable)),
+            "acyclic": None if self.acyclic is None else ids(self.acyclic),
         }
 
     @classmethod
     def from_stable(cls, data: dict,
                     from_stable: Dict[str, int]) -> "DischargeCertificate":
         """Re-label ``data`` against the consumer's parse.  Raises
-        ``KeyError`` when a stable id does not resolve: the certificate
-        was computed for some other program."""
+        ``KeyError`` when a stable id does not resolve (the certificate
+        was computed for some other program) or when ``acyclic`` names a
+        library λ, which no run skips."""
         def labels(ids):
             return frozenset(from_stable[i] for i in ids)
 
+        acyclic = data["acyclic"]
+        if acyclic is not None:
+            if not all(i.startswith("program:") for i in acyclic):
+                raise KeyError("acyclic")
+            acyclic = labels(acyclic)
         roots = labels(data["roots"])
         return cls(
             entry=data["entry"],
@@ -143,6 +162,7 @@ class DischargeCertificate:
             taint_reasons=tuple(data["taint_reasons"]),
             label_names={from_stable[i]: n
                          for i, n in data["label_names"].items()},
+            acyclic=acyclic,
         )
 
     def __repr__(self) -> str:
@@ -212,7 +232,7 @@ def certificate_from_engine(engine) -> DischargeCertificate:
 
 class ResidualPolicy:
     """The skip set for one run: the program certificate's discharged
-    labels (``complete``: nothing is monitored)."""
+    and acyclic labels (``complete``: nothing is monitored)."""
 
     __slots__ = ("skip_labels", "complete")
 
@@ -322,7 +342,8 @@ class VerificationCache:
     **quarantined** on read (an on-disk file renamed to
     ``<file>.rejected``) and counted in ``rejected`` rather than
     ``misses`` when it is corrupt, carries another schema, names another
-    key, or holds a stable id the consumer's parse cannot resolve —
+    key, holds a stable id the consumer's parse cannot resolve, or lists
+    a library λ as acyclic —
     leaving it in place would make every future ``get`` re-open and
     re-reject it, and a concurrent writer's schema bump would never
     self-heal.  After quarantine the next ``put`` simply rewrites the
@@ -335,7 +356,7 @@ class VerificationCache:
     for the one deliberately shared instance.
     """
 
-    SCHEMA = "discharge-certificate/v4"
+    SCHEMA = "discharge-certificate/v5"
 
     def __init__(self, path: Optional[str] = None):
         self._mem: Dict[str, dict] = {}
@@ -420,8 +441,9 @@ class VerificationCache:
             certificate = DischargeCertificate.from_stable(stable,
                                                            from_stable)
         except (KeyError, TypeError, AttributeError):
-            # Filed under another key, or naming a λ this parse does not
-            # have: the certificate proves some other program.
+            # Filed under another key, naming a λ this parse does not
+            # have, or skipping a library λ: the certificate proves some
+            # other program.
             self._quarantine(key, file)
             return None
         self._mem[key] = stable
@@ -550,7 +572,9 @@ def certify(program: Program, text: Optional[str], entry: Optional[str],
     cached certificates; :func:`discharge_for_run` and
     ``@terminating(discharge=...)`` both come here.  Returns the
     certificate and ``None``, or ``None`` and the reason the entry could
-    not be analyzed."""
+    not be analyzed.  A computed certificate of the program itself that
+    is not complete also carries the program's acyclic λs, stored with
+    it."""
     from repro.symbolic.verify import analyze_entry
 
     if cache is None:
@@ -566,6 +590,8 @@ def certify(program: Program, text: Optional[str], entry: Optional[str],
     if problem is not None:
         return None, problem
     cert = certificate_from_engine(engine)
+    if entry is None and not cert.complete:
+        cert.acyclic = acyclic_labels(program)
     if key is not None:
         cache.put(key, cert, program)
     return cert, None
@@ -579,7 +605,8 @@ class DischargeResult:
 
     def __init__(self, certificate: DischargeCertificate):
         cert = self.certificate = certificate
-        self.policy = ResidualPolicy(cert.discharged, cert.complete)
+        self.policy = ResidualPolicy(
+            cert.discharged | (cert.acyclic or frozenset()), cert.complete)
         why = "; ".join(cert.taint_reasons) or \
             "the collected graphs do not pass the static check"
         names = ", ".join(sorted(cert.label_names.get(l, f"λ{l}")
@@ -601,7 +628,7 @@ class DischargeResult:
     def summary(self) -> dict:
         """The plain fields a `sized serve` response carries."""
         return {"complete": self.complete,
-                "skipped": len(self.policy.skip_labels),
+                "skipped": len(self.certificate.discharged),
                 "reasons": self.reasons[:4]}
 
     def record(self) -> dict:
@@ -628,9 +655,9 @@ def discharge_for_run(
 ) -> DischargeResult:
     """Analyse the program itself as its one entry under ``evidence``
     (``'sc'`` or ``'mc'``) and compute the residual policy: the
-    certificate's discharged set is the skip set.  ``text`` (the program
-    source text) enables the verification cache; without it every call
-    re-verifies."""
+    certificate's discharged and acyclic sets are the skip set.
+    ``text`` (the program source text) enables the verification cache;
+    without it every call re-verifies."""
     cert, _ = certify(program, text, None, (), evidence, result_kinds,
                       cache, budget=budget)
     return DischargeResult(cert)

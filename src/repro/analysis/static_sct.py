@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis.callgraph import ESC, TOP, CallGraph, analyze_callgraph
-from repro.analysis.ljb import SCPResult, scp_check
+from repro.analysis.ljb import scp_check
 from repro.lang import ast
 from repro.lang.program import Program
 from repro.sct.graph import SCGraph, STRICT, WEAK

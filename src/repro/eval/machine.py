@@ -41,7 +41,6 @@ from __future__ import annotations
 import weakref
 from typing import List, Optional
 
-from repro.analysis.callgraph import acyclic_skip
 from repro.ds.hamt import Hamt
 from repro.eval.errors import FuelExhausted, SchemeError
 from repro.eval.native import NativeContext, count_apply
@@ -56,7 +55,6 @@ from repro.sct.monitor import SCMonitor, mut_step, table_step
 from repro.sexp.datum import intern
 from repro.values.env import Env, GlobalEnv, UnboundVariable
 from repro.values.values import (
-    NIL,
     VOID,
     Closure,
     Prim,
@@ -1117,11 +1115,10 @@ def run_program(
     rule says so) — observably equivalent, differentially tested.
 
     ``discharge``: a :class:`~repro.analysis.discharge.ResidualPolicy`
-    (or any iterable of λ labels) whose discharged λs run monitor-free.
-    Unless the policy is complete, the program λs on no call-graph cycle
-    join the run's skip set too, from the parse's second run under a
-    policy on (:func:`~repro.analysis.callgraph.acyclic_skip`).  The skip
-    set is this run's state: every machine gets it as ``skips`` and tests
+    whose ``skip_labels`` (the certificate's discharged λs, plus its
+    acyclic ones when it is not complete) run monitor-free, or an
+    iterable of λ labels that is exactly the skip set.  The skip set is
+    this run's state: every machine gets it as ``skips`` and tests
     it at each apply, and ``monitor`` is never written, so a reused
     monitor carries no policy from one run into the next.  This is the
     one way to stop monitoring a λ.  ``discharge=None`` monitors
@@ -1140,12 +1137,6 @@ def run_program(
     if monitor is None:
         monitor = SCMonitor()
     skips = policy_skip_labels(discharge)
-    if discharge is not None and not getattr(discharge, "complete", False):
-        # A residual run also skips the program λs on no call cycle,
-        # from the parse's second such run on.
-        acyclic = acyclic_skip(program)
-        if acyclic:
-            skips = acyclic if skips is None else skips | acyclic
     output: List[str] = []
     env.define(intern("display"),
                Prim("display", lambda a: _display(a, output), 1, 1,

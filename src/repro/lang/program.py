@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.lang import ast
 from repro.sexp.datum import Symbol
@@ -38,18 +38,15 @@ TopForm = Union[TopDefine, TopExpr]
 class Program:
     """A parsed program.  Definitions bind in a shared global frame, so
     top-level recursion works through global lookup (Scheme semantics).
+    A parse holds no run state: what a residual run skips comes from the
+    program's discharge certificate
+    (:class:`repro.analysis.discharge.ResidualPolicy`)."""
 
-    ``residual_runs`` and ``acyclic`` memoize the acyclic half of a
-    residual run's skip set on the parse
-    (:func:`repro.analysis.callgraph.acyclic_skip`)."""
-
-    __slots__ = ("forms", "source", "residual_runs", "acyclic")
+    __slots__ = ("forms", "source")
 
     def __init__(self, forms: Tuple[TopForm, ...], source: str = "<program>"):
         self.forms = forms
         self.source = source
-        self.residual_runs = 0
-        self.acyclic: Optional[FrozenSet[int]] = None
 
     def defined_names(self):
         return [f.name for f in self.forms if isinstance(f, TopDefine)]

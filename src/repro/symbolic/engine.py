@@ -40,8 +40,8 @@ from repro.solver.linear import LinExpr, ge
 from repro.symbolic.arcs import relate
 from repro.symbolic.pathcond import K_FUN, K_INT, K_PAIR, PathCond
 from repro.symbolic.prims_model import PrimModels
-from repro.symbolic.values import LOST, OPPONENT, SExpr, STest, SVar, fresh_name, is_symbolic
-from repro.values.values import NIL, VOID, Closure, HashValue, Pair, Prim, TermWrapped
+from repro.symbolic.values import LOST, SExpr, STest, SVar, fresh_name
+from repro.values.values import NIL, VOID, Closure, Pair, Prim, TermWrapped
 
 _ZERO = LinExpr.constant(0)
 

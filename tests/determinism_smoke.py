@@ -5,8 +5,10 @@ Runs itself in two fresh interpreters, under ``PYTHONHASHSEED=1`` and
 discharge summary of every corpus, extra and diverging program (and one
 program that prints hash maps) on the tree, compiled and native
 machines, through ``run_request(..., discharge="try")`` with a fuel
-bound.  Exits 1, printing the first differing lines, unless the two
-outputs are byte-identical.
+bound over an on-disk certificate store, and then the program's stored
+certificate entry as written (its stable ids, ``acyclic`` among them).
+Exits 1, printing the first differing lines, unless the two outputs are
+byte-identical.
 
     PYTHONPATH=src python tests/determinism_smoke.py
 """
@@ -15,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 FUEL = 2_000_000
 MACHINES = ("tree", "compiled", "native")
@@ -39,17 +42,21 @@ def records():
                 for p in all_programs() + extra_programs()]
     programs += [(p.name, p.source, None) for p in diverging_programs()]
     programs.append(("hash-maps", MAP_PROGRAM, None))
-    cache = VerificationCache()
-    for name, text, result_kinds in programs:
-        for machine in MACHINES:
-            answer, result = run_request(
-                parse_program(text), text, mode="full", machine=machine,
-                discharge="try", fuel=FUEL, cache=cache,
-                result_kinds=result_kinds)
-            yield json.dumps({"program": name, "machine": machine,
-                              "answer": answer.record(),
-                              "discharge": result.summary()},
-                             sort_keys=True)
+    with tempfile.TemporaryDirectory() as store:
+        cache = VerificationCache(store)
+        for name, text, result_kinds in programs:
+            for machine in MACHINES:
+                answer, result = run_request(
+                    parse_program(text), text, mode="full",
+                    machine=machine, discharge="try", fuel=FUEL,
+                    cache=cache, result_kinds=result_kinds)
+                yield json.dumps({"program": name, "machine": machine,
+                                  "answer": answer.record(),
+                                  "discharge": result.summary()},
+                                 sort_keys=True)
+            key = VerificationCache.key(text, None, (), result_kinds, "sc")
+            with open(os.path.join(store, key[:2], f"{key}.json")) as f:
+                yield json.dumps({"program": name, "stored": f.read()})
 
 
 def main() -> int:

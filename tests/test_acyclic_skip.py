@@ -4,7 +4,8 @@ The 0-CFA treats the prelude and the contract library as one opaque
 closure ``ESC`` and every primitive as a store round trip, so calls made
 from library code, closures that flow through data, and shadowed
 primitive names all show up as edges.  A residual run then skips the
-program λs on no call cycle, from the parse's second run on."""
+program λs on no call cycle: the program's certificate carries them, so
+every parse that reads it skips them from its first run."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,11 @@ from repro.analysis.callgraph import (
     analyze_callgraph,
     loop_entry_labels,
 )
-from repro.analysis.discharge import VerificationCache, discharge_for_run
+from repro.analysis.discharge import (
+    VerificationCache,
+    certify,
+    discharge_for_run,
+)
 from repro.corpus import get_program
 from repro.eval.machine import MACHINES, Answer, run_program
 from repro.fuzz.gen import generate_program
@@ -152,46 +157,70 @@ def test_escaping_calls_are_observed_edges(name):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count call-graph constructions."""
+    """Count call-graph constructions, wherever they are asked for."""
     count = []
-    real = callgraph.acyclic_labels
+    real = callgraph.analyze_callgraph
 
     def counting(program):
         count.append(program)
         return real(program)
 
-    monkeypatch.setattr(callgraph, "acyclic_labels", counting)
+    monkeypatch.setattr(callgraph, "analyze_callgraph", counting)
     return count
 
 
+# ``h`` reaches the top level through a box, which the verifier loses
+# track of: the certificate is incomplete and discharges nothing, and
+# inc and h are on no call cycle.
 PARTIAL = """
 (define (inc x) (+ x 1))
 (define (spin n acc) (if (zero? n) acc (spin (- n 1) (inc acc))))
 (define (h x) (spin x 0))
-(h (car (list 5)))
+((unbox (box h)) 5)
 """
 
 
 class TestSecondRunTrigger:
-    def test_one_run_never_builds_the_graph(self, builds):
-        program = parse_program(PARTIAL)
-        answer = run_program(program, mode="full", discharge=frozenset())
-        assert answer.kind == Answer.VALUE
-        assert builds == []
-        assert program.acyclic is None
+    """No run builds the call graph.  A certificate miss builds it once,
+    for an incomplete program-as-entry certificate, and every parse
+    that reads the certificate skips the acyclic λs from its first
+    run."""
 
-    def test_second_residual_run_builds_it_once(self, builds):
+    def test_one_run_never_builds_the_graph(self, builds):
+        """A raw label set is exactly the skip set: it builds no graph
+        and adds nothing to what it names."""
         program = parse_program(PARTIAL)
-        calls = []
         for _ in range(3):
             monitor = SCMonitor()
             answer = run_program(program, mode="full", monitor=monitor,
                                  discharge=frozenset())
             assert answer.kind == Answer.VALUE and answer.value == 5
-            calls.append(monitor.calls_seen)
-        assert builds == [program]
-        # inc and h are on no cycle: only spin stays monitored.
-        assert calls[1] == calls[2] == 6 < calls[0]
+            assert monitor.calls_seen == 12
+        assert builds == []
+
+    def test_cache_hit_parse_skips_acyclic_from_its_first_run(self,
+                                                              builds):
+        cache = VerificationCache(None)
+        writer = parse_program(PARTIAL)
+        result = discharge_for_run(writer, text=PARTIAL, cache=cache)
+        assert not result.complete and cache.misses == 1
+        assert builds == [writer]
+        cert = result.certificate
+        assert cert.discharged == frozenset()
+        assert cert.acyclic == {_label(writer, "inc"), _label(writer, "h")}
+        for _ in range(2):
+            program = parse_program(PARTIAL)
+            policy = discharge_for_run(program, text=PARTIAL,
+                                       cache=cache).policy
+            monitor = SCMonitor()
+            answer = run_program(program, mode="full", monitor=monitor,
+                                 discharge=policy)
+            assert answer.kind == Answer.VALUE and answer.value == 5
+            # inc and h are skipped: only spin stays monitored.
+            assert monitor.calls_seen == 6
+        assert cache.hits == 2 and builds == [writer]
+        assert discharge_for_run(program, text=PARTIAL,
+                                 cache=cache).summary()["skipped"] == 0
 
     def test_unpoliced_runs_monitor_everything(self, builds):
         program = parse_program(PARTIAL)
@@ -207,6 +236,7 @@ class TestSecondRunTrigger:
         result = discharge_for_run(program, text=src,
                                    cache=VerificationCache(None))
         assert result.complete and result.policy.complete
+        assert result.certificate.acyclic is None
         for _ in range(3):
             monitor = SCMonitor()
             run_program(program, mode="full", monitor=monitor,
@@ -214,20 +244,29 @@ class TestSecondRunTrigger:
             assert monitor.calls_seen == 0
         assert builds == []
 
+    def test_entry_certificate_builds_no_graph(self, builds):
+        program = parse_program(PARTIAL)
+        cert, problem = certify(program, PARTIAL, "h", ("nat",),
+                                cache=VerificationCache(None))
+        assert problem is None and cert.acyclic is None
+        assert builds == []
+
     def test_run_writes_no_monitor_attribute(self):
         """The skip set is run state: run_program sets nothing on the
         monitor it is given, so a reused monitor carries no policy from
         one run into the next."""
         program = parse_program(PARTIAL)
+        policy = discharge_for_run(program, text=PARTIAL,
+                                   cache=VerificationCache(None)).policy
         monitor = SCMonitor()
         for machine in ("tree", "compiled", "native"):
             before = dict(vars(monitor))
             run_program(program, mode="off", monitor=monitor,
-                        machine=machine, discharge=frozenset())
+                        machine=machine, discharge=policy)
             assert vars(monitor) == before, machine
         for _ in range(2):
             run_program(program, mode="full", monitor=monitor,
-                        discharge=frozenset())
+                        discharge=policy)
         assert not hasattr(monitor, "skip_labels")
         seen = monitor.calls_seen
         run_program(program, mode="full", monitor=monitor)
@@ -236,21 +275,33 @@ class TestSecondRunTrigger:
         assert monitor.calls_seen - seen == fresh.calls_seen
 
 
-def test_scheme_second_residual_run():
-    """The interpreter benchmark: most of its λs are on no cycle."""
+def test_scheme_cache_hit_first_run(tmp_path):
+    """The interpreter benchmark: most of its λs are on no cycle.  A
+    fresh parse that reads the certificate another parse wrote to a
+    disk store skips them from its first run."""
     prog = get_program("scheme")
-    program = parse_program(prog.source)
-    policy = discharge_for_run(program, text=prog.source,
-                               cache=VerificationCache(None)).policy
-    runs = []
-    for _ in range(2):
+    store = str(tmp_path / "certs")
+    caches = []
+
+    def run(use_store):
+        program = parse_program(prog.source)
+        policy = None
+        if use_store:
+            caches.append(VerificationCache(store))
+            policy = discharge_for_run(program, text=prog.source,
+                                       cache=caches[-1]).policy
         monitor = SCMonitor(measures=prog.measures)
         answer = run_program(program, mode="full", monitor=monitor,
-                             machine="native", discharge=policy)
-        runs.append((answer, monitor.calls_seen))
-    (first, first_calls), (second, second_calls) = runs
-    assert first.kind == second.kind == Answer.VALUE
-    assert write_value(first.value) == write_value(second.value)
-    assert first.steps == second.steps
-    assert first_calls == 10795
-    assert second_calls <= 2905
+                             machine="native", fuel=10 ** 7,
+                             discharge=policy)
+        assert answer.kind == Answer.VALUE
+        return answer, monitor.calls_seen
+
+    full, full_calls = run(False)
+    writer, _ = run(True)
+    reader, reader_calls = run(True)
+    assert [(c.misses, c.hits) for c in caches] == [(1, 0), (0, 1)]
+    assert write_value(full.value) == write_value(reader.value)
+    assert full.steps == writer.steps == reader.steps > 0
+    assert full_calls == 10795
+    assert reader_calls <= 2905

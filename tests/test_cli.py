@@ -1,5 +1,6 @@
 """CLI tests: `sized run/verify/bench/corpus` via the entry function."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -230,6 +231,36 @@ class TestRunDischarge:
         import os
 
         assert os.listdir(store)
+
+    def test_disk_certificate_roundtrip_across_processes(self, scm,
+                                                         tmp_path):
+        """`scheme` is not fully discharged: the first process stores its
+        certificate, acyclic λs included, and a second process reads it
+        back (no miss, so no rewrite) and answers byte for byte the
+        same."""
+        from repro.corpus import get_program
+
+        path = scm(get_program("scheme").source)
+        store = tmp_path / "certs"
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "repro", "run", path, "--mode", "full",
+                "--discharge", "try", "--discharge-cache", str(store)]
+        answers, entries = [], []
+        for _ in range(2):
+            proc = subprocess.run(argv, capture_output=True, text=True,
+                                  env=env, timeout=120)
+            answers.append((proc.returncode, proc.stdout, proc.stderr))
+            (entry,) = store.glob("*/*")
+            stat = entry.stat()
+            entries.append((entry, stat.st_ino, stat.st_mtime_ns,
+                            entry.read_text()))
+        assert answers[0] == answers[1]
+        assert answers[0][0] == 0 and answers[0][1].strip()
+        assert entries[0] == entries[1]  # read, not rewritten
+        data = json.loads(entries[1][3])
+        assert data["schema"] == "discharge-certificate/v5"
+        assert data["acyclic"] and data["taint_reasons"]
 
 
 class TestCorpusListing:

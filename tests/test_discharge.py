@@ -31,6 +31,7 @@ from repro.lang.program import Program
 from repro.sct.monitor import SCMonitor
 from repro.symbolic.engine import Budget
 from repro.values.values import write_value
+from tests.test_acyclic_skip import PARTIAL, _label
 
 PROGRAMS = all_programs() + extra_programs()
 DIVERGING = diverging_programs()
@@ -117,10 +118,12 @@ class TestCertificates:
         """
         parsed = parse_program(source)
         result = discharge_for_run(parsed, text=source)
-        assert not result.policy.skip_labels
         cert = result.certificate
         assert cert.taint_reasons
         assert cert.discharged == frozenset()
+        # Only main, on no call cycle, is skipped.
+        assert result.policy.skip_labels == cert.acyclic == \
+            {_label(parsed, "main")}
 
     def test_opaque_fun_application_blocks_discharge(self):
         """``church`` applies numerals built from λ parameters, which the
@@ -129,7 +132,8 @@ class TestCertificates:
         _, result = _discharge(prog)
         cert = result.certificate
         assert any("opponent" in r for r in cert.taint_reasons)
-        assert not result.policy
+        assert not cert.discharged
+        assert result.policy.skip_labels == cert.acyclic
 
     def test_uninferable_workload(self):
         source = "(define (f x) x) (+ 1 2)"
@@ -174,7 +178,8 @@ class TestCertificates:
         """
         parsed = parse_program(source)
         result = discharge_for_run(parsed, text=source)
-        assert not result.complete and not result.policy
+        assert not result.complete and not result.certificate.discharged
+        assert result.policy.skip_labels == result.certificate.acyclic
         assert any("rebound" in r for r in result.reasons)
         answer = run_program(parsed, mode="full", monitor=SCMonitor(),
                              discharge=result.policy, fuel=200_000)
@@ -237,8 +242,9 @@ class TestVerificationCache:
         assert c1.misses == 1
         (entry,) = _stored_entries(store)
         data = json.loads(open(entry).read())
-        assert data["schema"] == "discharge-certificate/v4"
+        assert data["schema"] == "discharge-certificate/v5"
         assert "tainted" not in data
+        assert data["acyclic"] is None  # complete: nothing to add
         assert all(":" in sid for sid in data["discharged"])
         # A second cache (a "new process") reads the store.
         c2 = VerificationCache(store)
@@ -330,10 +336,33 @@ class TestCacheQuarantine:
         assert cache.rejected == 1 and cache.hits == 0
         assert os.path.exists(entry + ".rejected")
         rewritten = json.loads(open(entry).read())
-        assert rewritten["schema"] == "discharge-certificate/v4"
+        assert rewritten["schema"] == "discharge-certificate/v5"
         again = VerificationCache(store)
         discharge_for_run(parse_program(prog.source), text=prog.source,
                           cache=again)
+        assert again.hits == 1 and again.rejected == 0
+
+    def test_v4_entry_is_quarantined_and_rewritten(self, tmp_path):
+        """A store written before v5 (which had no ``acyclic`` field) is
+        quarantined once, then rewritten as v5 by put."""
+        store = str(tmp_path / "certs")
+        discharge_for_run(parse_program(PARTIAL), text=PARTIAL,
+                          cache=VerificationCache(store))
+        (entry,) = _stored_entries(store)
+        data = json.loads(open(entry).read())
+        data["schema"] = "discharge-certificate/v4"
+        del data["acyclic"]
+        with open(entry, "w") as f:
+            f.write(json.dumps(data))
+        cache = VerificationCache(store)
+        discharge_for_run(parse_program(PARTIAL), text=PARTIAL, cache=cache)
+        assert (cache.rejected, cache.hits, cache.misses) == (1, 0, 0)
+        assert os.path.exists(entry + ".rejected")
+        rewritten = json.loads(open(entry).read())
+        assert rewritten["schema"] == "discharge-certificate/v5"
+        assert rewritten["acyclic"]
+        again = VerificationCache(store)
+        discharge_for_run(parse_program(PARTIAL), text=PARTIAL, cache=again)
         assert again.hits == 1 and again.rejected == 0
 
     def test_reset_and_snapshot(self, tmp_path):
@@ -452,6 +481,83 @@ class TestCertificateBinding:
                 prog.name
         assert reader.rejected == 0 and reader.misses == 0
         assert reader.hits == writer.misses
+
+
+class TestStoredAcyclicSet:
+    """An incomplete program certificate carries the program's acyclic
+    λs, bound and trusted exactly as its discharged ones are."""
+
+    def _store(self, store):
+        cache = VerificationCache(store)
+        writer = parse_program(PARTIAL)
+        result = discharge_for_run(writer, text=PARTIAL, cache=cache)
+        (entry,) = _stored_entries(store)
+        return writer, result, entry
+
+    def _calls(self, program, policy):
+        monitor = SCMonitor()
+        answer = run_program(program, mode="full", monitor=monitor,
+                             discharge=policy)
+        assert answer.kind == Answer.VALUE and answer.value == 5
+        return monitor.calls_seen
+
+    def test_stored_as_program_ids_and_relabeled(self, tmp_path):
+        store = str(tmp_path / "certs")
+        writer, result, entry = self._store(store)
+        assert not result.complete
+        data = json.loads(open(entry).read())
+        assert data["acyclic"] == sorted(data["acyclic"])
+        assert data["acyclic"] and all(
+            sid.startswith("program:") for sid in data["acyclic"])
+        reader = parse_program(PARTIAL)
+        cache = VerificationCache(store)
+        read = discharge_for_run(reader, text=PARTIAL, cache=cache)
+        assert cache.hits == 1
+        assert read.certificate.acyclic == {_label(reader, "inc"),
+                                            _label(reader, "h")}
+        assert result.certificate.acyclic == {_label(writer, "inc"),
+                                              _label(writer, "h")}
+        assert read.policy.skip_labels == (read.certificate.discharged
+                                           | read.certificate.acyclic)
+        assert read.summary() == result.summary()
+        assert self._calls(reader, read.policy) == 6
+
+    @pytest.mark.parametrize("sid", ["prelude:0", "contracts:0",
+                                     "program:999"])
+    def test_foreign_acyclic_id_is_rejected(self, tmp_path, sid):
+        """A library λ is never skipped, and an id the parse does not
+        have names another program: either way the entry is
+        quarantined and the program re-verified."""
+        store = str(tmp_path / "certs")
+        _, result, entry = self._store(store)
+        data = json.loads(open(entry).read())
+        data["acyclic"].append(sid)
+        with open(entry, "w") as f:
+            f.write(json.dumps(data))
+        cache = VerificationCache(store)
+        reader = parse_program(PARTIAL)
+        reverified = discharge_for_run(reader, text=PARTIAL, cache=cache)
+        assert (cache.hits, cache.misses, cache.rejected) == (0, 0, 1)
+        assert os.path.exists(entry + ".rejected")
+        assert reverified.certificate.acyclic == {_label(reader, "inc"),
+                                                  _label(reader, "h")}
+        assert json.loads(open(entry).read())["acyclic"] == \
+            sorted(data["acyclic"][:-1])
+
+    def test_null_acyclic_skips_only_discharged(self, tmp_path):
+        store = str(tmp_path / "certs")
+        _, _, entry = self._store(store)
+        data = json.loads(open(entry).read())
+        data["acyclic"] = None
+        with open(entry, "w") as f:
+            f.write(json.dumps(data))
+        cache = VerificationCache(store)
+        reader = parse_program(PARTIAL)
+        read = discharge_for_run(reader, text=PARTIAL, cache=cache)
+        assert cache.hits == 1 and not read.complete
+        assert read.certificate.acyclic is None
+        assert read.policy.skip_labels == read.certificate.discharged
+        assert self._calls(reader, read.policy) == 12
 
 
 _MAPPED = ("(define (sum-sq xs) (foldr + 0 (map (lambda (x) (* x x)) xs)))\n"
