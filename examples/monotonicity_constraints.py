@@ -90,4 +90,4 @@ except SizeChangeError:
     print("take_until_sc: rejected by SC graphs, as expected")
 
 print("\nLimitation kept honest: the ceiling must be a *parameter*;")
-print("counting up to a constant still needs a measure (see EXPERIMENTS.md).")
+print("counting up to a constant still needs a measure (README.md, Claims).")

@@ -16,8 +16,9 @@ Three front doors:
   termination by symbolic execution + the size-change principle, with no
   termination-specific abstraction.
 
-See README.md for a tour, DESIGN.md for the system inventory, and
-EXPERIMENTS.md for the paper-vs-measured record.
+See README.md for a tour and its Claims section for the
+paper-vs-measured record (``sized bench table1`` marks each deviating
+Table 1 row).
 """
 
 from repro.contracts import arrow, attach, flat, terminating_c, total

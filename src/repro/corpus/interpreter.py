@@ -229,9 +229,9 @@ def _register() -> None:
         notes="An interpreter for a Scheme subset (compile-to-closures, "
               "§2.4) interpreting merge-sort.  The paper's version is a "
               "1,100-line R5RS interpreter sorting strings; ours is the "
-              "same architecture sorting integers (see DESIGN.md "
-              "substitutions).  Statically unverifiable: interpreted "
-              "control flow defeats the closure analysis.",
+              "same architecture sorting integers.  Statically "
+              "unverifiable: interpreted control flow defeats the "
+              "closure analysis.",
         tags=("interpreter",),
     ))
 

@@ -16,8 +16,8 @@ class CorpusProgram:
       the paper's annotation letters (``A`` annotations, ``O`` custom
       order, ``R`` rewritten, ``-T``/``-H`` inexpressible).
     * ``ours_static`` — the verdict *our* static verifier is expected to
-      produce (pinned by tests; deviations from the paper are listed in
-      EXPERIMENTS.md).
+      produce (pinned by tests; a row that deviates from the paper is
+      marked ``DEVIATES`` in ``sized bench table1``).
     * ``measures`` — custom measures for the dynamic monitor (the ``O``
       rows).
     * ``entry`` — ``(function, [arg-kind, ...])`` for static verification;

@@ -639,7 +639,6 @@ class _Emitter:
         self.uses_consts = False
         self.uses_gget = False
         self.uses_fuel = False
-        self.uses_rt = False
         self.uses_env = False
         self.uses_direct = False
         self.uses_self = False
@@ -798,7 +797,6 @@ class _Emitter:
             return "_VOID", False
         if t == T_SETGLOBAL:
             v, _ = self.compile_value(e.expr, ind)
-            self.uses_rt = True
             self.line(ind, f"_rt.setglobal({self.const(e.name)}, {v})")
             return "_VOID", False
         if t == T_TERMC:
@@ -889,7 +887,6 @@ class _Emitter:
             opened = True
         if not tail and not self.is_gen:
             return target or self.gensym(), opened
-        self.uses_rt = True
         branch = "elif" if opened else "if"
         call = f"_rt.prim({h}, [{', '.join(args)}], {loc})"
         self.line(ind, f"{branch} type({h}) is _Prim:")
@@ -910,7 +907,6 @@ class _Emitter:
         t, opened = self.prim_dispatch(h, args, loc, ind, tail=False,
                                        sname=sname)
         arglist = ", ".join(["None"] + args)
-        self.uses_rt = True
         if opened:
             self.line(ind, "else:")
             ind += 1
@@ -963,7 +959,6 @@ class _Emitter:
         # guard cannot prove falls through to the trampoline request,
         # where the driver re-checks with full generality — including a
         # callee not compiled yet, which the driver tiers up.
-        self.uses_rt = True
         self.uses_direct = True
         lam = self.gensym()
         fcall = ", ".join([f"{h}.env"] + args)

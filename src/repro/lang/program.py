@@ -48,9 +48,6 @@ class Program:
         self.forms = forms
         self.source = source
 
-    def defined_names(self):
-        return [f.name for f in self.forms if isinstance(f, TopDefine)]
-
     def iter_exprs(self):
         """All top-level expressions (define right-hand sides included)."""
         for form in self.forms:

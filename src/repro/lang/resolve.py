@@ -12,11 +12,10 @@ reads against the global frame's one dict (globals):
   parent frame, so a reference compiles to "go up ``depth`` frames, read
   slot ``idx``" with no hashing and no membership tests;
 * :class:`CLam` carries precomputed metadata the machine would otherwise
-  recompute per call: ``nparams`` (the arity check is one int compare),
-  ``frame_size``, and ``free`` — the lexical addresses, relative to the
-  closure's captured frame, of the free variables its body (transitively)
-  reads.  ``free`` is what lets ``keying='label'`` hash a compiled
-  closure's captured context exactly instead of approximating it;
+  recompute per call: ``nparams`` (the arity check is one int compare)
+  and ``env_names`` — the names of the rib the closure captures, which
+  is what lets ``keying='label'`` hash a compiled closure's captured
+  context exactly instead of approximating it;
 * applications precompute ``exprs = (fn,) + args`` so the machine can run
   one tight left-to-right evaluation loop over a single tuple, and
   ``cheap`` — true when every element is *immediate* (literal, variable,
@@ -114,8 +113,6 @@ class CLam(Code):
     mirrors the :class:`repro.lang.ast.Lam` attributes the monitor and the
     tracer consume (``params``, ``name``, ``label``, ``loc``).
 
-    ``free`` holds the addresses of the λ's free variables *relative to
-    its captured frame* — ``(0, i)`` reads the defining frame directly.
     ``env_names`` is the name tuple of the defining rib (the rib whose
     runtime frame the closure captures; ``()`` at top level), which is
     what lets ``keying='label'`` hash a compiled closure's captured rib
@@ -135,23 +132,19 @@ class CLam(Code):
     by every run of one parse, whatever its policy.
     """
 
-    __slots__ = ("params", "nparams", "frame_size", "body", "name", "label",
-                 "loc", "free", "env_names", "native", "native_is_gen",
-                 "heat")
+    __slots__ = ("params", "nparams", "body", "name", "label", "loc",
+                 "env_names", "native", "native_is_gen", "heat")
     tag = T_LAM
 
     def __init__(self, params: Tuple[Symbol, ...], body: Code,
                  name: Optional[str], label: int, loc,
-                 free: Tuple[Tuple[int, int], ...],
                  env_names: Tuple[Symbol, ...] = ()):
         self.params = params
         self.nparams = len(params)
-        self.frame_size = 1 + len(params)
         self.body = body
         self.name = name
         self.label = label
         self.loc = loc
-        self.free = free
         self.env_names = env_names
         self.native = None
         self.native_is_gen = None
@@ -299,24 +292,12 @@ class CTermC(Code):
         return f"CTermC(blame={self.blame!r})"
 
 
-class _LamScope:
-    """Per-λ bookkeeping during resolution: the rib-stack height at λ
-    entry (to classify references as free) and the free addresses seen."""
-
-    __slots__ = ("mark", "free")
-
-    def __init__(self, mark: int):
-        self.mark = mark
-        self.free = {}  # (depth, idx) relative to the λ's captured frame
-
-
 class Resolver:
     """One resolution walk.  ``ribs`` is the static frame chain, innermost
     last; each rib is the tuple of symbols its runtime frame will hold."""
 
     def __init__(self):
         self.ribs: List[Tuple[Symbol, ...]] = []
-        self.lams: List[_LamScope] = []
 
     # -- the walk --------------------------------------------------------------
 
@@ -371,8 +352,7 @@ class Resolver:
 
     def _address(self, name: Symbol) -> Optional[Tuple[int, int]]:
         """The ``(depth, slot)`` of ``name``, or ``None`` for globals.
-        Symbols are interned, so identity comparison suffices.  Records the
-        reference as free in every enclosing λ it escapes."""
+        Symbols are interned, so identity comparison suffices."""
         ribs = self.ribs
         n = len(ribs)
         for depth in range(n):
@@ -380,34 +360,15 @@ class Resolver:
             # Innermost binding wins on duplicate names: search from the end.
             for i in range(len(rib) - 1, -1, -1):
                 if rib[i] is name:
-                    self._note_free(depth, i + 1)
                     return depth, i + 1
         return None
 
-    def _note_free(self, depth: int, idx: int):
-        """A reference ``depth`` ribs up is free for every λ whose body
-        holds fewer than ``depth + 1`` ribs at the reference point; record
-        its address relative to each such λ's captured frame."""
-        height = len(self.ribs)
-        for scope in reversed(self.lams):
-            inside = height - scope.mark
-            if depth < inside:
-                break
-            scope.free[(depth - inside, idx)] = True
-
     def _resolve_lam(self, node: ast.Lam) -> CLam:
         env_names = self.ribs[-1] if self.ribs else ()
-        scope = _LamScope(len(self.ribs))
-        self.lams.append(scope)
         self.ribs.append(tuple(node.params))
         body = self.resolve(node.body)
         self.ribs.pop()
-        self.lams.pop()
-        free = tuple(sorted(scope.free))
-        # A free variable of an inner λ is (transitively) free here too
-        # unless bound by one of this λ's own ribs; _note_free already
-        # recorded it against every scope it escapes, so nothing to merge.
-        return CLam(node.params, body, node.name, node.label, node.loc, free,
+        return CLam(node.params, body, node.name, node.label, node.loc,
                     env_names)
 
 

@@ -1,26 +1,30 @@
-"""Clients for the ``sized serve`` JSON-lines protocol.
+"""The client for the ``sized serve`` JSON-lines protocol.
 
-:class:`AsyncServeClient` multiplexes any number of in-flight requests
-over one connection (a reader task resolves futures by ``id``) — the
-shape ``bench_serve.py`` uses to hold thousands of concurrent requests
-open.  :class:`ServeClient` is the synchronous convenience wrapper for
-tests and scripts: one request outstanding at a time, so the next line
-is always the matching response.
+:class:`AsyncServeClient` is the one implementation: it multiplexes any
+number of in-flight requests over one connection (a reader task
+resolves futures by ``id``) — the shape ``bench_serve.py`` uses to hold
+thousands of concurrent requests open.  :class:`ServeClient` is a
+blocking facade over it for tests and scripts: it owns a private event
+loop and runs one request to completion at a time.  It cannot be called
+from inside a running event loop; code that has one uses
+:class:`AsyncServeClient`.
 
-Both are *resilient by opt-in*: pass a :class:`RetryPolicy` and
-transient service errors (``overloaded``, ``shard-unavailable``,
-``worker-crash``, ``connection-lost`` — see
-:data:`repro.serve.protocol.RETRYABLE_ERRORS`) are retried with capped
-exponential backoff plus jitter, honouring the server's ``retry_after``
-hint.  Retries are idempotent by construction: the content-addressed
-request key means a resent request either joins the original
-execution's batch or re-runs to the same answer.  The jitter RNG is
-seedable so the chaos harness's retry schedule is part of its
-deterministic fault plan.
+Both are *resilient by opt-in*: with a :class:`RetryPolicy` (the
+facade builds one from ``retries=``) transient service errors
+(``overloaded``, ``shard-unavailable``, ``worker-crash``,
+``connection-lost`` — see :data:`repro.serve.protocol.RETRYABLE_ERRORS`)
+are retried with capped exponential backoff plus jitter, honouring the
+server's ``retry_after`` hint.  Retries are idempotent by construction:
+the content-addressed request key means a resent request either joins
+the original execution's batch or re-runs to the same answer.  The
+jitter RNG is seedable so the chaos harness's retry schedule is part of
+its deterministic fault plan.
 
 Failure behaviour without retries: a dead connection *resolves* every
 pending request with a structured ``connection-lost`` error response —
-nothing ever hangs forever on a silent EOF.
+nothing ever hangs forever on a silent EOF.  A timed-out request's
+waiter is forgotten, so its late answer is dropped by id instead of
+being taken for a later request's.
 """
 
 from __future__ import annotations
@@ -29,9 +33,7 @@ import asyncio
 import itertools
 import json
 import random
-import socket
-import time
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.serve import protocol
 
@@ -225,114 +227,55 @@ class AsyncServeClient:
 
 
 class ServeClient:
-    """Blocking, single-in-flight client.
+    """Blocking facade over :class:`AsyncServeClient`, one request at a
+    time, on a private event loop — so not for use inside a running
+    loop (building it or calling :meth:`request` there raises
+    ``RuntimeError``).
 
-    A timed-out request no longer poisons the stream: its ``id`` is
-    remembered and the late response, when it eventually arrives, is
-    discarded by id instead of being mistaken for the next call's
-    answer.  With ``retries > 0`` the client also resends on retryable
-    errors and re-dials on connection loss.
+    ``timeout`` bounds the connect and each request attempt unless the
+    call passes its own; a timed-out request raises ``TimeoutError``
+    and its late answer is discarded by id (``stale_discarded``).  With
+    ``retries > 0`` retryable errors are resent under a
+    :class:`RetryPolicy`.  A connection found closed is re-dialled
+    before the next request, so after a cut that one request answers
+    ``connection-lost`` (without retries) and the next one goes out on
+    a fresh connection.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 120.0,
                  retries: int = 0, retry_base: float = 0.05,
                  retry_cap: float = 2.0, seed: Optional[int] = None):
-        self._host = host
-        self._port = port
         self._timeout = timeout
-        self._retry = RetryPolicy(retries, retry_base, retry_cap, seed)
-        self._ids = itertools.count(1)
-        self._stale_ids: Set[str] = set()
-        self.retries_used = 0
-        self.stale_discarded = 0
-        self._connect()
-
-    def _connect(self) -> None:
-        self._sock = socket.create_connection(
-            (self._host, self._port), timeout=self._timeout)
-        self._file = self._sock.makefile("rwb")
-
-    def _reconnect(self) -> None:
-        self.close()
-        self._connect()
-        self._stale_ids.clear()
-
-    def _reopen_file(self) -> None:
-        """A timed-out socket file object refuses every further read
-        (``cannot read from timed out object``), so reopen it over the
-        *same* connection: the stream survives, and the late response
-        still arrives to be discarded by id.  Bytes half-read before the
-        timeout surface as one unparseable line, which the response loop
-        already skips."""
+        self._runner = asyncio.Runner(loop_factory=asyncio.new_event_loop)
+        retry = (RetryPolicy(retries, retry_base, retry_cap, seed)
+                 if retries else None)
         try:
-            self._file.close()
-        except OSError:
-            pass
-        self._file = self._sock.makefile("rwb")
+            self._client = self._runner.run(asyncio.wait_for(
+                AsyncServeClient.connect(host, port, tag="sync",
+                                         retry=retry), timeout))
+        except BaseException:
+            self._runner.close()
+            raise
+
+    @property
+    def retries_used(self) -> int:
+        return self._client.retries_used
+
+    @property
+    def stale_discarded(self) -> int:
+        return self._client.unmatched_responses
 
     def request(self, obj: dict, timeout: Optional[float] = None) -> dict:
-        obj = dict(obj)
-        rid = obj.setdefault("id", f"sync-{next(self._ids)}")
-        retryable_op = obj.get("op") in _IDEMPOTENT_OPS
-        attempts = (self._retry.retries + 1) if retryable_op else 1
-        response: Optional[dict] = None
-        for attempt in range(attempts):
-            if attempt:
-                self.retries_used += 1
-                time.sleep(self._retry.delay(
-                    attempt - 1,
-                    protocol.retry_after_hint(response or {})))
-            try:
-                response = self._roundtrip(obj, rid, timeout)
-            except ConnectionError as exc:
-                response = _lost(rid, str(exc))
-                try:
-                    self._reconnect()
-                except OSError:
-                    return response
-                continue
-            if not protocol.is_retryable(response):
-                return response
-        return response
-
-    def _roundtrip(self, obj: dict, rid,
-                   timeout: Optional[float]) -> dict:
-        if timeout is not None:
-            self._sock.settimeout(timeout)
-        try:
-            self._file.write(protocol.encode(obj))
-            self._file.flush()
-            while True:
-                try:
-                    line = self._file.readline()
-                except TimeoutError:
-                    # remember the id: its late response must be
-                    # discarded, not matched to the next call
-                    self._stale_ids.add(rid)
-                    self._reopen_file()
-                    raise
-                if not line:
-                    raise ConnectionError("serve connection closed")
-                try:
-                    response = json.loads(line)
-                except ValueError:
-                    continue
-                got = response.get("id") if isinstance(response, dict) \
-                    else None
-                if got == rid:
-                    return response
-                if got in self._stale_ids:
-                    self._stale_ids.discard(got)
-                self.stale_discarded += 1
-        finally:
-            if timeout is not None:
-                self._sock.settimeout(self._timeout)
+        client = self._client
+        if client._closed:
+            self._runner.run(client._reconnect())
+        return self._runner.run(client.request(
+            obj, self._timeout if timeout is None else timeout))
 
     def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+        if not self._client._closing:
+            self._runner.run(self._client.close())
+        self._runner.close()
 
     def __enter__(self) -> "ServeClient":
         return self

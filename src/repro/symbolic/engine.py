@@ -51,11 +51,9 @@ Result = List[Tuple[object, PathCond]]
 class Budget:
     """Exploration limits; exceeding any of them flags incompleteness."""
 
-    def __init__(self, max_paths_per_summary=4000, max_summaries=400,
-                 max_atoms=120):
+    def __init__(self, max_paths_per_summary=4000, max_summaries=400):
         self.max_paths_per_summary = max_paths_per_summary
         self.max_summaries = max_summaries
-        self.max_atoms = max_atoms
 
 
 class SymEnv:

@@ -152,13 +152,14 @@ def _cells(**overrides):
 
 def _rows(*cell_maps):
     """One discharged row per cell map, plus a residual-monitored row
-    with the first map's cells (the monitored-native bar's subset)."""
-    from repro.bench.machines import ProgramCells
+    with the first map's cells (the monitored-native bar's subset),
+    named in order from the programs the native-vs-tree bar is over."""
+    from repro.bench.machines import NATIVE_BAR_PROGRAMS, ProgramCells
 
-    rows = [ProgramCells(f"p{i}", 10, 0.001, 1, cells)
+    rows = [ProgramCells(NATIVE_BAR_PROGRAMS[i], 10, 0.001, 1, cells)
             for i, cells in enumerate(cell_maps)]
-    rows.append(ProgramCells(f"p{len(rows)}", 10, 0.001, None,
-                             cell_maps[0]))
+    rows.append(ProgramCells(NATIVE_BAR_PROGRAMS[len(rows)], 10, 0.001,
+                             None, cell_maps[0]))
     return rows
 
 
@@ -252,7 +253,19 @@ class TestMachinesHarness:
 
         rows = _rows(_cells(), _cells(native_discharged=0.5))
         per_program = claims(rows)[-1]
-        assert per_program.worst == "p1" and per_program.value == 2.0
+        assert per_program.worst == "sct-2" and per_program.value == 2.0
+
+    @pytest.mark.parametrize("program, passed", [
+        ("div", True), ("sct-5", False)])
+    def test_native_bar_is_over_the_named_programs(self, program, passed):
+        """A discharged program at 5x native-vs-tree pulls the gated
+        bar under 10x only when it is one the bar was set on."""
+        from repro.bench.machines import ProgramCells, acceptance, claims
+
+        rows = _rows(_cells()) + [ProgramCells(
+            program, 10, 0.001, 1, _cells(native_discharged=0.6))]
+        bar = {c.name: c for c in claims(rows)}["native vs tree"]
+        assert bar.passed is passed and acceptance(rows) is passed
 
     def test_bars_over_empty_subset_miss(self):
         from repro.bench.machines import ProgramCells, acceptance, claims
@@ -285,7 +298,7 @@ class TestMachinesHarness:
         for claim in report["claims"]:
             assert set(claim) == {"name", "value", "target", "at_most",
                                   "gated", "worst", "pass"}
-        assert report["claims"][-1]["worst"] == "p1"
+        assert report["claims"][-1]["worst"] == "sct-2"
         assert report["acceptance"] == {"pass": True}
         json.dumps(report)
 

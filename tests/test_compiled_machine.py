@@ -183,24 +183,10 @@ class TestResolverAddressing:
         """
         assert self.ev(src) == 9
 
-    def test_free_slot_metadata(self):
-        from repro.lang.resolve import CLam, T_LAM
-
-        program = parse_program("(lambda (x) (lambda (y) (+ x y)))")
-        code = resolve(program.forms[0].expr)
-        assert isinstance(code, CLam)
-        assert code.free == ()  # outer λ closes over nothing
-        inner = code.body
-        assert inner.tag == T_LAM
-        # y is its parameter; x is free at (depth 0, slot 1) of the
-        # captured frame (the outer λ's frame).
-        assert inner.free == ((0, 1),)
-
     def test_lam_metadata(self):
         program = parse_program("(lambda (a b c) a)")
         code = resolve(program.forms[0].expr)
         assert code.nparams == 3
-        assert code.frame_size == 4
 
     def test_tail_call_depth_is_constant(self):
         src = ("(define (loop n) (if (= n 0) 'done (loop (- n 1))))"

@@ -1,7 +1,7 @@
 """Table 1, Static column: run the verifier on every corpus row and pin
-the verdicts (matching the paper, with deviations recorded in
-EXPERIMENTS.md — currently only `deriv`, which our engine verifies where
-the paper's tool reported ✗)."""
+the verdicts (matching the paper, with deviations marked DEVIATES by
+`sized bench table1` — currently only `deriv`, which our engine verifies
+where the paper's tool reported ✗)."""
 
 import pytest
 

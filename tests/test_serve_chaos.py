@@ -12,7 +12,8 @@ chaos campaign exercises at scale:
   never ``None``, never a ``ZeroDivisionError``;
 * a dead connection resolves (not hangs) pending async requests with a
   structured ``connection-lost`` error;
-* a timed-out sync request cannot desynchronise the response stream;
+* a timed-out sync request cannot desynchronise the response stream,
+  and a cut one is reported (then re-dialled) or resent;
 * load shedding is structured and retryable, and every shed request
   settles its budget reservation;
 * budgets are conserved across client disconnects and worker crashes;
@@ -261,6 +262,70 @@ class TestSyncClientDesync:
             stop.set()
             client.close()
             thread.join(timeout=5)
+
+
+@contextlib.contextmanager
+def cutting_server(cuts):
+    """A thread-hosted stub server that closes the connection instead of
+    answering its first ``cuts`` requests, then answers each with
+    ``pong``; yields its port."""
+    started = threading.Event()
+    stop = threading.Event()
+    port_box = []
+    left = [cuts]
+
+    def server_thread():
+        async def main():
+            async def handler(reader, writer):
+                import json
+                try:
+                    while line := await reader.readline():
+                        if left[0]:
+                            left[0] -= 1
+                            return
+                        writer.write(protocol.encode(
+                            {"id": json.loads(line)["id"], "ok": True,
+                             "kind": "pong"}))
+                        await writer.drain()
+                finally:
+                    writer.close()
+
+            server = await asyncio.start_server(handler, "127.0.0.1", 0)
+            port_box.append(server.sockets[0].getsockname()[1])
+            started.set()
+            while not stop.is_set():
+                await asyncio.sleep(0.05)
+            server.close()
+
+        asyncio.run(main())
+
+    thread = threading.Thread(target=server_thread, daemon=True)
+    thread.start()
+    assert started.wait(5)
+    try:
+        yield port_box[0]
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+
+
+class TestSyncClientReconnect:
+    def test_without_retries_a_cut_is_reported_then_redialled(self):
+        """``retries=0``: the cut request answers ``connection-lost``,
+        and the next request on the same client is answered."""
+        with cutting_server(cuts=1) as port, \
+                ServeClient("127.0.0.1", port, timeout=5.0) as client:
+            lost = client.request({"op": "ping"})
+            assert lost["error"]["type"] == protocol.E_CONNECTION_LOST
+            assert client.request({"op": "ping"})["kind"] == "pong"
+            assert client.retries_used == 0
+
+    def test_with_retries_a_cut_request_is_resent(self):
+        with cutting_server(cuts=1) as port, \
+                ServeClient("127.0.0.1", port, timeout=5.0, retries=2,
+                            seed=0) as client:
+            assert client.request({"op": "ping"})["kind"] == "pong"
+            assert client.retries_used >= 1
 
 
 class TestLoadShedding:
