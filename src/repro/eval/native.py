@@ -39,12 +39,20 @@ blame and starts a table, as ``eval_code`` does.  An imperative step
 pushes an undo record on the same stack, as ``eval_code`` pushes its
 restore frame, tail calls included, so that strategy's broken proper
 tail calls are unchanged on this tier.  ``eval_code`` hands a
-closure to the trampoline after its own table step for that apply, so
-the step runs exactly once.  Compiled self-tail loops and direct tail
-calls bypass the trampoline, so they are taken only for λs that need no
-step in the current run: a self-loop tests ``_S``, computed once per
-call from the run's mode and skip set and the λ's label ``_L`` (bound
-in the λ's namespace, so the generated source stays label-free).
+closure to the trampoline after its own table step for that apply, and
+the driver's stack starts with that state's mark, so the step runs
+exactly once.  Direct tail calls bypass the trampoline, so they are
+taken only for callees that need no step in the current run.  Compiled
+self-tail loops jump back without the trampoline too: a self-loop tests
+``_S``, computed once per call from the run's mode and skip set and the
+λ's label ``_L`` (bound in the λ's namespace, so the generated source
+stays label-free), and when a step is due a plain λ under the ``cm``
+strategy runs the same ``table_step`` in place before the jump.  That is
+exact because a monitored plain frame always runs with a mark on top
+of the driver's stack, so the driver would push none for the tail call
+either.  Generator λs (a running generator sits on that stack above
+any mark) and the ``imperative`` strategy (its undo record) send a
+monitored self-tail call through the trampoline.
 
 Compilation is by hotness: a λ is compiled at its ``_TIER_UP_AT``-th
 apply under a native context (in ``eval_code``'s APPLY, in the
@@ -87,7 +95,8 @@ Fuel: one step is one closure body entered, as on the interpreters.
 The driver charges the shared :class:`~repro.eval.machine._Fuel` at its
 closure branch once it knows the call does not fall back (a fallback's
 ``eval_code`` charges instead); self-tail loops and direct tail calls
-charge where they enter the callee.  ``steps`` is therefore identical
+charge where they enter the callee, before any table step, as the
+driver does.  ``steps`` is therefore identical
 across tiers, and every object-language loop passes through an
 application, so a diverging program exhausts any finite budget.
 """
@@ -334,7 +343,8 @@ class NativeContext:
         """Called from ``eval_code``'s APPLY: run an eligible closure
         natively and return its value.  (s1, s2) is the state after the
         caller's own charge and table step for this apply, which the
-        driver therefore does not repeat."""
+        driver therefore does not repeat; the driver's stack starts with
+        that state's mark, as if the driver had stepped it."""
         self.entries += 1
         self.s1 = s1
         self.s2 = s2
@@ -354,11 +364,17 @@ class NativeContext:
         table push no marks.  An imperative step pushes an undo record
         instead, a mark that also undoes the step when popped; tail calls
         push one too, as under ``eval_code``.  ``charged``: the caller
-        (:meth:`enter`) already charged and stepped the first apply."""
+        (:meth:`enter`) already charged and stepped the first apply, and
+        the stack starts with the mark of the state it stepped to.
+
+        So a monitored plain frame always runs with a mark on top, and a
+        compiled self-tail loop may step the cm table in place (see the
+        emitter's ``tail_app``): the driver would push no mark for that
+        tail call either."""
         fuel = self.fuel
         monitored = self.monitored
         skips = self.skips
-        stack: List = []
+        stack: List = [(self.s1, self.s2)] if charged else []
         value = None
         applying = True
         while True:
@@ -936,20 +952,36 @@ class _Emitter:
                 and head.tag in (T_LOCAL, T_GLOBAL)):
             # Compiled self-tail loop: when the callee is this very
             # closure, rebind and jump — the fuel charge keeps the
-            # back-edge metered like any other application.  The jump
-            # skips the table step, so it is taken only when this run
-            # needs no step for the λ (_S, set in the prologue).
+            # back-edge metered like any other application.  When this
+            # run needs no step for the λ (_S, set in the prologue) the
+            # jump is all there is.  Otherwise a plain λ under the cm
+            # strategy steps the table in place, exactly as the driver
+            # would for the tail call: a monitored plain frame always
+            # runs with a continuation mark on top of the driver's
+            # stack, so the driver would push none; with no table active
+            # (an empty _rt.s1) it would step nothing.  Generator λs (a
+            # running generator sits on that stack, above any mark) and
+            # the imperative strategy (its undo record) take the
+            # trampoline.
             self.uses_self = True
-            self.line(ind, f"if {h} is _c and _S:")
-            self.emit_fuel_charge(ind + 1)
-            if self.frame_mode:
-                inner = ", ".join([self.env_chain(0)] + args)
-                self.line(ind + 1, f"_f = [{inner}]")
-            elif args:
-                params = ", ".join(f"_p{i}" for i in range(len(args)))
-                self.line(ind + 1, f"{params} = {', '.join(args)}"
-                          if len(args) > 1 else f"{params} = {args[0]}")
-            self.line(ind + 1, "continue")
+            self.line(ind, f"if {h} is _c:")
+            self.line(ind + 1, "if _S:")
+            self.emit_fuel_charge(ind + 2)
+            self.emit_loop_back(args, ind + 2)
+            if not self.is_gen:
+                self.line(ind + 1, "if not _rt.imperative:")
+                self.emit_fuel_charge(ind + 2)
+                s1 = self.gensym()
+                adv, fast, kf = self.gensym(), self.gensym(), self.gensym()
+                targs = ", ".join(args) + ("," if len(args) == 1 else "")
+                self.line(ind + 2, f"{s1} = _rt.s1")
+                self.line(ind + 2, f"if {s1}:")
+                self.line(ind + 3, f"{adv}, {fast}, {kf} = _rt.stepping")
+                self.line(ind + 3,
+                          f"_rt.s1 = _step(_rt.monitor, {s1}, "
+                          f"_c if {kf} is None else {kf}(_c), _c, "
+                          f"({targs}), _rt.s2, {adv}, {fast})")
+                self.emit_loop_back(args, ind + 2)
         sname = head.sname if head.tag == T_GLOBAL else None
         self.prim_dispatch(h, args, loc, ind, tail=True, sname=sname)
         # Depth-bounded direct tail call: an eligible plain native callee
@@ -978,6 +1010,18 @@ class _Emitter:
         self.emit_return(rt, ind + 2)
         arglist = ", ".join(["None"] + args)
         self.emit_return(f"_Call({h}, [{arglist}], {loc})", ind)
+
+    def emit_loop_back(self, args: List[str], ind: int) -> None:
+        """A self-tail loop's back-edge, after its fuel charge: rebind
+        the parameters to ``args`` and jump."""
+        if self.frame_mode:
+            inner = ", ".join([self.env_chain(0)] + args)
+            self.line(ind, f"_f = [{inner}]")
+        elif args:
+            params = ", ".join(f"_p{i}" for i in range(len(args)))
+            self.line(ind, f"{params} = {', '.join(args)}"
+                      if len(args) > 1 else f"{params} = {args[0]}")
+        self.line(ind, "continue")
 
     def emit_let(self, e, ind: int) -> None:
         """Evaluate rhss in the current scope, then push the new rib
@@ -1183,6 +1227,7 @@ def compile_lam(clam) -> None:
             "_NIL": NIL,
             "_Char": Char,
             "_L": clam.label,
+            "_step": table_step,
         }
         key = hashlib.blake2b(src.encode(), digest_size=16).digest()
         code_obj = _CODE_CACHE.get(key)

@@ -58,17 +58,16 @@ from repro.values.values import Closure, HashKey, Pair, size_of
 
 _MISSING = object()
 
-# Fast-path memo tables, shared across monitors: packed graphs recur from a
-# small per-program repertoire even when a composition set never stabilizes
-# (permuted-argument loops à la tak), so composition and desc? become dict
-# hits after warm-up.  Keys are single ints — the operand masks (each
-# < 2^(m·m)) concatenated with the arity — so probes allocate no tuples.
-# Cleared wholesale past _CACHE_CAP entries, so a long-lived process cannot
-# accumulate (the compose cache is keyed by graph pairs, quadratic in the
-# distinct graphs seen across all runs); one run's working set is far
-# below the cap, making eviction a non-event in practice.
-_COMPOSE_CACHE: Dict[int, Tuple[int, int]] = {}
-_DESC_CACHE: Dict[int, bool] = {}
+# The fast path's transition memo, shared across monitors: a checked call
+# maps the entry's composition set S and the new packed evidence graph g
+# to the next set S' and the first failing composition of the batch (or
+# None).  Loops recur through a small repertoire of (S, g) pairs even when
+# S never stabilizes (permuted-argument loops à la tak), so after warm-up
+# a check is one dict hit.  Keyed by
+# ``(S, strict, weak, m)``; the value is ``(S, S', failing)``.
+# Cleared wholesale past _CACHE_CAP entries, so a long-lived process
+# cannot accumulate; one run's working set is far below the cap.
+_TRANSITIONS: Dict[tuple, tuple] = {}
 _CACHE_CAP = 1 << 16
 
 # The cm strategy's inline table (see :func:`table_step`) is a tuple
@@ -345,7 +344,10 @@ class SCMonitor:
         argument tuple itself, ``size_of`` over the previous arguments is
         memoized on the entry, and the evidence graph is built straight
         into the packed masks with integer compares — ``scheme_equal`` runs
-        only on size ties, exactly as :class:`SizeOrder` would."""
+        only on size ties, exactly as :class:`SizeOrder` would.  The
+        composition batch is looked up in the process-wide transition
+        memo (:func:`_transition` computes it on a miss), so a recurring
+        ``(S, g)`` costs one dict hit; ``S`` is always a frozenset."""
         count = entry.count + 1
         next_check = entry.next_check
         if count < next_check:
@@ -388,100 +390,17 @@ class SCMonitor:
                         weak |= 1 << (base + j)
                 j += 1
             i += 1
-        g = (strict, weak)
         comps = entry.comps
-        if entry.m and entry.m != m:  # pragma: no cover - arity is fixed
-            comps = [bitgraph.widen(c, entry.m, m) for c in comps]
-        new_comps = {g}
-        bad = None
-        if m == 1:
-            # Arity 1, fully inlined: every 1×1 graph is idempotent, so
-            # desc? is simply "has the strict self-arc".
-            any1 = strict | weak
-            for (cs, cw) in comps:
-                ca = cs | cw
-                ns = (cs & any1) | (ca & strict)
-                new_comps.add((ns, (ca & any1) & ~ns))
-            for c in new_comps:
-                if not c[0]:
-                    bad = c
-                    break
-        elif m == 2:
-            # Arity 2, fully inlined: compose and desc? unrolled over the
-            # two middle positions (col0 mask = 0b0101, row0 = 0b11,
-            # diagonal = 0b1001).  Agreement with bitgraph.compose is
-            # property-tested.
-            a1 = strict | weak
-            r0 = a1 & 3
-            r1 = (a1 >> 2) & 3
-            gs0 = strict & 3
-            gs1 = (strict >> 2) & 3
-            for (cs, cw) in comps:
-                ca = cs | cw
-                c0 = ca & 5
-                c1 = (ca >> 1) & 5
-                every = c0 * r0 | c1 * r1
-                ns = ((cs & 5) * r0 | c0 * gs0
-                      | ((cs >> 1) & 5) * r1 | c1 * gs1)
-                new_comps.add((ns, every & ~ns))
-            enforcing = self.enforce
-            for c in new_comps:
-                if enforcing and c in comps:
-                    continue
-                c0s, c0w = c
-                ca = c0s | c0w
-                x0 = ca & 5
-                x1 = (ca >> 1) & 5
-                y0 = ca & 3
-                y1 = (ca >> 2) & 3
-                ev = x0 * y0 | x1 * y1
-                ns2 = ((c0s & 5) * y0 | x0 * (c0s & 3)
-                       | ((c0s >> 1) & 5) * y1 | x1 * ((c0s >> 2) & 3))
-                if ns2 == c0s and (ev & ~ns2) == c0w:  # idempotent
-                    if not (c0s & 9):
-                        bad = c
-                        break
-        else:
-            mk = bitgraph.masks(m)
-            mm = m * m
-            if comps:
-                ccache = _COMPOSE_CACHE
-                if len(ccache) > _CACHE_CAP:
-                    ccache.clear()
-                gk = ((strict << mm | weak) << 8) | m
-                for (cs, cw) in comps:
-                    ck = (cs << mm | cw) << (mm + mm + 8) | gk
-                    r = ccache.get(ck)
-                    if r is None:
-                        r = ccache[ck] = bitgraph.compose(
-                            mk, cs, cw, strict, weak)
-                    new_comps.add(r)
-            # Under enforcement a composition already in the entry's set
-            # passed desc? when it was first created (desc? is a pure
-            # function of the graph; a failing one would have raised), so
-            # the stabilized steady state re-checks nothing.  Without
-            # enforcement failing compositions persist and must re-flag on
-            # every call, as the generic path does.
-            enforcing = self.enforce
-            dcache = _DESC_CACHE
-            if len(dcache) > _CACHE_CAP:
-                dcache.clear()
-            for c in new_comps:
-                if enforcing and c in comps:
-                    continue
-                dk = ((c[0] << mm | c[1]) << 8) | m
-                ok = dcache.get(dk)
-                if ok is None:
-                    ok = dcache[dk] = bitgraph.desc_ok(mk, *c)
-                if not ok:
-                    bad = c
-                    break
-        if bad is not None:
+        hit = _TRANSITIONS.get((comps, strict, weak, m))
+        if hit is None or (hit[0] is not comps
+                           and tuple(hit[0]) != tuple(comps)):
+            hit = _transition(comps, strict, weak, m)
+        if hit[2] is not None:
             mk = bitgraph.masks(m)
             self._flag_violation(clo, old, args,
-                                 bitgraph.unpack(mk, *g),
-                                 bitgraph.unpack(mk, *bad), count, blame)
-        return Entry(args, new_comps, count,
+                                 bitgraph.unpack(mk, strict, weak),
+                                 bitgraph.unpack(mk, *hit[2]), count, blame)
+        return Entry(args, hit[1], count,
                      count * 2 if self.backoff else count + 1, m,
                      tuple(new_sizes))
 
@@ -518,6 +437,47 @@ class SCMonitor:
             f"SCMonitor(order={self.order!r}, keying={self.keying!r}, "
             f"backoff={self.backoff}, engine={self.engine!r})"
         )
+
+
+def _transition(comps: FrozenSet, strict: int, weak: int, m: int) -> tuple:
+    """Compute and memoize one checked call of :meth:`SCMonitor.
+    advance_fast`: the batch ``{g} ∪ {c ; g | c ∈ comps}`` built and
+    scanned in the order :meth:`SCMonitor._advance_bitmask` builds and
+    scans it, so the first failing composition is the one the tree
+    machine reports.  Every composition of the batch is checked, so the
+    answer is a function of the key alone, whatever the enforcement of
+    the monitor that asks (under enforcement ``comps`` holds no failing
+    composition; without it failing ones persist and re-flag on every
+    call, as on the generic path).
+
+    Which composition fails first depends on the iteration order of
+    ``comps``, and two equal sets may iterate differently; so a memo hit
+    counts only for a set that iterates like the one the entry was
+    computed from (the caller's test), and ``S'`` reuses ``comps``
+    itself when it is the same set in the same order, which makes a
+    stabilized loop's set a fixed point by identity."""
+    mk = bitgraph.masks(m)
+    g = (strict, weak)
+    new = {g}
+    if comps:
+        # g is the fixed right operand of the whole batch: factor its
+        # row masks once.
+        right = bitgraph.right_factor(mk, strict, weak)
+        compose_right = bitgraph.compose_right
+        for (cs, cw) in comps:
+            new.add(compose_right(mk, cs, cw, right))
+    bad = None
+    for c in new:
+        if not bitgraph.desc_ok(mk, *c):
+            bad = c
+            break
+    after = frozenset(new)
+    if after == comps and tuple(after) == tuple(comps):
+        after = comps
+    if len(_TRANSITIONS) >= _CACHE_CAP:
+        _TRANSITIONS.clear()
+    hit = _TRANSITIONS[(comps, strict, weak, m)] = (comps, after, bad)
+    return hit
 
 
 def table_step(monitor: SCMonitor, table: tuple, key, clo: Closure,

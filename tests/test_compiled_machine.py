@@ -244,10 +244,10 @@ class TestSetUnboundGlobalRegression:
 
 
 class TestAdvanceFastAlgebra:
-    """`advance_fast` (inlined arity-1/2 compose+desc, memoized sizes,
-    int-keyed caches) must track the generic `advance` entry-for-entry:
-    same check_args, same composition sets, same violations at the same
-    calls — across arities, ties, pairs, floats, and shared objects."""
+    """`advance_fast` (memoized sizes, the transition memo) must track
+    the generic `advance` entry-for-entry: same check_args, same
+    composition sets, same violations at the same calls — across
+    arities, ties, pairs, floats, and shared objects."""
 
     def _sequences(self):
         from repro.values.values import Pair

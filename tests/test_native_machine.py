@@ -962,3 +962,187 @@ class TestReentry:
         assert seen
         for before, after in seen:
             assert all(x is y for x, y in zip(before, after))
+
+
+def payload(answer):
+    """A violation's whole payload as comparable text: function, both
+    argument vectors, graph, composition, call count, blame and the
+    rendered report."""
+    v = answer.violation
+    if v is None:
+        return None
+    return (v.function, [write_value(a) for a in v.prev_args],
+            [write_value(a) for a in v.new_args], repr(v.graph),
+            repr(v.composition), v.call_count, v.blame, str(v))
+
+
+def event_text(events):
+    """An event stream with its values written and its graphs shown."""
+    out = []
+    for ev in events:
+        if ev[0] == "call":
+            _, desc, margs, graph, params = ev
+            out.append(("call", desc, [write_value(a) for a in margs],
+                        repr(graph), params))
+        else:
+            out.append(ev)
+    return out
+
+
+class TestInlineLoopStep:
+    """A monitored self-tail call of a plain native λ under the cm
+    strategy steps the table inside the compiled loop instead of going
+    through the trampoline.  Every observable must stay the tree
+    machine's: the violation payload, the event stream and the steps, on
+    the compiled machine, on the native tier reached by heat (the λ tiers
+    up mid-loop and is entered from the interpreter) and on an
+    ahead-of-time parse."""
+
+    # f counts n down, then loops on n = 0 with a growing k: f tiers up
+    # by heat (16th apply) well before its violation.  g does the same
+    # through a generator λ (the closure call to id), whose self-tail
+    # calls keep the trampoline.
+    DIVERGE = {
+        "plain": "(define (f n k) (if (zero? n) (f n (+ k 1)) "
+                 "(f (- n 1) k)))\n(f 30 0)\n",
+        "generator": "(define (id x) x)\n"
+                     "(define (f n k) (if (zero? (id n)) (f n (+ k 1)) "
+                     "(f (- n 1) k)))\n(f 30 0)\n",
+        # contract mode: down loops with no table (s1 is empty), then f
+        # runs monitored under the wrapper's blame
+        "wrapped": "(define (f n k) (if (zero? n) (f n (+ k 1)) "
+                   "(f (- n 1) k)))\n"
+                   "(define (down n) (if (zero? n) 0 (down (- n 1))))\n"
+                   "(down 40)\n"
+                   "(define g (terminating/c (lambda (n) (f n 0)) "
+                   "\"spin\"))\n(g 30)\n",
+    }
+
+    CONFIGS = {
+        "identity": {},
+        "label": {"keying": "label"},
+        "measures": {"measures": {"f": lambda args: (args[0],)}},
+        "events": {"events": True},
+    }
+
+    @staticmethod
+    def run(src, machine, config, mode, ahead_of_time=False):
+        parsed = parse_program(src)
+        if ahead_of_time:
+            aot(parsed)
+        options = dict(config)
+        if options.pop("events", False):
+            options["events"] = []
+        monitor = SCMonitor(**options)
+        answer = run_program(parsed, mode=mode, monitor=monitor,
+                             fuel=1_000_000, machine=machine)
+        return answer, monitor
+
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    @pytest.mark.parametrize("name", list(DIVERGE))
+    def test_violation_and_events_identical(self, name, config):
+        src = self.DIVERGE[name]
+        mode = "contract" if name == "wrapped" else "full"
+        cfg = self.CONFIGS[config]
+        ref, ref_mon = self.run(src, "tree", cfg, mode)
+        assert ref.kind == Answer.SC_ERROR
+        assert ref.violation.function == "f"
+        assert ref.violation.blame == ("spin" if name == "wrapped"
+                                       else "the program")
+        runs = {"compiled": self.run(src, "compiled", cfg, mode),
+                "native-heat": self.run(src, "native", cfg, mode),
+                "native-aot": self.run(src, "native", cfg, mode,
+                                       ahead_of_time=True)}
+        for label, (answer, monitor) in runs.items():
+            assert answer.kind == ref.kind, label
+            assert answer.steps == ref.steps, label
+            assert payload(answer) == payload(ref), label
+            assert monitor.calls_seen == ref_mon.calls_seen, label
+            if ref_mon.events is not None:
+                assert event_text(monitor.events) == \
+                    event_text(ref_mon.events), label
+        assert runs["native-heat"][0].tier == "native"
+        assert runs["native-aot"][0].tier == "native"
+
+    LOOP = "(define (loop n k) (if (zero? n) k (loop (- n 1) (+ k 1))))\n"
+
+    @pytest.mark.parametrize("strategy,calls", [("cm", 2), ("imperative",
+                                                           62)])
+    def test_monitored_loop_stays_in_one_native_call(self, strategy,
+                                                     calls):
+        # Each extent of loop enters its native body once under cm; the
+        # imperative strategy re-enters it through the trampoline for
+        # every iteration (its undo record).
+        src = self.LOOP + "(+ (loop 30 0) (loop 30 0))\n"
+        parsed = aot(parse_program(src))
+        lam = lams_by_name(parsed)["loop"]
+        real = lam.native
+        seen = []
+
+        def counting(c, f, rt):
+            seen.append(1)
+            return real(c, f, rt)
+
+        lam.native = counting
+        try:
+            a = run_program(parsed, mode="full", strategy=strategy,
+                            monitor=SCMonitor(), fuel=MAX_STEPS,
+                            machine="native")
+        finally:
+            lam.native = real
+        assert a.kind == Answer.VALUE and a.value == 60
+        assert len(seen) == calls
+        ref = run_program(parsed, mode="full", strategy=strategy,
+                          monitor=SCMonitor(), fuel=MAX_STEPS,
+                          machine="tree")
+        assert observables(a) == observables(ref)
+
+    # Both sources call the loop twice in one caller: were the first
+    # extent's table to leak into the second, the second's first call
+    # (from (0 30) to (30 0)) would complete a violation.
+    def test_entered_from_a_cold_caller(self, monkeypatch):
+        src = (self.LOOP + "(define (cold n) (+ (loop n 0) (loop n 0)))\n"
+               "(cold 30)\n")
+        entered = []
+        real = native_mod.NativeContext.enter
+
+        def recording(self, fn, vals, s1, s2):
+            entered.append(fn.lam.name)
+            value = real(self, fn, vals, s1, s2)
+            # The driver's stack started with the entering state's mark,
+            # so the state the loop stepped to does not outlive it.
+            assert self.s1 is s1 and self.s2 is s2
+            return value
+
+        monkeypatch.setattr(native_mod.NativeContext, "enter", recording)
+        for strategy in ("cm", "imperative"):
+            entered.clear()
+            parsed = parse_program(src)
+            native_mod.compile_lam(lams_by_name(parsed)["loop"])
+            a = run_program(parsed, mode="full", strategy=strategy,
+                            monitor=SCMonitor(), fuel=MAX_STEPS,
+                            machine="native")
+            assert entered == ["loop", "loop"]
+            assert a.kind == Answer.VALUE and a.value == 60
+            ref = run_program(parsed, mode="full", strategy=strategy,
+                              monitor=SCMonitor(), fuel=MAX_STEPS,
+                              machine="tree")
+            assert observables(a) == observables(ref)
+
+    @pytest.mark.parametrize("depth", [10, 3 * native_mod._DIRECT_DEPTH])
+    def test_called_from_a_generator_frame(self, depth):
+        # deep is a generator λ; at the bottom of its recursion it calls
+        # loop through a nested driver (below _DIRECT_DEPTH) or by
+        # yielding to the driver (past it).
+        src = (self.LOOP + "(define (deep d) (if (zero? d) "
+               "(+ (loop 30 0) (loop 30 0)) (+ 1 (deep (- d 1)))))\n"
+               f"(deep {depth})\n")
+        parsed = aot(parse_program(src))
+        assert lams_by_name(parsed)["deep"].native_is_gen is True
+        a = run_program(parsed, mode="full", monitor=SCMonitor(),
+                        fuel=MAX_STEPS, machine="native")
+        assert a.kind == Answer.VALUE and a.value == 60 + depth
+        assert a.tier == "native"
+        ref = run_program(parsed, mode="full", monitor=SCMonitor(),
+                          fuel=MAX_STEPS, machine="tree")
+        assert observables(a) == observables(ref)

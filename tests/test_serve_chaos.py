@@ -224,17 +224,17 @@ class TestSyncClientDesync:
             async def main():
                 async def handler(reader, writer):
                     import json
-                    while True:
-                        line = await reader.readline()
-                        if not line:
-                            return
-                        req = json.loads(line)
-                        if req["op"] == "slow":
-                            await asyncio.sleep(0.6)
-                        writer.write(protocol.encode(
-                            {"id": req["id"], "ok": True,
-                             "kind": req["op"]}))
-                        await writer.drain()
+                    try:
+                        while line := await reader.readline():
+                            req = json.loads(line)
+                            if req["op"] == "slow":
+                                await asyncio.sleep(0.6)
+                            writer.write(protocol.encode(
+                                {"id": req["id"], "ok": True,
+                                 "kind": req["op"]}))
+                            await writer.drain()
+                    finally:
+                        writer.close()
 
                 server = await asyncio.start_server(
                     handler, "127.0.0.1", 0)
