@@ -6,11 +6,15 @@ factor')."""
 import pytest
 
 from repro.ds.hamt import Hamt
+from repro.lang.ast import Lam, Lit
 from repro.sexp.datum import intern
+from repro.sct import monitor as monitor_mod
 from repro.sct.graph import SCGraph, arc, graph_of_values
+from repro.sct.monitor import SCMonitor, table_step
 from repro.sct.order import SizeOrder
 from repro.solver import LinExpr, Solver, ge, lt, ne
-from repro.values.values import HashValue, python_to_list
+from repro.values.env import GlobalEnv
+from repro.values.values import Closure, HashValue, python_to_list
 
 
 def test_hamt_set_get(benchmark):
@@ -96,3 +100,30 @@ def test_size_order_compare_large(benchmark):
         return order.compare(big, smaller)
 
     assert benchmark(run) == 1  # DESC: memoized sizes make this O(1)
+
+
+@pytest.mark.parametrize("keys", [24, 48])
+def test_cm_table_step(benchmark, keys):
+    """Two rounds of monitored calls over a rotating working set of
+    ``keys`` closures, each extending the previous cm table: 24 keys is
+    ``scheme``'s shape and stays in the flat part; 48 outgrow it, so the
+    first round folds into the HAMT base and the second finds its keys
+    there."""
+    benchmark.group = "substrate:cm-table"
+    lam = Lam((intern("n"),), Lit(1), name="f")
+    closures = [Closure(lam, GlobalEnv()) for _ in range(keys)]
+    monitor = SCMonitor()
+    advance, fast_entry, _ = monitor.step_config()
+
+    def run():
+        table = (None,)
+        for args in ((2,), (1,)):
+            for clo in closures:
+                table = table_step(monitor, table, clo, clo, args, None,
+                                   advance, fast_entry)
+        return table
+
+    table = benchmark(run)
+    folded = keys > (monitor_mod._TABLE_PROMOTE - 1) // 2
+    assert (table[0] is not None) is folded
+    assert monitor.checks_done >= keys

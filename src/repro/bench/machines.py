@@ -44,8 +44,10 @@ Claims
 One verdict block, six bars (geomeans unless noted):
 
 * ``cm`` compiled ≥ 3× tree, over every program;
-* discharged ≤ 1.15× ``off`` and monitored (``cm``) ≥ 2× ``off``, on the
-  compiled machine over the discharged subset;
+* discharged ≤ 1.15× ``off`` and monitored (``cm``) ≤ 2× ``off``, on the
+  compiled machine over the discharged subset (both are ceilings on the
+  monitor's cost: the residual policy must cost next to nothing, full
+  monitoring at most twice the unmonitored run);
 * monitored (``cm``) native ≥ 1.3× compiled, over the programs outside
   the discharged subset (the ones the monitor still runs on);
 * native ≥ 10× tree over the discharged programs among
@@ -308,7 +310,7 @@ def claims(rows: Sequence[ProgramCells]) -> List[Claim]:
               1.15, at_most=True, gated=False),
         Claim("monitored vs off",
               over(subset, ("compiled", "cm"), ("compiled", "off")),
-              2.0, at_most=False, gated=False),
+              2.0, at_most=True, gated=False),
         Claim("monitored native vs compiled",
               over(residual, ("compiled", "cm"), ("native", "cm")),
               1.3, at_most=False, gated=False),

@@ -72,11 +72,18 @@ _CACHE_CAP = 1 << 16
 
 # The cm strategy's inline table (see :func:`table_step`) is a tuple
 # (base, key, entry, key, entry, ...): a flat identity-scanned part in
-# front of an optional HAMT base.  When the flat part holds 16 keys (33
-# slots, ≈ where linear scan and hashed lookup break even) it folds into
-# the base and starts fresh, so a loop's hot keys always sit in the flat
-# part.
-_TABLE_PROMOTE = 33
+# front of an optional HAMT base.  When the flat part holds 32 keys (65
+# slots) it folds into the base and starts fresh.  The fold point is
+# sized to the tables programs build (benchmarks/cm_table_sweep.py): no
+# table of the Table 1, extras or diverging programs, or of 800 fuzz
+# programs, holds more than 26 distinct keys (scheme), so none of them
+# ever folds.  At 16 keys scheme folded 735 times in one all-monitored
+# run, moving 11 760 keys through HAMT sets and doing 7 634 HAMT lookups
+# on flat misses, because a folded key that comes back is re-adopted
+# into the flat part, which refills and folds the same keys again.  The
+# HAMT stays for larger tables; each fold now moves up to 32 keys, twice
+# the old worst case.
+_TABLE_PROMOTE = 65
 _EMPTY_FSET = frozenset()
 
 

@@ -134,13 +134,13 @@ class TestMCHarness:
 
 def _cells(**overrides):
     """Synthetic ``(machine, policy) -> seconds`` for one program on
-    which every bar passes: cm compiled 3.6x tree, discharged 1.0x off,
-    monitored 2.5x off, monitored native 2.5x compiled, native 15x tree
+    which every bar passes: cm compiled 6x tree, discharged 1.0x off,
+    monitored 1.5x off, monitored native 1.5x compiled, native 15x tree
     and 5x compiled."""
     seconds = {
         ("tree", "off"): 3.0, ("tree", "cm"): 9.0,
         ("tree", "imperative"): 9.0, ("compiled", "off"): 1.0,
-        ("compiled", "cm"): 2.5, ("compiled", "imperative"): 2.5,
+        ("compiled", "cm"): 1.5, ("compiled", "imperative"): 1.5,
         ("native", "cm"): 1.0,
         ("tree", "discharged"): 3.0, ("compiled", "discharged"): 1.0,
         ("native", "discharged"): 0.2,
@@ -228,9 +228,9 @@ class TestMachinesHarness:
         assert "MISS" not in render_machines(rows)
 
     @pytest.mark.parametrize("bar, rows, gated", [
-        ("cm: compiled vs tree", [_cells(compiled_cm=3.1)], False),
+        ("cm: compiled vs tree", [_cells(tree_cm=4.0)], False),
         ("discharged vs off", [_cells(compiled_discharged=1.2)], False),
-        ("monitored vs off", [_cells(compiled_cm=1.9)], False),
+        ("monitored vs off", [_cells(compiled_cm=2.1)], False),
         ("native vs tree", [_cells(native_discharged=0.32)], True),
         ("native vs compiled",
          [_cells(), _cells(native_discharged=1.05, tree_discharged=30.0)],
