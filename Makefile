@@ -16,10 +16,13 @@ bench:
 		benchmarks/bench_pyterm.py --benchmark-only
 
 # The same cells, each run once as a plain test (no timing), so an API
-# change that breaks `make bench` fails CI.
+# change that breaks `make bench` fails CI; then the cm table's fold-point
+# sweep over the corpus and 20 fuzz seeds per mode (~2 s), which reaches
+# into the monitor's table internals.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_substrate.py \
 		benchmarks/bench_pyterm.py --benchmark-disable -q
+	$(PYTHON) benchmarks/cm_table_sweep.py --fuzz 20
 
 # The engine-comparison report alone (fast smoke, used by CI).
 bench-quick:

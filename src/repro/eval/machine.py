@@ -16,7 +16,8 @@ the whole corpus — ``tests/test_compiled_machine.py``):
   variables, λs, nested primitive calls) evaluate without touching the
   continuation, and the size-change monitor's common no-violation call
   runs through one table step per strategy keyed by the closure itself
-  and :meth:`~repro.sct.monitor.SCMonitor.advance_fast`.
+  and the monitor's evidence step — the same ``advance`` the tree
+  machine's ``upd`` runs.
 
 Both machines are single explicit-stack loops.  Continuation frames'
 *last two slots* snapshot the monitoring state current when the frame was
@@ -494,7 +495,7 @@ def eval_code(
         raise ValueError(f"unknown mode: {mode!r}")
 
     monitored_modes = mode != "off"
-    # The monitor's step configuration, decided once per form (see
+    # The monitor's step arguments, taken once per form (see
     # SCMonitor.step_config): table_step extends the cm strategy's hybrid
     # flat/HAMT tuple, mut_step the imperative strategy's shared dict.
     # `fresh` is a newly started monitoring state (the empty cm table, or

@@ -19,10 +19,10 @@ call boundaries only by hotness (below):
 * under the monitored modes the trampoline performs the same table step
   ``eval_code``'s APPLY performs — :func:`repro.sct.monitor.table_step`
   for the ``cm`` strategy, :func:`repro.sct.monitor.mut_step` for the
-  ``imperative`` one, both configured once per run by
-  :meth:`~repro.sct.monitor.SCMonitor.step_config` (evidence step, key
-  mode, first-call events) — so violations, witnesses and event streams
-  are byte-identical.  λs the active
+  ``imperative`` one, both given the monitor's own evidence step and key
+  mode once per run by :meth:`~repro.sct.monitor.SCMonitor.step_config`
+  — so violations, witnesses and event streams are byte-identical.  λs
+  the active
   :class:`~repro.analysis.discharge.ResidualPolicy` proved terminating —
   those whose labels are in the run's skip set (``skips``) —
   skip the step, as they do in the interpreter.  That test happens at
@@ -319,7 +319,7 @@ class NativeContext:
         self.fuel = fuel
         self.monitored = mode != "off"
         self.skips = skips
-        # eval_code's step configuration (SCMonitor.step_config) and the
+        # eval_code's step arguments (SCMonitor.step_config) and the
         # state a term/c wrapper starts, so a native frame steps the
         # table exactly as the interpreter would.
         self.stepping = monitor.step_config()

@@ -68,9 +68,9 @@ def default_cells(matrix: str = "full") -> List[Tuple[str, str, str]]:
     """The cell list for a matrix spec: ``full`` (all 30), ``quick``
     (9 cells covering all machines, both engines and all policies, with
     monitored native under both engines: the bitmask engine takes the
-    ``advance_fast`` step, the reference engine the generic
-    ``advance``; imperative native steps the mutable table with undo
-    records), or
+    packed, memoized evidence step, the reference engine the spec loop
+    over graph objects; imperative native steps the mutable table with
+    undo records), or
     an explicit comma list of ``machine:engine:policy`` triples."""
     if matrix == "full":
         return [(m, e, p) for m in MACHINES for e in ENGINES

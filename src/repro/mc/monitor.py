@@ -48,17 +48,19 @@ class MCMonitor(SCMonitor):
     front end's :class:`~repro.pyterm.order.PySizeOrder`); ``compare``
     is unused: MC graphs always relate the well-founded sizes
     themselves, which is what makes both termination arguments (descent
-    and bounded ascent) sound.  The ``engine`` knob is
-    moot here: because ``make_graph`` is overridden, the monitor always
-    takes the generic evidence path, and the :class:`MCGraph` objects it
-    composes are themselves bitmask-packed internally.
+    and bounded ascent) sound.  The ``engine`` knob is moot here: the
+    packed step encodes size-change graphs only, so an ``"mc"`` monitor
+    always steps with the spec loop over ``make_graph``'s graphs, and
+    the :class:`MCGraph` objects it composes are themselves
+    bitmask-packed internally.
 
     The compiled tiers' table steps (:func:`~repro.sct.monitor.table_step`,
-    :func:`~repro.sct.monitor.mut_step`) are inherited wholesale: only
-    ``make_graph`` is overridden, so ``fast_advance_ok`` correctly
-    reports False (``_bitmask_fast`` is off), keeping the MC evidence
-    pipeline on :meth:`SCMonitor.advance`.
+    :func:`~repro.sct.monitor.mut_step`) are inherited wholesale; they
+    run the monitor's ``advance``, which the evidence kind fixes at
+    construction.
     """
+
+    kind = "mc"
 
     def make_graph(self, old_args: Tuple, new_args: Tuple) -> MCGraph:
         size = self.order.size

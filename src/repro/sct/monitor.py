@@ -50,7 +50,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Tuple
 from repro.ds.hamt import Hamt
 from repro.sct import bitgraph
 from repro.sct.errors import SizeChangeViolation
-from repro.sct.graph import SCGraph, graph_of_values
+from repro.sct.graph import graph_of_values
 from repro.sct.order import DEFAULT_ORDER, SizeOrder
 from repro.values.env import Env
 from repro.values.equality import scheme_equal
@@ -58,12 +58,12 @@ from repro.values.values import Closure, HashKey, Pair, size_of
 
 _MISSING = object()
 
-# The fast path's transition memo, shared across monitors: a checked call
-# maps the entry's composition set S and the new packed evidence graph g
-# to the next set S' and the first failing composition of the batch (or
-# None).  Loops recur through a small repertoire of (S, g) pairs even when
-# S never stabilizes (permuted-argument loops à la tak), so after warm-up
-# a check is one dict hit.  Keyed by
+# The packed step's transition memo, shared across monitors: a checked
+# call maps the entry's composition set S and the new packed evidence
+# graph g to the next set S' and the first failing composition of the
+# batch (or None).  Loops recur through a small repertoire of (S, g)
+# pairs even when S never stabilizes (permuted-argument loops à la tak),
+# so after warm-up a check is one dict hit.  Keyed by
 # ``(S, strict, weak, m)``; the value is ``(S, S', failing)``.
 # Cleared wholesale past _CACHE_CAP entries, so a long-lived process
 # cannot accumulate; one run's working set is far below the cap.
@@ -94,12 +94,11 @@ class Entry:
     int pairs encoded at arity ``m``; under the reference engine it holds
     :class:`~repro.sct.graph.SCGraph` objects and ``m`` stays 0.
 
-    ``sizes`` memoizes ``size_of`` over ``check_args`` for the compiled
-    machine's fast path (:meth:`SCMonitor.advance_fast`): the default
-    :class:`~repro.sct.order.SizeOrder` compares only sizes, so caching
-    them turns the m×m evidence-graph build into integer compares.  It is
-    ``None`` until a fast-path check computes it (the generic paths never
-    read it).
+    ``sizes`` memoizes ``size_of`` over ``check_args`` for the packed
+    step's stock-order build (:meth:`SCMonitor._packed_step`): the
+    default :class:`~repro.sct.order.SizeOrder` compares only sizes, so
+    caching them turns the m×m evidence-graph build into integer
+    compares.  It is ``None`` until such a check computes it.
     """
 
     __slots__ = ("check_args", "comps", "count", "next_check", "m", "sizes")
@@ -127,6 +126,10 @@ class Entry:
 class SCMonitor:
     """Policy + ``upd`` implementation shared by both table strategies."""
 
+    #: The evidence kind (:func:`repro.evidence.evidence`): size-change
+    #: graphs, the family the bitmask engine packs.
+    kind = "sc"
+
     def __init__(
         self,
         order=None,
@@ -142,15 +145,18 @@ class SCMonitor:
         if engine not in ("bitmask", "reference"):
             raise ValueError(f"unknown graph engine: {engine!r}")
         self.order = order if order is not None else DEFAULT_ORDER
+        # The stock order compares sizes only, so the packed step builds
+        # its graph with integer compares over memoized sizes.
+        self._sizes_only = type(self.order) is SizeOrder
         self.keying = keying
         self.engine = engine
-        # The packed fast path applies only to size-change evidence: a
-        # subclass overriding ``make_graph`` (e.g. MCMonitor) supplies its
-        # own graph family and takes the generic path.
-        self._bitmask_fast = (
-            engine == "bitmask"
-            and type(self).make_graph is SCMonitor.make_graph
-        )
+        # The evidence step, fixed for the monitor's life: the packed step
+        # for size-change graphs under the bitmask engine, the spec loop
+        # over graph objects otherwise (the reference engine, and any
+        # other evidence kind, e.g. MCMonitor's).
+        self.advance = (self._packed_step
+                        if engine == "bitmask" and self.kind == "sc"
+                        else self._spec_step)
         self.backoff = backoff
         self.measures = dict(measures) if measures else {}
         # Optional call/return event stream, the one observation hook (the
@@ -230,18 +236,20 @@ class SCMonitor:
         ``desc_ok``."""
         return graph_of_values(old_args, new_args, self.order)
 
-    def advance(self, entry: Entry, clo: Closure, args: Tuple, blame) -> Entry:
-        """Extend ``entry`` with a new call; raise on an SCP violation."""
+    def _spec_step(self, entry: Entry, clo: Closure, args: Tuple,
+                   blame) -> Entry:
+        """The spec: extend ``entry`` with a new call over graph objects
+        (``make_graph``, ``compose``, ``desc_ok``); raise on an SCP
+        violation.  The reference engine and :class:`~repro.mc.monitor.
+        MCMonitor` step with this."""
         count = entry.count + 1
         if count < entry.next_check:
             if self.events is not None:
                 self._emit_call(clo, self.measured(clo, args), None)
             return Entry(entry.check_args, entry.comps, count,
-                         entry.next_check, entry.m, entry.sizes)
+                         entry.next_check)
         self.checks_done += 1
         margs = self.measured(clo, args)
-        if self._bitmask_fast:
-            return self._advance_bitmask(entry, clo, margs, count, blame)
         g = self.make_graph(entry.check_args, margs)
         if self.events is not None:
             self._emit_call(clo, margs, g)
@@ -254,16 +262,13 @@ class SCMonitor:
                                      count, blame)
                 break
         return Entry(margs, frozenset(new_comps), count,
-                     self._next_check(count))
-
-    def _next_check(self, count: int) -> int:
-        return count * 2 if self.backoff else count + 1
+                     count * 2 if self.backoff else count + 1)
 
     def _flag_violation(self, clo: Closure, prev_args: Tuple, margs: Tuple,
                         graph, composition, count: int, blame) -> None:
         """Build the witness-carrying violation and raise it (or record
         it under the Fig. 6 ``enforce=False`` call-sequence semantics).
-        Shared by both engines — ``graph`` / ``composition`` arrive as
+        Shared by both steps — ``graph`` / ``composition`` arrive as
         whatever user-facing graph family the caller monitors."""
         violation = SizeChangeViolation(
             function=clo.describe(),
@@ -279,125 +284,81 @@ class SCMonitor:
             raise violation
         self.violations.append(violation)
 
-    def _advance_bitmask(self, entry: Entry, clo: Closure, margs: Tuple,
-                         count: int, blame) -> Entry:
-        """The packed twin of the tail of :meth:`advance`: evidence graphs
-        and the composition set live as ``(strict, weak)`` int pairs; the
-        reference :class:`SCGraph` is materialized only for whatever leaves
-        the monitor (violations, events)."""
-        m = max(len(entry.check_args), len(margs), entry.m, 1)
-        mk = bitgraph.masks(m)
-        g = bitgraph.graph_of_values(entry.check_args, margs, self.order, mk)
-        comps = entry.comps
-        if entry.m and entry.m != m:
-            comps = [bitgraph.widen(c, entry.m, m) for c in comps]
-        if self.events is not None:
-            self._emit_call(clo, margs, bitgraph.unpack(mk, *g))
-        new_comps = {g}
-        if comps:
-            # g is the fixed right operand of the whole batch: factor its
-            # row masks once (precomputed column/row composition).
-            right = bitgraph.right_factor(mk, *g)
-            compose_right = bitgraph.compose_right
-            for (cs, cw) in comps:
-                new_comps.add(compose_right(mk, cs, cw, right))
-        for c in new_comps:
-            if not bitgraph.desc_ok(mk, *c):
-                self._flag_violation(clo, entry.check_args, margs,
-                                     bitgraph.unpack(mk, *g),
-                                     bitgraph.unpack(mk, *c), count, blame)
-                break
-        return Entry(margs, frozenset(new_comps), count,
-                     self._next_check(count), m)
-
-    # -- the compiled machine's fast path -----------------------------------------
-
-    def fast_advance_ok(self) -> bool:
-        """True when :meth:`advance_fast` is an exact stand-in for
-        :meth:`advance`: packed size-change evidence under the stock
-        :class:`~repro.sct.order.SizeOrder`, no event capture,
-        and no subclass overriding the evidence pipeline.  (Measures are
-        fine — :meth:`advance_fast` applies them like the generic path.)"""
-        cls = type(self)
-        return (
-            self._bitmask_fast
-            and cls.advance is SCMonitor.advance
-            and cls.measured is SCMonitor.measured
-            and type(self.order) is SizeOrder
-            and self.events is None
-        )
-
-    def step_config(self) -> Tuple:
-        """The compiled tiers' per-run choices for :func:`table_step` and
-        :func:`mut_step`: ``(advance, fast_entry, key_for)``.
-        ``advance`` is the evidence step (:meth:`advance_fast` when
-        :meth:`fast_advance_ok` holds, else :meth:`advance`, so violations
-        carry the same witness either way); ``fast_entry`` lets a first
-        call allocate the trivial entry in place when nothing (measures,
-        subclassing) distinguishes it from ``Entry(v⃗, ∅, 1, 2)``;
-        ``key_for`` is None under identity keying, where the key is the
-        closure itself.  Whether a call is monitored at all is the
-        machine's inline test of the run's skip set, not part of the
-        configuration."""
-        fast = self.fast_advance_ok()
-        return (self.advance_fast if fast else self.advance,
-                fast and not self.measures,
-                None if self.keying == "identity" else self.key_for)
-
-    def advance_fast(self, entry: Entry, clo: Closure, args: Tuple,
+    def _packed_step(self, entry: Entry, clo: Closure, args: Tuple,
                      blame) -> Entry:
-        """:meth:`advance` specialized for the compiled machine's hot loop
-        (guarded by :meth:`fast_advance_ok`): the measured tuple is the
-        argument tuple itself, ``size_of`` over the previous arguments is
-        memoized on the entry, and the evidence graph is built straight
-        into the packed masks with integer compares — ``scheme_equal`` runs
-        only on size ties, exactly as :class:`SizeOrder` would.  The
-        composition batch is looked up in the process-wide transition
-        memo (:func:`_transition` computes it on a miss), so a recurring
-        ``(S, g)`` costs one dict hit; ``S`` is always a frozenset."""
+        """The spec's packed twin, every bitmask size-change monitor's
+        step: evidence graphs and the composition set live as ``(strict,
+        weak)`` int pairs, and the batch ``{g} ∪ {c ; g | c ∈ S}`` comes
+        from the process-wide transition memo (:func:`_transition`
+        computes it on a miss), so a recurring ``(S, g)`` costs one dict
+        hit.  The reference :class:`SCGraph` is materialized only for what
+        leaves the monitor (violations, events).
+
+        Under the stock :class:`SizeOrder` with no event stream the graph
+        is built straight into the masks with integer compares over
+        ``size_of`` (memoized on the entry for the previous arguments);
+        ``scheme_equal`` runs only on size ties, exactly as the order
+        would.  Any other order builds through
+        :func:`bitgraph.graph_of_values` and the call event is emitted
+        here.  A measured tuple longer than the entry's arity widens
+        ``S`` first (a tuple, so it keeps the set's iteration order)."""
         count = entry.count + 1
-        next_check = entry.next_check
-        if count < next_check:
-            return Entry(entry.check_args, entry.comps, count, next_check,
-                         entry.m, entry.sizes)
+        if count < entry.next_check:
+            if self.events is not None:
+                self._emit_call(clo, self.measured(clo, args), None)
+            return Entry(entry.check_args, entry.comps, count,
+                         entry.next_check, entry.m, entry.sizes)
         self.checks_done += 1
-        if self.measures:
-            args = self.measured(clo, args)
         old = entry.check_args
-        old_sizes = entry.sizes
-        if old_sizes is None:
-            old_sizes = tuple(size_of(v) for v in old)
-        new_sizes = []
-        for v in args:
-            tv = type(v)
-            if tv is int:
-                new_sizes.append(v if v >= 0 else -v)
-            elif tv is Pair:
-                new_sizes.append(v.size)
-            else:
-                new_sizes.append(size_of(v))
-        m = entry.m
-        if not m:
-            m = max(len(old), len(args), 1)
-        strict = 0
-        weak = 0
-        i = 0
-        for vi in old:
-            si = old_sizes[i]
-            base = i * m
-            j = 0
-            for vj in args:
-                if vj is vi:
-                    weak |= 1 << (base + j)
-                else:
-                    sj = new_sizes[j]
-                    if sj is not None and si is not None and sj < si:
-                        strict |= 1 << (base + j)
-                    elif sj == si and scheme_equal(vj, vi):
-                        weak |= 1 << (base + j)
-                j += 1
-            i += 1
         comps = entry.comps
+        m = entry.m
+        if self._sizes_only and self.events is None:
+            # Only a measure can change the tuple's length here.
+            if self.measures:
+                args = self.measured(clo, args)
+                comps, m = _stride(comps, m, old, args)
+            elif not m:
+                m = max(len(old), len(args), 1)
+            old_sizes = entry.sizes
+            if old_sizes is None:
+                old_sizes = tuple(size_of(v) for v in old)
+            new_sizes = []
+            for v in args:
+                tv = type(v)
+                if tv is int:
+                    new_sizes.append(v if v >= 0 else -v)
+                elif tv is Pair:
+                    new_sizes.append(v.size)
+                else:
+                    new_sizes.append(size_of(v))
+            strict = 0
+            weak = 0
+            i = 0
+            for vi in old:
+                si = old_sizes[i]
+                base = i * m
+                j = 0
+                for vj in args:
+                    if vj is vi:
+                        weak |= 1 << (base + j)
+                    else:
+                        sj = new_sizes[j]
+                        if sj is not None and si is not None and sj < si:
+                            strict |= 1 << (base + j)
+                        elif sj == si and scheme_equal(vj, vi):
+                            weak |= 1 << (base + j)
+                    j += 1
+                i += 1
+            sizes = tuple(new_sizes)
+        else:
+            args = self.measured(clo, args)
+            comps, m = _stride(comps, m, old, args)
+            mk = bitgraph.masks(m)
+            strict, weak = bitgraph.graph_of_values(old, args, self.order,
+                                                    mk)
+            if self.events is not None:
+                self._emit_call(clo, args, bitgraph.unpack(mk, strict, weak))
+            sizes = None
         hit = _TRANSITIONS.get((comps, strict, weak, m))
         if hit is None or (hit[0] is not comps
                            and tuple(hit[0]) != tuple(comps)):
@@ -408,8 +369,21 @@ class SCMonitor:
                                  bitgraph.unpack(mk, strict, weak),
                                  bitgraph.unpack(mk, *hit[2]), count, blame)
         return Entry(args, hit[1], count,
-                     count * 2 if self.backoff else count + 1, m,
-                     tuple(new_sizes))
+                     count * 2 if self.backoff else count + 1, m, sizes)
+
+    def step_config(self) -> Tuple:
+        """The compiled tiers' per-run arguments for :func:`table_step`
+        and :func:`mut_step`: ``(advance, fast_entry, key_for)``.
+        ``advance`` is the monitor's evidence step, the one ``upd`` runs;
+        ``fast_entry`` lets a first call allocate the trivial entry in
+        place when nothing (measures, an event stream) distinguishes it
+        from ``Entry(v⃗, ∅, 1, 2)``; ``key_for`` is None under identity
+        keying, where the key is the closure itself.  Whether a call is
+        monitored at all is the machine's inline test of the run's skip
+        set, not part of the configuration."""
+        return (self.advance,
+                not self.measures and self.events is None,
+                None if self.keying == "identity" else self.key_for)
 
     # -- table strategies --------------------------------------------------------
 
@@ -424,8 +398,9 @@ class SCMonitor:
 
     def upd_mut(self, table: dict, clo: Closure, args: Tuple, blame):
         """Mutable-table ``upd`` (imperative strategy): :func:`mut_step`
-        under the generic configuration.  Returns ``(key,
-        previous_entry_or_missing_sentinel)`` for the restore frame."""
+        with the monitor's own step and no first-call shortcut.  Returns
+        ``(key, previous_entry_or_missing_sentinel)`` for the restore
+        frame."""
         key = self.key_for(clo)
         return key, mut_step(self, table, key, clo, args, blame,
                              self.advance, False)
@@ -446,16 +421,30 @@ class SCMonitor:
         )
 
 
-def _transition(comps: FrozenSet, strict: int, weak: int, m: int) -> tuple:
+def _stride(comps, m: int, old: Tuple, new: Tuple) -> tuple:
+    """``(comps, m)`` for a packed check of ``old`` → ``new``: the arity
+    the graph is encoded at and the composition set re-encoded at it.  A
+    first check takes the longer tuple; a later one widens only when
+    ``new`` is longer than ``m`` (``old`` never is), into a tuple that
+    keeps ``comps``'s iteration order, so the batch fails first where it
+    would have failed unwidened."""
+    if not m:
+        return comps, max(len(old), len(new), 1)
+    n = len(new)
+    if n <= m:
+        return comps, m
+    return tuple(bitgraph.widen(c, m, n) for c in comps), n
+
+
+def _transition(comps, strict: int, weak: int, m: int) -> tuple:
     """Compute and memoize one checked call of :meth:`SCMonitor.
-    advance_fast`: the batch ``{g} ∪ {c ; g | c ∈ comps}`` built and
-    scanned in the order :meth:`SCMonitor._advance_bitmask` builds and
-    scans it, so the first failing composition is the one the tree
-    machine reports.  Every composition of the batch is checked, so the
-    answer is a function of the key alone, whatever the enforcement of
-    the monitor that asks (under enforcement ``comps`` holds no failing
-    composition; without it failing ones persist and re-flag on every
-    call, as on the generic path).
+    _packed_step`: the batch ``{g} ∪ {c ; g | c ∈ comps}`` built and
+    scanned in ``comps``'s iteration order.  ``comps`` is the entry's
+    frozenset, or the tuple :func:`_stride` widened it to.  Every
+    composition of the batch is checked, so the answer is a function of
+    the key alone, whatever the enforcement of the monitor that asks
+    (under enforcement ``comps`` holds no failing composition; without it
+    failing ones persist and re-flag on every call, as in the spec).
 
     Which composition fails first depends on the iteration order of
     ``comps``, and two equal sets may iterate differently; so a memo hit

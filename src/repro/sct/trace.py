@@ -101,8 +101,9 @@ def trace_source(
     Pass a monitor to trace with custom policy (measures, an
     :class:`repro.mc.monitor.MCMonitor`, ``enforce=False`` to keep going
     past violations, ...).  The monitor's ``events`` list is overwritten.
-    An event-collecting monitor disqualifies the machine's inline-``upd``
-    fast path, so both machines emit the identical event stream.
+    Every machine steps the monitor with the same ``advance``, which
+    emits the events, so all of them produce the identical event
+    stream.
     ``source`` names the program in a parse error, as in ``run_source``.
     """
     events: List[tuple] = []

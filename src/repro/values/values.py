@@ -131,7 +131,7 @@ class Closure:
     dict-rib :class:`~repro.values.env.Env` chain or a list frame.
 
     Closures hash and compare by identity (Python's defaults), which is
-    what lets the compiled machine's fast path key size-change tables by
+    what lets the compiled tiers' table step key size-change tables by
     the closure object directly — identity keying with no key wrapper."""
 
     __slots__ = ("lam", "env", "name")

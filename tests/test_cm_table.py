@@ -9,13 +9,23 @@ point — at its real value and at small ones, where folds are dense — with
 keys that come back after their flat copy was folded.  After every call
 both must map the same keys to the same entries, count the same calls
 and checks, and raise or record the same violations, under identity and
-label keying, both engines, backoff and ``enforce`` on and off.
+label keying, both engines, backoff and ``enforce`` on and off.  Two
+whole programs whose tables fold three times (one terminating, one
+diverging past its folds) must give identical answers, violations and
+statistics on the tree, compiled and native machines under both
+strategies and keyings.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ds.hamt import Hamt
+from repro.eval import machine as machine_mod
+from repro.eval import native as native_mod
+from repro.eval.machine import run_program
+from repro.eval.native import ensure_native_program
 from repro.lang.ast import Lam, Lit
+from repro.lang.parser import parse_program
 from repro.sct import bitgraph
 from repro.sct import monitor as monitor_mod
 from repro.sct.errors import SizeChangeViolation
@@ -150,3 +160,76 @@ def test_crosses_the_real_fold_point():
             folds = _drive(calls, keying=keying, engine="bitmask",
                            backoff=False, enforce=enforce)
             assert folds >= (1 if keying == "label" else 2)
+
+
+# -- whole programs through the fold and the base lookup ---------------------
+
+# Each level applies a fresh inner closure (a one-shot key under either
+# keying: under label keying its key holds the captured n) that calls
+# count-down in tail position, so one table lineage gains a key per level
+# and folds every 32 keys — three times by depth 100 — while count-down's
+# own key, recurring, is found in the base after each fold and re-adopted.
+COUNT_DOWN = """
+(define (count-down n)
+  (if (= n 0) 0 (+ 1 ((lambda (m) (count-down m)) (- n 1)))))
+(count-down 100)
+"""
+# The diverging twin: the same descent, then recursion on 0 forever,
+# flagged past the third fold.
+SPIN = """
+(define (spin n)
+  (if (= n 0)
+      (+ 1 ((lambda (m) (spin m)) 0))
+      (+ 1 ((lambda (m) (spin m)) (- n 1)))))
+(spin 100)
+"""
+
+
+def _run_counting_folds(source, machine, strategy, keying, monkeypatch):
+    """Run ``source`` (native: ahead of time) with every ``table_step``
+    of the compiled and native tiers counted; returns what the run
+    exposes and the ``(folds, base hits)`` it made."""
+    counts = [0, 0]
+
+    def counting(monitor, table, key, *rest):
+        base = table[0]
+        if base is not None and not any(k is key for k in table[1::2]):
+            counts[1] += base.get(key) is not None
+        out = table_step(monitor, table, key, *rest)
+        counts[0] += out[0] is not base
+        return out
+
+    # The native tier binds table_step into each λ's namespace when it
+    # compiles, so patch before the ahead-of-time compile of a fresh
+    # parse.
+    monkeypatch.setattr(machine_mod, "table_step", counting)
+    monkeypatch.setattr(native_mod, "table_step", counting)
+    parsed = parse_program(source)
+    if machine == "native":
+        ensure_native_program(parsed)
+    monitor = SCMonitor(keying=keying)
+    answer = run_program(parsed, mode="full", strategy=strategy,
+                         monitor=monitor, machine=machine, fuel=100_000)
+    seen = (answer.kind, answer.value, answer.steps,
+            None if answer.violation is None else str(answer.violation),
+            monitor.calls_seen, monitor.checks_done)
+    return seen, tuple(counts)
+
+
+@pytest.mark.parametrize("source, kind", [(COUNT_DOWN, "value"),
+                                          (SPIN, "sc-error")],
+                         ids=["count-down", "spin"])
+def test_whole_program_folds_agree_everywhere(source, kind, monkeypatch):
+    seen = {}
+    for machine in ("tree", "compiled", "native"):
+        for strategy in ("cm", "imperative"):
+            for keying in ("identity", "label"):
+                out, (folds, base_hits) = _run_counting_folds(
+                    source, machine, strategy, keying, monkeypatch)
+                seen[(machine, strategy, keying)] = out
+                cm_tier = machine != "tree" and strategy == "cm"
+                assert (folds, base_hits) == \
+                    ((3, 3) if cm_tier else (0, 0)), (machine, strategy,
+                                                      keying)
+    assert len(set(seen.values())) == 1, seen
+    assert next(iter(seen.values()))[0] == kind

@@ -243,11 +243,13 @@ class TestSetUnboundGlobalRegression:
             env.set(intern("ghost"), 1)
 
 
-class TestAdvanceFastAlgebra:
-    """`advance_fast` (memoized sizes, the transition memo) must track
-    the generic `advance` entry-for-entry: same check_args, same
-    composition sets, same violations at the same calls — across
-    arities, ties, pairs, floats, and shared objects."""
+class TestPackedStepAlgebra:
+    """The packed step (memoized sizes, the transition memo) must track
+    the spec — the reference engine's loop over graph objects —
+    entry-for-entry: same check_args, same composition sets, same
+    violations at the same calls, each reporting a composition that
+    fails in the spec's batch — across arities, ties, pairs, floats,
+    and shared objects."""
 
     def _sequences(self):
         from repro.values.values import Pair
@@ -264,39 +266,53 @@ class TestAdvanceFastAlgebra:
         yield "m3-mixed", [(Pair(1, 2), 10, "abc"), (Pair(1, 2), 9, "ab"),
                            (2, 9, "ab"), (1, 8, "a")]
 
-    def _drive(self, seq, advance_name):
+    def _drive(self, seq, engine):
         from repro.lang.ast import Lam, Lit
         from repro.sexp.datum import intern
         from repro.values.env import GlobalEnv
         from repro.values.values import Closure
 
-        monitor = SCMonitor(enforce=False)
+        monitor = SCMonitor(enforce=False, engine=engine)
         params = tuple(intern(f"p{i}") for i in range(len(seq[0])))
         clo = Closure(Lam(params, Lit(1), name="probe"), GlobalEnv())
         entry = monitor.initial_entry(clo, seq[0])
-        step = getattr(monitor, advance_name)
         entries = [entry]
         for args in seq[1:]:
-            entry = step(entry, clo, args, None)
+            entry = monitor.advance(entry, clo, args, None)
             entries.append(entry)
         return monitor, entries
 
-    def test_fast_tracks_generic(self):
-        for name, seq in self._sequences():
-            mon_f, ent_f = self._drive(seq, "advance_fast")
-            mon_g, ent_g = self._drive(seq, "advance")
-            for i, (ef, eg) in enumerate(zip(ent_f, ent_g)):
-                ctx = f"{name} call {i}"
-                assert ef.check_args == eg.check_args, ctx
-                assert set(ef.comps) == set(eg.comps), ctx
-                assert ef.count == eg.count, ctx
-                assert ef.next_check == eg.next_check, ctx
-            assert len(mon_f.violations) == len(mon_g.violations), name
-            for vf, vg in zip(mon_f.violations, mon_g.violations):
-                assert vf.composition == vg.composition, name
-                assert vf.call_count == vg.call_count, name
+    @staticmethod
+    def _graphs(entry):
+        from repro.sct import bitgraph
 
-    def test_fast_tracks_generic_random(self):
+        if not entry.m:
+            return set(entry.comps)
+        mk = bitgraph.masks(entry.m)
+        return {bitgraph.unpack(mk, *c) for c in entry.comps}
+
+    def _assert_tracks(self, seq, ctx):
+        mon_p, ent_p = self._drive(seq, "bitmask")
+        mon_r, ent_r = self._drive(seq, "reference")
+        for i, (ep, er) in enumerate(zip(ent_p, ent_r)):
+            assert ep.check_args == er.check_args, (ctx, i)
+            assert self._graphs(ep) == set(er.comps), (ctx, i)
+            assert (ep.count, ep.next_check) == \
+                (er.count, er.next_check), (ctx, i)
+        assert [v.call_count for v in mon_p.violations] == \
+            [v.call_count for v in mon_r.violations], ctx
+        for vp, vr in zip(mon_p.violations, mon_r.violations):
+            assert vp.graph == vr.graph, ctx
+            batch = {vr.graph} | {c.compose(vr.graph)
+                                  for c in ent_r[vr.call_count - 2].comps}
+            assert vp.composition in {c for c in batch
+                                      if not c.desc_ok()}, ctx
+
+    def test_packed_tracks_reference(self):
+        for name, seq in self._sequences():
+            self._assert_tracks(seq, name)
+
+    def test_packed_tracks_reference_random(self):
         import random
 
         rng = random.Random(20260729)
@@ -304,16 +320,12 @@ class TestAdvanceFastAlgebra:
             m = rng.choice([1, 1, 2, 2, 3, 4])
             seq = [tuple(rng.randrange(6) for _ in range(m))
                    for _ in range(rng.randrange(2, 9))]
-            mon_f, ent_f = self._drive(seq, "advance_fast")
-            mon_g, ent_g = self._drive(seq, "advance")
-            assert set(ent_f[-1].comps) == set(ent_g[-1].comps), (trial, seq)
-            assert [v.composition for v in mon_f.violations] == \
-                [v.composition for v in mon_g.violations], (trial, seq)
+            self._assert_tracks(seq, (trial, seq))
 
 
 class TestMonitorFastPathEquivalence:
-    """Policy knobs that disqualify the inline fast path must still agree
-    between machines (they take the generic monitor path)."""
+    """Policy knobs beyond the stock configuration (label keying,
+    backoff, events, skip sets) must still agree between machines."""
 
     SRC = """
     (define (dec n) (if (= n 0) 'done (dec (- n 1))))

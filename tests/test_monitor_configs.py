@@ -172,3 +172,30 @@ def test_label_keying_is_independent_of_hash_seed():
                                 env=env, capture_output=True, text=True,
                                 check=True).stdout)
     assert len(outs) == 1 and outs.pop().count("\n") == len(PROGRAMS)
+
+
+# A measure whose tuple length changes along the loop: 3 -> (1 2),
+# 2 -> (2 0), 1 -> (5 3 2), 0 -> (0 3).  The arity-2 composition set must
+# be widened when the 3-tuple arrives, or its bits spill across rows and
+# the loop runs unchecked until fuel runs out.
+VARLEN_SRC = "(define (f n) (if (= n 0) (f 3) (f (- n 1)))) (f 3)"
+VARLEN_MEASURE = {0: (0, 3), 1: (5, 3, 2), 2: (2, 0), 3: (1, 2)}
+
+
+def test_variable_length_measure_flags_on_every_tier():
+    seen = {}
+    for machine in MACHINES:
+        for engine in ("bitmask", "reference"):
+            monitor = SCMonitor(
+                engine=engine,
+                measures={"f": lambda a: VARLEN_MEASURE[a[0]]})
+            parsed = parse_program(VARLEN_SRC)
+            if machine == "native":
+                ensure_native_program(parsed)
+            answer = run_program(parsed, mode="full", monitor=monitor,
+                                 fuel=100_000, machine=machine)
+            assert answer.kind == Answer.SC_ERROR, (machine, engine)
+            assert answer.steps == 5 and \
+                answer.violation.call_count == 5, (machine, engine)
+            seen[(machine, engine)] = str(answer.violation)
+    assert len(set(seen.values())) == 1, seen
