@@ -57,9 +57,12 @@ from repro.sexp.datum import intern
 from repro.values.env import Env, GlobalEnv, UnboundVariable
 from repro.values.values import (
     VOID,
+    Box,
     Closure,
+    Pair,
     Prim,
     TermWrapped,
+    Vector,
     write_value,
 )
 
@@ -1059,7 +1062,64 @@ def make_env(*, machine: str = "compiled") -> GlobalEnv:
             if type(value) is Closure and value.name is None:
                 value.name = form.name.name
             env.define(form.name, value)
+    env.unnamed = _unnamed_closures(env.by_name.values())
     return env
+
+
+def _unnamed_closures(values) -> tuple:
+    """The closures without a name reachable from ``values``: through
+    pairs, vectors, boxes, ``term/c`` wrappers and the local frames
+    closures capture (list frames, whose slot 0 is the parent frame, or
+    dict ribs; the global frame is not walked)."""
+    found, seen, todo = [], set(), list(values)
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        t = type(v)
+        if t is Closure:
+            if v.name is None:
+                found.append(v)
+            todo.append(v.env)
+        elif t is list:
+            todo.extend(v)
+        elif t is Env:
+            todo.extend(v.bindings.values())
+            todo.append(v.parent)
+        elif t is Pair:
+            todo.append(v.car)
+            todo.append(v.cdr)
+        elif t is Vector:
+            todo.extend(v.items)
+        elif t is Box:
+            todo.append(v.value)
+        elif t is TermWrapped:
+            todo.append(v.closure)
+    return tuple(found)
+
+
+# The compiled family's library environment, built on first use:
+# ``run_program(env=None)`` on the compiled or native machine runs on a
+# snapshot of it instead of rebuilding the prelude and contract library
+# per run.  Those closures read globals from the environment the run
+# passes in, so a library λ sees a program's redefinition of another
+# library name exactly as on a fresh environment, and the snapshot keeps
+# the redefinition out of the next run (and clears the names a run's
+# ``define`` or ``letrec`` gave the library's anonymous closures: see
+# ``GlobalEnv.unnamed``).  Tree closures capture the
+# global frame that built them, so the tree machine builds its own.
+_COMPILED_BASE: Optional[GlobalEnv] = None
+
+
+def _run_env(machine: str) -> GlobalEnv:
+    """A fresh global environment for one run on ``machine``."""
+    global _COMPILED_BASE
+    if machine == "tree":
+        return make_env(machine="tree")
+    if _COMPILED_BASE is None:
+        _COMPILED_BASE = make_env(machine="compiled")
+    return _COMPILED_BASE.snapshot()
 
 
 def policy_skip_labels(discharge) -> Optional[frozenset]:
@@ -1124,10 +1184,16 @@ def run_program(
     monitor carries no policy from one run into the next.  This is the
     one way to stop monitoring a λ.  ``discharge=None`` monitors
     everything.  The resolved code is the same under any policy.
+
+    ``env``: a global environment from :func:`make_env` for this
+    machine's family; the run works on a snapshot of it, so nothing it
+    defines or ``set!``s outlives the run.  ``env=None`` gives the run a
+    fresh library environment: a snapshot of one the compiled family
+    builds once per process, or a newly built one on the tree machine.
     """
     _check_machine(machine)
     if env is None:
-        env = make_env(machine=machine)
+        env = _run_env(machine)
     else:
         if env.flavor is not None and env.flavor != _env_family(machine):
             raise ValueError(

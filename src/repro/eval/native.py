@@ -41,8 +41,9 @@ restore frame, tail calls included, so that strategy's broken proper
 tail calls are unchanged on this tier.  ``eval_code`` hands a
 closure to the trampoline after its own table step for that apply, and
 the driver's stack starts with that state's mark, so the step runs
-exactly once.  Direct tail calls bypass the trampoline, so they are
-taken only for callees that need no step in the current run.  Compiled
+exactly once.  Direct tail calls and :meth:`NativeContext.call` bypass
+the trampoline, so they are taken only for callees that need no step in
+the current run.  Compiled
 self-tail loops jump back without the trampoline too: a self-loop tests
 ``_S``, computed once per call from the run's mode and skip set and the
 λ's label ``_L`` (bound in the λ's namespace, so the generated source
@@ -82,21 +83,30 @@ fallback runs without a native context, so however often the object
 program alternates between cold and hot λs, at most that many
 interpreter invocations nest on the Python stack.
 
-Stack discipline: native functions never call each other on the Python
-stack.  Tail calls *return* a :class:`_Call` request; non-tail calls
+Stack discipline: native functions call each other on the Python stack
+only up to ``_DIRECT_DEPTH`` deep (``NativeContext.d`` counts the
+levels).  Tail calls *return* a :class:`_Call` request; non-tail calls
 are compiled into generator functions that *yield* the request and are
 resumed with the result — the driver keeps suspended generators on an
 explicit list, so object-language recursion deeper than CPython's
 recursion limit costs heap, not stack.  λs with no closure-risky
 non-tail call sites compile to plain (non-generator) functions and skip
-the generator machinery entirely.
+the generator machinery entirely.  Below the bound a generator's
+non-tail site calls :meth:`NativeContext.call` instead of yielding: it
+runs a callee the run does not step in place (a generator callee
+started with ``send``, so its frame lives in the generator object) and
+follows its tail requests, and hands anything else, or a request the
+started generator yields at the bound, to a driver; a callee that
+needs the driver from the start is handed back (``_DRIVE``) for the
+site to drive.  A discharged program below the bound thus enters the
+driver once per top-level form.
 
 Fuel: one step is one closure body entered, as on the interpreters.
 The driver charges the shared :class:`~repro.eval.machine._Fuel` at its
 closure branch once it knows the call does not fall back (a fallback's
-``eval_code`` charges instead); self-tail loops and direct tail calls
-charge where they enter the callee, before any table step, as the
-driver does.  ``steps`` is therefore identical
+``eval_code`` charges instead); self-tail loops, direct tail calls and
+:meth:`NativeContext.call` charge where they enter the callee, before
+any table step, as the driver does.  ``steps`` is therefore identical
 across tiers, and every object-language loop passes through an
 application, so a diverging program exhausts any finite budget.
 """
@@ -292,6 +302,15 @@ class _Call:
         self.tail = tail
 
 
+# What NativeContext.call returns when the callee it was handed needs the
+# driver (its argument list untouched): the site then enters the driver
+# itself, so such a call nests one frame on the Python stack, not two.
+# Two cost a measured 25% on monitored non-tail recursion: CPython 3.11
+# allocates frames in 16 KiB data-stack chunks, and the deeper stack
+# crossed a chunk boundary on every descent.
+_DRIVE = object()
+
+
 class NativeContext:
     """Per-run state shared by every native frame: the global
     environment, the monitoring configuration and the run's skip set,
@@ -303,7 +322,7 @@ class NativeContext:
     and restores a suspended frame's own state when it resumes (see
     :meth:`_drive`)."""
 
-    __slots__ = ("genv", "gget", "mode", "strategy", "monitor", "mtable",
+    __slots__ = ("genv", "globals", "mode", "strategy", "monitor", "mtable",
                  "fuel", "monitored", "skips", "stepping", "imperative",
                  "fresh", "entries", "s1", "s2", "d", "nest")
 
@@ -311,7 +330,7 @@ class NativeContext:
                  mtable: Optional[dict], fuel,
                  skips: Optional[frozenset] = None):
         self.genv = genv
-        self.gget = genv.by_name.get
+        self.globals = genv.by_name
         self.mode = mode
         self.strategy = strategy
         self.monitor = monitor
@@ -328,12 +347,13 @@ class NativeContext:
         self.entries = 0
         self.s1 = None
         self.s2 = None
-        # Direct-call depth: native frames may call each other on the
-        # Python stack up to _DIRECT_DEPTH deep (see the emitter's
-        # direct-call fast paths); past the bound they fall back to the
-        # trampoline protocol, so total stack use stays constant.  The
-        # counter is monotone-correct: an exception that skips decrements
-        # only makes later calls more conservative, never unsound.
+        # Direct-call depth: native frames and drivers may nest on the
+        # Python stack up to _DIRECT_DEPTH deep (see call, _drive and
+        # the emitter's direct-call fast paths); past the bound they
+        # fall back to the trampoline protocol, so total stack use stays
+        # constant.  The counter is monotone-correct: an exception that
+        # skips a decrement only makes later calls more conservative,
+        # never unsound.
         self.d = 0
         # Fallback nesting: how many fallback_call extents are running
         # (see _REENTRY_BOUND).
@@ -350,10 +370,72 @@ class NativeContext:
         self.s2 = s2
         return self._drive(fn, vals, None, charged=True)
 
-    def _drive(self, fn, vals, loc, charged=False):
+    def call(self, fn, vals, loc):
+        """A generator λ's closure-risky non-tail call below
+        ``_DIRECT_DEPTH``: apply (fn, vals) and return its value without
+        a driver when nothing on the way needs one.
+
+        While the callee is a compiled closure of matching arity that
+        this run does not step (the direct tail site's guard), charge
+        it, run its native body and follow its tail request; a generator
+        callee starts in place, and as it runs at a deeper ``d`` than
+        its caller it suspends only once it reaches the bound.  Such a
+        request goes to :meth:`_drive` with the suspended generator at
+        the bottom of its stack, and so does a later callee of the chain
+        that the loop cannot prove needs no state change (a stepped λ, a
+        ``term/c`` wrapper, an arity mismatch, a λ not compiled yet).
+        When the first callee is such a one, nothing has run: ``call``
+        returns ``_DRIVE`` and the site drives the call itself.  A
+        primitive is applied here, as the driver would.  Skipped callees
+        leave ``s1``/``s2`` alone, so a driver starts from the state it
+        would have seen had it applied them itself."""
+        fuel = self.fuel
+        monitored = self.monitored
+        skips = self.skips
+        d = self.d
+        self.d = d + 1
+        entered = False
+        while type(fn) is Closure:
+            clam = fn.lam
+            nf = clam.native
+            if nf is None or len(vals) - 1 != clam.nparams or (
+                    monitored and (skips is None
+                                   or clam.label not in skips)):
+                break
+            entered = True
+            left = fuel.left
+            if left >= 0:
+                if left == 0:
+                    raise FuelExhausted(fuel.limit)
+                fuel.left = left - 1
+            vals[0] = fn.env
+            if clam.native_is_gen:
+                gen = nf(fn, vals, self)
+                out = gen.send(None)
+                if type(out) is _Call and not out.tail:
+                    out = self._drive(out.fn, out.vals, out.loc, below=gen)
+            else:
+                out = nf(fn, vals, self)
+            if type(out) is not _Call:
+                self.d = d
+                return out
+            fn = out.fn
+            vals = out.vals
+            loc = out.loc
+        if type(fn) is Prim:
+            out = self.prim(fn, vals[1:], loc)
+        elif entered:
+            out = self._drive(fn, vals, loc)
+        else:
+            out = _DRIVE
+        self.d = d
+        return out
+
+    def _drive(self, fn, vals, loc, charged=False, below=None):
         """The trampoline: applies (fn, vals) to completion.  Suspended
         generator frames live on an explicit stack, so object-language
-        non-tail recursion costs heap, never Python stack.
+        non-tail recursion costs heap, never Python stack.  A driver
+        counts one level of ``d`` while it runs.
 
         Continuation marks: before the first state change above a
         suspended frame (or at the bottom of this driver's extent), the
@@ -366,6 +448,9 @@ class NativeContext:
         push one too, as under ``eval_code``.  ``charged``: the caller
         (:meth:`enter`) already charged and stepped the first apply, and
         the stack starts with the mark of the state it stepped to.
+        ``below``: a generator :meth:`call` started in place that
+        suspended on this non-tail request; the stack starts with it, so
+        the request's value resumes it and its own value is returned.
 
         So a monitored plain frame always runs with a mark on top, and a
         compiled self-tail loop may step the cm table in place (see the
@@ -374,7 +459,12 @@ class NativeContext:
         fuel = self.fuel
         monitored = self.monitored
         skips = self.skips
-        stack: List = [(self.s1, self.s2)] if charged else []
+        d = self.d
+        self.d = d + 1
+        if charged:
+            stack: List = [(self.s1, self.s2)]
+        else:
+            stack = [] if below is None else [below]
         value = None
         applying = True
         while True:
@@ -475,6 +565,7 @@ class NativeContext:
             else:
                 # Return `value` to the innermost suspended frame.
                 if not stack:
+                    self.d = d
                     return value
                 top = stack[-1]
                 if type(top) is tuple:
@@ -653,7 +744,7 @@ class _Emitter:
         self.consts: List = []
         self.cids: dict = {}
         self.uses_consts = False
-        self.uses_gget = False
+        self.uses_globals = False
         self.uses_fuel = False
         self.uses_env = False
         self.uses_direct = False
@@ -755,12 +846,16 @@ class _Emitter:
         return f"{self.env_chain(depth - nribs)}[{idx}]"
 
     def global_read(self, node, ind: int) -> str:
-        self.uses_gget = True
+        # A subscript under a try block (free in CPython 3.11 unless it
+        # raises) is cheaper than a dict.get call and a sentinel test.
+        self.uses_globals = True
         t = self.gensym()
-        self.line(ind, f"{t} = _G({node.sname!r}, _UNDEF)")
-        self.line(ind, f"if {t} is _UNDEF:")
+        self.line(ind, "try:")
+        self.line(ind + 1, f"{t} = _G[{node.sname!r}]")
+        self.line(ind, "except KeyError:")
         msg = f"unbound variable: {node.name.name}"
-        self.line(ind + 1, f"raise _SErr({msg!r}, {self.cref(node.loc)})")
+        self.line(ind + 1,
+                  f"raise _SErr({msg!r}, {self.cref(node.loc)}) from None")
         return t
 
     # -- expression compilation -------------------------------------------------
@@ -846,13 +941,14 @@ class _Emitter:
         return out
 
     def emit_fuel_charge(self, ind: int) -> None:
+        # _fl is scratch: read and dead within these lines, so every
+        # charge in the body shares the one local.
         self.uses_fuel = True
-        t = self.gensym()
-        self.line(ind, f"{t} = _F.left")
-        self.line(ind, f"if {t} >= 0:")
-        self.line(ind + 1, f"if {t} == 0:")
+        self.line(ind, "_fl = _F.left")
+        self.line(ind, "if _fl >= 0:")
+        self.line(ind + 1, "if _fl == 0:")
         self.line(ind + 2, "raise _FuelEx(_F.limit)")
-        self.line(ind + 1, f"_F.left = {t} - 1")
+        self.line(ind + 1, "_F.left = _fl - 1")
 
     def prim_dispatch(self, h: str, args: List[str], loc: str, ind: int,
                       tail: bool, sname: Optional[str] = None
@@ -870,12 +966,12 @@ class _Emitter:
         rest — the guard proves the arity, so no check is emitted.  The
         guard makes rebinding safe and inline expressions delegate to the
         primitive outside their fast case, so observables never change.
-        Any other primitive head takes the generic dispatch in
-        :meth:`NativeContext.prim` (arity check, then the call); a plain
-        λ's non-tail sites leave even that test to the caller's
-        ``_rt.fallback`` branch.  ``args`` is frozen in place when an
-        inline expression fires — callers build their fallback argument
-        lists after this returns."""
+        At a tail site any other primitive head takes the generic
+        dispatch in :meth:`NativeContext.prim` (arity check, then the
+        call); non-tail sites leave even that test to the caller's
+        ``_rt.fallback`` or ``_rt.call`` branch.  ``args`` is frozen in
+        place when an inline expression fires — callers build their
+        fallback argument lists after this returns."""
         n = len(args)
         target: Optional[str] = None
         opened = False
@@ -901,17 +997,13 @@ class _Emitter:
                 target = self.gensym()
                 self.line(ind + 1, f"{target} = {expr}")
             opened = True
-        if not tail and not self.is_gen:
+        if not tail:
             return target or self.gensym(), opened
         branch = "elif" if opened else "if"
         call = f"_rt.prim({h}, [{', '.join(args)}], {loc})"
         self.line(ind, f"{branch} type({h}) is _Prim:")
-        if tail:
-            self.emit_return(call, ind + 1)
-            return None, True
-        target = target or self.gensym()
-        self.line(ind + 1, f"{target} = {call}")
-        return target, True
+        self.emit_return(call, ind + 1)
+        return None, True
 
     def value_app(self, e, ind: int) -> str:
         vals = self.eval_seq(e.exprs, ind)
@@ -926,19 +1018,22 @@ class _Emitter:
         if opened:
             self.line(ind, "else:")
             ind += 1
-        if self.is_gen:
-            # Depth-bounded direct dispatch: re-entering the driver costs
-            # one Python call instead of a suspend/resume round-trip;
-            # past the bound, suspend as usual so stack use stays flat.
+        if self.is_gen and sname not in PRIM_NAMES:
+            # A closure-risky site (only generator λs have them).  Below
+            # the depth bound _rt.call applies the callee on the Python
+            # stack, starting native callees the run does not step in
+            # place, and hands back one that needs the driver; past it,
+            # suspend so stack use stays flat.  _a is scratch like _fl:
+            # every site consumes it before another site can run.
+            self.line(ind, f"_a = [{arglist}]")
             self.line(ind, f"if _rt.d < {_DIRECT_DEPTH}:")
-            self.line(ind + 1, "_rt.d += 1")
-            self.line(ind + 1,
-                      f"{t} = _rt._drive({h}, [{arglist}], {loc})")
-            self.line(ind + 1, "_rt.d -= 1")
+            self.line(ind + 1, f"{t} = _rt.call({h}, _a, {loc})")
+            self.line(ind + 1, f"if {t} is _DRIVE:")
+            self.line(ind + 2, f"{t} = _rt._drive({h}, _a, {loc})")
             self.line(ind, "else:")
-            self.line(ind + 1,
-                      f"{t} = yield _Call({h}, [{arglist}], {loc}, False)")
+            self.line(ind + 1, f"{t} = yield _Call({h}, _a, {loc}, False)")
         else:
+            # Statically a primitive: only a rebinding gets here.
             self.line(ind, f"{t} = _rt.fallback({h}, [{arglist}], {loc})")
         return t
 
@@ -1151,10 +1246,10 @@ class _Emitter:
 # before (a re-parse of the same program text, the same helper in two
 # programs) skips ``compile()`` and pays only the ``exec`` that binds its
 # own constants.  Every λ of the 54 corpus programs plus the libraries
-# comes to 196 distinct sources, so the bound holds a corpus-sized
-# working set while a long-lived process fed fresh programs stays
-# bounded.  (A shared code object keeps the filename of the λ that
-# first compiled it, which only tracebacks show.)
+# comes to 196 distinct sources (636,698 characters), so the bound holds
+# a corpus-sized working set while a long-lived process fed fresh
+# programs stays bounded.  (A shared code object keeps the filename of
+# the λ that first compiled it, which only tracebacks show.)
 _CODE_CACHE_SIZE = 256
 _CODE_CACHE = LRU(_CODE_CACHE_SIZE)
 
@@ -1193,8 +1288,8 @@ def compile_lam(clam) -> None:
         prologue = ["def _nf(_c, _f, _rt):"]
         if em.uses_consts:
             prologue.append("    _C = _consts")
-        if em.uses_gget:
-            prologue.append("    _G = _rt.gget")
+        if em.uses_globals:
+            prologue.append("    _G = _rt.globals")
         if em.uses_fuel:
             prologue.append("    _F = _rt.fuel")
         if em.uses_direct:
@@ -1216,6 +1311,7 @@ def compile_lam(clam) -> None:
         ns = {
             "_consts": tuple(em.consts),
             "_Call": _Call,
+            "_DRIVE": _DRIVE,
             "_SErr": SchemeError,
             "_FuelEx": FuelExhausted,
             "_Prim": Prim,

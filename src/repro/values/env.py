@@ -34,14 +34,21 @@ class GlobalEnv:
     str hashing is C-level and cached, where ``Symbol.__hash__`` is a
     Python-level call per probe, and symbols compare by name, so the
     string key is exact.  The compiled and native tiers read it directly.
+
+    ``unnamed``: the closures reachable from ``by_name`` that were built
+    without a name (``make_env`` records them).  A run's ``define`` or
+    ``letrec`` names an unnamed closure it binds, and a snapshot shares
+    its closures with the environment it was taken from, so
+    :meth:`snapshot` clears those names again.
     """
 
-    __slots__ = ("by_name", "flavor")
+    __slots__ = ("by_name", "flavor", "unnamed")
 
     def __init__(self, by_name: Optional[Dict[str, object]] = None,
-                 flavor: Optional[str] = None):
+                 flavor: Optional[str] = None, unnamed: tuple = ()):
         self.by_name = dict(by_name) if by_name else {}
         self.flavor = flavor
+        self.unnamed = unnamed
 
     def lookup(self, name: Symbol):
         try:
@@ -61,8 +68,12 @@ class GlobalEnv:
         self.by_name[name.name] = value
 
     def snapshot(self) -> "GlobalEnv":
-        """A shallow copy, so one program run cannot pollute another."""
-        return GlobalEnv(self.by_name, self.flavor)
+        """A shallow copy, so one program run cannot pollute another: the
+        copy's closures carry the names they were built with, whatever
+        an earlier run on a snapshot named them."""
+        for closure in self.unnamed:
+            closure.name = None
+        return GlobalEnv(self.by_name, self.flavor, self.unnamed)
 
 
 class Env:

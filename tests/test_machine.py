@@ -3,9 +3,10 @@ errors, tail calls, fuel."""
 
 import pytest
 
-from repro.eval.machine import Answer, run_source
+from repro.eval.machine import Answer, make_env, run_program, run_source
+from repro.lang.parser import parse_program
 from repro.sexp.datum import intern
-from repro.values.values import NIL, VOID, Pair
+from repro.values.values import NIL, VOID, Pair, write_value
 
 
 def ev(text, **kw):
@@ -293,3 +294,44 @@ class TestTailCallsAndFuel:
         a = run_source("(define (f n) (if (= n 0) 0 (f (- n 1)))) (f 10) (f 10)",
                        fuel=100000)
         assert a.kind == Answer.VALUE
+
+
+@pytest.mark.parametrize("machine", ["tree", "compiled", "native"])
+class TestLibraryPerRun:
+    """``run_source`` without an environment runs on a fresh library
+    environment (on the compiled family, a snapshot of one built once):
+    what a run does to a library name stays in that run, and a library
+    λ sees the run's redefinition of a name it calls."""
+
+    def test_redefinition_is_not_seen_by_the_next_run(self, machine):
+        # flat/c calls flat-named/c.
+        a = run_source("(define (flat-named/c name pred) 'mine)"
+                       "(set! map 5) (list (flat/c 1) map)",
+                       machine=machine)
+        assert a.kind == Answer.VALUE
+        assert write_value(a.value) == "(mine 5)"
+        assert ev("(car (map (lambda (x) (+ x 1)) '(1)))",
+                  machine=machine) == 2
+        pair = ev("(flat/c 1)", machine=machine)
+        assert type(pair) is Pair and pair.car == 1
+
+    def test_naming_a_library_closure_is_not_seen_by_the_next_run(
+            self, machine):
+        # nat/c's predicate is an anonymous λ; a top-level define names
+        # it for the rest of that run, and only that run.
+        named = run_source("(define p (car nat/c)) (car nat/c)",
+                           machine=machine)
+        assert write_value(named.value) == "#<procedure:p>"
+        for text, shown in (("(car nat/c)", "λ@<contracts>"),
+                            ("((car nat/c) 1 2)", "λ@<contracts>"),
+                            ("(letrec ((q (car nat/c))) (q 1 2))", "q:")):
+            run_source("(define p (car nat/c)) (letrec ((q (car nat/c)))"
+                       " (p 1))", machine=machine)
+            again = run_source(text, machine=machine).record()
+            fresh = run_program(parse_program(text), machine=machine,
+                                env=make_env(machine=machine)).record()
+            tree = run_source(text, machine="tree").record()
+            for r in (again, fresh, tree):
+                r.pop("tier")
+            assert again == fresh == tree
+            assert shown in again.get("value", again.get("message"))

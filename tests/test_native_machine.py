@@ -1146,3 +1146,121 @@ class TestInlineLoopStep:
         ref = run_program(parsed, mode="full", monitor=SCMonitor(),
                           fuel=MAX_STEPS, machine="tree")
         assert observables(a) == observables(ref)
+
+
+class TestDirectCalls:
+    """Calls that skip the driver — a direct tail call and a generator
+    λ's non-tail ``NativeContext.call`` — are taken only for callees the
+    run does not step.  A guard that let a monitored callee through
+    would run it unstepped: the violation would come late or blame the
+    wrong λ.  So every observable is held to the tree machine's on
+    programs whose monitored cycle runs through exactly those sites,
+    under both strategies, with ``len`` discharged.  The remaining tests
+    pin what ``call`` saves (driver entries) and the stack discipline
+    past the depth bound."""
+
+    # f -> h is a direct tail site; in the second, h's call to f is a
+    # generator λ's non-tail site, so it goes through NativeContext.call.
+    LEN = "(define (len xs) (if (null? xs) 0 (+ 1 (len (cdr xs)))))"
+    CYCLES = {
+        "tail": LEN + "(define (f x) (h (+ x 1)))(define (h x) (f x))"
+                      "(len '(1 2 3))(f 5)",
+        "non-tail": LEN + "(define (f x) (h (+ x 1)))"
+                          "(define (h x) (+ 1 (f x)))"
+                          "(len '(1 2 3))(f 5)",
+    }
+
+    @pytest.mark.parametrize("strategy", ["cm", "imperative"])
+    @pytest.mark.parametrize("name", list(CYCLES))
+    def test_monitored_cycle_is_stepped(self, name, strategy):
+        src = self.CYCLES[name]
+        parsed, result = discharged(src)
+        assert not result.complete
+        skipped = {lam.label for lam in code_lams(parsed)
+                   if lam.name == "len"}
+        assert skipped <= result.policy.skip_labels
+        runs = {}
+        for machine in ("tree", "compiled", "native"):
+            if machine == "native":
+                aot(parsed)
+            runs[machine] = run_program(
+                parsed, mode="full", strategy=strategy,
+                monitor=SCMonitor(), fuel=100_000, machine=machine,
+                discharge=result.policy)
+        ref = runs["tree"]
+        assert ref.kind == Answer.SC_ERROR
+        assert ref.steps == 7 and ref.violation.function == "f"
+        for machine in ("compiled", "native"):
+            assert observables(runs[machine]) == observables(ref), machine
+            assert payload(runs[machine]) == payload(ref), machine
+        assert runs["native"].tier == "native"
+
+    # sum2 makes non-tail calls to go (plain), whose tail chain runs
+    # through start into len, a generator λ started in place.
+    CHAIN = (LEN + "(define (start xs) (len xs))"
+             "(define (go xs) (start xs))"
+             "(define (sum2 xs) (+ (go xs) (go (cdr xs))))"
+             "(sum2 '(1 2 3 4 5))(len '(1 2))(go '(1 2 3))")
+
+    @pytest.mark.parametrize("strategy", ["cm", "imperative"])
+    def test_discharged_program_enters_the_driver_once_per_form(
+            self, strategy, monkeypatch):
+        parsed, result = discharged(self.CHAIN)
+        assert result.complete
+        aot(parsed)
+        entries = []
+        real = native_mod.NativeContext._drive
+
+        def counting(self, *args, **kwargs):
+            entries.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(native_mod.NativeContext, "_drive", counting)
+        a = run_program(parsed, mode="full", strategy=strategy,
+                        monitor=SCMonitor(), fuel=MAX_STEPS,
+                        machine="native", discharge=result.policy)
+        assert a.kind == Answer.VALUE and a.value == 3
+        assert a.tier == "native"
+        assert len(entries) == 3  # the three expression forms
+        ref = run_program(parsed, mode="full", strategy=strategy,
+                          monitor=SCMonitor(), fuel=MAX_STEPS,
+                          machine="tree", discharge=result.policy)
+        assert observables(a) == observables(ref)
+
+    # At the bottom, the monitored loop runs twice (were the first
+    # extent's table not restored, the second's first call would
+    # complete a violation of loop), then the monitored spin diverges:
+    # right there, or on the value the whole recursion returns.
+    BOTTOMS = {
+        "bottom": ("(+ (loop 30 0) (loop 30 0) (spin 0))", "(count {n})"),
+        "after": ("(+ (loop 30 0) (loop 30 0))", "(spin (count {n}))"),
+    }
+
+    @pytest.mark.parametrize("strategy", ["cm", "imperative"])
+    @pytest.mark.parametrize("where", list(BOTTOMS))
+    def test_deep_partly_discharged_recursion(self, where, strategy):
+        # count is skipped, so call starts it in place until the depth
+        # bound; there the started generator's request goes to a driver
+        # below which it stays suspended, and the rest of the recursion
+        # runs on the heap.
+        n = 50 * sys.getrecursionlimit()
+        base, entry = self.BOTTOMS[where]
+        src = ("(define (loop n k) (if (zero? n) k (loop (- n 1) (+ k 1))))"
+               "(define (spin x) (spin x))"
+               f"(define (count n) (if (zero? n) {base}"
+               " (+ 1 (count (- n 1)))))" + entry.format(n=n))
+        parsed = aot(parse_program(src))
+        lams = lams_by_name(parsed)
+        assert lams["count"].native_is_gen is True
+        skips = {lams["count"].label}
+        ref = run_program(parsed, mode="full", strategy=strategy,
+                          monitor=SCMonitor(), fuel=MAX_STEPS,
+                          machine="tree", discharge=skips)
+        assert ref.kind == Answer.SC_ERROR
+        assert ref.violation.function == "spin"
+        a = run_program(parsed, mode="full", strategy=strategy,
+                        monitor=SCMonitor(), fuel=MAX_STEPS,
+                        machine="native", discharge=skips)
+        assert a.tier == "native"
+        assert observables(a) == observables(ref)
+        assert payload(a) == payload(ref)
