@@ -19,15 +19,19 @@ bench:
 # change that breaks `make bench` fails CI; then the cm table's fold-point
 # sweep over the corpus and 20 fuzz seeds per mode (~2 s), which reaches
 # into the monitor's table internals; then a run-check of the stack-offset
-# sweep (one pass at offsets 0 and 16, ~1 s), which only shows the script
-# still runs: the alignment spread shows from about 96 padding frames, so read
-# the full sweep (`benchmarks/stack_offset_sweep.py --offsets 8`) before
-# claiming a perfbench gain on warm-discharged.
+# sweep over both warm working sets (one pass at offsets 0 and 16, ~1 s
+# each), which only shows the script still runs: the alignment spread shows
+# from about 96 padding frames, so read the full sweep
+# (`benchmarks/stack_offset_sweep.py --workload <name> --offsets 8`) before
+# claiming a perfbench gain on warm-discharged or warm-monitored.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_substrate.py \
 		benchmarks/bench_pyterm.py --benchmark-disable -q
 	$(PYTHON) benchmarks/cm_table_sweep.py --fuzz 20
-	$(PYTHON) benchmarks/stack_offset_sweep.py --offsets 2 --passes 1
+	$(PYTHON) benchmarks/stack_offset_sweep.py --workload warm-discharged \
+		--offsets 2 --passes 1
+	$(PYTHON) benchmarks/stack_offset_sweep.py --workload warm-monitored \
+		--offsets 2 --passes 1
 
 # The engine-comparison report alone (fast smoke, used by CI).
 bench-quick:

@@ -1,4 +1,4 @@
-"""Stack-offset sweep over the ``warm-discharged`` working set.
+"""Stack-offset sweep over a warm perfbench working set.
 
 On CPython 3.11 the time of a run can move with nothing changed but how
 deep on the Python stack it starts: deep Python-to-Python recursion
@@ -6,13 +6,17 @@ through large generated frames crosses the interpreter's data-stack
 chunk boundaries at places that depend on the starting depth, and each
 crossing allocates and frees a chunk.  Before a perfbench gain on
 ``warm-discharged`` is claimed, this script shows how large that
-alignment effect is on the host.
+alignment effect is on the host; ``--workload warm-monitored`` does the
+same for the residual-monitored working set.
 
-It builds perfbench's ``warm-discharged`` working set from
-``perfbench/spec.json`` (read, never written): the same programs, the
-same ``bench-iter`` harness and iteration counts, each parsed,
-discharged and run once in set-up, on the native machine under mode
-``full`` with its residual policy and a shared library environment.
+It builds the chosen workload's working set (``warm-discharged`` by
+default) from ``perfbench/spec.json`` (read, never written): the same
+programs, the same ``bench-iter`` harness and iteration counts, each
+parsed, discharged and run once in set-up, on the native machine under
+mode ``full`` with its residual policy and a shared library environment.
+Set-up checks every program's first answer is a value on tier native,
+and, as perfbench's own check, that it steps no monitored call
+(``warm-discharged``) or at least one (``warm-monitored``).
 Then, for each offset, it calls ``run_program`` for every program from
 under that many padding frames, ``--passes`` times, and prints
 
@@ -28,6 +32,7 @@ is alignment, not code.
 Usage::
 
     python benchmarks/stack_offset_sweep.py                 # 8 offsets
+    python benchmarks/stack_offset_sweep.py --workload warm-monitored
     python benchmarks/stack_offset_sweep.py --offsets 2 --passes 1
 """
 
@@ -50,7 +55,7 @@ from repro.eval.native import ensure_native_libraries  # noqa: E402
 from repro.lang.parser import parse_program  # noqa: E402
 from repro.sct.monitor import SCMonitor  # noqa: E402
 
-WORKLOAD = "warm-discharged"
+WORKLOADS = ("warm-discharged", "warm-monitored")
 # Padding frames between two offsets.  A padding frame takes roughly
 # 130 bytes of CPython 3.11's data stack, which grows in 16 KiB chunks,
 # so the default eight offsets walk about one chunk.
@@ -62,10 +67,12 @@ def load_spec():
         return json.load(f)
 
 
-def working_set(spec):
+def working_set(spec, workload):
     """``[(name, weight, run)]``: each ``run()`` is one op of the
-    workload, set up (parsed, discharged, compiled) and checked once."""
-    cfg = spec["workloads"][WORKLOAD]
+    workload and returns its answer and monitor; every program is set up
+    (parsed, discharged, compiled) and checked once."""
+    cfg = spec["workloads"][workload]
+    monitored = workload == "warm-monitored"
     env = make_env(machine=spec["machine"])
     ensure_native_libraries()
     cache = VerificationCache()
@@ -79,14 +86,17 @@ def working_set(spec):
                                    cache=cache).policy
 
         def run(program=program, policy=policy, measures=prog.measures):
-            return run_program(program, mode=spec["mode"],
-                               monitor=SCMonitor(measures=measures),
+            monitor = SCMonitor(measures=measures)
+            return run_program(program, mode=spec["mode"], monitor=monitor,
                                env=env, machine=spec["machine"],
-                               discharge=policy, fuel=spec["fuel"])
+                               discharge=policy, fuel=spec["fuel"]), monitor
 
-        answer = run()
+        answer, monitor = run()
         if answer.tier != "native" or answer.kind != "value":
             raise SystemExit(f"{name}: {answer.kind} on tier {answer.tier}")
+        if bool(monitor.calls_seen) != monitored:
+            raise SystemExit(f"{name}: {monitor.calls_seen} monitored calls "
+                             f"under {workload}")
         weight = cfg.get("weights", {}).get(name,
                                             cfg.get("default_weight", 1))
         out.append((name, weight, run))
@@ -125,6 +135,9 @@ def sweep(work, offsets, passes):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", choices=WORKLOADS,
+                    default="warm-discharged",
+                    help="which warm working set to sweep")
     ap.add_argument("--offsets", type=int, default=8,
                     help="how many starting offsets, STRIDE frames apart")
     ap.add_argument("--passes", type=int, default=5,
@@ -132,11 +145,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.offsets < 1 or args.passes < 1:
         ap.error("--offsets and --passes must be at least 1")
-    work = working_set(load_spec())
+    work = working_set(load_spec(), args.workload)
     offsets = list(range(args.offsets))
     best = sweep(work, offsets, args.passes)
 
-    print(f"{WORKLOAD}: {len(work)} programs, {args.passes} pass(es), "
+    print(f"{args.workload}: {len(work)} programs, {args.passes} pass(es), "
           f"offsets {STRIDE} frames apart")
     print(f"{'offset':>6}  {'frames':>6}  {'cycle ms':>9}")
     cycles = []

@@ -63,9 +63,11 @@ class DischargeCertificate:
     ``labels`` is every label the analysis saw on a call edge, plus the
     roots; ``discharged`` ⊆ ``labels`` is the set whose reachable
     sub-multigraph passed the phase-2 check.  ``taint_reasons`` are the
-    human-readable causes of incompleteness; every taint source is
+    human-readable causes of incompleteness.  Every taint source is
     global (a lost application or a blown budget can call anything), so
-    any reason leaves ``discharged`` empty.  ``acyclic`` is the set of
+    a taint leaves ``discharged`` empty; the one other reason, a phase-2
+    closure stopped at ``MAX_GRAPHS``, leaves monitored only the λs whose
+    reachable set that closure was.  ``acyclic`` is the set of
     program λs on no call-graph cycle, which a residual run skips as
     well; :func:`certify` fills it for an incomplete program-as-entry
     certificate, and it is None everywhere else.
@@ -208,15 +210,22 @@ def certificate_from_engine(engine) -> DischargeCertificate:
     discharged: Set[int] = set()
     if not taint_reasons:
         check_memo: Dict[FrozenSet[int], bool] = {}
+        capped = False
         for label in labels:
             key = frozenset(_forward_reach(succ, label))
             ok = check_memo.get(key)
             if ok is None:
                 sub = {e: gs for e, gs in edges.items() if e[0] in key}
-                ok = check_memo[key] = \
-                    check(sub, max_graphs=MAX_GRAPHS).ok is True
+                verdict = check(sub, max_graphs=MAX_GRAPHS).ok
+                # A closure stopped at the cap (None) proves nothing: its
+                # λs stay monitored, and the reasons say why.
+                capped = capped or verdict is None
+                ok = check_memo[key] = verdict is True
             if ok:
                 discharged.add(label)
+        if capped:
+            taint_reasons = (f"a phase-2 closure stopped at the cap of "
+                             f"{MAX_GRAPHS} graphs without a verdict",)
 
     return DischargeCertificate(
         entry=engine.label_names.get(engine.entry_label),

@@ -41,19 +41,24 @@ restore frame, tail calls included, so that strategy's broken proper
 tail calls are unchanged on this tier.  ``eval_code`` hands a
 closure to the trampoline after its own table step for that apply, and
 the driver's stack starts with that state's mark, so the step runs
-exactly once.  Direct tail calls and :meth:`NativeContext.call` bypass
-the trampoline, so they are taken only for callees that need no step in
-the current run.  Compiled
+exactly once.  A mark can also live in :meth:`NativeContext.call`'s
+locals: under the ``cm`` strategy ``call`` runs the driver's table step
+itself for the callees it enters, keeping the caller's (s1, s2) in two
+locals that it restores on every return, as the driver would pop the
+mark it pushed; the tail calls it follows find that mark on top and
+step in place.  The ``imperative`` strategy hands a stepped callee to the
+driver (its undo record), and direct tail calls bypass the trampoline
+only for callees that need no step in the current run.  Compiled
 self-tail loops jump back without the trampoline too: a self-loop tests
 ``_S``, computed once per call from the run's mode and skip set and the
 λ's label ``_L`` (bound in the λ's namespace, so the generated source
 stays label-free), and when a step is due a plain λ under the ``cm``
 strategy runs the same ``table_step`` in place before the jump.  That is
 exact because a monitored plain frame always runs with a mark on top
-of the driver's stack, so the driver would push none for the tail call
-either.  Generator λs (a running generator sits on that stack above
-any mark) and the ``imperative`` strategy (its undo record) send a
-monitored self-tail call through the trampoline.
+(of the driver's stack or in ``call``'s locals), so the driver would
+push none for the tail call either.  Generator λs (a running generator
+sits on that stack above any mark) and the ``imperative`` strategy (its
+undo record) send a monitored self-tail call through the trampoline.
 
 Compilation is by hotness: a λ is compiled at its ``_TIER_UP_AT``-th
 apply under a native context (in ``eval_code``'s APPLY, in the
@@ -93,13 +98,15 @@ recursion limit costs heap, not stack.  λs with no closure-risky
 non-tail call sites compile to plain (non-generator) functions and skip
 the generator machinery entirely.  Below the bound a generator's
 non-tail site calls :meth:`NativeContext.call` instead of yielding: it
-runs a callee the run does not step in place (a generator callee
-started with ``send``, so its frame lives in the generator object) and
-follows its tail requests, and hands anything else, or a request the
-started generator yields at the bound, to a driver; a callee that
-needs the driver from the start is handed back (``_DRIVE``) for the
-site to drive.  A discharged program below the bound thus enters the
-driver once per top-level form.
+runs a compiled callee of matching arity in place, stepping it first
+when the run steps it under ``cm`` (a generator callee starts with
+``send``, so its frame lives in the generator object), and follows its
+tail requests; it hands anything else, or a request the started
+generator yields at the bound, to a driver.  A callee that needs the
+driver from the start (an ``imperative`` step, a ``term/c`` wrapper, an
+arity mismatch, a λ not compiled yet) is handed back (``_DRIVE``) for
+the site to drive.  A discharged program, or under ``cm`` a monitored one,
+below the bound thus enters the driver once per top-level form.
 
 Fuel: one step is one closure body entered, as on the interpreters.
 The driver charges the shared :class:`~repro.eval.machine._Fuel` at its
@@ -375,32 +382,40 @@ class NativeContext:
         ``_DIRECT_DEPTH``: apply (fn, vals) and return its value without
         a driver when nothing on the way needs one.
 
-        While the callee is a compiled closure of matching arity that
-        this run does not step (the direct tail site's guard), charge
-        it, run its native body and follow its tail request; a generator
-        callee starts in place, and as it runs at a deeper ``d`` than
-        its caller it suspends only once it reaches the bound.  Such a
-        request goes to :meth:`_drive` with the suspended generator at
-        the bottom of its stack, and so does a later callee of the chain
-        that the loop cannot prove needs no state change (a stepped λ, a
-        ``term/c`` wrapper, an arity mismatch, a λ not compiled yet).
-        When the first callee is such a one, nothing has run: ``call``
-        returns ``_DRIVE`` and the site drives the call itself.  A
-        primitive is applied here, as the driver would.  Skipped callees
-        leave ``s1``/``s2`` alone, so a driver starts from the state it
-        would have seen had it applied them itself."""
+        While the callee is a compiled closure of matching arity, charge
+        it, run its native body and follow its tail request.  A callee
+        the run steps is taken only under the ``cm`` strategy, and when
+        a table is active ``call`` first runs the driver's own
+        ``table_step``.  The caller's (s1, s2), held in two locals, is
+        the mark the driver would have pushed before that step: it is
+        restored on every return, and a tail request steps in place, as
+        the driver would with a mark on top.  A generator callee starts
+        in place, and as it runs at a deeper ``d`` than its caller it
+        suspends only once it reaches the bound.  Such a request goes to
+        :meth:`_drive` with the suspended generator at the bottom of its
+        stack, and so does a later callee of the chain that the loop
+        does not take (an ``imperative`` step, which pushes an undo
+        record, a ``term/c`` wrapper, an arity mismatch, a λ not compiled
+        yet).  When the first callee is such a one, nothing has run:
+        ``call`` returns ``_DRIVE`` and the site drives the call itself,
+        so a driver never nests under ``call`` for it.  A primitive is
+        applied here, as the driver would."""
         fuel = self.fuel
         monitored = self.monitored
         skips = self.skips
+        s1 = self.s1
+        s2 = self.s2
         d = self.d
         self.d = d + 1
         entered = False
         while type(fn) is Closure:
             clam = fn.lam
             nf = clam.native
-            if nf is None or len(vals) - 1 != clam.nparams or (
-                    monitored and (skips is None
-                                   or clam.label not in skips)):
+            if nf is None or len(vals) - 1 != clam.nparams:
+                break
+            stepped = monitored and (skips is None
+                                     or clam.label not in skips)
+            if stepped and self.imperative:
                 break
             entered = True
             left = fuel.left
@@ -408,6 +423,12 @@ class NativeContext:
                 if left == 0:
                     raise FuelExhausted(fuel.limit)
                 fuel.left = left - 1
+            if stepped and self.s1:
+                advance, fast_entry, key_for = self.stepping
+                self.s1 = table_step(
+                    self.monitor, self.s1,
+                    fn if key_for is None else key_for(fn), fn,
+                    tuple(vals[1:]), self.s2, advance, fast_entry)
             vals[0] = fn.env
             if clam.native_is_gen:
                 gen = nf(fn, vals, self)
@@ -417,6 +438,8 @@ class NativeContext:
             else:
                 out = nf(fn, vals, self)
             if type(out) is not _Call:
+                self.s1 = s1
+                self.s2 = s2
                 self.d = d
                 return out
             fn = out.fn
@@ -428,6 +451,8 @@ class NativeContext:
             out = self._drive(fn, vals, loc)
         else:
             out = _DRIVE
+        self.s1 = s1
+        self.s2 = s2
         self.d = d
         return out
 
@@ -452,10 +477,11 @@ class NativeContext:
         suspended on this non-tail request; the stack starts with it, so
         the request's value resumes it and its own value is returned.
 
-        So a monitored plain frame always runs with a mark on top, and a
-        compiled self-tail loop may step the cm table in place (see the
-        emitter's ``tail_app``): the driver would push no mark for that
-        tail call either."""
+        So a monitored plain frame always runs with a mark on top (here,
+        or the caller's state in :meth:`call`'s locals), and a compiled
+        self-tail loop may step the cm table in place (see the emitter's
+        ``tail_app``): the driver would push no mark for that tail call
+        either."""
         fuel = self.fuel
         monitored = self.monitored
         skips = self.skips
@@ -1021,10 +1047,10 @@ class _Emitter:
         if self.is_gen and sname not in PRIM_NAMES:
             # A closure-risky site (only generator λs have them).  Below
             # the depth bound _rt.call applies the callee on the Python
-            # stack, starting native callees the run does not step in
-            # place, and hands back one that needs the driver; past it,
-            # suspend so stack use stays flat.  _a is scratch like _fl:
-            # every site consumes it before another site can run.
+            # stack, starting native callees in place (stepping them
+            # under cm), and hands back one that needs the driver; past
+            # it, suspend so stack use stays flat.  _a is scratch like
+            # _fl: every site consumes it before another site can run.
             self.line(ind, f"_a = [{arglist}]")
             self.line(ind, f"if _rt.d < {_DIRECT_DEPTH}:")
             self.line(ind + 1, f"{t} = _rt.call({h}, _a, {loc})")
@@ -1043,7 +1069,14 @@ class _Emitter:
         args = vals[1:]
         loc = self.cref(e.loc)
         head = e.exprs[0]
-        if (len(args) == self.clam.nparams
+        sname = head.sname if head.tag == T_GLOBAL else None
+        # A head statically naming a primitive gets neither the self-tail
+        # loop nor the direct call: only a rebinding (a program's own
+        # ``(define (cdr n) ...)``) gets past the primitive branches, and
+        # the trampoline charges, steps and loops for it exactly as those
+        # two would have.
+        closure_risky = sname not in PRIM_NAMES
+        if (closure_risky and len(args) == self.clam.nparams
                 and head.tag in (T_LOCAL, T_GLOBAL)):
             # Compiled self-tail loop: when the callee is this very
             # closure, rebind and jump — the fuel charge keeps the
@@ -1077,15 +1110,21 @@ class _Emitter:
                           f"_c if {kf} is None else {kf}(_c), _c, "
                           f"({targs}), _rt.s2, {adv}, {fast})")
                 self.emit_loop_back(args, ind + 2)
-        sname = head.sname if head.tag == T_GLOBAL else None
         self.prim_dispatch(h, args, loc, ind, tail=True, sname=sname)
-        # Depth-bounded direct tail call: an eligible plain native callee
-        # with a matching arity is invoked on the Python stack (its
-        # result — a value or the next _Call request — propagates through
-        # our own return, preserving the tail protocol).  Everything this
-        # guard cannot prove falls through to the trampoline request,
-        # where the driver re-checks with full generality — including a
-        # callee not compiled yet, which the driver tiers up.
+        if closure_risky:
+            self.direct_tail_call(h, args, ind)
+        arglist = ", ".join(["None"] + args)
+        self.emit_return(f"_Call({h}, [{arglist}], {loc})", ind)
+
+    def direct_tail_call(self, h: str, args: List[str], ind: int) -> None:
+        """Depth-bounded direct tail call: an eligible plain native callee
+        with a matching arity is invoked on the Python stack (its result
+        — a value or the next _Call request — propagates through our own
+        return, preserving the tail protocol).  Everything this guard
+        cannot prove falls through to the trampoline request that
+        follows, where the driver re-checks with full generality —
+        including a callee not compiled yet, which the driver tiers
+        up."""
         self.uses_direct = True
         lam = self.gensym()
         fcall = ", ".join([f"{h}.env"] + args)
@@ -1103,8 +1142,6 @@ class _Emitter:
         self.line(ind + 2, f"{rt} = {lam}.native({h}, [{fcall}], _rt)")
         self.line(ind + 2, "_rt.d -= 1")
         self.emit_return(rt, ind + 2)
-        arglist = ", ".join(["None"] + args)
-        self.emit_return(f"_Call({h}, [{arglist}], {loc})", ind)
 
     def emit_loop_back(self, args: List[str], ind: int) -> None:
         """A self-tail loop's back-edge, after its fuel charge: rebind
@@ -1246,7 +1283,7 @@ class _Emitter:
 # before (a re-parse of the same program text, the same helper in two
 # programs) skips ``compile()`` and pays only the ``exec`` that binds its
 # own constants.  Every λ of the 54 corpus programs plus the libraries
-# comes to 196 distinct sources (636,698 characters), so the bound holds
+# comes to 195 distinct sources (568,457 characters), so the bound holds
 # a corpus-sized working set while a long-lived process fed fresh
 # programs stays bounded.  (A shared code object keeps the filename of
 # the λ that first compiled it, which only tracebacks show.)

@@ -17,6 +17,7 @@ import os
 
 import pytest
 
+from repro.analysis import discharge as discharge_mod
 from repro.analysis.discharge import (
     VerificationCache,
     discharge_for_run,
@@ -211,6 +212,59 @@ class TestCertificates:
                                    budget=Budget(max_paths_per_summary=30))
         assert not result.complete and not result.policy
         assert any("path budget exceeded" in r for r in result.reasons)
+
+
+class TestGraphCap:
+    """A phase-2 closure stopped at ``MAX_GRAPHS`` decides nothing: the
+    λs whose reachable set it was stay monitored, and the reasons name
+    the cap.  ``sct-4``'s closure holds 97 graphs under SC and 296 under
+    MC, so a cap of 3 stops it under both."""
+
+    CAP_REASON = ("a phase-2 closure stopped at the cap of 3 graphs "
+                  "without a verdict")
+
+    @staticmethod
+    def capped(source, evidence, monkeypatch, result_kinds=None):
+        monkeypatch.setattr(discharge_mod, "MAX_GRAPHS", 3)
+        parsed = parse_program(source)
+        return parsed, discharge_for_run(parsed, text=source,
+                                         evidence=evidence,
+                                         result_kinds=result_kinds,
+                                         cache=VerificationCache(None))
+
+    @pytest.mark.parametrize("evidence", ["sc", "mc"])
+    def test_capped_closure_stays_monitored(self, evidence, monkeypatch):
+        prog = next(p for p in PROGRAMS if p.name == "sct-4")
+        parsed, result = self.capped(prog.source, evidence, monkeypatch,
+                                     prog.result_kinds)
+        p4 = _label(parsed, "p4")
+        assert not result.complete
+        assert p4 not in result.certificate.discharged
+        assert p4 not in result.policy.skip_labels
+        assert result.reasons == [f"p4 not discharged: {self.CAP_REASON}"]
+        monitor = SCMonitor()
+        answer = run_program(parsed, mode="full", monitor=monitor,
+                             machine="native", discharge=result.policy)
+        assert answer.kind == Answer.VALUE
+        assert monitor.calls_seen > 0
+
+    def test_cap_leaves_other_sets_discharged(self, monkeypatch):
+        source = next(p for p in PROGRAMS if p.name == "sct-4").source + \
+            "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))\n" \
+            "(len '(1 2))\n"
+        parsed, result = self.capped(source, "sc", monkeypatch)
+        cert = result.certificate
+        assert _label(parsed, "len") in cert.discharged
+        assert _label(parsed, "p4") not in cert.discharged
+        assert cert.taint_reasons == (self.CAP_REASON,)
+
+    def test_uncapped_closure_discharges(self):
+        prog = next(p for p in PROGRAMS if p.name == "sct-4")
+        parsed = parse_program(prog.source)
+        result = discharge_for_run(parsed, text=prog.source,
+                                   result_kinds=prog.result_kinds,
+                                   cache=VerificationCache(None))
+        assert result.complete and not result.reasons
 
 
 class TestVerificationCache:

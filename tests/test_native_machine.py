@@ -668,6 +668,19 @@ def count_compiles(monkeypatch):
     return attempts
 
 
+def count_drives(monkeypatch):
+    """Record every ``NativeContext._drive`` entry."""
+    entries = []
+    real = native_mod.NativeContext._drive
+
+    def counting(self, *args, **kwargs):
+        entries.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(native_mod.NativeContext, "_drive", counting)
+    return entries
+
+
 class TestLazyTierUp:
     """λs compile at their ``_TIER_UP_AT``-th native-eligible apply.
     Every observable but ``tier`` is independent of what was compiled
@@ -1208,14 +1221,7 @@ class TestDirectCalls:
         parsed, result = discharged(self.CHAIN)
         assert result.complete
         aot(parsed)
-        entries = []
-        real = native_mod.NativeContext._drive
-
-        def counting(self, *args, **kwargs):
-            entries.append(1)
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(native_mod.NativeContext, "_drive", counting)
+        entries = count_drives(monkeypatch)
         a = run_program(parsed, mode="full", strategy=strategy,
                         monitor=SCMonitor(), fuel=MAX_STEPS,
                         machine="native", discharge=result.policy)
@@ -1264,3 +1270,154 @@ class TestDirectCalls:
         assert a.tier == "native"
         assert observables(a) == observables(ref)
         assert payload(a) == payload(ref)
+
+
+class TestMonitoredCalls:
+    """Under the cm strategy ``NativeContext.call`` also runs callees the
+    run steps: it runs the driver's ``table_step`` before entering the
+    body, follows tail requests stepping in place, and keeps the
+    caller's (s1, s2) in its locals, the mark the driver would have
+    pushed, restoring it on every return.  Every observable must stay
+    the tree machine's: the value, ``steps``, the violation payload and
+    the event stream, on the compiled machine and on an ahead-of-time
+    parse, under every monitor configuration.  The ``imperative``
+    strategy (its undo record) still hands a stepped callee to the
+    driver."""
+
+    # f's non-tail call of g runs through call and steps g's table
+    # entry.  Were that table not dropped when g returns, f's next call
+    # of g, with a larger argument, would complete a violation of g.
+    LEAK = ("(define (g x) x)"
+            "(define (f n) (if (zero? n) 0 (begin (g (- 10 n)) "
+            "(f (- n 1)))))(f 5)")
+
+    @pytest.mark.parametrize("strategy", ["cm", "imperative"])
+    def test_callee_table_stays_in_its_extent(self, strategy):
+        parsed = parse_program(self.LEAK)
+        runs = {}
+        for machine in MACHINES:
+            if machine == "native":
+                aot(parsed)
+            runs[machine] = run_program(
+                parsed, mode="full", strategy=strategy, monitor=SCMonitor(),
+                fuel=MAX_STEPS, machine=machine)
+        assert lams_by_name(parsed)["f"].native_is_gen is True
+        for machine, answer in runs.items():
+            assert answer.kind == Answer.VALUE and answer.value == 0, machine
+            assert observables(answer) == observables(runs["tree"]), machine
+        assert runs["native"].tier == "native"
+
+    # sum recurses through its non-tail closure sites: each call of id
+    # and of sum is stepped in call.  The diverging variant recurses on
+    # the same n with a growing k, so its violation comes mid-recursion,
+    # with the stepped frames still suspended below; at 3 *
+    # _DIRECT_DEPTH levels the tail of the recursion runs on the driver
+    # (a stepped generator callee started in call, then suspended at
+    # the bound).
+    RECURSIONS = {
+        "terminating": ("(define (id x) x)"
+                        "(define (sum n k) (if (zero? n) k "
+                        "(+ (id n) (sum (- n 1) k))))"
+                        "(sum {n} 0)"),
+        "diverging": ("(define (id x) x)"
+                      "(define (sum n k) (if (zero? n) "
+                      "(+ 1 (sum n (id (+ k 1)))) "
+                      "(+ (id n) (sum (- n 1) k))))"
+                      "(sum {n} 0)"),
+    }
+
+    CONFIGS = {
+        "label": {"keying": "label"},
+        "measures": {"measures": {"sum": lambda args: (args[0],)}},
+        "events": {"events": True},
+        "backoff": {"backoff": True},
+    }
+
+    @pytest.mark.parametrize("depth", [10, 3 * native_mod._DIRECT_DEPTH])
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    @pytest.mark.parametrize("name", list(RECURSIONS))
+    def test_payload_and_events_identical(self, name, config, depth):
+        src = self.RECURSIONS[name].format(n=depth)
+        cfg = self.CONFIGS[config]
+        ref, ref_mon = TestInlineLoopStep.run(src, "tree", cfg, "full")
+        assert ref.kind == (Answer.VALUE if name == "terminating"
+                            else Answer.SC_ERROR)
+        runs = {"compiled": TestInlineLoopStep.run(src, "compiled", cfg,
+                                                   "full"),
+                "native-aot": TestInlineLoopStep.run(
+                    src, "native", cfg, "full", ahead_of_time=True)}
+        for label, (answer, monitor) in runs.items():
+            assert observables(answer) == observables(ref), label
+            assert payload(answer) == payload(ref), label
+            assert monitor.calls_seen == ref_mon.calls_seen, label
+            if ref_mon.events is not None:
+                assert event_text(monitor.events) == \
+                    event_text(ref_mon.events), label
+        assert runs["native-aot"][0].tier == "native"
+
+    # Every call of id and of sum is a stepped non-tail call: under cm
+    # call runs them all, so the driver is entered once per expression
+    # form; the imperative strategy hands each to a driver of its own
+    # (61 + 41 entries, one per call of id or sum, as call did for
+    # every stepped callee before it stepped any itself).
+    COUNTED = ("(define (id x) x)"
+               "(define (sum n) (if (zero? n) 0 (+ (id n) (sum (- n 1)))))"
+               "(sum 30)(sum 20)")
+
+    @pytest.mark.parametrize("strategy,drives", [("cm", 2),
+                                                 ("imperative", 102)])
+    def test_driver_entries(self, strategy, drives, monkeypatch):
+        parsed = aot(parse_program(self.COUNTED))
+        entries = count_drives(monkeypatch)
+        a = run_program(parsed, mode="full", strategy=strategy,
+                        monitor=SCMonitor(), fuel=MAX_STEPS,
+                        machine="native")
+        assert a.kind == Answer.VALUE and a.value == 210
+        assert a.tier == "native"
+        assert len(entries) == drives
+        monkeypatch.undo()
+        ref = run_program(parsed, mode="full", strategy=strategy,
+                          monitor=SCMonitor(), fuel=MAX_STEPS,
+                          machine="tree")
+        assert observables(a) == observables(ref)
+
+
+class TestPrimitiveTailHeads:
+    """A tail call whose head statically names a primitive compiles to
+    the primitive branches and a trampoline request: no self-tail loop,
+    no direct call.  Only a program that rebinds the name gets past the
+    primitive branches, and the trampoline charges and steps its calls
+    as the loop would have, so a program whose own ``cdr`` is a
+    self-tail loop keeps the tree machine's observables."""
+
+    LOOPS = {
+        "terminating": ("(define (cdr n) (if (zero? n) 'done "
+                        "(cdr (- n 1))))(cdr 30)", Answer.VALUE),
+        "deep": ("(define (cdr n) (if (zero? n) 'done "
+                 "(cdr (- n 1))))(cdr 100000)", Answer.VALUE),
+        "diverging": ("(define (cdr n k) (if (zero? n) (cdr n (+ k 1)) "
+                      "(cdr (- n 1) k)))(cdr 30 0)", Answer.SC_ERROR),
+    }
+
+    @pytest.mark.parametrize("strategy", ["cm", "imperative"])
+    @pytest.mark.parametrize("name", list(LOOPS))
+    def test_rebound_primitive_loop(self, name, strategy):
+        src, kind = self.LOOPS[name]
+        parsed = parse_program(src)
+        runs = {}
+        for machine in MACHINES:
+            if machine == "native":
+                aot(parsed)
+            runs[machine] = run_program(
+                parsed, mode="full", strategy=strategy, monitor=SCMonitor(),
+                fuel=1_000_000, machine=machine)
+        ref = runs["tree"]
+        assert ref.kind == kind
+        for machine in ("compiled", "native"):
+            assert observables(runs[machine]) == observables(ref), machine
+            assert payload(runs[machine]) == payload(ref), machine
+        assert runs["native"].tier == "native"
+        # The loop's own body has no self-loop test (_S) and no direct
+        # call guard (_M, _K).
+        code = lams_by_name(parsed)["cdr"].native.__code__
+        assert not {"_S", "_M", "_K"} & set(code.co_varnames)
