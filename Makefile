@@ -18,7 +18,9 @@ bench:
 # The same cells, each run once as a plain test (no timing), so an API
 # change that breaks `make bench` fails CI; then the cm table's fold-point
 # sweep over the corpus and 20 fuzz seeds per mode (~2 s), which reaches
-# into the monitor's table internals; then a run-check of the stack-offset
+# into the monitor's table internals; then a run-check of the hash-map
+# fold-point sweep at 4 and 64 keys (below and past the fold, ~1 s),
+# which reaches into HashValue's buckets; then a run-check of the stack-offset
 # sweep over both warm working sets (one pass at offsets 0 and 16, ~1 s
 # each), which only shows the script still runs: the alignment spread shows
 # from about 96 padding frames, so read the full sweep
@@ -28,6 +30,7 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_substrate.py \
 		benchmarks/bench_pyterm.py --benchmark-disable -q
 	$(PYTHON) benchmarks/cm_table_sweep.py --fuzz 20
+	$(PYTHON) benchmarks/hash_map_sweep.py --sizes 4 64 --repeats 1
 	$(PYTHON) benchmarks/stack_offset_sweep.py --workload warm-discharged \
 		--offsets 2 --passes 1
 	$(PYTHON) benchmarks/stack_offset_sweep.py --workload warm-monitored \

@@ -50,7 +50,7 @@ def test_hash_value_overwrite(benchmark):
         return h
 
     h = benchmark(run)
-    assert h.count() == 256 and h.size == HashValue(h.table).size
+    assert h.count() == 256 and h.size == HashValue(h.items()).size
 
 
 def test_graph_construction(benchmark):

@@ -70,9 +70,12 @@ from repro.analysis.discharge import VerificationCache, discharge_for_run
 from repro.bench.report import fmt_factor, fmt_ms, render_table
 from repro.bench.timing import interleaved_best_of
 from repro.corpus import all_programs
-from repro.eval.machine import Answer, make_env, run_program
+from repro.eval.machine import Answer, eval_expr, make_env, run_program
 from repro.lang.parser import parse_program
+from repro.lang.program import Program, TopDefine
 from repro.sct.monitor import SCMonitor
+from repro.values.env import GlobalEnv
+from repro.values.values import Closure
 
 #: policy -> (mode, strategy)
 POLICIES: Dict[str, Tuple[str, str]] = {
@@ -176,9 +179,31 @@ class ProgramCells:
         return self.seconds[slow] / fast_s if fast_s else 0.0
 
 
+def _tree_env(program: Program) -> GlobalEnv:
+    """A tree-machine library environment that already holds
+    ``program``'s own top-level definitions.
+
+    A tree closure looks globals up in the frame that built it, and a run
+    works on a snapshot of the ``env`` it is given, so on a bare library
+    environment a library λ never sees the program's redefinition of a
+    library name (a program's own ``flat-named/c``, which ``flat/c``
+    calls).  With the program's definitions made here, once per program
+    and before any cell is timed, every tree cell gets the answer a fresh
+    environment gives."""
+    env = make_env(machine="tree")
+    for form in program.forms:
+        if isinstance(form, TopDefine):
+            value = eval_expr(form.expr, env)
+            if type(value) is Closure and value.name is None:
+                value.name = form.name.name
+            env.define(form.name, value)
+    return env
+
+
 def _runner(prog, parsed, policy, cell: Tuple[str, str], env):
-    """The timed thunk for one cell: run, then check the answer (VALUE,
-    on the cell's own tier, nothing monitored when discharged)."""
+    """The timed thunk for one cell: run, check the answer (VALUE, on
+    the cell's own tier, nothing monitored when discharged) and return
+    it."""
     machine, policy_name = cell
     mode, strategy = POLICIES[policy_name]
     discharge = policy if policy_name == "discharged" else None
@@ -196,6 +221,7 @@ def _runner(prog, parsed, policy, cell: Tuple[str, str], env):
         if discharge is not None and monitor.calls_seen:
             raise RuntimeError(f"{where} still monitored "
                                f"{monitor.calls_seen} calls")
+        return answer
 
     return run
 
@@ -216,7 +242,6 @@ def run_machines(scale: str = "quick", repeats: Optional[int] = None,
         wanted = set(programs)
         corpus = [p for p in corpus if p.name in wanted]
 
-    env_tree = make_env(machine="tree")
     env_compiled = make_env(machine="compiled")  # shared with native
     rows: List[ProgramCells] = []
     for prog in corpus:
@@ -234,8 +259,10 @@ def run_machines(scale: str = "quick", repeats: Optional[int] = None,
         # measured per-iteration cost already includes the loop.
         probe = parse_program(harness_amplified(prog.source,
                                                 _PROBE_ITERATIONS))
+        env_probe = _tree_env(probe)
         t0 = time.perf_counter()
-        answer = run_program(probe, mode="off", env=env_tree, machine="tree")
+        answer = run_program(probe, mode="off", env=env_probe,
+                             machine="tree")
         dt = time.perf_counter() - t0
         if answer.kind != Answer.VALUE:
             raise RuntimeError(f"{prog.name}: calibration failed: {answer!r}")
@@ -256,6 +283,7 @@ def run_machines(scale: str = "quick", repeats: Optional[int] = None,
             policy = result.policy
             cells += DISCHARGED_CELLS
 
+        env_tree = _tree_env(parsed)
         best = interleaved_best_of(
             {cell: _runner(prog, parsed, policy, cell,
                            env_tree if cell[0] == "tree" else env_compiled)

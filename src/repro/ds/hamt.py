@@ -1,12 +1,15 @@
 """A persistent hash-array-mapped trie (HAMT).
 
-This is the workhorse immutable map of the reproduction.  It backs
+The persistent map behind the reproduction's two hybrid tables, each a
+flat part sized to what programs build with this HAMT only past it:
 
-* the size-change table of the continuation-mark monitoring strategy, which
-  is snapshotted into every continuation frame and therefore must share
-  structure between versions, and
-* the object language's ``hash`` values (the Fig. 2 lambda-calculus compiler
-  threads environments as hashes).
+* the base of the continuation-mark strategy's size-change table
+  (:func:`repro.sct.monitor.table_step`), which is snapshotted into every
+  continuation frame and so must share structure between versions once
+  it outgrows its flat part, and
+* the tail of large object-language ``hash`` values
+  (:class:`repro.values.values.HashValue`, keyed by each key's ``equal?``
+  code once a map holds 32 keys).
 
 Keys may be arbitrary hashable Python objects.  Identity-keyed tables key
 by the closure itself: closures hash and compare by identity, so

@@ -355,7 +355,7 @@ class PrimModels:
     def _hash_ref(self, args, pc) -> Result:
         table = args[0]
         if type(table) is HashValue:
-            out: Result = [(v, pc) for _k, v in table.table.items()]
+            out: Result = [(v, pc) for _k, v in table.items()]
             if len(args) == 3:
                 out.append((args[2], pc))
             return out if out else []

@@ -67,8 +67,8 @@ def _hash_equal(a: HashValue, b: HashValue) -> bool:
     if a.count() != b.count() or a.hash_code != b.hash_code:
         return False
     sentinel = object()
-    for key, val in a.table.items():
-        other = b.table.get(key, sentinel)
+    for key, val in a.items():
+        other = b.get(key, sentinel)
         if other is sentinel or not scheme_equal(val, other):
             return False
     return True

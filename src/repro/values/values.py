@@ -207,11 +207,22 @@ class TermWrapped:
         return f"#<terminating/c {self.closure!r}>"
 
 
-class HashValue:
-    """An immutable hash map value backed by :class:`repro.ds.hamt.Hamt`.
+# A map of this many keys or more keeps its buckets in a :class:`Hamt`
+# instead of a flat dict (``benchmarks/hash_map_sweep.py`` sizes it).
+_HASH_FOLD = 32
 
-    Keys are compared with ``equal?`` semantics via :class:`HashKey`
-    wrappers so that pairs and symbols key structurally.
+
+class HashValue:
+    """An immutable hash map value with ``equal?`` keys.
+
+    Entries are grouped by their key's 31-bit code, which is consistent
+    with ``equal?`` (equal keys share it; see :func:`_value_hash`):
+    ``buckets`` maps a code to a tuple of ``(key, value)`` pairs, scanned
+    with ``k is key or scheme_equal(k, key)``.  A map of fewer than
+    ``_HASH_FOLD`` keys holds its buckets in a flat ``dict`` that
+    :meth:`set` copies; a larger one holds them in a :class:`Hamt` keyed
+    by the code.  Either way a probe hashes and compares ints in C and
+    wraps no key.
 
     ``size`` (one plus every key's and value's size) and ``hash_code`` (an
     XOR fold of one 31-bit term per entry) must be exact: the size is the
@@ -219,19 +230,27 @@ class HashValue:
     every call, and ``equal?`` rejects maps whose counts or hashes differ.
     The constructor folds both over every entry; :meth:`set` keeps them
     incrementally instead, adding the new entry's terms and taking out
-    the overwritten one's, so an update costs one HAMT ``get`` and one
-    ``set`` rather than a pass over the map.
+    the overwritten one's, so an update costs one bucket lookup and one
+    copy rather than a pass over the map.
     """
 
-    __slots__ = ("table", "size", "hash_code")
+    __slots__ = ("buckets", "length", "size", "hash_code")
 
-    def __init__(self, table: Hamt):
-        self.table = table
+    def __init__(self, items=()):
+        """The map of ``(key, value)`` pairs whose keys are pairwise not
+        ``equal?``, its size and hash folded over every entry."""
+        flat = {}
+        length = 0
         size = 1
         code = 0x5BD1E995
-        for k, v in table.items():
-            size += _value_size(k.value) + _value_size(v)
-            code ^= (k.code * 31 + _value_hash(v)) & 0x7FFFFFFF
+        for k, v in items:
+            c = _value_hash(k) & 0x7FFFFFFF
+            flat[c] = flat.get(c, ()) + ((k, v),)
+            length += 1
+            size += _value_size(k) + _value_size(v)
+            code ^= (c * 31 + _value_hash(v)) & 0x7FFFFFFF
+        self.buckets = flat if length < _HASH_FOLD else Hamt.from_dict(flat)
+        self.length = length
         self.size = size
         self.hash_code = code & 0x7FFFFFFF
 
@@ -240,33 +259,72 @@ class HashValue:
         return _EMPTY_HASH
 
     def set(self, key, value) -> "HashValue":
-        hk = HashKey(key)
-        old = self.table.get(hk, _ABSENT)
-        k31 = hk.code * 31
-        term = (k31 + _value_hash(value)) & 0x7FFFFFFF
-        if old is _ABSENT:
-            size = self.size + _value_size(key) + _value_size(value)
-            code = self.hash_code ^ term
+        tk = type(key)
+        if tk is Symbol:
+            c = key._hash & 0x7FFFFFFF
+        elif tk is int:
+            c = hash(key) & 0x7FFFFFFF
         else:
-            # An ``equal?`` key has the stored key's size and code, so
-            # only the value's terms change.
-            size = self.size - _value_size(old) + _value_size(value)
-            code = (self.hash_code ^ term
-                    ^ ((k31 + _value_hash(old)) & 0x7FFFFFFF))
+            c = _value_hash(key) & 0x7FFFFFFF
+        buckets = self.buckets
+        bucket = buckets.get(c, ())
+        k31 = c * 31
+        term = (k31 + _value_hash(value)) & 0x7FFFFFFF
         h = object.__new__(HashValue)
-        h.table = self.table.set(hk, value)
-        h.size = size
-        h.hash_code = code
+        for i, (k, old) in enumerate(bucket):
+            if k is key or scheme_equal(k, key):
+                # An ``equal?`` key has the stored key's size and code,
+                # so only the value's terms change.
+                h.length = self.length
+                h.size = self.size - _value_size(old) + _value_size(value)
+                h.hash_code = (self.hash_code ^ term
+                               ^ ((k31 + _value_hash(old)) & 0x7FFFFFFF))
+                if old is value:
+                    # Same entry: the stored key stays, nothing is copied.
+                    h.buckets = buckets
+                    return h
+                bucket = bucket[:i] + ((key, value),) + bucket[i + 1:]
+                break
+        else:
+            h.length = self.length + 1
+            h.size = self.size + _value_size(key) + _value_size(value)
+            h.hash_code = self.hash_code ^ term
+            bucket += ((key, value),)
+        if type(buckets) is dict:
+            if h.length < _HASH_FOLD:
+                buckets = buckets.copy()
+                buckets[c] = bucket
+                h.buckets = buckets
+                return h
+            buckets = Hamt.from_dict(buckets)
+        h.buckets = buckets.set(c, bucket)
         return h
 
     def get(self, key, default):
-        return self.table.get(HashKey(key), default)
+        tk = type(key)
+        if tk is Symbol:
+            c = key._hash & 0x7FFFFFFF
+        elif tk is int:
+            c = hash(key) & 0x7FFFFFFF
+        else:
+            c = _value_hash(key) & 0x7FFFFFFF
+        bucket = self.buckets.get(c)
+        if bucket is not None:
+            for k, v in bucket:
+                if k is key or scheme_equal(k, key):
+                    return v
+        return default
 
     def has_key(self, key) -> bool:
-        return HashKey(key) in self.table
+        return self.get(key, _ABSENT) is not _ABSENT
 
     def count(self) -> int:
-        return len(self.table)
+        return self.length
+
+    def items(self):
+        """Every ``(key, value)`` entry, in no fixed order."""
+        for bucket in self.buckets.values():
+            yield from bucket
 
     def __repr__(self) -> str:
         return write_value(self)
@@ -277,7 +335,10 @@ _ABSENT = object()
 
 class HashKey:
     """Adapter giving Python hashing/equality the object language's
-    ``equal?`` semantics, so :class:`Hamt` can index hash-map entries.
+    ``equal?`` semantics, so a :class:`Hamt` or ``dict`` can key by an
+    arbitrary value (the monitor's label keying keys a table by a
+    closure's captured values this way; :class:`HashValue` groups its
+    entries by the same ``code`` without wrapping them).
 
     ``code`` is consistent with ``equal?`` (equal values hash alike), so
     keys whose codes differ are unequal without a structural walk."""
@@ -298,12 +359,10 @@ class HashKey:
             return True
         if self.code != other.code:
             return False
-        from repro.values.equality import scheme_equal
-
         return scheme_equal(self.value, other.value)
 
 
-_EMPTY_HASH = HashValue(Hamt.empty())
+_EMPTY_HASH = HashValue()
 
 
 class Box:
@@ -465,14 +524,13 @@ def write_value(v) -> str:
     if isinstance(v, Char):
         return f"#\\{v.external_name()}"
     if isinstance(v, HashValue):
-        # Sorted by written key, then value: HAMT order follows key
-        # hashes, and symbol and string keys hash by Python's per-process
+        # Sorted by written key, then value: entry order follows key
+        # codes, and symbol and string keys hash by Python's per-process
         # randomized ``hash``.  Entries whose texts tie print alike in
         # either order.
         inner = " ".join(
             f"({k} . {val})" for k, val in sorted(
-                (write_value(k.value), write_value(val))
-                for k, val in v.table.items()))
+                (write_value(k), write_value(val)) for k, val in v.items()))
         return f"#hash({inner})"
     if isinstance(v, Vector):
         return "#(" + " ".join(write_value(x) for x in v.items) + ")"
@@ -482,3 +540,8 @@ def write_value(v) -> str:
         # been forced before the answer was rendered.
         return "#<promise>"
     return repr(v)
+
+
+# ``equality`` imports this module's types, so it is bound last; every
+# name it reads from here is defined by now.
+from repro.values.equality import scheme_equal  # noqa: E402

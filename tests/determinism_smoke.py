@@ -2,8 +2,8 @@
 
 Runs itself in two fresh interpreters, under ``PYTHONHASHSEED=1`` and
 ``=2``.  Each prints, one JSON line per run, the ``Answer.record()`` and
-discharge summary of every corpus, extra and diverging program (and one
-program that prints hash maps) on the tree, compiled and native
+discharge summary of every corpus, extra and diverging program (and two
+programs that print hash maps, one of them past the fold point) on the tree, compiled and native
 machines, through ``run_request(..., discharge="try")`` with a fuel
 bound over an on-disk certificate store, and then the program's stored
 certificate entry as written (its stable ids, ``acyclic`` among them).
@@ -30,6 +30,23 @@ MAP_PROGRAM = """
 (newline)
 (hash 'k1 1 'k2 2 'k3 3 "s1" 's "s2" #\\c)
 """
+# A map with more keys than ``values._HASH_FOLD`` (32), so its buckets
+# live in the HAMT: symbol, string and pair keys, then an overwrite of
+# every third key through an ``equal?`` copy.
+_FOLD_KEYS = " ".join([f"k{i}" for i in range(16)]
+                      + [f'"s{i}"' for i in range(12)]
+                      + [f"({i} . p)" for i in range(12)])
+FOLD_PROGRAM = f"""
+(define (index keys i t)
+  (if (null? keys) t (index (cdr keys) (+ i 1) (hash-set t (car keys) i))))
+(define (every-third keys t)
+  (if (or (null? keys) (null? (cdr keys)) (null? (cddr keys))) t
+      (every-third (cdddr keys) (hash-set t (car keys) 'again))))
+(define m (index '({_FOLD_KEYS}) 0 (hash)))
+(display (hash-count m))
+(newline)
+(every-third '({_FOLD_KEYS}) m)
+"""
 
 
 def records():
@@ -42,6 +59,7 @@ def records():
                 for p in all_programs() + extra_programs()]
     programs += [(p.name, p.source, None) for p in diverging_programs()]
     programs.append(("hash-maps", MAP_PROGRAM, None))
+    programs.append(("hash-map-past-fold", FOLD_PROGRAM, None))
     with tempfile.TemporaryDirectory() as store:
         cache = VerificationCache(store)
         for name, text, result_kinds in programs:

@@ -200,6 +200,39 @@ class TestMachinesHarness:
         assert not lh_gcd.discharged and lh_gcd.skipped_labels is None
         assert set(lh_gcd.seconds) == set(MONITOR_CELLS)
 
+    def test_cells_see_a_program_redefining_a_library_name(
+            self, monkeypatch):
+        """A program defining its own ``flat-named/c`` (which the
+        library's ``flat/c`` calls) gets, in every cell, tree cells
+        included, the answer it gets on a fresh environment."""
+        from repro.bench import machines
+        from repro.corpus.registry import CorpusProgram
+        from repro.eval.machine import run_source
+        from repro.values.values import write_value
+
+        text = ("(define (flat-named/c name pred) 'mine)\n"
+                "(display (flat/c 1))")
+        prog = CorpusProgram("redefines", text, "", ("Y",) * 5, None)
+        answers = {}
+
+        def once(runs, repeats):
+            for cell, run in runs.items():
+                answers[cell] = run().record()
+            return {cell: 1.0 for cell in runs}
+
+        monkeypatch.setattr(machines, "all_programs", lambda: [prog])
+        monkeypatch.setattr(machines, "interleaved_best_of", once)
+        [row] = machines.run_machines(scale="smoke", programs=["redefines"])
+        fresh = run_source(
+            machines.harness_amplified(text, row.iterations),
+            machine="tree").record()
+        assert fresh["output"] == "mine" * row.iterations
+        assert ("tree", "off") in answers
+        for cell, record in answers.items():
+            assert record["tier"] == cell[0]
+            record["tier"] = "tree"
+            assert record == fresh, cell
+
     @pytest.mark.parametrize("answer, calls, match", [
         (Answer(Answer.RT_ERROR, error="boom"), 0, "failed"),
         (Answer(Answer.VALUE, tier="tree"), 0, "ran on tier 'tree'"),

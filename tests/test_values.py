@@ -11,6 +11,7 @@ from repro.values.values import (
     NIL,
     VOID,
     Box,
+    _HASH_FOLD,
     HashValue,
     Pair,
     cons,
@@ -254,27 +255,77 @@ def _build(recipe):
 
 
 def _folded(h):
-    ref = HashValue(h.table)
+    ref = HashValue(h.items())
     return ref.size, ref.hash_code
 
 
+# Keys whose codes collide without being ``equal?``: ``1``, ``1.0`` and
+# ``#t`` share code 1, ``0``, ``0.0`` and ``#f`` code 0, and a string and
+# a symbol of one text share Python's string hash.
+_COLLIDING = [("int", 1), ("float", 1.0), ("bool", True), ("int", 0),
+              ("float", 0.0), ("bool", False), ("str", "ab"), ("sym", "ab")]
+_KEYS = st.one_of(_RECIPES, st.sampled_from(_COLLIDING))
+
+
+def _filler(j):
+    """The j-th extra key that carries a map past the fold point: a
+    symbol, a string or a freshly consed pair."""
+    return [("sym", f"k{j}"), ("str", f"k{j}"),
+            ("pair", ("int", j), ("sym", "k"))][j % 3]
+
+
+def _model_set(model, recipe, key, value):
+    """``hash-set`` on an association list of ``[recipe, key, value]``:
+    an ``equal?`` key takes the new key and value, unless the value is
+    the stored one, which keeps the entry as it is."""
+    for entry in model:
+        if scheme_equal(entry[1], key):
+            if entry[2] is not value:
+                entry[:] = [recipe, key, value]
+            return
+    model.append([recipe, key, value])
+
+
+def _check_against(h, model):
+    missing = object()
+    for recipe, _key, value in model:
+        probe = _build(recipe)
+        assert h.get(probe, missing) is value
+        assert h.has_key(probe)
+    for recipe in _COLLIDING:
+        probe = _build(recipe)
+        assert h.has_key(probe) == any(
+            scheme_equal(probe, k) for _, k, _ in model)
+    ref = HashValue((k, v) for _, k, v in model)
+    assert h.count() == ref.count() == len(model)
+    assert (h.size, h.hash_code) == (ref.size, ref.hash_code) == _folded(h)
+    assert scheme_equal(h, ref) and scheme_equal(ref, h)
+    printed = sorted((write_value(k), write_value(v)) for _, k, v in model)
+    assert write_value(h) == "#hash(" + " ".join(
+        f"({k} . {v})" for k, v in printed) + ")"
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_RECIPES, min_size=1, max_size=6),
-       st.lists(st.tuples(st.integers(0, 5), _RECIPES), max_size=40))
-def test_hash_set_keeps_size_and_hash_exact(keys, sets):
+@given(st.lists(_KEYS, min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 5), _RECIPES), max_size=40),
+       st.integers(0, 2 * _HASH_FOLD))
+def test_hash_set_keeps_size_and_hash_exact(keys, sets, fill):
     """After every ``set`` (a new key or an overwrite through an
-    ``equal?`` key), ``size`` and ``hash_code`` equal the full fold."""
+    ``equal?`` key), on maps below and past the fold point, ``get``,
+    ``has_key``, ``count``, ``size``, ``hash_code``, ``equal?`` and the
+    printed form agree with an association-list model, and ``size`` and
+    ``hash_code`` with the full fold."""
+    steps = [(keys[i % len(keys)], value) for i, value in sets]
+    half = len(steps) // 2
+    steps[half:half] = [(_filler(j), ("int", j)) for j in range(fill)]
     h = HashValue.empty()
-    for i, value in sets:
-        key = keys[i % len(keys)]
-        h = h.set(_build(key), _build(value))
-        assert (h.size, h.hash_code) == _folded(h)
-    distinct = []
-    for i, _ in sets:
-        key = _build(keys[i % len(keys)])
-        if not any(scheme_equal(key, d) for d in distinct):
-            distinct.append(key)
-    assert h.count() == len(distinct)
+    model = []
+    for key_recipe, value_recipe in steps:
+        key, value = _build(key_recipe), _build(value_recipe)
+        h = h.set(key, value)
+        _model_set(model, key_recipe, key, value)
+        _check_against(h, model)
+    assert (type(h.buckets) is dict) == (len(model) < _HASH_FOLD)
 
 
 @settings(max_examples=150, deadline=None)
