@@ -247,8 +247,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="override the generator's per-program fuel")
     p_fuzz.add_argument("--features", default=None,
                         help="comma-subset of the generator features "
-                             "(accumulators,higher-order,contracts,cells,"
-                             "vectors,promises,output)")
+                             "and shapes (accumulators,higher-order,"
+                             "contracts,cells,vectors,promises,output,"
+                             "mutation,rebinding,mutual-loop; default: all)")
     p_fuzz.add_argument("--no-shrink", action="store_true",
                         help="report divergences unminimized")
     p_fuzz.add_argument("--max-shrink", type=int, default=200,

@@ -48,7 +48,7 @@ from repro.eval.native import NativeContext, count_apply
 from repro.evidence import evidence as evidence_classes
 from repro.lang import ast, libraries
 from repro.lang.parser import parse_program
-from repro.lang.prims import PRIMITIVES
+from repro.lang.prims import PRIMS_BY_NAME
 from repro.lang.program import Program, TopDefine
 from repro.lang.resolve import Code, resolve
 from repro.sct.errors import SizeChangeViolation
@@ -430,22 +430,54 @@ def eval_expr(
 # repeated runs of a parsed program resolve once, whatever their
 # residual policies, while dropping the program frees its compiled code —
 # a long-lived process calling run_source in a loop does not accumulate
-# entries.
+# entries.  ``_RESOLVED`` holds each node's code under the primitives its
+# program binds; ``_RESOLVED_AS`` the code under another set, one per
+# set, for runs whose environment rebinds one of those primitives.
 _RESOLVED: "weakref.WeakKeyDictionary[ast.Node, Code]" = \
+    weakref.WeakKeyDictionary()
+_RESOLVED_AS: "weakref.WeakKeyDictionary[ast.Node, dict]" = \
     weakref.WeakKeyDictionary()
 
 
-def compile_code(expr: ast.Node, skip_labels=None) -> Code:
+def compile_code(expr: ast.Node, skip_labels=None, prims=None) -> Code:
     """The lexically-addressed code for ``expr``, resolved once per AST
     node, so repeated runs pay for resolution once.
+
+    ``prims``: the primitive names to bind (see
+    :func:`repro.lang.resolve.resolve`); ``None``, the set the form's
+    program binds, is what every run uses unless its environment
+    rebinds one of them (:func:`run_program`).
 
     ``skip_labels`` is ignored: resolved code carries no residual
     policy (:func:`run_program` hands a run's skip set to the machine),
     and the parameter remains only for callers that still pass one."""
-    code = _RESOLVED.get(expr)
+    if prims is None:
+        code = _RESOLVED.get(expr)
+        if code is None:
+            code = _RESOLVED[expr] = resolve(expr)
+        return code
+    codes = _RESOLVED_AS.get(expr)
+    if codes is None:
+        codes = _RESOLVED_AS[expr] = {}
+    code = codes.get(prims)
     if code is None:
-        code = _RESOLVED[expr] = resolve(expr)
+        code = codes[prims] = resolve(expr, prims)
     return code
+
+
+def _stock_prims(program: Program, env: GlobalEnv):
+    """``None`` when ``env`` binds every primitive ``program`` binds to
+    the stock primitive (the usual case: only the names the program
+    reads are looked at); else the subset it still binds so.  A run
+    changes none of those names (a program that rebinds a name binds
+    no primitive of it), so one check before the first form holds for
+    the whole run."""
+    by_name = env.by_name
+    for name in program.prims:
+        if by_name.get(name) is not PRIMS_BY_NAME[name]:
+            return frozenset(n for n in program.prims
+                             if by_name.get(n) is PRIMS_BY_NAME[n])
+    return None
 
 
 def eval_code(
@@ -1048,8 +1080,7 @@ def make_env(*, machine: str = "compiled") -> GlobalEnv:
     checks); the native tier shares the compiled representation.
     """
     _check_machine(machine)
-    env = GlobalEnv({sym.name: prim for sym, prim in PRIMITIVES.items()},
-                    _env_family(machine))
+    env = GlobalEnv(PRIMS_BY_NAME, _env_family(machine))
     fuel = _Fuel(None)
     compiled = machine != "tree"
     for library in (_prelude_program(), _contracts_program()):
@@ -1190,8 +1221,15 @@ def run_program(
     defines or ``set!``s outlives the run.  ``env=None`` gives the run a
     fresh library environment: a snapshot of one the compiled family
     builds once per process, or a newly built one on the tree machine.
+    When ``env`` binds a primitive the program's resolved code binds
+    (:attr:`~repro.lang.program.Program.prims`) to anything else, the
+    compiled machines run the forms resolved without it
+    (:func:`compile_code`'s ``prims``), so the run reads it from ``env``
+    as the tree machine does.
     """
     _check_machine(machine)
+    compiled = machine != "tree"
+    prims = None
     if env is None:
         env = _run_env(machine)
     else:
@@ -1200,6 +1238,8 @@ def run_program(
                 f"environment built by the {env.flavor!r} machine cannot "
                 f"run on the {machine!r} machine (closure representations "
                 f"differ); build it with make_env(machine={machine!r})")
+        if compiled:
+            prims = _stock_prims(program, env)
         env = env.snapshot()
     if monitor is None:
         monitor = SCMonitor()
@@ -1216,7 +1256,6 @@ def run_program(
     budget = _Fuel(fuel)
     mtable: dict = {}
     last = VOID
-    compiled = machine != "tree"
     native_ctx = None
     if machine == "native":
         # Nothing is compiled up front: each λ, library λs included,
@@ -1241,7 +1280,7 @@ def run_program(
             raise FuelExhausted(0)
         for form in program.forms:
             if compiled:
-                code = compile_code(form.expr)
+                code = compile_code(form.expr, None, prims)
                 value = eval_code(
                     code, env, mode=mode,
                     strategy=strategy, monitor=monitor, fuel=budget,

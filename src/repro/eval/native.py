@@ -108,6 +108,14 @@ arity mismatch, a λ not compiled yet) is handed back (``_DRIVE``) for
 the site to drive.  A discharged program, or under ``cm`` a monitored one,
 below the bound thus enters the driver once per top-level form.
 
+Primitive calls: a program's reads of the primitives it never rebinds
+are literals in its resolved code (:mod:`repro.lang.resolve`), so such a
+call compiles to the primitive's inline expression or a plain
+``prim.fn([...])``, with no global read, no identity guard and no slow
+path, and its site is never closure-risky.  Only a read of a global the
+program rebinds, or any read in a library λ, keeps the guarded dispatch
+with its ``_rt.fallback`` branch.
+
 Fuel: one step is one closure body entered, as on the interpreters.
 The driver charges the shared :class:`~repro.eval.machine._Fuel` at its
 closure branch once it knows the call does not fall back (a fallback's
@@ -125,7 +133,7 @@ from typing import List, Optional, Tuple
 
 from repro.ds.lru import LRU
 from repro.eval.errors import FuelExhausted, SchemeError
-from repro.lang.prims import PRIM_NAMES, PRIMITIVES
+from repro.lang.prims import PRIM_NAMES, PRIMS_BY_NAME
 from repro.sct.monitor import mut_step, table_step
 from repro.lang.resolve import (
     CApp,
@@ -159,13 +167,6 @@ from repro.values.values import (
 __all__ = ["NativeContext", "compile_lam", "count_apply", "ensure_native",
            "ensure_native_libraries", "ensure_native_program"]
 
-# A non-tail call whose head is in PRIM_NAMES (statically bound to a
-# primitive in every fresh environment) is *prim-likely*: the emitter
-# inlines the primitive dispatch and only a rebinding (``(define + ...)``)
-# diverts it to the slow path.  Heads outside that set are closure-risky
-# and force the generator calling convention.
-_PRIM_BY_SNAME = {sym.name: prim for sym, prim in PRIMITIVES.items()}
-
 # Emitter guard rails: programs nested past these bounds fall back to the
 # interpreter rather than fight CPython's parser limits.
 _MAX_INDENT = 60
@@ -195,6 +196,13 @@ _REENTRY_BOUND = 8
 # Code tags whose evaluation runs no user code (and so no ``set!``).
 _INERT = (T_LIT, T_LOCAL, T_GLOBAL)
 
+# Primitives whose result is always a Python bool (or an error): an
+# ``if`` on a bound call of one tests the call itself, with no temp and
+# no ``is not False``.
+_PREDICATES = frozenset({"=", "<", ">", "<=", ">=", "zero?", "null?",
+                         "empty?", "pair?", "cons?", "not", "eq?",
+                         "char=?"})
+
 
 # -- inline primitive fast paths ------------------------------------------------
 #
@@ -204,9 +212,11 @@ _INERT = (T_LIT, T_LOCAL, T_GLOBAL)
 # fast path.  Every generated expression keeps the primitive's full
 # semantics by delegating to ``{h}.fn([...])`` outside its fast case (type
 # mismatches, non-int numerics), so error payloads stay byte-identical.
-# The emitter guards the whole expression with an identity test against
-# the primitive object itself — a program that rebinds ``+`` falls through
-# to the generic dispatch, same as before.
+# A call whose head the resolver bound to the primitive (a program's read
+# of a name it never rebinds) is the expression alone.  Only a dynamic
+# read (a name the program rebinds, any read in a library λ) guards it
+# with an identity test against the primitive object itself — a program
+# that rebinds ``+`` falls through to the generic dispatch.
 
 def _inl_arith(op: str):
     def gen(h, a):
@@ -714,6 +724,42 @@ def _contains_lam(code) -> bool:
     return any(node.tag == T_LAM for node in walk(code))
 
 
+def _fits(prim, n: int) -> bool:
+    """True when ``prim``'s arity admits ``n`` arguments."""
+    return n >= prim.arity_min and (prim.arity_max is None
+                                    or n <= prim.arity_max)
+
+
+def _bound_prim(head) -> Optional[Prim]:
+    """The primitive a call head is bound to at resolve time (a literal
+    the resolver put for a primitive the program never rebinds), or
+    None."""
+    if head.tag == T_LIT and type(head.value) is Prim:
+        return head.value
+    return None
+
+
+def _prim_head(head) -> bool:
+    """True for a *prim-likely* head: a bound primitive, or a global read
+    of a name that a fresh environment binds to one (only a rebinding,
+    ``(define + ...)``, diverts that read's call to the slow path).
+    Other heads are closure-risky and force the generator calling
+    convention at non-tail sites."""
+    if head.tag == T_GLOBAL:
+        return head.sname in PRIM_NAMES
+    return _bound_prim(head) is not None
+
+
+def _inert(e) -> bool:
+    """True when evaluating ``e`` runs no user code: a literal, a
+    variable read, or a bound primitive's call on such arguments
+    (primitives never call back into the object language)."""
+    if e.tag in _INERT:
+        return True
+    return (e.tag == T_APP and _bound_prim(e.exprs[0]) is not None
+            and all(_inert(a) for a in e.exprs[1:]))
+
+
 def _has_risky_nontail(code) -> bool:
     """True if the body has a non-tail application whose head is not
     statically prim-likely — the sites that need the generator calling
@@ -724,9 +770,7 @@ def _has_risky_nontail(code) -> bool:
         node, tail = stack.pop()
         t = node.tag
         if t == T_APP:
-            head = node.exprs[0]
-            if not tail and not (head.tag == T_GLOBAL
-                                 and head.sname in PRIM_NAMES):
+            if not tail and not _prim_head(node.exprs[0]):
                 return True
             for e in node.exprs:
                 stack.append((e, False))
@@ -906,8 +950,7 @@ class _Emitter:
             return self.value_app(e, ind), False
         if t == T_IF:
             target = self.gensym()
-            test, _ = self.compile_value(e.test, ind)
-            self.line(ind, f"if {test} is not False:")
+            self.line(ind, f"if {self.compile_test(e.test, ind)}:")
             self.compile_into(e.then, target, ind + 1)
             self.line(ind, "else:")
             self.compile_into(e.els, target, ind + 1)
@@ -945,6 +988,16 @@ class _Emitter:
             return t2, False
         raise _Unsupported(f"code tag {t}")  # pragma: no cover
 
+    def compile_test(self, e, ind: int) -> str:
+        """A Python condition that holds when ``e`` is not ``#f``."""
+        if e.tag == T_APP:
+            prim = _bound_prim(e.exprs[0])
+            if prim is not None and prim.name in _PREDICATES:
+                args = self.eval_seq(e.exprs[1:], ind)
+                return self.bound_prim_call(prim, args, e.loc, ind)
+        v, _ = self.compile_value(e, ind)
+        return f"{v} is not False"
+
     def compile_into(self, e, target: str, ind: int) -> None:
         v, _ = self.compile_value(e, ind)
         if v != target:
@@ -957,7 +1010,7 @@ class _Emitter:
         the last one that can, nothing disturbs a slot before the values
         are consumed."""
         out: List[str] = []
-        last = max((i for i, e in enumerate(exprs) if e.tag not in _INERT),
+        last = max((i for i, e in enumerate(exprs) if not _inert(e)),
                    default=-1)
         for i, e in enumerate(exprs):
             v, vol = self.compile_value(e, ind)
@@ -976,46 +1029,62 @@ class _Emitter:
         self.line(ind + 2, "raise _FuelEx(_F.limit)")
         self.line(ind + 1, "_F.left = _fl - 1")
 
-    def prim_dispatch(self, h: str, args: List[str], loc: str, ind: int,
-                      tail: bool, sname: Optional[str] = None
-                      ) -> Tuple[Optional[str], bool]:
-        """The primitive branches of an application: ``(target,
-        opened)`` for non-tail sites, where ``opened`` says whether an
-        ``if`` chain was started that the caller must close with its
-        ``else`` branch; tail sites emit their ``return``s instead.
-
-        When the head is a global statically naming a registered
-        primitive and the argument count fits its arity, an
-        identity-guarded fast path is emitted first: ``if {h} is <that
-        prim>`` the call compiles to a direct Python expression for the
-        inlinable workhorses, and to a plain ``{h}.fn([...])`` for the
-        rest — the guard proves the arity, so no check is emitted.  The
-        guard makes rebinding safe and inline expressions delegate to the
-        primitive outside their fast case, so observables never change.
-        At a tail site any other primitive head takes the generic
-        dispatch in :meth:`NativeContext.prim` (arity check, then the
-        call); non-tail sites leave even that test to the caller's
-        ``_rt.fallback`` or ``_rt.call`` branch.  ``args`` is frozen in
+    def prim_expr(self, prim, h: str, args: List[str], ind: int) -> str:
+        """The Python expression applying ``prim`` (read as ``h``) to
+        ``args``, whose count its arity admits: the ``_INLINE_PRIMS``
+        expression for the inlinable workhorses, else a plain
+        ``{h}.fn([...])``, with no arity check.  ``args`` is frozen in
         place when an inline expression fires — callers build their
         fallback argument lists after this returns."""
-        n = len(args)
-        target: Optional[str] = None
-        opened = False
-        prim = _PRIM_BY_SNAME.get(sname) if sname is not None else None
-        if prim is not None and n >= prim.arity_min and (
-                prim.arity_max is None or n <= prim.arity_max):
-            gen = _INLINE_PRIMS.get(sname)
+        gen = _INLINE_PRIMS.get(prim.name)
+        if gen is not None:
             # Inline expressions may read an argument more than once, so
             # compound reads are pinned to a temp; bare names (mutable
             # slots included) are read as-is — no user code runs between
             # here and the expression's last read.
             frozen = [a if a.isidentifier() else self.freeze(a, ind)
-                      for a in args] if gen else args
-            expr = gen(h, frozen) if gen else None
-            if expr is None:
-                expr = f"{h}.fn([{', '.join(args)}])"
-            else:
+                      for a in args]
+            expr = gen(h, frozen)
+            if expr is not None:
                 args[:] = frozen
+                return expr
+        return f"{h}.fn([{', '.join(args)}])"
+
+    def bound_prim_call(self, prim, args: List[str], loc, ind: int) -> str:
+        """The expression for a call whose head the resolver bound to
+        ``prim``: nothing to read, guard or fall back from.  An argument
+        count outside the arity calls the generic dispatch, which raises
+        the arity error with its message and location."""
+        h = self.const(prim)
+        if _fits(prim, len(args)):
+            return self.prim_expr(prim, h, args, ind)
+        return f"_rt.prim({h}, [{', '.join(args)}], {self.cref(loc)})"
+
+    def prim_dispatch(self, h: str, args: List[str], loc: str, ind: int,
+                      tail: bool, sname: Optional[str] = None
+                      ) -> Tuple[Optional[str], bool]:
+        """The primitive branches of an application whose head is read
+        at run time: ``(target, opened)`` for non-tail sites, where
+        ``opened`` says whether an ``if`` chain was started that the
+        caller must close with its ``else`` branch; tail sites emit their
+        ``return``s instead.
+
+        When the head is a global naming a registered primitive (one the
+        program rebinds, or any read in a library λ) and the argument
+        count fits its arity, an identity-guarded fast path is emitted
+        first: ``if {h} is <that prim>`` the call compiles to
+        :meth:`prim_expr` — the guard proves the arity.  The guard makes
+        rebinding safe and inline expressions delegate to the primitive
+        outside their fast case, so observables never change.  At a tail
+        site any other primitive head takes the generic dispatch in
+        :meth:`NativeContext.prim` (arity check, then the call); non-tail
+        sites leave even that test to the caller's ``_rt.fallback`` or
+        ``_rt.call`` branch."""
+        target: Optional[str] = None
+        opened = False
+        prim = PRIMS_BY_NAME.get(sname) if sname is not None else None
+        if prim is not None and _fits(prim, len(args)):
+            expr = self.prim_expr(prim, h, args, ind)
             self.line(ind, f"if {h} is {self.const(prim)}:")
             if tail:
                 self.emit_return(expr, ind + 1)
@@ -1032,6 +1101,13 @@ class _Emitter:
         return None, True
 
     def value_app(self, e, ind: int) -> str:
+        prim = _bound_prim(e.exprs[0])
+        if prim is not None:
+            args = self.eval_seq(e.exprs[1:], ind)
+            t = self.gensym()
+            self.line(ind, f"{t} = "
+                      f"{self.bound_prim_call(prim, args, e.loc, ind)}")
+            return t
         vals = self.eval_seq(e.exprs, ind)
         h = self.freeze(vals[0], ind)
         args = vals[1:]
@@ -1059,19 +1135,25 @@ class _Emitter:
             self.line(ind, "else:")
             self.line(ind + 1, f"{t} = yield _Call({h}, _a, {loc}, False)")
         else:
-            # Statically a primitive: only a rebinding gets here.
+            # A global naming a primitive: only a rebinding gets here.
             self.line(ind, f"{t} = _rt.fallback({h}, [{arglist}], {loc})")
         return t
 
     def tail_app(self, e, ind: int) -> None:
+        prim = _bound_prim(e.exprs[0])
+        if prim is not None:
+            args = self.eval_seq(e.exprs[1:], ind)
+            self.emit_return(self.bound_prim_call(prim, args, e.loc, ind),
+                             ind)
+            return
         vals = self.eval_seq(e.exprs, ind)
         h = self.freeze(vals[0], ind)
         args = vals[1:]
         loc = self.cref(e.loc)
         head = e.exprs[0]
         sname = head.sname if head.tag == T_GLOBAL else None
-        # A head statically naming a primitive gets neither the self-tail
-        # loop nor the direct call: only a rebinding (a program's own
+        # A global naming a primitive gets neither the self-tail loop nor
+        # the direct call: only a rebinding (a program's own
         # ``(define (cdr n) ...)``) gets past the primitive branches, and
         # the trampoline charges, steps and loops for it exactly as those
         # two would have.
@@ -1244,8 +1326,7 @@ class _Emitter:
             self.tail_app(e, ind)
             return
         if t == T_IF:
-            test, _ = self.compile_value(e.test, ind)
-            self.line(ind, f"if {test} is not False:")
+            self.line(ind, f"if {self.compile_test(e.test, ind)}:")
             self.compile_tail(e.then, ind + 1)
             self.line(ind, "else:")
             self.compile_tail(e.els, ind + 1)

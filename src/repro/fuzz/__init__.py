@@ -13,9 +13,10 @@ Three pieces (see ``docs/architecture.md`` §fuzz for the full story):
     call into a generated recursive function, so the size-change monitor
     is silent and the static verifier proves the entry;
   - **diverging-by-construction**: one function carries a planted
-    non-decreasing self-loop reachable from the entry, so the program
-    must hit a monitor violation (or the fuel bound when unmonitored)
-    and must never verify or fully discharge.
+    non-decreasing loop (a self-call, or with the ``mutual-loop`` shape
+    a mutual tail pair) reachable from the entry, so the program must
+    hit a monitor violation (or the fuel bound when unmonitored) and
+    must never verify or fully discharge.
 
 * :mod:`repro.fuzz.differential` — runs one program under the 30-cell
   matrix {tree, compiled, native} × {bitmask, reference} × {off,
@@ -37,11 +38,14 @@ from repro.fuzz.differential import (
     run_fuzz,
     run_matrix,
 )
-from repro.fuzz.gen import ALL_FEATURES, GenProgram, generate_program
+from repro.fuzz.gen import (ALL_FEATURES, FUZZ_FEATURES, SHAPES,
+                            GenProgram, generate_program)
 from repro.fuzz.shrink import archive_divergence, shrink_divergence
 
 __all__ = [
     "ALL_FEATURES",
+    "FUZZ_FEATURES",
+    "SHAPES",
     "Divergence",
     "FuzzReport",
     "GenProgram",

@@ -49,7 +49,7 @@ from repro.analysis.callgraph import acyclic_labels
 from repro.analysis.discharge import VerificationCache, discharge_for_run
 from repro.eval.machine import Answer, run_program
 from repro.eval.native import ensure_native_program
-from repro.fuzz.gen import GenProgram, generate_program
+from repro.fuzz.gen import FUZZ_FEATURES, GenProgram, generate_program
 from repro.lang.parser import parse_program
 from repro.sct.monitor import SCMonitor
 from repro.symbolic import verify_source
@@ -444,7 +444,9 @@ def run_fuzz(n: int, seed: int = 0, mode: str = "both",
 
     ``mode='both'`` alternates terminating/diverging; seeds are
     ``seed .. seed+n-1``, so any finding is replayable by its seed
-    alone.  Divergences are shrunk greedily (``shrink=False`` skips)."""
+    alone.  ``features=None`` draws from every generator feature and
+    shape (:data:`~repro.fuzz.gen.FUZZ_FEATURES`).  Divergences are
+    shrunk greedily (``shrink=False`` skips)."""
     from repro.fuzz.shrink import shrink_divergence
 
     cells = default_cells(matrix)
@@ -456,7 +458,9 @@ def run_fuzz(n: int, seed: int = 0, mode: str = "both",
             pmode = "terminating" if i % 2 == 0 else "diverging"
         else:
             pmode = mode
-        program = generate_program(s, pmode, features=features)
+        program = generate_program(
+            s, pmode,
+            features=FUZZ_FEATURES if features is None else features)
         report.programs += 1
         report.by_mode[pmode] = report.by_mode.get(pmode, 0) + 1
         result = run_matrix(program, cells=cells, fuel=fuel)

@@ -46,16 +46,36 @@ compiling tier can get wrong while every pure program still agrees).
 Mutation never touches a parameter or any name a descent argument
 references, so it is invisible to the termination story: the engines
 havoc reads of ``set!``-assigned names, which only matters in a cycle's
-descent position, and the monitor's graphs track calls, not stores.  Each program records which features it used and
-the derived oracle flags:
+descent position, and the monitor's graphs track calls, not stores.
+
+Two *shapes* (:data:`SHAPES`) ride on a random stream of their own and
+are off in the default feature pool, so the programs other callers draw
+by seed stay the same; the differential campaign turns them on
+(:data:`FUZZ_FEATURES`).  ``rebinding`` has every function's base branch
+call the primitive ``max``, then rebinds it: a top-level ``define`` after
+the functions (a max that is not the primitive's), or a global ``set!``
+of ``max`` to ``min`` inside the call's own argument, so the first call
+applies the primitive and every later one ``min``.  Either way every read
+of ``max`` stays a dynamic global read on the compiled tiers.  The
+``set!`` form makes the calls opaque to the engines, so it clears
+``must_verify`` and ``must_discharge``.  ``mutual-loop`` (diverging mode)
+plants the loop as a mutual tail pair instead of a self-call, beside a
+discharged helper the program runs first: the pair's monitored calls
+then run through the native tier's direct tail calls under a non-empty
+skip set.
+
+Each program records which features it used and the derived oracle
+flags:
 
 * ``must_verify`` — both static engines must answer VERIFIED (all
-  terminating constructions; cleared only for diverging mode);
+  terminating constructions; cleared for diverging mode and for the
+  ``set!`` form of ``rebinding``);
 * ``must_discharge`` — the residual pipeline must reach a complete
   policy: cleared when the program forces promises (the thunk is applied
   at an opaque site, which taints discharge by design — an opaque call
-  could re-enter any λ).  The literal λs the top-level call passes stay
-  concrete to the analysis, so higher-order programs must discharge.
+  could re-enter any λ), and for the ``set!`` form of ``rebinding``.
+  The literal λs the top-level call passes stay concrete to the
+  analysis, so higher-order programs must discharge.
 """
 
 from __future__ import annotations
@@ -75,9 +95,27 @@ ALL_FEATURES = (
                       # argument effects, binding-aliasing probes
 )
 
+# Program shapes beyond the feature mix.  Each is drawn from a random
+# stream of its own, so a program without it is the same text as before
+# the shape existed: callers that ask for the default feature pool
+# (perfbench's request stream among them) draw exactly the programs they
+# always drew.  The differential campaign (``run_fuzz``) asks for
+# :data:`FUZZ_FEATURES`.
+SHAPES = (
+    "rebinding",      # a primitive the λs call (max) is rebound: by a
+                      # top-level define after them, or by a global set!
+                      # inside a λ between two reads
+    "mutual-loop",    # diverging mode: the planted loop is a mutual
+                      # tail pair, beside a discharged helper run first
+)
+FUZZ_FEATURES = ALL_FEATURES + SHAPES
+
 # Features whose presence keeps the program from fully discharging: a
 # forced promise thunk is applied at an opaque site, and the engine
-# soundly refuses to skip any λ an opaque call could re-enter.
+# soundly refuses to skip any λ an opaque call could re-enter.  (The
+# ``set!`` form of ``rebinding`` makes the calls of max opaque the same
+# way, as the engines havoc a ``set!``-assigned name; ``_Gen.opaque``
+# clears both flags for it.)
 _NO_DISCHARGE = frozenset({"promises"})
 
 NAT = "nat"
@@ -135,29 +173,45 @@ def generate_program(seed: int, mode: str = "terminating",
         raise ValueError(f"unknown fuzz mode: {mode!r}")
     pool = tuple(features) if features is not None else ALL_FEATURES
     for f in pool:
-        if f not in ALL_FEATURES:
+        if f not in FUZZ_FEATURES:
             raise ValueError(f"unknown fuzz feature: {f!r}")
     rng = random.Random(f"sized-fuzz/{mode}/{seed}")
-    active: Set[str] = {f for f in pool if rng.random() < 0.35}
-    g = _Gen(rng, mode, active)
+    active: Set[str] = {f for f in pool
+                        if f in ALL_FEATURES and rng.random() < 0.35}
+    shape_rng = random.Random(f"sized-fuzz/{mode}/{seed}/shapes")
+    shapes: Set[str] = {f for f in SHAPES
+                        if shape_rng.random() < 0.3 and f in pool}
+    g = _Gen(rng, mode, active, shapes, shape_rng)
     source = g.build()
     return GenProgram(
         seed=seed, mode=mode, source=source, entry=g.entry.name,
         entry_kinds=tuple(g.entry_arg_kinds),
         features=tuple(sorted(g.used)),
-        must_verify=(mode == "terminating"),
-        must_discharge=(mode == "terminating"
+        must_verify=(mode == "terminating" and not g.opaque),
+        must_discharge=(mode == "terminating" and not g.opaque
                         and not (g.used & _NO_DISCHARGE)),
         fuel=g.fuel,
     )
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, mode: str, active: Set[str]):
+    def __init__(self, rng: random.Random, mode: str, active: Set[str],
+                 shapes: Set[str], shape_rng: random.Random):
         self.rng = rng
         self.mode = mode
         self.active = active
         self.used: Set[str] = set()
+        # The shapes take every decision from shape_rng, so the rest of
+        # the program is drawn as without them.
+        self.shape_rng = shape_rng
+        self.rebinding: Optional[str] = None  # "define" or "set"
+        if "rebinding" in shapes:
+            self.rebinding = shape_rng.choice(("define", "set"))
+            self.used.add("rebinding")
+        self.opaque = self.rebinding == "set"
+        self.mutual_loop = "mutual-loop" in shapes and mode == "diverging"
+        if self.mutual_loop:
+            self.used.add("mutual-loop")
         self.fns: List[_Fn] = []
         self.entry: _Fn = None  # type: ignore[assignment]
         self.entry_arg_kinds: List[str] = []
@@ -209,8 +263,25 @@ class _Gen:
             victim = rng.choice(self.fns)
             victim.diverging = True
         defines = [self._define(fn) for fn in self.fns]
-        top = self._top_call()
-        return "\n".join(defines + [top]) + "\n"
+        top = [self._top_call()]
+        if self.mutual_loop:
+            victim = next(fn for fn in self.fns if fn.diverging)
+            # The loop's partner only calls back, in tail position: with
+            # the helper discharged, the pair's monitored calls run
+            # through the native tier's direct tail calls under a
+            # non-empty skip set.
+            params = " ".join(victim.params)
+            defines.append(f"(define ({victim.name}b {params})\n"
+                           f"  ({victim.name} {params}))")
+            defines.append("(define (hlen l)\n"
+                           "  (if (null? l) 0 (+ 1 (hlen (cdr l)))))")
+            top.insert(0, f"(hlen '(1 2 {self.shape_rng.randint(0, 9)}))")
+        if self.rebinding == "define":
+            # A top-level read of the stock max, then a max that is not
+            # the primitive: every read in the λs above sees it.
+            top.insert(0, "(max 1 2)")
+            defines.append("(define (max a b) (if (< a b) b (+ a 1)))")
+        return "\n".join(defines + top) + "\n"
 
     # -- function bodies ---------------------------------------------------
 
@@ -237,6 +308,14 @@ class _Gen:
         choice = rng.choice(opts)
         if self.use("mutation"):
             choice = self._mutate_nat(choice)
+        if self.rebinding is not None:
+            c = self.shape_rng.randint(0, 4)
+            if self.rebinding == "set":
+                # The head is read before the argument rebinds max to
+                # min, so the first call applies the primitive max and
+                # every later one min.
+                c = f"(begin (set! max min) {c})"
+            choice = f"(max {choice} {c})"
         if self.use("output"):
             return f"(begin (display {choice}) (newline) {choice})"
         return choice
@@ -457,7 +536,8 @@ class _Gen:
         else:
             arg0 = self.rng.choice([d, f"(cons 1 {d})"])
         rest = fn.params[1:]
-        return "(" + " ".join([fn.name, arg0] + rest) + ")"
+        callee = fn.name + "b" if self.mutual_loop else fn.name
+        return "(" + " ".join([callee, arg0] + rest) + ")"
 
     # -- the top-level workload --------------------------------------------
 

@@ -29,7 +29,8 @@ def prelude_program() -> Program:
         from repro.lang.parser import parse_program
         from repro.lang.prims import PRELUDE_SOURCE
 
-        _PRELUDE_PROGRAM = parse_program(PRELUDE_SOURCE, source="<prelude>")
+        _PRELUDE_PROGRAM = parse_program(PRELUDE_SOURCE, source="<prelude>",
+                                          library=True)
     return _PRELUDE_PROGRAM
 
 
@@ -41,5 +42,6 @@ def contracts_program() -> Program:
         from repro.lang.parser import parse_program
 
         _CONTRACTS_PROGRAM = parse_program(CONTRACTS_SOURCE,
-                                           source="<contracts>")
+                                           source="<contracts>",
+                                           library=True)
     return _CONTRACTS_PROGRAM

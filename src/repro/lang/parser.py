@@ -755,8 +755,10 @@ _FORMS = {
 }
 
 
-def parse_program(text: str, source: str = "<program>"):
-    """Parse whole-program text; returns :class:`repro.lang.program.Program`."""
+def parse_program(text: str, source: str = "<program>", *,
+                  library: bool = False):
+    """Parse whole-program text; returns :class:`repro.lang.program.Program`
+    (``library``: a shared library parse, which binds no primitive)."""
     from repro.lang.program import Program, TopDefine, TopExpr
 
     forms = []
@@ -770,4 +772,4 @@ def parse_program(text: str, source: str = "<program>"):
             forms.append(TopDefine(name, rhs, stx.loc))
         else:
             forms.append(TopExpr(parse_expr(stx), stx.loc))
-    return Program(tuple(forms), source)
+    return Program(tuple(forms), source, library=library)

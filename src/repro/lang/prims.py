@@ -586,6 +586,10 @@ PRIMITIVES: Dict[Symbol, Prim] = {intern(p.name): p for p in _PRIM_SPECS}
 
 PRIM_NAMES = frozenset(p.name for p in _PRIM_SPECS)
 
+# The stock primitive of each name: what a program's read of a primitive
+# it never rebinds resolves to (:mod:`repro.lang.resolve`).
+PRIMS_BY_NAME: Dict[str, Prim] = {p.name: p for p in _PRIM_SPECS}
+
 
 # -- prelude ---------------------------------------------------------------------
 #

@@ -24,19 +24,32 @@ reads against the global frame's one dict (globals):
 Code nodes carry small integer ``tag``s; tags below :data:`T_IMMEDIATE`
 are exactly the immediates, so the machine's hot test is ``tag < 4``.
 
-The pass is purely lexical: it never consults the global environment, so
-compiled code is reusable across runs (the machine caches it per AST node),
-whatever residual policy a run has.
+The pass never consults the global environment, so compiled code is
+reusable across runs (the machine caches it per AST node), whatever
+residual policy a run has.  What it knows beyond the lexical scope is
+the program's own rebound set: a program form is resolved against the
+primitive names its parse reads and never rebinds
+(:attr:`repro.lang.program.Program.prims`, which records everything the
+program rebinds — its top-level ``define``s and its ``set!``s of names
+no binder around them binds), and a global read of one of those becomes
+a ``CLit`` of the stock primitive, so the machines call it with no
+lookup.  A library form binds none: library closures are shared by every
+program, so a program's ``(define (cdr p) ...)`` must reach the library
+λs that call ``cdr``.  A run whose environment binds one of those names
+to anything else resolves the form again without it
+(:func:`repro.eval.machine.run_program`).
 Unbound names are *not* a compile error — Scheme's top level binds
-incrementally, so any name that is not lexically visible compiles to a
-global reference that errors only if still unbound when executed.
+incrementally, so any other name that is not lexically visible compiles
+to a global reference that errors only if still unbound when executed.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+import weakref
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.lang import ast
+from repro.lang.prims import PRIMS_BY_NAME
 from repro.sexp.datum import Symbol
 
 # Code-node tags.  The first four are the immediates (tag < T_IMMEDIATE):
@@ -294,10 +307,13 @@ class CTermC(Code):
 
 class Resolver:
     """One resolution walk.  ``ribs`` is the static frame chain, innermost
-    last; each rib is the tuple of symbols its runtime frame will hold."""
+    last; each rib is the tuple of symbols its runtime frame will hold.
+    ``prims`` holds the primitive names a global read binds to the stock
+    primitive (a ``CLit``) instead of reading the global frame."""
 
-    def __init__(self):
+    def __init__(self, prims: FrozenSet[str] = frozenset()):
         self.ribs: List[Tuple[Symbol, ...]] = []
+        self.prims = prims
 
     # -- the walk --------------------------------------------------------------
 
@@ -309,6 +325,8 @@ class Resolver:
             name = node.name
             addr = self._address(name)
             if addr is None:
+                if name.name in self.prims:
+                    return CLit(PRIMS_BY_NAME[name.name])
                 return CGlobal(name, node.loc)
             return CLocal(addr[0], addr[1], name, node.loc)
         if k == ast.K_LAM:
@@ -372,9 +390,29 @@ class Resolver:
                     env_names)
 
 
-def resolve(expr: ast.Node) -> Code:
-    """Compile one expression (a top-level form's body) to code nodes."""
-    return Resolver().resolve(expr)
+# The primitive names each program binds, keyed weakly by its top-level
+# form expressions (registered by :class:`repro.lang.program.Program`):
+# what :func:`resolve` binds when its caller names no set.  A form that
+# is not registered (a library's, a bare expression's) binds none.
+_FORM_PRIMS: "weakref.WeakKeyDictionary[ast.Node, FrozenSet[str]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def bind_prims(exprs: Iterable[ast.Node], prims: FrozenSet[str]) -> None:
+    """Record that resolving any of the top-level ``exprs`` binds the
+    primitive names in ``prims``."""
+    for expr in exprs:
+        _FORM_PRIMS[expr] = prims
+
+
+def resolve(expr: ast.Node,
+            prims: Optional[FrozenSet[str]] = None) -> Code:
+    """Compile one expression (a top-level form's body) to code nodes.
+    Global reads of the names in ``prims`` become the stock primitive;
+    ``prims=None`` takes the set the form's program registered."""
+    if prims is None:
+        prims = _FORM_PRIMS.get(expr, frozenset())
+    return Resolver(prims).resolve(expr)
 
 
 def walk(code: Code) -> Iterator[Code]:

@@ -9,25 +9,31 @@ rejected in O(1).
 
 from __future__ import annotations
 
+from math import copysign
+
 from repro.sexp.datum import Char, Symbol
-from repro.values.values import NIL, HashValue, Pair, Vector
+from repro.values.values import NIL, HashValue, Pair, Vector, float_hash
 
 
 def scheme_eqv(a, b) -> bool:
     """``eqv?``: identity, except numbers/chars/booleans compare by value.
 
     Note ``bool`` is checked before ``int`` because Python booleans are
-    integers; ``(eqv? #t 1)`` must be false.
+    integers; ``(eqv? #t 1)`` must be false.  Floats compare as Racket's
+    ``eqv?`` does, not as ``=``: ``0.0`` and ``-0.0`` differ, and NaN is
+    ``eqv?`` to NaN.
     """
     if a is b:
         return True
     ta, tb = type(a), type(b)
     if ta is not tb:
         return False
-    if ta is bool:
+    if ta is bool or ta is int:
         return a == b
-    if ta is int or ta is float:
-        return a == b
+    if ta is float:
+        if a == b:
+            return a != 0.0 or copysign(1.0, a) == copysign(1.0, b)
+        return a != a and b != b
     if ta is Char:
         return a.value == b.value
     if ta is Symbol:
@@ -92,6 +98,8 @@ def value_hash(v) -> int:
         return 7 if v else 11
     if t is int:
         return hash(v)
+    if t is float:
+        return float_hash(v)
     if t is Symbol:
         return hash(v.name)
     if t is str:

@@ -65,6 +65,16 @@ def _value_size(v) -> int:
     return 1
 
 
+# Python hashes a NaN by identity, but every NaN is ``eqv?`` to every
+# other (``equality.scheme_eqv``), so all of them share this code.
+_NAN_HASH = 0x7FF80000
+
+
+def float_hash(v: float) -> int:
+    """A float's hash, consistent with ``eqv?``: NaNs share one code."""
+    return _NAN_HASH if v != v else hash(v)
+
+
 def _value_hash(v) -> int:
     if type(v) is Pair:
         return v.hash
@@ -72,6 +82,8 @@ def _value_hash(v) -> int:
         return v.hash_code
     if type(v) is Vector:
         return v.hash
+    if type(v) is float:
+        return float_hash(v)
     try:
         return hash(v)
     except TypeError:

@@ -199,6 +199,57 @@ class TestResolverAddressing:
             run_source("1", machine="bytecode")
 
 
+class TestPrimitiveBinding:
+    """A parse knows the global names it rebinds; resolving its forms
+    binds every other primitive it reads to the stock primitive (a
+    literal), while library forms keep their global reads."""
+
+    def test_rebound_and_bound_names(self):
+        program = parse_program(
+            "(define (f car) (set! car 1) (cdr car))\n"
+            "(define (g) (set! + -))\n"
+            "(define (h l) (let ([null? 0]) (set! null? 1) (length l)))\n"
+            "(letrec ([pair? (lambda (x) x)]) (set! pair? 2) (pair? 3))\n"
+            "(set! zero? 4)\n")
+        # Lexically bound set! targets (car, null?, pair?) are not
+        # global rebinds; `+` and `zero?` are.
+        assert program.rebound == {"f", "g", "h", "+", "zero?"}
+        assert program.prims == {"cdr", "-", "length"}
+
+    def test_read_before_a_later_define_is_not_bound(self):
+        program = parse_program("(define a (car '(1)))\n"
+                                "(define (car p) p)\n(car 5)")
+        assert "car" in program.rebound and not program.prims
+
+    def test_program_reads_become_literals(self):
+        from repro.lang.prims import PRIMS_BY_NAME
+        from repro.lang.resolve import T_GLOBAL, T_LIT, walk
+
+        program = parse_program("(define (f l) (if (null? l) 0 (car l)))")
+        nodes = list(walk(resolve(program.forms[0].expr)))
+        assert not [n for n in nodes if n.tag == T_GLOBAL]
+        lits = {n.value for n in nodes if n.tag == T_LIT}
+        assert {PRIMS_BY_NAME["null?"], PRIMS_BY_NAME["car"]} <= lits
+        # Naming no set binds nothing: the global reads stay.
+        free = list(walk(resolve(program.forms[0].expr, frozenset())))
+        assert {n.sname for n in free if n.tag == T_GLOBAL} == {
+            "null?", "car"}
+
+    def test_libraries_bind_nothing(self):
+        from repro.lang.libraries import contracts_program, \
+            prelude_program
+        from repro.lang.prims import PRIM_NAMES
+        from repro.lang.resolve import T_GLOBAL, walk
+
+        for library in (prelude_program(), contracts_program()):
+            assert library.prims == frozenset()
+            assert not library.rebound & PRIM_NAMES
+            reads = {n.sname for form in library.forms
+                     for n in walk(resolve(form.expr))
+                     if n.tag == T_GLOBAL}
+            assert reads & PRIM_NAMES
+
+
 class TestEnvFlavorGuard:
     def test_env_flavor_mismatch_raises(self):
         env = make_env(machine="tree")

@@ -6,6 +6,7 @@ import pytest
 from repro.eval.machine import Answer
 from repro.fuzz import (
     ALL_FEATURES,
+    FUZZ_FEATURES,
     Divergence,
     archive_divergence,
     default_cells,
@@ -77,6 +78,54 @@ class TestCells:
             default_cells("tree:bitmask")
         with pytest.raises(ValueError):
             default_cells("tree:warp:off")
+
+
+class TestShapes:
+    """The ``rebinding`` and ``mutual-loop`` shapes draw from a random
+    stream of their own: the default feature pool never uses them, and a
+    program the campaign draws without them is the default program."""
+
+    @staticmethod
+    def with_shape(shape, mode, variant=""):
+        for s in range(200):
+            p = generate_program(s, mode, features=FUZZ_FEATURES)
+            if shape in p.features and variant in p.source:
+                return p
+        raise AssertionError(f"no {shape} program in 200 seeds")
+
+    def test_default_programs_unchanged(self):
+        for mode in ("terminating", "diverging"):
+            for s in range(60):
+                base = generate_program(s, mode)
+                assert not set(base.features) - set(ALL_FEATURES)
+                p = generate_program(s, mode, features=FUZZ_FEATURES)
+                if not set(p.features) - set(ALL_FEATURES):
+                    assert p.source == base.source
+
+    @pytest.mark.parametrize("variant", ["(define (max", "(set! max min)"])
+    def test_rebinding(self, variant):
+        from repro.lang.parser import parse_program
+
+        p = self.with_shape("rebinding", "terminating", variant)
+        parsed = parse_program(p.source)
+        assert "max" in parsed.rebound and "max" not in parsed.prims
+        # A set! of max makes the λs' calls of it opaque to the engines.
+        opaque = variant.startswith("(set!")
+        assert p.must_verify is not opaque
+        assert p.must_discharge is not opaque
+        result = run_matrix(p, cells=default_cells("quick"))
+        assert result.divergences == []
+
+    def test_mutual_loop(self):
+        p = self.with_shape("mutual-loop", "diverging")
+        assert "(define (hlen l)" in p.source
+        result = run_matrix(p, cells=default_cells("quick"))
+        assert result.divergences == []
+        monitored = [r for r in result.cells if r.cell[2] == "monitored"]
+        assert monitored and all(r.kind == Answer.SC_ERROR
+                                 for r in monitored)
+        assert generate_program(p.seed, "terminating",
+                                features=("mutual-loop",)).features == ()
 
 
 class TestMatrixOracle:

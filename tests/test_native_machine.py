@@ -1421,3 +1421,140 @@ class TestPrimitiveTailHeads:
         # call guard (_M, _K).
         code = lams_by_name(parsed)["cdr"].native.__code__
         assert not {"_S", "_M", "_K"} & set(code.co_varnames)
+
+
+class TestBoundPrimitives:
+    """A program's reads of primitives it never rebinds resolve to the
+    stock primitive, so native code calls them with no global read and
+    no identity guard.  A program that rebinds such a name (a top-level
+    ``define`` after a use, a global ``set!`` in a λ), and a run whose
+    environment binds it to something else, keep the dynamic read: every
+    observable stays the tree machine's, on the compiled machine and on
+    the native tier in the ahead-of-time regime."""
+
+    PROGRAMS = {
+        # cdr is read, then redefined at top level.
+        "define-after-use": (
+            "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))\n"
+            "(define a (len '(1 2 3 4)))\n"
+            "(define (cdr p) '())\n"
+            "(list a (len '(1 2 3 4)))", "(4 1)"),
+        # `+` rebound by a set! inside a λ, between two calls of sum.
+        "set-in-lambda": (
+            "(define (sum l) (if (null? l) 0 (+ (car l) (sum (cdr l)))))\n"
+            "(define (swap!) (set! + -))\n"
+            "(define a (sum '(1 2 3)))\n"
+            "(swap!)\n"
+            "(list a (sum '(1 2 3)))", "(6 2)"),
+        # The program's cdr skips two cells: the prelude's map reads the
+        # global and sees it; length is a primitive and does not.
+        "library-sees-rebinding": (
+            "(define (cdr p) (if (pair? (rest p)) (rest (rest p)) '()))\n"
+            "(list (length '(1 2 3 4)) (map (lambda (x) (* x x)) "
+            "'(1 2 3 4)) (cdr '(1 2 3)))", "(4 (1 9) (3))"),
+        # A rebinding that diverges: the monitor must still catch it.
+        "rebound-diverging": (
+            "(define (car n) (if (zero? n) 0 (car (+ n 1))))\n"
+            "(car 1)", None),
+    }
+
+    @staticmethod
+    def run_all(parsed, strategy, env_of=None):
+        runs = {}
+        for machine in MACHINES:
+            if machine == "native":
+                aot(parsed)
+            runs[machine] = run_program(
+                parsed, mode="full", strategy=strategy, monitor=SCMonitor(),
+                fuel=1_000_000, machine=machine,
+                env=None if env_of is None else env_of(machine))
+        for machine in ("compiled", "native"):
+            assert observables(runs[machine]) == observables(runs["tree"]), \
+                machine
+            assert payload(runs[machine]) == payload(runs["tree"]), machine
+        return runs
+
+    @pytest.mark.parametrize("strategy", ["cm", "imperative"])
+    @pytest.mark.parametrize("name", list(PROGRAMS))
+    def test_rebinding_program(self, name, strategy):
+        src, expected = self.PROGRAMS[name]
+        runs = self.run_all(parse_program(src), strategy)
+        if expected is None:
+            assert runs["tree"].kind == Answer.SC_ERROR
+        else:
+            assert write_value(runs["tree"].value) == expected
+        assert runs["native"].tier == "native"
+
+    @pytest.mark.parametrize("strategy", ["cm", "imperative"])
+    @pytest.mark.parametrize("src", [
+        "(define (f x) (car x 2))\n(f '(1))",
+        "(define (f x) (+ 1 (car x 2)))\n(f '(1))",
+        "(car 1 2)",
+    ], ids=["tail", "value", "top"])
+    def test_arity_error_keeps_message_and_location(self, src, strategy):
+        runs = self.run_all(parse_program(src), strategy)
+        error = str(runs["tree"].error)
+        assert error.startswith("car: arity mismatch with 2 arguments at ")
+        assert str(runs["native"].error) == error
+
+    LOOP = ("(define (firsts l) (if (null? l) '() "
+            "(cons (car (first l)) (firsts (cdr l)))))\n"
+            "(define (pairs n) (if (zero? n) '() "
+            "(cons (list n (* n n)) (pairs (- n 1)))))\n"
+            "(firsts (pairs 40))")
+
+    @pytest.mark.parametrize("strategy", ["cm", "imperative"])
+    @pytest.mark.parametrize("kind", ["prim", "closure"])
+    def test_environment_rebinds_a_primitive(self, kind, strategy):
+        from repro.eval.machine import make_env
+        from repro.lang.prims import PRIMS_BY_NAME
+        from repro.sexp.datum import intern
+
+        envs = {}
+
+        def env_of(machine):
+            family = "tree" if machine == "tree" else "compiled"
+            if family not in envs:
+                env = make_env(machine=family)
+                if kind == "prim":
+                    car = PRIMS_BY_NAME["cadr"]
+                else:
+                    car = run_program(
+                        parse_program("(lambda (p) (cadr p))"), env=env,
+                        machine=family).value
+                env.define(intern("car"), car)
+                envs[family] = env
+            return envs[family]
+
+        parsed = parse_program(self.LOOP)
+        assert "car" in parsed.prims
+        stock = run_program(parsed, machine="tree")
+        runs = self.run_all(parsed, strategy, env_of)
+        assert write_value(stock.value).startswith("(40 39 38 ")
+        assert write_value(runs["tree"].value).startswith("(1600 1521 ")
+        # The bound code was compiled ahead of time; the run resolved
+        # the form again with car read from the environment, and tiered
+        # that code up by heat.
+        assert runs["native"].tier == "native"
+        # The same parse on a stock environment binds car again.
+        again = run_program(parsed, machine="native")
+        assert observables(again) == observables(stock)
+
+    @staticmethod
+    def native_code(src, name):
+        return lams_by_name(aot(parse_program(src)))[name].native.__code__
+
+    def test_code_shape(self):
+        firsts = self.LOOP.split("\n")[0]
+        code = self.native_code(firsts, "firsts")
+        assert not {"car", "first", "cdr", "null?"} & set(code.co_consts)
+        assert "fallback" not in code.co_names
+        # A λ that reads no program global has no global frame at all.
+        code = self.native_code("(define (f p) (car (cdr p)))", "f")
+        assert "_G" not in code.co_varnames
+        assert "fallback" not in code.co_names
+        # A program that rebinds car reads it, guarded, with the slow
+        # path behind the guard.
+        code = self.native_code(firsts + "\n(define (car p) p)", "firsts")
+        assert "car" in code.co_consts and "cdr" not in code.co_consts
+        assert "fallback" in code.co_names

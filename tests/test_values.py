@@ -12,6 +12,7 @@ from repro.values.values import (
     VOID,
     Box,
     _HASH_FOLD,
+    HashKey,
     HashValue,
     Pair,
     cons,
@@ -118,6 +119,57 @@ class TestEquality:
         b = python_to_list([1, "x", intern("s")])
         assert scheme_equal(a, b)
         assert value_hash(a) == value_hash(b)
+
+
+class TestFloatEqv:
+    """``eqv?`` on floats is Racket's, not ``=``: ``0.0`` and ``-0.0``
+    differ, and NaN is ``eqv?`` to NaN.  Every hash stays consistent
+    with ``equal?``, so two NaN objects share a code."""
+
+    def test_signed_zeros_differ(self):
+        assert not scheme_eqv(0.0, -0.0)
+        assert not scheme_equal(0.0, -0.0)
+        assert scheme_eqv(-0.0, -0.0)
+        assert scheme_eqv(1.5, 1.5)
+        assert not scheme_eqv(1.5, 2.5)
+
+    def test_nan_is_eqv_to_nan(self):
+        a, b = float("nan"), float("nan")
+        assert a is not b
+        assert scheme_eqv(a, b)
+        assert scheme_equal(python_to_list([1, a]), python_to_list([1, b]))
+        assert not scheme_eqv(a, 0.0)
+        assert not scheme_eqv(float("inf"), a)
+
+    def test_nan_hashes_alike(self):
+        a, b = float("nan"), float("nan")
+        assert value_hash(a) == value_hash(b)
+        assert value_hash(python_to_list([a])) == \
+            value_hash(python_to_list([b]))
+        assert HashKey(a) == HashKey(b)
+        assert hash(HashKey(a)) == hash(HashKey(b))
+
+    def test_signed_zeros_are_separate_keys(self):
+        h = HashValue.empty().set(0.0, "pos").set(-0.0, "neg")
+        assert h.count() == 2
+        assert h.get(0.0, None) == "pos"
+        assert h.get(-0.0, None) == "neg"
+        assert write_value(h) == '#hash((-0.0 . "neg") (0.0 . "pos"))'
+
+    def test_nan_key_found_by_another_nan(self):
+        h = HashValue.empty().set(float("nan"), 1)
+        assert h.get(float("nan"), None) == 1
+        assert h.set(float("nan"), 2).count() == 1
+
+    @pytest.mark.parametrize("machine", ["tree", "compiled", "native"])
+    def test_object_language(self, machine):
+        from repro.eval.machine import run_source
+
+        src = ("(list (eqv? 0.0 -0.0) (equal? 0.0 -0.0) (= 0.0 -0.0) "
+               "(eqv? -0.0 -0.0) (hash-count (hash-set (hash 0.0 1) -0.0 2))"
+               " (memv -0.0 (list 0.0 1)))")
+        answer = run_source(src, machine=machine)
+        assert write_value(answer.value) == "(#f #f #t #t 2 #f)"
 
 
 class TestConversions:
