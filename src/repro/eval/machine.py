@@ -559,10 +559,13 @@ def eval_code(
     _undef = _UNDEF
 
     def eval_args(exprs, i, vals, frame):
-        """Evaluate ``exprs[i:]`` into ``vals`` as far as immediates (and
-        nested all-immediate primitive calls) carry; return the index of
-        the first element needing the continuation (``len(exprs)`` when
-        done)."""
+        """Evaluate ``exprs[i:]`` into ``vals`` as far as immediates and
+        cheap applications carry; return the index of the first element
+        needing the continuation (``len(exprs)`` when done).  A cheap
+        application's head is a literal primitive whose arity the
+        resolver checked, so its arguments evaluate here and the
+        primitive is called on them: nothing is read, tested or
+        abandoned at run time."""
         n = len(exprs)
         while i < n:
             e = exprs[i]
@@ -586,77 +589,11 @@ def eval_code(
                         f"unbound variable: {e.name.name}", e.loc)
             elif t == 3:  # T_LAM
                 v = _closure(e, frame)
-            elif t == 4 and e.cheap and not e.headclo:  # T_APP
+            elif t == 4 and e.cheap:  # T_APP
                 exprs2 = e.exprs
-                if e.flat:
-                    # Strictly-immediate elements: the head evaluates
-                    # first (the machines' shared order), and the argument
-                    # list builds directly — no slice, no recursion.
-                    fe = exprs2[0]
-                    st = fe.tag
-                    if st == 2:  # T_GLOBAL — the typical primitive ref
-                        fn0 = gget(fe.sname, _MISS)
-                        if fn0 is _MISS:
-                            raise SchemeError(
-                                f"unbound variable: {fe.name.name}", fe.loc)
-                    else:
-                        fn0 = imm1(fe, frame)
-                    if type(fn0) is not _prim or not fn0.pure:
-                        # Not a pure primitive: abandon speculation (an
-                        # abort must not replay effects), permanently.
-                        e.headclo = True
-                        return i
-                    sub = []
-                    k = 1
-                    n2 = len(exprs2)
-                    while k < n2:
-                        se = exprs2[k]
-                        st = se.tag
-                        if st == 1:  # T_LOCAL
-                            f2 = frame
-                            d2 = se.depth
-                            while d2:
-                                f2 = f2[0]
-                                d2 -= 1
-                            v2 = f2[se.idx]
-                            if v2 is _undef:
-                                raise SchemeError(
-                                    f"{se.name.name}: used before "
-                                    f"initialization", se.loc)
-                        elif st == 0:  # T_LIT
-                            v2 = se.value
-                        elif st == 2:  # T_GLOBAL
-                            v2 = gget(se.sname, _MISS)
-                            if v2 is _MISS:
-                                raise SchemeError(
-                                    f"unbound variable: {se.name.name}",
-                                    se.loc)
-                        else:  # T_LAM
-                            v2 = _closure(se, frame)
-                        sub.append(v2)
-                        k += 1
-                    nargs = n2 - 1
-                    if nargs < fn0.arity_min or (fn0.arity_max is not None
-                                                 and nargs > fn0.arity_max):
-                        raise SchemeError(
-                            f"{fn0.name}: arity mismatch with {nargs} "
-                            f"arguments", e.loc)
-                    v = fn0.fn(sub)
-                else:
-                    sub = []
-                    if eval_args(exprs2, 0, sub, frame) < len(exprs2):
-                        return i
-                    fn0 = sub[0]
-                    if type(fn0) is not _prim or not fn0.pure:
-                        e.headclo = True
-                        return i
-                    nargs = len(sub) - 1
-                    if nargs < fn0.arity_min or (fn0.arity_max is not None
-                                                 and nargs > fn0.arity_max):
-                        raise SchemeError(
-                            f"{fn0.name}: arity mismatch with {nargs} "
-                            f"arguments", e.loc)
-                    v = fn0.fn(sub[1:])
+                sub = []
+                eval_args(exprs2, 1, sub, frame)
+                v = exprs2[0].value.fn(sub)
             else:
                 return i
             vals.append(v)
@@ -728,14 +665,12 @@ def eval_code(
                     t1 = control.test1
                     if t1 is not None:
                         # Immediate or cheap-application test: branch without
-                        # touching the continuation.  A cheap test whose head
-                        # turns out to be a closure falls through (its pure
-                        # immediates re-evaluate, which is sound).
+                        # touching the continuation.
                         probe = []
-                        if eval_args(t1, 0, probe, cenv):
-                            control = (control.then if probe[0] is not False
-                                       else control.els)
-                            continue
+                        eval_args(t1, 0, probe, cenv)
+                        control = (control.then if probe[0] is not False
+                                   else control.els)
+                        continue
                     kont.append([KF_IF, control.then, control.els, cenv,
                                  s1, s2])
                     control = control.test
@@ -1246,12 +1181,11 @@ def run_program(
     skips = policy_skip_labels(discharge)
     output: List[str] = []
     env.define(intern("display"),
-               Prim("display", lambda a: _display(a, output), 1, 1,
-                    pure=False))
+               Prim("display", lambda a: _display(a, output), 1, 1))
     env.define(intern("write"),
-               Prim("write", lambda a: _write(a, output), 1, 1, pure=False))
+               Prim("write", lambda a: _write(a, output), 1, 1))
     env.define(intern("newline"),
-               Prim("newline", lambda a: _newline(output), 0, 0, pure=False))
+               Prim("newline", lambda a: _newline(output), 0, 0))
 
     budget = _Fuel(fuel)
     mtable: dict = {}
@@ -1330,7 +1264,6 @@ def run_request(
     fuel: Optional[int] = None,
     cache=None,
     result_kinds=None,
-    env: Optional[GlobalEnv] = None,
     backoff: bool = False,
     engine: str = "bitmask",
 ):
@@ -1359,8 +1292,7 @@ def run_request(
         if discharge == "require" and not result.complete:
             return None, result
     answer = run_program(program, mode=mode, strategy=strategy,
-                         monitor=monitor, fuel=fuel, env=env,
-                         machine=machine,
+                         monitor=monitor, fuel=fuel, machine=machine,
                          discharge=result and result.policy)
     return answer, result
 

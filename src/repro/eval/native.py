@@ -724,12 +724,6 @@ def _contains_lam(code) -> bool:
     return any(node.tag == T_LAM for node in walk(code))
 
 
-def _fits(prim, n: int) -> bool:
-    """True when ``prim``'s arity admits ``n`` arguments."""
-    return n >= prim.arity_min and (prim.arity_max is None
-                                    or n <= prim.arity_max)
-
-
 def _bound_prim(head) -> Optional[Prim]:
     """The primitive a call head is bound to at resolve time (a literal
     the resolver put for a primitive the program never rebinds), or
@@ -1056,7 +1050,7 @@ class _Emitter:
         count outside the arity calls the generic dispatch, which raises
         the arity error with its message and location."""
         h = self.const(prim)
-        if _fits(prim, len(args)):
+        if prim.accepts(len(args)):
             return self.prim_expr(prim, h, args, ind)
         return f"_rt.prim({h}, [{', '.join(args)}], {self.cref(loc)})"
 
@@ -1083,7 +1077,7 @@ class _Emitter:
         target: Optional[str] = None
         opened = False
         prim = PRIMS_BY_NAME.get(sname) if sname is not None else None
-        if prim is not None and _fits(prim, len(args)):
+        if prim is not None and prim.accepts(len(args)):
             expr = self.prim_expr(prim, h, args, ind)
             self.line(ind, f"if {h} is {self.const(prim)}:")
             if tail:

@@ -423,9 +423,8 @@ def _p_void(args):
 _PRIM_SPECS = []
 
 
-def _prim(name: str, arity_min: int, arity_max: Optional[int], fn: Callable,
-          pure: bool = True):
-    _PRIM_SPECS.append(Prim(name, fn, arity_min, arity_max, pure=pure))
+def _prim(name: str, arity_min: int, arity_max: Optional[int], fn: Callable):
+    _PRIM_SPECS.append(Prim(name, fn, arity_min, arity_max))
 
 
 # numbers
@@ -533,7 +532,7 @@ _prim("box", 1, 1, lambda a: Box(a[0]))
 _prim("box?", 1, 1, lambda a: type(a[0]) is Box)
 _prim("unbox", 1, 1, lambda a: a[0].value if type(a[0]) is Box
       else _raise(SchemeError("unbox: expected a box")))
-_prim("set-box!", 2, 2, lambda a: _set_box(a), pure=False)
+_prim("set-box!", 2, 2, lambda a: _set_box(a))
 
 # vectors (immutable; vector-set is a functional update)
 _prim("vector", 0, None, lambda a: Vector(tuple(a)))
@@ -563,7 +562,7 @@ _prim("%promise-value", 1, 1,
       else _raise(SchemeError("%promise-value: promise not yet forced")))
 _prim("%promise-thunk", 1, 1,
       lambda a: _promise(a[0], "%promise-thunk").thunk)
-_prim("%promise-memo!", 2, 2, _p_promise_memo, pure=False)
+_prim("%promise-memo!", 2, 2, _p_promise_memo)
 
 # misc
 _prim("void", 0, None, _p_void)

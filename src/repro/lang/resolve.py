@@ -18,8 +18,10 @@ reads against the global frame's one dict (globals):
   context exactly instead of approximating it;
 * applications precompute ``exprs = (fn,) + args`` so the machine can run
   one tight left-to-right evaluation loop over a single tuple, and
-  ``cheap`` — true when every element is *immediate* (literal, variable,
-  λ), i.e. evaluable without touching the continuation.
+  ``cheap`` — true when the head is a bound primitive (see below) whose
+  arity admits the arguments and every argument is *immediate* (literal,
+  variable, λ) or itself cheap, i.e. the application evaluates without
+  touching the continuation.
 
 Code nodes carry small integer ``tag``s; tags below :data:`T_IMMEDIATE`
 are exactly the immediates, so the machine's hot test is ``tag < 4``.
@@ -33,9 +35,10 @@ primitive names its parse reads and never rebinds
 program rebinds — its top-level ``define``s and its ``set!``s of names
 no binder around them binds), and a global read of one of those becomes
 a ``CLit`` of the stock primitive, so the machines call it with no
-lookup.  A library form binds none: library closures are shared by every
-program, so a program's ``(define (cdr p) ...)`` must reach the library
-λs that call ``cdr``.  A run whose environment binds one of those names
+lookup, and an application of it is the only kind that can be
+``cheap``.  A library form binds none: library closures are shared by
+every program, so a program's ``(define (cdr p) ...)`` must reach the
+library λs that call ``cdr``.  A run whose environment binds one of those names
 to anything else resolves the form again without it
 (:func:`repro.eval.machine.run_program`).
 Unbound names are *not* a compile error — Scheme's top level binds
@@ -51,6 +54,7 @@ from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
 from repro.lang import ast
 from repro.lang.prims import PRIMS_BY_NAME
 from repro.sexp.datum import Symbol
+from repro.values.values import Prim
 
 # Code-node tags.  The first four are the immediates (tag < T_IMMEDIATE):
 # evaluating them can neither push a continuation frame nor call a closure.
@@ -169,29 +173,24 @@ class CLam(Code):
 
 
 class CApp(Code):
-    """``exprs`` is ``(fn,) + args``; ``cheap`` means every element is
-    immediate (or itself a cheap application), so when the head is a
-    primitive the whole application evaluates without the continuation.
+    """``exprs`` is ``(fn,) + args``.  ``cheap`` is a static fact: the
+    head is a literal primitive (only the resolver's binding puts one
+    there), its arity admits the arguments, and every argument is
+    immediate or itself cheap.  A cheap application then evaluates
+    without the continuation: its arguments cannot call a closure and
+    the primitive cannot fail its arity check."""
 
-    ``headclo`` is a monomorphic run-time cache: it flips to True the
-    first time the machine's inline path finds a head that is not a
-    *pure* primitive (a closure, or an effectful primitive whose
-    speculative execution could be replayed), so later visits skip the
-    doomed inline attempt.  Purely an optimization — the generic path
-    applies primitives too, so a name rebound from a closure back to a
-    primitive stays correct."""
-
-    __slots__ = ("exprs", "cheap", "flat", "headclo", "loc")
+    __slots__ = ("exprs", "cheap", "loc")
     tag = T_APP
 
     def __init__(self, exprs: Tuple[Code, ...], loc=None):
         self.exprs = exprs
-        self.flat = all(e.tag < T_IMMEDIATE for e in exprs)
-        self.cheap = self.flat or all(
-            e.tag < T_IMMEDIATE or (e.tag == T_APP and e.cheap)
-            for e in exprs
-        )
-        self.headclo = False
+        head = exprs[0]
+        self.cheap = (
+            head.tag == T_LIT and type(head.value) is Prim
+            and head.value.accepts(len(exprs) - 1)
+            and all(e.tag < T_IMMEDIATE or (e.tag == T_APP and e.cheap)
+                    for e in exprs[1:]))
         self.loc = loc
 
     def __repr__(self) -> str:

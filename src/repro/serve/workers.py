@@ -33,13 +33,14 @@ def worker_init(cache_dir: Optional[str], worker_id: int) -> None:
     once per worker, not once per request."""
     from repro.analysis.discharge import VerificationCache
     from repro.ds.lru import LRU
-    from repro.eval.machine import make_env
+    from repro.eval.machine import _run_env
 
     _STATE["worker_id"] = worker_id
     _STATE["cache"] = VerificationCache(cache_dir)
-    # The native tier shares the compiled closure representation, so one
-    # warm environment serves every machine a job may ask for.
-    _STATE["env"] = make_env(machine="native")
+    # Build the process's library environment now: every compiled or
+    # native run snapshots it (run_program(env=None)), so no request
+    # pays for the prelude.
+    _run_env("native")
     # Content-addressed program cache, next to the certificate cache: a
     # repeat request re-uses the parsed AST, so its compiled Code *and*
     # the native code and heat on each CLam stay warm across requests,
@@ -72,12 +73,8 @@ def worker_job(job: dict) -> dict:
         before = (cache.hits, cache.misses, cache.rejected)
         args = job["args"]
         if op == "run":
-            # The warm env is compiled-family (shared by native); a tree
-            # job needs its own env — rare enough to pay the prelude
-            # cost inline.
-            env = _STATE.get("env") if args["machine"] != "tree" else None
             answer, result = run_request(program, job["program"],
-                                         cache=cache, env=env, **args)
+                                         cache=cache, **args)
             response = {**answer.record(),
                         "discharge": result and result.summary()}
         else:

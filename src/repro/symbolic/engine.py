@@ -76,8 +76,7 @@ class SymEnv:
 
 # The output primitives every run binds (run_program): unbound, an
 # application would prune its path, and the calls in its arguments with it.
-_OUTPUT = {intern(name): Prim(name, lambda args: VOID, arity, arity,
-                              pure=False)
+_OUTPUT = {intern(name): Prim(name, lambda args: VOID, arity, arity)
            for name, arity in (("display", 1), ("write", 1), ("newline", 0))}
 
 

@@ -1,4 +1,5 @@
-"""``eqv?`` / ``equal?`` and structural hashing for runtime values.
+"""``eqv?`` / ``equal?`` for runtime values (the hash consistent with
+``equal?`` is :func:`repro.values.values.value_hash`).
 
 ``equal?`` drives two load-bearing pieces of the system: the ``→=`` arcs of
 size-change graphs (an arc ``i →= j`` is recorded when the j-th new argument
@@ -12,7 +13,7 @@ from __future__ import annotations
 from math import copysign
 
 from repro.sexp.datum import Char, Symbol
-from repro.values.values import NIL, HashValue, Pair, Vector, float_hash
+from repro.values.values import HashValue, Pair, Vector
 
 
 def scheme_eqv(a, b) -> bool:
@@ -78,34 +79,3 @@ def _hash_equal(a: HashValue, b: HashValue) -> bool:
         if other is sentinel or not scheme_equal(val, other):
             return False
     return True
-
-
-def value_hash(v) -> int:
-    """A structural hash consistent with :func:`scheme_equal`.
-
-    Closures hash by identity (our ``equal?`` on closures is identity); the
-    monitor's optional structural-hash keying mode uses the closure's λ
-    label instead (see :mod:`repro.sct.monitor`).
-    """
-    t = type(v)
-    if t is Pair:
-        return v.hash
-    if t is HashValue:
-        return v.hash_code
-    if t is Vector:
-        return v.hash
-    if t is bool:
-        return 7 if v else 11
-    if t is int:
-        return hash(v)
-    if t is float:
-        return float_hash(v)
-    if t is Symbol:
-        return hash(v.name)
-    if t is str:
-        return hash(v)
-    if t is Char:
-        return hash(("char", v.value))
-    if v is NIL:
-        return 23
-    return id(v)

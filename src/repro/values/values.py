@@ -75,7 +75,10 @@ def float_hash(v: float) -> int:
     return _NAN_HASH if v != v else hash(v)
 
 
-def _value_hash(v) -> int:
+def value_hash(v) -> int:
+    """The structural hash consistent with ``equal?``: the one pairs,
+    vectors, hash maps and the monitor's :class:`HashKey` use.  Closures
+    and boxes hash by identity, as ``equal?`` compares them."""
     if type(v) is Pair:
         return v.hash
     if type(v) is HashValue:
@@ -113,7 +116,7 @@ class Pair:
             hc = car.hash
         else:
             sc = _value_size(car)
-            hc = _value_hash(car)
+            hc = value_hash(car)
         td = type(cdr)
         if td is Pair:
             sd = cdr.size
@@ -123,7 +126,7 @@ class Pair:
             hd = hash(cdr)
         else:
             sd = _value_size(cdr)
-            hd = _value_hash(cdr)
+            hd = value_hash(cdr)
         self.size = 1 + sc + sd
         self.hash = (hc * 1000003 ^ hd) & 0x7FFFFFFF
 
@@ -166,15 +169,13 @@ class Closure:
 
 class Prim:
     """A primitive operation.  All primitives are total on their domain
-    (no primitive may diverge — paper §3.1), so they are never monitored.
+    (no primitive may diverge — paper §3.1), so they are never monitored,
+    and none calls back into the object language.  So an application of
+    one can be evaluated inline, without the continuation, wherever its
+    head and arity are known before the run
+    (:class:`repro.lang.resolve.CApp`)."""
 
-    ``pure`` marks primitives whose application is observably effect-free
-    (everything except output and mutation: ``display``/``write``/
-    ``newline``/``set-box!``).  The compiled machine only executes pure
-    primitives speculatively — an aborted inline attempt may re-evaluate
-    its subexpressions, which must not duplicate effects."""
-
-    __slots__ = ("name", "fn", "arity_min", "arity_max", "pure")
+    __slots__ = ("name", "fn", "arity_min", "arity_max")
 
     _SAME = object()
 
@@ -184,14 +185,12 @@ class Prim:
         fn: Callable,
         arity_min: int,
         arity_max=_SAME,
-        pure: bool = True,
     ):
         self.name = name
         self.fn = fn
         self.arity_min = arity_min
         # ``arity_max=None`` means variadic; omitted means exactly arity_min.
         self.arity_max = arity_min if arity_max is Prim._SAME else arity_max
-        self.pure = pure
 
     def accepts(self, n: int) -> bool:
         if n < self.arity_min:
@@ -228,7 +227,7 @@ class HashValue:
     """An immutable hash map value with ``equal?`` keys.
 
     Entries are grouped by their key's 31-bit code, which is consistent
-    with ``equal?`` (equal keys share it; see :func:`_value_hash`):
+    with ``equal?`` (equal keys share it; see :func:`value_hash`):
     ``buckets`` maps a code to a tuple of ``(key, value)`` pairs, scanned
     with ``k is key or scheme_equal(k, key)``.  A map of fewer than
     ``_HASH_FOLD`` keys holds its buckets in a flat ``dict`` that
@@ -256,11 +255,11 @@ class HashValue:
         size = 1
         code = 0x5BD1E995
         for k, v in items:
-            c = _value_hash(k) & 0x7FFFFFFF
+            c = value_hash(k) & 0x7FFFFFFF
             flat[c] = flat.get(c, ()) + ((k, v),)
             length += 1
             size += _value_size(k) + _value_size(v)
-            code ^= (c * 31 + _value_hash(v)) & 0x7FFFFFFF
+            code ^= (c * 31 + value_hash(v)) & 0x7FFFFFFF
         self.buckets = flat if length < _HASH_FOLD else Hamt.from_dict(flat)
         self.length = length
         self.size = size
@@ -277,11 +276,11 @@ class HashValue:
         elif tk is int:
             c = hash(key) & 0x7FFFFFFF
         else:
-            c = _value_hash(key) & 0x7FFFFFFF
+            c = value_hash(key) & 0x7FFFFFFF
         buckets = self.buckets
         bucket = buckets.get(c, ())
         k31 = c * 31
-        term = (k31 + _value_hash(value)) & 0x7FFFFFFF
+        term = (k31 + value_hash(value)) & 0x7FFFFFFF
         h = object.__new__(HashValue)
         for i, (k, old) in enumerate(bucket):
             if k is key or scheme_equal(k, key):
@@ -290,7 +289,7 @@ class HashValue:
                 h.length = self.length
                 h.size = self.size - _value_size(old) + _value_size(value)
                 h.hash_code = (self.hash_code ^ term
-                               ^ ((k31 + _value_hash(old)) & 0x7FFFFFFF))
+                               ^ ((k31 + value_hash(old)) & 0x7FFFFFFF))
                 if old is value:
                     # Same entry: the stored key stays, nothing is copied.
                     h.buckets = buckets
@@ -319,7 +318,7 @@ class HashValue:
         elif tk is int:
             c = hash(key) & 0x7FFFFFFF
         else:
-            c = _value_hash(key) & 0x7FFFFFFF
+            c = value_hash(key) & 0x7FFFFFFF
         bucket = self.buckets.get(c)
         if bucket is not None:
             for k, v in bucket:
@@ -359,7 +358,7 @@ class HashKey:
 
     def __init__(self, value):
         self.value = value
-        self.code = _value_hash(value) & 0x7FFFFFFF
+        self.code = value_hash(value) & 0x7FFFFFFF
 
     def __hash__(self) -> int:
         return self.code
@@ -405,7 +404,7 @@ class Vector:
         code = 0x9E3779B9
         for item in self.items:
             size += _value_size(item)
-            code = (code * 1000003 ^ _value_hash(item)) & 0x7FFFFFFF
+            code = (code * 1000003 ^ value_hash(item)) & 0x7FFFFFFF
         self.size = size
         self.hash = code
 

@@ -235,6 +235,52 @@ class TestPrimitiveBinding:
         assert {n.sname for n in free if n.tag == T_GLOBAL} == {
             "null?", "car"}
 
+    @staticmethod
+    def cheap_apps(program):
+        """Each application in ``program``'s resolved forms, written
+        back as source, mapped to its ``cheap`` flag."""
+        from repro.lang.resolve import T_APP, T_LIT, walk
+        from repro.values.values import Prim
+
+        def show(code):
+            if code.tag == T_APP:
+                return "(" + " ".join(show(e) for e in code.exprs) + ")"
+            if code.tag == T_LIT:
+                v = code.value
+                return v.name if type(v) is Prim else write_value(v)
+            return code.name if isinstance(code.name, str) \
+                else code.name.name
+
+        return {show(n): n.cheap for form in program.forms
+                for n in walk(resolve(form.expr)) if n.tag == T_APP}
+
+    def test_cheap_is_decided_at_resolve_time(self):
+        # Cheap: a bound primitive head whose arity admits the
+        # arguments, over immediates or cheap applications; purity
+        # does not matter (set-box! mutates).
+        apps = self.cheap_apps(parse_program(
+            "(define (f x b g)\n"
+            "  (list (car x) (+ 1 (car x)) (car x 2) (+ 1 (car x 2))\n"
+            "        (f x b g) (g x) (+ 1 (g x)) (set-box! b 1)))"))
+        assert apps == {
+            "(car x)": True, "(+ 1 (car x))": True, "(set-box! b 1)": True,
+            "(car x 2)": False, "(+ 1 (car x 2))": False,
+            "(f x b g)": False, "(g x)": False, "(+ 1 (g x))": False,
+            "(list (car x) (+ 1 (car x)) (car x 2) (+ 1 (car x 2)) "
+            "(f x b g) (g x) (+ 1 (g x)) (set-box! b 1))": False,
+        }
+        # A program that rebinds car reads it from the environment.
+        apps = self.cheap_apps(parse_program(
+            "(define (g x) (car x))\n(define (car p) p)"))
+        assert apps == {"(car x)": False}
+
+    def test_library_applications_are_not_cheap(self):
+        from repro.lang.libraries import prelude_program
+
+        apps = self.cheap_apps(prelude_program())
+        assert "(null? l)" in apps
+        assert not any(apps.values())
+
     def test_libraries_bind_nothing(self):
         from repro.lang.libraries import contracts_program, \
             prelude_program

@@ -1456,6 +1456,11 @@ class TestBoundPrimitives:
         "rebound-diverging": (
             "(define (car n) (if (zero? n) 0 (car (+ n 1))))\n"
             "(car 1)", None),
+        # A mutating primitive evaluated inline, before the read after it.
+        "inline-effect": (
+            "(define b (box 0))\n"
+            "(define (f x) (list (set-box! b x) (unbox b)))\n"
+            "(f 5)", "(#<void> 5)"),
     }
 
     @staticmethod
@@ -1490,7 +1495,8 @@ class TestBoundPrimitives:
         "(define (f x) (car x 2))\n(f '(1))",
         "(define (f x) (+ 1 (car x 2)))\n(f '(1))",
         "(car 1 2)",
-    ], ids=["tail", "value", "top"])
+        "(define (f x) (if (car x 2) 1 2))\n(f '(1))",
+    ], ids=["tail", "value", "top", "test"])
     def test_arity_error_keeps_message_and_location(self, src, strategy):
         runs = self.run_all(parse_program(src), strategy)
         error = str(runs["tree"].error)

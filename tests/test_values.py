@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.lang.prims import PRIMITIVES
 from repro.sexp.datum import Char, intern
 from repro.values.env import Env, GlobalEnv, UnboundVariable
-from repro.values.equality import scheme_equal, scheme_eqv, value_hash
+from repro.values.equality import scheme_equal, scheme_eqv
 from repro.values.values import (
     NIL,
     VOID,
@@ -20,6 +20,7 @@ from repro.values.values import (
     list_to_python,
     python_to_list,
     size_of,
+    value_hash,
     value_to_datum,
     write_value,
 )
