@@ -75,7 +75,8 @@ fuzz-nightly:
 serve-bench:
 	$(PYTHON) benchmarks/bench_serve.py --out BENCH_serve.json
 
-# The PR-blocking serve smoke: 200 mixed requests, zero-drop gate.
+# The PR-blocking serve smoke: 200 mixed requests, zero-drop and
+# warm/cold >= 5x gates.
 serve-smoke:
 	$(PYTHON) benchmarks/bench_serve.py --quick --out BENCH_serve.json
 

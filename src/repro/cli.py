@@ -14,9 +14,8 @@ Subcommands::
     sized bench table1|fig10|divergence|ablation|mc|compose|machines
                 [--scale quick|full] [--smoke] [--repeats N] [--out PATH]
     sized corpus [--diverging]
-    sized serve [--host H] [--port P] [--workers N] [--batch-window-ms MS]
-                [--default-fuel N] [--tenant-budget N]
-                [--request-timeout S] [--cache-dir DIR]
+    sized serve [--host H] [--port P] [--workers N] [--default-fuel N]
+                [--tenant-budget N] [--request-timeout S] [--cache-dir DIR]
                 [--allow-fault-injection]
     sized fuzz [--n N] [--seed S] [--mode both|terminating|diverging]
                [--matrix full|quick|m:e:p,...] [--fuel N] [--features a,b]
@@ -209,9 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument("--workers", type=int, default=None,
                          help="warm worker processes / cache shards "
                               "(default: min(4, cpus))")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="how long the first request of a batch "
-                              "waits for identical joiners")
     p_serve.add_argument("--default-fuel", type=int, default=5_000_000,
                          help="closure-application budget for "
                               "requests that do not send 'fuel' (0 = "
@@ -479,7 +475,6 @@ def _cmd_serve(args) -> int:
 
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
-        batch_window_ms=args.batch_window_ms,
         default_fuel=None if args.default_fuel < 0 else args.default_fuel,
         tenant_budget=args.tenant_budget,
         request_timeout=args.request_timeout,

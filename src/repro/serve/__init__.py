@@ -3,17 +3,17 @@ service.
 
 The ROADMAP's "termination-checking as a service" item, concretely: a
 stdlib-only asyncio front-end (:mod:`repro.serve.server`) speaking a
-JSON-lines TCP protocol (:mod:`repro.serve.protocol`), deduplicating and
-batching requests by content-addressed cache key
-(:mod:`repro.serve.batching`), fanning work out to warm worker processes
-that each own a shard of the on-disk verification cache
+JSON-lines TCP protocol (:mod:`repro.serve.protocol`), joining each
+request to an identical one already in flight, by content-addressed
+cache key (:mod:`repro.serve.batching`), fanning work out to warm
+worker processes that each own a shard of the on-disk verification cache
 (:mod:`repro.serve.workers`), metering per-tenant fuel budgets
 (:mod:`repro.serve.budgets`), and reporting a metrics surface
 (:mod:`repro.serve.metrics`) via the ``stats`` request.
 
 Request lifecycle::
 
-    accept → admit (tenant budget) → dedupe/batch by key
+    accept → admit (tenant budget) → join in-flight twin or dispatch
            → route to shard worker → verify-or-cache-hit
            → residual run under fuel → settle budget → respond
 

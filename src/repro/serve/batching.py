@@ -1,13 +1,14 @@
-"""Key-addressed dedupe/batching for the serve front-end.
+"""Key-addressed in-flight dedupe for the serve front-end.
 
 Identical jobs — equal :func:`repro.serve.protocol.request_key`, which
 covers program text, libraries, the op and the arguments it reads but
 *not* the tenant — are satisfied by a single worker execution.  The first arrival
-opens a batch and sleeps one batch window so concurrent duplicates can
-pile on; anything arriving while the job is still in flight joins too
-(in-flight dedupe costs nothing and catches stragglers the window
-missed).  When the shared result lands, every member gets it; each
-member still settles its *own* tenant budget and latency sample.
+opens a batch and dispatches at once; anything arriving while that
+dispatch is in flight joins it at no cost.  When the shared result
+lands, every member gets it; each member still settles its *own* tenant
+budget and latency sample.  Once a batch settles its key is forgotten:
+a later identical request dispatches again (the worker's warm
+certificate cache, not a result memo here, makes that cheap).
 
 A batch's dispatch failure (the structured error dict the dispatcher
 returns after its requeue budget is spent) is shared the same way a
@@ -33,9 +34,7 @@ class KeyedBatcher:
     """``submit(key, job)`` → ``(shared result dict, batch_size,
     joined)``."""
 
-    def __init__(self, window: float,
-                 dispatch: Callable[[str, dict], Awaitable[dict]]):
-        self.window = window
+    def __init__(self, dispatch: Callable[[str, dict], Awaitable[dict]]):
         self.dispatch = dispatch
         self._pending: Dict[str, _Batch] = {}
 
@@ -43,9 +42,9 @@ class KeyedBatcher:
         return len(self._pending)
 
     def has(self, key: str) -> bool:
-        """True when a batch for ``key`` is open or in flight — a new
-        arrival would join it for free, so admission control must not
-        shed it on shard-queue depth (joining adds no shard load)."""
+        """True when a batch for ``key`` is in flight — a new arrival
+        would join it for free, so admission control must not shed it
+        on shard-queue depth (joining adds no shard load)."""
         return key in self._pending
 
     async def submit(self, key: str, job: dict) -> Tuple[dict, int, bool]:
@@ -59,8 +58,6 @@ class KeyedBatcher:
         batch = _Batch(loop.create_future())
         self._pending[key] = batch
         try:
-            if self.window > 0:
-                await asyncio.sleep(self.window)  # let duplicates pile on
             result = await self.dispatch(key, job)
         except BaseException as exc:  # incl. cancellation: never strand waiters
             if not batch.future.done():

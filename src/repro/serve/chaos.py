@@ -320,8 +320,7 @@ async def _campaign(n: int, seed: int, kinds: Tuple[str, ...],
     cache_dir = tempfile.mkdtemp(prefix="sized-chaos-")
     budget = FUEL * max(n, 64)
     config = ServeConfig(
-        port=0, workers=workers, batch_window_ms=1.0,
-        default_fuel=FUEL, tenant_budget=budget,
+        port=0, workers=workers, default_fuel=FUEL, tenant_budget=budget,
         request_timeout=REQUEST_TIMEOUT, cache_dir=cache_dir,
         allow_fault_injection=True,
         max_inflight=max(24, n // 3), shard_queue_limit=16,

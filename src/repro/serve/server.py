@@ -5,7 +5,8 @@ requests on one connection are served concurrently and responses are
 matched by ``id``.  The data path is::
 
     handle_request → check_job → budget admit → request_key
-                   → KeyedBatcher.submit
+                   → KeyedBatcher.submit (a new key dispatches at once;
+                      a duplicate of one in flight joins it)
                    → _dispatch (shard route, wall-clock timeout,
                       crash/timeout requeue-once) → settle → respond
 
@@ -48,20 +49,25 @@ from repro.serve.budgets import TenantBudgets
 from repro.serve.metrics import Metrics
 from repro.serve.workers import ShardPool
 
+#: Backoff hint (seconds) on every ``overloaded`` shed: warm jobs take a
+#: few milliseconds, so by then a full queue has made room, and it is
+#: ``RetryPolicy``'s default base delay, so client and server agree.
+SHED_RETRY_AFTER = 0.05
+
 
 class ServeConfig:
     """Knobs for one server instance (all have production-ish defaults;
-    the CLI maps flags onto these 1:1)."""
+    the CLI maps flags onto these 1:1).  Dedupe has no knob: a request
+    joins an identical one only while it is in flight."""
 
-    __slots__ = ("host", "port", "workers", "batch_window_ms",
-                 "default_fuel", "tenant_budget", "request_timeout",
+    __slots__ = ("host", "port", "workers", "default_fuel",
+                 "tenant_budget", "request_timeout",
                  "cache_dir", "allow_fault_injection",
                  "max_inflight", "shard_queue_limit", "breaker_threshold",
                  "breaker_window_s", "breaker_open_s", "drain_timeout")
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8737,
                  workers: Optional[int] = None,
-                 batch_window_ms: float = 2.0,
                  default_fuel: Optional[int] = 5_000_000,
                  tenant_budget: Optional[int] = None,
                  request_timeout: float = 60.0,
@@ -76,7 +82,6 @@ class ServeConfig:
         self.host = host
         self.port = port
         self.workers = workers or min(4, max(os.cpu_count() or 1, 1))
-        self.batch_window_ms = batch_window_ms
         self.default_fuel = default_fuel
         self.tenant_budget = tenant_budget
         self.request_timeout = request_timeout
@@ -98,8 +103,7 @@ class SizedServer:
         self.config = config
         self.metrics = Metrics()
         self.budgets = TenantBudgets(config.tenant_budget)
-        self.batcher = KeyedBatcher(config.batch_window_ms / 1000.0,
-                                    self._dispatch)
+        self.batcher = KeyedBatcher(self._dispatch)
         self.pools = []
         self.breakers = []
         self._shard_load = []           # dispatched batches per shard
@@ -313,7 +317,7 @@ class SizedServer:
                     rid, protocol.E_OVERLOADED,
                     f"server at max in-flight capacity "
                     f"({self.config.max_inflight}); retry with backoff",
-                    retry_after=self._shed_retry_after())
+                    retry_after=SHED_RETRY_AFTER)
             if self._shard_load[shard] >= self.config.shard_queue_limit:
                 self.budgets.settle(tenant, effective_fuel, 0)
                 self.metrics.shed_shard_queue += 1
@@ -322,7 +326,7 @@ class SizedServer:
                     f"shard {shard} admission queue full "
                     f"({self.config.shard_queue_limit}); retry with "
                     f"backoff",
-                    shard=shard, retry_after=self._shed_retry_after())
+                    shard=shard, retry_after=SHED_RETRY_AFTER)
             self._shard_load[shard] += 1
         self._inflight_jobs += 1
         try:
@@ -352,12 +356,6 @@ class SizedServer:
         response["batched"] = joined
         response["key"] = key[:16]
         return response
-
-    def _shed_retry_after(self) -> float:
-        """Backoff hint for shed requests: a couple of batch windows —
-        long enough for in-flight work to make room, short enough that a
-        retrying client keeps the queue warm."""
-        return round(max(self.config.batch_window_ms / 1000.0 * 2, 0.05), 3)
 
     async def _handle_fault(self, request: dict, kind: str) -> dict:
         rid = request.get("id")

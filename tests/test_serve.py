@@ -18,12 +18,14 @@ The PR's concurrency contract:
 
 import asyncio
 import contextlib
+import gc
 import json
 
 import pytest
 
 from repro.corpus import all_programs, get_program
 from repro.serve import AsyncServeClient, ServeConfig, SizedServer, protocol
+from repro.serve.batching import KeyedBatcher
 
 LOOP = "(define (spin n) (spin (+ n 1)))\n(spin 0)\n"
 QUICK = "(define (f n) (if (zero? n) 42 (f (- n 1))))\n(f 10)\n"
@@ -35,7 +37,6 @@ HOT = QUICK.replace("(f 10)", "(f 40)")
 async def serve(**kwargs):
     kwargs.setdefault("port", 0)
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("batch_window_ms", 2.0)
     server = SizedServer(ServeConfig(**kwargs))
     await server.start()
     client = await AsyncServeClient.connect("127.0.0.1", server.port)
@@ -100,7 +101,7 @@ class TestProtocolBasics:
 class TestDedupe:
     def test_n_identical_requests_one_verification(self):
         async def body():
-            async with serve(batch_window_ms=25.0) as (_, c):
+            async with serve() as (_, c):
                 n = 24
                 rs = await asyncio.gather(*[
                     c.request({"op": "run", "program": QUICK})
@@ -120,7 +121,7 @@ class TestDedupe:
 
     def test_distinct_programs_not_deduped(self):
         async def body():
-            async with serve(batch_window_ms=25.0) as (_, c):
+            async with serve() as (_, c):
                 progs = [QUICK,
                          QUICK.replace("42", "43"),
                          QUICK.replace("(f 10)", "(f 3)")]
@@ -132,7 +133,7 @@ class TestDedupe:
 
     def test_fuel_is_part_of_the_key(self):
         async def body():
-            async with serve(batch_window_ms=25.0) as (_, c):
+            async with serve() as (_, c):
                 a, b = await asyncio.gather(
                     c.request({"op": "run", "program": QUICK, "fuel": 0}),
                     c.request({"op": "run", "program": QUICK,
@@ -144,15 +145,15 @@ class TestDedupe:
 
     def test_verify_key_ignores_run_fields(self):
         """A verify reads only entry, kinds, result_kinds and mc: verifies
-        that differ in machine, mode or fuel share one key and, within
-        one batch window, one execution."""
+        that differ in machine, mode or fuel share one key and, sent
+        together, one execution."""
         base = {"op": "verify", "program": QUICK, "entry": "f",
                 "kinds": ["nat"]}
         variants = [base, {**base, "machine": "tree"},
                     {**base, "mode": "full"}, {**base, "fuel": 7}]
 
         async def body():
-            async with serve(batch_window_ms=25.0) as (_, c):
+            async with serve() as (_, c):
                 rs = await asyncio.gather(*[c.request(dict(r))
                                             for r in variants])
                 assert all(r["ok"] and r["verified"] for r in rs), rs
@@ -173,7 +174,7 @@ class TestDedupe:
         ack = get_program("sct-3").source
 
         async def body():
-            async with serve(batch_window_ms=25.0) as (_, c):
+            async with serve() as (_, c):
                 plain, ranged = await asyncio.gather(
                     c.request({"op": "run", "program": ack}),
                     c.request({"op": "run", "program": ack,
@@ -195,6 +196,123 @@ class TestDedupe:
                 # same key → same shard → warm in-memory certificate
                 assert r1["worker"] == r2["worker"]
         run(body())
+
+
+class _HeldDispatch:
+    """A ``KeyedBatcher`` dispatch stub: every call records its key and
+    waits on ``release``, then returns a fresh dict or, given ``fail``,
+    raises a fresh ``RuntimeError(fail)``."""
+
+    def __init__(self, fail=None):
+        self.release = asyncio.Event()
+        self.fail = fail
+        self.calls = []
+
+    async def __call__(self, key, job):
+        self.calls.append(key)
+        await self.release.wait()
+        if self.fail is not None:
+            raise RuntimeError(self.fail)
+        return {"key": key, "call": len(self.calls)}
+
+
+async def _ticks(n=3):
+    for _ in range(n):
+        await asyncio.sleep(0)
+
+
+class TestKeyedBatcher:
+    """In-flight dedupe without a server: a duplicate joins only while
+    its twin's dispatch is in flight, and nothing is remembered after."""
+
+    def test_duplicates_share_one_dispatch(self):
+        n = 6
+
+        async def body():
+            dispatch = _HeldDispatch()
+            batcher = KeyedBatcher(dispatch)
+            tasks = [asyncio.create_task(batcher.submit("k", {}))
+                     for _ in range(n)]
+            await _ticks()
+            assert dispatch.calls == ["k"]
+            assert batcher.has("k") and batcher.pending() == 1
+            dispatch.release.set()
+            results = await asyncio.wait_for(asyncio.gather(*tasks), 5)
+            assert not batcher.has("k") and batcher.pending() == 0
+            return dispatch, results
+
+        dispatch, results = run(body())
+        assert len(dispatch.calls) == 1
+        joined = [j for _, _, j in results]
+        assert joined == [False] + [True] * (n - 1)
+        assert all(size == n for _, size, _ in results)
+        shared = results[0][0]
+        assert shared == {"key": "k", "call": 1}
+        assert all(result is shared for result, _, _ in results)
+
+    def test_distinct_keys_dispatch_separately(self):
+        async def body():
+            dispatch = _HeldDispatch()
+            batcher = KeyedBatcher(dispatch)
+            tasks = [asyncio.create_task(batcher.submit(k, {}))
+                     for k in ("a", "b", "a")]
+            await _ticks()
+            assert dispatch.calls == ["a", "b"] and batcher.pending() == 2
+            dispatch.release.set()
+            return await asyncio.wait_for(asyncio.gather(*tasks), 5)
+
+        (ra, _, ja), (rb, _, jb), (ra2, _, ja2) = run(body())
+        assert (ja, jb, ja2) == (False, False, True)
+        assert ra is ra2 and ra is not rb
+
+    def test_settled_batch_is_not_remembered(self):
+        async def body():
+            dispatch = _HeldDispatch()
+            dispatch.release.set()
+            batcher = KeyedBatcher(dispatch)
+            first = await batcher.submit("k", {})
+            second = await batcher.submit("k", {})
+            return dispatch, first, second
+
+        dispatch, first, second = run(body())
+        assert dispatch.calls == ["k", "k"]
+        assert first == ({"key": "k", "call": 1}, 1, False)
+        assert second == ({"key": "k", "call": 2}, 1, False)
+
+    @pytest.mark.parametrize("members", [1, 4])
+    @pytest.mark.parametrize("how", ["raise", "cancel"])
+    def test_leader_failure_reaches_every_member(self, how, members):
+        async def body():
+            # a future whose exception nobody retrieved is reported to
+            # the loop's exception handler when it is freed
+            seen = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _, ctx: seen.append(ctx))
+            dispatch = _HeldDispatch(fail="worker gone")
+            batcher = KeyedBatcher(dispatch)
+            tasks = [asyncio.create_task(batcher.submit("k", {}))
+                     for _ in range(members)]
+            await _ticks()
+            if how == "cancel":
+                tasks[0].cancel()
+            else:
+                dispatch.release.set()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), 5)
+            assert not batcher.has("k") and batcher.pending() == 0
+            # the errors' tracebacks hold the batch: free them all first
+            outcomes = [(type(o), str(o)) for o in outcomes]
+            del tasks, batcher
+            gc.collect()
+            await _ticks()
+            return dispatch, outcomes, seen
+
+        dispatch, outcomes, seen = run(body())
+        assert len(dispatch.calls) == 1
+        expected = ((RuntimeError, "worker gone") if how == "raise"
+                    else (asyncio.CancelledError, ""))
+        assert outcomes == [expected] * members
+        assert seen == []
 
 
 class TestNativeTier:
@@ -257,7 +375,7 @@ class TestNativeTier:
 
     def test_machine_is_selectable_and_keyed(self):
         async def body():
-            async with serve(batch_window_ms=25.0) as (_, c):
+            async with serve() as (_, c):
                 a, b = await asyncio.gather(
                     c.request({"op": "run", "program": HOT,
                                "machine": "compiled"}),
@@ -421,8 +539,7 @@ class TestBudgets:
 class TestTimeouts:
     def test_wall_clock_timeout_recycles_worker(self):
         async def body():
-            async with serve(request_timeout=1.0, workers=1,
-                             batch_window_ms=0.0) as (_, c):
+            async with serve(request_timeout=1.0, workers=1) as (_, c):
                 r = await c.request({"op": "run", "program": LOOP,
                                      "fuel": None})
                 assert r["ok"] is False
