@@ -432,7 +432,8 @@ def eval_expr(
 # a long-lived process calling run_source in a loop does not accumulate
 # entries.  ``_RESOLVED`` holds each node's code under the primitives its
 # program binds; ``_RESOLVED_AS`` the code under another set, one per
-# set, for runs whose environment rebinds one of those primitives.
+# set, for runs that rebind one of those primitives.  A library form has
+# at most one such set, the empty one (:func:`_stock_prims`).
 _RESOLVED: "weakref.WeakKeyDictionary[ast.Node, Code]" = \
     weakref.WeakKeyDictionary()
 _RESOLVED_AS: "weakref.WeakKeyDictionary[ast.Node, dict]" = \
@@ -445,8 +446,8 @@ def compile_code(expr: ast.Node, skip_labels=None, prims=None) -> Code:
 
     ``prims``: the primitive names to bind (see
     :func:`repro.lang.resolve.resolve`); ``None``, the set the form's
-    program binds, is what every run uses unless its environment
-    rebinds one of them (:func:`run_program`).
+    program binds, is what every run uses unless it rebinds one of them
+    (:func:`run_program`).
 
     ``skip_labels`` is ignored: resolved code carries no residual
     policy (:func:`run_program` hands a run's skip set to the machine),
@@ -465,19 +466,44 @@ def compile_code(expr: ast.Node, skip_labels=None, prims=None) -> Code:
     return code
 
 
-def _stock_prims(program: Program, env: GlobalEnv):
-    """``None`` when ``env`` binds every primitive ``program`` binds to
-    the stock primitive (the usual case: only the names the program
-    reads are looked at); else the subset it still binds so.  A run
-    changes none of those names (a program that rebinds a name binds
-    no primitive of it), so one check before the first form holds for
-    the whole run."""
-    by_name = env.by_name
-    for name in program.prims:
+def _stock_prims(program: Program, env: Optional[GlobalEnv]):
+    """What a compiled run of ``program`` on ``env`` resolves against:
+    ``(prims, libraries)``, each a ``prims`` argument of
+    :func:`compile_code`.  ``env=None`` stands for the process's library
+    environment, which binds every primitive to the stock one.
+
+    ``prims`` is ``None`` when ``env`` binds every primitive ``program``
+    binds to the stock primitive (the usual case: only the names the
+    program reads are looked at); else the subset it still binds so.
+    ``libraries`` is ``None`` when the library closures can serve the
+    run; else ``frozenset()``, and the run evaluates the prelude and the
+    contract library again from a resolution that binds no primitive,
+    because the program rebinds one they bind, or ``env`` binds one to
+    anything else.  A run changes none of those names (a program that
+    rebinds a name binds no primitive of it, and the libraries rebind
+    none), so one check before the first form holds for the whole
+    run."""
+    rebound = program.rebound
+    by_name = None if env is None else env.by_name
+    libraries = None
+    for library in (_prelude_program(), _contracts_program()):
+        if not library.prims.isdisjoint(rebound) or (
+                by_name is not None and _rebinds(by_name, library.prims)):
+            libraries = frozenset()
+    prims = None
+    if by_name is not None and _rebinds(by_name, program.prims):
+        prims = frozenset(n for n in program.prims
+                          if by_name.get(n) is PRIMS_BY_NAME[n])
+    return prims, libraries
+
+
+def _rebinds(by_name: dict, prims) -> bool:
+    """True when ``by_name`` binds one of the ``prims`` to anything but
+    the stock primitive."""
+    for name in prims:
         if by_name.get(name) is not PRIMS_BY_NAME[name]:
-            return frozenset(n for n in program.prims
-                             if by_name.get(n) is PRIMS_BY_NAME[n])
-    return None
+            return True
+    return False
 
 
 def eval_code(
@@ -1015,20 +1041,29 @@ def make_env(*, machine: str = "compiled") -> GlobalEnv:
     checks); the native tier shares the compiled representation.
     """
     _check_machine(machine)
-    env = GlobalEnv(PRIMS_BY_NAME, _env_family(machine))
+    env = _library_env(_env_family(machine))
+    env.unnamed = _unnamed_closures(env.by_name.values())
+    return env
+
+
+def _library_env(family: str, prims=None) -> GlobalEnv:
+    """The stock primitives plus the libraries, built by ``family``'s
+    machine; on the compiled family from the library forms resolved
+    under ``prims`` (:func:`compile_code`)."""
+    env = GlobalEnv(PRIMS_BY_NAME, family)
     fuel = _Fuel(None)
-    compiled = machine != "tree"
     for library in (_prelude_program(), _contracts_program()):
         for form in library.forms:
             assert isinstance(form, TopDefine)
-            if compiled:
-                value = eval_code(compile_code(form.expr), env, fuel=fuel)
+            if family == "compiled":
+                value = eval_code(compile_code(form.expr, None, prims), env,
+                                  fuel=fuel)
             else:
                 value = eval_expr(form.expr, env, fuel=fuel)
             if type(value) is Closure and value.name is None:
                 value.name = form.name.name
             env.define(form.name, value)
-    env.unnamed = _unnamed_closures(env.by_name.values())
+            env.library[form.name.name] = value
     return env
 
 
@@ -1073,8 +1108,10 @@ def _unnamed_closures(values) -> tuple:
 # library name exactly as on a fresh environment, and the snapshot keeps
 # the redefinition out of the next run (and clears the names a run's
 # ``define`` or ``letrec`` gave the library's anonymous closures: see
-# ``GlobalEnv.unnamed``).  Tree closures capture the
-# global frame that built them, so the tree machine builds its own.
+# ``GlobalEnv.unnamed``).  They call the primitives they read as
+# literals, so a run that rebinds one gets them built again
+# (:func:`run_program`).  Tree closures capture the global frame that
+# built them, so the tree machine builds its own.
 _COMPILED_BASE: Optional[GlobalEnv] = None
 
 
@@ -1156,26 +1193,38 @@ def run_program(
     defines or ``set!``s outlives the run.  ``env=None`` gives the run a
     fresh library environment: a snapshot of one the compiled family
     builds once per process, or a newly built one on the tree machine.
-    When ``env`` binds a primitive the program's resolved code binds
-    (:attr:`~repro.lang.program.Program.prims`) to anything else, the
-    compiled machines run the forms resolved without it
-    (:func:`compile_code`'s ``prims``), so the run reads it from ``env``
-    as the tree machine does.
+    Resolved code binds the primitives a form reads and its program
+    never rebinds (:attr:`~repro.lang.program.Program.prims`), library
+    forms included.  When ``env`` binds one of the program's to anything
+    else, the compiled machines run the forms resolved without it
+    (:func:`compile_code`'s ``prims``); when the program rebinds, or
+    ``env`` binds to anything else, one of the libraries', the run gets
+    library closures built again from a resolution that binds none.
+    Either way the run reads the name from ``env`` as the tree machine
+    does.
     """
     _check_machine(machine)
     compiled = machine != "tree"
-    prims = None
-    if env is None:
-        env = _run_env(machine)
-    else:
-        if env.flavor is not None and env.flavor != _env_family(machine):
-            raise ValueError(
-                f"environment built by the {env.flavor!r} machine cannot "
-                f"run on the {machine!r} machine (closure representations "
-                f"differ); build it with make_env(machine={machine!r})")
-        if compiled:
-            prims = _stock_prims(program, env)
-        env = env.snapshot()
+    if env is not None and env.flavor is not None \
+            and env.flavor != _env_family(machine):
+        raise ValueError(
+            f"environment built by the {env.flavor!r} machine cannot "
+            f"run on the {machine!r} machine (closure representations "
+            f"differ); build it with make_env(machine={machine!r})")
+    prims = libraries = None
+    if compiled:
+        prims, libraries = _stock_prims(program, env)
+    env = _run_env(machine) if env is None else env.snapshot()
+    if libraries is not None:
+        # The library closures bind a primitive this run rebinds: they
+        # are built again, on a stock environment as make_env does, from
+        # the resolution that reads every global from the run's env.  A
+        # library name the environment binds to something else keeps it.
+        fresh = _library_env("compiled", libraries).by_name
+        by_name = env.by_name
+        for name, value in env.library.items():
+            if by_name.get(name) is value:
+                by_name[name] = fresh[name]
     if monitor is None:
         monitor = SCMonitor()
     skips = policy_skip_labels(discharge)

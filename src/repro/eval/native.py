@@ -108,13 +108,15 @@ arity mismatch, a λ not compiled yet) is handed back (``_DRIVE``) for
 the site to drive.  A discharged program, or under ``cm`` a monitored one,
 below the bound thus enters the driver once per top-level form.
 
-Primitive calls: a program's reads of the primitives it never rebinds
-are literals in its resolved code (:mod:`repro.lang.resolve`), so such a
-call compiles to the primitive's inline expression or a plain
-``prim.fn([...])``, with no global read, no identity guard and no slow
-path, and its site is never closure-risky.  Only a read of a global the
-program rebinds, or any read in a library λ, keeps the guarded dispatch
-with its ``_rt.fallback`` branch.
+Primitive calls: a form's reads of the primitives its program never
+rebinds are literals in its resolved code (:mod:`repro.lang.resolve`),
+library forms included, so such a call compiles to the primitive's
+inline expression or a plain ``prim.fn([...])``, with no global read, no
+identity guard and no slow path, and its site is never closure-risky.
+A read of a name the program rebinds is a head like any other: its
+non-tail site is closure-risky, and the closure path applies a
+primitive it meets (:meth:`NativeContext.call`, the driver, a tail
+site's ``type(h) is _Prim`` branch).
 
 Fuel: one step is one closure body entered, as on the interpreters.
 The driver charges the shared :class:`~repro.eval.machine._Fuel` at its
@@ -129,11 +131,10 @@ application, so a diverging program exhausts any finite budget.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.ds.lru import LRU
 from repro.eval.errors import FuelExhausted, SchemeError
-from repro.lang.prims import PRIM_NAMES, PRIMS_BY_NAME
 from repro.sct.monitor import mut_step, table_step
 from repro.lang.resolve import (
     CApp,
@@ -212,11 +213,9 @@ _PREDICATES = frozenset({"=", "<", ">", "<=", ">=", "zero?", "null?",
 # fast path.  Every generated expression keeps the primitive's full
 # semantics by delegating to ``{h}.fn([...])`` outside its fast case (type
 # mismatches, non-int numerics), so error payloads stay byte-identical.
-# A call whose head the resolver bound to the primitive (a program's read
-# of a name it never rebinds) is the expression alone.  Only a dynamic
-# read (a name the program rebinds, any read in a library λ) guards it
-# with an identity test against the primitive object itself — a program
-# that rebinds ``+`` falls through to the generic dispatch.
+# They apply only where the resolver bound the call's head to the
+# primitive (a read of a name the program never rebinds), so the
+# expression is the whole call.
 
 def _inl_arith(op: str):
     def gen(h, a):
@@ -630,25 +629,14 @@ class NativeContext:
     @staticmethod
     def prim(fn, args, loc):
         """Generic primitive dispatch: the arity check, then the call.
-        Native call sites take it whenever the head is a primitive other
-        than the one their identity guard expects."""
+        Native code takes it for a primitive head read at run time and
+        for a bound primitive called outside its arity."""
         n = len(args)
         if n < fn.arity_min or (fn.arity_max is not None
                                 and n > fn.arity_max):
             raise SchemeError(
                 f"{fn.name}: arity mismatch with {n} arguments", loc)
         return fn.fn(args)
-
-    def fallback(self, fn, vals, loc):
-        """Slow path for plain-compiled non-tail call sites whose
-        prim-likely head turned out not to be the expected primitive."""
-        tf = type(fn)
-        if tf is Prim:
-            return self.prim(fn, vals[1:], loc)
-        if tf is Closure or tf is TermWrapped:
-            return self.fallback_call(fn, vals, loc)
-        raise SchemeError(
-            f"application of a non-procedure: {write_value(fn)}", loc)
 
     def fallback_call(self, fn, vals, loc):
         """Apply ``fn`` on the interpreter, under the running native
@@ -727,21 +715,11 @@ def _contains_lam(code) -> bool:
 def _bound_prim(head) -> Optional[Prim]:
     """The primitive a call head is bound to at resolve time (a literal
     the resolver put for a primitive the program never rebinds), or
-    None."""
+    None.  Every other head is closure-risky and forces the generator
+    calling convention at non-tail sites."""
     if head.tag == T_LIT and type(head.value) is Prim:
         return head.value
     return None
-
-
-def _prim_head(head) -> bool:
-    """True for a *prim-likely* head: a bound primitive, or a global read
-    of a name that a fresh environment binds to one (only a rebinding,
-    ``(define + ...)``, diverts that read's call to the slow path).
-    Other heads are closure-risky and force the generator calling
-    convention at non-tail sites."""
-    if head.tag == T_GLOBAL:
-        return head.sname in PRIM_NAMES
-    return _bound_prim(head) is not None
 
 
 def _inert(e) -> bool:
@@ -755,8 +733,8 @@ def _inert(e) -> bool:
 
 
 def _has_risky_nontail(code) -> bool:
-    """True if the body has a non-tail application whose head is not
-    statically prim-likely — the sites that need the generator calling
+    """True if the body has a non-tail application whose head is not a
+    bound primitive — the sites that need the generator calling
     convention to suspend without growing the Python stack."""
     # Work list of (node, in_tail_position).
     stack = [(code, True)]
@@ -764,7 +742,7 @@ def _has_risky_nontail(code) -> bool:
         node, tail = stack.pop()
         t = node.tag
         if t == T_APP:
-            if not tail and not _prim_head(node.exprs[0]):
+            if not tail and _bound_prim(node.exprs[0]) is None:
                 return True
             for e in node.exprs:
                 stack.append((e, False))
@@ -1023,13 +1001,16 @@ class _Emitter:
         self.line(ind + 2, "raise _FuelEx(_F.limit)")
         self.line(ind + 1, "_F.left = _fl - 1")
 
-    def prim_expr(self, prim, h: str, args: List[str], ind: int) -> str:
-        """The Python expression applying ``prim`` (read as ``h``) to
-        ``args``, whose count its arity admits: the ``_INLINE_PRIMS``
-        expression for the inlinable workhorses, else a plain
-        ``{h}.fn([...])``, with no arity check.  ``args`` is frozen in
-        place when an inline expression fires — callers build their
-        fallback argument lists after this returns."""
+    def bound_prim_call(self, prim, args: List[str], loc, ind: int) -> str:
+        """The expression for a call whose head the resolver bound to
+        ``prim``: nothing to read, guard or fall back from.  The
+        ``_INLINE_PRIMS`` expression for the inlinable workhorses, else a
+        plain ``{h}.fn([...])``; an argument count outside the arity
+        calls the generic dispatch, which raises the arity error with its
+        message and location."""
+        h = self.const(prim)
+        if not prim.accepts(len(args)):
+            return f"_rt.prim({h}, [{', '.join(args)}], {self.cref(loc)})"
         gen = _INLINE_PRIMS.get(prim.name)
         if gen is not None:
             # Inline expressions may read an argument more than once, so
@@ -1040,59 +1021,8 @@ class _Emitter:
                       for a in args]
             expr = gen(h, frozen)
             if expr is not None:
-                args[:] = frozen
                 return expr
         return f"{h}.fn([{', '.join(args)}])"
-
-    def bound_prim_call(self, prim, args: List[str], loc, ind: int) -> str:
-        """The expression for a call whose head the resolver bound to
-        ``prim``: nothing to read, guard or fall back from.  An argument
-        count outside the arity calls the generic dispatch, which raises
-        the arity error with its message and location."""
-        h = self.const(prim)
-        if prim.accepts(len(args)):
-            return self.prim_expr(prim, h, args, ind)
-        return f"_rt.prim({h}, [{', '.join(args)}], {self.cref(loc)})"
-
-    def prim_dispatch(self, h: str, args: List[str], loc: str, ind: int,
-                      tail: bool, sname: Optional[str] = None
-                      ) -> Tuple[Optional[str], bool]:
-        """The primitive branches of an application whose head is read
-        at run time: ``(target, opened)`` for non-tail sites, where
-        ``opened`` says whether an ``if`` chain was started that the
-        caller must close with its ``else`` branch; tail sites emit their
-        ``return``s instead.
-
-        When the head is a global naming a registered primitive (one the
-        program rebinds, or any read in a library λ) and the argument
-        count fits its arity, an identity-guarded fast path is emitted
-        first: ``if {h} is <that prim>`` the call compiles to
-        :meth:`prim_expr` — the guard proves the arity.  The guard makes
-        rebinding safe and inline expressions delegate to the primitive
-        outside their fast case, so observables never change.  At a tail
-        site any other primitive head takes the generic dispatch in
-        :meth:`NativeContext.prim` (arity check, then the call); non-tail
-        sites leave even that test to the caller's ``_rt.fallback`` or
-        ``_rt.call`` branch."""
-        target: Optional[str] = None
-        opened = False
-        prim = PRIMS_BY_NAME.get(sname) if sname is not None else None
-        if prim is not None and prim.accepts(len(args)):
-            expr = self.prim_expr(prim, h, args, ind)
-            self.line(ind, f"if {h} is {self.const(prim)}:")
-            if tail:
-                self.emit_return(expr, ind + 1)
-            else:
-                target = self.gensym()
-                self.line(ind + 1, f"{target} = {expr}")
-            opened = True
-        if not tail:
-            return target or self.gensym(), opened
-        branch = "elif" if opened else "if"
-        call = f"_rt.prim({h}, [{', '.join(args)}], {loc})"
-        self.line(ind, f"{branch} type({h}) is _Prim:")
-        self.emit_return(call, ind + 1)
-        return None, True
 
     def value_app(self, e, ind: int) -> str:
         prim = _bound_prim(e.exprs[0])
@@ -1102,35 +1032,23 @@ class _Emitter:
             self.line(ind, f"{t} = "
                       f"{self.bound_prim_call(prim, args, e.loc, ind)}")
             return t
+        # A closure-risky site, so this is a generator λ.  Below the
+        # depth bound _rt.call applies the callee on the Python stack,
+        # starting native callees in place (stepping them under cm), and
+        # hands back one that needs the driver; past it, suspend so stack
+        # use stays flat.  _a is scratch like _fl: every site consumes it
+        # before another site can run.
         vals = self.eval_seq(e.exprs, ind)
         h = self.freeze(vals[0], ind)
-        args = vals[1:]
         loc = self.cref(e.loc)
-        head = e.exprs[0]
-        sname = head.sname if head.tag == T_GLOBAL else None
-        t, opened = self.prim_dispatch(h, args, loc, ind, tail=False,
-                                       sname=sname)
-        arglist = ", ".join(["None"] + args)
-        if opened:
-            self.line(ind, "else:")
-            ind += 1
-        if self.is_gen and sname not in PRIM_NAMES:
-            # A closure-risky site (only generator λs have them).  Below
-            # the depth bound _rt.call applies the callee on the Python
-            # stack, starting native callees in place (stepping them
-            # under cm), and hands back one that needs the driver; past
-            # it, suspend so stack use stays flat.  _a is scratch like
-            # _fl: every site consumes it before another site can run.
-            self.line(ind, f"_a = [{arglist}]")
-            self.line(ind, f"if _rt.d < {_DIRECT_DEPTH}:")
-            self.line(ind + 1, f"{t} = _rt.call({h}, _a, {loc})")
-            self.line(ind + 1, f"if {t} is _DRIVE:")
-            self.line(ind + 2, f"{t} = _rt._drive({h}, _a, {loc})")
-            self.line(ind, "else:")
-            self.line(ind + 1, f"{t} = yield _Call({h}, _a, {loc}, False)")
-        else:
-            # A global naming a primitive: only a rebinding gets here.
-            self.line(ind, f"{t} = _rt.fallback({h}, [{arglist}], {loc})")
+        t = self.gensym()
+        self.line(ind, f"_a = [{', '.join(['None'] + vals[1:])}]")
+        self.line(ind, f"if _rt.d < {_DIRECT_DEPTH}:")
+        self.line(ind + 1, f"{t} = _rt.call({h}, _a, {loc})")
+        self.line(ind + 1, f"if {t} is _DRIVE:")
+        self.line(ind + 2, f"{t} = _rt._drive({h}, _a, {loc})")
+        self.line(ind, "else:")
+        self.line(ind + 1, f"{t} = yield _Call({h}, _a, {loc}, False)")
         return t
 
     def tail_app(self, e, ind: int) -> None:
@@ -1144,16 +1062,8 @@ class _Emitter:
         h = self.freeze(vals[0], ind)
         args = vals[1:]
         loc = self.cref(e.loc)
-        head = e.exprs[0]
-        sname = head.sname if head.tag == T_GLOBAL else None
-        # A global naming a primitive gets neither the self-tail loop nor
-        # the direct call: only a rebinding (a program's own
-        # ``(define (cdr n) ...)``) gets past the primitive branches, and
-        # the trampoline charges, steps and loops for it exactly as those
-        # two would have.
-        closure_risky = sname not in PRIM_NAMES
-        if (closure_risky and len(args) == self.clam.nparams
-                and head.tag in (T_LOCAL, T_GLOBAL)):
+        if (len(args) == self.clam.nparams
+                and e.exprs[0].tag in (T_LOCAL, T_GLOBAL)):
             # Compiled self-tail loop: when the callee is this very
             # closure, rebind and jump — the fuel charge keeps the
             # back-edge metered like any other application.  When this
@@ -1186,9 +1096,10 @@ class _Emitter:
                           f"_c if {kf} is None else {kf}(_c), _c, "
                           f"({targs}), _rt.s2, {adv}, {fast})")
                 self.emit_loop_back(args, ind + 2)
-        self.prim_dispatch(h, args, loc, ind, tail=True, sname=sname)
-        if closure_risky:
-            self.direct_tail_call(h, args, ind)
+        self.line(ind, f"if type({h}) is _Prim:")
+        self.emit_return(f"_rt.prim({h}, [{', '.join(args)}], {loc})",
+                         ind + 1)
+        self.direct_tail_call(h, args, ind)
         arglist = ", ".join(["None"] + args)
         self.emit_return(f"_Call({h}, [{arglist}], {loc})", ind)
 
@@ -1473,10 +1384,17 @@ def ensure_native(code) -> None:
 
 def ensure_native_program(program) -> None:
     """The ahead-of-time regime for one parse, under any policy: the
-    libraries, then :func:`ensure_native` over every form."""
-    from repro.eval.machine import compile_code
+    libraries as the program's runs resolve them, then
+    :func:`ensure_native` over every form."""
+    from repro.eval.machine import _contracts_program, _prelude_program, \
+        _stock_prims, compile_code
 
     ensure_native_libraries()
+    libraries = _stock_prims(program, None)[1]
+    if libraries is not None:
+        for library in (_prelude_program(), _contracts_program()):
+            for form in library.forms:
+                ensure_native(compile_code(form.expr, None, libraries))
     for form in program.forms:
         ensure_native(compile_code(form.expr))
 

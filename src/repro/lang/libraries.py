@@ -29,8 +29,7 @@ def prelude_program() -> Program:
         from repro.lang.parser import parse_program
         from repro.lang.prims import PRELUDE_SOURCE
 
-        _PRELUDE_PROGRAM = parse_program(PRELUDE_SOURCE, source="<prelude>",
-                                          library=True)
+        _PRELUDE_PROGRAM = parse_program(PRELUDE_SOURCE, source="<prelude>")
     return _PRELUDE_PROGRAM
 
 
@@ -42,6 +41,5 @@ def contracts_program() -> Program:
         from repro.lang.parser import parse_program
 
         _CONTRACTS_PROGRAM = parse_program(CONTRACTS_SOURCE,
-                                           source="<contracts>",
-                                           library=True)
+                                           source="<contracts>")
     return _CONTRACTS_PROGRAM

@@ -755,10 +755,9 @@ _FORMS = {
 }
 
 
-def parse_program(text: str, source: str = "<program>", *,
-                  library: bool = False):
-    """Parse whole-program text; returns :class:`repro.lang.program.Program`
-    (``library``: a shared library parse, which binds no primitive)."""
+def parse_program(text: str, source: str = "<program>"):
+    """Parse whole-program text; returns
+    :class:`repro.lang.program.Program`."""
     from repro.lang.program import Program, TopDefine, TopExpr
 
     forms = []
@@ -772,4 +771,4 @@ def parse_program(text: str, source: str = "<program>", *,
             forms.append(TopDefine(name, rhs, stx.loc))
         else:
             forms.append(TopExpr(parse_expr(stx), stx.loc))
-    return Program(tuple(forms), source, library=library)
+    return Program(tuple(forms), source)

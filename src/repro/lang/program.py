@@ -48,20 +48,20 @@ class Program:
     top-level ``define`` and every ``set!`` of a name no λ or ``let``
     around it binds.  ``prims`` holds the primitive names its forms read
     as globals and never rebind; resolving a form binds each of them to
-    the stock primitive (:func:`repro.lang.resolve.resolve`).  A library
-    parse (``library=True``) binds none: library closures are shared by
-    every program, and a program that redefines ``cdr`` must reach the
-    library λs that call it."""
+    the stock primitive (:func:`repro.lang.resolve.resolve`).  The
+    prelude and the contract library are parsed the same way: a run
+    whose program rebinds a name they bind, or whose environment binds
+    one to anything else, evaluates them again from a resolution that
+    binds none (:func:`repro.eval.machine.run_program`)."""
 
     __slots__ = ("forms", "source", "rebound", "prims")
 
-    def __init__(self, forms: Tuple[TopForm, ...], source: str = "<program>",
-                 *, library: bool = False):
+    def __init__(self, forms: Tuple[TopForm, ...],
+                 source: str = "<program>"):
         self.forms = forms
         self.source = source
         self.rebound, reads = _global_names(forms)
-        self.prims: FrozenSet[str] = (
-            frozenset() if library else reads - self.rebound)
+        self.prims: FrozenSet[str] = reads - self.rebound
         if self.prims:
             bind_prims((form.expr for form in forms), self.prims)
 

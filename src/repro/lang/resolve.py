@@ -29,18 +29,21 @@ are exactly the immediates, so the machine's hot test is ``tag < 4``.
 The pass never consults the global environment, so compiled code is
 reusable across runs (the machine caches it per AST node), whatever
 residual policy a run has.  What it knows beyond the lexical scope is
-the program's own rebound set: a program form is resolved against the
+the program's own rebound set: a form is resolved against the
 primitive names its parse reads and never rebinds
 (:attr:`repro.lang.program.Program.prims`, which records everything the
 program rebinds — its top-level ``define``s and its ``set!``s of names
 no binder around them binds), and a global read of one of those becomes
 a ``CLit`` of the stock primitive, so the machines call it with no
 lookup, and an application of it is the only kind that can be
-``cheap``.  A library form binds none: library closures are shared by
-every program, so a program's ``(define (cdr p) ...)`` must reach the
-library λs that call ``cdr``.  A run whose environment binds one of those names
-to anything else resolves the form again without it
-(:func:`repro.eval.machine.run_program`).
+``cheap``.  The prelude and the contract library are resolved the same
+way.  A run that rebinds one of those names resolves the form again
+without it (:func:`repro.eval.machine.run_program`): a program's form
+without the names its environment binds to anything else, a library
+form with no primitive bound when the program or its environment
+rebinds one the libraries read, since library closures are shared by
+every program and a program's ``(define (cdr p) ...)`` must reach the
+library λs that call ``cdr``.
 Unbound names are *not* a compile error — Scheme's top level binds
 incrementally, so any other name that is not lexically visible compiles
 to a global reference that errors only if still unbound when executed.
@@ -392,7 +395,7 @@ class Resolver:
 # The primitive names each program binds, keyed weakly by its top-level
 # form expressions (registered by :class:`repro.lang.program.Program`):
 # what :func:`resolve` binds when its caller names no set.  A form that
-# is not registered (a library's, a bare expression's) binds none.
+# is not registered (a bare expression's) binds none.
 _FORM_PRIMS: "weakref.WeakKeyDictionary[ast.Node, FrozenSet[str]]" = \
     weakref.WeakKeyDictionary()
 

@@ -55,6 +55,12 @@ from repro.serve.workers import ShardPool
 SHED_RETRY_AFTER = 0.05
 
 
+def _observe(future: asyncio.Future) -> None:
+    """Mark a finished future's exception as retrieved."""
+    if not future.cancelled():
+        future.exception()
+
+
 class ServeConfig:
     """Knobs for one server instance (all have production-ish defaults;
     the CLI maps flags onto these 1:1).  Dedupe has no knob: a request
@@ -426,6 +432,9 @@ class SizedServer:
                 # an OSError subclass.
                 except asyncio.TimeoutError:
                     self.metrics.request_timeouts += 1
+                    # the rebuild fails the job; read that failure, or
+                    # asyncio reports it as never retrieved
+                    future.add_done_callback(_observe)
                     # wedged: the rebuild kills it (a bare kill could hit
                     # the worker another failure already rebuilt)
                     self._rebuild(pool, generation)

@@ -40,15 +40,21 @@ class GlobalEnv:
     ``letrec`` names an unnamed closure it binds, and a snapshot shares
     its closures with the environment it was taken from, so
     :meth:`snapshot` clears those names again.
+
+    ``library``: the value each library name was bound to when the
+    environment was built (``make_env`` records them), so a run can
+    tell a library binding from one its caller put in its place.
     """
 
-    __slots__ = ("by_name", "flavor", "unnamed")
+    __slots__ = ("by_name", "flavor", "unnamed", "library")
 
     def __init__(self, by_name: Optional[Dict[str, object]] = None,
-                 flavor: Optional[str] = None, unnamed: tuple = ()):
+                 flavor: Optional[str] = None, unnamed: tuple = (),
+                 library: Optional[Dict[str, object]] = None):
         self.by_name = dict(by_name) if by_name else {}
         self.flavor = flavor
         self.unnamed = unnamed
+        self.library = {} if library is None else library
 
     def lookup(self, name: Symbol):
         try:
@@ -73,7 +79,8 @@ class GlobalEnv:
         an earlier run on a snapshot named them."""
         for closure in self.unnamed:
             closure.name = None
-        return GlobalEnv(self.by_name, self.flavor, self.unnamed)
+        return GlobalEnv(self.by_name, self.flavor, self.unnamed,
+                         self.library)
 
 
 class Env:

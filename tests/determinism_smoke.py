@@ -3,8 +3,9 @@
 Runs itself in two fresh interpreters, under ``PYTHONHASHSEED=1`` and
 ``=2``.  Each prints, one JSON line per run, the ``Answer.record()`` and
 discharge summary of every corpus, extra and diverging program (and two
-programs that print hash maps, one of them past the fold point) on the tree, compiled and native
-machines, through ``run_request(..., discharge="try")`` with a fuel
+programs that print hash maps, one of them past the fold point, and one
+that rebinds a primitive the libraries call) on the tree, compiled and
+native machines, through ``run_request(..., discharge="try")`` with a fuel
 bound over an on-disk certificate store, and then the program's stored
 certificate entry as written (its stable ids, ``acyclic`` among them).
 Exits 1, printing the first differing lines, unless the two outputs are
@@ -48,6 +49,16 @@ FOLD_PROGRAM = f"""
 (every-third '({_FOLD_KEYS}) m)
 """
 
+# Rebinds cdr, which the prelude's map and foldl call: the run takes the
+# library closures built from the resolution that binds no primitive,
+# and they see the stock cdr before the define and the program's after.
+REBIND_PROGRAM = """
+(define (squares l) (map (lambda (x) (* x x)) l))
+(define before (squares '(1 2 3 4 5)))
+(define (cdr p) (if (pair? (rest p)) (rest (rest p)) '()))
+(list before (squares '(1 2 3 4 5)) (foldl + 0 '(1 2 3 4 5)))
+"""
+
 
 def records():
     from repro.analysis.discharge import VerificationCache
@@ -60,6 +71,7 @@ def records():
     programs += [(p.name, p.source, None) for p in diverging_programs()]
     programs.append(("hash-maps", MAP_PROGRAM, None))
     programs.append(("hash-map-past-fold", FOLD_PROGRAM, None))
+    programs.append(("library-sees-rebinding", REBIND_PROGRAM, None))
     with tempfile.TemporaryDirectory() as store:
         cache = VerificationCache(store)
         for name, text, result_kinds in programs:

@@ -202,7 +202,8 @@ class TestResolverAddressing:
 class TestPrimitiveBinding:
     """A parse knows the global names it rebinds; resolving its forms
     binds every other primitive it reads to the stock primitive (a
-    literal), while library forms keep their global reads."""
+    literal).  The prelude and the contract library are parses like
+    any other."""
 
     def test_rebound_and_bound_names(self):
         program = parse_program(
@@ -274,26 +275,46 @@ class TestPrimitiveBinding:
             "(define (g x) (car x))\n(define (car p) p)"))
         assert apps == {"(car x)": False}
 
-    def test_library_applications_are_not_cheap(self):
+    def test_library_applications_are_cheap(self):
         from repro.lang.libraries import prelude_program
 
         apps = self.cheap_apps(prelude_program())
-        assert "(null? l)" in apps
-        assert not any(apps.values())
+        assert apps["(null? l)"] and apps["(cons i (loop (+ i 1)))"] is False
+        assert apps["(+ i 1)"] and not apps["(map f (cdr l))"]
 
-    def test_libraries_bind_nothing(self):
+    def test_libraries_bind_the_primitives_they_read(self):
         from repro.lang.libraries import contracts_program, \
             prelude_program
         from repro.lang.prims import PRIM_NAMES
         from repro.lang.resolve import T_GLOBAL, walk
 
+        def global_reads(library, prims=None):
+            return {n.sname for form in library.forms
+                    for n in walk(resolve(form.expr, prims))
+                    if n.tag == T_GLOBAL}
+
         for library in (prelude_program(), contracts_program()):
-            assert library.prims == frozenset()
             assert not library.rebound & PRIM_NAMES
-            reads = {n.sname for form in library.forms
-                     for n in walk(resolve(form.expr))
-                     if n.tag == T_GLOBAL}
-            assert reads & PRIM_NAMES
+            assert {"car", "cdr", "null?"} <= library.prims
+            # Bound: no call site reads a primitive name as a global.
+            assert not global_reads(library) & PRIM_NAMES
+            # The resolution a rebinding run uses reads them all.
+            assert global_reads(library, frozenset()) & PRIM_NAMES == \
+                library.prims
+
+    def test_library_resolutions_stay_two(self):
+        """Whatever subset of the library's primitives runs rebind, a
+        library form has one resolution besides the bound one: the one
+        that binds nothing."""
+        from repro.eval.machine import _RESOLVED_AS
+        from repro.lang.libraries import prelude_program
+
+        for name in ("car", "cdr", "null?", "+"):
+            src = (f"(define (f x) x)\n(set! {name} f)\n"
+                   "(map (lambda (x) x) '())")
+            assert run_source(src, machine="compiled").kind == Answer.VALUE
+        for form in prelude_program().forms:
+            assert set(_RESOLVED_AS[form.expr]) == {frozenset()}
 
 
 class TestEnvFlavorGuard:

@@ -20,6 +20,7 @@ that pin the emitter and the monitored native tier (their ``tier ==
 put in the ahead-of-time regime first (:func:`aot`).
 """
 
+import inspect
 import sys
 
 import pytest
@@ -31,7 +32,8 @@ from repro.eval import machine as machine_mod
 from repro.eval import native as native_mod
 from repro.eval.machine import (Answer, compile_code, run_program,
                                 run_source)
-from repro.eval.native import ensure_native, ensure_native_program
+from repro.eval.native import (ensure_native, ensure_native_libraries,
+                               ensure_native_program)
 from repro.lang.parser import parse_program
 from repro.lang.resolve import T_LAM, walk
 from repro.sct.monitor import SCMonitor
@@ -1383,12 +1385,10 @@ class TestMonitoredCalls:
 
 
 class TestPrimitiveTailHeads:
-    """A tail call whose head statically names a primitive compiles to
-    the primitive branches and a trampoline request: no self-tail loop,
-    no direct call.  Only a program that rebinds the name gets past the
-    primitive branches, and the trampoline charges and steps its calls
-    as the loop would have, so a program whose own ``cdr`` is a
-    self-tail loop keeps the tree machine's observables."""
+    """A program that rebinds a primitive's name reads it as a global
+    like any name it defines, so its own ``cdr`` that loops on itself in
+    tail position gets the compiled self-tail loop and the direct call,
+    and keeps the tree machine's observables."""
 
     LOOPS = {
         "terminating": ("(define (cdr n) (if (zero? n) 'done "
@@ -1417,20 +1417,21 @@ class TestPrimitiveTailHeads:
             assert observables(runs[machine]) == observables(ref), machine
             assert payload(runs[machine]) == payload(ref), machine
         assert runs["native"].tier == "native"
-        # The loop's own body has no self-loop test (_S) and no direct
+        # The loop's own body has the self-loop test (_S) and the direct
         # call guard (_M, _K).
         code = lams_by_name(parsed)["cdr"].native.__code__
-        assert not {"_S", "_M", "_K"} & set(code.co_varnames)
+        assert {"_S", "_M", "_K"} <= set(code.co_varnames)
 
 
 class TestBoundPrimitives:
-    """A program's reads of primitives it never rebinds resolve to the
-    stock primitive, so native code calls them with no global read and
-    no identity guard.  A program that rebinds such a name (a top-level
-    ``define`` after a use, a global ``set!`` in a λ), and a run whose
-    environment binds it to something else, keep the dynamic read: every
-    observable stays the tree machine's, on the compiled machine and on
-    the native tier in the ahead-of-time regime."""
+    """Reads of primitives a program never rebinds resolve to the stock
+    primitive, in its forms and in the libraries', so native code calls
+    them with no global read and no identity guard.  A program that
+    rebinds such a name (a top-level ``define`` after a use, a global
+    ``set!`` in a λ), and a run whose environment binds it to something
+    else, keep the dynamic read, in the library λs too: every observable
+    stays the tree machine's, on the compiled machine and on the native
+    tier in the ahead-of-time regime."""
 
     PROGRAMS = {
         # cdr is read, then redefined at top level.
@@ -1452,6 +1453,14 @@ class TestBoundPrimitives:
             "(define (cdr p) (if (pair? (rest p)) (rest (rest p)) '()))\n"
             "(list (length '(1 2 3 4)) (map (lambda (x) (* x x)) "
             "'(1 2 3 4)) (cdr '(1 2 3)))", "(4 (1 9) (3))"),
+        # cdr rebound by a set! inside a λ, between two calls of the
+        # prelude's map.
+        "library-set-in-lambda": (
+            "(define (skip!) (set! cdr (lambda (p) (cddr p))))\n"
+            "(define a (map (lambda (x) (* x x)) '(1 2 3 4)))\n"
+            "(skip!)\n"
+            "(list a (map (lambda (x) (* x x)) '(1 2 3 4)))",
+            "((1 4 9 16) (1 9))"),
         # A rebinding that diverges: the monitor must still catch it.
         "rebound-diverging": (
             "(define (car n) (if (zero? n) 0 (car (+ n 1))))\n"
@@ -1509,35 +1518,59 @@ class TestBoundPrimitives:
             "(cons (list n (* n n)) (pairs (- n 1)))))\n"
             "(firsts (pairs 40))")
 
+    # The program each environment case runs, the names the environment
+    # binds to something else (a primitive, or for "closure" a closure
+    # that calls one), and the answer's prefix on a stock environment and
+    # on that one.
+    ENV_CASES = {
+        "prim": (LOOP, {"car": "cadr"}, "(40 39 38 ", "(1600 1521 "),
+        "closure": (LOOP, {"car": "cadr"}, "(40 39 38 ", "(1600 1521 "),
+        # The prelude's map reads the environment's cdr.
+        "library": ("(map (lambda (x) (* x x)) '(0 1 2 3 4 5))",
+                    {"cdr": "cddr"}, "(0 1 4 9 16 25)", "(0 4 16)"),
+        # The run builds the libraries again for cdr, and the library
+        # name the environment binds to something else keeps it.
+        "library-name": ("(list (map 1 2) (foldl + 0 '(1 2 3 4 5 6)))",
+                         {"cdr": "cddr", "map": "list"}, None, "((1 2) 9)"),
+    }
+
     @pytest.mark.parametrize("strategy", ["cm", "imperative"])
-    @pytest.mark.parametrize("kind", ["prim", "closure"])
+    @pytest.mark.parametrize("kind", ["prim", "closure", "library",
+                                      "library-name"])
     def test_environment_rebinds_a_primitive(self, kind, strategy):
         from repro.eval.machine import make_env
         from repro.lang.prims import PRIMS_BY_NAME
         from repro.sexp.datum import intern
 
+        src, bindings, stock_value, value = self.ENV_CASES[kind]
         envs = {}
 
         def env_of(machine):
             family = "tree" if machine == "tree" else "compiled"
             if family not in envs:
                 env = make_env(machine=family)
-                if kind == "prim":
-                    car = PRIMS_BY_NAME["cadr"]
-                else:
-                    car = run_program(
-                        parse_program("(lambda (p) (cadr p))"), env=env,
-                        machine=family).value
-                env.define(intern("car"), car)
+                for name, other in bindings.items():
+                    if kind == "closure":
+                        bound = run_program(
+                            parse_program(f"(lambda (p) ({other} p))"),
+                            env=env, machine=family).value
+                    else:
+                        bound = PRIMS_BY_NAME[other]
+                    env.define(intern(name), bound)
                 envs[family] = env
             return envs[family]
 
-        parsed = parse_program(self.LOOP)
-        assert "car" in parsed.prims
-        stock = run_program(parsed, machine="tree")
+        parsed = parse_program(src)
         runs = self.run_all(parsed, strategy, env_of)
-        assert write_value(stock.value).startswith("(40 39 38 ")
-        assert write_value(runs["tree"].value).startswith("(1600 1521 ")
+        assert write_value(runs["tree"].value).startswith(value)
+        if stock_value is None:
+            return
+        stock = run_program(parsed, machine="tree")
+        assert write_value(stock.value).startswith(stock_value)
+        if kind == "library":
+            assert "cdr" not in parsed.prims
+            return
+        assert "car" in parsed.prims
         # The bound code was compiled ahead of time; the run resolved
         # the form again with car read from the environment, and tiered
         # that code up by heat.
@@ -1559,8 +1592,20 @@ class TestBoundPrimitives:
         code = self.native_code("(define (f p) (car (cdr p)))", "f")
         assert "_G" not in code.co_varnames
         assert "fallback" not in code.co_names
-        # A program that rebinds car reads it, guarded, with the slow
-        # path behind the guard.
+        # A program that rebinds car reads it as a global and calls it on
+        # the closure path: its non-tail site makes firsts a generator.
         code = self.native_code(firsts + "\n(define (car p) p)", "firsts")
         assert "car" in code.co_consts and "cdr" not in code.co_consts
-        assert "fallback" in code.co_names
+        assert "fallback" not in code.co_names
+        assert code.co_flags & inspect.CO_GENERATOR
+        # The prelude's map binds the primitives it calls, as a program
+        # λ does.
+        from repro.lang.libraries import prelude_program
+        from repro.lang.prims import PRIM_NAMES
+
+        ensure_native_libraries()
+        form = next(f for f in prelude_program().forms
+                    if f.name.name == "map")
+        code = compile_code(form.expr).native.__code__
+        assert not PRIM_NAMES & set(code.co_consts)
+        assert "fallback" not in code.co_names

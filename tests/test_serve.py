@@ -539,6 +539,11 @@ class TestBudgets:
 class TestTimeouts:
     def test_wall_clock_timeout_recycles_worker(self):
         async def body():
+            # the timed-out jobs fail when the rebuild kills their
+            # worker; nothing may report their exception as unretrieved
+            seen = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _, ctx: seen.append(ctx))
             async with serve(request_timeout=1.0, workers=1) as (_, c):
                 r = await c.request({"op": "run", "program": LOOP,
                                      "fuel": None})
@@ -551,7 +556,11 @@ class TestTimeouts:
                 # the recycled worker serves the next request
                 ok = await c.request({"op": "run", "program": QUICK})
                 assert ok["ok"] and ok["value"] == "42"
-        run(body())
+            gc.collect()
+            await _ticks()
+            return seen
+
+        assert run(body()) == []
 
 
 class TestSemanticsPreserved:
